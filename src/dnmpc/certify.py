@@ -4,9 +4,8 @@ Certificates are closed-form: the Lipschitz constant of the stage/terminal
 cost, the largest admissible disturbance bound compatible with recursive
 feasibility, and the ultimate bound on the tracking error. Verification
 replays a trajectory log against the navigation specification (collision
-avoidance, connectivity, obstacle clearance, workspace containment, pitch
-bounds), the terminal-set trapping property, and the per-step ISS cost
-inequality.
+avoidance, connectivity, obstacle clearance, workspace containment), the
+terminal-set trapping property, and the per-step ISS cost inequality.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constraints import logged_distances
 from .dynamics import ErrorDynamics
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "ultimate_bound",
     "xi_bound",
     "build_certificate",
-    "observed_sup_error",
     "verify",
     "write_report",
 ]
@@ -125,20 +124,6 @@ def build_certificate(Q, P, eps_omega, eps_psi, L_g, L_V, h, T_p, w_bar,
     )
 
 
-def observed_sup_error(log, errordyns, P, eps_psi):
-    """Largest logged error norm among samples inside the feasibility region
-    {V <= eps_psi}; used to cross-check published cost Lipschitz constants.
-    """
-    P = np.asarray(P, dtype=float)
-    sup = 0.0
-    for ed, trace in zip(errordyns, log.traces):
-        for z in trace.states:
-            e = ed.error_of(np.asarray(z))
-            if float(e @ P @ e) <= eps_psi:
-                sup = max(sup, float(np.linalg.norm(e)))
-    return sup
-
-
 @dataclass
 class CheckResult:
     passed: bool
@@ -188,11 +173,8 @@ def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
     times = [np.asarray(tr.times) for tr in log.traces]
     states = [np.asarray(tr.states) for tr in log.traces]
     positions = [states[i][:, models[i].position_slice] for i in range(n)]
+    dists = logged_distances(world, times, positions)
     eps = world.margin
-
-    def aligned(j, t_grid):
-        idx = np.clip(np.searchsorted(times[j], t_grid), 0, len(times[j]) - 1)
-        return positions[j][idx]
 
     # (1) convergence to the ultimate-bound ball (outer radius)
     cert = scenario.build_certificate()
@@ -203,20 +185,20 @@ def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
                        float(times[i][-1]))
     report.checks["error-ultimate-bound"] = CheckResult(worst[0] >= -tol, *worst)
 
-    # (2) inter-agent separation and (3) neighbor connectivity
+    # (2) inter-agent separation (every pair) and (3) neighbor connectivity
     sep, conn = (np.inf, 0.0), (np.inf, 0.0)
     for i in range(n):
         r_i = world.agent_radii[i]
         for j in range(n):
             if j == i:
                 continue
-            dists = np.linalg.norm(positions[i] - aligned(j, times[i]), axis=1)
-            k = int(np.argmin(dists))
-            sep = _track(sep, float(dists[k]) - (r_i + world.agent_radii[j] + eps),
+            d_ij = dists[i].agents[:, j]
+            k = int(np.argmin(d_ij))
+            sep = _track(sep, float(d_ij[k]) - (r_i + world.agent_radii[j] + eps),
                          float(times[i][k]))
             if j in world.neighbor_sets[i]:
-                k = int(np.argmax(dists))
-                conn = _track(conn, (world.sensing_ranges[i] - eps) - float(dists[k]),
+                k = int(np.argmax(d_ij))
+                conn = _track(conn, (world.sensing_ranges[i] - eps) - float(d_ij[k]),
                               float(times[i][k]))
     report.checks["inter-agent-separation"] = CheckResult(sep[0] >= -tol, *sep)
     report.checks["neighbor-connectivity"] = CheckResult(conn[0] >= -tol, *conn)
@@ -225,32 +207,18 @@ def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
     obst, wksp = (np.inf, 0.0), (np.inf, 0.0)
     for i in range(n):
         r_i = world.agent_radii[i]
-        for obstacle in world.obstacles:
-            dists = np.linalg.norm(positions[i] - obstacle.center, axis=1)
-            k = int(np.argmin(dists))
-            obst = _track(obst, float(dists[k]) - (r_i + obstacle.radius + eps),
+        for ell, obstacle in enumerate(world.obstacles):
+            d_obst = dists[i].obstacles[:, ell]
+            k = int(np.argmin(d_obst))
+            obst = _track(obst, float(d_obst[k]) - (r_i + obstacle.radius + eps),
                           float(times[i][k]))
-        dists = np.linalg.norm(positions[i] - world.workspace.center, axis=1)
-        k = int(np.argmax(dists))
-        wksp = _track(wksp, (world.workspace.radius - r_i - eps) - float(dists[k]),
+        d_wksp = dists[i].workspace
+        k = int(np.argmax(d_wksp))
+        wksp = _track(wksp, (world.workspace.radius - r_i - eps) - float(d_wksp[k]),
                       float(times[i][k]))
     report.checks["obstacle-clearance"] = CheckResult(
         obst[0] >= -tol if world.obstacles else True, *obst)
     report.checks["workspace-containment"] = CheckResult(wksp[0] >= -tol, *wksp)
-
-    # (6) pitch bounds (rigid bodies only)
-    pitch = (np.inf, 0.0)
-    any_pitch = False
-    for i in range(n):
-        if models[i].pitch_index is None:
-            continue
-        any_pitch = True
-        vals = np.pi / 2 - np.abs(states[i][:, models[i].pitch_index])
-        k = int(np.argmin(vals))
-        pitch = _track(pitch, float(vals[k]), float(times[i][k]))
-    report.checks["pitch-bounds"] = CheckResult(
-        pitch[0] >= -tol if any_pitch else True, *pitch,
-        detail="" if any_pitch else "no rigid-body agents")
 
     # terminal-set trapping: once V dips below the threshold it stays there
     trap = (np.inf, 0.0)

@@ -1,8 +1,9 @@
 """Scenario files and the command-line interface.
 
 Subcommands: ``run`` (simulate, write trajectory CSV + verification report),
-``certify`` (print the analytic certificate), ``verify`` (re-check an existing
-log), ``columns`` (gnuplot-compatible manifest of the CSV columns).
+``certify`` (print the analytic certificate and compare the declared L_g
+with a sampled estimate), ``verify`` (re-check an existing log), ``columns``
+(gnuplot-compatible manifest of the CSV columns).
 
 Scenario files are YAML; matrices are row-major nested lists; all physical
 quantities are SI. The stage/terminal weights may be given explicitly or via
@@ -24,7 +25,7 @@ import yaml
 from . import certify, coordination
 from .constraints import WorldModel
 from .coordination import Simulation, SimulationError, TrajectoryLog
-from .dynamics import DisturbanceSignal, unicycle_model
+from .dynamics import DisturbanceSignal, estimate_lipschitz, unicycle_model
 from .ocp import OcpConfig
 from .setalg import Ball, TubeProfile
 
@@ -313,6 +314,15 @@ def cmd_certify(scenario_path, seed=None):
     for key, value in cert.as_dict().items():
         print(f"{key} = {value}")
     print(f"w_bar = {scenario.w_bar}")
+    # the declared L_g against the field sampled over the workspace box x
+    # headings x input ball; reported, not gated on (the verdict covers the
+    # disturbance bound only)
+    c, r = scenario.workspace.center, scenario.workspace.radius
+    low = np.array([c[0] - r, c[1] - r, -math.pi])
+    high = np.array([c[0] + r, c[1] + r, math.pi])
+    L_g_estimate = max(estimate_lipschitz(m, low, high) for m in scenario.build_models())
+    print(f"L_g_estimate = {L_g_estimate}")
+    print(f"L_g_sound = {str(scenario.L_g >= L_g_estimate).lower()}")
     print("verdict =", "consistent" if cert.consistent else "inconsistent")
     return 0 if cert.consistent else 1
 
@@ -330,13 +340,8 @@ def cmd_columns(scenario_path):
     """Print the CSV column manifest (gnuplot `using` indices are 1-based)."""
     scenario = load_scenario(scenario_path)
     models = scenario.build_models()
-    n_x = max(m.state_dim for m in models)
-    n_u = max(m.input_dim for m in models)
-    names = (["t", "agent", "step"]
-             + [f"x{d}" for d in range(n_x)] + [f"u{d}" for d in range(n_u)]
-             + ["w_norm", "V"]
-             + ["m_" + k.replace("-", "_") for k in coordination._MARGIN_KINDS]
-             + ["status", "cost", "errsq_int", "terminal_relaxed", "tube_capped"])
+    names = coordination.csv_columns(max(m.state_dim for m in models),
+                                     max(m.input_dim for m in models))
     for idx, name in enumerate(names, start=1):
         print(f"{idx}\t{name}")
     return 0

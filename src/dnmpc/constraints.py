@@ -1,33 +1,33 @@
-"""Per-agent scalar state constraints, tube tightening and terminal sets.
+"""World model, per-agent stage margins and their tube tightening.
 
 All workspace constraints (inter-agent separation, connectivity, obstacle and
 workspace-boundary clearance) are distance margins: nonnegative means
 satisfied. Erosion of the constraint set by the disturbance tube is realized
-as scalar margin reduction with per-constraint Lipschitz constants, which is
-exact for 1-Lipschitz distance margins.
+as scalar margin reduction by the tube radius, which is exact for these
+1-Lipschitz distance margins. The same distances, taken on a logged run,
+feed the CSV margin columns and the verifier (:func:`logged_distances`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .setalg import Ball, TubeProfile, tube_radius
 
 __all__ = [
+    "MARGIN_KINDS",
     "WorldModel",
-    "ScalarConstraint",
-    "TerminalSet",
     "StageGeometry",
-    "build_stage_constraints",
-    "tighten",
-    "terminal_value",
-    "in_terminal",
-    "check_admissible",
-    "AdmissibilityReport",
+    "LoggedDistances",
+    "logged_distances",
+    "tube_profile_radii",
 ]
+
+# constraint kinds, in the column order of StageGeometry.margins
+MARGIN_KINDS = ("inter-agent", "neighbor", "obstacle", "workspace")
 
 
 @dataclass
@@ -70,53 +70,6 @@ class WorldModel:
         return len(self.agent_radii)
 
 
-@dataclass(frozen=True)
-class ScalarConstraint:
-    """One scalar margin: evaluator(state) >= 0 means satisfied."""
-
-    label: str
-    kind: str  # inter-agent | neighbor | obstacle | workspace | pitch
-    evaluator: Callable[[np.ndarray], float]
-    lipschitz_wrt_error: float = 1.0
-
-    def __post_init__(self):
-        if self.lipschitz_wrt_error <= 0.0:
-            raise ValueError("constraint Lipschitz constant must be positive")
-
-
-@dataclass(frozen=True)
-class TerminalSet:
-    """Sublevel sets of V(e) = e' P e: Omega (V <= eps_omega) inside Psi."""
-
-    P: np.ndarray
-    eps_omega: float
-    eps_psi: float
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        object.__setattr__(self, "P", P)
-        if not np.allclose(P, P.T, atol=1e-12):
-            raise ValueError("terminal weight must be symmetric")
-        if np.linalg.eigvalsh(P).min() <= 0.0:
-            raise ValueError("terminal weight must be positive definite")
-        if not (0.0 < self.eps_omega < self.eps_psi):
-            raise ValueError("need 0 < eps_omega < eps_psi")
-
-
-def terminal_value(e, term: TerminalSet) -> float:
-    e = np.asarray(e, dtype=float)
-    if e.shape[-1] != term.P.shape[0]:
-        raise ValueError("error dimension does not match terminal weight")
-    return float(np.einsum("...i,ij,...j->...", e, term.P, e)) if e.ndim == 1 else \
-        np.einsum("...i,ij,...j->...", e, term.P, e)
-
-
-def in_terminal(e, term: TerminalSet):
-    """Membership pair (in Omega, in Psi); both sets are closed."""
-    v = terminal_value(e, term)
-    return bool(v <= term.eps_omega), bool(v <= term.eps_psi)
-
-
 # --- vectorized margin primitives --------------------------------------
 
 def _dist(a, b):
@@ -137,57 +90,32 @@ class StageGeometry:
     neighbor: list = field(default_factory=list)    # (label, traj (T,d), max dist)
     obstacles: list = field(default_factory=list)   # (label, center (d,), min dist)
     workspace: Optional[tuple] = None               # (center (d,), max dist)
-    pitch_bound: Optional[float] = None             # |pitch| <= pi/2 - eps
 
-    KINDS = ("inter-agent", "neighbor", "obstacle", "workspace", "pitch")
-
-    def margin_blocks(self, pos, pitch=None):
-        """Raw margins by kind for positions of shape (..., T, d)."""
-        blocks = {}
-        if self.interagent:
-            blocks["inter-agent"] = np.stack(
-                [_dist(pos, traj) - thr for _, traj, thr in self.interagent], axis=-1)
-        if self.neighbor:
-            blocks["neighbor"] = np.stack(
-                [thr - _dist(pos, traj) for _, traj, thr in self.neighbor], axis=-1)
-        if self.obstacles:
-            blocks["obstacle"] = np.stack(
-                [_dist(pos, center) - thr for _, center, thr in self.obstacles], axis=-1)
-        if self.workspace is not None:
-            center, limit = self.workspace
-            blocks["workspace"] = (limit - _dist(pos, center))[..., None]
-        if self.pitch_bound is not None and pitch is not None:
-            blocks["pitch"] = np.stack(
-                [pitch + self.pitch_bound, self.pitch_bound - pitch], axis=-1)
-        return blocks
-
-    def column_kinds(self, has_pitch=False):
+    def column_kinds(self):
         """Kind label of each stacked margin column, in `margins` order."""
         kinds = (["inter-agent"] * len(self.interagent)
                  + ["neighbor"] * len(self.neighbor)
                  + ["obstacle"] * len(self.obstacles))
         if self.workspace is not None:
             kinds.append("workspace")
-        if self.pitch_bound is not None and has_pitch:
-            kinds += ["pitch", "pitch"]
         return kinds
 
-    def margins(self, pos, pitch=None):
-        """All raw margins stacked, shape (..., T, C)."""
-        blocks = self.margin_blocks(pos, pitch)
-        parts = [blocks[k] for k in self.KINDS if k in blocks]
-        if not parts:
+    def margins(self, pos):
+        """Raw margins of positions (..., T, d), stacked by kind in
+        `MARGIN_KINDS` order: shape (..., T, C)."""
+        columns = ([_dist(pos, traj) - thr for _, traj, thr in self.interagent]
+                   + [thr - _dist(pos, traj) for _, traj, thr in self.neighbor]
+                   + [_dist(pos, center) - thr for _, center, thr in self.obstacles])
+        if self.workspace is not None:
+            center, limit = self.workspace
+            columns.append(limit - _dist(pos, center))
+        if not columns:
             return np.zeros(pos.shape[:-1] + (0,))
-        return np.concatenate(parts, axis=-1)
+        return np.stack(columns, axis=-1)
 
-    def tightened(self, pos, rho, pitch=None):
+    def tightened(self, pos, rho):
         """Margins eroded by the tube radius profile rho of shape (T,)."""
-        return self.margins(pos, pitch) - np.asarray(rho)[..., :, None]
-
-    def min_margins_by_kind(self, pos, pitch=None):
-        """Minimum raw margin per kind over the whole trajectory (for logs)."""
-        blocks = self.margin_blocks(pos, pitch)
-        return {k: float(v.min()) for k, v in blocks.items()}
+        return self.margins(pos) - np.asarray(rho)[..., :, None]
 
     def window_empty(self, rho, rho_conn=None):
         """True if erosion by rho makes some separation/connectivity pair empty.
@@ -214,164 +142,38 @@ def tube_profile_radii(profile: TubeProfile, taus, cap=None):
     return rho
 
 
-# --- object-level constraint construction ------------------------------
-
-def build_stage_constraints(agent, world: WorldModel, others_predicted: dict,
-                            sensing_ids: Sequence[int], known_obstacles=(),
-                            position_slice=slice(0, 2), pitch_index=None):
-    """Scalar constraints for one agent at one stage.
-
-    Args:
-        agent: 0-based agent index.
-        world: static world model with neighbor sets fixed at t = 0.
-        others_predicted: map agent index -> predicted state at the stage time.
-        sensing_ids: agents within sensing range at the solve instant.
-        known_obstacles: indices of obstacles already detected by this agent.
-        position_slice, pitch_index: state layout of the agent's model.
-
-    Raises:
-        KeyError: if a prediction is missing for an in-range or neighbor agent.
-    """
-    eps = world.margin
-    r_i = world.agent_radii[agent]
-    neighbors = world.neighbor_sets[agent] if world.neighbor_sets else ()
-    for j in set(sensing_ids) | set(neighbors):
-        if j not in others_predicted:
-            raise KeyError(f"missing prediction for in-range agent {j}")
-
-    out = []
-
-    def pos_of(state):
-        return np.asarray(state)[..., position_slice]
-
-    for j in sorted(set(sensing_ids)):
-        thr = r_i + world.agent_radii[j] + eps
-        p_j = pos_of(others_predicted[j])
-        out.append(ScalarConstraint(
-            label=f"sep[{agent},{j}]", kind="inter-agent",
-            evaluator=(lambda z, p=p_j, t=thr: float(_dist(pos_of(z), p) - t)),
-        ))
-    d_i = world.sensing_ranges[agent]
-    for j in sorted(set(neighbors)):
-        p_j = pos_of(others_predicted[j])
-        out.append(ScalarConstraint(
-            label=f"conn[{agent},{j}]", kind="neighbor",
-            evaluator=(lambda z, p=p_j, t=d_i - eps: float(t - _dist(pos_of(z), p))),
-        ))
-    for ell in sorted(set(known_obstacles)):
-        obstacle = world.obstacles[ell]
-        thr = r_i + obstacle.radius + eps
-        out.append(ScalarConstraint(
-            label=f"obst[{agent},{ell}]", kind="obstacle",
-            evaluator=(lambda z, c=obstacle.center, t=thr: float(_dist(pos_of(z), c) - t)),
-        ))
-    limit = world.workspace.radius - r_i - eps
-    out.append(ScalarConstraint(
-        label=f"wksp[{agent}]", kind="workspace",
-        evaluator=(lambda z, c=world.workspace.center, t=limit: float(t - _dist(pos_of(z), c))),
-    ))
-    if pitch_index is not None:
-        bound = np.pi / 2 - eps
-        out.append(ScalarConstraint(
-            label=f"pitch-lo[{agent}]", kind="pitch",
-            evaluator=(lambda z, k=pitch_index, b=bound: float(z[..., k] + b)),
-        ))
-        out.append(ScalarConstraint(
-            label=f"pitch-hi[{agent}]", kind="pitch",
-            evaluator=(lambda z, k=pitch_index, b=bound: float(b - z[..., k])),
-        ))
-    return out
-
-
-def tighten(constraints, tau, profile: TubeProfile, cap=None):
-    """Erode each margin by its Lipschitz constant times the tube radius.
-
-    tau = 0 is the identity. A fully consumed margin is not an error here; the
-    solver reports it as infeasibility.
-    """
-    if tau < 0.0:
-        raise ValueError("stage offset must be nonnegative")
-    rho = tube_radius(profile, tau)
-    if cap is not None:
-        rho = min(rho, cap)
-    if rho == 0.0:
-        return list(constraints)
-    out = []
-    for con in constraints:
-        shift = con.lipschitz_wrt_error * rho
-        out.append(ScalarConstraint(
-            label=con.label, kind=con.kind,
-            evaluator=(lambda z, f=con.evaluator, s=shift: f(z) - s),
-            lipschitz_wrt_error=con.lipschitz_wrt_error,
-        ))
-    return out
-
-
-# --- admissibility ------------------------------------------------------
-
 @dataclass
-class AdmissibilityReport:
-    """Per-condition outcome of the four admissibility requirements."""
+class LoggedDistances:
+    """Distances from one agent's logged positions, one row per logged sample."""
 
-    piecewise_continuous: bool
-    input_bound_ok: bool
-    tightened_constraints_ok: bool
-    terminal_ok: bool
-    first_violation: Optional[dict] = None
-
-    @property
-    def admissible(self):
-        return (self.piecewise_continuous and self.input_bound_ok
-                and self.tightened_constraints_ok and self.terminal_ok)
+    agents: np.ndarray     # (T, n): to each agent, aligned by timestamp; own column NaN
+    obstacles: np.ndarray  # (T, L): to each obstacle centre
+    workspace: np.ndarray  # (T,): to the workspace centre
 
 
-def check_admissible(u_sequence, e0, errordyn, stage_constraints_builder,
-                     term: TerminalSet, profile: TubeProfile, T_p, h,
-                     substeps=10, tol=1e-9):
-    """Check the four admissibility conditions of a candidate input sequence.
+def logged_distances(world: WorldModel, times, positions):
+    """Distances on every logged sample of every agent.
 
-    stage_constraints_builder(tau) must return the *tightened* scalar
-    constraints at stage offset tau, evaluated on absolute states.
+    `times[i]` (T_i,) and `positions[i]` (T_i, d) are agent i's logged
+    samples; the logs may differ in length, as in a partial log. Another
+    agent is taken at its first logged sample at or after each time, and at
+    its last one beyond the end of its log. Margins are thresholds applied to
+    these distances; callers choose their own thresholds.
     """
-    from .dynamics import rollout_zoh  # local import to avoid a cycle
-
-    u_sequence = np.asarray(u_sequence, dtype=float)
-    n_stage = u_sequence.shape[0]
-    if abs(n_stage * h - T_p) > 1e-9:
-        raise ValueError("input sequence length does not match the horizon")
-
-    first_violation = None
-    input_ok = True
-    for k, u in enumerate(u_sequence):
-        if np.linalg.norm(u) > errordyn.model.input_bound + tol:
-            input_ok = False
-            first_violation = first_violation or {"condition": 2, "stage": k}
-            break
-
-    traj = rollout_zoh(errordyn.field, np.asarray(e0, dtype=float), u_sequence, h, substeps)
-    taus = (T_p / (n_stage * substeps)) * np.arange(n_stage * substeps + 1)
-    constraints_ok = True
-    for idx in range(1, len(taus)):
-        state = errordyn.state_of(traj[idx])
-        for con in stage_constraints_builder(taus[idx]):
-            if con.evaluator(state) < -tol:
-                constraints_ok = False
-                if first_violation is None:
-                    first_violation = {
-                        "condition": 3, "tau": float(taus[idx]), "label": con.label,
-                    }
-                break
-        if not constraints_ok:
-            break
-
-    in_omega, _ = in_terminal(traj[-1], term)
-    if not in_omega and first_violation is None:
-        first_violation = {"condition": 4, "V": terminal_value(traj[-1], term)}
-
-    return AdmissibilityReport(
-        piecewise_continuous=bool(np.all(np.isfinite(u_sequence))),
-        input_bound_ok=input_ok,
-        tightened_constraints_ok=constraints_ok,
-        terminal_ok=in_omega,
-        first_violation=first_violation,
-    )
+    n = len(positions)
+    centers = [obstacle.center for obstacle in world.obstacles]
+    out = []
+    for i in range(n):
+        p_i = positions[i]
+        to_agents = np.full((len(p_i), n), np.nan)
+        for j in range(n):
+            if j != i:
+                idx = np.minimum(np.searchsorted(times[j], times[i]), len(times[j]) - 1)
+                to_agents[:, j] = np.linalg.norm(p_i - positions[j][idx], axis=1)
+        to_obstacles = np.empty((len(p_i), len(centers)))
+        for ell, center in enumerate(centers):
+            to_obstacles[:, ell] = np.linalg.norm(p_i - center, axis=1)
+        out.append(LoggedDistances(
+            agents=to_agents, obstacles=to_obstacles,
+            workspace=np.linalg.norm(p_i - world.workspace.center, axis=1)))
+    return out

@@ -1,6 +1,6 @@
 """Sequential (round-robin) decentralized simulation engine.
 
-Each sampling step walks the schedule: the scheduled agent snapshots the
+Each sampling step walks the schedule: the scheduled agent reads the
 prediction board, builds its tightened stage constraints against the other
 agents' latest predicted trajectories (sampled at matching absolute times),
 solves its FHOCP warm-started from the shifted previous solution, posts the
@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import StageGeometry, WorldModel, tube_profile_radii
+from .constraints import (MARGIN_KINDS, StageGeometry, WorldModel, logged_distances,
+                          tube_profile_radii)
 from .dynamics import DisturbanceSignal, ErrorDynamics, integrate, zoh_input
 from .ocp import (HorizonSolution, OcpConfig, restore_feasibility, solve_fhocp,
                   unicycle_steering_law, warm_start_shift)
@@ -36,7 +37,7 @@ __all__ = [
     "neighbor_sets",
     "validate_initial",
     "PredictionEntry",
-    "PredictionBoard",
+    "csv_columns",
     "TrajectoryLog",
     "AgentTrace",
     "SimulationError",
@@ -70,12 +71,11 @@ class ValidationReport:
     failures: list
 
 
-def validate_initial(world: WorldModel, states, models, velocities=None):
-    """Collision/singularity-free initial configuration check.
+def validate_initial(world: WorldModel, states, models):
+    """Collision-free initial configuration check.
 
-    Conditions: pairwise separation, obstacle clearance, workspace
-    containment, pitch bounds (rigid bodies), and zero initial velocity when a
-    velocity is part of the state.
+    Conditions: pairwise separation, obstacle clearance and workspace
+    containment.
     """
     failures = []
     positions = [np.asarray(z)[m.position_slice] for z, m in zip(states, models)]
@@ -93,13 +93,6 @@ def validate_initial(world: WorldModel, states, models, velocities=None):
         if (np.linalg.norm(positions[i] - world.workspace.center)
                 >= world.workspace.radius - world.agent_radii[i]):
             failures.append(f"agent {i} outside workspace")
-        m = models[i]
-        if m.pitch_index is not None:
-            pitch = float(np.asarray(states[i])[m.pitch_index])
-            if abs(pitch) >= np.pi / 2:
-                failures.append(f"agent {i} at singular pitch {pitch:.4g}")
-        if velocities is not None and np.linalg.norm(velocities[i]) > 1e-12:
-            failures.append(f"agent {i} has nonzero initial velocity")
     return ValidationReport(passed=not failures, failures=failures)
 
 
@@ -131,22 +124,6 @@ class PredictionEntry:
         return out
 
 
-class PredictionBoard:
-    """Latest prediction per agent; entries are immutable once posted."""
-
-    def __init__(self):
-        self._entries = {}
-
-    def post(self, agent, entry: PredictionEntry):
-        self._entries[agent] = entry
-
-    def get(self, agent) -> PredictionEntry:
-        return self._entries[agent]
-
-    def snapshot(self):
-        return dict(self._entries)
-
-
 @dataclass
 class AgentTrace:
     """Time-indexed true trajectory and per-step solver metadata."""
@@ -156,7 +133,7 @@ class AgentTrace:
     inputs: list = field(default_factory=list)      # applied ZOH input, NaN at t=0
     w_norms: list = field(default_factory=list)
     V: list = field(default_factory=list)
-    margins: list = field(default_factory=list)     # dict kind -> margin, filled post-run
+    margins: list = field(default_factory=list)     # dict kind -> raw margin, filled post-run
     step_meta: list = field(default_factory=list)   # one dict per sampling step
 
     def as_arrays(self):
@@ -165,7 +142,15 @@ class AgentTrace:
                 np.asarray(self.V))
 
 
-_MARGIN_KINDS = ("inter-agent", "neighbor", "obstacle", "workspace", "pitch")
+_MARGIN_COLUMNS = ["m_" + kind.replace("-", "_") for kind in MARGIN_KINDS]
+_SOLVER_COLUMNS = ["status", "cost", "errsq_int", "terminal_relaxed", "tube_capped"]
+
+
+def csv_columns(n_x, n_u):
+    """Header of the trajectory CSV for n_x state and n_u input components."""
+    return (["t", "agent", "step"]
+            + [f"x{d}" for d in range(n_x)] + [f"u{d}" for d in range(n_u)]
+            + ["w_norm", "V"] + _MARGIN_COLUMNS + _SOLVER_COLUMNS)
 
 
 @dataclass
@@ -190,18 +175,13 @@ class TrajectoryLog:
         n_x = max(np.asarray(tr.states).shape[1] for tr in self.traces)
         n_u = max(np.asarray(tr.inputs).shape[1] for tr in self.traces)
         substeps = int(self.meta.get("substeps", 10))
-        header = (["t", "agent", "step"]
-                  + [f"x{d}" for d in range(n_x)] + [f"u{d}" for d in range(n_u)]
-                  + ["w_norm", "V"]
-                  + ["m_" + kind.replace("-", "_") for kind in _MARGIN_KINDS]
-                  + ["status", "cost", "errsq_int", "terminal_relaxed", "tube_capped"])
 
         def fmt(x):
             return repr(float(x))
 
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
+            writer.writerow(csv_columns(n_x, n_u))
             for i, trace in enumerate(self.traces):
                 states = np.asarray(trace.states)
                 inputs = np.asarray(trace.inputs)
@@ -215,9 +195,9 @@ class TrajectoryLog:
                     row += [""] * (n_u - inputs.shape[1])
                     row += [fmt(trace.w_norms[r]), fmt(trace.V[r])]
                     margins = trace.margins[r] if trace.margins else {}
-                    row += [fmt(margins.get(kind, np.inf)) for kind in _MARGIN_KINDS]
+                    row += [fmt(margins.get(kind, np.inf)) for kind in MARGIN_KINDS]
                     if meta is None:
-                        row += ["", "", "", "", ""]
+                        row += [""] * len(_SOLVER_COLUMNS)
                     else:
                         row += [meta["status"], fmt(meta["cost"]), fmt(meta["errsq_int"]),
                                 str(int(meta["terminal_relaxed"])),
@@ -227,7 +207,12 @@ class TrajectoryLog:
     @classmethod
     def from_csv(cls, path, h=0.1, substeps=10):
         """Rebuild a TrajectoryLog (states, inputs, V, margins, per-step solver
-        metadata) from a file written by `to_csv`."""
+        metadata) from a file written by `to_csv`.
+
+        Columns are found by their `csv_columns` names, so a file from an
+        older schema with extra columns still reads; a missing column raises
+        ValueError.
+        """
         import csv
 
         with open(path, newline="") as fh:
@@ -236,7 +221,7 @@ class TrajectoryLog:
             rows = list(reader)
         n_x = sum(1 for c in header if c.startswith("x") and c[1:].isdigit())
         n_u = sum(1 for c in header if c.startswith("u") and c[1:].isdigit())
-        col = {name: k for k, name in enumerate(header)}
+        col = {name: header.index(name) for name in csv_columns(n_x, n_u)}
         traces = {}
         for row in rows:
             i = int(row[col["agent"]])
@@ -249,8 +234,7 @@ class TrajectoryLog:
             trace.w_norms.append(float(row[col["w_norm"]]))
             trace.V.append(float(row[col["V"]]))
             trace.margins.append({
-                kind: float(row[col["m_" + kind.replace("-", "_")]])
-                for kind in _MARGIN_KINDS})
+                kind: float(row[col[name]]) for kind, name in zip(MARGIN_KINDS, _MARGIN_COLUMNS)})
             step = int(row[col["step"]])
             if step >= 0 and step == len(trace.step_meta):
                 trace.step_meta.append({
@@ -266,7 +250,7 @@ class TrajectoryLog:
 
 
 class SimulationError(RuntimeError):
-    """A step failed (solver infeasible); carries the partial log."""
+    """A step failed (solver infeasible or raised); carries the partial log."""
 
     def __init__(self, message, partial_log=None, agent=None, t=None, min_margin=None):
         super().__init__(message)
@@ -299,7 +283,7 @@ class Simulation:
         self.total_time = float(total_time)
         self.tube_cap = tube_cap
         self.verbose_solver = verbose_solver
-        self.board = PredictionBoard()
+        self.board = {}  # agent -> latest posted PredictionEntry
         self.known_obstacles = [set() for _ in models]
         self.prev_solution: list = [None] * len(models)
         self.traces = [AgentTrace() for _ in models]
@@ -328,13 +312,12 @@ class Simulation:
         for i, model in enumerate(self.models):
             n_grid = self.config.n_stages * self.config.substeps + 1
             states = np.tile(self.states[i], (n_grid, 1))
-            self.board.post(i, PredictionEntry(
+            self.board[i] = PredictionEntry(
                 t0=0.0, h=self.config.h / self.config.substeps, states=states,
-                position_slice=model.position_slice))
+                position_slice=model.position_slice)
 
     def _geometry(self, i, t_k, dense_taus):
         """Constraint snapshot for agent i solving at t_k."""
-        board = self.board.snapshot()
         positions = self._positions()
         in_range = sensing_set(i, positions, self.world.sensing_ranges[i])
         times = t_k + dense_taus
@@ -342,11 +325,11 @@ class Simulation:
         r_i = self.world.agent_radii[i]
         eps = self.world.margin
         for j in sorted(in_range):
-            traj = board[j].positions_at(times)
+            traj = self.board[j].positions_at(times)
             geo.interagent.append(
                 (f"agent{j}", traj, r_i + self.world.agent_radii[j] + eps))
         for j in sorted(self.world.neighbor_sets[i]):
-            traj = board[j].positions_at(times)
+            traj = self.board[j].positions_at(times)
             geo.neighbor.append((f"agent{j}", traj, self.world.sensing_ranges[i] - eps))
         for ell in sorted(self.known_obstacles[i]):
             obstacle = self.world.obstacles[ell]
@@ -354,26 +337,18 @@ class Simulation:
                 (f"obst{ell}", obstacle.center, r_i + obstacle.radius + eps))
         geo.workspace = (self.world.workspace.center,
                          self.world.workspace.radius - r_i - eps)
-        if self.models[i].pitch_index is not None:
-            geo.pitch_bound = np.pi / 2 - eps
         return geo
 
     def _margin_fn(self, i, geometry, rho_mat):
-        model = self.models[i]
-        z_des = self.errordyns[i].z_des
-        pos_slice = model.position_slice
-        pitch_index = model.pitch_index
+        pos_slice = self.models[i].position_slice
+        pos_ref = self.errordyns[i].z_des[pos_slice]
 
         def margin_fn(err_batch, taus):
-            pos = err_batch[..., pos_slice] + z_des[pos_slice]
-            pitch = None
-            if pitch_index is not None:
-                pitch = err_batch[..., pitch_index] + z_des[pitch_index]
-            return geometry.margins(pos, pitch) - rho_mat
+            return geometry.margins(err_batch[..., pos_slice] + pos_ref) - rho_mat
 
         return margin_fn
 
-    def _capped_radii(self, geometry, dense_taus, cap, has_pitch):
+    def _capped_radii(self, geometry, dense_taus, cap):
         """Tube erosion per stage and constraint column, `(T, C)`-broadcastable.
 
         `cap` may be None (pure exponential profile), a scalar ceiling, or a
@@ -385,7 +360,7 @@ class Simulation:
             return rho[:, None]
         if np.isscalar(cap):
             return np.minimum(rho, float(cap))[:, None]
-        kinds = geometry.column_kinds(has_pitch)
+        kinds = geometry.column_kinds()
         ceilings = np.array([float(cap.get(k, np.inf)) for k in kinds])
         return np.minimum(rho[:, None], ceilings[None, :])
 
@@ -450,9 +425,8 @@ class Simulation:
 
         best = None
         tried = 0
-        has_pitch = self.models[i].pitch_index is not None
         for use_terminal, cap in tiers:
-            rho_mat = self._capped_radii(geometry, dense_taus, cap, has_pitch)
+            rho_mat = self._capped_radii(geometry, dense_taus, cap)
             margin_fn = self._margin_fn(i, geometry, rho_mat)
 
             def attempt(start):
@@ -536,12 +510,21 @@ class Simulation:
             trace.V.append(float(e @ self.config.P @ e))
 
     def step(self, k):
-        """Run one sampling step (all agents in schedule order)."""
+        """Run one sampling step (all agents in schedule order).
+
+        Raises SimulationError with the partial log when a solve ends
+        infeasible or the solver raises (diverged, non-finite iterate).
+        """
         t_k = k * self.config.h
         cfg = self.config
         for i in self.schedule:
             self._update_known_obstacles(i)
-            sol, geometry = self._solve_agent(i, t_k)
+            try:
+                sol, geometry = self._solve_agent(i, t_k)
+            except RuntimeError as exc:
+                raise SimulationError(
+                    f"agent {i} solver failed at t = {t_k:.3f}: {exc}",
+                    partial_log=self.finalize_log(), agent=i, t=t_k) from exc
             if sol.status == "infeasible":
                 raise SimulationError(
                     f"agent {i} infeasible at t = {t_k:.3f} "
@@ -550,9 +533,9 @@ class Simulation:
                     min_margin=-sol.solve_stats["residual"])
             abs_pred = np.asarray(
                 [self.errordyns[i].state_of(e) for e in sol.dense_errors])
-            self.board.post(i, PredictionEntry(
+            self.board[i] = PredictionEntry(
                 t0=t_k, h=cfg.h / cfg.substeps, states=abs_pred,
-                position_slice=self.models[i].position_slice))
+                position_slice=self.models[i].position_slice)
             self.prev_solution[i] = sol
 
             # apply the first input segment to the true disturbed dynamics
@@ -607,49 +590,35 @@ class Simulation:
         return log_out
 
     def _fill_margins(self, log_out):
-        """Post-hoc per-sample minimum margins by kind on the common grid."""
+        """Post-hoc raw margins by kind on every logged sample.
+
+        The inter-agent margin covers only the agents within sensing range at
+        that sample (inf when none is); the neighbor margin covers the fixed
+        neighbor set.
+        """
         world = self.world
         traces = log_out.traces
-        n = len(traces)
         times = [np.asarray(tr.times) for tr in traces]
-        positions = [
-            np.asarray(tr.states)[:, self.models[i].position_slice]
-            for i, tr in enumerate(traces)
-        ]
-        for i, trace in enumerate(traces):
-            trace.margins = []
+        positions = [np.asarray(tr.states)[:, model.position_slice]
+                     for tr, model in zip(traces, self.models)]
+        obstacle_radii = np.array([obstacle.radius for obstacle in world.obstacles])
+        for i, (trace, dist) in enumerate(zip(traces, logged_distances(world, times, positions))):
             r_i = world.agent_radii[i]
-            for row, t in enumerate(times[i]):
-                p = positions[i][row]
-                margins = {}
-                sep, conn = np.inf, np.inf
-                for j in range(n):
-                    if j == i:
-                        continue
-                    idx = np.searchsorted(times[j], t)
-                    idx = min(idx, len(times[j]) - 1)
-                    p_j = positions[j][idx]
-                    dist = float(np.linalg.norm(p - p_j))
-                    if dist < world.sensing_ranges[i]:
-                        sep = min(sep, dist - (r_i + world.agent_radii[j]))
-                    if j in world.neighbor_sets[i]:
-                        conn = min(conn, world.sensing_ranges[i] - dist)
-                margins["inter-agent"] = sep
-                margins["neighbor"] = conn
-                obst = np.inf
-                for obstacle in world.obstacles:
-                    obst = min(obst, float(np.linalg.norm(p - obstacle.center))
-                               - (r_i + obstacle.radius))
-                margins["obstacle"] = obst
-                margins["workspace"] = float(
-                    world.workspace.radius - r_i
-                    - np.linalg.norm(p - world.workspace.center))
-                if self.models[i].pitch_index is not None:
-                    pitch = float(np.asarray(trace.states[row])[self.models[i].pitch_index])
-                    margins["pitch"] = float(np.pi / 2 - abs(pitch))
-                else:
-                    margins["pitch"] = np.inf
-                trace.margins.append(margins)
+            d_i = world.sensing_ranges[i]
+            sep = np.full(len(times[i]), np.inf)
+            conn = np.full(len(times[i]), np.inf)
+            for j in range(len(traces)):
+                if j == i:
+                    continue
+                d_ij = dist.agents[:, j]
+                sep = np.minimum(sep, np.where(
+                    d_ij < d_i, d_ij - (r_i + world.agent_radii[j]), np.inf))
+                if j in world.neighbor_sets[i]:
+                    conn = np.minimum(conn, d_i - d_ij)
+            obst = np.min(dist.obstacles - (r_i + obstacle_radii), axis=1, initial=np.inf)
+            wksp = world.workspace.radius - r_i - dist.workspace
+            trace.margins = [dict(zip(MARGIN_KINDS, row)) for row in zip(
+                sep.tolist(), conn.tolist(), obst.tolist(), wksp.tolist())]
 
     def run(self):
         """Iterate steps over the full duration; returns the trajectory log."""

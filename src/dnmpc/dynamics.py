@@ -1,10 +1,9 @@
 """Agent motion models, error-coordinate dynamics and fixed-step integration.
 
-Two model families are provided: the planar unicycle and a 6-DOF Lagrangian
-rigid body (position + Euler angles + generalized velocity). Both are wrapped
-behind :class:`AgentModel`, whose vector field is vectorized over a leading
-batch dimension so that finite-difference gradients of a rollout cost one
-batched integration instead of one per perturbation.
+Scenarios load the planar unicycle. It, like any vector field, is wrapped
+behind :class:`AgentModel`, whose field is vectorized over a leading batch
+dimension so that finite-difference gradients of a rollout cost one batched
+integration instead of one per perturbation.
 """
 
 from __future__ import annotations
@@ -12,36 +11,24 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "SingularityError",
     "AgentModel",
     "ErrorDynamics",
     "DisturbanceSignal",
     "wrap_angle",
     "unicycle_field",
     "unicycle_model",
-    "euler_rate_jacobian",
-    "rigid_body_field",
-    "rigid_body_model",
     "integrate",
     "rollout_zoh",
     "zoh_input",
     "estimate_lipschitz",
 ]
-
-
-class SingularityError(ValueError):
-    """Raised when the Euler-angle rate map is evaluated at cos(theta) = 0."""
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
 
 
 def wrap_angle(a):
@@ -62,7 +49,6 @@ class AgentModel:
         lipschitz: Lipschitz constant of f in z, uniform over admissible u.
         position_slice: slice of the state holding the workspace position.
         angle_indices: state indices that live on the circle.
-        pitch_index: index of the pitch angle for rigid bodies, else None.
     """
 
     state_dim: int
@@ -73,7 +59,6 @@ class AgentModel:
     lipschitz: float
     position_slice: slice = field(default_factory=lambda: slice(0, 2))
     angle_indices: tuple = ()
-    pitch_index: Optional[int] = None
     name: str = "agent"
 
     def __post_init__(self):
@@ -115,81 +100,6 @@ def unicycle_model(input_bound, disturbance_bound, lipschitz, name="unicycle"):
         lipschitz=lipschitz,
         position_slice=slice(0, 2),
         angle_indices=(2,),
-        pitch_index=None,
-        name=name,
-    )
-
-
-# --- rigid body ---------------------------------------------------------
-
-_SINGULARITY_TOL = 1e-9
-
-
-def euler_rate_jacobian(q):
-    """Block-diagonal 6x6 map from generalized velocity to pose rate.
-
-    The lower-right block maps body angular velocity to Euler angle rates and
-    is singular at cos(theta) = 0, which raises :class:`SingularityError`.
-    """
-    phi, theta, _ = (float(q[0]), float(q[1]), float(q[2]))
-    if abs(math.cos(theta)) < _SINGULARITY_TOL or abs(theta) >= math.pi / 2 - _SINGULARITY_TOL:
-        raise SingularityError(f"Euler-rate map singular at pitch {theta}")
-    s_phi, c_phi = math.sin(phi), math.cos(phi)
-    t_th, c_th = math.tan(theta), math.cos(theta)
-    J = np.eye(6)
-    J[3:, 3:] = np.array(
-        [
-            [1.0, s_phi * t_th, c_phi * t_th],
-            [0.0, c_phi, -s_phi],
-            [0.0, s_phi / c_th, c_phi / c_th],
-        ]
-    )
-    return J
-
-
-def rigid_body_field(state, control, inertia, coriolis, gravity):
-    """Second-order Lagrangian dynamics in (pose, generalized velocity) form.
-
-    state = [p (3), q (3 Euler), v (6)]; control is the 6D generalized force.
-    Pose rate is J(q) v; the velocity rate solves the Lagrangian equation.
-    The disturbance is injected by the integrator, not here.
-    """
-    state = np.asarray(state, dtype=float)
-    control = np.asarray(control, dtype=float)
-    if state.ndim > 1:
-        flat_z = state.reshape(-1, 12)
-        flat_u = np.broadcast_to(control, state.shape[:-1] + (6,)).reshape(-1, 6)
-        out = np.stack(
-            [rigid_body_field(z, u, inertia, coriolis, gravity) for z, u in zip(flat_z, flat_u)]
-        )
-        return out.reshape(state.shape)
-    x, v = state[:6], state[6:]
-    J = euler_rate_jacobian(x[3:])
-    x_dot = J @ v
-    M = np.asarray(inertia(x), dtype=float)
-    eigvals = np.linalg.eigvalsh((M + M.T) / 2.0)
-    if eigvals.min() <= 0.0:
-        raise ValueError("inertia matrix must be positive definite")
-    rhs = -np.asarray(coriolis(x, x_dot), dtype=float) @ v - np.asarray(gravity(x), dtype=float) + control
-    v_dot = np.linalg.solve(M, rhs)
-    return np.concatenate([x_dot, v_dot])
-
-
-def rigid_body_model(inertia, coriolis, gravity, input_bound, disturbance_bound, lipschitz,
-                     name="rigid-body"):
-    def field(state, control):
-        return rigid_body_field(state, control, inertia, coriolis, gravity)
-
-    return AgentModel(
-        state_dim=12,
-        input_dim=6,
-        vector_field=field,
-        input_bound=input_bound,
-        disturbance_bound=disturbance_bound,
-        lipschitz=lipschitz,
-        position_slice=slice(0, 3),
-        angle_indices=(3, 5),
-        pitch_index=4,
         name=name,
     )
 
@@ -270,8 +180,6 @@ def integrate(model, z0, input_signal, disturbance, t0, t1, step):
 
     Raises:
         ValueError: if t1 < t0 or step does not divide the interval.
-        SingularityError: tagged with the failure time if the field becomes
-            singular mid-trajectory.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -291,11 +199,7 @@ def integrate(model, z0, input_signal, disturbance, t0, t1, step):
     states = np.empty((n_steps + 1, model.state_dim))
     states[0] = z
     for k in range(n_steps):
-        try:
-            z = _rk4_step(deriv, times[k], z, step)
-        except SingularityError as exc:
-            raise SingularityError(str(exc), time=times[k]) from exc
-        z = model.wrap_state(z)
+        z = model.wrap_state(_rk4_step(deriv, times[k], z, step))
         states[k + 1] = z
     return times, states
 

@@ -20,14 +20,11 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
 
 import numpy as np
 import scipy
-import scipy.linalg
 from scipy.optimize import minimize
 
-from .constraints import TerminalSet, terminal_value
 from .dynamics import ErrorDynamics, rollout_zoh, wrap_angle
 
 __all__ = [
@@ -36,11 +33,8 @@ __all__ = [
     "stage_cost",
     "solve_fhocp",
     "restore_feasibility",
-    "terminal_controller",
-    "synthesize_terminal_gain",
     "unicycle_steering_law",
     "warm_start_shift",
-    "terminal_decrease_margin",
     "single_blas_thread",
 ]
 
@@ -138,10 +132,6 @@ class OcpConfig:
     @property
     def n_stages(self):
         return int(round(self.T_p / self.h))
-
-    @property
-    def terminal_set(self):
-        return TerminalSet(self.P, self.eps_omega, self.eps_psi)
 
 
 @dataclass
@@ -244,8 +234,28 @@ def _project_inputs(U, u_bar):
     return U * scale
 
 
+def _input_ball_constraint(N, m, u_bar, slack=False):
+    """SLSQP constraint u_bar^2 - ||u_k||^2 >= 0 on each of the N stage inputs,
+    which lead the decision vector. With `slack`, one trailing slack variable
+    follows them; it gets a zero Jacobian column."""
+    nx = N * m
+    u_bar_sq = u_bar ** 2
+    rows, cols = np.repeat(np.arange(N), m), np.arange(nx)
+
+    def fun(x):
+        U = x[:nx].reshape(N, m)
+        return u_bar_sq - np.sum(U * U, axis=1)
+
+    def jac(x):
+        out = np.zeros((N, nx + 1 if slack else nx))
+        out[rows, cols] = -2.0 * x[:nx]
+        return out
+
+    return {"type": "ineq", "fun": fun, "jac": jac}
+
+
 def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
-                warm_start=None, use_terminal=True, diagnostics=None):
+                warm_start=None, use_terminal=True):
     """Solve the tightened finite-horizon problem for one agent.
 
     Args:
@@ -255,7 +265,6 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
             state constraints.
         warm_start: initial guess for the (N, m) input sequence.
         use_terminal: enforce V(e_N) <= eps_omega as a hard constraint.
-        diagnostics: optional list collecting per-iteration (cost, residual).
 
     Returns:
         HorizonSolution; status is "infeasible" when the constraint residual
@@ -279,32 +288,13 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
             "fun": lambda x: tr.eval(x)["margins"],
             "jac": lambda x: tr.eval(x)["margins_jac"],
         })
-    u_bar_sq = config.u_bar ** 2
-
-    def input_fun(x):
-        U = x.reshape(N, m)
-        return u_bar_sq - np.sum(U * U, axis=1)
-
-    def input_jac(x):
-        U = x.reshape(N, m)
-        jac = np.zeros((N, N * m))
-        for k in range(N):
-            jac[k, k * m:(k + 1) * m] = -2.0 * U[k]
-        return jac
-
-    cons.append({"type": "ineq", "fun": input_fun, "jac": input_jac})
+    cons.append(_input_ball_constraint(N, m, config.u_bar))
     if use_terminal:
         cons.append({
             "type": "ineq",
             "fun": lambda x: np.array([config.eps_omega - tr.eval(x)["v_term"]]),
             "jac": lambda x: -tr.eval(x)["v_term_grad"][None, :],
         })
-
-    def objective(x):
-        res = tr.eval(x)
-        if diagnostics is not None:
-            diagnostics.append((res["cost"], _residual(res)))
-        return res["cost"]
 
     def _residual(res):
         worst = 0.0
@@ -317,7 +307,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
     try:
         with single_blas_thread():
             opt = minimize(
-                objective, x0, jac=lambda x: tr.eval(x)["cost_grad"],
+                lambda x: tr.eval(x)["cost"], x0, jac=lambda x: tr.eval(x)["cost_grad"],
                 constraints=cons, method="SLSQP",
                 options={"maxiter": config.max_iterations, "ftol": config.ftol},
             )
@@ -403,20 +393,7 @@ def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfi
             "fun": lambda x: np.array([config.eps_omega - tr.eval(x[:-1])["v_term"] - x[-1]]),
             "jac": lambda x: np.append(-tr.eval(x[:-1])["v_term_grad"], -1.0)[None, :],
         })
-    u_bar_sq = config.u_bar ** 2
-
-    def input_fun(x):
-        U = x[:-1].reshape(N, m)
-        return u_bar_sq - np.sum(U * U, axis=1)
-
-    def input_jac(x):
-        U = x[:-1].reshape(N, m)
-        jac = np.zeros((N, nx + 1))
-        for k in range(N):
-            jac[k, k * m:(k + 1) * m] = -2.0 * U[k]
-        return jac
-
-    cons.append({"type": "ineq", "fun": input_fun, "jac": input_jac})
+    cons.append(_input_ball_constraint(N, m, config.u_bar, slack=True))
     grad = np.zeros(nx + 1)
     grad[-1] = -1.0
     try:
@@ -433,56 +410,6 @@ def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfi
     if worst_slack(U.ravel()) > worst_slack(u0):
         return U
     return np.asarray(start, dtype=float)
-
-
-# --- terminal ingredients ----------------------------------------------
-
-def terminal_controller(e, K, u_bar=None):
-    """Linear terminal feedback u = K e with an input-bound diagnostic flag.
-
-    Returns (u, within_bound). A raised flag means the terminal region was
-    chosen too large for the gain.
-    """
-    u = np.asarray(K, dtype=float) @ np.asarray(e, dtype=float)
-    within = True if u_bar is None else bool(np.linalg.norm(u) <= u_bar)
-    return u, within
-
-
-def _linearize(errordyn: ErrorDynamics, u_eq=None, eps=1e-6):
-    n, m = errordyn.model.state_dim, errordyn.model.input_dim
-    u_eq = np.zeros(m) if u_eq is None else np.asarray(u_eq, dtype=float)
-    e0 = np.zeros(n)
-    A = np.empty((n, n))
-    B = np.empty((n, m))
-    for j in range(n):
-        d = np.zeros(n)
-        d[j] = eps
-        A[:, j] = (errordyn.field(e0 + d, u_eq) - errordyn.field(e0 - d, u_eq)) / (2 * eps)
-    for j in range(m):
-        d = np.zeros(m)
-        d[j] = eps
-        B[:, j] = (errordyn.field(e0, u_eq + d) - errordyn.field(e0, u_eq - d)) / (2 * eps)
-    return A, B
-
-
-def synthesize_terminal_gain(errordyn: ErrorDynamics, Q, R, u_eq=None):
-    """LQR gain and Riccati weight for the linearization at the reference.
-
-    Returns (K, P_candidate) with u = K e. Raises ValueError naming the
-    uncontrollable unstable mode when the linearization is not stabilizable
-    (the unicycle at rest is the canonical case).
-    """
-    A, B = _linearize(errordyn, u_eq)
-    n = A.shape[0]
-    eigvals, eigvecs = np.linalg.eig(A.T)
-    for lam, w in zip(eigvals, eigvecs.T):
-        if lam.real >= -1e-9 and np.linalg.norm(w.conj() @ B) < 1e-8:
-            raise ValueError(
-                f"linearization not stabilizable: uncontrollable mode with eigenvalue {lam:.4g}"
-            )
-    P = scipy.linalg.solve_continuous_are(A, B, np.asarray(Q, float), np.asarray(R, float))
-    K = -np.linalg.solve(np.asarray(R, float), B.T @ P)
-    return K, P
 
 
 def unicycle_steering_law(z_des, u_bar, k_v=2.0, k_alpha=4.0, k_theta=2.0, blend=0.05):
@@ -534,18 +461,3 @@ def warm_start_shift(previous: HorizonSolution, controller, errordyn: ErrorDynam
         u_tail = u_tail * (config.u_bar / norm)
     return np.vstack([previous.inputs[1:], u_tail[None, :]])
 
-
-def terminal_decrease_margin(errordyn: ErrorDynamics, controller, term: TerminalSet,
-                             Q, R, points):
-    """Worst value of dV/de . g(e, kappa(e)) + F(e, kappa(e)) over sample points.
-
-    Nonpositive everywhere means the terminal controller satisfies the local
-    decrease condition on the sampled region.
-    """
-    worst = -np.inf
-    for e in np.atleast_2d(points):
-        u = np.asarray(controller(e), dtype=float)
-        grad_v = 2.0 * term.P @ e
-        val = float(grad_v @ errordyn.field(e, u) + stage_cost(e, u, Q, R))
-        worst = max(worst, val)
-    return worst

@@ -176,3 +176,53 @@ def test_verify_passes_safe_stationary_log():
     # both agents sit at their references: V = 0 <= eps_omega throughout
     assert report.checks["terminal-trapping"].passed
     assert report.checks["solver-feasible"].passed
+
+
+def test_logged_margins_on_partial_log_with_pair_out_of_range():
+    """Agent 1's trace stops halfway, as in the partial log of an aborted run,
+    while it drifts out of agent 0's sensing range (2.0). The logged
+    inter-agent margin covers only agents in range (inf otherwise); verify
+    checks every pair, net of the safety margin, aligned by timestamp."""
+    from dnmpc.coordination import AgentTrace, Simulation
+    from dnmpc.ocp import OcpConfig
+    from dnmpc.setalg import TubeProfile
+
+    _, world, scenario = _forged_log_scenario(distance=1.2)
+    gaps = [1.2, 1.5, 1.8, 2.1, 2.4, 2.7]  # agent 1's distance to agent 0
+    traces = []
+    for ys in ([0.0] * 11, gaps):
+        tr = AgentTrace(times=[0.01 * k for k in range(len(ys))],
+                        states=[np.array([0.0, y, 0.0]) for y in ys],
+                        inputs=[np.zeros(2)] * len(ys), w_norms=[0.0] * len(ys),
+                        V=[0.0] * len(ys))
+        tr.step_meta.append({"t": 0.0, "status": "optimal", "cost": 1.0,
+                             "errsq_int": 0.0, "terminal_relaxed": False,
+                             "tube_capped": False})
+        traces.append(tr)
+    config = OcpConfig(h=0.1, T_p=0.6, Q=scenario.Q, R=scenario.R, P=scenario.P,
+                       eps_omega=scenario.eps_omega, eps_psi=scenario.eps_psi, u_bar=8.0)
+    sim = Simulation(world, scenario.build_models(), scenario.references, config,
+                     TubeProfile(1e-12, 2.0), [0, 1], [None, None],
+                     [tr.states[0] for tr in traces], total_time=0.1)
+    sim.traces = traces
+    log = sim.finalize_log()
+
+    # agent 0 sees agent 1 held at its last sample (2.7) after t = 0.05
+    held = gaps + [gaps[-1]] * 5
+    m0 = log.traces[0].margins
+    assert len(m0) == 11 and len(log.traces[1].margins) == 6
+    assert [m["inter-agent"] for m in m0] == pytest.approx(
+        [0.2, 0.5, 0.8] + [math.inf] * 8, abs=1e-12)
+    assert [m["neighbor"] for m in m0] == pytest.approx([2.0 - d for d in held], abs=1e-12)
+    assert [m["inter-agent"] for m in log.traces[1].margins] == pytest.approx(
+        [0.2, 0.5, 0.8] + [math.inf] * 3, abs=1e-12)
+    assert all(m["obstacle"] == math.inf and m["workspace"] == pytest.approx(9.5)
+               for m in m0)
+
+    report = certify.verify(log, world, scenario)
+    sep = report.checks["inter-agent-separation"]
+    assert (sep.worst_margin, sep.worst_time) == (pytest.approx(1.2 - 1.01, abs=1e-12), 0.0)
+    conn = report.checks["neighbor-connectivity"]
+    assert not conn.passed
+    assert conn.worst_margin == pytest.approx(1.99 - 2.7, abs=1e-12)
+    assert conn.worst_time == pytest.approx(0.05)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import yaml
 
+from dnmpc import coordination
 from dnmpc.cli import ScenarioError, cmd_certify, load_scenario, main
+from dnmpc.coordination import AgentTrace, TrajectoryLog
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
@@ -81,6 +83,17 @@ def test_certify_exit_codes(tmp_path, capsys):
     assert cmd_certify(heavy) == 1
 
 
+def test_certify_reports_declared_L_g_below_estimate(capsys):
+    """The bundled scenario declares L_g = 8.5883, while the unicycle field's
+    state-Lipschitz constant is sup |v| = u_bar ~ 11.31: the sampled estimate
+    exceeds the declared value. This is reported without changing the exit
+    code, which covers the disturbance bound only."""
+    assert main(["certify", str(SCENARIO)]) == 0
+    values = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    assert values["L_g_sound"] == "false"
+    assert 8.5883 < float(values["L_g_estimate"]) <= 1.1 * 8 * np.sqrt(2)
+
+
 def test_main_malformed_path_exits_2(capsys):
     assert main(["certify", "/nonexistent/scenario.yaml"]) == 2
     assert "error" in capsys.readouterr().err
@@ -95,6 +108,29 @@ def test_columns_manifest(capsys):
     assert "m_inter_agent" in names and "status" in names
     # indices are 1-based and contiguous for gnuplot `using`
     assert [int(ln.split("\t")[0]) for ln in lines] == list(range(1, len(lines) + 1))
+
+
+def test_columns_match_csv_header(tmp_path, capsys):
+    assert main(["columns", str(SCENARIO)]) == 0
+    names = [ln.split("\t")[1] for ln in capsys.readouterr().out.strip().splitlines()]
+    traces = [AgentTrace(times=[0.0], states=[spec.start], inputs=[np.full(2, np.nan)],
+                         w_norms=[0.0], V=[0.0])
+              for spec in load_scenario(SCENARIO).agents]
+    path = tmp_path / "log.csv"
+    TrajectoryLog(traces=traces).to_csv(path)
+    assert path.read_text().splitlines()[0].split(",") == names
+
+
+def test_run_writes_artifacts_when_solver_raises(tmp_path, monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise RuntimeError("solver diverged: forced")
+
+    monkeypatch.setattr(coordination, "solve_fhocp", diverge)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(SCENARIO), "--out", str(out_dir), "--total-time", "0.2"]) == 1
+    assert (out_dir / "trajectory.csv").exists()
+    assert "solver diverged: forced" in (out_dir / "report.txt").read_text()
+    assert "run aborted" in capsys.readouterr().err
 
 
 def test_run_then_verify_roundtrip(tmp_path, capsys):

@@ -1,26 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnmpc.constraints import (StageGeometry, TerminalSet, WorldModel,
-                               build_stage_constraints, check_admissible,
-                               in_terminal, terminal_value, tighten,
-                               tube_profile_radii)
-from dnmpc.dynamics import ErrorDynamics, unicycle_model
-from dnmpc.setalg import Ball, TubeProfile
-
-
-def _world(n=2):
-    return WorldModel(
-        workspace=Ball([0.0, 0.0], 10.0),
-        obstacles=[Ball([3.0, 0.0], 1.0)],
-        agent_radii=[0.5] * n,
-        sensing_ranges=[2.0] * n,
-        detection_ranges=[4.0] * n,
-        margin=0.01,
-        neighbor_sets=[frozenset({1}), frozenset({0})][:n],
-    )
+from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel, tube_profile_radii
+from dnmpc.ocp import OcpConfig
+from dnmpc.setalg import Ball, TubeProfile, tube_radius
 
 
 def test_world_model_validates_margin():
@@ -34,16 +19,10 @@ def test_world_model_sensing_vs_radii():
 
 
 def test_terminal_set_ordering():
-    with pytest.raises(ValueError):
-        TerminalSet(np.eye(3), eps_omega=0.1, eps_psi=0.05)
-
-
-def test_terminal_membership():
-    term = TerminalSet(np.eye(2), eps_omega=1.0, eps_psi=4.0)
-    assert in_terminal([0.5, 0.5], term) == (True, True)
-    assert in_terminal([1.2, 1.2], term) == (False, True)
-    assert in_terminal([3.0, 0.0], term) == (False, False)
-    assert terminal_value([1.0, 1.0], term) == pytest.approx(2.0)
+    """The terminal set Omega must lie strictly inside Psi."""
+    with pytest.raises(ValueError, match="eps_omega < eps_psi"):
+        OcpConfig(h=0.1, T_p=0.6, Q=np.eye(3), R=np.eye(2), P=np.eye(3),
+                  eps_omega=0.1, eps_psi=0.05, u_bar=1.0)
 
 
 def _geometry():
@@ -62,6 +41,8 @@ def test_geometry_margins_shape_and_values():
     pos = np.zeros((1, 3, 2))  # sit at the origin for all stages
     m = geo.margins(pos)
     assert m.shape == (1, 3, 4)
+    # one column per constraint, in kind order
+    assert geo.column_kinds() == list(MARGIN_KINDS)
     # inter-agent: distance 2.0 - 1.01
     assert m[0, 0, 0] == pytest.approx(0.99)
     # neighbor: 1.99 - 2.0 (violated at stage 0)
@@ -72,11 +53,22 @@ def test_geometry_margins_shape_and_values():
     assert m[0, 0, 3] == pytest.approx(9.49)
 
 
-def test_geometry_tightening_erodes_uniformly():
+@given(tau=st.floats(0.0, 0.5), offset=st.floats(-0.5, 0.5))
+@example(tau=0.0, offset=0.0)
+@settings(max_examples=50, deadline=None)
+def test_geometry_tightening_erodes_uniformly(tau, offset):
+    """Every margin drops by the tube radius of its stage: by exactly
+    tube_radius(tau) at stage offset tau, and not at all at tau = 0."""
     geo = _geometry()
-    pos = np.zeros((1, 3, 2))
+    pos = np.tile([offset, 0.0], (1, 3, 1))
+    raw = geo.margins(pos)
     rho = np.array([0.1, 0.2, 0.3])
-    assert np.allclose(geo.tightened(pos, rho), geo.margins(pos) - rho[:, None])
+    assert np.allclose(geo.tightened(pos, rho), raw - rho[:, None])
+    profile = TubeProfile(0.1, 2.0)
+    tightened = geo.tightened(pos, tube_profile_radii(profile, np.full(3, tau)))
+    assert np.allclose(tightened, raw - tube_radius(profile, tau), rtol=0.0, atol=1e-12)
+    if tau == 0.0:
+        assert np.array_equal(tightened, raw)
 
 
 def test_window_empty_detection():
@@ -94,78 +86,3 @@ def test_tube_profile_radii_cap():
     assert rho[1] > 1.9  # exponential growth over the full horizon
     capped = tube_profile_radii(profile, taus, cap=0.15)
     assert capped[1] == pytest.approx(0.15)
-
-
-def test_build_stage_constraints_counts_and_missing_prediction():
-    world = _world()
-    preds = {1: np.array([1.5, 0.0, 0.0])}
-    cons = build_stage_constraints(0, world, preds, sensing_ids=[1],
-                                   known_obstacles=[0])
-    kinds = sorted(c.kind for c in cons)
-    assert kinds == ["inter-agent", "neighbor", "obstacle", "workspace"]
-    with pytest.raises(KeyError):
-        build_stage_constraints(0, world, {}, sensing_ids=[1])
-
-
-def test_scalar_constraint_evaluators():
-    world = _world()
-    preds = {1: np.array([1.5, 0.0, 0.0])}
-    cons = {c.kind: c for c in build_stage_constraints(
-        0, world, preds, sensing_ids=[1], known_obstacles=[0])}
-    z = np.array([0.0, 0.0, 0.3])
-    assert cons["inter-agent"].evaluator(z) == pytest.approx(1.5 - 1.01)
-    assert cons["neighbor"].evaluator(z) == pytest.approx(1.99 - 1.5)
-    assert cons["obstacle"].evaluator(z) == pytest.approx(3.0 - 1.51)
-    assert cons["workspace"].evaluator(z) == pytest.approx(9.49)
-
-
-def test_tighten_is_identity_at_zero_offset():
-    world = _world()
-    preds = {1: np.array([1.5, 0.0, 0.0])}
-    cons = build_stage_constraints(0, world, preds, sensing_ids=[1])
-    profile = TubeProfile(0.1, 8.5883)
-    same = tighten(cons, 0.0, profile)
-    z = np.array([0.2, -0.1, 0.0])
-    for a, b in zip(cons, same):
-        assert a.evaluator(z) == b.evaluator(z)
-
-
-@given(tau=st.floats(0.01, 0.5), margin_scale=st.floats(0.1, 2.0))
-@settings(max_examples=50, deadline=None)
-def test_tighten_shifts_by_tube_radius(tau, margin_scale):
-    from dnmpc.setalg import tube_radius
-    world = _world()
-    preds = {1: np.array([1.5 + margin_scale, 0.0, 0.0])}
-    cons = build_stage_constraints(0, world, preds, sensing_ids=[1])
-    profile = TubeProfile(0.1, 2.0)
-    z = np.zeros(3)
-    rho = tube_radius(profile, tau)
-    for a, b in zip(cons, tighten(cons, tau, profile)):
-        assert b.evaluator(z) == pytest.approx(a.evaluator(z) - rho, abs=1e-12)
-
-
-def test_check_admissible_reports_conditions():
-    model = unicycle_model(2.0, 0.1, 2.0)
-    ed = ErrorDynamics(model, np.zeros(3))
-    term = TerminalSet(np.eye(3), eps_omega=0.01, eps_psi=0.1)
-    profile = TubeProfile(0.0, 1.0)
-
-    def no_constraints(tau):
-        return []
-
-    # zero input from the origin: stays in Omega, trivially admissible
-    report = check_admissible(np.zeros((3, 2)), np.zeros(3), ed, no_constraints,
-                              term, profile, T_p=0.3, h=0.1)
-    assert report.admissible
-
-    # input bound violated
-    report = check_admissible(np.full((3, 2), 5.0), np.zeros(3), ed, no_constraints,
-                              term, profile, T_p=0.3, h=0.1)
-    assert not report.input_bound_ok
-    assert report.first_violation["condition"] == 2
-
-    # terminal condition violated from a distant start
-    report = check_admissible(np.zeros((3, 2)), np.array([5.0, 0.0, 0.0]), ed,
-                              no_constraints, term, profile, T_p=0.3, h=0.1)
-    assert not report.terminal_ok
-    assert not report.admissible

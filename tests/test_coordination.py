@@ -61,11 +61,9 @@ def test_validate_initial_workspace_and_velocity():
     world = _world()
     models = [unicycle_model(2.0, 0.0, 2.0) for _ in range(2)]
     out = validate_initial(
-        world, [np.array([9.8, 0.0, 0.0]), np.array([9.8, 1.2, 0.0])], models,
-        velocities=[np.zeros(2), np.array([0.1, 0.0])])
+        world, [np.array([9.8, 0.0, 0.0]), np.array([9.8, 1.2, 0.0])], models)
     assert not out.passed
     assert any("workspace" in f for f in out.failures)
-    assert any("velocity" in f for f in out.failures)
 
 
 def test_prediction_entry_interpolates_and_holds():

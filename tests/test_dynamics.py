@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from dnmpc.dynamics import (AgentModel, DisturbanceSignal, ErrorDynamics,
-                            SingularityError, estimate_lipschitz,
-                            euler_rate_jacobian, integrate, rigid_body_model,
-                            rollout_zoh, unicycle_field, unicycle_model,
-                            wrap_angle, zoh_input)
+                            estimate_lipschitz, integrate, rollout_zoh,
+                            unicycle_field, unicycle_model, wrap_angle,
+                            zoh_input)
 
 
 def test_wrap_angle_range():
@@ -149,41 +148,6 @@ def test_error_field_is_shifted_field():
     e = np.array([0.2, 0.3, -0.1])
     u = np.array([1.0, 0.4])
     assert np.allclose(ed.field(e, u), unicycle_field(e + ed.z_des, u), atol=1e-15)
-
-
-def _simple_rigid_body():
-    inertia = lambda x: np.eye(6)
-    coriolis = lambda x, xd: np.zeros((6, 6))
-    gravity = lambda x: np.zeros(6)
-    return rigid_body_model(inertia, coriolis, gravity, 10.0, 0.0, 5.0)
-
-
-def test_euler_rate_jacobian_identity_at_zero():
-    assert np.allclose(euler_rate_jacobian(np.zeros(3)), np.eye(6), atol=1e-15)
-
-
-def test_euler_rate_jacobian_singularity():
-    with pytest.raises(SingularityError):
-        euler_rate_jacobian(np.array([0.0, np.pi / 2, 0.0]))
-
-
-def test_rigid_body_integration_singularity_carries_time():
-    model = _simple_rigid_body()
-    z0 = np.zeros(12)
-    z0[10] = 2.0  # constant pitch rate drives theta to pi/2 at t ~ 0.785
-    with pytest.raises(SingularityError) as err:
-        integrate(model, z0, lambda t: np.zeros(6), None, 0.0, 2.0, 0.01)
-    assert err.value.time is not None
-    assert 0.5 < err.value.time < 1.0
-
-
-def test_rigid_body_accelerates_under_force():
-    model = _simple_rigid_body()
-    u = np.zeros(6)
-    u[0] = 1.0
-    _, states = integrate(model, np.zeros(12), lambda t: u, None, 0.0, 1.0, 0.01)
-    assert states[-1][6] == pytest.approx(1.0, abs=1e-9)   # vx = t
-    assert states[-1][0] == pytest.approx(0.5, abs=1e-6)   # x = t^2/2
 
 
 def test_estimate_lipschitz_unicycle():

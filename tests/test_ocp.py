@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from dnmpc.constraints import TerminalSet
 from dnmpc.dynamics import AgentModel, ErrorDynamics, rollout_zoh, unicycle_model
 from dnmpc.ocp import (OcpConfig, _openblas_thread_controls,
                        single_blas_thread, solve_fhocp, stage_cost,
-                       synthesize_terminal_gain, terminal_controller,
-                       terminal_decrease_margin, unicycle_steering_law,
-                       warm_start_shift)
+                       unicycle_steering_law, warm_start_shift)
 
 
 def double_integrator_model(u_bar=1e6):
@@ -127,43 +124,6 @@ def test_solution_shapes_and_stats():
     assert sol.dense_errors.shape == (61, 2)
     assert sol.solve_stats["rollouts"] > 0
     assert sol.solve_stats["terminal_enforced"] is False
-
-
-def test_synthesize_terminal_gain_stabilizes_double_integrator():
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
-    K, P = synthesize_terminal_gain(ed, np.diag([2.0, 0.5]), np.array([[0.1]]))
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    B = np.array([[0.0], [1.0]])
-    eig = np.linalg.eigvals(A + B @ K)
-    assert np.all(eig.real < 0)
-    assert np.all(np.linalg.eigvalsh(P) > 0)
-
-
-def test_unicycle_rest_linearization_not_stabilizable():
-    model = unicycle_model(1.0, 0.0, 1.0)
-    ed = ErrorDynamics(model, np.zeros(3))
-    with pytest.raises(ValueError, match="stabilizable"):
-        synthesize_terminal_gain(ed, np.eye(3), np.eye(2))
-
-
-def test_terminal_decrease_identity_for_lqr():
-    """With the Riccati P, dV/dt + stage cost is exactly zero along u = Ke."""
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
-    Q, R = np.diag([2.0, 0.5]), np.array([[0.1]])
-    K, P = synthesize_terminal_gain(ed, Q, R)
-    term = TerminalSet(P, eps_omega=0.01, eps_psi=0.1)
-    rng = np.random.default_rng(5)
-    pts = 0.05 * rng.normal(size=(50, 2))
-    worst = terminal_decrease_margin(ed, lambda e: K @ e, term, Q, R, pts)
-    assert worst <= 1e-9
-
-
-def test_terminal_controller_bound_flag():
-    K = np.array([[-2.0, 0.0], [0.0, -2.0]])
-    u, ok = terminal_controller(np.array([1.0, 0.0]), K, u_bar=1.0)
-    assert not ok
-    u, ok = terminal_controller(np.array([0.1, 0.0]), K, u_bar=1.0)
-    assert ok
 
 
 def test_unicycle_steering_law_converges():
