@@ -1,11 +1,40 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel, tube_profile_radii
+from dnmpc.coordination import Simulation
+from dnmpc.dynamics import unicycle_model
 from dnmpc.ocp import OcpConfig
 from dnmpc.setalg import Ball, TubeProfile, tube_radius
+
+
+def _world(n=2):
+    return WorldModel(
+        workspace=Ball([0.0, 0.0], 10.0),
+        obstacles=[Ball([3.0, 0.0], 1.0)],
+        agent_radii=[0.5] * n,
+        sensing_ranges=[2.0] * n,
+        detection_ranges=[4.0] * n,
+        margin=0.01,
+        neighbor_sets=[frozenset({1}), frozenset({0})][:n],
+    )
+
+
+def _simulation():
+    """Two agents at rest, agent 1 at (1.5, 0) within agent 0's sensing
+    range, the obstacle at (3, 0) within its detection range."""
+    cfg = OcpConfig(h=0.1, T_p=0.3, Q=np.eye(3), R=np.eye(2), P=np.eye(3),
+                    eps_omega=0.01, eps_psi=0.1, u_bar=2.0)
+    starts = [np.array([0.0, 0.0, 0.0]), np.array([1.5, 0.0, 0.0])]
+    sim = Simulation(world=_world(), models=[unicycle_model(2.0, 0.0, 2.0)] * 2,
+                     references=starts, config=cfg, profile=TubeProfile(0.1, 2.0),
+                     schedule=[0, 1], disturbances=[None, None],
+                     initial_states=starts, total_time=0.3)
+    sim._bootstrap_board()
+    sim._update_known_obstacles(0)
+    return sim
 
 
 def test_world_model_validates_margin():
@@ -41,8 +70,6 @@ def test_geometry_margins_shape_and_values():
     pos = np.zeros((1, 3, 2))  # sit at the origin for all stages
     m = geo.margins(pos)
     assert m.shape == (1, 3, 4)
-    # one column per constraint, in kind order
-    assert geo.column_kinds() == list(MARGIN_KINDS)
     # inter-agent: distance 2.0 - 1.01
     assert m[0, 0, 0] == pytest.approx(0.99)
     # neighbor: 1.99 - 2.0 (violated at stage 0)
@@ -53,22 +80,11 @@ def test_geometry_margins_shape_and_values():
     assert m[0, 0, 3] == pytest.approx(9.49)
 
 
-@given(tau=st.floats(0.0, 0.5), offset=st.floats(-0.5, 0.5))
-@example(tau=0.0, offset=0.0)
-@settings(max_examples=50, deadline=None)
-def test_geometry_tightening_erodes_uniformly(tau, offset):
-    """Every margin drops by the tube radius of its stage: by exactly
-    tube_radius(tau) at stage offset tau, and not at all at tau = 0."""
+def test_geometry_tightening_erodes_uniformly():
     geo = _geometry()
-    pos = np.tile([offset, 0.0], (1, 3, 1))
-    raw = geo.margins(pos)
+    pos = np.zeros((1, 3, 2))
     rho = np.array([0.1, 0.2, 0.3])
-    assert np.allclose(geo.tightened(pos, rho), raw - rho[:, None])
-    profile = TubeProfile(0.1, 2.0)
-    tightened = geo.tightened(pos, tube_profile_radii(profile, np.full(3, tau)))
-    assert np.allclose(tightened, raw - tube_radius(profile, tau), rtol=0.0, atol=1e-12)
-    if tau == 0.0:
-        assert np.array_equal(tightened, raw)
+    assert np.allclose(geo.tightened(pos, rho), geo.margins(pos) - rho[:, None])
 
 
 def test_window_empty_detection():
@@ -86,3 +102,44 @@ def test_tube_profile_radii_cap():
     assert rho[1] > 1.9  # exponential growth over the full horizon
     capped = tube_profile_radii(profile, taus, cap=0.15)
     assert capped[1] == pytest.approx(0.15)
+
+
+def test_build_stage_constraints_counts_and_missing_prediction():
+    """One margin column per constraint kind for agent 0, and a sensed agent
+    with no posted prediction is an error, not a silently dropped column."""
+    sim = _simulation()
+    geo = sim._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))
+    assert geo.column_kinds() == list(MARGIN_KINDS)
+    del sim.board[1]
+    with pytest.raises(KeyError):
+        sim._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))
+
+
+def test_scalar_constraint_evaluators():
+    sim = _simulation()
+    geo = sim._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))
+    m = geo.margins(np.zeros((3, 2)))
+    assert m[0, 0] == pytest.approx(1.5 - 1.01)   # inter-agent
+    assert m[0, 1] == pytest.approx(1.99 - 1.5)   # neighbor
+    assert m[0, 2] == pytest.approx(3.0 - 1.51)   # obstacle
+    assert m[0, 3] == pytest.approx(9.49)         # workspace
+
+
+def test_tighten_is_identity_at_zero_offset():
+    geo = _simulation()._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))
+    profile = TubeProfile(0.1, 8.5883)
+    pos = np.tile([0.2, -0.1], (3, 1))
+    same = geo.tightened(pos, tube_profile_radii(profile, np.zeros(3)))
+    assert np.array_equal(same, geo.margins(pos))
+
+
+@given(tau=st.floats(0.01, 0.5), margin_scale=st.floats(0.1, 2.0))
+@settings(max_examples=50, deadline=None)
+def test_tighten_shifts_by_tube_radius(tau, margin_scale):
+    """Every margin column drops by exactly tube_radius(tau) at stage offset tau."""
+    geo = _geometry()
+    pos = np.tile([-margin_scale, 0.0], (3, 1))
+    profile = TubeProfile(0.1, 2.0)
+    rho = tube_radius(profile, tau)
+    tightened = geo.tightened(pos, tube_profile_radii(profile, np.full(3, tau)))
+    assert np.allclose(tightened, geo.margins(pos) - rho, rtol=0.0, atol=1e-12)
