@@ -298,7 +298,14 @@ def cmd_run(scenario_path, out_dir, seed=None, verbose_solver=False, total_time=
         aborted = str(exc)
     log.to_csv(out / "trajectory.csv")
     report = certify.verify(log, scenario.build_world(), scenario)
-    extra = {"scenario": scenario.name, "aborted": aborted or ""}
+    metas = [meta for trace in log.traces for meta in trace.step_meta]
+    extra = {
+        "scenario": scenario.name,
+        "aborted": aborted or "",
+        "solves": len(metas),
+        "terminal_relaxed_solves": sum(meta["terminal_relaxed"] for meta in metas),
+        "tube_capped_solves": sum(meta["tube_capped"] for meta in metas),
+    }
     certify.write_report(report, out / "report.txt", extra=extra)
     for line in report.summary_lines():
         print(line)
@@ -329,7 +336,11 @@ def cmd_certify(scenario_path, seed=None):
 
 def cmd_verify(log_path, scenario_path, seed=None):
     scenario = load_scenario(scenario_path, seed=seed)
-    log = TrajectoryLog.from_csv(log_path, h=scenario.h)
+    try:
+        log = TrajectoryLog.from_csv(log_path, h=scenario.h)
+    except ValueError as exc:  # a missing column, a truncated row, an unparsable field
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = certify.verify(log, scenario.build_world(), scenario)
     for line in report.summary_lines():
         print(line)

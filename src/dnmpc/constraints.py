@@ -10,6 +10,7 @@ feed the CSV margin columns and the verifier (:func:`logged_distances`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -70,19 +71,14 @@ class WorldModel:
         return len(self.agent_radii)
 
 
-# --- vectorized margin primitives --------------------------------------
-
-def _dist(a, b):
-    return np.linalg.norm(a - b, axis=-1)
-
-
 @dataclass
 class StageGeometry:
     """Vectorized constraint snapshot for one agent's horizon.
 
     Trajectories of other agents are sampled on the same time offsets `taus`
     as the agent's own predicted states. All distance margins are 1-Lipschitz
-    in the position, hence in the full error norm.
+    in the position, hence in the full error norm. Fill in the constraints
+    before the first call of :meth:`margins`, which stacks them once.
     """
 
     taus: np.ndarray  # (T,) stage offsets from the solve instant
@@ -100,18 +96,33 @@ class StageGeometry:
             kinds.append("workspace")
         return kinds
 
+    @functools.cached_property
+    def _columns(self):
+        """Stacked columns (anchors (T, C, d), sign (C,), offset (C,)): the
+        margin of column c is sign[c] * |pos - anchors[:, c]| + offset[c]."""
+        entries = ([(traj, 1.0, -thr) for _, traj, thr in self.interagent]
+                   + [(traj, -1.0, thr) for _, traj, thr in self.neighbor]
+                   + [(center, 1.0, -thr) for _, center, thr in self.obstacles])
+        if self.workspace is not None:
+            center, limit = self.workspace
+            entries.append((center, -1.0, limit))
+        if not entries:
+            return None
+        T = len(self.taus)
+        anchors = np.stack([np.broadcast_to(a, (T, np.shape(a)[-1])) for a, _, _ in entries],
+                           axis=1)
+        return (anchors, np.array([s for _, s, _ in entries]),
+                np.array([o for _, _, o in entries]))
+
     def margins(self, pos):
         """Raw margins of positions (..., T, d), stacked by kind in
         `MARGIN_KINDS` order: shape (..., T, C)."""
-        columns = ([_dist(pos, traj) - thr for _, traj, thr in self.interagent]
-                   + [thr - _dist(pos, traj) for _, traj, thr in self.neighbor]
-                   + [_dist(pos, center) - thr for _, center, thr in self.obstacles])
-        if self.workspace is not None:
-            center, limit = self.workspace
-            columns.append(limit - _dist(pos, center))
-        if not columns:
+        if self._columns is None:
             return np.zeros(pos.shape[:-1] + (0,))
-        return np.stack(columns, axis=-1)
+        anchors, sign, offset = self._columns
+        diff = pos[..., None, :] - anchors
+        # the sum np.linalg.norm forms, so the distances are the same floats
+        return sign * np.sqrt(np.add.reduce(diff * diff, axis=-1)) + offset
 
     def tightened(self, pos, rho):
         """Margins eroded by the tube radius profile rho of shape (T,)."""

@@ -18,6 +18,7 @@ always satisfies the strictly tightened early-stage constraints.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -210,7 +211,8 @@ class TrajectoryLog:
         metadata) from a file written by `to_csv`.
 
         Columns are found by their `csv_columns` names, so a file from an
-        older schema with extra columns still reads; a missing column raises
+        older schema with extra columns still reads; a missing column, a row
+        of the wrong length (a truncated file) or an unparsable field raises
         ValueError.
         """
         import csv
@@ -221,9 +223,16 @@ class TrajectoryLog:
             rows = list(reader)
         n_x = sum(1 for c in header if c.startswith("x") and c[1:].isdigit())
         n_u = sum(1 for c in header if c.startswith("u") and c[1:].isdigit())
-        col = {name: header.index(name) for name in csv_columns(n_x, n_u)}
+        names = csv_columns(n_x, n_u)
+        missing = [name for name in names if name not in header]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        col = {name: header.index(name) for name in names}
         traces = {}
-        for row in rows:
+        for line, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {line} has {len(row)} fields, "
+                                 f"the header {len(header)}")
             i = int(row[col["agent"]])
             trace = traces.setdefault(i, AgentTrace())
             trace.times.append(float(row[col["t"]]))
@@ -401,6 +410,22 @@ class Simulation:
         return probes
 
     def _solve_agent(self, i, t_k):
+        """Solve agent i's problem through the fallback ladder.
+
+        Returns (solution, geometry). The solution's `attempts` (calls of
+        solve_fhocp and restore_feasibility), `iterations` (summed over those
+        calls) and `wall_time` stats cover the whole ladder; its other stats
+        are those of the accepted attempt.
+        """
+        start = time.perf_counter()
+        ladder = {"attempts": 0, "iterations": 0}
+        sol, geometry = self._ladder(i, t_k, ladder)
+        sol.solve_stats.update(ladder, wall_time=time.perf_counter() - start)
+        return sol, geometry
+
+    def _ladder(self, i, t_k, ladder):
+        """The fallback ladder; counts its attempts and SLSQP iterations into
+        `ladder`."""
         cfg = self.config
         S = cfg.substeps
         dense_taus = (cfg.h / S) * np.arange(1, cfg.n_stages * S + 1)
@@ -424,17 +449,16 @@ class Simulation:
         tiers += [(False, cap) for cap in caps]
 
         best = None
-        tried = 0
         for use_terminal, cap in tiers:
             rho_mat = self._capped_radii(geometry, dense_taus, cap)
             margin_fn = self._margin_fn(i, geometry, rho_mat)
 
             def attempt(start):
-                nonlocal tried
-                tried += 1
-                return solve_fhocp(
-                    self.errordyns[i], e0, margin_fn, cfg,
-                    warm_start=start, use_terminal=use_terminal)
+                sol = solve_fhocp(self.errordyns[i], e0, margin_fn, cfg,
+                                  warm_start=start, use_terminal=use_terminal)
+                ladder["attempts"] += 1
+                ladder["iterations"] += sol.solve_stats["iterations"]
+                return sol
 
             def accept(sol):
                 relaxed = (not use_terminal) or (cap is not None)
@@ -443,7 +467,6 @@ class Simulation:
                 sol.solve_stats.update({
                     "terminal_relaxed": not use_terminal,
                     "tube_capped": cap is not None,
-                    "attempts": tried,
                 })
                 return sol, geometry
 
@@ -485,9 +508,11 @@ class Simulation:
                 sol = polished
             # phase-1 slack maximization from the best near-feasible iterate
             if sol.solve_stats["residual"] <= 5e-2:
-                restored = restore_feasibility(
+                restored, iterations = restore_feasibility(
                     self.errordyns[i], e0, margin_fn, cfg, sol.inputs,
                     use_terminal=use_terminal)
+                ladder["attempts"] += 1
+                ladder["iterations"] += iterations
                 polished = attempt(restored)
                 if polished.status != "infeasible":
                     return accept(polished)
@@ -495,7 +520,6 @@ class Simulation:
                     sol = polished
             if best is None or sol.solve_stats["residual"] < best.solve_stats["residual"]:
                 best = sol
-        best.solve_stats.update({"attempts": tried})
         return best, geometry
 
     # -- main loop ------------------------------------------------------
@@ -567,8 +591,9 @@ class Simulation:
                 "errsq_int": errsq_int,
                 "terminal_relaxed": sol.solve_stats.get("terminal_relaxed", False),
                 "tube_capped": sol.solve_stats.get("tube_capped", False),
-                "iterations": sol.solve_stats.get("iterations", 0),
-                "wall_time": sol.solve_stats.get("wall_time", 0.0),
+                "iterations": sol.solve_stats["iterations"],
+                "attempts": sol.solve_stats["attempts"],
+                "wall_time": sol.solve_stats["wall_time"],
             })
             self._update_known_obstacles(i)
             if self.verbose_solver:

@@ -2,12 +2,14 @@
 
 Scenarios load the planar unicycle. It, like any vector field, is wrapped
 behind :class:`AgentModel`, whose field is vectorized over a leading batch
-dimension so that finite-difference gradients of a rollout cost one batched
-integration instead of one per perturbation.
+dimension. A ZOH rollout can return its Jacobian with respect to the inputs:
+in closed form for the unicycle, and for any other field by central
+differences over one batched integration.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -204,7 +206,7 @@ def integrate(model, z0, input_signal, disturbance, t0, t1, step):
     return times, states
 
 
-def rollout_zoh(field, e0, u_seq, stage_time, substeps):
+def rollout_zoh(field, e0, u_seq, stage_time, substeps, jacobian_eps=None):
     """Batched nominal rollout under zero-order-hold inputs.
 
     Args:
@@ -213,19 +215,43 @@ def rollout_zoh(field, e0, u_seq, stage_time, substeps):
         u_seq: stage inputs, shape (..., N, m).
         stage_time: duration of each stage.
         substeps: RK4 substeps per stage.
+        jacobian_eps: if given, also return the sensitivity of the trajectory
+            to the inputs. Needs an unbatched rollout: e0 (n,), u_seq (N, m).
 
     Returns:
-        states at all substep boundaries, shape (..., N * substeps + 1, n).
+        states at all substep boundaries, shape (..., N * substeps + 1, n);
+        with `jacobian_eps`, the pair (states, J) where
+        J = d states / d u_seq.ravel() has shape (N * substeps + 1, n, N * m).
 
     The unicycle field, in absolute or error coordinates, takes a fast path
-    (:func:`_unicycle_rollout_zoh`) whose result is bit-identical to the
-    generic substep loop.
+    (:func:`_unicycle_rollout_zoh`) whose trajectory is bit-identical to the
+    generic substep loop and whose J is exact. For any other field J is a
+    central difference with step `jacobian_eps`, taken over one batched run
+    of the generic loop.
     """
     e0 = np.asarray(e0, dtype=float)
     u_seq = np.asarray(u_seq, dtype=float)
+    want_jacobian = jacobian_eps is not None
+    if want_jacobian and (e0.ndim != 1 or u_seq.ndim != 2):
+        raise ValueError("the input Jacobian needs e0 of shape (n,) and u_seq of shape (N, m)")
     is_unicycle, heading_offset = _unicycle_heading_offset(field)
     if is_unicycle:
-        return _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset)
+        return _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset,
+                                     want_jacobian)
+    if not want_jacobian:
+        return _rk4_rollout_zoh(field, e0, u_seq, stage_time, substeps)
+    # rows: the nominal sequence, then +eps and -eps on each input component
+    nx = u_seq.size
+    steps = jacobian_eps * np.eye(nx).reshape(nx, *u_seq.shape)
+    batch = np.concatenate([u_seq[None], u_seq + steps, u_seq - steps])
+    out = _rk4_rollout_zoh(field, np.broadcast_to(e0, (2 * nx + 1,) + e0.shape), batch,
+                           stage_time, substeps)
+    jac = (out[1:1 + nx] - out[1 + nx:]) / (2.0 * jacobian_eps)
+    return out[0], np.moveaxis(jac, 0, -1)
+
+
+def _rk4_rollout_zoh(field, e0, u_seq, stage_time, substeps):
+    """:func:`rollout_zoh` by the generic RK4 substep loop, for any field."""
     n_stage = u_seq.shape[-2]
     dt = stage_time / substeps
     out = np.empty(e0.shape[:-1] + (n_stage * substeps + 1, e0.shape[-1]))
@@ -262,7 +288,35 @@ def _unicycle_heading_offset(field):
     return False, None
 
 
-def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset):
+# Rows: cos, then sin, of (heading, heading + dt/2 * omega, heading + dt *
+# omega). Columns: the weighted sums in dx/dv, dy/dv, dx/domega and dy/domega
+# of a substep's own stage, before their scale, and a zero column that
+# _unicycle_rollout_zoh fills with dheading/domega.
+_OWN_STAGE_WEIGHTS = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0],
+    [4.0, 0.0, 0.0, 2.0, 0.0],
+    [1.0, 0.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0, 0.0],
+    [0.0, 4.0, -2.0, 0.0, 0.0],
+    [0.0, 1.0, -1.0, 0.0, 0.0],
+])
+
+
+@functools.cache
+def _stage_layout(n_stage, substeps):
+    """Where each substep j lies relative to each stage k, as read-only
+    arrays: `own` (T, 1, N) is 1 where j belongs to stage k, else 0;
+    `spent` (T, N) counts the substeps of stage k before j (0 before the
+    stage, `substeps` after it)."""
+    offset = np.arange(n_stage * substeps)[:, None] - substeps * np.arange(n_stage)
+    own = ((offset >= 0) & (offset < substeps)).astype(float)[:, None, :]
+    spent = np.clip(offset, 0, substeps).astype(float)
+    own.flags.writeable = spent.flags.writeable = False
+    return own, spent
+
+
+def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset,
+                          want_jacobian=False):
     """:func:`rollout_zoh` of the unicycle with all substeps formed at once.
 
     The unicycle field depends on the state only through the heading, whose
@@ -273,6 +327,15 @@ def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset):
     cumulative sum chains the substeps. Every element goes through the same
     float operations, in the same order, as in the generic loop, and
     ``np.cumsum`` adds sequentially, so the trajectory is bit-identical.
+
+    The input Jacobian (unbatched only) differentiates the same closed form.
+    Substep j of stage k(j) moves the position by
+    (dx, dy) = dt/6 * v * sum_r c_r (cos, sin)(heading_j + a_r * dt * omega)
+    with (c_r) = (1, 4, 1) and (a_r) = (0, 1/2, 1), and the heading by
+    dt * omega. Its increment depends on v and omega of stage k(j) directly,
+    and on every earlier omega through heading_j, which has moved by dt times
+    the substeps already spent in that stage; d(dx, dy)/d heading_j is
+    (-dy, dx). J is one cumulative sum of these per-substep contributions.
     """
     dt = stage_time / substeps
     v = np.repeat(u_seq[..., 0], substeps, axis=-1)
@@ -285,11 +348,32 @@ def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset):
     theta = np.stack([heading, heading + (0.5 * dt) * omega, heading + dt * omega])
     if heading_offset is not None:
         theta = theta + heading_offset
-    vx = v * np.cos(theta)
-    vy = v * np.sin(theta)
+    cos, sin = np.cos(theta), np.sin(theta)
+    vx = v * cos
+    vy = v * sin
     steps[..., 1:, 0] = (dt / 6.0) * (((vx[0] + 2.0 * vx[1]) + 2.0 * vx[1]) + vx[2])
     steps[..., 1:, 1] = (dt / 6.0) * (((vy[0] + 2.0 * vy[1]) + 2.0 * vy[1]) + vy[2])
-    return np.cumsum(steps, axis=-2)
+    traj = np.cumsum(steps, axis=-2)
+    if not want_jacobian:
+        return traj
+    n_sub = v.shape[0]
+    own, spent = _stage_layout(u_seq.shape[0], substeps)
+    # per substep, d increment / d (v, omega) of its own stage:
+    # (dx/dv, dy/dv, dx/domega, dy/domega, dheading/domega)
+    terms = np.concatenate([cos, sin]).T @ _OWN_STAGE_WEIGHTS
+    terms[:, :2] *= dt / 6.0
+    terms[:, 2:4] *= (dt * dt / 6.0) * v[:, None]
+    terms[:, 4] = dt
+    # (T, 5, N): the own-stage terms, and for omega of every stage the turn
+    # (-dy, dx) of the increment times the heading change dt * spent
+    blocks = terms[:, :, None] * own
+    turn = steps[1:, 1::-1] * np.array([-dt, dt])
+    blocks[:, 2:4] += turn[:, :, None] * spent[:, None, :]
+    jac = np.zeros((n_sub + 1, 3, own.shape[2], 2))
+    cum = np.cumsum(blocks, axis=0)
+    jac[1:, :2, :, 0] = cum[:, :2]
+    jac[1:, :, :, 1] = cum[:, 2:]
+    return traj, jac.reshape(n_sub + 1, 3, -1)
 
 
 def zoh_input(u_seq, stage_time, t0=0.0):

@@ -5,8 +5,10 @@ the stack of N zero-order-hold inputs, the nominal error dynamics are rolled
 out with the shared fixed-step RK4, and the tightened stage constraints are
 enforced on the full substep grid (the same grid the verifier checks).
 
-Gradients are central finite differences computed in one batched rollout per
-decision point; scipy's SLSQP does the constrained minimization. Any method
+Each decision point costs one rollout. The rollout returns its Jacobian with
+respect to the inputs (exact for the unicycle, central differences for other
+fields), and the cost, terminal-value and margin gradients follow from it by
+the chain rule. scipy's SLSQP does the constrained minimization. Any method
 meeting the HorizonSolution contract is conforming; SLSQP was chosen because
 the decision dimension is tiny (N * input_dim). SLSQP runs with the bundled
 OpenBLAS on one thread (see :func:`single_blas_thread`).
@@ -158,7 +160,15 @@ def stage_cost(e, u, Q, R):
 
 
 class _Transcription:
-    """Single-shooting evaluation cache: one batched rollout per iterate."""
+    """Single-shooting evaluation cache: one rollout with its input Jacobian
+    per iterate.
+
+    `margin_fn` must be pointwise: the margins at a substep depend only on
+    the error at that substep. Their Jacobian is then the chain rule of
+    d margins / d error, central differences with step `fd_eps` on each
+    error component taken in one batched call, and the rollout's input
+    Jacobian.
+    """
 
     def __init__(self, errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
                  use_terminal: bool):
@@ -174,54 +184,45 @@ class _Transcription:
         S = config.substeps
         self.dense_taus = (config.h / S) * np.arange(1, self.N * S + 1)
         self.stage_idx = S * np.arange(self.N + 1)
+        # error offsets of the margin batch: none, then +fd_eps and -fd_eps
+        # on each component
+        steps = config.fd_eps * np.eye(self.n)
+        self.margin_offsets = np.concatenate([np.zeros((1, self.n)), steps, -steps])[:, None, :]
         self._cache_key = None
         self._cache = None
         self.n_rollouts = 0
-
-    def _evaluate_batch(self, U):
-        """U: (B, N, m) -> costs (B,), margins (B, T, C) or None, V_term (B,)."""
-        cfg = self.cfg
-        B = U.shape[0]
-        e0 = np.broadcast_to(self.e0, (B, self.n))
-        traj = rollout_zoh(self.errordyn.field, e0, U, cfg.h, cfg.substeps)
-        self.n_rollouts += B
-        stage_e = traj[:, self.stage_idx[:-1], :]
-        run = stage_cost(stage_e, U, cfg.Q, cfg.R).sum(axis=-1) * cfg.h
-        v_term = np.einsum("bi,ij,bj->b", traj[:, -1, :], cfg.P, traj[:, -1, :])
-        costs = run + v_term
-        margins = None
-        if self.margin_fn is not None:
-            margins = self.margin_fn(traj[:, 1:, :], self.dense_taus)
-        return traj, costs, margins, v_term
 
     def eval(self, x):
         key = x.tobytes()
         if key == self._cache_key:
             return self._cache
-        eps = self.cfg.fd_eps
-        U0 = x.reshape(self.N, self.m)
-        batch = np.broadcast_to(x, (1 + 2 * self.nx, self.nx)).copy()
-        batch[1:1 + self.nx] += eps * np.eye(self.nx)
-        batch[1 + self.nx:] -= eps * np.eye(self.nx)
-        traj, costs, margins, v_term = self._evaluate_batch(
-            batch.reshape(-1, self.N, self.m))
-
-        def central(values):
-            plus = values[1:1 + self.nx]
-            minus = values[1 + self.nx:]
-            return (plus - minus) / (2.0 * eps)
-
+        cfg = self.cfg
+        eps = cfg.fd_eps
+        U = x.reshape(self.N, self.m)
+        traj, jac = rollout_zoh(self.errordyn.field, self.e0, U, cfg.h, cfg.substeps, eps)
+        self.n_rollouts += 1
+        stage_e = traj[self.stage_idx[:-1]]
+        e_N = traj[-1]
+        Pe_N = cfg.P @ e_N
+        v_term = float(e_N @ Pe_N)
+        v_term_grad = 2.0 * (jac[-1].T @ Pe_N)
+        run = float(stage_cost(stage_e, U, cfg.Q, cfg.R).sum()) * cfg.h
+        run_grad = (2.0 * cfg.h) * (
+            np.einsum("kix,ki->x", jac[self.stage_idx[:-1]], stage_e @ cfg.Q)
+            + (U @ cfg.R).ravel())
         result = {
-            "traj": traj[0],
-            "cost": float(costs[0]),
-            "cost_grad": central(costs),
-            "v_term": float(v_term[0]),
-            "v_term_grad": central(v_term),
+            "traj": traj,
+            "cost": run + v_term,
+            "cost_grad": run_grad + v_term_grad,
+            "v_term": v_term,
+            "v_term_grad": v_term_grad,
         }
-        if margins is not None:
-            flat = margins.reshape(margins.shape[0], -1)
-            result["margins"] = flat[0]
-            result["margins_jac"] = central(flat).T  # (T*C, nx)
+        if self.margin_fn is not None:
+            margins = self.margin_fn(traj[1:] + self.margin_offsets, self.dense_taus)
+            dm_de = (margins[1:1 + self.n] - margins[1 + self.n:]) / (2.0 * eps)  # (n, T, C)
+            result["margins"] = margins[0].ravel()
+            # (T, C, n) @ (T, n, nx), flattened to (T*C, nx)
+            result["margins_jac"] = (dm_de.transpose(1, 2, 0) @ jac[1:]).reshape(-1, self.nx)
         self._cache_key = key
         self._cache = result
         return result
@@ -261,8 +262,9 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
     Args:
         errordyn: nominal error dynamics of the agent.
         margin_fn: callable (error_batch (B, T, n), taus (T,)) -> tightened
-            margins (B, T, C); nonnegative means satisfied. None disables
-            state constraints.
+            margins (B, T, C); nonnegative means satisfied. It must be
+            pointwise: margins[b, t] depends on error_batch[b, t] alone.
+            None disables state constraints.
         warm_start: initial guess for the (N, m) input sequence.
         use_terminal: enforce V(e_N) <= eps_omega as a hard constraint.
 
@@ -361,7 +363,8 @@ def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfi
 
     Solves max_s { s : margins(u) >= s, ||u_k|| <= u_bar } with SLSQP over the
     augmented variable (u, s). Used when the cost-driven solve stalls a hair
-    outside the tolerance. Returns the restored (N, m) input sequence.
+    outside the tolerance. Returns the restored (N, m) input sequence and the
+    SLSQP iteration count (0 when SLSQP failed before reporting one).
     """
     tr = _Transcription(errordyn, np.asarray(e0, dtype=float), margin_fn, config,
                         use_terminal)
@@ -403,13 +406,14 @@ def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfi
                            options={"maxiter": config.max_iterations, "ftol": 1e-12})
         candidate = opt.x[:-1]
     except (FloatingPointError, np.linalg.LinAlgError):
-        return start
+        return start, 0
+    iterations = int(opt.nit)
     if not np.all(np.isfinite(candidate)):
-        return start
+        return start, iterations
     U = _project_inputs(candidate.reshape(N, m), config.u_bar)
     if worst_slack(U.ravel()) > worst_slack(u0):
-        return U
-    return np.asarray(start, dtype=float)
+        return U, iterations
+    return np.asarray(start, dtype=float), iterations
 
 
 def unicycle_steering_law(z_des, u_bar, k_v=2.0, k_alpha=4.0, k_theta=2.0, blend=0.05):

@@ -121,6 +121,25 @@ def test_columns_match_csv_header(tmp_path, capsys):
     assert path.read_text().splitlines()[0].split(",") == names
 
 
+def test_verify_reports_malformed_csv(tmp_path, capsys):
+    traces = [AgentTrace(times=[0.0], states=[spec.start], inputs=[np.full(2, np.nan)],
+                         w_norms=[0.0], V=[0.0])
+              for spec in load_scenario(SCENARIO).agents]
+    full = tmp_path / "full.csv"
+    TrajectoryLog(traces=traces).to_csv(full)
+    rows = [line.split(",") for line in full.read_text().splitlines()]
+    drop = rows[0].index("m_neighbor")
+    path = tmp_path / "no_neighbor.csv"
+    path.write_text("\n".join(",".join(r[:drop] + r[drop + 1:]) for r in rows) + "\n")
+    assert main(["verify", str(path), str(SCENARIO)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "m_neighbor" in err
+    # a file cut off inside its last row
+    path.write_text(full.read_text()[:-20])
+    assert main(["verify", str(path), str(SCENARIO)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_writes_artifacts_when_solver_raises(tmp_path, monkeypatch, capsys):
     def diverge(*args, **kwargs):
         raise RuntimeError("solver diverged: forced")
@@ -142,6 +161,13 @@ def test_run_then_verify_roundtrip(tmp_path, capsys):
     assert (out_dir / "trajectory.csv").exists()
     report_text = (out_dir / "report.txt").read_text()
     assert "inter_agent_separation_pass = true" in report_text
+    # solve counts in the report match the flags of the logged solves
+    report = dict(line.split(" = ", 1) for line in report_text.splitlines())
+    metas = [meta for trace in TrajectoryLog.from_csv(out_dir / "trajectory.csv").traces
+             for meta in trace.step_meta]
+    assert int(report["solves"]) == len(metas) == 9
+    assert int(report["terminal_relaxed_solves"]) == sum(m["terminal_relaxed"] for m in metas)
+    assert int(report["tube_capped_solves"]) == sum(m["tube_capped"] for m in metas)
     first = capsys.readouterr().out
     code2 = main(["verify", str(out_dir / "trajectory.csv"), str(SCENARIO)])
     second = capsys.readouterr().out

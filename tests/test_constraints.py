@@ -80,6 +80,21 @@ def test_geometry_margins_shape_and_values():
     assert m[0, 0, 3] == pytest.approx(9.49)
 
 
+def test_geometry_margins_stacked_match_per_column_distances():
+    geo = _geometry()
+    pos = np.random.default_rng(2).normal(scale=3.0, size=(5, 3, 2))
+
+    def dist(anchor):
+        return np.linalg.norm(pos - anchor, axis=-1)
+
+    (_, other, sep), (_, near, conn) = geo.interagent[0], geo.neighbor[0]
+    (_, center, clear), (w_center, limit) = geo.obstacles[0], geo.workspace
+    per_column = np.stack([dist(other) - sep, conn - dist(near), dist(center) - clear,
+                           limit - dist(w_center)], axis=-1)
+    assert np.array_equal(geo.margins(pos), per_column)
+    assert StageGeometry(taus=geo.taus).margins(pos).shape == (5, 3, 0)
+
+
 def test_geometry_tightening_erodes_uniformly():
     geo = _geometry()
     pos = np.zeros((1, 3, 2))

@@ -1,12 +1,19 @@
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dnmpc import coordination
+from dnmpc.cli import load_scenario
 from dnmpc.constraints import WorldModel
 from dnmpc.coordination import (PredictionEntry, Simulation, TrajectoryLog,
                                 neighbor_sets, sensing_set, validate_initial)
 from dnmpc.dynamics import DisturbanceSignal, unicycle_model
 from dnmpc.ocp import OcpConfig
 from dnmpc.setalg import Ball, TubeProfile
+
+SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
 
 def test_sensing_set_strict_inequality():
@@ -182,3 +189,31 @@ def test_infeasible_initial_configuration_aborts():
     sim.states[1] = np.array([0.0, 0.5, 0.0])  # overlapping bodies
     with pytest.raises(ValueError, match="initial configuration"):
         sim.run()
+
+
+def test_step_meta_covers_the_whole_ladder(monkeypatch):
+    """attempts, iterations and wall_time in step_meta cover every
+    solve_fhocp and restore_feasibility call of a solve, not its last one."""
+    calls = {"attempts": 0, "iterations": 0, "seconds": 0.0}
+
+    def counted(fn, iterations_of):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            result = fn(*args, **kwargs)
+            calls["seconds"] += time.perf_counter() - start
+            calls["attempts"] += 1
+            calls["iterations"] += iterations_of(result)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(coordination, "solve_fhocp", counted(
+        coordination.solve_fhocp, lambda sol: sol.solve_stats["iterations"]))
+    monkeypatch.setattr(coordination, "restore_feasibility", counted(
+        coordination.restore_feasibility, lambda restored: restored[1]))
+    log = load_scenario(SCENARIO).build_simulation(total_time=0.3).run()
+    metas = [meta for trace in log.traces for meta in trace.step_meta]
+    assert len(metas) == 9
+    assert all(meta["attempts"] >= 1 for meta in metas)
+    assert sum(meta["attempts"] for meta in metas) == calls["attempts"]
+    assert sum(meta["iterations"] for meta in metas) == calls["iterations"]
+    assert sum(meta["wall_time"] for meta in metas) >= calls["seconds"]

@@ -132,6 +132,55 @@ def test_unicycle_rollout_fast_path_is_bit_identical():
     assert np.array_equal(fast, loop)
 
 
+def _central_jacobian(field, e0, u_seq, stage_time, substeps, eps=1e-6):
+    """d rollout / d u_seq.ravel() by central differences, one input at a time."""
+    cols = []
+    for c in range(u_seq.size):
+        step = np.zeros(u_seq.size)
+        step[c] = eps
+        step = step.reshape(u_seq.shape)
+        cols.append((rollout_zoh(field, e0, u_seq + step, stage_time, substeps)
+                     - rollout_zoh(field, e0, u_seq - step, stage_time, substeps))
+                    / (2.0 * eps))
+    return np.stack(cols, axis=-1)
+
+
+def test_unicycle_rollout_jacobian_matches_central_differences():
+    rng = np.random.default_rng(11)
+    ed = ErrorDynamics(unicycle_model(12.0, 0.0, 12.0), np.array([6.0, 2.3, 0.4]))
+    for field, substeps in ((ed.field, 10), (unicycle_field, 4)):
+        e0 = rng.normal(size=3)
+        u_seq = rng.uniform(-8.0, 8.0, (6, 2))
+        traj, jac = rollout_zoh(field, e0, u_seq, 0.1, substeps, 1e-6)
+        assert np.array_equal(traj, rollout_zoh(field, e0, u_seq, 0.1, substeps))
+        assert jac.shape == (6 * substeps + 1, 3, 12)
+        assert np.abs(jac - _central_jacobian(field, e0, u_seq, 0.1, substeps)).max() < 1e-8
+    with pytest.raises(ValueError, match="Jacobian"):
+        rollout_zoh(unicycle_field, np.zeros((2, 3)), np.zeros((2, 6, 2)), 0.1, 10, 1e-6)
+
+
+def test_double_integrator_rollout_jacobian_is_exact_zoh_sensitivity():
+    """Under a held input u_k, p and v respond to u_k by (s^2 / 2, s) after s
+    seconds of stage k, and the end-of-stage response then carries on as
+    (h^2 / 2 + h s', h) for s' seconds after it."""
+
+    def field(z, u):
+        return np.stack([z[..., 1], u[..., 0]], axis=-1)
+
+    h, substeps, n_stage = 0.1, 10, 6
+    u_seq = np.array([[0.3], [-1.2], [2.0], [0.1], [-0.4], [0.9]])
+    traj, jac = rollout_zoh(field, np.array([0.5, -0.2]), u_seq, h, substeps, 1e-6)
+    assert np.array_equal(traj, rollout_zoh(field, np.array([0.5, -0.2]), u_seq, h, substeps))
+    t = (h / substeps) * np.arange(n_stage * substeps + 1)
+    exact = np.empty((len(t), 2, n_stage))
+    for k in range(n_stage):
+        s = np.clip(t - k * h, 0.0, h)
+        after = np.maximum(t - (k + 1) * h, 0.0)
+        exact[:, 0, k] = 0.5 * s * s + s * after
+        exact[:, 1, k] = s
+    assert np.abs(jac - exact).max() < 1e-8
+
+
 def test_error_dynamics_roundtrip_and_wrapping():
     model = unicycle_model(1.0, 0.0, 1.0)
     ed = ErrorDynamics(model, np.array([1.0, 2.0, 3.0]))

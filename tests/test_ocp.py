@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dnmpc.dynamics import AgentModel, ErrorDynamics, rollout_zoh, unicycle_model
-from dnmpc.ocp import (OcpConfig, _openblas_thread_controls,
+from dnmpc.ocp import (OcpConfig, _openblas_thread_controls, _Transcription,
                        single_blas_thread, solve_fhocp, stage_cost,
                        unicycle_steering_law, warm_start_shift)
 
@@ -124,6 +124,37 @@ def test_solution_shapes_and_stats():
     assert sol.dense_errors.shape == (61, 2)
     assert sol.solve_stats["rollouts"] > 0
     assert sol.solve_stats["terminal_enforced"] is False
+
+
+def test_transcription_gradients_match_central_differences():
+    """cost_grad, v_term_grad and margins_jac, assembled from the rollout's
+    input Jacobian, against central differences of the values themselves."""
+    cfg = _config(u_bar=8.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
+                  P=np.diag([0.5, 0.5, 0.1]))
+    ed = ErrorDynamics(unicycle_model(8.0, 0.0, 8.0), np.array([3.0, 0.0, 0.4]))
+    center = np.array([1.2, 0.3])
+
+    def margin_fn(err_batch, taus):
+        pos = err_batch[..., :2] + ed.z_des[:2]
+        return (np.linalg.norm(pos - center, axis=-1) - 0.3)[..., None]
+
+    tr = _Transcription(ed, np.array([-3.0, 0.1, -0.2]), margin_fn, cfg, use_terminal=True)
+    x = np.random.default_rng(4).uniform(-3.0, 3.0, tr.nx)
+    res = tr.eval(x)
+    assert tr.n_rollouts == 1
+    eps = 1e-6
+    for value, grad in (("cost", "cost_grad"), ("v_term", "v_term_grad"),
+                        ("margins", "margins_jac")):
+        cols = []
+        for c in range(tr.nx):
+            step = np.zeros(tr.nx)
+            step[c] = eps
+            cols.append((np.atleast_1d(tr.eval(x + step)[value])
+                         - np.atleast_1d(tr.eval(x - step)[value])) / (2.0 * eps))
+        fd = np.stack(cols, axis=-1)
+        exact = np.atleast_2d(res[grad])
+        assert exact.shape == fd.shape
+        assert np.abs(exact - fd).max() <= 1e-6 * np.abs(fd).max(), value
 
 
 def test_unicycle_steering_law_converges():
