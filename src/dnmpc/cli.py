@@ -199,6 +199,14 @@ def load_scenario(path, seed=None) -> Scenario:
             raise ScenarioError(f"{path}: missing field {key!r}")
         return raw[key]
 
+    def optional_float(key):
+        if raw.get(key) is None:
+            return None
+        try:
+            return float(raw[key])
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{path}: field {key!r} must be a number ({exc})") from exc
+
     try:
         agents = [
             AgentSpec(
@@ -235,12 +243,9 @@ def load_scenario(path, seed=None) -> Scenario:
             Q=Q, R=R, P=P,
             schedule=[int(i) for i in raw.get("schedule", range(len(agents)))],
             disturbance=dict(raw.get("disturbance", {})),
-            tube_cap=({str(k): float(v) for k, v in raw["tube_cap"].items()}
-                      if isinstance(raw.get("tube_cap"), dict)
-                      else float(raw["tube_cap"]) if raw.get("tube_cap") is not None
-                      else None),
-            lam_max_P=(float(raw["lam_max_P"]) if raw.get("lam_max_P") is not None else None),
-            sup_error=(float(raw["sup_error"]) if raw.get("sup_error") is not None else None),
+            tube_cap=optional_float("tube_cap"),
+            lam_max_P=optional_float("lam_max_P"),
+            sup_error=optional_float("sup_error"),
             max_iterations=int(raw.get("max_iterations", 60)),
             constraint_tol=float(raw.get("constraint_tol", 1e-6)),
         )
@@ -299,12 +304,15 @@ def cmd_run(scenario_path, out_dir, seed=None, verbose_solver=False, total_time=
     log.to_csv(out / "trajectory.csv")
     report = certify.verify(log, scenario.build_world(), scenario)
     metas = [meta for trace in log.traces for meta in trace.step_meta]
+    disturbances = [d for d in sim.disturbances if d is not None]
     extra = {
         "scenario": scenario.name,
         "aborted": aborted or "",
         "solves": len(metas),
         "terminal_relaxed_solves": sum(meta["terminal_relaxed"] for meta in metas),
         "tube_capped_solves": sum(meta["tube_capped"] for meta in metas),
+        "disturbance_samples": sum(d.samples for d in disturbances),
+        "disturbance_clipped_samples": sum(d.clipped for d in disturbances),
     }
     certify.write_report(report, out / "report.txt", extra=extra)
     for line in report.summary_lines():

@@ -87,15 +87,6 @@ class StageGeometry:
     obstacles: list = field(default_factory=list)   # (label, center (d,), min dist)
     workspace: Optional[tuple] = None               # (center (d,), max dist)
 
-    def column_kinds(self):
-        """Kind label of each stacked margin column, in `margins` order."""
-        kinds = (["inter-agent"] * len(self.interagent)
-                 + ["neighbor"] * len(self.neighbor)
-                 + ["obstacle"] * len(self.obstacles))
-        if self.workspace is not None:
-            kinds.append("workspace")
-        return kinds
-
     @functools.cached_property
     def _columns(self):
         """Stacked columns (anchors (T, C, d), sign (C,), offset (C,)): the
@@ -128,29 +119,24 @@ class StageGeometry:
         """Margins eroded by the tube radius profile rho of shape (T,)."""
         return self.margins(pos) - np.asarray(rho)[..., :, None]
 
-    def window_empty(self, rho, rho_conn=None):
+    def window_empty(self, rho):
         """True if erosion by rho makes some separation/connectivity pair empty.
 
         A pair is empty when the same other agent must simultaneously be kept
         farther than its (eroded) separation threshold and closer than its
-        (eroded) connectivity threshold. Separate erosion profiles for the two
-        kinds may be given.
+        (eroded) connectivity threshold.
         """
         rho = np.asarray(rho)
-        rho_conn = rho if rho_conn is None else np.asarray(rho_conn)
         for label_n, traj_n, thr_n in self.neighbor:
             for label_i, traj_i, thr_i in self.interagent:
-                if label_n == label_i and np.any(thr_i + rho > thr_n - rho_conn):
+                if label_n == label_i and np.any(thr_i + rho > thr_n - rho):
                     return True
         return False
 
 
-def tube_profile_radii(profile: TubeProfile, taus, cap=None):
-    """Tube radii over a grid of stage offsets, optionally capped."""
-    rho = np.array([tube_radius(profile, t) for t in np.asarray(taus, dtype=float)])
-    if cap is not None:
-        rho = np.minimum(rho, cap)
-    return rho
+def tube_profile_radii(profile: TubeProfile, taus):
+    """Tube radii over a grid of stage offsets."""
+    return np.array([tube_radius(profile, t) for t in np.asarray(taus, dtype=float)])
 
 
 @dataclass

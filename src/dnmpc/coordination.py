@@ -137,11 +137,6 @@ class AgentTrace:
     margins: list = field(default_factory=list)     # dict kind -> raw margin, filled post-run
     step_meta: list = field(default_factory=list)   # one dict per sampling step
 
-    def as_arrays(self):
-        return (np.asarray(self.times), np.asarray(self.states),
-                np.asarray(self.inputs), np.asarray(self.w_norms),
-                np.asarray(self.V))
-
 
 _MARGIN_COLUMNS = ["m_" + kind.replace("-", "_") for kind in MARGIN_KINDS]
 _SOLVER_COLUMNS = ["status", "cost", "errsq_int", "terminal_relaxed", "tube_capped"]
@@ -261,19 +256,20 @@ class TrajectoryLog:
 class SimulationError(RuntimeError):
     """A step failed (solver infeasible or raised); carries the partial log."""
 
-    def __init__(self, message, partial_log=None, agent=None, t=None, min_margin=None):
+    def __init__(self, message, partial_log=None, agent=None, t=None):
         super().__init__(message)
         self.partial_log = partial_log
         self.agent = agent
         self.t = t
-        self.min_margin = min_margin
 
 
 class Simulation:
     """Round-robin closed-loop simulation for a fixed scenario.
 
     All randomness is seeded and the loop is single-threaded, so identical
-    scenarios produce bit-identical logs.
+    scenarios produce bit-identical logs. `tube_cap`, when set, is one
+    ceiling on the tube radius for every constraint kind, used by the
+    ladder's capped tiers.
     """
 
     def __init__(self, world: WorldModel, models, references, config: OcpConfig,
@@ -296,11 +292,8 @@ class Simulation:
         self.known_obstacles = [set() for _ in models]
         self.prev_solution: list = [None] * len(models)
         self.traces = [AgentTrace() for _ in models]
-        self.steering = [
-            unicycle_steering_law(ed.z_des, config.u_bar) if m.state_dim == 3
-            else (lambda e, m=m: np.zeros(m.input_dim))
-            for m, ed in zip(models, self.errordyns)
-        ]
+        self.steering = [unicycle_steering_law(ed.z_des, config.u_bar)
+                         for ed in self.errordyns]
         self._n_steps = int(round(self.total_time / config.h))
         if abs(self._n_steps * config.h - self.total_time) > 1e-9:
             raise ValueError("sampling time must divide the total time")
@@ -348,30 +341,14 @@ class Simulation:
                          self.world.workspace.radius - r_i - eps)
         return geo
 
-    def _margin_fn(self, i, geometry, rho_mat):
+    def _margin_fn(self, i, geometry, rho):
         pos_slice = self.models[i].position_slice
         pos_ref = self.errordyns[i].z_des[pos_slice]
 
         def margin_fn(err_batch, taus):
-            return geometry.margins(err_batch[..., pos_slice] + pos_ref) - rho_mat
+            return geometry.tightened(err_batch[..., pos_slice] + pos_ref, rho)
 
         return margin_fn
-
-    def _capped_radii(self, geometry, dense_taus, cap):
-        """Tube erosion per stage and constraint column, `(T, C)`-broadcastable.
-
-        `cap` may be None (pure exponential profile), a scalar ceiling, or a
-        mapping from constraint kind to ceiling (kinds without an entry stay
-        uncapped).
-        """
-        rho = tube_profile_radii(self.profile, dense_taus)
-        if cap is None:
-            return rho[:, None]
-        if np.isscalar(cap):
-            return np.minimum(rho, float(cap))[:, None]
-        kinds = geometry.column_kinds()
-        ceilings = np.array([float(cap.get(k, np.inf)) for k in kinds])
-        return np.minimum(rho[:, None], ceilings[None, :])
 
     def _starts(self, i):
         """Warm start candidates, best first."""
@@ -379,7 +356,7 @@ class Simulation:
         starts = []
         prev = self.prev_solution[i]
         if prev is not None and prev.status != "infeasible":
-            starts.append(warm_start_shift(prev, self.steering[i], self.errordyns[i], cfg))
+            starts.append(warm_start_shift(prev, self.steering[i], cfg))
         starts.append(np.zeros((cfg.n_stages, self.models[i].input_dim)))
         # closed-loop steering-law rollout as a last resort
         from .dynamics import rollout_zoh
@@ -395,9 +372,6 @@ class Simulation:
     def _probe_starts(self, i):
         """Lateral-detour guesses (turn, then drive) used to escape the
         stationary local optimum when an agent is blocked far from its goal."""
-        model = self.models[i]
-        if model.input_dim != 2:
-            return []
         cfg = self.config
         mag = 0.7 * cfg.u_bar
         probes = []
@@ -450,8 +424,8 @@ class Simulation:
 
         best = None
         for use_terminal, cap in tiers:
-            rho_mat = self._capped_radii(geometry, dense_taus, cap)
-            margin_fn = self._margin_fn(i, geometry, rho_mat)
+            rho = rho_full if cap is None else np.minimum(rho_full, cap)
+            margin_fn = self._margin_fn(i, geometry, rho)
 
             def attempt(start):
                 sol = solve_fhocp(self.errordyns[i], e0, margin_fn, cfg,
@@ -553,8 +527,7 @@ class Simulation:
                 raise SimulationError(
                     f"agent {i} infeasible at t = {t_k:.3f} "
                     f"(residual {sol.solve_stats['residual']:.3g})",
-                    partial_log=self.finalize_log(), agent=i, t=t_k,
-                    min_margin=-sol.solve_stats["residual"])
+                    partial_log=self.finalize_log(), agent=i, t=t_k)
             abs_pred = np.asarray(
                 [self.errordyns[i].state_of(e) for e in sol.dense_errors])
             self.board[i] = PredictionEntry(
@@ -608,7 +581,6 @@ class Simulation:
                 "T_p": self.config.T_p,
                 "substeps": self.config.substeps,
                 "schedule": list(self.schedule),
-                "interp_stale_predictions": "linear",
             },
         )
         self._fill_margins(log_out)

@@ -141,22 +141,28 @@ class ErrorDynamics:
 
 @dataclass
 class DisturbanceSignal:
-    """Bounded additive disturbance. Output is clipped to the stated bound."""
+    """Bounded additive disturbance. Output is clipped to the stated bound.
+
+    `samples` counts the calls of :meth:`sample` and `clipped` those whose
+    generator output exceeded the bound; the first clip is also logged.
+    """
 
     generator: Callable[[np.ndarray, float], np.ndarray]
     bound: float
-    _clip_warned: bool = field(default=False, repr=False)
+    samples: int = field(default=0, init=False)
+    clipped: int = field(default=0, init=False)
 
     def sample(self, z, t):
+        self.samples += 1
         w = np.asarray(self.generator(z, t), dtype=float)
         norm = np.linalg.norm(w)
         if norm > self.bound:
-            if not self._clip_warned:
+            if not self.clipped:
                 log.warning(
                     "disturbance generator exceeded bound (%.4g > %.4g); clipping",
                     norm, self.bound,
                 )
-                self._clip_warned = True
+            self.clipped += 1
             if norm > 0.0:
                 w = w * (self.bound / norm)
         return w
@@ -259,13 +265,11 @@ def _rk4_rollout_zoh(field, e0, u_seq, stage_time, substeps):
     out[..., 0, :] = e
     idx = 1
     for k in range(n_stage):
-        u = u_seq[..., k, :]
+        def held(t, e, u=u_seq[..., k, :]):
+            return field(e, u)
+
         for _ in range(substeps):
-            k1 = field(e, u)
-            k2 = field(e + 0.5 * dt * k1, u)
-            k3 = field(e + 0.5 * dt * k2, u)
-            k4 = field(e + dt * k3, u)
-            e = e + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            e = _rk4_step(held, 0.0, e, dt)
             out[..., idx, :] = e
             idx += 1
     return out

@@ -12,6 +12,12 @@ the chain rule. scipy's SLSQP does the constrained minimization. Any method
 meeting the HorizonSolution contract is conforming; SLSQP was chosen because
 the decision dimension is tiny (N * input_dim). SLSQP runs with the bundled
 OpenBLAS on one thread (see :func:`single_blas_thread`).
+
+There is one SLSQP problem (:func:`_slsqp`): margins, input ball and
+terminal set over the inputs u. :func:`solve_fhocp` minimizes the cost over
+it. The phase-1 pass :func:`restore_feasibility` solves its slack form,
+maximizing s over (u, s) with the margins and the terminal constraint
+lowered by s. Both measure infeasibility by the same worst slack.
 """
 
 from __future__ import annotations
@@ -168,6 +174,10 @@ class _Transcription:
     d margins / d error, central differences with step `fd_eps` on each
     error component taken in one batched call, and the rollout's input
     Jacobian.
+
+    `slack` is the worst constraint slack of an iterate: the smallest margin
+    and, when `use_terminal`, eps_omega - V(e_N); 0.0 when there is neither.
+    Negative means some constraint is violated.
     """
 
     def __init__(self, errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
@@ -217,12 +227,17 @@ class _Transcription:
             "v_term": v_term,
             "v_term_grad": v_term_grad,
         }
+        slacks = []
         if self.margin_fn is not None:
             margins = self.margin_fn(traj[1:] + self.margin_offsets, self.dense_taus)
             dm_de = (margins[1:1 + self.n] - margins[1 + self.n:]) / (2.0 * eps)  # (n, T, C)
             result["margins"] = margins[0].ravel()
             # (T, C, n) @ (T, n, nx), flattened to (T*C, nx)
             result["margins_jac"] = (dm_de.transpose(1, 2, 0) @ jac[1:]).reshape(-1, self.nx)
+            slacks.append(result["margins"].min(initial=np.inf))
+        if self.use_terminal:
+            slacks.append(cfg.eps_omega - v_term)
+        result["slack"] = float(min(slacks, default=0.0))
         self._cache_key = key
         self._cache = result
         return result
@@ -235,24 +250,56 @@ def _project_inputs(U, u_bar):
     return U * scale
 
 
-def _input_ball_constraint(N, m, u_bar, slack=False):
-    """SLSQP constraint u_bar^2 - ||u_k||^2 >= 0 on each of the N stage inputs,
-    which lead the decision vector. With `slack`, one trailing slack variable
-    follows them; it gets a zero Jacobian column."""
-    nx = N * m
-    u_bar_sq = u_bar ** 2
-    rows, cols = np.repeat(np.arange(N), m), np.arange(nx)
+def _slsqp(tr: _Transcription, x0, fun, jac, ftol, slack=False):
+    """Minimize `fun` under the transcription's constraints with SLSQP, on one
+    BLAS thread; returns scipy's OptimizeResult.
 
-    def fun(x):
+    The constraints are the margins (when `tr.margin_fn` is set), the input
+    ball u_bar^2 - ||u_k||^2 >= 0 on each stage input and, when
+    `tr.use_terminal`, eps_omega - V(e_N) >= 0. The decision vector is x = u,
+    or with `slack` x = (u, s): each margin and the terminal constraint is
+    lowered by s (Jacobian column -1), while the input ball stays hard.
+    """
+    cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
+    u_bar_sq = cfg.u_bar ** 2
+    ball_rows, ball_cols = np.repeat(np.arange(N), m), np.arange(nx)
+
+    def lowered(x, value):
+        return value - x[-1] if slack else value
+
+    def with_slack_column(jacobian):
+        return np.hstack([jacobian, -np.ones((len(jacobian), 1))]) if slack else jacobian
+
+    def ball_fun(x):
         U = x[:nx].reshape(N, m)
         return u_bar_sq - np.sum(U * U, axis=1)
 
-    def jac(x):
-        out = np.zeros((N, nx + 1 if slack else nx))
-        out[rows, cols] = -2.0 * x[:nx]
+    def ball_jac(x):
+        out = np.zeros((N, len(x)))
+        out[ball_rows, ball_cols] = -2.0 * x[:nx]
         return out
 
-    return {"type": "ineq", "fun": fun, "jac": jac}
+    margins, ball, terminal = [], [{"type": "ineq", "fun": ball_fun, "jac": ball_jac}], []
+    if tr.margin_fn is not None:
+        margins.append({
+            "type": "ineq",
+            "fun": lambda x: lowered(x, tr.eval(x[:nx])["margins"]),
+            "jac": lambda x: with_slack_column(tr.eval(x[:nx])["margins_jac"]),
+        })
+    if tr.use_terminal:
+        terminal.append({
+            "type": "ineq",
+            "fun": lambda x: lowered(x, np.array([cfg.eps_omega - tr.eval(x[:nx])["v_term"]])),
+            "jac": lambda x: with_slack_column(-tr.eval(x[:nx])["v_term_grad"][None, :]),
+        })
+    # SLSQP's iterates depend on the order of the constraint rows, so the slack
+    # form keeps the terminal row ahead of the ball: in the solve's order, 48
+    # of 48 seeded unicycle phase-1 problems with the terminal set enforced
+    # ended elsewhere (those without it did not move).
+    cons = margins + (terminal + ball if slack else ball + terminal)
+    with single_blas_thread():
+        return minimize(fun, x0, jac=jac, constraints=cons, method="SLSQP",
+                        options={"maxiter": cfg.max_iterations, "ftol": ftol})
 
 
 def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
@@ -270,7 +317,8 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
 
     Returns:
         HorizonSolution; status is "infeasible" when the constraint residual
-        exceeds the tolerance after the iteration budget.
+        (the negated worst slack) exceeds the tolerance after the iteration
+        budget.
     """
     t_start = time.perf_counter()
     e0 = np.asarray(e0, dtype=float)
@@ -283,58 +331,29 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
     else:
         x0 = _project_inputs(np.asarray(warm_start, dtype=float), config.u_bar).ravel()
 
-    cons = []
-    if margin_fn is not None:
-        cons.append({
-            "type": "ineq",
-            "fun": lambda x: tr.eval(x)["margins"],
-            "jac": lambda x: tr.eval(x)["margins_jac"],
-        })
-    cons.append(_input_ball_constraint(N, m, config.u_bar))
-    if use_terminal:
-        cons.append({
-            "type": "ineq",
-            "fun": lambda x: np.array([config.eps_omega - tr.eval(x)["v_term"]]),
-            "jac": lambda x: -tr.eval(x)["v_term_grad"][None, :],
-        })
-
-    def _residual(res):
-        worst = 0.0
-        if "margins" in res:
-            worst = max(worst, float(-res["margins"].min(initial=0.0)))
-        if use_terminal:
-            worst = max(worst, res["v_term"] - config.eps_omega)
-        return worst
-
     try:
-        with single_blas_thread():
-            opt = minimize(
-                lambda x: tr.eval(x)["cost"], x0, jac=lambda x: tr.eval(x)["cost_grad"],
-                constraints=cons, method="SLSQP",
-                options={"maxiter": config.max_iterations, "ftol": config.ftol},
-            )
-        x_best = opt.x
-        iterations = int(opt.nit)
-        converged = bool(opt.success)
+        opt = _slsqp(tr, x0, lambda x: tr.eval(x)["cost"], lambda x: tr.eval(x)["cost_grad"],
+                     config.ftol)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"solver diverged: {exc}") from exc
+    x_best = opt.x
     if not np.all(np.isfinite(x_best)):
         raise RuntimeError("solver produced non-finite iterate")
 
     U = _project_inputs(x_best.reshape(N, m), config.u_bar)
     x_best = U.ravel()
     res = tr.eval(x_best)
-    residual = _residual(res)
     # Keep the warm start if SLSQP wandered to something worse and infeasible.
-    if residual > config.constraint_tol:
+    if max(0.0, -res["slack"]) > config.constraint_tol:
         res0 = tr.eval(x0)
-        if _residual(res0) <= config.constraint_tol:
-            x_best, res, residual = x0, res0, _residual(res0)
+        if max(0.0, -res0["slack"]) <= config.constraint_tol:
+            x_best, res = x0, res0
             U = x_best.reshape(N, m)
 
+    residual = max(0.0, -res["slack"])
     if residual > config.constraint_tol:
         status = "infeasible"
-    elif converged:
+    elif opt.success:
         status = "optimal"
     else:
         status = "feasible-suboptimal"
@@ -347,7 +366,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
         cost=res["cost"],
         status=status,
         solve_stats={
-            "iterations": iterations,
+            "iterations": int(opt.nit),
             "wall_time": time.perf_counter() - t_start,
             "residual": float(residual),
             "rollouts": tr.n_rollouts,
@@ -361,57 +380,29 @@ def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfi
     """Phase-1 pass: maximize the worst constraint slack from a near-feasible
     input sequence.
 
-    Solves max_s { s : margins(u) >= s, ||u_k|| <= u_bar } with SLSQP over the
-    augmented variable (u, s). Used when the cost-driven solve stalls a hair
-    outside the tolerance. Returns the restored (N, m) input sequence and the
-    SLSQP iteration count (0 when SLSQP failed before reporting one).
+    Solves max_s { s : margins(u) >= s, [eps_omega - V(e_N) >= s],
+    ||u_k|| <= u_bar } with SLSQP over the augmented variable (u, s). Used
+    when the cost-driven solve stalls a hair outside the tolerance. Returns
+    the restored (N, m) input sequence, or `start` when the worst slack did
+    not grow, and the SLSQP iteration count (0 when SLSQP failed before
+    reporting one).
     """
     tr = _Transcription(errordyn, np.asarray(e0, dtype=float), margin_fn, config,
                         use_terminal)
-    N, m = tr.N, tr.m
-    nx = tr.nx
     u0 = _project_inputs(np.asarray(start, dtype=float), config.u_bar).ravel()
-
-    def worst_slack(u_flat):
-        res = tr.eval(u_flat)
-        vals = [res["margins"].min()] if "margins" in res else [0.0]
-        if use_terminal:
-            vals.append(config.eps_omega - res["v_term"])
-        return float(min(vals))
-
-    x0 = np.append(u0, worst_slack(u0))
-
-    cons = []
-    if margin_fn is not None:
-        cons.append({
-            "type": "ineq",
-            "fun": lambda x: tr.eval(x[:-1])["margins"] - x[-1],
-            "jac": lambda x: np.hstack([
-                tr.eval(x[:-1])["margins_jac"],
-                -np.ones((tr.eval(x[:-1])["margins_jac"].shape[0], 1))]),
-        })
-    if use_terminal:
-        cons.append({
-            "type": "ineq",
-            "fun": lambda x: np.array([config.eps_omega - tr.eval(x[:-1])["v_term"] - x[-1]]),
-            "jac": lambda x: np.append(-tr.eval(x[:-1])["v_term_grad"], -1.0)[None, :],
-        })
-    cons.append(_input_ball_constraint(N, m, config.u_bar, slack=True))
-    grad = np.zeros(nx + 1)
+    x0 = np.append(u0, tr.eval(u0)["slack"])
+    grad = np.zeros(tr.nx + 1)
     grad[-1] = -1.0
     try:
-        with single_blas_thread():
-            opt = minimize(lambda x: -x[-1], x0, jac=lambda x: grad,
-                           constraints=cons, method="SLSQP",
-                           options={"maxiter": config.max_iterations, "ftol": 1e-12})
-        candidate = opt.x[:-1]
+        opt = _slsqp(tr, x0, lambda x: -x[-1], lambda x: grad, 1e-12, slack=True)
     except (FloatingPointError, np.linalg.LinAlgError):
         return start, 0
+    candidate = opt.x[:-1]
     iterations = int(opt.nit)
     if not np.all(np.isfinite(candidate)):
         return start, iterations
-    U = _project_inputs(candidate.reshape(N, m), config.u_bar)
-    if worst_slack(U.ravel()) > worst_slack(u0):
+    U = _project_inputs(candidate.reshape(tr.N, tr.m), config.u_bar)
+    if tr.eval(U.ravel())["slack"] > tr.eval(u0)["slack"]:
         return U, iterations
     return np.asarray(start, dtype=float), iterations
 
@@ -449,8 +440,7 @@ def unicycle_steering_law(z_des, u_bar, k_v=2.0, k_alpha=4.0, k_theta=2.0, blend
     return kappa
 
 
-def warm_start_shift(previous: HorizonSolution, controller, errordyn: ErrorDynamics,
-                     config: OcpConfig):
+def warm_start_shift(previous: HorizonSolution, controller, config: OcpConfig):
     """Shifted warm start: drop the first stage, append one terminal stage.
 
     The appended input is the terminal controller applied to the tail state of

@@ -68,6 +68,12 @@ def test_missing_field_named(tmp_path):
         load_scenario(path)
 
 
+def test_tube_cap_mapping_rejected(tmp_path):
+    path = _variant(tmp_path, tube_cap={"inter-agent": 0.15, "neighbor": 0.2})
+    with pytest.raises(ScenarioError, match="tube_cap"):
+        load_scenario(path)
+
+
 def test_parse_error_reported(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("agents: [unclosed\n")
@@ -168,6 +174,10 @@ def test_run_then_verify_roundtrip(tmp_path, capsys):
     assert int(report["solves"]) == len(metas) == 9
     assert int(report["terminal_relaxed_solves"]) == sum(m["terminal_relaxed"] for m in metas)
     assert int(report["tube_capped_solves"]) == sum(m["tube_capped"] for m in metas)
+    # 9 solves x 10 substeps x (4 RK4 stages + 1 logged norm); the bundled
+    # generator 0.1 sin(2t) (1, 1, 1) stays inside w_bar = 0.1 until t = 0.31
+    assert int(report["disturbance_samples"]) == 450
+    assert int(report["disturbance_clipped_samples"]) == 0
     first = capsys.readouterr().out
     code2 = main(["verify", str(out_dir / "trajectory.csv"), str(SCENARIO)])
     second = capsys.readouterr().out
@@ -176,3 +186,13 @@ def test_run_then_verify_roundtrip(tmp_path, capsys):
         line1 = [l for l in first.splitlines() if l.startswith(key)]
         line2 = [l for l in second.splitlines() if l.startswith(key)]
         assert line1 == line2
+
+
+def test_run_reports_clipped_disturbance_samples(tmp_path):
+    """Past t = 0.31 the bundled generator's norm 0.173 |sin(2t)| exceeds
+    w_bar = 0.1 and DisturbanceSignal clips it; report.txt counts those samples."""
+    out_dir = tmp_path / "out"
+    main(["run", str(SCENARIO), "--out", str(out_dir), "--total-time", "0.4"])
+    report = dict(line.split(" = ", 1) for line in (out_dir / "report.txt").read_text().splitlines())
+    assert int(report["disturbance_samples"]) == 600
+    assert 0 < int(report["disturbance_clipped_samples"]) < 600

@@ -110,13 +110,12 @@ def test_window_empty_detection():
 
 
 def test_tube_profile_radii_cap():
+    """The uncapped profile that a tube cap (Simulation's `tube_cap`) clips."""
     profile = TubeProfile(0.1, 8.5883)
     taus = np.array([0.1, 0.6])
     rho = tube_profile_radii(profile, taus)
     assert rho[0] == pytest.approx(0.0158404, abs=1e-6)
     assert rho[1] > 1.9  # exponential growth over the full horizon
-    capped = tube_profile_radii(profile, taus, cap=0.15)
-    assert capped[1] == pytest.approx(0.15)
 
 
 def test_build_stage_constraints_counts_and_missing_prediction():
@@ -124,7 +123,15 @@ def test_build_stage_constraints_counts_and_missing_prediction():
     with no posted prediction is an error, not a silently dropped column."""
     sim = _simulation()
     geo = sim._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))
-    assert geo.column_kinds() == list(MARGIN_KINDS)
+    pos = np.zeros((3, 2))
+    margins = geo.margins(pos)
+    assert margins.shape == (3, len(MARGIN_KINDS))
+    # columns in MARGIN_KINDS order: each equals a one-kind geometry's margin
+    for column, kind in enumerate(({"interagent": geo.interagent}, {"neighbor": geo.neighbor},
+                                   {"obstacles": geo.obstacles}, {"workspace": geo.workspace})):
+        single = StageGeometry(taus=geo.taus, **kind).margins(pos)
+        assert single.shape == (3, 1)
+        assert np.array_equal(margins[:, column], single[:, 0])
     del sim.board[1]
     with pytest.raises(KeyError):
         sim._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))

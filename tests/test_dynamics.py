@@ -83,6 +83,8 @@ def test_integrate_with_disturbance_shifts_state():
     _, nominal = integrate(model, [0, 0, 0], lambda t: np.zeros(2), None, 0.0, 1.0, 0.01)
     _, pushed = integrate(model, [0, 0, 0], lambda t: np.zeros(2), dist, 0.0, 1.0, 0.01)
     assert pushed[-1][0] == pytest.approx(nominal[-1][0] + 0.1, abs=1e-9)
+    # a generator inside the bound: four samples per RK4 step, none clipped
+    assert (dist.samples, dist.clipped) == (400, 0)
 
 
 def test_disturbance_clipping():
@@ -90,6 +92,7 @@ def test_disturbance_clipping():
     w = dist.sample(np.zeros(2), 0.0)
     assert np.linalg.norm(w) == pytest.approx(1.0)
     assert np.allclose(w, [0.6, 0.8])
+    assert (dist.samples, dist.clipped) == (1, 1)
 
 
 def test_rollout_zoh_matches_integrate():

@@ -3,7 +3,7 @@ import pytest
 
 from dnmpc.dynamics import AgentModel, ErrorDynamics, rollout_zoh, unicycle_model
 from dnmpc.ocp import (OcpConfig, _openblas_thread_controls, _Transcription,
-                       single_blas_thread, solve_fhocp, stage_cost,
+                       restore_feasibility, single_blas_thread, solve_fhocp, stage_cost,
                        unicycle_steering_law, warm_start_shift)
 
 
@@ -157,6 +157,48 @@ def test_transcription_gradients_match_central_differences():
         assert np.abs(exact - fd).max() <= 1e-6 * np.abs(fd).max(), value
 
 
+def _unicycle_near_disc():
+    """A unicycle 2 m short of its goal, a disc of radius 0.32 beside the
+    straight path, and a straight-ahead start that grazes the disc."""
+    cfg = _config(u_bar=8.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
+                  P=np.diag([0.5, 0.5, 0.1]), eps_omega=0.05)
+    ed = ErrorDynamics(unicycle_model(8.0, 0.0, 8.0), np.array([1.0, 0.0, 0.0]))
+    center = np.array([0.5, 0.3])
+
+    def margin_fn(err_batch, taus):
+        pos = err_batch[..., :2] + ed.z_des[:2]
+        return (np.linalg.norm(pos - center, axis=-1) - 0.32)[..., None]
+
+    return cfg, ed, np.array([-1.0, 0.0, 0.0]), margin_fn, np.tile([1.7, 0.0], (6, 1))
+
+
+@pytest.mark.parametrize("use_terminal", [False, True])
+def test_restore_feasibility_raises_worst_slack(use_terminal):
+    cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
+    tr = _Transcription(ed, e0, margin_fn, cfg, use_terminal)
+    before = tr.eval(start.ravel())["slack"]
+    assert -0.05 < before < 0.0  # the start violates the disc margin by a little
+    restored, iterations = restore_feasibility(ed, e0, margin_fn, cfg, start,
+                                               use_terminal=use_terminal)
+    assert restored.shape == start.shape
+    assert iterations > 0
+    assert np.all(np.linalg.norm(restored, axis=1) <= cfg.u_bar + 1e-9)
+    assert tr.eval(restored.ravel())["slack"] > before
+
+
+def test_transcription_slack_is_the_worst_constraint():
+    cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
+    # the disc margin binds for the start, the terminal set for standing still
+    for x, terminal_binds in ((start.ravel(), False), (np.zeros(start.size), True)):
+        enforced = _Transcription(ed, e0, margin_fn, cfg, True).eval(x)
+        terminal_slack = cfg.eps_omega - enforced["v_term"]
+        assert (terminal_slack < enforced["margins"].min()) == terminal_binds
+        assert enforced["slack"] == min(enforced["margins"].min(), terminal_slack)
+        relaxed = _Transcription(ed, e0, margin_fn, cfg, False).eval(x)
+        assert relaxed["slack"] == relaxed["margins"].min()
+        assert _Transcription(ed, e0, None, cfg, False).eval(x)["slack"] == 0.0
+
+
 def test_unicycle_steering_law_converges():
     model = unicycle_model(3.0, 0.0, 3.0)
     z_des = np.array([0.0, 0.0, 0.0])
@@ -175,7 +217,7 @@ def test_warm_start_shift_structure():
     cfg = _config()
     ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
     sol = solve_fhocp(ed, np.array([1.0, 0.0]), None, cfg, use_terminal=False)
-    shifted = warm_start_shift(sol, lambda e: np.array([0.3]), ed, cfg)
+    shifted = warm_start_shift(sol, lambda e: np.array([0.3]), cfg)
     assert shifted.shape == sol.inputs.shape
     assert np.allclose(shifted[:-1], sol.inputs[1:])
     assert shifted[-1, 0] == pytest.approx(0.3)
@@ -187,7 +229,7 @@ def test_warm_start_shift_rejects_infeasible():
     sol = solve_fhocp(ed, np.array([1.0, 0.0]), None, cfg, use_terminal=False)
     sol.status = "infeasible"
     with pytest.raises(ValueError):
-        warm_start_shift(sol, lambda e: np.array([0.0]), ed, cfg)
+        warm_start_shift(sol, lambda e: np.array([0.0]), cfg)
 
 
 def test_single_blas_thread_pins_and_restores():
