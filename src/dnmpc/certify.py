@@ -273,8 +273,9 @@ def write_report(report: VerificationReport, path, extra=None):
     for name, c in report.checks.items():
         key = name.replace("-", "_")
         lines.append(f"{key}_pass = {str(c.passed).lower()}")
-        lines.append(f"{key}_worst_margin = {c.worst_margin!r}")
-        lines.append(f"{key}_worst_time = {c.worst_time!r}")
+        # plain floats: numpy 2 scalars repr as np.float64(...)
+        lines.append(f"{key}_worst_margin = {float(c.worst_margin)!r}")
+        lines.append(f"{key}_worst_time = {float(c.worst_time)!r}")
     lines.append(f"overall_pass = {str(report.passed).lower()}")
     for key, value in (extra or {}).items():
         lines.append(f"{key} = {value!r}")

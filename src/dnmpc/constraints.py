@@ -4,8 +4,10 @@ All workspace constraints (inter-agent separation, connectivity, obstacle and
 workspace-boundary clearance) are distance margins: nonnegative means
 satisfied. Erosion of the constraint set by the disturbance tube is realized
 as scalar margin reduction by the tube radius, which is exact for these
-1-Lipschitz distance margins. The same distances, taken on a logged run,
-feed the CSV margin columns and the verifier (:func:`logged_distances`).
+1-Lipschitz distance margins. Each margin's gradient in the position is the
+unit vector ±(p - anchor)/|p - anchor|, which :meth:`StageGeometry.margins`
+returns with the margins. The same distances, taken on a logged run, feed
+the CSV margin columns and the verifier (:func:`logged_distances`).
 """
 
 from __future__ import annotations
@@ -107,17 +109,28 @@ class StageGeometry:
 
     def margins(self, pos):
         """Raw margins of positions (..., T, d), stacked by kind in
-        `MARGIN_KINDS` order: shape (..., T, C)."""
+        `MARGIN_KINDS` order, and their gradient d margins / d pos: shapes
+        (..., T, C) and (..., T, C, d).
+
+        The gradient of a column is sign * (pos - anchor) / distance, and zero
+        where the position sits on its anchor (the mean of the one-sided
+        slopes, as a central difference gives).
+        """
         if self._columns is None:
-            return np.zeros(pos.shape[:-1] + (0,))
+            empty = np.zeros(pos.shape[:-1] + (0,))
+            return empty, np.zeros(empty.shape + pos.shape[-1:])
         anchors, sign, offset = self._columns
         diff = pos[..., None, :] - anchors
         # the sum np.linalg.norm forms, so the distances are the same floats
-        return sign * np.sqrt(np.add.reduce(diff * diff, axis=-1)) + offset
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        grad = diff * (sign / np.where(dist > 0.0, dist, np.inf))[..., None]
+        return sign * dist + offset, grad
 
     def tightened(self, pos, rho):
-        """Margins eroded by the tube radius profile rho of shape (T,)."""
-        return self.margins(pos) - np.asarray(rho)[..., :, None]
+        """Margins eroded by the tube radius profile rho of shape (T,), and
+        their gradient, which erosion leaves as in :meth:`margins`."""
+        margins, grad = self.margins(pos)
+        return margins - np.asarray(rho)[..., :, None], grad
 
     def window_empty(self, rho):
         """True if erosion by rho makes some separation/connectivity pair empty.

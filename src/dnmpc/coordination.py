@@ -342,11 +342,17 @@ class Simulation:
         return geo
 
     def _margin_fn(self, i, geometry, rho):
+        """Tightened margins of agent i's errors and their error Jacobian,
+        which is the position gradient on the position components and zero
+        on the others."""
         pos_slice = self.models[i].position_slice
         pos_ref = self.errordyns[i].z_des[pos_slice]
 
-        def margin_fn(err_batch, taus):
-            return geometry.tightened(err_batch[..., pos_slice] + pos_ref, rho)
+        def margin_fn(errors, taus):
+            margins, grad = geometry.tightened(errors[..., pos_slice] + pos_ref, rho)
+            jac = np.zeros(grad.shape[:-1] + errors.shape[-1:])
+            jac[..., pos_slice] = grad
+            return margins, jac
 
         return margin_fn
 

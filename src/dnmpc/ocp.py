@@ -5,13 +5,16 @@ the stack of N zero-order-hold inputs, the nominal error dynamics are rolled
 out with the shared fixed-step RK4, and the tightened stage constraints are
 enforced on the full substep grid (the same grid the verifier checks).
 
-Each decision point costs one rollout. The rollout returns its Jacobian with
-respect to the inputs (exact for the unicycle, central differences for other
-fields), and the cost, terminal-value and margin gradients follow from it by
-the chain rule. scipy's SLSQP does the constrained minimization. Any method
-meeting the HorizonSolution contract is conforming; SLSQP was chosen because
-the decision dimension is tiny (N * input_dim). SLSQP runs with the bundled
-OpenBLAS on one thread (see :func:`single_blas_thread`).
+Each decision point costs one rollout and one margin evaluation. The
+rollout returns its Jacobian with respect to the inputs (exact for the
+unicycle, central differences for other fields), and `margin_fn` returns the
+margins with their Jacobian with respect to the error (exact for the distance
+margins of :class:`~dnmpc.constraints.StageGeometry`). The cost,
+terminal-value and margin gradients follow by the chain rule. scipy's SLSQP
+does the constrained minimization. Any method meeting the HorizonSolution
+contract is conforming; SLSQP was chosen because the decision dimension is
+tiny (N * input_dim). SLSQP runs with the bundled OpenBLAS on one thread
+(see :func:`single_blas_thread`).
 
 There is one SLSQP problem (:func:`_slsqp`): margins, input ball and
 terminal set over the inputs u. :func:`solve_fhocp` minimizes the cost over
@@ -167,13 +170,11 @@ def stage_cost(e, u, Q, R):
 
 class _Transcription:
     """Single-shooting evaluation cache: one rollout with its input Jacobian
-    per iterate.
+    and one `margin_fn` call per iterate.
 
     `margin_fn` must be pointwise: the margins at a substep depend only on
-    the error at that substep. Their Jacobian is then the chain rule of
-    d margins / d error, central differences with step `fd_eps` on each
-    error component taken in one batched call, and the rollout's input
-    Jacobian.
+    the error at that substep. It returns them with d margins / d error, and
+    their input Jacobian is that times the rollout's input Jacobian.
 
     `slack` is the worst constraint slack of an iterate: the smallest margin
     and, when `use_terminal`, eps_omega - V(e_N); 0.0 when there is neither.
@@ -194,10 +195,6 @@ class _Transcription:
         S = config.substeps
         self.dense_taus = (config.h / S) * np.arange(1, self.N * S + 1)
         self.stage_idx = S * np.arange(self.N + 1)
-        # error offsets of the margin batch: none, then +fd_eps and -fd_eps
-        # on each component
-        steps = config.fd_eps * np.eye(self.n)
-        self.margin_offsets = np.concatenate([np.zeros((1, self.n)), steps, -steps])[:, None, :]
         self._cache_key = None
         self._cache = None
         self.n_rollouts = 0
@@ -207,9 +204,9 @@ class _Transcription:
         if key == self._cache_key:
             return self._cache
         cfg = self.cfg
-        eps = cfg.fd_eps
         U = x.reshape(self.N, self.m)
-        traj, jac = rollout_zoh(self.errordyn.field, self.e0, U, cfg.h, cfg.substeps, eps)
+        traj, jac = rollout_zoh(self.errordyn.field, self.e0, U, cfg.h, cfg.substeps,
+                                cfg.fd_eps)
         self.n_rollouts += 1
         stage_e = traj[self.stage_idx[:-1]]
         e_N = traj[-1]
@@ -229,11 +226,10 @@ class _Transcription:
         }
         slacks = []
         if self.margin_fn is not None:
-            margins = self.margin_fn(traj[1:] + self.margin_offsets, self.dense_taus)
-            dm_de = (margins[1:1 + self.n] - margins[1 + self.n:]) / (2.0 * eps)  # (n, T, C)
-            result["margins"] = margins[0].ravel()
+            margins, dm_de = self.margin_fn(traj[1:], self.dense_taus)
+            result["margins"] = margins.ravel()
             # (T, C, n) @ (T, n, nx), flattened to (T*C, nx)
-            result["margins_jac"] = (dm_de.transpose(1, 2, 0) @ jac[1:]).reshape(-1, self.nx)
+            result["margins_jac"] = (dm_de @ jac[1:]).reshape(-1, self.nx)
             slacks.append(result["margins"].min(initial=np.inf))
         if self.use_terminal:
             slacks.append(cfg.eps_omega - v_term)
@@ -308,10 +304,12 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
 
     Args:
         errordyn: nominal error dynamics of the agent.
-        margin_fn: callable (error_batch (B, T, n), taus (T,)) -> tightened
-            margins (B, T, C); nonnegative means satisfied. It must be
-            pointwise: margins[b, t] depends on error_batch[b, t] alone.
-            None disables state constraints.
+        margin_fn: callable (errors (T, n), taus (T,)) -> (tightened margins
+            (T, C), their Jacobian d margins / d errors (T, C, n));
+            nonnegative margins mean satisfied. It must be pointwise:
+            margins[t] depends on errors[t] alone. The simulator's distance
+            margins give the Jacobian in closed form. None disables state
+            constraints.
         warm_start: initial guess for the (N, m) input sequence.
         use_terminal: enforce V(e_N) <= eps_omega as a hard constraint.
 

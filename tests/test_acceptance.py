@@ -210,7 +210,7 @@ def test_criterion_5_tightening_soundness(capsys):
         limit = (np.linalg.norm(p_nom - w_center, axis=1) + rho).max() + 1e-6
         geo = StageGeometry(taus=taus, obstacles=[("o", center, thr)],
                             workspace=(w_center, limit))
-        assert geo.tightened(p_nom, rho).min() >= 0.0
+        assert geo.tightened(p_nom, rho)[0].min() >= 0.0
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         freq = rng.uniform(0.5, 6.0)
@@ -223,7 +223,7 @@ def test_criterion_5_tightening_soundness(capsys):
             disturbed.extend(seg[1:])
             z = seg[-1]
         p_dist = np.asarray(disturbed)[:, :2]
-        worst = min(worst, float(geo.margins(p_dist).min()))
+        worst = min(worst, float(geo.margins(p_dist)[0].min()))
     ok = worst >= -1e-9
     _report(capsys, 5, "constraint tightening soundness", ok,
             f"smallest original-margin value {worst:+.3e} over 100 trials")

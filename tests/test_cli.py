@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -196,3 +197,18 @@ def test_run_reports_clipped_disturbance_samples(tmp_path):
     report = dict(line.split(" = ", 1) for line in (out_dir / "report.txt").read_text().splitlines())
     assert int(report["disturbance_samples"]) == 600
     assert 0 < int(report["disturbance_clipped_samples"]) < 600
+
+
+def test_run_report_values_are_plain(tmp_path):
+    """Every report.txt value reads as a bool, a number, a quoted string or
+    an infinity: no numpy scalar reprs such as np.float64(...)."""
+    out_dir = tmp_path / "out"
+    main(["run", str(SCENARIO), "--out", str(out_dir), "--total-time", "0.2"])
+    lines = (out_dir / "report.txt").read_text().splitlines()
+    assert len(lines) > 30
+    for line in lines:
+        key, value = line.split(" = ", 1)
+        if value in ("true", "false", "inf", "-inf"):
+            continue
+        parsed = ast.literal_eval(value)
+        assert type(parsed) in (int, float, str), line

@@ -68,7 +68,7 @@ def _geometry():
 def test_geometry_margins_shape_and_values():
     geo = _geometry()
     pos = np.zeros((1, 3, 2))  # sit at the origin for all stages
-    m = geo.margins(pos)
+    m, _ = geo.margins(pos)
     assert m.shape == (1, 3, 4)
     # inter-agent: distance 2.0 - 1.01
     assert m[0, 0, 0] == pytest.approx(0.99)
@@ -91,15 +91,79 @@ def test_geometry_margins_stacked_match_per_column_distances():
     (_, center, clear), (w_center, limit) = geo.obstacles[0], geo.workspace
     per_column = np.stack([dist(other) - sep, conn - dist(near), dist(center) - clear,
                            limit - dist(w_center)], axis=-1)
-    assert np.array_equal(geo.margins(pos), per_column)
-    assert StageGeometry(taus=geo.taus).margins(pos).shape == (5, 3, 0)
+    assert np.array_equal(geo.margins(pos)[0], per_column)
+    assert StageGeometry(taus=geo.taus).margins(pos)[0].shape == (5, 3, 0)
+
+
+def _central_difference(fn, pos, eps=1e-6):
+    """d fn / d pos by central differences: shape fn(pos).shape + (d,)."""
+    cols = []
+    for k in range(pos.shape[-1]):
+        step = np.zeros(pos.shape[-1])
+        step[k] = eps
+        cols.append((fn(pos + step) - fn(pos - step)) / (2.0 * eps))
+    return np.stack(cols, axis=-1)
+
+
+def test_geometry_gradient_matches_central_differences():
+    """Every kind, the negative-sign neighbor and workspace columns included,
+    raw and tightened."""
+    geo = _geometry()
+    pos = np.random.default_rng(3).normal(scale=3.0, size=(5, 3, 2))
+    rho = np.array([0.1, 0.2, 0.3])
+    _, grad = geo.margins(pos)
+    assert grad.shape == (5, 3, len(MARGIN_KINDS), 2)
+    fd = _central_difference(lambda p: geo.margins(p)[0], pos)
+    assert np.abs(grad - fd).max() <= 1e-8
+    # unit vectors, pointing away from the anchor for the lower bounds and
+    # towards it for the neighbor and workspace upper bounds
+    assert np.allclose(np.linalg.norm(grad, axis=-1), 1.0)
+    _, other, _ = geo.interagent[0]
+    assert np.allclose(grad[..., 0, :], -grad[..., 1, :])
+    assert np.all(np.sum(grad[..., 0, :] * (pos - other), axis=-1) > 0.0)
+    _, tightened_grad = geo.tightened(pos, rho)
+    assert np.array_equal(tightened_grad, grad)
+    fd = _central_difference(lambda p: geo.tightened(p, rho)[0], pos)
+    assert np.abs(tightened_grad - fd).max() <= 1e-8
+
+
+def test_geometry_gradient_zero_on_anchor_and_empty_shape():
+    geo = _geometry()
+    pos = np.zeros((3, 2))  # on the workspace centre at every stage
+    _, grad = geo.margins(pos)
+    assert np.array_equal(grad[:, 3], np.zeros((3, 2)))
+    assert np.all(np.linalg.norm(grad[:, :3], axis=-1) > 0.99)
+    # the central difference of |p| at its kink is zero too
+    fd = _central_difference(lambda p: geo.margins(p)[0], pos)
+    assert np.array_equal(fd[:, 3], np.zeros((3, 2)))
+    margins, grad = StageGeometry(taus=geo.taus).margins(pos)
+    assert margins.shape == (3, 0)
+    assert grad.shape == (3, 0, 2)
+
+
+def test_margin_fn_jacobian_is_position_gradient_with_zero_heading():
+    """The engine's margin function: error Jacobian against central
+    differences, with the heading column exactly zero."""
+    sim = _simulation()
+    taus = np.array([0.1, 0.2, 0.3])
+    geo = sim._geometry(0, 0.0, taus)
+    rho = tube_profile_radii(TubeProfile(0.1, 2.0), taus)
+    margin_fn = sim._margin_fn(0, geo, rho)
+    errors = np.random.default_rng(5).normal(scale=0.5, size=(3, 3))
+    margins, jac = margin_fn(errors, taus)
+    assert jac.shape == (3, len(MARGIN_KINDS), 3)
+    assert np.array_equal(jac[..., 2], np.zeros((3, len(MARGIN_KINDS))))
+    fd = _central_difference(lambda e: margin_fn(e, taus)[0], errors)
+    assert np.abs(jac - fd).max() <= 1e-8
+    assert np.array_equal(margins, geo.tightened(errors[:, :2] + sim.errordyns[0].z_des[:2],
+                                                 rho)[0])
 
 
 def test_geometry_tightening_erodes_uniformly():
     geo = _geometry()
     pos = np.zeros((1, 3, 2))
     rho = np.array([0.1, 0.2, 0.3])
-    assert np.allclose(geo.tightened(pos, rho), geo.margins(pos) - rho[:, None])
+    assert np.allclose(geo.tightened(pos, rho)[0], geo.margins(pos)[0] - rho[:, None])
 
 
 def test_window_empty_detection():
@@ -124,12 +188,12 @@ def test_build_stage_constraints_counts_and_missing_prediction():
     sim = _simulation()
     geo = sim._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))
     pos = np.zeros((3, 2))
-    margins = geo.margins(pos)
+    margins, _ = geo.margins(pos)
     assert margins.shape == (3, len(MARGIN_KINDS))
     # columns in MARGIN_KINDS order: each equals a one-kind geometry's margin
     for column, kind in enumerate(({"interagent": geo.interagent}, {"neighbor": geo.neighbor},
                                    {"obstacles": geo.obstacles}, {"workspace": geo.workspace})):
-        single = StageGeometry(taus=geo.taus, **kind).margins(pos)
+        single, _ = StageGeometry(taus=geo.taus, **kind).margins(pos)
         assert single.shape == (3, 1)
         assert np.array_equal(margins[:, column], single[:, 0])
     del sim.board[1]
@@ -140,7 +204,7 @@ def test_build_stage_constraints_counts_and_missing_prediction():
 def test_scalar_constraint_evaluators():
     sim = _simulation()
     geo = sim._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))
-    m = geo.margins(np.zeros((3, 2)))
+    m, _ = geo.margins(np.zeros((3, 2)))
     assert m[0, 0] == pytest.approx(1.5 - 1.01)   # inter-agent
     assert m[0, 1] == pytest.approx(1.99 - 1.5)   # neighbor
     assert m[0, 2] == pytest.approx(3.0 - 1.51)   # obstacle
@@ -151,8 +215,8 @@ def test_tighten_is_identity_at_zero_offset():
     geo = _simulation()._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))
     profile = TubeProfile(0.1, 8.5883)
     pos = np.tile([0.2, -0.1], (3, 1))
-    same = geo.tightened(pos, tube_profile_radii(profile, np.zeros(3)))
-    assert np.array_equal(same, geo.margins(pos))
+    same, _ = geo.tightened(pos, tube_profile_radii(profile, np.zeros(3)))
+    assert np.array_equal(same, geo.margins(pos)[0])
 
 
 @given(tau=st.floats(0.01, 0.5), margin_scale=st.floats(0.1, 2.0))
@@ -163,5 +227,5 @@ def test_tighten_shifts_by_tube_radius(tau, margin_scale):
     pos = np.tile([-margin_scale, 0.0], (3, 1))
     profile = TubeProfile(0.1, 2.0)
     rho = tube_radius(profile, tau)
-    tightened = geo.tightened(pos, tube_profile_radii(profile, np.full(3, tau)))
-    assert np.allclose(tightened, geo.margins(pos) - rho, rtol=0.0, atol=1e-12)
+    tightened, _ = geo.tightened(pos, tube_profile_radii(profile, np.full(3, tau)))
+    assert np.allclose(tightened, geo.margins(pos)[0] - rho, rtol=0.0, atol=1e-12)

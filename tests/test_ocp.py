@@ -25,6 +25,33 @@ def _config(u_bar=1e6, **kw):
     return OcpConfig(**defaults)
 
 
+def position_margin_fn(offset):
+    """Margin e[0] + offset of the double integrator's position, with its
+    error Jacobian [1, 0]."""
+    def margin_fn(errors, taus):
+        jac = np.zeros((len(errors), 1, errors.shape[-1]))
+        jac[:, 0, 0] = 1.0
+        return (errors[:, 0] + offset)[:, None], jac
+
+    return margin_fn
+
+
+def disc_margin_fn(ed, centers, radius):
+    """Clearance of a unicycle's position from discs of one radius, one
+    column per disc, with its error Jacobian: (p - c) / |p - c| on the
+    position, zero on the heading."""
+    centers = np.atleast_2d(centers)
+
+    def margin_fn(errors, taus):
+        diff = errors[:, None, :2] + ed.z_des[:2] - centers
+        dist = np.linalg.norm(diff, axis=-1)
+        jac = np.zeros(dist.shape + errors.shape[-1:])
+        jac[..., :2] = diff / dist[..., None]
+        return dist - radius, jac
+
+    return margin_fn
+
+
 def lqr_dp_reference(e0, cfg):
     """Independent finite-horizon LQR solution of the exactly discretized
     double integrator with rectangle-rule stage cost h (e'Qe + u'Ru) and
@@ -92,11 +119,8 @@ def test_terminal_constraint_enforced_near_origin():
 def test_margin_constraints_enforced():
     cfg = _config(u_bar=5.0)
     ed = ErrorDynamics(double_integrator_model(5.0), np.zeros(2))
-
-    def margin_fn(err_batch, taus):
-        # keep the position coordinate above -0.1 along the horizon
-        return (err_batch[..., 0] + 0.1)[..., None]
-
+    # keep the position coordinate above -0.1 along the horizon
+    margin_fn = position_margin_fn(0.1)
     sol = solve_fhocp(ed, np.array([1.0, -1.0]), margin_fn, cfg, use_terminal=False)
     assert sol.status != "infeasible"
     assert sol.dense_errors[1:, 0].min() >= -0.1 - cfg.constraint_tol
@@ -105,11 +129,8 @@ def test_margin_constraints_enforced():
 def test_infeasible_status_reported():
     cfg = _config(u_bar=0.01)
     ed = ErrorDynamics(double_integrator_model(0.01), np.zeros(2))
-
-    def impossible(err_batch, taus):
-        # requires the position to move by 10 within the horizon
-        return (err_batch[..., 0] - 10.0)[..., None]
-
+    # requires the position to move by 10 within the horizon
+    impossible = position_margin_fn(-10.0)
     sol = solve_fhocp(ed, np.array([0.0, 0.0]), impossible, cfg, use_terminal=False)
     assert sol.status == "infeasible"
     assert sol.solve_stats["residual"] > 1.0
@@ -132,12 +153,7 @@ def test_transcription_gradients_match_central_differences():
     cfg = _config(u_bar=8.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
                   P=np.diag([0.5, 0.5, 0.1]))
     ed = ErrorDynamics(unicycle_model(8.0, 0.0, 8.0), np.array([3.0, 0.0, 0.4]))
-    center = np.array([1.2, 0.3])
-
-    def margin_fn(err_batch, taus):
-        pos = err_batch[..., :2] + ed.z_des[:2]
-        return (np.linalg.norm(pos - center, axis=-1) - 0.3)[..., None]
-
+    margin_fn = disc_margin_fn(ed, [1.2, 0.3], 0.3)
     tr = _Transcription(ed, np.array([-3.0, 0.1, -0.2]), margin_fn, cfg, use_terminal=True)
     x = np.random.default_rng(4).uniform(-3.0, 3.0, tr.nx)
     res = tr.eval(x)
@@ -163,12 +179,7 @@ def _unicycle_near_disc():
     cfg = _config(u_bar=8.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
                   P=np.diag([0.5, 0.5, 0.1]), eps_omega=0.05)
     ed = ErrorDynamics(unicycle_model(8.0, 0.0, 8.0), np.array([1.0, 0.0, 0.0]))
-    center = np.array([0.5, 0.3])
-
-    def margin_fn(err_batch, taus):
-        pos = err_batch[..., :2] + ed.z_des[:2]
-        return (np.linalg.norm(pos - center, axis=-1) - 0.32)[..., None]
-
+    margin_fn = disc_margin_fn(ed, [0.5, 0.3], 0.32)
     return cfg, ed, np.array([-1.0, 0.0, 0.0]), margin_fn, np.tile([1.7, 0.0], (6, 1))
 
 
@@ -246,12 +257,7 @@ def test_solve_independent_of_blas_thread_count():
     cfg = _config(u_bar=8.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
                   P=np.diag([0.5, 0.5, 0.1]))
     ed = ErrorDynamics(unicycle_model(8.0, 0.0, 8.0), np.array([3.0, 0.0, 0.0]))
-    centers = np.array([[1.0, 0.6], [1.5, -0.9], [2.2, 0.4], [0.4, -0.5]])
-
-    def margin_fn(err_batch, taus):
-        pos = err_batch[..., :2] + ed.z_des[:2]
-        return np.linalg.norm(pos[..., None, :] - centers, axis=-1) - 0.3
-
+    margin_fn = disc_margin_fn(ed, [[1.0, 0.6], [1.5, -0.9], [2.2, 0.4], [0.4, -0.5]], 0.3)
     controls = _openblas_thread_controls()
     before = [get() for get, _ in controls]
     solutions = []
