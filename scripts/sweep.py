@@ -4,7 +4,7 @@ weight seeds and seeded start jitter.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/sweep.py [--jobs 2]
+    python3 scripts/sweep.py
 
 Runs 40 deterministic closed loops of 1.5 s simulated time:
 
@@ -15,9 +15,9 @@ Runs 40 deterministic closed loops of 1.5 s simulated time:
 
 Prints one line per run (``ok``, or ``abort`` with the agent, the time and
 the ``SimulationError`` message) and then the completion count. The runs are
-bitwise deterministic, so two sweeps of the same code print the same lines
-whatever the job count; only the order of completion differs, and the lines
-are printed in the order above.
+spread over one worker process per available CPU; they are bitwise
+deterministic, so two sweeps of the same code print the same lines in the
+order above whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse
 import sys
 from multiprocessing import Pool
 from pathlib import Path
@@ -73,13 +72,8 @@ def run_one(run):
     return f"{kind} {seed}: ok"
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--jobs", type=int, default=2, help="worker processes (default 2)")
-    args = parser.parse_args(argv)
-    if not 1 <= args.jobs <= len(RUNS):
-        parser.error(f"--jobs must be between 1 and {len(RUNS)}")
-    with Pool(args.jobs) as pool:
+def main():
+    with Pool(len(os.sched_getaffinity(0))) as pool:
         lines = pool.map(run_one, RUNS, chunksize=1)
     for line in lines:
         print(line)
