@@ -145,7 +145,7 @@ class Scenario:
             sup_error=self.default_sup_error(), lam_max_P=self.lam_max_P,
         )
 
-    def build_simulation(self, total_time=None, verbose_solver=False):
+    def build_simulation(self, total_time=None):
         return Simulation(
             world=self.build_world(),
             models=self.build_models(),
@@ -157,7 +157,6 @@ class Scenario:
             initial_states=[spec.start for spec in self.agents],
             total_time=self.total_time if total_time is None else total_time,
             tube_cap=self.tube_cap,
-            verbose_solver=verbose_solver,
         )
 
 
@@ -290,11 +289,11 @@ def _validate(scenario: Scenario, path):
 
 # -- subcommands ---------------------------------------------------------
 
-def cmd_run(scenario_path, out_dir, seed=None, verbose_solver=False, total_time=None):
+def cmd_run(scenario_path, out_dir, seed=None, total_time=None):
     scenario = load_scenario(scenario_path, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sim = scenario.build_simulation(total_time=total_time, verbose_solver=verbose_solver)
+    sim = scenario.build_simulation(total_time=total_time)
     try:
         log = sim.run()
         aborted = None
@@ -379,7 +378,6 @@ def main(argv=None):
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--total-time", type=float, default=None,
                        help="override the scenario duration")
-    p_run.add_argument("--verbose-solver", action="store_true")
 
     p_cert = sub.add_parser("certify", help="print the analytic certificate")
     p_cert.add_argument("scenario")
@@ -397,7 +395,6 @@ def main(argv=None):
     try:
         if args.command == "run":
             return cmd_run(args.scenario, args.out, seed=args.seed,
-                           verbose_solver=args.verbose_solver,
                            total_time=args.total_time)
         if args.command == "certify":
             return cmd_certify(args.scenario, seed=args.seed)

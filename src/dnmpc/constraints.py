@@ -68,10 +68,6 @@ class WorldModel:
         if np.any(self.detection_ranges <= self.agent_radii):
             raise ValueError("detection range must exceed the agent radius")
 
-    @property
-    def agent_count(self):
-        return len(self.agent_radii)
-
 
 @dataclass
 class StageGeometry:

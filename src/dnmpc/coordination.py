@@ -17,7 +17,6 @@ always satisfies the strictly tightened early-stage constraints.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,8 +29,6 @@ from .dynamics import DisturbanceSignal, ErrorDynamics, integrate, zoh_input
 from .ocp import (HorizonSolution, OcpConfig, restore_feasibility, solve_fhocp,
                   unicycle_steering_law, warm_start_shift)
 from .setalg import TubeProfile
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "sensing_set",
@@ -127,14 +124,20 @@ class PredictionEntry:
 
 @dataclass
 class AgentTrace:
-    """Time-indexed true trajectory and per-step solver metadata."""
+    """Time-indexed true trajectory and per-step solver metadata.
+
+    `times`, `states`, `inputs`, `w_norms` and `V` hold one entry per logged
+    sample: a running simulation appends to lists, and
+    :meth:`TrajectoryLog.from_csv` returns arrays.
+    """
 
     times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    inputs: list = field(default_factory=list)      # applied ZOH input, NaN at t=0
+    states: list = field(default_factory=list)      # (T, n_x)
+    inputs: list = field(default_factory=list)      # (T, n_u) applied ZOH input, NaN at t=0
     w_norms: list = field(default_factory=list)
     V: list = field(default_factory=list)
-    margins: list = field(default_factory=list)     # dict kind -> raw margin, filled post-run
+    # (T, len(MARGIN_KINDS)) raw margins in MARGIN_KINDS order, filled post-run
+    margins: Optional[np.ndarray] = None
     step_meta: list = field(default_factory=list)   # one dict per sampling step
 
 
@@ -154,68 +157,53 @@ class TrajectoryLog:
     traces: list
     meta: dict = field(default_factory=dict)
 
-    @property
-    def agent_count(self):
-        return len(self.traces)
-
     def to_csv(self, path):
         """Write the log as one flat CSV, one row per agent per substep.
 
         Solver columns (step, status, cost, errsq_int, relaxation flags)
         repeat the values of the sampling step the row belongs to; the t = 0
-        row carries step -1 and empty solver fields. Floats are written with
-        `repr` so identical runs produce byte-identical files.
+        row carries step -1 and empty solver fields. A trace without margins
+        writes inf in the margin columns. Floats are written with `repr` so
+        identical runs produce byte-identical files; rows end in CRLF, as
+        the csv module writes them.
         """
-        import csv
-
-        n_x = max(np.asarray(tr.states).shape[1] for tr in self.traces)
-        n_u = max(np.asarray(tr.inputs).shape[1] for tr in self.traces)
         substeps = int(self.meta.get("substeps", 10))
-
-        def fmt(x):
-            return repr(float(x))
-
+        n_x = np.shape(self.traces[0].states)[1]
+        n_u = np.shape(self.traces[0].inputs)[1]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(csv_columns(n_x, n_u))
+            fh.write(",".join(csv_columns(n_x, n_u)) + "\r\n")
             for i, trace in enumerate(self.traces):
-                states = np.asarray(trace.states)
-                inputs = np.asarray(trace.inputs)
-                for r in range(len(trace.times)):
-                    step = -1 if r == 0 else (r - 1) // substeps
-                    meta = trace.step_meta[step] if step >= 0 else None
-                    row = [fmt(trace.times[r]), str(i), str(step)]
-                    row += [fmt(v) for v in states[r]]
-                    row += [""] * (n_x - states.shape[1])
-                    row += [fmt(v) for v in inputs[r]]
-                    row += [""] * (n_u - inputs.shape[1])
-                    row += [fmt(trace.w_norms[r]), fmt(trace.V[r])]
-                    margins = trace.margins[r] if trace.margins else {}
-                    row += [fmt(margins.get(kind, np.inf)) for kind in MARGIN_KINDS]
-                    if meta is None:
-                        row += [""] * len(_SOLVER_COLUMNS)
-                    else:
-                        row += [meta["status"], fmt(meta["cost"]), fmt(meta["errsq_int"]),
-                                str(int(meta["terminal_relaxed"])),
-                                str(int(meta["tube_capped"]))]
-                    writer.writerow(row)
+                T = len(trace.times)
+                margins = (np.full((T, len(MARGIN_KINDS)), np.inf)
+                           if trace.margins is None else trace.margins)
+                block = np.column_stack(
+                    [trace.states, trace.inputs, trace.w_norms, trace.V, margins])
+                solver = ["," * (len(_SOLVER_COLUMNS) - 1)] + [
+                    f"{m['status']},{float(m['cost'])!r},{float(m['errsq_int'])!r},"
+                    f"{int(m['terminal_relaxed'])},{int(m['tube_capped'])}"
+                    for m in trace.step_meta]
+                times = np.asarray(trace.times, dtype=float).tolist()
+                fh.writelines(
+                    f"{t!r},{i},{step},{','.join(map(repr, row))},{solver[step + 1]}\r\n"
+                    for t, step, row in zip(
+                        times, [-1] + [r // substeps for r in range(T - 1)],
+                        block.tolist()))
 
     @classmethod
-    def from_csv(cls, path, h=0.1, substeps=10):
-        """Rebuild a TrajectoryLog (states, inputs, V, margins, per-step solver
-        metadata) from a file written by `to_csv`.
+    def from_csv(cls, path, h=0.1):
+        """Rebuild a TrajectoryLog (array-valued traces with states, inputs,
+        V, margins, and per-step solver metadata) from a file written by
+        `to_csv`. The substep count is that of the step column.
 
         Columns are found by their `csv_columns` names, so a file from an
         older schema with extra columns still reads; a missing column, a row
         of the wrong length (a truncated file) or an unparsable field raises
         ValueError.
         """
-        import csv
-
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = list(reader)
+            lines = fh.read().splitlines()
+        header = lines[0].split(",") if lines else []
+        rows = lines[1:]
         n_x = sum(1 for c in header if c.startswith("x") and c[1:].isdigit())
         n_u = sum(1 for c in header if c.startswith("u") and c[1:].isdigit())
         names = csv_columns(n_x, n_u)
@@ -223,34 +211,46 @@ class TrajectoryLog:
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
         col = {name: header.index(name) for name in names}
-        traces = {}
-        for line, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {line} has {len(row)} fields, "
+        for line, text in enumerate(rows, start=2):
+            if text.count(",") != len(header) - 1:
+                raise ValueError(f"{path}: line {line} has {text.count(',') + 1} fields, "
                                  f"the header {len(header)}")
-            i = int(row[col["agent"]])
-            trace = traces.setdefault(i, AgentTrace())
-            trace.times.append(float(row[col["t"]]))
-            trace.states.append(np.asarray(
-                [float(row[col[f"x{d}"]]) for d in range(n_x) if row[col[f"x{d}"]]]))
-            trace.inputs.append(np.asarray(
-                [float(row[col[f"u{d}"]]) for d in range(n_u) if row[col[f"u{d}"]]]))
-            trace.w_norms.append(float(row[col["w_norm"]]))
-            trace.V.append(float(row[col["V"]]))
-            trace.margins.append({
-                kind: float(row[col[name]]) for kind, name in zip(MARGIN_KINDS, _MARGIN_COLUMNS)})
-            step = int(row[col["step"]])
-            if step >= 0 and step == len(trace.step_meta):
-                trace.step_meta.append({
-                    "t": step * h,
-                    "status": row[col["status"]],
-                    "cost": float(row[col["cost"]]),
-                    "errsq_int": float(row[col["errsq_int"]]),
-                    "terminal_relaxed": bool(int(row[col["terminal_relaxed"]])),
-                    "tube_capped": bool(int(row[col["tube_capped"]])),
-                })
-        ordered = [traces[i] for i in sorted(traces)]
-        return cls(traces=ordered, meta={"h": h, "substeps": substeps})
+        numeric = names[:len(names) - len(_SOLVER_COLUMNS)]
+        try:
+            data = np.loadtxt(rows, delimiter=",", usecols=[col[name] for name in numeric],
+                              comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        agents = data[:, 1].astype(int)
+        steps = data[:, 2].astype(int)
+        k = 3 + n_x + n_u  # w_norm, then V, then the margins
+        traces = []
+        for i in np.unique(agents):
+            idx = np.flatnonzero(agents == i)
+            block = data[idx]
+            step_values, first = np.unique(steps[idx], return_index=True)
+            step_meta = []
+            for step, r in zip(step_values.tolist(), idx[first].tolist()):
+                if step < 0:
+                    continue
+                fields = rows[r].split(",")
+                try:
+                    step_meta.append({
+                        "t": step * h,
+                        "status": fields[col["status"]],
+                        "cost": float(fields[col["cost"]]),
+                        "errsq_int": float(fields[col["errsq_int"]]),
+                        "terminal_relaxed": bool(int(fields[col["terminal_relaxed"]])),
+                        "tube_capped": bool(int(fields[col["tube_capped"]])),
+                    })
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {r + 2}: {exc}") from exc
+            traces.append(AgentTrace(
+                times=block[:, 0], states=block[:, 3:3 + n_x], inputs=block[:, 3 + n_x:k],
+                w_norms=block[:, k], V=block[:, k + 1], margins=block[:, k + 2:],
+                step_meta=step_meta))
+        substeps = int(np.bincount(agents[steps == 0]).max(initial=0))
+        return cls(traces=traces, meta={"h": h, "substeps": substeps})
 
 
 class SimulationError(RuntimeError):
@@ -274,7 +274,7 @@ class Simulation:
 
     def __init__(self, world: WorldModel, models, references, config: OcpConfig,
                  profile: TubeProfile, schedule, disturbances, initial_states,
-                 total_time, tube_cap=None, verbose_solver=False):
+                 total_time, tube_cap=None):
         self.world = world
         self.models = models
         self.errordyns = [ErrorDynamics(m, z) for m, z in zip(models, references)]
@@ -287,7 +287,6 @@ class Simulation:
         self.states = [np.asarray(z, dtype=float).copy() for z in initial_states]
         self.total_time = float(total_time)
         self.tube_cap = tube_cap
-        self.verbose_solver = verbose_solver
         self.board = {}  # agent -> latest posted PredictionEntry
         self.known_obstacles = [set() for _ in models]
         self.prev_solution: list = [None] * len(models)
@@ -348,7 +347,7 @@ class Simulation:
         pos_slice = self.models[i].position_slice
         pos_ref = self.errordyns[i].z_des[pos_slice]
 
-        def margin_fn(errors, taus):
+        def margin_fn(errors):
             margins, grad = geometry.tightened(errors[..., pos_slice] + pos_ref, rho)
             jac = np.zeros(grad.shape[:-1] + errors.shape[-1:])
             jac[..., pos_slice] = grad
@@ -575,9 +574,6 @@ class Simulation:
                 "wall_time": sol.solve_stats["wall_time"],
             })
             self._update_known_obstacles(i)
-            if self.verbose_solver:
-                log.info("t=%.2f agent %d: %s cost=%.4g iters=%d", t_k, i,
-                         sol.status, sol.cost, sol.solve_stats.get("iterations", 0))
 
     def finalize_log(self):
         log_out = TrajectoryLog(
@@ -620,8 +616,7 @@ class Simulation:
                     conn = np.minimum(conn, d_i - d_ij)
             obst = np.min(dist.obstacles - (r_i + obstacle_radii), axis=1, initial=np.inf)
             wksp = world.workspace.radius - r_i - dist.workspace
-            trace.margins = [dict(zip(MARGIN_KINDS, row)) for row in zip(
-                sep.tolist(), conn.tolist(), obst.tolist(), wksp.tolist())]
+            trace.margins = np.column_stack([sep, conn, obst, wksp])
 
     def run(self):
         """Iterate steps over the full duration; returns the trajectory log."""

@@ -10,14 +10,11 @@ differences over one batched integration.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "AgentModel",
@@ -144,7 +141,7 @@ class DisturbanceSignal:
     """Bounded additive disturbance. Output is clipped to the stated bound.
 
     `samples` counts the calls of :meth:`sample` and `clipped` those whose
-    generator output exceeded the bound; the first clip is also logged.
+    generator output exceeded the bound.
     """
 
     generator: Callable[[np.ndarray, float], np.ndarray]
@@ -157,11 +154,6 @@ class DisturbanceSignal:
         w = np.asarray(self.generator(z, t), dtype=float)
         norm = np.linalg.norm(w)
         if norm > self.bound:
-            if not self.clipped:
-                log.warning(
-                    "disturbance generator exceeded bound (%.4g > %.4g); clipping",
-                    norm, self.bound,
-                )
             self.clipped += 1
             if norm > 0.0:
                 w = w * (self.bound / norm)

@@ -7,9 +7,9 @@ enforced on the full substep grid (the same grid the verifier checks).
 
 Each decision point costs one rollout and one margin evaluation. The
 rollout returns its Jacobian with respect to the inputs (exact for the
-unicycle, central differences for other fields), and `margin_fn` returns the
-margins with their Jacobian with respect to the error (exact for the distance
-margins of :class:`~dnmpc.constraints.StageGeometry`). The cost,
+unicycle, central differences for other fields), and `margin_fn(errors)`
+returns the margins with their Jacobian with respect to the error (exact for
+the distance margins of :class:`~dnmpc.constraints.StageGeometry`). The cost,
 terminal-value and margin gradients follow by the chain rule. scipy's SLSQP
 does the constrained minimization. Any method meeting the HorizonSolution
 contract is conforming; SLSQP was chosen because the decision dimension is
@@ -192,9 +192,7 @@ class _Transcription:
         self.m = errordyn.model.input_dim
         self.N = config.n_stages
         self.nx = self.N * self.m
-        S = config.substeps
-        self.dense_taus = (config.h / S) * np.arange(1, self.N * S + 1)
-        self.stage_idx = S * np.arange(self.N + 1)
+        self.stage_idx = config.substeps * np.arange(self.N + 1)
         self._cache_key = None
         self._cache = None
         self.n_rollouts = 0
@@ -226,7 +224,7 @@ class _Transcription:
         }
         slacks = []
         if self.margin_fn is not None:
-            margins, dm_de = self.margin_fn(traj[1:], self.dense_taus)
+            margins, dm_de = self.margin_fn(traj[1:])
             result["margins"] = margins.ravel()
             # (T, C, n) @ (T, n, nx), flattened to (T*C, nx)
             result["margins_jac"] = (dm_de @ jac[1:]).reshape(-1, self.nx)
@@ -304,8 +302,9 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
 
     Args:
         errordyn: nominal error dynamics of the agent.
-        margin_fn: callable (errors (T, n), taus (T,)) -> (tightened margins
-            (T, C), their Jacobian d margins / d errors (T, C, n));
+        margin_fn: callable errors (T, n) -> (tightened margins (T, C), their
+            Jacobian d margins / d errors (T, C, n)), T being the substeps
+            of the horizon;
             nonnegative margins mean satisfied. It must be pointwise:
             margins[t] depends on errors[t] alone. The simulator's distance
             margins give the Jacobian in closed form. None disables state

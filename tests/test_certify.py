@@ -124,7 +124,6 @@ def _forged_log_scenario(distance):
             tr.inputs.append(np.zeros(2))
             tr.w_norms.append(0.0)
             tr.V.append(0.0)
-            tr.margins.append({})
         tr.step_meta.append({"t": 0.0, "status": "optimal", "cost": 1.0,
                              "errsq_int": 0.0, "terminal_relaxed": False,
                              "tube_capped": False})
@@ -209,15 +208,13 @@ def test_logged_margins_on_partial_log_with_pair_out_of_range():
 
     # agent 0 sees agent 1 held at its last sample (2.7) after t = 0.05
     held = gaps + [gaps[-1]] * 5
-    m0 = log.traces[0].margins
-    assert len(m0) == 11 and len(log.traces[1].margins) == 6
-    assert [m["inter-agent"] for m in m0] == pytest.approx(
-        [0.2, 0.5, 0.8] + [math.inf] * 8, abs=1e-12)
-    assert [m["neighbor"] for m in m0] == pytest.approx([2.0 - d for d in held], abs=1e-12)
-    assert [m["inter-agent"] for m in log.traces[1].margins] == pytest.approx(
+    sep, conn, obst, wksp = log.traces[0].margins.T  # MARGIN_KINDS order
+    assert log.traces[0].margins.shape == (11, 4) and log.traces[1].margins.shape == (6, 4)
+    assert list(sep) == pytest.approx([0.2, 0.5, 0.8] + [math.inf] * 8, abs=1e-12)
+    assert list(conn) == pytest.approx([2.0 - d for d in held], abs=1e-12)
+    assert list(log.traces[1].margins[:, 0]) == pytest.approx(
         [0.2, 0.5, 0.8] + [math.inf] * 3, abs=1e-12)
-    assert all(m["obstacle"] == math.inf and m["workspace"] == pytest.approx(9.5)
-               for m in m0)
+    assert np.all(obst == math.inf) and list(wksp) == pytest.approx([9.5] * 11)
 
     report = certify.verify(log, world, scenario)
     sep = report.checks["inter-agent-separation"]

@@ -145,6 +145,15 @@ def test_verify_reports_malformed_csv(tmp_path, capsys):
     path.write_text(full.read_text()[:-20])
     assert main(["verify", str(path), str(SCENARIO)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # an unparsable field, in a numeric column and in a step's solver fields
+    for column in ("V", "cost"):
+        bad = [list(r) for r in rows]
+        bad[1][rows[0].index("step")] = "0"
+        bad[1][rows[0].index(column)] = "abc"
+        path.write_text("\n".join(",".join(r) for r in bad) + "\n")
+        assert main(["verify", str(path), str(SCENARIO)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "abc" in err
 
 
 def test_run_writes_artifacts_when_solver_raises(tmp_path, monkeypatch, capsys):

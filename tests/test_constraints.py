@@ -149,10 +149,10 @@ def test_margin_fn_jacobian_is_position_gradient_with_zero_heading():
     rho = tube_profile_radii(TubeProfile(0.1, 2.0), taus)
     margin_fn = sim._margin_fn(0, geo, rho)
     errors = np.random.default_rng(5).normal(scale=0.5, size=(3, 3))
-    margins, jac = margin_fn(errors, taus)
+    margins, jac = margin_fn(errors)
     assert jac.shape == (3, len(MARGIN_KINDS), 3)
     assert np.array_equal(jac[..., 2], np.zeros((3, len(MARGIN_KINDS))))
-    fd = _central_difference(lambda e: margin_fn(e, taus)[0], errors)
+    fd = _central_difference(lambda e: margin_fn(e)[0], errors)
     assert np.abs(jac - fd).max() <= 1e-8
     assert np.array_equal(margins, geo.tightened(errors[:, :2] + sim.errordyns[0].z_des[:2],
                                                  rho)[0])

@@ -6,7 +6,7 @@ import pytest
 
 from dnmpc import coordination
 from dnmpc.cli import load_scenario
-from dnmpc.constraints import WorldModel
+from dnmpc.constraints import MARGIN_KINDS, WorldModel
 from dnmpc.coordination import (PredictionEntry, Simulation, TrajectoryLog,
                                 neighbor_sets, sensing_set, validate_initial)
 from dnmpc.dynamics import DisturbanceSignal, unicycle_model
@@ -113,13 +113,13 @@ def test_schedule_must_be_permutation():
 def test_run_produces_complete_log():
     sim = _simulation(total_time=0.3)
     log = sim.run()
-    assert log.agent_count == 2
+    assert len(log.traces) == 2
     for trace in log.traces:
         assert len(trace.times) == 31  # t=0 plus 3 steps x 10 substeps
         assert len(trace.step_meta) == 3
         assert np.all(np.diff(trace.times) > 0)
         assert all(m["status"] != "infeasible" for m in trace.step_meta)
-        assert len(trace.margins) == len(trace.times)
+        assert trace.margins.shape == (len(trace.times), len(MARGIN_KINDS))
 
 
 def test_agents_progress_toward_goals():
@@ -145,15 +145,20 @@ def test_csv_roundtrip(tmp_path):
     path = tmp_path / "log.csv"
     log.to_csv(path)
     back = TrajectoryLog.from_csv(path, h=0.1)
-    assert back.agent_count == log.agent_count
+    assert len(back.traces) == len(log.traces)
+    assert back.meta["substeps"] == log.meta["substeps"]
     for ta, tb in zip(log.traces, back.traces):
-        assert np.allclose(np.asarray(ta.states), np.asarray(tb.states), atol=0)
-        assert np.allclose(ta.V, tb.V, atol=0)
+        for name in ("times", "states", "inputs", "w_norms", "V", "margins"):
+            assert np.array_equal(np.asarray(getattr(ta, name)), getattr(tb, name),
+                                  equal_nan=True), name
         assert len(ta.step_meta) == len(tb.step_meta)
         for ma, mb in zip(ta.step_meta, tb.step_meta):
-            assert ma["status"] == mb["status"]
-            assert ma["cost"] == mb["cost"]
-            assert ma["errsq_int"] == mb["errsq_int"]
+            for key in ("t", "status", "cost", "errsq_int", "terminal_relaxed",
+                        "tube_capped"):
+                assert ma[key] == mb[key], key
+    again = tmp_path / "again.csv"
+    back.to_csv(again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_csv_deterministic_bytes(tmp_path):
@@ -181,7 +186,7 @@ def test_separation_maintained_head_on():
                      total_time=1.5, tube_cap=0.3)
     log = sim.run()
     for trace in log.traces:
-        assert min(m["inter-agent"] for m in trace.margins) >= -1e-6
+        assert trace.margins[:, MARGIN_KINDS.index("inter-agent")].min() >= -1e-6
 
 
 def test_infeasible_initial_configuration_aborts():

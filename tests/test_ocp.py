@@ -28,7 +28,7 @@ def _config(u_bar=1e6, **kw):
 def position_margin_fn(offset):
     """Margin e[0] + offset of the double integrator's position, with its
     error Jacobian [1, 0]."""
-    def margin_fn(errors, taus):
+    def margin_fn(errors):
         jac = np.zeros((len(errors), 1, errors.shape[-1]))
         jac[:, 0, 0] = 1.0
         return (errors[:, 0] + offset)[:, None], jac
@@ -42,7 +42,7 @@ def disc_margin_fn(ed, centers, radius):
     position, zero on the heading."""
     centers = np.atleast_2d(centers)
 
-    def margin_fn(errors, taus):
+    def margin_fn(errors):
         diff = errors[:, None, :2] + ed.z_des[:2] - centers
         dist = np.linalg.norm(diff, axis=-1)
         jac = np.zeros(dist.shape + errors.shape[-1:])
