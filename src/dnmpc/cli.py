@@ -309,6 +309,7 @@ def cmd_run(scenario_path, out_dir, seed=None, total_time=None):
         "aborted": aborted or "",
         "solves": len(metas),
         "terminal_relaxed_solves": sum(meta["terminal_relaxed"] for meta in metas),
+        "terminal_excluded_solves": sum(meta["terminal_excluded"] for meta in metas),
         "tube_capped_solves": sum(meta["tube_capped"] for meta in metas),
         "disturbance_samples": sum(d.samples for d in disturbances),
         "disturbance_clipped_samples": sum(d.clipped for d in disturbances),
@@ -336,6 +337,9 @@ def cmd_certify(scenario_path, seed=None):
     high = np.array([c[0] + r, c[1] + r, math.pi])
     L_g_estimate = max(estimate_lipschitz(m, low, high) for m in scenario.build_models())
     print(f"L_g_estimate = {L_g_estimate}")
+    print("w_max_at_L_g_estimate =", certify.disturbance_bound(
+        scenario.eps_psi, scenario.eps_omega, scenario.L_V, L_g_estimate,
+        scenario.h, scenario.T_p))
     print(f"L_g_sound = {str(scenario.L_g >= L_g_estimate).lower()}")
     print("verdict =", "consistent" if cert.consistent else "inconsistent")
     return 0 if cert.consistent else 1

@@ -142,6 +142,22 @@ class StageGeometry:
                     return True
         return False
 
+    def terminal_excluded(self, goal, radius, rho_end, tol):
+        """True if no position within `radius` of `goal` meets every
+        last-row margin, eroded by rho_end, to within tol.
+
+        Over that ball a column's largest margin is offset - rho_end plus
+        |goal - anchor| + radius (sign +1) or minus
+        max(|goal - anchor| - radius, 0) (sign -1). Reads the stacked columns
+        without calling :meth:`margins`.
+        """
+        if self._columns is None:
+            return False
+        anchors, sign, offset = self._columns
+        dist = np.linalg.norm(goal - anchors[-1], axis=-1)
+        reach = np.where(sign > 0.0, dist + radius, -np.maximum(dist - radius, 0.0))
+        return bool(np.any(offset - rho_end + reach < -tol))
+
 
 def tube_profile_radii(profile: TubeProfile, taus):
     """Tube radii over a grid of stage offsets."""

@@ -12,7 +12,11 @@ The strictly tightened problem can be structurally empty at the horizon tail
 unreachable far from the goal. Both cases are handled by a fallback ladder
 (drop terminal constraint, cap the tail tightening) whose relaxations are
 flagged in the solution status and solve stats; the applied first segment
-always satisfies the strictly tightened early-stage constraints.
+always satisfies the strictly tightened early-stage constraints. The ladder
+tries the terminal-enforced tiers only near the goal, and skips one when a
+closed-form check proves it infeasible: every position the terminal set
+admits lies within r = sqrt((eps_omega + tol) / lambda_min(P)) of the goal,
+and some last-stage margin is violated on that whole ball.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .certify import ultimate_bound
 from .constraints import (MARGIN_KINDS, StageGeometry, WorldModel, logged_distances,
                           tube_profile_radii)
 from .dynamics import DisturbanceSignal, ErrorDynamics, integrate, zoh_input
@@ -293,6 +298,10 @@ class Simulation:
         self.traces = [AgentTrace() for _ in models]
         self.steering = [unicycle_steering_law(ed.z_des, config.u_bar)
                          for ed in self.errordyns]
+        # V(e) >= lambda_min(P) |e|^2: a terminal-feasible plan ends this close
+        # to the goal
+        self.terminal_radius = ultimate_bound(config.eps_omega + config.constraint_tol,
+                                              float(np.linalg.eigvalsh(config.P)[0]))
         self._n_steps = int(round(self.total_time / config.h))
         if abs(self._n_steps * config.h - self.total_time) > 1e-9:
             raise ValueError("sampling time must divide the total time")
@@ -393,18 +402,25 @@ class Simulation:
 
         Returns (solution, geometry). The solution's `attempts` (calls of
         solve_fhocp and restore_feasibility), `iterations` (summed over those
-        calls) and `wall_time` stats cover the whole ladder; its other stats
-        are those of the accepted attempt.
+        calls), `terminal_excluded` (a terminal-enforced tier was skipped as
+        provably infeasible) and `wall_time` stats cover the whole ladder;
+        its other stats are those of the accepted attempt.
         """
         start = time.perf_counter()
-        ladder = {"attempts": 0, "iterations": 0}
+        ladder = {"attempts": 0, "iterations": 0, "terminal_excluded": False}
         sol, geometry = self._ladder(i, t_k, ladder)
         sol.solve_stats.update(ladder, wall_time=time.perf_counter() - start)
         return sol, geometry
 
     def _ladder(self, i, t_k, ladder):
         """The fallback ladder; counts its attempts and SLSQP iterations into
-        `ladder`."""
+        `ladder`.
+
+        A terminal-enforced tier whose terminal set lies beyond some
+        last-stage tightened margin (StageGeometry.terminal_excluded) is
+        skipped: every attempt of it would end infeasible, and each tier
+        builds its own starts, so the accepted solution is the same.
+        """
         cfg = self.config
         S = cfg.substeps
         dense_taus = (cfg.h / S) * np.arange(1, cfg.n_stages * S + 1)
@@ -422,14 +438,19 @@ class Simulation:
 
         pos_err = np.linalg.norm(e0[self.models[i].position_slice])
         terminal_plausible = pos_err <= 0.5 * cfg.u_bar * cfg.T_p
+        goal = self.errordyns[i].z_des[self.models[i].position_slice]
         tiers = []
-        if terminal_plausible:
-            tiers += [(True, cap) for cap in caps]
-        tiers += [(False, cap) for cap in caps]
+        for use_terminal in (True, False) if terminal_plausible else (False,):
+            for cap in caps:
+                rho = rho_full if cap is None else np.minimum(rho_full, cap)
+                if use_terminal and geometry.terminal_excluded(
+                        goal, self.terminal_radius, rho[-1], cfg.constraint_tol):
+                    ladder["terminal_excluded"] = True
+                else:
+                    tiers.append((use_terminal, cap, rho))
 
         best = None
-        for use_terminal, cap in tiers:
-            rho = rho_full if cap is None else np.minimum(rho_full, cap)
+        for use_terminal, cap, rho in tiers:
             margin_fn = self._margin_fn(i, geometry, rho)
 
             def attempt(start):
@@ -569,6 +590,7 @@ class Simulation:
                 "errsq_int": errsq_int,
                 "terminal_relaxed": sol.solve_stats.get("terminal_relaxed", False),
                 "tube_capped": sol.solve_stats.get("tube_capped", False),
+                "terminal_excluded": sol.solve_stats["terminal_excluded"],
                 "iterations": sol.solve_stats["iterations"],
                 "attempts": sol.solve_stats["attempts"],
                 "wall_time": sol.solve_stats["wall_time"],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dnmpc import coordination
+from dnmpc import certify, coordination
 from dnmpc.cli import ScenarioError, cmd_certify, load_scenario, main
 from dnmpc.coordination import AgentTrace, TrajectoryLog
 
@@ -93,12 +93,19 @@ def test_certify_exit_codes(tmp_path, capsys):
 def test_certify_reports_declared_L_g_below_estimate(capsys):
     """The bundled scenario declares L_g = 8.5883, while the unicycle field's
     state-Lipschitz constant is sup |v| = u_bar ~ 11.31: the sampled estimate
-    exceeds the declared value. This is reported without changing the exit
-    code, which covers the disturbance bound only."""
+    exceeds the declared value, and the disturbance bound at the estimate,
+    about 0.0298, falls below w_bar = 0.1. This is reported without changing
+    the exit code, which covers the disturbance bound at the declared L_g."""
     assert main(["certify", str(SCENARIO)]) == 0
     values = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
     assert values["L_g_sound"] == "false"
     assert 8.5883 < float(values["L_g_estimate"]) <= 1.1 * 8 * np.sqrt(2)
+    scenario = load_scenario(SCENARIO)
+    assert float(values["w_max_at_L_g_estimate"]) == certify.disturbance_bound(
+        scenario.eps_psi, scenario.eps_omega, scenario.L_V, float(values["L_g_estimate"]),
+        scenario.h, scenario.T_p)
+    assert float(values["w_max_at_L_g_estimate"]) == pytest.approx(0.0298, abs=5e-4)
+    assert float(values["w_max_at_L_g_estimate"]) < float(values["w_max"])
 
 
 def test_main_malformed_path_exits_2(capsys):
@@ -184,6 +191,9 @@ def test_run_then_verify_roundtrip(tmp_path, capsys):
     assert int(report["solves"]) == len(metas) == 9
     assert int(report["terminal_relaxed_solves"]) == sum(m["terminal_relaxed"] for m in metas)
     assert int(report["tube_capped_solves"]) == sum(m["tube_capped"] for m in metas)
+    # no terminal tier is tried before t = 0.9 (agents are far from their
+    # goals), so none is skipped either; test_coordination covers t = 0.9-1.1
+    assert int(report["terminal_excluded_solves"]) == 0
     # 9 solves x 10 substeps x (4 RK4 stages + 1 logged norm); the bundled
     # generator 0.1 sin(2t) (1, 1, 1) stays inside w_bar = 0.1 until t = 0.31
     assert int(report["disturbance_samples"]) == 450

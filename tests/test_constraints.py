@@ -172,6 +172,91 @@ def test_window_empty_detection():
     assert geo.window_empty(np.full(3, 0.5))
 
 
+def _ball_points(goal, radius, anchors):
+    """The centre of the ball around `goal`, 32 points on each of two rings
+    (radius/2 and the boundary), and for each anchor the points of the ball
+    farthest from and nearest to it, where a column's margin is largest
+    (the nearest is the anchor itself when the ball covers it)."""
+    angles = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    points = [goal[None, :], goal + 0.5 * radius * ring, goal + radius * ring]
+    for anchor in anchors:
+        away = goal - anchor
+        norm = np.linalg.norm(away)
+        unit = away / norm if norm > 0.0 else np.array([1.0, 0.0])
+        points.append(goal + np.stack([radius * unit, -min(radius, norm) * unit]))
+    return np.concatenate(points)
+
+
+_coord = st.floats(-4.0, 4.0)
+
+
+@given(columns=st.lists(st.tuples(st.sampled_from(MARGIN_KINDS), _coord, _coord,
+                                  st.floats(0.0, 4.0)), min_size=1, max_size=5),
+       goal=st.tuples(_coord, _coord), radius=st.floats(0.0, 1.5),
+       rho_end=st.floats(0.0, 0.6))
+@settings(max_examples=200, deadline=None)
+def test_terminal_excluded_is_sound(columns, goal, radius, rho_end):
+    """If the check excludes the ball, every sampled point of it misses some
+    last-row tightened margin by more than tol; if a sampled point meets them
+    all, the check does not exclude. Earlier rows do not take part."""
+    tol = 1e-4
+    taus = np.array([0.1, 0.2, 0.3])
+    early = np.array([[40.0, 0.0], [40.0, 0.0]])  # rows 0 and 1
+    geo = StageGeometry(taus=taus)
+    anchors = []
+    for k, (kind, x, y, threshold) in enumerate(columns):
+        anchor = np.array([x, y])
+        anchors.append(anchor)
+        if kind == "inter-agent":
+            geo.interagent.append((f"agent{k}", np.vstack([early, anchor]), threshold))
+        elif kind == "neighbor":
+            geo.neighbor.append((f"agent{k}", np.vstack([early, anchor]), threshold))
+        elif kind == "obstacle":
+            geo.obstacles.append((f"obst{k}", anchor, threshold))
+        else:
+            geo.workspace = (anchor, threshold)
+    goal = np.array(goal)
+    excluded = geo.terminal_excluded(goal, radius, rho_end, tol)
+    points = _ball_points(goal, radius, anchors)
+    pos = np.repeat(points[:, None, :], len(taus), axis=1)
+    last, _ = geo.tightened(pos, np.array([0.0, 0.0, rho_end]))
+    meets = np.all(last[:, -1] >= -tol, axis=-1)
+    assert not (excluded and meets.any())
+    # tight per column: each column's best sampled point reaches the bound
+    # unless the check excludes
+    if not excluded:
+        assert np.all(last[:, -1].max(axis=0) >= -tol - 1e-9)
+
+
+def test_terminal_excluded_hand_built():
+    tol = 1e-4
+    # sign +1: an obstacle at the origin to be kept 1.0 away
+    obstacle = StageGeometry(taus=np.array([0.1, 0.2]))
+    obstacle.obstacles.append(("obst0", np.zeros(2), 1.0))
+    goal = np.array([0.5, 0.0])
+    # farthest point of the ball is 0.7 away: margin -0.3
+    assert obstacle.terminal_excluded(goal, 0.2, 0.0, tol)
+    # 1.1 away: margin +0.1, until erosion by 0.2 takes it to -0.1
+    assert not obstacle.terminal_excluded(goal, 0.6, 0.0, tol)
+    assert obstacle.terminal_excluded(goal, 0.6, 0.2, tol)
+    # sign -1: a neighbor at the origin on its last row, to be kept within 2.0
+    neighbor = StageGeometry(taus=np.array([0.1, 0.2]))
+    neighbor.neighbor.append(("agent1", np.array([[3.0, 0.0], [0.0, 0.0]]), 2.0))
+    goal = np.array([3.0, 0.0])
+    # nearest point of the ball is 2.5 away: margin -0.5
+    assert neighbor.terminal_excluded(goal, 0.5, 0.0, tol)
+    # 1.8 away: margin +0.2, until erosion by 0.3 takes it to -0.1
+    assert not neighbor.terminal_excluded(goal, 1.2, 0.0, tol)
+    assert neighbor.terminal_excluded(goal, 1.2, 0.3, tol)
+    # the ball covers the anchor: the largest margin is the offset itself
+    assert not neighbor.terminal_excluded(np.array([0.1, 0.0]), 0.5, 2.0, tol)
+    assert neighbor.terminal_excluded(np.array([0.1, 0.0]), 0.5, 2.0 + 2 * tol, tol)
+    # a miss by tol or less does not exclude
+    assert not neighbor.terminal_excluded(goal, 1.0 - tol / 2, 0.0, tol)
+    assert not StageGeometry(taus=np.array([0.1])).terminal_excluded(goal, 0.1, 0.0, tol)
+
+
 def test_tube_profile_radii_cap():
     """The uncapped profile that a tube cap (Simulation's `tube_cap`) clips."""
     profile = TubeProfile(0.1, 8.5883)

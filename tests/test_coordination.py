@@ -6,7 +6,7 @@ import pytest
 
 from dnmpc import coordination
 from dnmpc.cli import load_scenario
-from dnmpc.constraints import MARGIN_KINDS, WorldModel
+from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel
 from dnmpc.coordination import (PredictionEntry, Simulation, TrajectoryLog,
                                 neighbor_sets, sensing_set, validate_initial)
 from dnmpc.dynamics import DisturbanceSignal, unicycle_model
@@ -222,3 +222,47 @@ def test_step_meta_covers_the_whole_ladder(monkeypatch):
     assert sum(meta["attempts"] for meta in metas) == calls["attempts"]
     assert sum(meta["iterations"] for meta in metas) == calls["iterations"]
     assert sum(meta["wall_time"] for meta in metas) >= calls["seconds"]
+
+
+def test_terminal_exclusion_leaves_trajectory_unchanged(monkeypatch):
+    """Skipping terminal-enforced tiers that StageGeometry.terminal_excluded
+    proves infeasible changes no accepted solution. In the bundled scenario
+    agent 1's terminal ball at t = 0.9-1.1 lies beyond its connectivity
+    reach: with the check those solves make no terminal-enforced call and
+    carry `terminal_excluded`; without it they try the tier and fail it."""
+    terminal_calls = []
+    agent_step = {}
+    solve_agent = Simulation._solve_agent
+    solve_fhocp = coordination.solve_fhocp
+
+    def tagged_solve_agent(self, i, t_k):
+        agent_step["now"] = (i, round(t_k, 1))
+        return solve_agent(self, i, t_k)
+
+    def recorded_solve_fhocp(*args, **kwargs):
+        if kwargs["use_terminal"]:
+            terminal_calls.append(agent_step["now"])
+        return solve_fhocp(*args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "_solve_agent", tagged_solve_agent)
+    monkeypatch.setattr(coordination, "solve_fhocp", recorded_solve_fhocp)
+    skipped = {(1, 0.9), (1, 1.0), (1, 1.1)}
+
+    def run():
+        terminal_calls.clear()
+        return load_scenario(SCENARIO).build_simulation(total_time=1.2).run()
+
+    with_check = run()
+    assert not skipped & set(terminal_calls)
+    assert {(i, round(meta["t"], 1)) for i, trace in enumerate(with_check.traces)
+            for meta in trace.step_meta if meta["terminal_excluded"]} == skipped
+
+    monkeypatch.setattr(StageGeometry, "terminal_excluded", lambda self, *args: False)
+    without_check = run()
+    assert skipped <= set(terminal_calls)
+    assert not any(meta["terminal_excluded"] for trace in without_check.traces
+                   for meta in trace.step_meta)
+    for ta, tb in zip(with_check.traces, without_check.traces):
+        assert np.array_equal(np.asarray(ta.states), np.asarray(tb.states))
+        assert np.array_equal(np.asarray(ta.inputs), np.asarray(tb.inputs), equal_nan=True)
+        assert [m["cost"] for m in ta.step_meta] == [m["cost"] for m in tb.step_meta]
