@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import logged_distances
+from .constraints import MARGIN_KINDS
 from .dynamics import ErrorDynamics
 
 __all__ = [
@@ -88,18 +88,6 @@ class Certificate:
     xi: float
     consistent: bool
 
-    def as_dict(self):
-        return {
-            "L_g": self.L_g,
-            "L_F": self.L_F,
-            "L_V": self.L_V,
-            "w_max": self.w_max,
-            "ultimate_radius": self.ultimate_radius,
-            "ultimate_radius_outer": self.ultimate_radius_outer,
-            "xi": self.xi,
-            "consistent": self.consistent,
-        }
-
 
 def build_certificate(Q, P, eps_omega, eps_psi, L_g, L_V, h, T_p, w_bar,
                       sup_error, lam_max_P=None):
@@ -164,17 +152,18 @@ def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
     All geometric checks run on every logged sample (the RK4 substep grid),
     aligning agents by timestamp. Thresholds include the scenario safety
     margin. Also checks terminal-set trapping of V and the per-step ISS cost
-    inequality using the per-step solver metadata.
+    inequality using the per-step solver metadata. A log with another number
+    of traces than the world has agents raises ValueError.
     """
+    n = len(log.traces)
+    if n != len(world.agent_radii):
+        raise ValueError(f"the log has {n} agent traces, the scenario {len(world.agent_radii)}")
     report = VerificationReport()
     models = scenario.build_models()
     errordyns = [ErrorDynamics(m, z) for m, z in zip(models, scenario.references)]
-    n = len(log.traces)
     times = [np.asarray(tr.times) for tr in log.traces]
     states = [np.asarray(tr.states) for tr in log.traces]
     positions = [states[i][:, models[i].position_slice] for i in range(n)]
-    dists = logged_distances(world, times, positions)
-    eps = world.margin
 
     # (1) convergence to the ultimate-bound ball (outer radius)
     cert = scenario.build_certificate()
@@ -185,37 +174,18 @@ def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
                        float(times[i][-1]))
     report.checks["error-ultimate-bound"] = CheckResult(worst[0] >= -tol, *worst)
 
-    # (2) inter-agent separation (every pair) and (3) neighbor connectivity
-    sep, conn = (np.inf, 0.0), (np.inf, 0.0)
+    # (2) inter-agent separation (every pair), (3) neighbor connectivity,
+    # (4) obstacle clearance and (5) workspace containment, net of the safety
+    # margin: each kind's smallest margin, the first in (agent, column, time)
+    worst = [(np.inf, 0.0)] * len(MARGIN_KINDS)
     for i in range(n):
-        r_i = world.agent_radii[i]
-        for j in range(n):
-            if j == i:
-                continue
-            d_ij = dists[i].agents[:, j]
-            k = int(np.argmin(d_ij))
-            sep = _track(sep, float(d_ij[k]) - (r_i + world.agent_radii[j] + eps),
-                         float(times[i][k]))
-            if j in world.neighbor_sets[i]:
-                k = int(np.argmax(d_ij))
-                conn = _track(conn, (world.sensing_ranges[i] - eps) - float(d_ij[k]),
-                              float(times[i][k]))
+        geo = world.logged_geometry(i, times, positions, world.margin)
+        margins = geo._evaluate(positions[i])[0]
+        for c, (kind, k) in enumerate(zip(geo.kinds, np.argmin(margins, axis=0))):
+            worst[kind] = _track(worst[kind], margins[k, c], float(times[i][k]))
+    sep, conn, obst, wksp = worst
     report.checks["inter-agent-separation"] = CheckResult(sep[0] >= -tol, *sep)
     report.checks["neighbor-connectivity"] = CheckResult(conn[0] >= -tol, *conn)
-
-    # (4) obstacle clearance and (5) workspace containment
-    obst, wksp = (np.inf, 0.0), (np.inf, 0.0)
-    for i in range(n):
-        r_i = world.agent_radii[i]
-        for ell, obstacle in enumerate(world.obstacles):
-            d_obst = dists[i].obstacles[:, ell]
-            k = int(np.argmin(d_obst))
-            obst = _track(obst, float(d_obst[k]) - (r_i + obstacle.radius + eps),
-                          float(times[i][k]))
-        d_wksp = dists[i].workspace
-        k = int(np.argmax(d_wksp))
-        wksp = _track(wksp, (world.workspace.radius - r_i - eps) - float(d_wksp[k]),
-                      float(times[i][k]))
     report.checks["obstacle-clearance"] = CheckResult(
         obst[0] >= -tol if world.obstacles else True, *obst)
     report.checks["workspace-containment"] = CheckResult(wksp[0] >= -tol, *wksp)

@@ -6,8 +6,12 @@ satisfied. Erosion of the constraint set by the disturbance tube is realized
 as scalar margin reduction by the tube radius, which is exact for these
 1-Lipschitz distance margins. Each margin's gradient in the position is the
 unit vector ±(p - anchor)/|p - anchor|, which :meth:`StageGeometry.margins`
-returns with the margins. The same distances, taken on a logged run, feed
-the CSV margin columns and the verifier (:func:`logged_distances`).
+returns with the margins.
+
+:meth:`WorldModel.geometry` alone writes the four thresholds, net of a
+safety margin eps: the solver, the CSV margin columns, the verifier and the
+start and goal checks all build their :class:`StageGeometry` there and
+differ only in eps and in which agents and obstacles they take.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ __all__ = [
     "MARGIN_KINDS",
     "WorldModel",
     "StageGeometry",
-    "LoggedDistances",
-    "logged_distances",
     "tube_profile_radii",
 ]
 
@@ -68,6 +70,36 @@ class WorldModel:
         if np.any(self.detection_ranges <= self.agent_radii):
             raise ValueError("detection range must exceed the agent radius")
 
+    def geometry(self, i, taus, tracks, sensed, obstacles, eps):
+        """Agent i's distance constraints on the stage grid `taus`, each
+        threshold net of eps: separation r_i + r_j + eps from every agent j in
+        `sensed`, connectivity d_i - eps to every neighbor, clearance
+        r_i + r_l + eps from every obstacle l in `obstacles`, and containment
+        within R - r_i - eps of the workspace centre. `tracks[j]` holds agent
+        j's positions (T, d) on the grid.
+        """
+        r_i = self.agent_radii[i]
+        return StageGeometry(
+            taus=taus,
+            interagent=[(f"agent{j}", tracks[j], r_i + self.agent_radii[j] + eps)
+                        for j in sorted(sensed)],
+            neighbor=[(f"agent{j}", tracks[j], self.sensing_ranges[i] - eps)
+                      for j in sorted(self.neighbor_sets[i])],
+            obstacles=[(f"obst{ell}", self.obstacles[ell].center,
+                        r_i + self.obstacles[ell].radius + eps) for ell in sorted(obstacles)],
+            workspace=(self.workspace.center, self.workspace.radius - r_i - eps))
+
+    def logged_geometry(self, i, times, positions, eps):
+        """Agent i's constraints against every other agent and every obstacle
+        on its logged samples. `times[j]` (T_j,) and `positions[j]` (T_j, d)
+        are agent j's samples; the logs may differ in length, as in a partial
+        log. Another agent is taken at its first sample at or after each
+        time, and at its last one beyond the end of its log."""
+        others = [j for j in range(len(positions)) if j != i]
+        tracks = {j: positions[j][np.minimum(np.searchsorted(times[j], times[i]),
+                                             len(times[j]) - 1)] for j in others}
+        return self.geometry(i, times[i], tracks, others, range(len(self.obstacles)), eps)
+
 
 @dataclass
 class StageGeometry:
@@ -87,21 +119,44 @@ class StageGeometry:
 
     @functools.cached_property
     def _columns(self):
-        """Stacked columns (anchors (T, C, d), sign (C,), offset (C,)): the
-        margin of column c is sign[c] * |pos - anchors[:, c]| + offset[c]."""
-        entries = ([(traj, 1.0, -thr) for _, traj, thr in self.interagent]
-                   + [(traj, -1.0, thr) for _, traj, thr in self.neighbor]
-                   + [(center, 1.0, -thr) for _, center, thr in self.obstacles])
+        """Stacked columns (anchors (T, C, d), sign (C,), offset (C,), kinds
+        (C,), labels): the margin of column c is
+        sign[c] * |pos - anchors[:, c]| + offset[c], of kind
+        MARGIN_KINDS[kinds[c]] against labels[c]."""
+        entries = ([(label, traj, 1.0, -thr, 0) for label, traj, thr in self.interagent]
+                   + [(label, traj, -1.0, thr, 1) for label, traj, thr in self.neighbor]
+                   + [(label, center, 1.0, -thr, 2) for label, center, thr in self.obstacles])
         if self.workspace is not None:
             center, limit = self.workspace
-            entries.append((center, -1.0, limit))
-        if not entries:
-            return None
+            entries.append(("workspace", center, -1.0, limit, 3))
         T = len(self.taus)
-        anchors = np.stack([np.broadcast_to(a, (T, np.shape(a)[-1])) for a, _, _ in entries],
-                           axis=1)
-        return (anchors, np.array([s for _, s, _ in entries]),
-                np.array([o for _, _, o in entries]))
+        if not entries:  # a unit position axis broadcasts against any position
+            return np.zeros((T, 0, 1)), np.zeros(0), np.zeros(0), np.zeros(0, dtype=int), []
+        labels, anchors, sign, offset, kinds = zip(*entries)
+        anchors = np.stack([np.broadcast_to(a, (T, np.shape(a)[-1])) for a in anchors], axis=1)
+        return anchors, np.array(sign), np.array(offset), np.array(kinds), list(labels)
+
+    @property
+    def kinds(self):
+        """Index in MARGIN_KINDS of each stacked column, (C,)."""
+        return self._columns[3]
+
+    @property
+    def labels(self):
+        """What each stacked column is measured against ("agent1", "obst0",
+        "workspace"), in column order."""
+        return self._columns[4]
+
+    def _evaluate(self, pos):
+        """Raw margins of positions (..., T, d) with the offsets from and
+        distances to each column's anchor: (..., T, C), (..., T, C, d) and
+        (..., T, C). Callers after a run read the margins here, without the
+        gradient :meth:`margins` forms."""
+        anchors, sign, offset = self._columns[:3]
+        diff = pos[..., None, :] - anchors
+        # the sum np.linalg.norm forms, so the distances are the same floats
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        return sign * dist + offset, diff, dist
 
     def margins(self, pos):
         """Raw margins of positions (..., T, d), stacked by kind in
@@ -112,15 +167,9 @@ class StageGeometry:
         where the position sits on its anchor (the mean of the one-sided
         slopes, as a central difference gives).
         """
-        if self._columns is None:
-            empty = np.zeros(pos.shape[:-1] + (0,))
-            return empty, np.zeros(empty.shape + pos.shape[-1:])
-        anchors, sign, offset = self._columns
-        diff = pos[..., None, :] - anchors
-        # the sum np.linalg.norm forms, so the distances are the same floats
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-        grad = diff * (sign / np.where(dist > 0.0, dist, np.inf))[..., None]
-        return sign * dist + offset, grad
+        margins, diff, dist = self._evaluate(pos)
+        grad = diff * (self._columns[1] / np.where(dist > 0.0, dist, np.inf))[..., None]
+        return margins, grad
 
     def tightened(self, pos, rho):
         """Margins eroded by the tube radius profile rho of shape (T,), and
@@ -151,9 +200,7 @@ class StageGeometry:
         max(|goal - anchor| - radius, 0) (sign -1). Reads the stacked columns
         without calling :meth:`margins`.
         """
-        if self._columns is None:
-            return False
-        anchors, sign, offset = self._columns
+        anchors, sign, offset = self._columns[:3]
         dist = np.linalg.norm(goal - anchors[-1], axis=-1)
         reach = np.where(sign > 0.0, dist + radius, -np.maximum(dist - radius, 0.0))
         return bool(np.any(offset - rho_end + reach < -tol))
@@ -162,40 +209,3 @@ class StageGeometry:
 def tube_profile_radii(profile: TubeProfile, taus):
     """Tube radii over a grid of stage offsets."""
     return np.array([tube_radius(profile, t) for t in np.asarray(taus, dtype=float)])
-
-
-@dataclass
-class LoggedDistances:
-    """Distances from one agent's logged positions, one row per logged sample."""
-
-    agents: np.ndarray     # (T, n): to each agent, aligned by timestamp; own column NaN
-    obstacles: np.ndarray  # (T, L): to each obstacle centre
-    workspace: np.ndarray  # (T,): to the workspace centre
-
-
-def logged_distances(world: WorldModel, times, positions):
-    """Distances on every logged sample of every agent.
-
-    `times[i]` (T_i,) and `positions[i]` (T_i, d) are agent i's logged
-    samples; the logs may differ in length, as in a partial log. Another
-    agent is taken at its first logged sample at or after each time, and at
-    its last one beyond the end of its log. Margins are thresholds applied to
-    these distances; callers choose their own thresholds.
-    """
-    n = len(positions)
-    centers = [obstacle.center for obstacle in world.obstacles]
-    out = []
-    for i in range(n):
-        p_i = positions[i]
-        to_agents = np.full((len(p_i), n), np.nan)
-        for j in range(n):
-            if j != i:
-                idx = np.minimum(np.searchsorted(times[j], times[i]), len(times[j]) - 1)
-                to_agents[:, j] = np.linalg.norm(p_i - positions[j][idx], axis=1)
-        to_obstacles = np.empty((len(p_i), len(centers)))
-        for ell, center in enumerate(centers):
-            to_obstacles[:, ell] = np.linalg.norm(p_i - center, axis=1)
-        out.append(LoggedDistances(
-            agents=to_agents, obstacles=to_obstacles,
-            workspace=np.linalg.norm(p_i - world.workspace.center, axis=1)))
-    return out

@@ -28,8 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .certify import ultimate_bound
-from .constraints import (MARGIN_KINDS, StageGeometry, WorldModel, logged_distances,
-                          tube_profile_radii)
+from .constraints import MARGIN_KINDS, WorldModel, tube_profile_radii
 from .dynamics import DisturbanceSignal, ErrorDynamics, integrate, zoh_input
 from .ocp import (HorizonSolution, OcpConfig, restore_feasibility, solve_fhocp,
                   unicycle_steering_law, warm_start_shift)
@@ -74,28 +73,23 @@ class ValidationReport:
     failures: list
 
 
-def validate_initial(world: WorldModel, states, models):
-    """Collision-free initial configuration check.
+# how validate_initial names a violated margin, by MARGIN_KINDS index
+_VIOLATIONS = ("collides with", "is out of sensing range of", "is inside", "is outside")
 
-    Conditions: pairwise separation, obstacle clearance and workspace
-    containment.
-    """
+
+def validate_initial(world: WorldModel, states, models):
+    """Start (or goal) configuration check: every raw distance margin
+    (eps = 0) of every agent must be positive. Each pair's separation is
+    checked once, from the lower index."""
+    tracks = [np.asarray(z)[m.position_slice][None, :] for z, m in zip(states, models)]
     failures = []
-    positions = [np.asarray(z)[m.position_slice] for z, m in zip(states, models)]
-    n = len(states)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = np.linalg.norm(positions[i] - positions[j])
-            if dist <= world.agent_radii[i] + world.agent_radii[j]:
-                failures.append(f"agents {i},{j} collide: distance {dist:.4g}")
-    for i in range(n):
-        for ell, obstacle in enumerate(world.obstacles):
-            dist = np.linalg.norm(positions[i] - obstacle.center)
-            if dist <= world.agent_radii[i] + obstacle.radius:
-                failures.append(f"agent {i} inside obstacle {ell}")
-        if (np.linalg.norm(positions[i] - world.workspace.center)
-                >= world.workspace.radius - world.agent_radii[i]):
-            failures.append(f"agent {i} outside workspace")
+    for i, track in enumerate(tracks):
+        geo = world.geometry(i, np.zeros(1), tracks, range(i + 1, len(tracks)),
+                             range(len(world.obstacles)), 0.0)
+        margins = geo._evaluate(track)[0][0]
+        failures += [f"agent {i} {_VIOLATIONS[kind]} {label} (margin {margin:.4g})"
+                     for kind, label, margin in zip(geo.kinds, geo.labels, margins)
+                     if margin <= 0.0]
     return ValidationReport(passed=not failures, failures=failures)
 
 
@@ -201,9 +195,9 @@ class TrajectoryLog:
         `to_csv`. The substep count is that of the step column.
 
         Columns are found by their `csv_columns` names, so a file from an
-        older schema with extra columns still reads; a missing column, a row
-        of the wrong length (a truncated file) or an unparsable field raises
-        ValueError.
+        older schema with extra columns still reads; a missing column, no
+        data rows, agent ids other than 0..k-1, a row of the wrong length (a
+        truncated file) or an unparsable field raises ValueError.
         """
         with open(path, newline="") as fh:
             lines = fh.read().splitlines()
@@ -215,6 +209,8 @@ class TrajectoryLog:
         missing = [name for name in names if name not in header]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        if not rows:
+            raise ValueError(f"{path}: no data rows")
         col = {name: header.index(name) for name in names}
         for line, text in enumerate(rows, start=2):
             if text.count(",") != len(header) - 1:
@@ -227,10 +223,13 @@ class TrajectoryLog:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         agents = data[:, 1].astype(int)
+        ids = np.unique(agents)
+        if not np.array_equal(ids, np.arange(len(ids))):
+            raise ValueError(f"{path}: agent ids {ids.tolist()} are not 0..{len(ids) - 1}")
         steps = data[:, 2].astype(int)
         k = 3 + n_x + n_u  # w_norm, then V, then the margins
         traces = []
-        for i in np.unique(agents):
+        for i in ids:
             idx = np.flatnonzero(agents == i)
             block = data[idx]
             step_values, first = np.unique(steps[idx], return_index=True)
@@ -327,27 +326,14 @@ class Simulation:
                 position_slice=model.position_slice)
 
     def _geometry(self, i, t_k, dense_taus):
-        """Constraint snapshot for agent i solving at t_k."""
-        positions = self._positions()
-        in_range = sensing_set(i, positions, self.world.sensing_ranges[i])
+        """Constraint snapshot for agent i solving at t_k: the agents in
+        sensing range and the known obstacles, net of the safety margin."""
+        in_range = sensing_set(i, self._positions(), self.world.sensing_ranges[i])
         times = t_k + dense_taus
-        geo = StageGeometry(taus=dense_taus)
-        r_i = self.world.agent_radii[i]
-        eps = self.world.margin
-        for j in sorted(in_range):
-            traj = self.board[j].positions_at(times)
-            geo.interagent.append(
-                (f"agent{j}", traj, r_i + self.world.agent_radii[j] + eps))
-        for j in sorted(self.world.neighbor_sets[i]):
-            traj = self.board[j].positions_at(times)
-            geo.neighbor.append((f"agent{j}", traj, self.world.sensing_ranges[i] - eps))
-        for ell in sorted(self.known_obstacles[i]):
-            obstacle = self.world.obstacles[ell]
-            geo.obstacles.append(
-                (f"obst{ell}", obstacle.center, r_i + obstacle.radius + eps))
-        geo.workspace = (self.world.workspace.center,
-                         self.world.workspace.radius - r_i - eps)
-        return geo
+        tracks = {j: self.board[j].positions_at(times)
+                  for j in in_range | self.world.neighbor_sets[i]}
+        return self.world.geometry(i, dense_taus, tracks, in_range, self.known_obstacles[i],
+                                   self.world.margin)
 
     def _margin_fn(self, i, geometry, rho):
         """Tightened margins of agent i's errors and their error Jacobian,
@@ -611,34 +597,25 @@ class Simulation:
         return log_out
 
     def _fill_margins(self, log_out):
-        """Post-hoc raw margins by kind on every logged sample.
+        """Post-hoc raw margins (eps = 0) by kind on every logged sample: the
+        smallest column of each kind, inf where the kind has none.
 
         The inter-agent margin covers only the agents within sensing range at
-        that sample (inf when none is); the neighbor margin covers the fixed
-        neighbor set.
+        that sample; the neighbor margin covers the fixed neighbor set.
         """
-        world = self.world
         traces = log_out.traces
         times = [np.asarray(tr.times) for tr in traces]
         positions = [np.asarray(tr.states)[:, model.position_slice]
                      for tr, model in zip(traces, self.models)]
-        obstacle_radii = np.array([obstacle.radius for obstacle in world.obstacles])
-        for i, (trace, dist) in enumerate(zip(traces, logged_distances(world, times, positions))):
-            r_i = world.agent_radii[i]
-            d_i = world.sensing_ranges[i]
-            sep = np.full(len(times[i]), np.inf)
-            conn = np.full(len(times[i]), np.inf)
-            for j in range(len(traces)):
-                if j == i:
-                    continue
-                d_ij = dist.agents[:, j]
-                sep = np.minimum(sep, np.where(
-                    d_ij < d_i, d_ij - (r_i + world.agent_radii[j]), np.inf))
-                if j in world.neighbor_sets[i]:
-                    conn = np.minimum(conn, d_i - d_ij)
-            obst = np.min(dist.obstacles - (r_i + obstacle_radii), axis=1, initial=np.inf)
-            wksp = world.workspace.radius - r_i - dist.workspace
-            trace.margins = np.column_stack([sep, conn, obst, wksp])
+        for i, trace in enumerate(traces):
+            geo = self.world.logged_geometry(i, times, positions, 0.0)
+            margins, _, dist = geo._evaluate(positions[i])
+            sensed = ((geo.kinds != MARGIN_KINDS.index("inter-agent"))
+                      | (dist < self.world.sensing_ranges[i]))
+            margins = np.where(sensed, margins, np.inf)
+            trace.margins = np.column_stack(
+                [np.min(margins[:, geo.kinds == k], axis=1, initial=np.inf)
+                 for k in range(len(MARGIN_KINDS))])
 
     def run(self):
         """Iterate steps over the full duration; returns the trajectory log."""

@@ -161,6 +161,32 @@ def test_verify_reports_malformed_csv(tmp_path, capsys):
         assert main(["verify", str(path), str(SCENARIO)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "abc" in err
+    # a header without rows, and logs that lack one agent's rows: without
+    # agent 0 the ids are not 0..k-1, without agent 2 the scenario has more
+    # agents than the log
+    agent = rows[0].index("agent")
+    for kept, message in (([], "no data rows"), (["1", "2"], "agent ids [1, 2]"),
+                          (["0", "1"], "2 agent traces, the scenario 3")):
+        path.write_text("\n".join(",".join(r) for r in rows
+                                  if r is rows[0] or r[agent] in kept) + "\n")
+        assert main(["verify", str(path), str(SCENARIO)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("goal, message", [
+    ([6.0, 3.0, 0.0], "desired configuration: agent 0 collides with agent1"),
+    ([6.0, 1.4, 0.0], "desired configuration: agent 0 is out of sensing range of agent1"),
+])
+def test_infeasible_goals_rejected(tmp_path, goal, message):
+    """Agent 1's goal 0.5 m from agent 0's overlaps it; 2.1 m away it leaves
+    the sensing range (2.0) of its neighbor, agent 0."""
+    raw = yaml.safe_load(SCENARIO.read_text())
+    raw["agents"][1]["goal"] = goal
+    path = tmp_path / "goals.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
 
 
 def test_run_writes_artifacts_when_solver_raises(tmp_path, monkeypatch, capsys):
