@@ -97,6 +97,8 @@ def build_certificate(Q, P, eps_omega, eps_psi, L_g, L_V, h, T_p, w_bar,
     inscribed ultimate radius (e.g. a published rounded value); the outer
     radius always uses the actual smallest eigenvalue.
     """
+    if w_bar < 0.0:
+        raise ValueError(f"disturbance bound w_bar must be nonnegative, got {w_bar}")
     P = np.asarray(P, dtype=float)
     eigs = np.linalg.eigvalsh(P)
     if lam_max_P is None:
@@ -192,24 +194,20 @@ def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
 
     # terminal-set trapping: once V dips below the threshold it stays there
     trap = (np.inf, 0.0)
-    trapped_all = True
-    detail = ""
+    outside = []
     for i in range(n):
         V = np.asarray(log.traces[i].V)
         below = np.nonzero(V <= scenario.eps_omega + tol)[0]
         if len(below) == 0:
-            trapped_all = False
-            detail = f"agent {i} never entered the terminal set"
+            outside.append(f"agent {i} never entered the terminal set")
             continue
         tail = V[below[0]:]
         k = int(np.argmax(tail))
         margin = scenario.eps_omega - float(tail[k])
         trap = _track(trap, margin, float(times[i][below[0] + k]))
-        if margin < -tol:
-            trapped_all = False
     report.checks["terminal-trapping"] = CheckResult(
-        trapped_all and trap[0] >= -tol,
-        trap[0] if np.isfinite(trap[0]) else -np.inf, trap[1], detail)
+        not outside and trap[0] >= -tol,
+        trap[0] if np.isfinite(trap[0]) else -np.inf, trap[1], "; ".join(outside))
 
     # ISS cost inequality: optimal-cost increase bounded by xi*w_bar minus the
     # accrued nominal error energy weighted by the smallest cost eigenvalue

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ import yaml
 from . import certify, coordination
 from .constraints import WorldModel
 from .coordination import Simulation, SimulationError, TrajectoryLog
-from .dynamics import DisturbanceSignal, estimate_lipschitz, unicycle_model
+from .dynamics import UNICYCLE, DisturbanceSignal, estimate_lipschitz
 from .ocp import OcpConfig
 from .setalg import Ball, TubeProfile
 
@@ -70,12 +70,12 @@ class Scenario:
     R: np.ndarray
     P: np.ndarray
     schedule: list
-    disturbance: dict = field(default_factory=dict)
-    tube_cap: float = None
-    lam_max_P: float = None
-    sup_error: float = None
-    max_iterations: int = 60
-    constraint_tol: float = 1e-6
+    disturbance: dict
+    tube_cap: float | None
+    lam_max_P: float | None
+    sup_error: float | None
+    max_iterations: int
+    constraint_tol: float
 
     # -- component builders ---------------------------------------------
 
@@ -88,7 +88,7 @@ class Scenario:
         for spec in self.agents:
             if spec.model != "unicycle":
                 raise ScenarioError(f"unsupported model kind {spec.model!r}")
-            models.append(unicycle_model(self.u_bar, self.w_bar, self.L_g))
+            models.append(UNICYCLE)
         return models
 
     def build_world(self):
@@ -258,17 +258,16 @@ def load_scenario(path, seed=None) -> Scenario:
 
 
 def _validate(scenario: Scenario, path):
+    """Build what `run` and `certify` build: their checks fail here, named."""
     try:
-        world = scenario.build_world()
-        models = scenario.build_models()
-        scenario.build_config()
-    except (ValueError, ScenarioError) as exc:
+        sim = scenario.build_simulation()
+        scenario.build_certificate()
+    except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     # the goals too must meet every raw margin, or the agents cannot reach
     # them without breaking separation or connectivity
-    for name, states in (("initial", [spec.start for spec in scenario.agents]),
-                         ("desired", scenario.references)):
-        report = coordination.validate_initial(world, states, models)
+    for name, states in (("initial", sim.states), ("desired", scenario.references)):
+        report = coordination.validate_initial(sim.world, states, sim.models)
         if not report.passed:
             raise ScenarioError(f"{path}: infeasible {name} configuration: "
                                 + "; ".join(report.failures))
@@ -278,9 +277,12 @@ def _validate(scenario: Scenario, path):
 
 def cmd_run(scenario_path, out_dir, seed=None, total_time=None):
     scenario = load_scenario(scenario_path, seed=seed)
+    try:
+        sim = scenario.build_simulation(total_time=total_time)
+    except ValueError as exc:
+        raise ScenarioError(f"--total-time {total_time}: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sim = scenario.build_simulation(total_time=total_time)
     try:
         log = sim.run()
         aborted = None
@@ -322,7 +324,8 @@ def cmd_certify(scenario_path, seed=None):
     c, r = scenario.workspace.center, scenario.workspace.radius
     low = np.array([c[0] - r, c[1] - r, -math.pi])
     high = np.array([c[0] + r, c[1] + r, math.pi])
-    L_g_estimate = max(estimate_lipschitz(m, low, high) for m in scenario.build_models())
+    L_g_estimate = max(estimate_lipschitz(m, scenario.u_bar, low, high)
+                       for m in scenario.build_models())
     print(f"L_g_estimate = {L_g_estimate}")
     print("w_max_at_L_g_estimate =", certify.disturbance_bound(
         scenario.eps_psi, scenario.eps_omega, scenario.L_V, L_g_estimate,

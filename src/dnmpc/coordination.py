@@ -29,9 +29,9 @@ import numpy as np
 
 from .certify import ultimate_bound
 from .constraints import MARGIN_KINDS, WorldModel, tube_profile_radii
-from .dynamics import DisturbanceSignal, ErrorDynamics, integrate, zoh_input
-from .ocp import (HorizonSolution, OcpConfig, restore_feasibility, solve_fhocp,
-                  unicycle_steering_law, warm_start_shift)
+from .dynamics import ErrorDynamics, integrate
+from .ocp import (OcpConfig, restore_feasibility, solve_fhocp, unicycle_steering_law,
+                  warm_start_shift)
 from .setalg import TubeProfile
 
 __all__ = [
@@ -189,10 +189,11 @@ class TrajectoryLog:
                         block.tolist()))
 
     @classmethod
-    def from_csv(cls, path, h=0.1):
+    def from_csv(cls, path, h):
         """Rebuild a TrajectoryLog (array-valued traces with states, inputs,
         V, margins, and per-step solver metadata) from a file written by
-        `to_csv`. The substep count is that of the step column.
+        `to_csv`, whose sampling steps are `h` apart. The substep count is
+        that of the step column.
 
         Columns are found by their `csv_columns` names, so a file from an
         older schema with extra columns still reads; a missing column, no
@@ -290,6 +291,8 @@ class Simulation:
         self.disturbances = disturbances
         self.states = [np.asarray(z, dtype=float).copy() for z in initial_states]
         self.total_time = float(total_time)
+        if not 0.0 < self.total_time < np.inf:
+            raise ValueError(f"total time must be positive and finite, got {self.total_time}")
         self.tube_cap = tube_cap
         self.board = {}  # agent -> latest posted PredictionEntry
         self.known_obstacles = [set() for _ in models]
@@ -311,6 +314,8 @@ class Simulation:
         return np.asarray([z[m.position_slice] for z, m in zip(self.states, self.models)])
 
     def _update_known_obstacles(self, i):
+        """Add the obstacles in agent i's detection range. Once per turn, at
+        its start, suffices: an agent moves only in its own turns."""
         p = self.states[i][self.models[i].position_slice]
         b_i = self.world.detection_ranges[i]
         for ell, obstacle in enumerate(self.world.obstacles):
@@ -386,17 +391,17 @@ class Simulation:
     def _solve_agent(self, i, t_k):
         """Solve agent i's problem through the fallback ladder.
 
-        Returns (solution, geometry). The solution's `attempts` (calls of
-        solve_fhocp and restore_feasibility), `iterations` (summed over those
-        calls), `terminal_excluded` (a terminal-enforced tier was skipped as
-        provably infeasible) and `wall_time` stats cover the whole ladder;
-        its other stats are those of the accepted attempt.
+        Returns the solution. Its `attempts` (calls of solve_fhocp and
+        restore_feasibility), `iterations` (summed over those calls),
+        `terminal_excluded` (a terminal-enforced tier was skipped as provably
+        infeasible) and `wall_time` stats cover the whole ladder; its other
+        stats are those of the accepted attempt.
         """
         start = time.perf_counter()
         ladder = {"attempts": 0, "iterations": 0, "terminal_excluded": False}
-        sol, geometry = self._ladder(i, t_k, ladder)
+        sol = self._ladder(i, t_k, ladder)
         sol.solve_stats.update(ladder, wall_time=time.perf_counter() - start)
-        return sol, geometry
+        return sol
 
     def _ladder(self, i, t_k, ladder):
         """The fallback ladder; counts its attempts and SLSQP iterations into
@@ -454,7 +459,7 @@ class Simulation:
                     "terminal_relaxed": not use_terminal,
                     "tube_capped": cap is not None,
                 })
-                return sol, geometry
+                return sol
 
             tier_best = None
             incumbent = None
@@ -506,7 +511,7 @@ class Simulation:
                     sol = polished
             if best is None or sol.solve_stats["residual"] < best.solve_stats["residual"]:
                 best = sol
-        return best, geometry
+        return best
 
     # -- main loop ------------------------------------------------------
 
@@ -530,7 +535,7 @@ class Simulation:
         for i in self.schedule:
             self._update_known_obstacles(i)
             try:
-                sol, geometry = self._solve_agent(i, t_k)
+                sol = self._solve_agent(i, t_k)
             except RuntimeError as exc:
                 raise SimulationError(
                     f"agent {i} solver failed at t = {t_k:.3f}: {exc}",
@@ -549,9 +554,8 @@ class Simulation:
 
             # apply the first input segment to the true disturbed dynamics
             u0 = sol.inputs[0]
-            times, states = integrate(
-                self.models[i], self.states[i], zoh_input(u0[None, :], cfg.h, t_k),
-                self.disturbances[i], t_k, t_k + cfg.h, cfg.h / cfg.substeps)
+            times, states = integrate(self.models[i], self.states[i], u0, self.disturbances[i],
+                                      t_k, t_k + cfg.h, cfg.h / cfg.substeps)
             self.states[i] = states[-1].copy()
 
             # predicted nominal error energy over the applied interval (for ISS)
@@ -581,7 +585,6 @@ class Simulation:
                 "attempts": sol.solve_stats["attempts"],
                 "wall_time": sol.solve_stats["wall_time"],
             })
-            self._update_known_obstacles(i)
 
     def finalize_log(self):
         log_out = TrajectoryLog(
@@ -624,8 +627,6 @@ class Simulation:
             raise ValueError("infeasible initial configuration: " + "; ".join(report.failures))
         self._bootstrap_board()
         self._log_initial()
-        for i in range(len(self.models)):
-            self._update_known_obstacles(i)
         for k in range(self._n_steps):
             self.step(k)
         return self.finalize_log()

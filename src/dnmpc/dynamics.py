@@ -1,16 +1,16 @@
 """Agent motion models, error-coordinate dynamics and fixed-step integration.
 
-Scenarios load the planar unicycle. It, like any vector field, is wrapped
-behind :class:`AgentModel`, whose field is vectorized over a leading batch
-dimension. A ZOH rollout can return its Jacobian with respect to the inputs:
-in closed form for the unicycle, and for any other field by central
-differences over one batched integration.
+An :class:`AgentModel` is its dynamics: a vector field vectorized over a
+leading batch dimension, and where the position and angles sit in the state.
+Scenarios load the planar unicycle, :data:`UNICYCLE`. :func:`integrate`
+integrates one agent under a held input. A ZOH rollout can return its
+Jacobian with respect to the inputs: in closed form for the unicycle, and for
+any other field by central differences over one batched integration.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,10 +22,9 @@ __all__ = [
     "DisturbanceSignal",
     "wrap_angle",
     "unicycle_field",
-    "unicycle_model",
+    "UNICYCLE",
     "integrate",
     "rollout_zoh",
-    "zoh_input",
     "estimate_lipschitz",
 ]
 
@@ -43,9 +42,6 @@ class AgentModel:
     Attributes:
         state_dim, input_dim: dimensions of state z and input u.
         vector_field: f(z, u) -> dz/dt, vectorized over leading batch dims.
-        input_bound: norm bound on admissible inputs (positive).
-        disturbance_bound: norm bound on the additive disturbance.
-        lipschitz: Lipschitz constant of f in z, uniform over admissible u.
         position_slice: slice of the state holding the workspace position.
         angle_indices: state indices that live on the circle.
     """
@@ -53,20 +49,8 @@ class AgentModel:
     state_dim: int
     input_dim: int
     vector_field: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    input_bound: float
-    disturbance_bound: float
-    lipschitz: float
     position_slice: slice = field(default_factory=lambda: slice(0, 2))
     angle_indices: tuple = ()
-    name: str = "agent"
-
-    def __post_init__(self):
-        if self.input_bound <= 0.0:
-            raise ValueError("input bound must be positive")
-        if self.disturbance_bound < 0.0:
-            raise ValueError("disturbance bound must be nonnegative")
-        if self.lipschitz <= 0.0:
-            raise ValueError("Lipschitz constant must be positive")
 
     def wrap_state(self, z):
         """Wrap the circular components of a state (out of place)."""
@@ -89,18 +73,8 @@ def unicycle_field(state, control):
     return np.stack([v * np.cos(theta), v * np.sin(theta), omega], axis=-1)
 
 
-def unicycle_model(input_bound, disturbance_bound, lipschitz, name="unicycle"):
-    return AgentModel(
-        state_dim=3,
-        input_dim=2,
-        vector_field=unicycle_field,
-        input_bound=input_bound,
-        disturbance_bound=disturbance_bound,
-        lipschitz=lipschitz,
-        position_slice=slice(0, 2),
-        angle_indices=(2,),
-        name=name,
-    )
+UNICYCLE = AgentModel(state_dim=3, input_dim=2, vector_field=unicycle_field,
+                      position_slice=slice(0, 2), angle_indices=(2,))
 
 
 # --- error dynamics -----------------------------------------------------
@@ -170,13 +144,13 @@ def _rk4_step(deriv, t, z, dt):
     return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(model, z0, input_signal, disturbance, t0, t1, step):
-    """Fixed-step RK4 integration of dz/dt = f(z, u(t)) [+ w(z, t)].
+def integrate(model, z0, u, disturbance, t0, t1, step):
+    """Fixed-step RK4 integration of dz/dt = f(z, u) [+ w(z, t)] under the
+    held input `u`.
 
-    `input_signal` is a callable t -> u (zero-order-hold signals are plain
-    piecewise-constant callables). With `disturbance=None` the nominal system
-    is integrated. Returns (times, states) including both endpoints; circular
-    state components are wrapped after each full step.
+    With `disturbance=None` the nominal system is integrated. Returns
+    (times, states) including both endpoints; circular state components are
+    wrapped after each full step.
 
     Raises:
         ValueError: if t1 < t0 or step does not divide the interval.
@@ -189,7 +163,7 @@ def integrate(model, z0, input_signal, disturbance, t0, t1, step):
         raise ValueError(f"step {step} does not divide interval {span}")
 
     def deriv(t, z):
-        dz = model.vector_field(z, input_signal(t))
+        dz = model.vector_field(z, u)
         if disturbance is not None:
             dz = dz + disturbance.sample(z, t)
         return dz
@@ -372,24 +346,17 @@ def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset,
     return traj, jac.reshape(n_sub + 1, 3, -1)
 
 
-def zoh_input(u_seq, stage_time, t0=0.0):
-    """Piecewise-constant input signal over stages of length `stage_time`."""
-    u_seq = np.asarray(u_seq, dtype=float)
-    n_stage = u_seq.shape[0]
-
-    def signal(t):
-        k = int(math.floor((t - t0) / stage_time + 1e-12))
-        return u_seq[min(max(k, 0), n_stage - 1)]
-
-    return signal
+# inflation of the largest sampled difference quotient in estimate_lipschitz
+LIPSCHITZ_SAFETY_FACTOR = 1.1
 
 
-def estimate_lipschitz(model, state_low, state_high, sample_count=10_000, rng_seed=0,
-                       safety_factor=1.1):
+def estimate_lipschitz(model, input_bound, state_low, state_high, sample_count=10_000,
+                       rng_seed=0):
     """Empirical Lipschitz constant of the vector field over a state box.
 
-    Samples state pairs and admissible inputs and returns the largest observed
-    difference quotient, inflated by `safety_factor`. Deterministic per seed.
+    Samples state pairs and inputs of norm at most `input_bound` and returns
+    the largest observed difference quotient, inflated by
+    LIPSCHITZ_SAFETY_FACTOR. Deterministic per seed.
     """
     low = np.asarray(state_low, dtype=float)
     high = np.asarray(state_high, dtype=float)
@@ -404,7 +371,7 @@ def estimate_lipschitz(model, state_low, state_high, sample_count=10_000, rng_se
     z_b = rng.uniform(low, high, size=(sample_count, model.state_dim))
     u_dir = rng.normal(size=(sample_count, model.input_dim))
     u_dir /= np.linalg.norm(u_dir, axis=1, keepdims=True)
-    u_mag = rng.uniform(size=(sample_count, 1)) * model.input_bound
+    u_mag = rng.uniform(size=(sample_count, 1)) * input_bound
     u = u_dir * u_mag
     df = model.vector_field(z_a, u) - model.vector_field(z_b, u)
     dz = np.linalg.norm(z_a - z_b, axis=1)
@@ -412,4 +379,4 @@ def estimate_lipschitz(model, state_low, state_high, sample_count=10_000, rng_se
     ratios = np.linalg.norm(df[good], axis=1) / dz[good]
     if ratios.size == 0:
         return 0.0
-    return safety_factor * float(ratios.max())
+    return LIPSCHITZ_SAFETY_FACTOR * float(ratios.max())

@@ -103,6 +103,11 @@ def single_blas_thread():
             set_threads(count)
 
 
+# central-difference step of the rollout's input Jacobian, for vector fields
+# without a closed form (the unicycle's is exact)
+FD_EPS = 1e-6
+
+
 @dataclass
 class OcpConfig:
     """Weights and discretization of the per-agent FHOCP."""
@@ -118,7 +123,6 @@ class OcpConfig:
     substeps: int = 10
     constraint_tol: float = 1e-6
     max_iterations: int = 200
-    fd_eps: float = 1e-6
     ftol: float = 1e-10
 
     def __post_init__(self):
@@ -139,6 +143,8 @@ class OcpConfig:
             raise ValueError("P must be positive definite")
         if not (0.0 < self.eps_omega < self.eps_psi):
             raise ValueError("need 0 < eps_omega < eps_psi")
+        if self.u_bar <= 0.0:
+            raise ValueError(f"input bound u_bar must be positive, got {self.u_bar}")
 
     @property
     def n_stages(self):
@@ -204,7 +210,7 @@ class _Transcription:
         cfg = self.cfg
         U = x.reshape(self.N, self.m)
         traj, jac = rollout_zoh(self.errordyn.field, self.e0, U, cfg.h, cfg.substeps,
-                                cfg.fd_eps)
+                                FD_EPS)
         self.n_rollouts += 1
         stage_e = traj[self.stage_idx[:-1]]
         e_N = traj[-1]

@@ -18,8 +18,8 @@ from dnmpc.certify import disturbance_bound, ultimate_bound
 from dnmpc.cli import load_scenario
 from dnmpc.constraints import StageGeometry, tube_profile_radii
 from dnmpc.coordination import SimulationError
-from dnmpc.dynamics import (DisturbanceSignal, ErrorDynamics, integrate,
-                            rollout_zoh, unicycle_model, wrap_angle)
+from dnmpc.dynamics import (UNICYCLE, DisturbanceSignal, ErrorDynamics, integrate,
+                            rollout_zoh, wrap_angle)
 from dnmpc.ocp import OcpConfig, solve_fhocp
 from dnmpc.setalg import EMPTY, Ball, TubeProfile, minkowski_add, \
     pontryagin_diff, tube_radius
@@ -152,7 +152,6 @@ def test_criterion_3_certificate_arithmetic(capsys):
 def test_criterion_4_tube_validity(capsys):
     # the sampled sup of |v| is the sound Lipschitz constant for the unicycle
     profile = TubeProfile(w_bar=0.1, L_g=U_BAR)
-    model = unicycle_model(U_BAR, 0.1, U_BAR)
     rng = np.random.default_rng(11)
     h, substeps, stages = 0.1, 10, 6
     taus = (h / substeps) * np.arange(stages * substeps + 1)
@@ -169,10 +168,10 @@ def test_criterion_4_tube_validity(capsys):
         dist = DisturbanceSignal(
             lambda z, t, d=direction, f=freq, p=phase: 0.1 * np.sin(f * t + p) * d,
             bound=0.1)
-        nominal = rollout_zoh(model.vector_field, z0, u_seq, h, substeps)
+        nominal = rollout_zoh(UNICYCLE.vector_field, z0, u_seq, h, substeps)
         z, disturbed = z0.copy(), [z0.copy()]
         for s, u in enumerate(u_seq):
-            _, seg = integrate(model, z, lambda t, u=u: u, dist,
+            _, seg = integrate(UNICYCLE, z, u, dist,
                                s * h, (s + 1) * h, h / substeps)
             disturbed.extend(seg[1:])
             z = seg[-1]
@@ -188,7 +187,6 @@ def test_criterion_4_tube_validity(capsys):
 
 def test_criterion_5_tightening_soundness(capsys):
     profile = TubeProfile(w_bar=0.1, L_g=U_BAR)
-    model = unicycle_model(U_BAR, 0.1, U_BAR)
     rng = np.random.default_rng(23)
     h, substeps, stages = 0.1, 10, 6
     taus = (h / substeps) * np.arange(1, stages * substeps + 1)
@@ -197,7 +195,7 @@ def test_criterion_5_tightening_soundness(capsys):
     for _ in range(100):
         z0 = np.concatenate([rng.uniform(-3, 3, 2), rng.uniform(-np.pi, np.pi, 1)])
         u_seq = rng.uniform(-0.7, 0.7, (stages, 2)) * U_BAR
-        nominal = rollout_zoh(model.vector_field, z0, u_seq, h, substeps)[1:]
+        nominal = rollout_zoh(UNICYCLE.vector_field, z0, u_seq, h, substeps)[1:]
         p_nom = nominal[:, :2]
         # thresholds chosen so the nominal trajectory satisfies the
         # tightened constraints with a hair of slack
@@ -218,7 +216,7 @@ def test_criterion_5_tightening_soundness(capsys):
             lambda z, t, d=direction, f=freq: 0.1 * np.sin(f * t) * d, bound=0.1)
         z, disturbed = z0.copy(), []
         for s, u in enumerate(u_seq):
-            _, seg = integrate(model, z, lambda t, u=u: u, dist,
+            _, seg = integrate(UNICYCLE, z, u, dist,
                                s * h, (s + 1) * h, h / substeps)
             disturbed.extend(seg[1:])
             z = seg[-1]
@@ -299,8 +297,7 @@ def _double_integrator():
         return np.stack([z[..., 1], u[..., 0]], axis=-1)
 
     return AgentModel(state_dim=2, input_dim=1, vector_field=field,
-                      input_bound=1e6, disturbance_bound=0.0, lipschitz=1.0,
-                      position_slice=slice(0, 1), name="double-integrator")
+                      position_slice=slice(0, 1))
 
 
 def test_criterion_8_solver_matches_riccati(capsys):

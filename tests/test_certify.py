@@ -146,8 +146,8 @@ def _forged_log_scenario(distance):
         references = [np.array([0.0, 0.0, 0.0]), np.array([0.0, distance, 0.0])]
 
         def build_models(self):
-            from dnmpc.dynamics import unicycle_model
-            return [unicycle_model(8.0, 0.0, 2.0), unicycle_model(8.0, 0.0, 2.0)]
+            from dnmpc.dynamics import UNICYCLE
+            return [UNICYCLE, UNICYCLE]
 
         def build_certificate(self):
             return build_certificate(Q=self.Q, P=self.P, eps_omega=self.eps_omega,
@@ -175,6 +175,16 @@ def test_verify_passes_safe_stationary_log():
     # both agents sit at their references: V = 0 <= eps_omega throughout
     assert report.checks["terminal-trapping"].passed
     assert report.checks["solver-feasible"].passed
+
+
+def test_terminal_trapping_names_every_agent_outside_the_terminal_set():
+    log, world, scenario = _forged_log_scenario(distance=1.2)
+    for trace in log.traces:
+        trace.V = [1.0] * len(trace.times)  # above eps_omega throughout
+    check = certify.verify(log, world, scenario).checks["terminal-trapping"]
+    assert not check.passed
+    assert check.detail == ("agent 0 never entered the terminal set; "
+                            "agent 1 never entered the terminal set")
 
 
 def test_logged_margins_on_partial_log_with_pair_out_of_range():

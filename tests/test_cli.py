@@ -189,6 +189,38 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("overrides, options, message", [
+    ({"total_time": 0.15}, [], "sampling time must divide the total time"),
+    ({"L_V": -0.0471}, [], "Lipschitz constants must be positive"),
+    ({"u_bar": -1.0}, [], "input bound"),
+    ({"w_bar": -0.1}, [], "disturbance bound"),
+    ({"L_g": -8.5883}, [], "Lipschitz constant must be positive"),
+    ({}, ["--total-time", "0.15"], "--total-time 0.15: sampling time must divide"),
+    ({}, ["--total-time", "0"], "--total-time 0.0: total time must be positive"),
+    ({}, ["--total-time", "-1"], "--total-time -1.0: total time must be positive"),
+], ids=["total_time", "L_V", "u_bar", "w_bar", "L_g", "run-total-time-0.15",
+        "run-total-time-0", "run-total-time-negative"])
+def test_bad_values_fail_before_any_solve(tmp_path, monkeypatch, capsys, overrides,
+                                          options, message):
+    """A bad scenario value fails at load as a ScenarioError, and a bad
+    --total-time before the run starts: both reach the CLI as `error: ...`
+    with exit code 2, with no solve, and `run` writes no artifacts."""
+    solves = []
+    monkeypatch.setattr(coordination, "solve_fhocp", lambda *args, **kw: solves.append(args))
+    path = _variant(tmp_path, **overrides)
+    commands = [["run", str(path), "--out", str(tmp_path / "out")] + options]
+    if overrides:
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(path)
+        commands.append(["certify", str(path)])
+    for argv in commands:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    assert not solves
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_writes_artifacts_when_solver_raises(tmp_path, monkeypatch, capsys):
     def diverge(*args, **kwargs):
         raise RuntimeError("solver diverged: forced")
@@ -199,6 +231,41 @@ def test_run_writes_artifacts_when_solver_raises(tmp_path, monkeypatch, capsys):
     assert (out_dir / "trajectory.csv").exists()
     assert "solver diverged: forced" in (out_dir / "report.txt").read_text()
     assert "run aborted" in capsys.readouterr().err
+
+
+def test_aborted_run_csv_reads_back(tmp_path, monkeypatch):
+    """The 8th solve_fhocp call of a 0.5 s run raises: with the schedule
+    [2, 0, 1] and one call per solve, the run aborts at agent 0, t = 0.2,
+    leaving traces of unequal length. The partial CSV reads back to the same
+    bytes, and verify on the read-back log reproduces report.txt."""
+    solve_fhocp = coordination.solve_fhocp
+    calls = []
+
+    def eighth_call_raises(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 8:
+            raise RuntimeError("solver diverged: forced")
+        return solve_fhocp(*args, **kwargs)
+
+    monkeypatch.setattr(coordination, "solve_fhocp", eighth_call_raises)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(SCENARIO), "--out", str(out_dir), "--total-time", "0.5"]) == 1
+    report = dict(line.split(" = ", 1)
+                  for line in (out_dir / "report.txt").read_text().splitlines())
+    assert report["aborted"] == "'agent 0 solver failed at t = 0.200: solver diverged: forced'"
+    path = out_dir / "trajectory.csv"
+    log = TrajectoryLog.from_csv(path, h=0.1)
+    assert [len(trace.times) for trace in log.traces] == [21, 21, 31]
+    again = tmp_path / "again.csv"
+    log.to_csv(again)
+    assert again.read_bytes() == path.read_bytes()
+    scenario = load_scenario(SCENARIO)
+    checks = certify.verify(log, scenario.build_world(), scenario).checks
+    for name, check in checks.items():
+        key = name.replace("-", "_")
+        assert report[f"{key}_pass"] == str(check.passed).lower(), name
+        assert float(report[f"{key}_worst_margin"]) == check.worst_margin, name
+        assert float(report[f"{key}_worst_time"]) == check.worst_time, name
 
 
 def test_run_then_verify_roundtrip(tmp_path, capsys):
@@ -212,7 +279,7 @@ def test_run_then_verify_roundtrip(tmp_path, capsys):
     assert "inter_agent_separation_pass = true" in report_text
     # solve counts in the report match the flags of the logged solves
     report = dict(line.split(" = ", 1) for line in report_text.splitlines())
-    metas = [meta for trace in TrajectoryLog.from_csv(out_dir / "trajectory.csv").traces
+    metas = [meta for trace in TrajectoryLog.from_csv(out_dir / "trajectory.csv", h=0.1).traces
              for meta in trace.step_meta]
     assert int(report["solves"]) == len(metas) == 9
     assert int(report["terminal_relaxed_solves"]) == sum(m["terminal_relaxed"] for m in metas)

@@ -9,7 +9,7 @@ from dnmpc.cli import load_scenario
 from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel
 from dnmpc.coordination import (PredictionEntry, Simulation, TrajectoryLog,
                                 neighbor_sets, sensing_set, validate_initial)
-from dnmpc.dynamics import DisturbanceSignal, unicycle_model
+from dnmpc.dynamics import UNICYCLE, DisturbanceSignal
 from dnmpc.ocp import OcpConfig
 from dnmpc.setalg import Ball, TubeProfile
 
@@ -56,7 +56,7 @@ def _world(n=2, obstacles=()):
 
 def test_validate_initial_passes_and_fails():
     world = _world()
-    models = [unicycle_model(2.0, 0.0, 2.0) for _ in range(2)]
+    models = [UNICYCLE] * 2
     ok = validate_initial(world, [np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0])], models)
     assert ok.passed
     bad = validate_initial(world, [np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.9, 0.0])], models)
@@ -66,7 +66,7 @@ def test_validate_initial_passes_and_fails():
 
 def test_validate_initial_workspace_and_velocity():
     world = _world()
-    models = [unicycle_model(2.0, 0.0, 2.0) for _ in range(2)]
+    models = [UNICYCLE] * 2
     out = validate_initial(
         world, [np.array([9.8, 0.0, 0.0]), np.array([9.8, 1.2, 0.0])], models)
     assert not out.passed
@@ -85,7 +85,7 @@ def test_prediction_entry_interpolates_and_holds():
 
 def _simulation(n=2, w_bar=0.0, total_time=0.5, schedule=None):
     world = _world(n)
-    models = [unicycle_model(8.0, w_bar, 2.0) for _ in range(n)]
+    models = [UNICYCLE] * n
     starts = [np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0]),
               np.array([0.0, -1.2, 0.0])][:n]
     goals = [np.array([3.0, 0.0, 0.0]), np.array([3.0, 1.2, 0.0]),
@@ -174,7 +174,7 @@ def test_separation_maintained_head_on():
     """Two agents with swapped lanes pass each other without violating the
     separation threshold read back from the log margins."""
     world = _world(2)
-    models = [unicycle_model(8.0, 0.0, 2.0) for _ in range(2)]
+    models = [UNICYCLE] * 2
     starts = [np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0])]
     goals = [np.array([2.0, 1.2, 0.0]), np.array([2.0, 0.0, 0.0])]
     cfg = OcpConfig(h=0.1, T_p=0.6, Q=0.5 * np.eye(3), R=0.05 * np.eye(2),

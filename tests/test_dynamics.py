@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from dnmpc.dynamics import (AgentModel, DisturbanceSignal, ErrorDynamics,
+from dnmpc.dynamics import (UNICYCLE, AgentModel, DisturbanceSignal, ErrorDynamics,
                             estimate_lipschitz, integrate, rollout_zoh,
-                            unicycle_field, unicycle_model, wrap_angle,
-                            zoh_input)
+                            unicycle_field, wrap_angle)
 
 
 def test_wrap_angle_range():
@@ -40,8 +39,7 @@ def test_unicycle_field_batched():
 def test_agent_model_default_position_slice():
     # the default must be a factory: a slice default is rejected by
     # dataclasses on interpreters where slice is unhashable
-    model = AgentModel(state_dim=3, input_dim=2, vector_field=unicycle_field,
-                       input_bound=1.0, disturbance_bound=0.0, lipschitz=1.0)
+    model = AgentModel(state_dim=3, input_dim=2, vector_field=unicycle_field)
     assert model.position_slice == slice(0, 2)
     z = np.array([1.5, -2.0, 0.7])
     assert np.array_equal(z[model.position_slice], [1.5, -2.0])
@@ -59,29 +57,30 @@ def _reference_zoh(z0, u_seq, stage_time):
 
 
 def test_integrate_matches_scipy_reference():
-    # smooth input signal so both integrators solve the same ODE
-    model = unicycle_model(10.0, 0.0, 10.0)
-    signal = lambda t: np.array([1.0 + np.sin(t), np.cos(t)])
-    _, ours = integrate(model, [0.1, -0.2, 0.3], signal, None, 0.0, 0.3, 0.01)
+    # a held input and a smooth disturbance inside its bound, so both
+    # integrators solve the same time-varying ODE
+    u = np.array([1.5, 0.8])
+    w = lambda t: 0.05 * np.array([np.sin(3 * t), np.cos(2 * t), np.sin(t)])
+    dist = DisturbanceSignal(lambda z, t: w(t), 0.1)
+    _, ours = integrate(UNICYCLE, [0.1, -0.2, 0.3], u, dist, 0.0, 0.3, 0.01)
+    assert dist.clipped == 0
 
     def rhs(t, z):
-        return unicycle_field(z, signal(t))
+        return unicycle_field(z, u) + w(t)
 
     ref = solve_ivp(rhs, (0.0, 0.3), [0.1, -0.2, 0.3], rtol=1e-12, atol=1e-12)
     assert np.allclose(ours[-1], ref.y[:, -1], atol=1e-8)
 
 
 def test_integrate_step_must_divide():
-    model = unicycle_model(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        integrate(model, [0, 0, 0], lambda t: np.zeros(2), None, 0.0, 0.35, 0.1)
+        integrate(UNICYCLE, [0, 0, 0], np.zeros(2), None, 0.0, 0.35, 0.1)
 
 
 def test_integrate_with_disturbance_shifts_state():
-    model = unicycle_model(1.0, 0.5, 1.0)
     dist = DisturbanceSignal(lambda z, t: np.array([0.1, 0.0, 0.0]), 0.5)
-    _, nominal = integrate(model, [0, 0, 0], lambda t: np.zeros(2), None, 0.0, 1.0, 0.01)
-    _, pushed = integrate(model, [0, 0, 0], lambda t: np.zeros(2), dist, 0.0, 1.0, 0.01)
+    _, nominal = integrate(UNICYCLE, [0, 0, 0], np.zeros(2), None, 0.0, 1.0, 0.01)
+    _, pushed = integrate(UNICYCLE, [0, 0, 0], np.zeros(2), dist, 0.0, 1.0, 0.01)
     assert pushed[-1][0] == pytest.approx(nominal[-1][0] + 0.1, abs=1e-9)
     # a generator inside the bound: four samples per RK4 step, none clipped
     assert (dist.samples, dist.clipped) == (400, 0)
@@ -96,16 +95,15 @@ def test_disturbance_clipping():
 
 
 def test_rollout_zoh_matches_integrate():
-    model = unicycle_model(10.0, 0.0, 10.0)
     u_seq = np.array([[1.5, 0.2], [0.5, -0.8]])
-    traj = rollout_zoh(model.vector_field, np.array([0.0, 1.0, 0.2]), u_seq, 0.1, 10)
+    traj = rollout_zoh(UNICYCLE.vector_field, np.array([0.0, 1.0, 0.2]), u_seq, 0.1, 10)
     assert traj.shape == (21, 3)
     assert np.allclose(traj[-1], _reference_zoh([0.0, 1.0, 0.2], u_seq, 0.1), atol=1e-8)
     # and against the shared integrator, one constant-input segment per call
     # (as the closed-loop engine uses it)
     z = np.array([0.0, 1.0, 0.2])
     for u in u_seq:
-        _, seg = integrate(model, z, lambda t: u, None, 0.0, 0.1, 0.01)
+        _, seg = integrate(UNICYCLE, z, u, None, 0.0, 0.1, 0.01)
         z = seg[-1]
     assert np.allclose(traj[-1], z, atol=1e-10)
 
@@ -121,7 +119,7 @@ def test_rollout_zoh_batched_consistency():
 def test_unicycle_rollout_fast_path_is_bit_identical():
     # a lambda around the field is not recognized and takes the generic loop
     rng = np.random.default_rng(5)
-    ed = ErrorDynamics(unicycle_model(12.0, 0.0, 12.0), np.array([6.0, 2.3, 0.4]))
+    ed = ErrorDynamics(UNICYCLE, np.array([6.0, 2.3, 0.4]))
     e0 = np.broadcast_to(rng.normal(size=3), (7, 3))
     u_seq = rng.uniform(-8.0, 8.0, (7, 6, 2))
     fast = rollout_zoh(ed.field, e0, u_seq, 0.1, 10)
@@ -150,7 +148,7 @@ def _central_jacobian(field, e0, u_seq, stage_time, substeps, eps=1e-6):
 
 def test_unicycle_rollout_jacobian_matches_central_differences():
     rng = np.random.default_rng(11)
-    ed = ErrorDynamics(unicycle_model(12.0, 0.0, 12.0), np.array([6.0, 2.3, 0.4]))
+    ed = ErrorDynamics(UNICYCLE, np.array([6.0, 2.3, 0.4]))
     for field, substeps in ((ed.field, 10), (unicycle_field, 4)):
         e0 = rng.normal(size=3)
         u_seq = rng.uniform(-8.0, 8.0, (6, 2))
@@ -185,8 +183,7 @@ def test_double_integrator_rollout_jacobian_is_exact_zoh_sensitivity():
 
 
 def test_error_dynamics_roundtrip_and_wrapping():
-    model = unicycle_model(1.0, 0.0, 1.0)
-    ed = ErrorDynamics(model, np.array([1.0, 2.0, 3.0]))
+    ed = ErrorDynamics(UNICYCLE, np.array([1.0, 2.0, 3.0]))
     z = np.array([0.5, 1.0, -3.0])
     e = ed.error_of(z)
     assert abs(e[2]) <= np.pi  # shortest signed heading difference
@@ -195,26 +192,23 @@ def test_error_dynamics_roundtrip_and_wrapping():
 
 
 def test_error_field_is_shifted_field():
-    model = unicycle_model(5.0, 0.0, 5.0)
-    ed = ErrorDynamics(model, np.array([1.0, -1.0, 0.5]))
+    ed = ErrorDynamics(UNICYCLE, np.array([1.0, -1.0, 0.5]))
     e = np.array([0.2, 0.3, -0.1])
     u = np.array([1.0, 0.4])
     assert np.allclose(ed.field(e, u), unicycle_field(e + ed.z_des, u), atol=1e-15)
 
 
 def test_estimate_lipschitz_unicycle():
-    model = unicycle_model(1.0, 0.0, 2.0)
     low = np.array([-1.0, -1.0, -np.pi])
     high = np.array([1.0, 1.0, np.pi])
-    L = estimate_lipschitz(model, low, high, sample_count=20_000, rng_seed=3)
+    L = estimate_lipschitz(UNICYCLE, 1.0, low, high, sample_count=20_000, rng_seed=3)
     # Lipschitz constant wrt the state is sup |v| = input bound, times the
     # 1.1 safety factor; the sampled estimate must bracket it loosely
     assert 0.5 < L < 1.2
 
 
 def test_estimate_lipschitz_deterministic():
-    model = unicycle_model(2.0, 0.0, 2.0)
     low, high = -np.ones(3), np.ones(3)
-    a = estimate_lipschitz(model, low, high, sample_count=500, rng_seed=9)
-    b = estimate_lipschitz(model, low, high, sample_count=500, rng_seed=9)
+    a = estimate_lipschitz(UNICYCLE, 2.0, low, high, sample_count=500, rng_seed=9)
+    b = estimate_lipschitz(UNICYCLE, 2.0, low, high, sample_count=500, rng_seed=9)
     assert a == b

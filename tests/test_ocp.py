@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from dnmpc.dynamics import AgentModel, ErrorDynamics, rollout_zoh, unicycle_model
+from dnmpc.dynamics import UNICYCLE, AgentModel, ErrorDynamics
 from dnmpc.ocp import (OcpConfig, _openblas_thread_controls, _Transcription,
                        restore_feasibility, single_blas_thread, solve_fhocp, stage_cost,
                        unicycle_steering_law, warm_start_shift)
 
 
-def double_integrator_model(u_bar=1e6):
+def double_integrator_model():
     def field(z, u):
         z = np.asarray(z, dtype=float)
         u = np.asarray(u, dtype=float)
         return np.stack([z[..., 1], u[..., 0]], axis=-1)
 
     return AgentModel(state_dim=2, input_dim=1, vector_field=field,
-                      input_bound=u_bar, disturbance_bound=0.0, lipschitz=1.0,
-                      position_slice=slice(0, 1), name="double-integrator")
+                      position_slice=slice(0, 1))
 
 
 def _config(u_bar=1e6, **kw):
@@ -102,7 +101,7 @@ def test_stage_cost_dimension_mismatch():
 
 def test_input_bound_respected():
     cfg = _config(u_bar=0.5)
-    ed = ErrorDynamics(double_integrator_model(0.5), np.zeros(2))
+    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
     sol = solve_fhocp(ed, np.array([5.0, 0.0]), None, cfg, use_terminal=False)
     assert np.all(np.linalg.norm(sol.inputs, axis=1) <= 0.5 + 1e-9)
 
@@ -118,7 +117,7 @@ def test_terminal_constraint_enforced_near_origin():
 
 def test_margin_constraints_enforced():
     cfg = _config(u_bar=5.0)
-    ed = ErrorDynamics(double_integrator_model(5.0), np.zeros(2))
+    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
     # keep the position coordinate above -0.1 along the horizon
     margin_fn = position_margin_fn(0.1)
     sol = solve_fhocp(ed, np.array([1.0, -1.0]), margin_fn, cfg, use_terminal=False)
@@ -128,7 +127,7 @@ def test_margin_constraints_enforced():
 
 def test_infeasible_status_reported():
     cfg = _config(u_bar=0.01)
-    ed = ErrorDynamics(double_integrator_model(0.01), np.zeros(2))
+    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
     # requires the position to move by 10 within the horizon
     impossible = position_margin_fn(-10.0)
     sol = solve_fhocp(ed, np.array([0.0, 0.0]), impossible, cfg, use_terminal=False)
@@ -152,7 +151,7 @@ def test_transcription_gradients_match_central_differences():
     input Jacobian, against central differences of the values themselves."""
     cfg = _config(u_bar=8.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
                   P=np.diag([0.5, 0.5, 0.1]))
-    ed = ErrorDynamics(unicycle_model(8.0, 0.0, 8.0), np.array([3.0, 0.0, 0.4]))
+    ed = ErrorDynamics(UNICYCLE, np.array([3.0, 0.0, 0.4]))
     margin_fn = disc_margin_fn(ed, [1.2, 0.3], 0.3)
     tr = _Transcription(ed, np.array([-3.0, 0.1, -0.2]), margin_fn, cfg, use_terminal=True)
     x = np.random.default_rng(4).uniform(-3.0, 3.0, tr.nx)
@@ -178,7 +177,7 @@ def _unicycle_near_disc():
     straight path, and a straight-ahead start that grazes the disc."""
     cfg = _config(u_bar=8.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
                   P=np.diag([0.5, 0.5, 0.1]), eps_omega=0.05)
-    ed = ErrorDynamics(unicycle_model(8.0, 0.0, 8.0), np.array([1.0, 0.0, 0.0]))
+    ed = ErrorDynamics(UNICYCLE, np.array([1.0, 0.0, 0.0]))
     margin_fn = disc_margin_fn(ed, [0.5, 0.3], 0.32)
     return cfg, ed, np.array([-1.0, 0.0, 0.0]), margin_fn, np.tile([1.7, 0.0], (6, 1))
 
@@ -211,9 +210,8 @@ def test_transcription_slack_is_the_worst_constraint():
 
 
 def test_unicycle_steering_law_converges():
-    model = unicycle_model(3.0, 0.0, 3.0)
     z_des = np.array([0.0, 0.0, 0.0])
-    ed = ErrorDynamics(model, z_des)
+    ed = ErrorDynamics(UNICYCLE, z_des)
     kappa = unicycle_steering_law(z_des, u_bar=3.0)
     e = np.array([-3.0, 2.0, 0.5])
     dt = 0.01
@@ -256,7 +254,7 @@ def test_solve_independent_of_blas_thread_count():
     # margin rows, enough for OpenBLAS to split SLSQP's subproblem over threads
     cfg = _config(u_bar=8.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
                   P=np.diag([0.5, 0.5, 0.1]))
-    ed = ErrorDynamics(unicycle_model(8.0, 0.0, 8.0), np.array([3.0, 0.0, 0.0]))
+    ed = ErrorDynamics(UNICYCLE, np.array([3.0, 0.0, 0.0]))
     margin_fn = disc_margin_fn(ed, [[1.0, 0.6], [1.5, -0.9], [2.2, 0.4], [0.4, -0.5]], 0.3)
     controls = _openblas_thread_controls()
     before = [get() for get, _ in controls]
