@@ -21,6 +21,7 @@ and some last-stage margin is violated on that whole ball.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,7 +30,7 @@ import numpy as np
 
 from .certify import ultimate_bound
 from .constraints import MARGIN_KINDS, WorldModel, tube_profile_radii
-from .dynamics import ErrorDynamics, integrate
+from .dynamics import ErrorDynamics, integrate, rollout_zoh
 from .ocp import (OcpConfig, restore_feasibility, solve_fhocp, unicycle_steering_law,
                   warm_start_shift)
 from .setalg import TubeProfile
@@ -355,24 +356,32 @@ class Simulation:
 
         return margin_fn
 
-    def _starts(self, i):
-        """Warm start candidates, best first."""
+    @functools.cached_property
+    def _tube(self):
+        """(dense_taus, rho_full): the horizon's substep offsets and the
+        uncapped tube radius at each, the same for every solve. Built at the
+        first solve rather than in __init__, so that it runs inside `run`,
+        where perfbench's tracer counts the `tube_profile_radii` call."""
         cfg = self.config
-        starts = []
+        dense_taus = (cfg.h / cfg.substeps) * np.arange(1, cfg.n_stages * cfg.substeps + 1)
+        return dense_taus, tube_profile_radii(self.profile, dense_taus)
+
+    def _starts(self, i):
+        """Warm start candidates, best first, each built when it is asked for:
+        the ladder usually accepts the first."""
+        cfg = self.config
         prev = self.prev_solution[i]
         if prev is not None and prev.status != "infeasible":
-            starts.append(warm_start_shift(prev, self.steering[i], cfg))
-        starts.append(np.zeros((cfg.n_stages, self.models[i].input_dim)))
+            yield warm_start_shift(prev, self.steering[i], cfg)
+        yield np.zeros((cfg.n_stages, self.models[i].input_dim))
         # closed-loop steering-law rollout as a last resort
-        from .dynamics import rollout_zoh
         e = self.errordyns[i].error_of(self.states[i])
         seq = []
         for _ in range(cfg.n_stages):
             u = self.steering[i](e)
             seq.append(u)
             e = rollout_zoh(self.errordyns[i].field, e, u[None, :], cfg.h, cfg.substeps)[-1]
-        starts.append(np.asarray(seq))
-        return starts
+        yield np.asarray(seq)
 
     def _probe_starts(self, i):
         """Lateral-detour guesses (turn, then drive) used to escape the
@@ -413,10 +422,8 @@ class Simulation:
         builds its own starts, so the accepted solution is the same.
         """
         cfg = self.config
-        S = cfg.substeps
-        dense_taus = (cfg.h / S) * np.arange(1, cfg.n_stages * S + 1)
+        dense_taus, rho_full = self._tube
         geometry = self._geometry(i, t_k, dense_taus)
-        rho_full = tube_profile_radii(self.profile, dense_taus)
         e0 = self.errordyns[i].error_of(self.states[i])
 
         caps = []
@@ -464,12 +471,10 @@ class Simulation:
             tier_best = None
             incumbent = None
             starts = self._starts(i)
-            remaining = []
-            for idx, start in enumerate(starts):
+            for start in starts:
                 sol = attempt(start)
                 if sol.status != "infeasible":
                     incumbent = sol
-                    remaining = starts[idx + 1:]
                     break
                 if (tier_best is None
                         or sol.solve_stats["residual"] < tier_best.solve_stats["residual"]):
@@ -481,7 +486,8 @@ class Simulation:
                     (incumbent.predicted_errors[-1] - incumbent.predicted_errors[0])
                     [self.models[i].position_slice])
                 if pos_err > 1.0 and displacement < 0.1 * cfg.u_bar * cfg.T_p:
-                    for start in remaining + self._probe_starts(i):
+                    # the starts not yet tried, then the lateral probes
+                    for start in [*starts, *self._probe_starts(i)]:
                         sol = attempt(start)
                         if sol.status != "infeasible" and sol.cost < incumbent.cost:
                             incumbent = sol

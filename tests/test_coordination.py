@@ -196,6 +196,37 @@ def test_infeasible_initial_configuration_aborts():
         sim.run()
 
 
+def test_starts_and_tube_radii_built_on_demand(monkeypatch):
+    """The steering-law start, a closed-loop rollout of N stages, is built
+    only when the ladder asks for the start after the zero one, and the tube
+    radii once per simulation, not once per solve."""
+    rollouts, radii = [], []
+
+    def counted(fn, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(coordination, "rollout_zoh", counted(coordination.rollout_zoh, rollouts))
+    monkeypatch.setattr(coordination, "tube_profile_radii",
+                        counted(coordination.tube_profile_radii, radii))
+    sim = _simulation(total_time=0.3)
+    starts = sim._starts(0)  # no previous solution: zero start, then steering
+    assert not np.any(next(starts))
+    assert not rollouts
+    steering = next(starts)
+    assert len(rollouts) == sim.config.n_stages
+    assert np.all(np.linalg.norm(steering, axis=1) <= sim.config.u_bar + 1e-12)
+    assert next(starts, None) is None
+    rollouts.clear()
+    log = _simulation(total_time=0.3).run()
+    # every solve accepted its first start, so no steering start was built
+    assert all(meta["attempts"] == 1 for trace in log.traces for meta in trace.step_meta)
+    assert not rollouts
+    assert len(radii) == 1
+
+
 def test_step_meta_covers_the_whole_ladder(monkeypatch):
     """attempts, iterations and wall_time in step_meta cover every
     solve_fhocp and restore_feasibility call of a solve, not its last one."""

@@ -86,6 +86,33 @@ def test_solver_matches_riccati_oracle():
     assert np.max(np.abs(sol.inputs - ref)) < 1e-4
 
 
+def test_terminal_solve_in_gauss_newton_scaling_matches_riccati_oracle():
+    # the double integrator is linear, so the Gauss-Newton Hessian the
+    # terminal tier scales by is the exact one: SLSQP's first step is Newton's
+    cfg = _config(eps_omega=1e3, eps_psi=2e3)  # terminal set far from binding
+    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    for e0 in ([1.5, -0.7], [0.3, 0.2], [-2.0, 1.0]):
+        e0 = np.array(e0)
+        sol = solve_fhocp(ed, e0, None, cfg, use_terminal=True)
+        assert sol.status == "optimal"
+        assert sol.solve_stats["iterations"] <= 3
+        assert np.max(np.abs(sol.inputs - lqr_dp_reference(e0, cfg))) < 1e-6
+
+
+def test_scaled_unicycle_solve_returns_a_feasible_plan():
+    # a terminal-enforced solve (run in scaled variables) from a start that
+    # grazes the disc, whose margin binds at the optimum: the returned plan is
+    # in input space and meets every constraint
+    cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
+    sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
+    assert sol.status != "infeasible"
+    assert sol.solve_stats["residual"] <= cfg.constraint_tol
+    res = _Transcription(ed, e0, margin_fn, cfg, True).eval(sol.inputs.ravel())
+    assert -res["slack"] <= cfg.constraint_tol
+    assert np.array_equal(res["traj"], sol.dense_errors)
+    assert np.all(np.linalg.norm(sol.inputs, axis=1) <= cfg.u_bar + 1e-9)
+
+
 def test_stage_cost_quadratic():
     Q = np.diag([2.0, 1.0])
     R = np.array([[0.5]])
