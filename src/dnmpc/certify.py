@@ -26,6 +26,7 @@ __all__ = [
     "disturbance_bound",
     "ultimate_bound",
     "xi_bound",
+    "window_closes_at",
     "build_certificate",
     "verify",
     "write_report",
@@ -65,6 +66,30 @@ def ultimate_bound(eps_omega, lam_P):
     if eps_omega <= 0.0 or lam_P <= 0.0:
         raise ValueError("both arguments must be positive")
     return math.sqrt(eps_omega / lam_P)
+
+
+def window_closes_at(world, w_bar, L_g, T_p):
+    """First tau <= T_p at which the tube diameter 2 rho(tau), with
+    rho(tau) = (w_bar / L_g) (exp(L_g tau) - 1), exceeds the smallest gap
+    between a neighbor pair's connectivity threshold and its separation
+    threshold; inf if it never does within the horizon.
+
+    From that tau on the pair's tightened window is empty
+    (StageGeometry.window_empty), so only a capped tube can keep a plan that
+    long feasible. The thresholds are those the solver uses, net of the
+    world's safety margin.
+    """
+    if w_bar <= 0.0:
+        return math.inf
+    gaps = []
+    for i, neighbors in enumerate(world.neighbor_sets):
+        # only the thresholds are read, so the tracks are left empty
+        geo = world.geometry(i, np.zeros(1), dict.fromkeys(neighbors), neighbors, (),
+                             world.margin)
+        gaps += [thr_n - thr_i for (_, _, thr_n), (_, _, thr_i)
+                 in zip(geo.neighbor, geo.interagent)]
+    tau = math.log1p(L_g * min(gaps) / (2.0 * w_bar)) / L_g
+    return tau if tau <= T_p else math.inf
 
 
 def xi_bound(L_V, L_F, L_g, h, T_p):

@@ -245,8 +245,8 @@ def load_scenario(path, seed=None) -> Scenario:
             tube_cap=optional_float("tube_cap"),
             lam_max_P=optional_float("lam_max_P"),
             sup_error=optional_float("sup_error"),
-            max_iterations=int(raw.get("max_iterations", 60)),
-            constraint_tol=float(raw.get("constraint_tol", 1e-6)),
+            max_iterations=int(raw.get("max_iterations", OcpConfig.max_iterations)),
+            constraint_tol=float(raw.get("constraint_tol", OcpConfig.constraint_tol)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
@@ -331,6 +331,12 @@ def cmd_certify(scenario_path, seed=None):
         scenario.eps_psi, scenario.eps_omega, scenario.L_V, L_g_estimate,
         scenario.h, scenario.T_p))
     print(f"L_g_sound = {str(scenario.L_g >= L_g_estimate).lower()}")
+    # the certificate covers only the uncapped tube tier, which cannot run
+    # once the tube has closed some neighbor pair's window
+    world = scenario.build_world()
+    for name, L_g in (("window_closes_at_tau", scenario.L_g),
+                      ("window_closes_at_tau_at_L_g_estimate", L_g_estimate)):
+        print(f"{name} =", certify.window_closes_at(world, scenario.w_bar, L_g, scenario.T_p))
     print("verdict =", "consistent" if cert.consistent else "inconsistent")
     return 0 if cert.consistent else 1
 

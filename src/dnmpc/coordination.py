@@ -551,10 +551,9 @@ class Simulation:
                     f"agent {i} infeasible at t = {t_k:.3f} "
                     f"(residual {sol.solve_stats['residual']:.3g})",
                     partial_log=self.finalize_log(), agent=i, t=t_k)
-            abs_pred = np.asarray(
-                [self.errordyns[i].state_of(e) for e in sol.dense_errors])
             self.board[i] = PredictionEntry(
-                t0=t_k, h=cfg.h / cfg.substeps, states=abs_pred,
+                t0=t_k, h=cfg.h / cfg.substeps,
+                states=self.errordyns[i].state_of(sol.dense_errors),
                 position_slice=self.models[i].position_slice)
             self.prev_solution[i] = sol
 
@@ -569,16 +568,22 @@ class Simulation:
             errsq = np.sum(dense * dense, axis=1)
             errsq_int = float(np.trapezoid(errsq, dx=cfg.h / cfg.substeps))
 
+            # log the substeps after t_k, which the previous step logged, as
+            # one block; V is still each row's own dot product, as at t = 0
             trace = self.traces[i]
-            for idx in range(1, len(times)):
-                trace.times.append(float(times[idx]))
-                trace.states.append(states[idx].copy())
-                trace.inputs.append(u0.copy())
-                w = (self.disturbances[i].sample(states[idx], times[idx])
-                     if self.disturbances[i] is not None else np.zeros(1))
-                trace.w_norms.append(float(np.linalg.norm(w)))
-                e = self.errordyns[i].error_of(states[idx])
-                trace.V.append(float(e @ cfg.P @ e))
+            times, states = times[1:], states[1:]
+            trace.times.extend(times.tolist())
+            trace.states.extend(states)
+            trace.inputs.extend(np.tile(u0, (len(states), 1)))
+            if self.disturbances[i] is None:
+                trace.w_norms.extend([0.0] * len(states))
+            else:
+                trace.w_norms.extend(
+                    float(np.linalg.norm(self.disturbances[i].sample(z, t)))
+                    for z, t in zip(states, times))
+            e = self.errordyns[i].error_of(states)
+            ep = e @ cfg.P
+            trace.V.extend(float(ep[r] @ e[r]) for r in range(len(e)))
             trace.step_meta.append({
                 "t": t_k,
                 "status": sol.status,

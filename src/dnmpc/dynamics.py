@@ -11,6 +11,7 @@ any other field by central differences over one batched integration.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -150,7 +151,9 @@ def integrate(model, z0, u, disturbance, t0, t1, step):
 
     With `disturbance=None` the nominal system is integrated. Returns
     (times, states) including both endpoints; circular state components are
-    wrapped after each full step.
+    wrapped after each full step. The unicycle takes a path on Python floats
+    (:func:`_unicycle_integrate`) whose states are bit-identical to the
+    generic substep loop's.
 
     Raises:
         ValueError: if t1 < t0 or step does not divide the interval.
@@ -162,6 +165,10 @@ def integrate(model, z0, u, disturbance, t0, t1, step):
     if abs(n_steps * step - span) > 1e-9:
         raise ValueError(f"step {step} does not divide interval {span}")
 
+    times = t0 + step * np.arange(n_steps + 1)
+    if model.vector_field is unicycle_field and model.angle_indices == (2,):
+        return times, _unicycle_integrate(z0, u, disturbance, times.tolist(), step)
+
     def deriv(t, z):
         dz = model.vector_field(z, u)
         if disturbance is not None:
@@ -169,13 +176,54 @@ def integrate(model, z0, u, disturbance, t0, t1, step):
         return dz
 
     z = model.wrap_state(np.asarray(z0, dtype=float))
-    times = t0 + step * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, model.state_dim))
     states[0] = z
     for k in range(n_steps):
         z = model.wrap_state(_rk4_step(deriv, times[k], z, step))
         states[k + 1] = z
     return times, states
+
+
+def _wrap_heading(heading):
+    """:func:`wrap_angle` of one float: Python's % is the floor modulo that
+    np.mod computes, so the result is the same float."""
+    return -((-heading + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+def _unicycle_integrate(z0, u, disturbance, times, dt):
+    """:func:`integrate` of the unicycle on Python floats, one RK4 substep at
+    a time.
+
+    Each substep takes the float operations of :func:`_rk4_step` over
+    :func:`unicycle_field`, in the same order, with numpy's cos and sin and
+    the same disturbance samples (state as an array, time); the heading is
+    wrapped after each substep as ``wrap_state`` does. The states are
+    therefore bit-identical to the generic loop's, and the disturbance's
+    `samples` and `clipped` counts are the same.
+    """
+    v, omega = np.asarray(u, dtype=float).tolist()
+    x, y, heading = np.asarray(z0, dtype=float).tolist()
+    heading = _wrap_heading(heading)
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def deriv(t, x, y, heading):
+        dx, dy, dh = v * float(np.cos(heading)), v * float(np.sin(heading)), omega
+        if disturbance is None:
+            return dx, dy, dh
+        wx, wy, wh = disturbance.sample(np.array([x, y, heading]), t).tolist()
+        return dx + wx, dy + wy, dh + wh
+
+    out = [(x, y, heading)]
+    for t in times[:-1]:
+        dx1, dy1, dh1 = deriv(t, x, y, heading)
+        dx2, dy2, dh2 = deriv(t + half, x + half * dx1, y + half * dy1, heading + half * dh1)
+        dx3, dy3, dh3 = deriv(t + half, x + half * dx2, y + half * dy2, heading + half * dh2)
+        dx4, dy4, dh4 = deriv(t + dt, x + dt * dx3, y + dt * dy3, heading + dt * dh3)
+        x = x + sixth * (((dx1 + 2.0 * dx2) + 2.0 * dx3) + dx4)
+        y = y + sixth * (((dy1 + 2.0 * dy2) + 2.0 * dy3) + dy4)
+        heading = _wrap_heading(heading + sixth * (((dh1 + 2.0 * dh2) + 2.0 * dh3) + dh4))
+        out.append((x, y, heading))
+    return np.array(out)
 
 
 def rollout_zoh(field, e0, u_seq, stage_time, substeps, jacobian_eps=None):

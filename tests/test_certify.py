@@ -233,3 +233,21 @@ def test_logged_margins_on_partial_log_with_pair_out_of_range():
     assert not conn.passed
     assert conn.worst_margin == pytest.approx(1.99 - 2.7, abs=1e-12)
     assert conn.worst_time == pytest.approx(0.05)
+
+
+def test_window_closes_where_the_tube_diameter_meets_the_smallest_gap():
+    from dnmpc.constraints import WorldModel
+    from dnmpc.setalg import Ball, TubeProfile, tube_radius
+
+    # gaps (d_i - eps) - (r_i + r_j + eps): 0 with 1 and 1 with 0 leave 0.98
+    # and 0.88 (agent 1 senses only 1.9 m), 0 with 2 and 2 with 0 leave 1.18
+    world = WorldModel(Ball([0.0, 0.0], 10.0), [], [0.5, 0.5, 0.3], [2.0, 1.9, 2.0],
+                       [4.0, 4.0, 4.0], margin=0.01,
+                       neighbor_sets=[frozenset({1, 2}), frozenset({0}), frozenset({0})])
+    tau = certify.window_closes_at(world, 0.1, L_G, T_P)
+    assert 0.0 < tau < T_P
+    assert 2.0 * tube_radius(TubeProfile(0.1, L_G), tau) == pytest.approx(0.88, rel=1e-12)
+    # a shorter horizon, a gentler tube or no disturbance never close it
+    assert certify.window_closes_at(world, 0.1, L_G, 0.9 * tau) == math.inf
+    assert certify.window_closes_at(world, 0.01, L_G, T_P) == math.inf
+    assert certify.window_closes_at(world, 0.0, L_G, T_P) == math.inf

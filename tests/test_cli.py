@@ -108,6 +108,29 @@ def test_certify_reports_declared_L_g_below_estimate(capsys):
     assert float(values["w_max_at_L_g_estimate"]) < float(values["w_max"])
 
 
+def test_certify_reports_where_the_tube_closes_the_window(capsys):
+    """The certificate covers only the uncapped tube. With the declared L_g
+    the tube diameter passes the 0.98 m between the bundled scenario's
+    connectivity (1.99 m) and separation (1.01 m) thresholds at tau ~ 0.438 s,
+    with the estimated L_g at ~ 0.370 s, both inside T_p = 0.6 s."""
+    assert main(["certify", str(SCENARIO)]) == 0
+    values = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    assert float(values["window_closes_at_tau"]) == pytest.approx(0.438, abs=1e-3)
+    assert float(values["window_closes_at_tau_at_L_g_estimate"]) == pytest.approx(
+        0.370, abs=1e-3)
+
+
+def test_solver_settings_default_to_the_solver_config(tmp_path):
+    raw = yaml.safe_load(SCENARIO.read_text())
+    del raw["max_iterations"], raw["constraint_tol"]
+    path = tmp_path / "defaults.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    config = load_scenario(path).build_config()
+    assert (config.max_iterations, config.constraint_tol) == (200, 1e-6)
+    bundled = load_scenario(SCENARIO).build_config()
+    assert (bundled.max_iterations, bundled.constraint_tol) == (100, 1e-4)
+
+
 def test_main_malformed_path_exits_2(capsys):
     assert main(["certify", "/nonexistent/scenario.yaml"]) == 2
     assert "error" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnmpc import coordination
+from dnmpc import coordination, ocp
 from dnmpc.cli import load_scenario
 from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel
 from dnmpc.coordination import (PredictionEntry, Simulation, TrajectoryLog,
@@ -297,3 +297,32 @@ def test_terminal_exclusion_leaves_trajectory_unchanged(monkeypatch):
         assert np.array_equal(np.asarray(ta.states), np.asarray(tb.states))
         assert np.array_equal(np.asarray(ta.inputs), np.asarray(tb.inputs), equal_nan=True)
         assert [m["cost"] for m in ta.step_meta] == [m["cost"] for m in tb.step_meta]
+
+
+def test_engine_calls_the_benchmark_hooks(monkeypatch):
+    """perfbench times each agent-solve at `coordination.integrate`, which the
+    engine calls once per agent-solve, and traces its layers at
+    `coordination.solve_fhocp`, `ocp.minimize` and `ocp.rollout_zoh`. A
+    refactor that binds one of these names elsewhere would zero a benchmark
+    span without an error; this fails instead."""
+    calls = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(coordination, "integrate")
+    counted(coordination, "solve_fhocp")
+    counted(ocp, "minimize")
+    counted(ocp, "rollout_zoh")
+    log = _simulation(w_bar=0.05, total_time=0.3).run()
+    solves = sum(len(trace.step_meta) for trace in log.traces)
+    assert solves == 6
+    assert calls["integrate"] == solves
+    assert calls["solve_fhocp"] >= solves
+    assert calls["minimize"] >= calls["solve_fhocp"]
+    assert calls["rollout_zoh"] >= calls["minimize"]

@@ -133,6 +133,41 @@ def test_unicycle_rollout_fast_path_is_bit_identical():
     assert np.array_equal(fast, loop)
 
 
+def test_unicycle_integrate_fast_path_is_bit_identical():
+    # a lambda around the field is not recognized and takes the generic
+    # _rk4_step loop, the oracle of the Python-float path
+    generic = AgentModel(3, 2, lambda z, u: unicycle_field(z, u), angle_indices=(2,))
+    generators = {
+        "none": None,
+        "in bound": lambda z, t: 0.05 * np.sin(3 * t) * np.ones(3),
+        "clipping": lambda z, t: np.array([3.0 * np.sin(t), 1.0, -2.0]),
+        "reads z": lambda z, t: 0.2 * np.array([np.cos(z[2]), 0.1 * z[0], np.sin(z[1] + t)]),
+    }
+    rng = np.random.default_rng(7)
+    # the last case starts at heading 3.1 and turns through +pi
+    cases = [(rng.normal(size=3), rng.uniform(-12.0, 12.0, 2)) for _ in range(20)]
+    cases.append((np.array([0.3, -0.2, 3.1]), np.array([2.0, 9.0])))
+    counts = set()
+    for name, gen in generators.items():
+        for z0, u in cases:
+            t0 = float(rng.uniform(0.0, 10.0))
+            runs = []
+            for model in (UNICYCLE, generic):
+                dist = None if gen is None else DisturbanceSignal(gen, 0.1)
+                times, states = integrate(model, z0, u, dist, t0, t0 + 0.1, 0.01)
+                runs.append((times, states, None if dist is None else
+                             (dist.samples, dist.clipped)))
+            (t_fast, fast, n_fast), (t_loop, loop, n_loop) = runs
+            assert np.array_equal(t_fast, t_loop), name
+            assert fast.shape == loop.shape == (11, 3)
+            assert np.array_equal(fast, loop), name
+            assert n_fast == n_loop, name
+            counts.add((name, n_fast))
+    assert ("in bound", (40, 0)) in counts and ("clipping", (40, 40)) in counts
+    _, crossing = integrate(UNICYCLE, cases[-1][0], cases[-1][1], None, 0.0, 0.1, 0.01)
+    assert np.all(np.abs(crossing[:, 2]) <= np.pi) and crossing[-1, 2] < 0.0
+
+
 def _central_jacobian(field, e0, u_seq, stage_time, substeps, eps=1e-6):
     """d rollout / d u_seq.ravel() by central differences, one input at a time."""
     cols = []
