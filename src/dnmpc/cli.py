@@ -300,6 +300,7 @@ def cmd_run(scenario_path, out_dir, seed=None, total_time=None):
         "terminal_relaxed_solves": sum(meta["terminal_relaxed"] for meta in metas),
         "terminal_excluded_solves": sum(meta["terminal_excluded"] for meta in metas),
         "tube_capped_solves": sum(meta["tube_capped"] for meta in metas),
+        "suboptimal_stop_solves": sum(meta["suboptimal_stop"] for meta in metas),
         "disturbance_samples": sum(d.samples for d in disturbances),
         "disturbance_clipped_samples": sum(d.clipped for d in disturbances),
     }

@@ -559,8 +559,10 @@ class Simulation:
 
             # apply the first input segment to the true disturbed dynamics
             u0 = sol.inputs[0]
-            times, states = integrate(self.models[i], self.states[i], u0, self.disturbances[i],
-                                      t_k, t_k + cfg.h, cfg.h / cfg.substeps)
+            disturbance = self.disturbances[i]
+            w_norms = []
+            times, states = integrate(self.models[i], self.states[i], u0, disturbance,
+                                      t_k, t_k + cfg.h, cfg.h / cfg.substeps, w_norms)
             self.states[i] = states[-1].copy()
 
             # predicted nominal error energy over the applied interval (for ISS)
@@ -575,12 +577,14 @@ class Simulation:
             trace.times.extend(times.tolist())
             trace.states.extend(states)
             trace.inputs.extend(np.tile(u0, (len(states), 1)))
-            if self.disturbances[i] is None:
+            if disturbance is None:
                 trace.w_norms.extend([0.0] * len(states))
             else:
-                trace.w_norms.extend(
-                    float(np.linalg.norm(self.disturbances[i].sample(z, t)))
-                    for z, t in zip(states, times))
+                # every row but the last is where a later substep of
+                # `integrate` took its first RK4 sample; the last is sampled
+                trace.w_norms.extend(w_norms[1:])
+                trace.w_norms.append(
+                    float(np.linalg.norm(disturbance.sample(states[-1], times[-1]))))
             e = self.errordyns[i].error_of(states)
             ep = e @ cfg.P
             trace.V.extend(float(ep[r] @ e[r]) for r in range(len(e)))
@@ -592,6 +596,7 @@ class Simulation:
                 "terminal_relaxed": sol.solve_stats.get("terminal_relaxed", False),
                 "tube_capped": sol.solve_stats.get("tube_capped", False),
                 "terminal_excluded": sol.solve_stats["terminal_excluded"],
+                "suboptimal_stop": sol.solve_stats["suboptimal_stop"],
                 "iterations": sol.solve_stats["iterations"],
                 "attempts": sol.solve_stats["attempts"],
                 "wall_time": sol.solve_stats["wall_time"],

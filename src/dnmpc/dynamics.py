@@ -137,15 +137,16 @@ class DisturbanceSignal:
 
 # --- integration --------------------------------------------------------
 
-def _rk4_step(deriv, t, z, dt):
-    k1 = deriv(t, z)
+def _rk4_step(deriv, t, z, dt, k1=None):
+    if k1 is None:
+        k1 = deriv(t, z)
     k2 = deriv(t + 0.5 * dt, z + 0.5 * dt * k1)
     k3 = deriv(t + 0.5 * dt, z + 0.5 * dt * k2)
     k4 = deriv(t + dt, z + dt * k3)
     return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(model, z0, u, disturbance, t0, t1, step):
+def integrate(model, z0, u, disturbance, t0, t1, step, w_norms=None):
     """Fixed-step RK4 integration of dz/dt = f(z, u) [+ w(z, t)] under the
     held input `u`.
 
@@ -153,7 +154,9 @@ def integrate(model, z0, u, disturbance, t0, t1, step):
     (times, states) including both endpoints; circular state components are
     wrapped after each full step. The unicycle takes a path on Python floats
     (:func:`_unicycle_integrate`) whose states are bit-identical to the
-    generic substep loop's.
+    generic substep loop's. With a disturbance and a list `w_norms`, the
+    norm of each substep's first RK4 sample, w(states[k], times[k]) for
+    every k but the last, is appended to it.
 
     Raises:
         ValueError: if t1 < t0 or step does not divide the interval.
@@ -167,19 +170,23 @@ def integrate(model, z0, u, disturbance, t0, t1, step):
 
     times = t0 + step * np.arange(n_steps + 1)
     if model.vector_field is unicycle_field and model.angle_indices == (2,):
-        return times, _unicycle_integrate(z0, u, disturbance, times.tolist(), step)
+        return times, _unicycle_integrate(z0, u, disturbance, times.tolist(), step, w_norms)
 
-    def deriv(t, z):
+    def deriv(t, z, norms=None):
         dz = model.vector_field(z, u)
         if disturbance is not None:
-            dz = dz + disturbance.sample(z, t)
+            w = disturbance.sample(z, t)
+            if norms is not None:
+                norms.append(float(np.linalg.norm(w)))
+            dz = dz + w
         return dz
 
     z = model.wrap_state(np.asarray(z0, dtype=float))
     states = np.empty((n_steps + 1, model.state_dim))
     states[0] = z
     for k in range(n_steps):
-        z = model.wrap_state(_rk4_step(deriv, times[k], z, step))
+        k1 = deriv(times[k], z, w_norms)
+        z = model.wrap_state(_rk4_step(deriv, times[k], z, step, k1))
         states[k + 1] = z
     return times, states
 
@@ -190,7 +197,7 @@ def _wrap_heading(heading):
     return -((-heading + math.pi) % (2.0 * math.pi) - math.pi)
 
 
-def _unicycle_integrate(z0, u, disturbance, times, dt):
+def _unicycle_integrate(z0, u, disturbance, times, dt, w_norms=None):
     """:func:`integrate` of the unicycle on Python floats, one RK4 substep at
     a time.
 
@@ -199,23 +206,26 @@ def _unicycle_integrate(z0, u, disturbance, times, dt):
     the same disturbance samples (state as an array, time); the heading is
     wrapped after each substep as ``wrap_state`` does. The states are
     therefore bit-identical to the generic loop's, and the disturbance's
-    `samples` and `clipped` counts are the same.
+    `samples` and `clipped` counts, and any `w_norms`, are the same.
     """
     v, omega = np.asarray(u, dtype=float).tolist()
     x, y, heading = np.asarray(z0, dtype=float).tolist()
     heading = _wrap_heading(heading)
     half, sixth = 0.5 * dt, dt / 6.0
 
-    def deriv(t, x, y, heading):
+    def deriv(t, x, y, heading, norms=None):
         dx, dy, dh = v * float(np.cos(heading)), v * float(np.sin(heading)), omega
         if disturbance is None:
             return dx, dy, dh
-        wx, wy, wh = disturbance.sample(np.array([x, y, heading]), t).tolist()
+        w = disturbance.sample(np.array([x, y, heading]), t)
+        if norms is not None:
+            norms.append(float(np.linalg.norm(w)))
+        wx, wy, wh = w.tolist()
         return dx + wx, dy + wy, dh + wh
 
     out = [(x, y, heading)]
     for t in times[:-1]:
-        dx1, dy1, dh1 = deriv(t, x, y, heading)
+        dx1, dy1, dh1 = deriv(t, x, y, heading, w_norms)
         dx2, dy2, dh2 = deriv(t + half, x + half * dx1, y + half * dy1, heading + half * dh1)
         dx3, dy3, dh3 = deriv(t + half, x + half * dx2, y + half * dy2, heading + half * dh2)
         dx4, dy4, dh4 = deriv(t + dt, x + dt * dx3, y + dt * dy3, heading + dt * dh3)

@@ -34,6 +34,23 @@ fallback ladder tries the terminal tiers. Far from the goal it is not: with
 every tier scaled, the bundled scenario aborted in its corridor crossing
 (agent 2 infeasible at t = 0.6 s). The relaxed tiers and
 :func:`restore_feasibility` keep the identity.
+
+A terminal-enforced solve also stops at the accuracy the closed loop needs.
+The paper's stability argument takes the optimal cost as its Lyapunov
+function and the shifted previous plan as its witness of feasibility;
+Scokaert, Mayne & Rawlings (1999, "Suboptimal model predictive control
+(feasibility implies stability)") show that it needs only a feasible plan
+that costs no more than that candidate. SLSQP's callback therefore ends the
+solve at the first major iterate whose plan, projected onto the input ball
+as the returned plan is, (i) meets every constraint within `constraint_tol`,
+(ii) costs at most J~, the cost of the solve's own start, when that start is
+feasible, and (iii) changed the cost by at most :data:`SUBOPTIMAL_STOP_DELTA`
+relative to the previous major iterate. Such a plan has status
+"feasible-suboptimal"; "optimal" still means SLSQP's own test passed. The
+relaxed tiers and :func:`restore_feasibility` run to SLSQP's own test:
+their premise, a feasible shifted candidate under the terminal set, is
+missing, and the same rule applied to them aborted the bundled scenario in
+its corridor crossing (agent 1 infeasible at t = 0.7 s).
 """
 
 from __future__ import annotations
@@ -120,6 +137,20 @@ def single_blas_thread():
 # central-difference step of the rollout's input Jacobian, for vector fields
 # without a closed form (the unicycle's is exact)
 FD_EPS = 1e-6
+
+SUBOPTIMAL_STOP_DELTA = 1e-4
+"""Relative cost change between SLSQP major iterates at or below which a
+feasible terminal-enforced plan, no costlier than its start, is accepted.
+The stability argument holds for any such plan, so delta trades only
+closeness to the optimum for iterations. On the settle benchmark 1e-4 takes
+SLSQP from 709 to 436 iterations and its wall time down by 16%; 1e-6 still
+takes 597 iterations and gains 5%. At 1e-4 the bundled runs' verdicts and
+the robustness sweep's outcomes are those of SLSQP's own test; larger
+values were not tried."""
+
+# the status scipy's minimize gives a solve that a callback halted with
+# StopIteration
+_CALLBACK_HALT = 99
 
 
 @dataclass
@@ -266,7 +297,7 @@ def _project_inputs(U, u_bar):
     return U * scale
 
 
-def _slsqp(tr: _Transcription, x0, fun, jac, ftol, slack=False, scale=None):
+def _slsqp(tr: _Transcription, x0, fun, jac, ftol, slack=False, scale=None, callback=None):
     """Minimize `fun` under the transcription's constraints with SLSQP, on one
     BLAS thread; returns scipy's OptimizeResult.
 
@@ -278,7 +309,8 @@ def _slsqp(tr: _Transcription, x0, fun, jac, ftol, slack=False, scale=None):
 
     With `scale` = T, SLSQP runs in y, x = x0 + T y, from y = 0: the cost is
     f(x0 + T y) with gradient T' grad f, each constraint Jacobian C becomes
-    C T, and the result's `x` is mapped back to x0 + T y.
+    C T, and the result's `x` is mapped back to x0 + T y. `callback` is
+    SLSQP's, called with each major iterate in SLSQP's own variables.
     """
     cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
     u_bar_sq = cfg.u_bar ** 2
@@ -334,6 +366,7 @@ def _slsqp(tr: _Transcription, x0, fun, jac, ftol, slack=False, scale=None):
         start = np.zeros_like(x0)
     with single_blas_thread():
         opt = minimize(fun, start, jac=jac, constraints=cons, method="SLSQP",
+                       callback=callback,
                        options={"maxiter": cfg.max_iterations, "ftol": ftol})
         if scale is not None:
             opt.x = to_x(opt.x)
@@ -354,6 +387,38 @@ def _gauss_newton_scaling(tr: _Transcription, x):
         return solve_triangular(L, np.eye(tr.nx), lower=True, trans="T")
 
 
+def _suboptimal_stop(tr: _Transcription, x0, scale):
+    """SLSQP callback of a terminal-enforced solve that runs in y, x = x0 +
+    `scale` y: raises StopIteration at the first major iterate whose plan,
+    projected onto the input ball, is feasible within `constraint_tol`,
+    costs at most the start x0 when x0 is feasible, and changed the cost by
+    at most SUBOPTIMAL_STOP_DELTA relative to the previous major iterate
+    (the first one compares with x0).
+
+    SLSQP also calls back when it ends on its own at the iterate it last
+    reported, so a halt there would relabel a solve whose own test passed;
+    an iterate that did not move is left alone. When SLSQP's test passes
+    right after a step that the stop also accepts, the solve still counts
+    as stopped (1 of the settle benchmark's 99 stops)."""
+    cfg = tr.cfg
+    start = tr.eval(x0)
+    bound = start["cost"] if -start["slack"] <= cfg.constraint_tol else np.inf
+    previous_cost, previous_y = start["cost"], np.zeros_like(x0)
+
+    def callback(y):
+        nonlocal previous_cost, previous_y
+        if np.array_equal(y, previous_y):
+            return
+        U = _project_inputs((x0 + scale @ y).reshape(tr.N, tr.m), cfg.u_bar)
+        res = tr.eval(U.ravel())
+        settled = abs(res["cost"] - previous_cost) <= SUBOPTIMAL_STOP_DELTA * previous_cost
+        previous_cost, previous_y = res["cost"], y
+        if -res["slack"] <= cfg.constraint_tol and res["cost"] <= bound and settled:
+            raise StopIteration
+
+    return callback
+
+
 def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
                 warm_start=None, use_terminal=True):
     """Solve the tightened finite-horizon problem for one agent.
@@ -368,14 +433,16 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
             margins give the Jacobian in closed form. None disables state
             constraints.
         warm_start: initial guess for the (N, m) input sequence.
-        use_terminal: enforce V(e_N) <= eps_omega as a hard constraint, and
-            run SLSQP in the Gauss-Newton-scaled variables of the module
-            docstring.
+        use_terminal: enforce V(e_N) <= eps_omega as a hard constraint, run
+            SLSQP in the Gauss-Newton-scaled variables of the module
+            docstring, and stop at its suboptimal-MPC accuracy.
 
     Returns:
         HorizonSolution; status is "infeasible" when the constraint residual
         (the negated worst slack) exceeds the tolerance after the iteration
-        budget.
+        budget, "optimal" when SLSQP's own convergence test passed and
+        "feasible-suboptimal" otherwise. The stat `suboptimal_stop` says
+        whether the suboptimal-MPC stop ended the solve.
     """
     t_start = time.perf_counter()
     e0 = np.asarray(e0, dtype=float)
@@ -390,10 +457,14 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
 
     try:
         # Gauss-Newton scaling is accurate near the goal only, where the cost's
-        # residuals are small: the terminal tiers
-        scale = _gauss_newton_scaling(tr, x0) if use_terminal else None
+        # residuals are small, and the suboptimal stop needs a feasible shifted
+        # candidate under the terminal set: the terminal tiers
+        scale = callback = None
+        if use_terminal:
+            scale = _gauss_newton_scaling(tr, x0)
+            callback = _suboptimal_stop(tr, x0, scale)
         opt = _slsqp(tr, x0, lambda x: tr.eval(x)["cost"], lambda x: tr.eval(x)["cost_grad"],
-                     config.ftol, scale=scale)
+                     config.ftol, scale=scale, callback=callback)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"solver diverged: {exc}") from exc
     x_best = opt.x
@@ -411,12 +482,13 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
             U = x_best.reshape(N, m)
 
     residual = max(0.0, -res["slack"])
+    stopped = opt.status == _CALLBACK_HALT
     if residual > config.constraint_tol:
         status = "infeasible"
-    elif opt.success:
-        status = "optimal"
-    else:
+    elif stopped or not opt.success:
         status = "feasible-suboptimal"
+    else:
+        status = "optimal"
 
     traj = res["traj"]
     return HorizonSolution(
@@ -431,6 +503,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
             "residual": float(residual),
             "rollouts": tr.n_rollouts,
             "terminal_enforced": bool(use_terminal),
+            "suboptimal_stop": stopped,
         },
     )
 

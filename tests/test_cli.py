@@ -310,9 +310,12 @@ def test_run_then_verify_roundtrip(tmp_path, capsys):
     # no terminal tier is tried before t = 0.9 (agents are far from their
     # goals), so none is skipped either; test_coordination covers t = 0.9-1.1
     assert int(report["terminal_excluded_solves"]) == 0
-    # 9 solves x 10 substeps x (4 RK4 stages + 1 logged norm); the bundled
-    # generator 0.1 sin(2t) (1, 1, 1) stays inside w_bar = 0.1 until t = 0.31
-    assert int(report["disturbance_samples"]) == 450
+    # and no terminal tier, the only one the suboptimal stop applies to
+    assert int(report["suboptimal_stop_solves"]) == 0
+    # 9 solves x (10 substeps x 4 RK4 stages + 1 for the step's last logged
+    # row, the others reuse a stage's sample); the bundled generator
+    # 0.1 sin(2t) (1, 1, 1) stays inside w_bar = 0.1 until t = 0.31
+    assert int(report["disturbance_samples"]) == 369
     assert int(report["disturbance_clipped_samples"]) == 0
     first = capsys.readouterr().out
     code2 = main(["verify", str(out_dir / "trajectory.csv"), str(SCENARIO)])
@@ -330,8 +333,8 @@ def test_run_reports_clipped_disturbance_samples(tmp_path):
     out_dir = tmp_path / "out"
     main(["run", str(SCENARIO), "--out", str(out_dir), "--total-time", "0.4"])
     report = dict(line.split(" = ", 1) for line in (out_dir / "report.txt").read_text().splitlines())
-    assert int(report["disturbance_samples"]) == 600
-    assert 0 < int(report["disturbance_clipped_samples"]) < 600
+    assert int(report["disturbance_samples"]) == 492
+    assert 0 < int(report["disturbance_clipped_samples"]) < 492
 
 
 def test_run_report_values_are_plain(tmp_path):

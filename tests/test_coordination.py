@@ -140,6 +140,39 @@ def test_determinism_bitwise():
         assert [m["cost"] for m in ta.step_meta] == [m["cost"] for m in tb.step_meta]
 
 
+def test_logged_disturbance_norms_match_fresh_samples():
+    """Each logged w_norm is the norm of the disturbance at its row's state
+    and time. Every row of a step but the last reuses a sample `integrate`
+    took; a generator that reads the state tells a row matched with the
+    wrong sample."""
+    def gen(z, t):
+        return 0.05 * np.array([np.cos(z[2] + t), np.sin(3.0 * z[0]), 0.5 * np.sin(z[1] - t)])
+
+    sim = _simulation(total_time=0.3)
+    sim.disturbances = [DisturbanceSignal(gen, 0.05) for _ in sim.disturbances]
+    log = sim.run()
+    oracle = DisturbanceSignal(gen, 0.05)
+    for trace in log.traces:
+        fresh = [float(np.linalg.norm(oracle.sample(z, t)))
+                 for z, t in zip(trace.states[1:], trace.times[1:])]
+        assert trace.w_norms[1:] == fresh
+    assert 0 < oracle.clipped < oracle.samples
+    # 3 steps x 10 substeps x 4 RK4 stages, and one sample per step's last row
+    assert [d.samples for d in sim.disturbances] == [3 * (40 + 1)] * 2
+
+
+def test_step_meta_flags_suboptimal_stops():
+    """step_meta keeps the accepted attempt's `suboptimal_stop`: terminal
+    solves near the goal stop early, relaxed ones never do."""
+    log = _simulation(total_time=0.3).run()
+    metas = [meta for trace in log.traces for meta in trace.step_meta]
+    assert any(meta["suboptimal_stop"] for meta in metas)
+    for meta in metas:
+        if meta["suboptimal_stop"]:
+            assert meta["status"] == "feasible-suboptimal"
+            assert not meta["terminal_relaxed"]
+
+
 def test_csv_roundtrip(tmp_path):
     log = _simulation(w_bar=0.05, total_time=0.3).run()
     path = tmp_path / "log.csv"

@@ -133,6 +133,28 @@ def test_unicycle_rollout_fast_path_is_bit_identical():
     assert np.array_equal(fast, loop)
 
 
+def test_integrate_reports_first_stage_disturbance_norms():
+    """`w_norms` receives the norm of each substep's first RK4 sample, the
+    disturbance at (states[k], times[k]) for every k but the last, from the
+    unicycle path and the generic loop alike; nothing without a disturbance."""
+    generic = AgentModel(3, 2, lambda z, u: unicycle_field(z, u), angle_indices=(2,))
+
+    def gen(z, t):
+        return 0.2 * np.array([np.cos(z[2]), 0.1 * z[0], np.sin(z[1] + t)])
+
+    oracle = DisturbanceSignal(gen, 0.18)
+    for model in (UNICYCLE, generic):
+        norms = []
+        times, states = integrate(model, [0.3, -0.2, 3.1], np.array([2.0, 9.0]),
+                                  DisturbanceSignal(gen, 0.18), 0.4, 0.5, 0.01, norms)
+        assert norms == [float(np.linalg.norm(oracle.sample(z, t)))
+                         for z, t in zip(states[:-1], times[:-1])]
+        assert 0 < oracle.clipped < oracle.samples
+        nominal = []
+        integrate(model, [0.3, -0.2, 3.1], np.array([2.0, 9.0]), None, 0.4, 0.5, 0.01, nominal)
+        assert nominal == []
+
+
 def test_unicycle_integrate_fast_path_is_bit_identical():
     # a lambda around the field is not recognized and takes the generic
     # _rk4_step loop, the oracle of the Python-float path

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dnmpc import ocp
 from dnmpc.dynamics import UNICYCLE, AgentModel, ErrorDynamics
 from dnmpc.ocp import (OcpConfig, _openblas_thread_controls, _Transcription,
                        restore_feasibility, single_blas_thread, solve_fhocp, stage_cost,
@@ -111,6 +112,67 @@ def test_scaled_unicycle_solve_returns_a_feasible_plan():
     assert -res["slack"] <= cfg.constraint_tol
     assert np.array_equal(res["traj"], sol.dense_errors)
     assert np.all(np.linalg.norm(sol.inputs, axis=1) <= cfg.u_bar + 1e-9)
+
+
+def test_suboptimal_stop_returns_a_feasible_plan_no_worse_than_its_start():
+    """Terminal-enforced solves of the grazing-disc unicycle from two feasible
+    starts. A swerve past the disc: the suboptimal stop ends the solve with a
+    feasible-suboptimal plan within the tolerance that costs no more than the
+    start. The optimum for the disc shrunk by half the tolerance: feasible
+    only within the tolerance and cheaper than every plan that clears the
+    disc, so no iterate meets the cost bound, and without that bound the
+    stop would end the solve at a plan costlier than its start."""
+    cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
+    swerve = np.tile([1.7, -0.6], (6, 1))
+    shrunk = disc_margin_fn(ed, [0.5, 0.3], 0.32 - 0.5 * cfg.constraint_tol)
+    inside = solve_fhocp(ed, e0, shrunk, cfg, warm_start=start, use_terminal=True).inputs
+    tr = _Transcription(ed, e0, margin_fn, cfg, True)
+    for warm_start, stops in ((swerve, True), (inside, False)):
+        before = tr.eval(warm_start.ravel())
+        assert -before["slack"] <= cfg.constraint_tol
+        sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=warm_start, use_terminal=True)
+        assert sol.solve_stats["suboptimal_stop"] is stops
+        assert sol.solve_stats["residual"] <= cfg.constraint_tol
+        if stops:
+            assert sol.status == "feasible-suboptimal"
+            assert sol.cost <= before["cost"]
+        else:
+            assert sol.status == "optimal"
+
+
+def test_suboptimal_stop_only_on_terminal_solves(monkeypatch):
+    """The relaxed tiers and the feasibility restoration pass SLSQP no
+    callback: the suboptimal stop needs a feasible shifted candidate under
+    the terminal set, which they lack."""
+    callbacks = []
+    original = ocp.minimize
+
+    def recorded(*args, **kwargs):
+        callbacks.append(kwargs.get("callback"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ocp, "minimize", recorded)
+    cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
+    solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=False)
+    for use_terminal in (False, True):
+        restore_feasibility(ed, e0, margin_fn, cfg, start, use_terminal=use_terminal)
+    assert len(callbacks) == 3 and callbacks == [None] * 3
+    solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
+    assert callable(callbacks[-1])
+
+
+def test_slsqp_halts_on_callback_stop_iteration():
+    """The suboptimal stop relies on scipy's SLSQP ending at the iterate whose
+    callback raised StopIteration, with status 99 (scipy 1.17 does); a scipy
+    that ignores the halt would run every terminal solve to its own test."""
+    def halt(x):
+        raise StopIteration
+
+    opt = ocp.minimize(lambda x: float(x @ x), np.ones(3), jac=lambda x: 2.0 * x,
+                       method="SLSQP", callback=halt,
+                       constraints=[{"type": "ineq", "fun": lambda x: x[0] + 2.0}])
+    assert (opt.status, opt.nit, opt.success) == (ocp._CALLBACK_HALT, 1, False)
+    assert ocp._CALLBACK_HALT == 99
 
 
 def test_stage_cost_quadratic():
