@@ -10,10 +10,12 @@ dynamics while all other agents hold still.
 The strictly tightened problem can be structurally empty at the horizon tail
 (the tube radius grows exponentially), and the terminal constraint can be
 unreachable far from the goal. Both cases are handled by a fallback ladder
-(drop terminal constraint, cap the tail tightening) whose relaxations are
-flagged in the solution status and solve stats; the applied first segment
-always satisfies the strictly tightened early-stage constraints. The ladder
-tries the terminal-enforced tiers only near the goal, and skips one when a
+of tiers (terminal constraint enforced or relaxed, tail tightening uncapped
+or capped) whose relaxations are flagged in the solution status and solve
+stats; the applied first segment always satisfies the strictly tightened
+early-stage constraints. Each tier tries the shifted and zero starts, lateral
+probes when blocked and a phase-1 feasibility restoration. The
+terminal-enforced tiers run only near the goal, and one is skipped when a
 closed-form check proves it infeasible: every position the terminal set
 admits lies within r = sqrt((eps_omega + tol) / lambda_min(P)) of the goal,
 and some last-stage margin is violated on that whole ball.
@@ -30,7 +32,7 @@ import numpy as np
 
 from .certify import ultimate_bound
 from .constraints import MARGIN_KINDS, WorldModel, tube_profile_radii
-from .dynamics import ErrorDynamics, integrate, rollout_zoh
+from .dynamics import ErrorDynamics, integrate
 from .ocp import (OcpConfig, restore_feasibility, solve_fhocp, unicycle_steering_law,
                   warm_start_shift)
 from .setalg import TubeProfile
@@ -367,21 +369,14 @@ class Simulation:
         return dense_taus, tube_profile_radii(self.profile, dense_taus)
 
     def _starts(self, i):
-        """Warm start candidates, best first, each built when it is asked for:
-        the ladder usually accepts the first."""
+        """Warm start candidates, best first: the shifted previous plan (the
+        paper's feasibility candidate), when there is one, then zero input."""
         cfg = self.config
+        zeros = np.zeros((cfg.n_stages, self.models[i].input_dim))
         prev = self.prev_solution[i]
-        if prev is not None and prev.status != "infeasible":
-            yield warm_start_shift(prev, self.steering[i], cfg)
-        yield np.zeros((cfg.n_stages, self.models[i].input_dim))
-        # closed-loop steering-law rollout as a last resort
-        e = self.errordyns[i].error_of(self.states[i])
-        seq = []
-        for _ in range(cfg.n_stages):
-            u = self.steering[i](e)
-            seq.append(u)
-            e = rollout_zoh(self.errordyns[i].field, e, u[None, :], cfg.h, cfg.substeps)[-1]
-        yield np.asarray(seq)
+        if prev is None or prev.status == "infeasible":
+            return [zeros]
+        return [warm_start_shift(prev, self.steering[i], cfg), zeros]
 
     def _probe_starts(self, i):
         """Lateral-detour guesses (turn, then drive) used to escape the
@@ -416,10 +411,16 @@ class Simulation:
         """The fallback ladder; counts its attempts and SLSQP iterations into
         `ladder`.
 
-        A terminal-enforced tier whose terminal set lies beyond some
-        last-stage tightened margin (StageGeometry.terminal_excluded) is
-        skipped: every attempt of it would end infeasible, and each tier
-        builds its own starts, so the accepted solution is the same.
+        Tiers: terminal enforced (near the goal only), then relaxed, each
+        with the uncapped tube while it leaves the window open, then capped.
+        In each tier: the starts; lateral probes when the plan is blocked;
+        and, when every start ends infeasible within a residual of 5e-2,
+        restore_feasibility from the lowest-residual attempt, then one
+        attempt from the restored plan. A terminal-enforced tier whose
+        terminal set lies beyond some last-stage tightened margin
+        (StageGeometry.terminal_excluded) is skipped: every attempt of it
+        would end infeasible, and every tier tries the same starts, so the
+        accepted solution is the same.
         """
         cfg = self.config
         dense_taus, rho_full = self._tube
@@ -447,6 +448,7 @@ class Simulation:
                 else:
                     tiers.append((use_terminal, cap, rho))
 
+        starts = self._starts(i)
         best = None
         for use_terminal, cap, rho in tiers:
             margin_fn = self._margin_fn(i, geometry, rho)
@@ -470,8 +472,7 @@ class Simulation:
 
             tier_best = None
             incumbent = None
-            starts = self._starts(i)
-            for start in starts:
+            for k, start in enumerate(starts):
                 sol = attempt(start)
                 if sol.status != "infeasible":
                     incumbent = sol
@@ -487,34 +488,25 @@ class Simulation:
                     [self.models[i].position_slice])
                 if pos_err > 1.0 and displacement < 0.1 * cfg.u_bar * cfg.T_p:
                     # the starts not yet tried, then the lateral probes
-                    for start in [*starts, *self._probe_starts(i)]:
+                    for start in [*starts[k + 1:], *self._probe_starts(i)]:
                         sol = attempt(start)
                         if sol.status != "infeasible" and sol.cost < incumbent.cost:
                             incumbent = sol
                 return accept(incumbent)
-            # polish: the iteration budget often ends a hair short of feasible
+            # phase-1 slack maximization from the best near-feasible attempt:
+            # the iteration budget often ends a hair short of feasible
             sol = tier_best
-            for _ in range(3):
-                if sol.solve_stats["residual"] > 5e-2:
-                    break
-                polished = attempt(sol.inputs)
-                if polished.status != "infeasible":
-                    return accept(polished)
-                if polished.solve_stats["residual"] >= sol.solve_stats["residual"]:
-                    break
-                sol = polished
-            # phase-1 slack maximization from the best near-feasible iterate
             if sol.solve_stats["residual"] <= 5e-2:
                 restored, iterations = restore_feasibility(
                     self.errordyns[i], e0, margin_fn, cfg, sol.inputs,
                     use_terminal=use_terminal)
                 ladder["attempts"] += 1
                 ladder["iterations"] += iterations
-                polished = attempt(restored)
-                if polished.status != "infeasible":
-                    return accept(polished)
-                if polished.solve_stats["residual"] < sol.solve_stats["residual"]:
-                    sol = polished
+                retried = attempt(restored)
+                if retried.status != "infeasible":
+                    return accept(retried)
+                if retried.solve_stats["residual"] < sol.solve_stats["residual"]:
+                    sol = retried
             if best is None or sol.solve_stats["residual"] < best.solve_stats["residual"]:
                 best = sol
         return best

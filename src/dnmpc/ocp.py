@@ -544,9 +544,9 @@ def unicycle_steering_law(z_des, u_bar, k_v=2.0, k_alpha=4.0, k_theta=2.0, blend
     """Distance/bearing feedback for the unicycle error state.
 
     Drives the position error to zero by steering toward the goal, then
-    aligns the heading. Saturated to the input-norm ball; used as the
-    terminal/warm-start controller since the rest linearization is not
-    stabilizable.
+    aligns the heading. Saturated to the input-norm ball; the terminal
+    controller whose input `warm_start_shift` appends to the shifted start,
+    since the rest linearization is not stabilizable.
     """
     theta_des = float(z_des[2])
 

@@ -10,7 +10,7 @@ from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel
 from dnmpc.coordination import (PredictionEntry, Simulation, TrajectoryLog,
                                 neighbor_sets, sensing_set, validate_initial)
 from dnmpc.dynamics import UNICYCLE, DisturbanceSignal
-from dnmpc.ocp import OcpConfig
+from dnmpc.ocp import OcpConfig, warm_start_shift
 from dnmpc.setalg import Ball, TubeProfile
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
@@ -230,34 +230,78 @@ def test_infeasible_initial_configuration_aborts():
 
 
 def test_starts_and_tube_radii_built_on_demand(monkeypatch):
-    """The steering-law start, a closed-loop rollout of N stages, is built
-    only when the ladder asks for the start after the zero one, and the tube
-    radii once per simulation, not once per solve."""
-    rollouts, radii = [], []
+    """The starts are the zero input before an agent's first solve and the
+    shifted previous plan, then the zero input, after it; the tube radii are
+    built once per simulation, at its first solve, not once per solve."""
+    radii, tube_profile_radii = [], coordination.tube_profile_radii
 
-    def counted(fn, calls):
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        radii.append(1)
+        return tube_profile_radii(*args, **kwargs)
 
-    monkeypatch.setattr(coordination, "rollout_zoh", counted(coordination.rollout_zoh, rollouts))
-    monkeypatch.setattr(coordination, "tube_profile_radii",
-                        counted(coordination.tube_profile_radii, radii))
+    monkeypatch.setattr(coordination, "tube_profile_radii", counted)
     sim = _simulation(total_time=0.3)
-    starts = sim._starts(0)  # no previous solution: zero start, then steering
-    assert not np.any(next(starts))
-    assert not rollouts
-    steering = next(starts)
-    assert len(rollouts) == sim.config.n_stages
-    assert np.all(np.linalg.norm(steering, axis=1) <= sim.config.u_bar + 1e-12)
-    assert next(starts, None) is None
-    rollouts.clear()
-    log = _simulation(total_time=0.3).run()
-    # every solve accepted its first start, so no steering start was built
-    assert all(meta["attempts"] == 1 for trace in log.traces for meta in trace.step_meta)
-    assert not rollouts
+    zeros = np.zeros((sim.config.n_stages, 2))
+    starts = sim._starts(0)
+    assert isinstance(starts, list) and len(starts) == 1
+    np.testing.assert_array_equal(starts[0], zeros)
+    assert not radii
+    sim.run()
+    starts = sim._starts(0)
+    assert isinstance(starts, list) and len(starts) == 2
+    np.testing.assert_array_equal(
+        starts[0], warm_start_shift(sim.prev_solution[0], sim.steering[0], sim.config))
+    np.testing.assert_array_equal(starts[1], zeros)
     assert len(radii) == 1
+
+
+def test_restore_runs_once_from_the_best_near_feasible_attempt(monkeypatch):
+    """When both starts of a solve end infeasible within the 5e-2 residual
+    threshold, the ladder restores feasibility once, from the inputs of the
+    attempt with the lower residual, and accepts the attempt from the
+    restored plan: the two starts, the restoration and that attempt make 4
+    attempts, with no re-attempt from an infeasible attempt's inputs."""
+    solve_fhocp, restore = coordination.solve_fhocp, coordination.restore_feasibility
+    solve_agent = Simulation._solve_agent
+    sim = load_scenario(SCENARIO).build_simulation(total_time=0.2)
+    target = (sim.schedule[0], 0.1)  # that agent's second solve: two starts
+    current, attempts, restores = {}, [], []
+
+    def tracked(self, i, t_k):
+        current["solve"] = (i, t_k)
+        return solve_agent(self, i, t_k)
+
+    def near_feasible(*args, **kwargs):
+        sol = solve_fhocp(*args, **kwargs)
+        if current["solve"] == target:
+            if len(attempts) < 2:  # shifted start, then zero start
+                sol.status = "infeasible"
+                sol.solve_stats["residual"] = (3e-2, 1e-2)[len(attempts)]
+            attempts.append((kwargs["warm_start"], sol))
+        return sol
+
+    def recorded(*args, **kwargs):
+        restored = restore(*args, **kwargs)
+        restores.append((args[4], restored[0]))
+        return restored
+
+    monkeypatch.setattr(Simulation, "_solve_agent", tracked)
+    monkeypatch.setattr(coordination, "solve_fhocp", near_feasible)
+    monkeypatch.setattr(coordination, "restore_feasibility", recorded)
+    log = sim.run()
+
+    i, t_k = target
+    assert len(restores) == 1
+    start, restored = restores[0]
+    np.testing.assert_array_equal(start, attempts[1][1].inputs)  # residual 1e-2
+    assert len(attempts) == 3
+    np.testing.assert_array_equal(attempts[2][0], restored)
+    accepted = attempts[2][1]
+    assert accepted.status != "infeasible"
+    assert sim.prev_solution[i] is accepted
+    meta = next(m for m in log.traces[i].step_meta if m["t"] == t_k)
+    assert meta["status"] == accepted.status
+    assert meta["attempts"] == 4
 
 
 def test_step_meta_covers_the_whole_ladder(monkeypatch):

@@ -1,5 +1,6 @@
-"""Import hygiene: every name a module of the package or of the tests
-imports is used in that module, or exported through its `__all__`."""
+"""Import hygiene: every name a module of the package, of the tests or of
+the scripts imports is used in that module, or exported through its
+`__all__`."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,7 @@ def test_no_unused_imports():
     assert unused_imports("import os\nimport numpy as np\nfrom a.b import c, d\n"
                           "__all__ = ['d']\nnp.zeros(c)\n") == [(1, "os")]
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
-             for path in sorted(ROOT.glob("src/dnmpc/*.py")) + sorted(ROOT.glob("tests/*.py"))
+             for pattern in ("src/dnmpc/*.py", "tests/*.py", "scripts/*.py")
+             for path in sorted(ROOT.glob(pattern))
              for line, name in unused_imports(path.read_text())]
     assert not found
