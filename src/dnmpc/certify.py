@@ -71,23 +71,23 @@ def ultimate_bound(eps_omega, lam_P):
 def window_closes_at(world, w_bar, L_g, T_p):
     """First tau <= T_p at which the tube diameter 2 rho(tau), with
     rho(tau) = (w_bar / L_g) (exp(L_g tau) - 1), exceeds the smallest gap
-    between a neighbor pair's connectivity threshold and its separation
-    threshold; inf if it never does within the horizon.
+    conn - sep of a neighbor pair's window (StageGeometry.pair_windows); inf
+    if it never does within the horizon.
 
     From that tau on the pair's tightened window is empty
     (StageGeometry.window_empty), so only a capped tube can keep a plan that
     long feasible. The thresholds are those the solver uses, net of the
-    world's safety margin.
+    world's safety margin; they do not depend on where the agents are, so
+    every agent is placed at the workspace centre.
     """
     if w_bar <= 0.0:
         return math.inf
+    tracks = [world.workspace.center[None, :]] * len(world.neighbor_sets)
     gaps = []
     for i, neighbors in enumerate(world.neighbor_sets):
-        # only the thresholds are read, so the tracks are left empty
-        geo = world.geometry(i, np.zeros(1), dict.fromkeys(neighbors), neighbors, (),
-                             world.margin)
-        gaps += [thr_n - thr_i for (_, _, thr_n), (_, _, thr_i)
-                 in zip(geo.neighbor, geo.interagent)]
+        sep, conn = world.geometry(i, np.zeros(1), tracks, neighbors, (),
+                                   world.margin).pair_windows()
+        gaps += (conn - sep).tolist()
     tau = math.log1p(L_g * min(gaps) / (2.0 * w_bar)) / L_g
     return tau if tau <= T_p else math.inf
 

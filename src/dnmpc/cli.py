@@ -2,7 +2,7 @@
 
 Subcommands: ``run`` (simulate, write trajectory CSV + verification report),
 ``certify`` (print the analytic certificate and compare the declared L_g
-with a sampled estimate), ``verify`` (re-check an existing log), ``columns``
+with the model's exact one), ``verify`` (re-check an existing log), ``columns``
 (gnuplot-compatible manifest of the CSV columns).
 
 Scenario files are YAML; matrices are row-major nested lists; all physical
@@ -25,7 +25,7 @@ import yaml
 from . import certify, coordination
 from .constraints import WorldModel
 from .coordination import Simulation, SimulationError, TrajectoryLog
-from .dynamics import UNICYCLE, DisturbanceSignal, estimate_lipschitz
+from .dynamics import UNICYCLE, DisturbanceSignal
 from .ocp import OcpConfig
 from .setalg import Ball, TubeProfile
 
@@ -319,24 +319,23 @@ def cmd_certify(scenario_path, seed=None):
     for key, value in asdict(cert).items():
         print(f"{key} = {value}")
     print(f"w_bar = {scenario.w_bar}")
-    # the declared L_g against the field sampled over the workspace box x
-    # headings x input ball; reported, not gated on (the verdict covers the
-    # disturbance bound only). Every agent is the one unicycle model
-    # (build_models admits no other kind), so one estimate covers them all.
-    c, r = scenario.workspace.center, scenario.workspace.radius
-    low = np.array([c[0] - r, c[1] - r, -math.pi])
-    high = np.array([c[0] + r, c[1] + r, math.pi])
-    L_g_estimate = estimate_lipschitz(UNICYCLE, scenario.u_bar, low, high)
-    print(f"L_g_estimate = {L_g_estimate}")
-    print("w_max_at_L_g_estimate =", certify.disturbance_bound(
-        scenario.eps_psi, scenario.eps_omega, scenario.L_V, L_g_estimate,
+    # the declared L_g against the unicycle field's state-Lipschitz constant:
+    # |f(z_a, u) - f(z_b, u)| = |v| 2 |sin((theta_a - theta_b) / 2)| <=
+    # |v| |z_a - z_b|, with the ratio tending to |v| as the headings close,
+    # so it is sup |v| over the input ball, u_bar. Reported, not gated on
+    # (the verdict covers the disturbance bound only). Every agent is the one
+    # unicycle model (build_models admits no other kind).
+    L_g_exact = scenario.u_bar
+    print(f"L_g_exact = {L_g_exact}")
+    print("w_max_at_L_g_exact =", certify.disturbance_bound(
+        scenario.eps_psi, scenario.eps_omega, scenario.L_V, L_g_exact,
         scenario.h, scenario.T_p))
-    print(f"L_g_sound = {str(scenario.L_g >= L_g_estimate).lower()}")
+    print(f"L_g_sound = {str(scenario.L_g >= L_g_exact).lower()}")
     # the certificate covers only the uncapped tube tier, which cannot run
     # once the tube has closed some neighbor pair's window
     world = scenario.build_world()
     for name, L_g in (("window_closes_at_tau", scenario.L_g),
-                      ("window_closes_at_tau_at_L_g_estimate", L_g_estimate)):
+                      ("window_closes_at_tau_at_L_g_exact", L_g_exact)):
         print(f"{name} =", certify.window_closes_at(world, scenario.w_bar, L_g, scenario.T_p))
     print("verdict =", "consistent" if cert.consistent else "inconsistent")
     return 0 if cert.consistent else 1

@@ -16,8 +16,7 @@ differ only in eps and in which agents and obstacles they take.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -101,62 +100,49 @@ class WorldModel:
         return self.geometry(i, times[i], tracks, others, range(len(self.obstacles)), eps)
 
 
-@dataclass
 class StageGeometry:
     """Vectorized constraint snapshot for one agent's horizon.
 
-    Trajectories of other agents are sampled on the same time offsets `taus`
-    as the agent's own predicted states. All distance margins are 1-Lipschitz
-    in the position, hence in the full error norm. Fill in the constraints
-    before the first call of :meth:`margins`, which stacks them once.
+    Trajectories of other agents are sampled on the same T time offsets
+    `taus` as the agent's own predicted states. All distance margins are
+    1-Lipschitz in the position, hence in the full error norm.
+
+    Built once from per-kind entries: `interagent` (label, traj (T, d), min
+    dist), `neighbor` (label, traj (T, d), max dist), `obstacles` (label,
+    center (d,), min dist) and `workspace` (center (d,), max dist). They are
+    kept only as stacked columns, in MARGIN_KINDS order: the margin of column
+    c is sign[c] * |pos - anchors[:, c]| + offset[c], of kind
+    MARGIN_KINDS[kinds[c]] against labels[c] ("agent1", "obst0",
+    "workspace"). `anchors` is (T, C, d), the others (C,).
     """
 
-    taus: np.ndarray  # (T,) stage offsets from the solve instant
-    interagent: list = field(default_factory=list)  # (label, traj (T,d), min dist)
-    neighbor: list = field(default_factory=list)    # (label, traj (T,d), max dist)
-    obstacles: list = field(default_factory=list)   # (label, center (d,), min dist)
-    workspace: Optional[tuple] = None               # (center (d,), max dist)
-
-    @functools.cached_property
-    def _columns(self):
-        """Stacked columns (anchors (T, C, d), sign (C,), offset (C,), kinds
-        (C,), labels): the margin of column c is
-        sign[c] * |pos - anchors[:, c]| + offset[c], of kind
-        MARGIN_KINDS[kinds[c]] against labels[c]."""
-        entries = ([(label, traj, 1.0, -thr, 0) for label, traj, thr in self.interagent]
-                   + [(label, traj, -1.0, thr, 1) for label, traj, thr in self.neighbor]
-                   + [(label, center, 1.0, -thr, 2) for label, center, thr in self.obstacles])
-        if self.workspace is not None:
-            center, limit = self.workspace
+    def __init__(self, taus, interagent=(), neighbor=(), obstacles=(), workspace=None):
+        entries = ([(label, traj, 1.0, -thr, 0) for label, traj, thr in interagent]
+                   + [(label, traj, -1.0, thr, 1) for label, traj, thr in neighbor]
+                   + [(label, center, 1.0, -thr, 2) for label, center, thr in obstacles])
+        if workspace is not None:
+            center, limit = workspace
             entries.append(("workspace", center, -1.0, limit, 3))
-        T = len(self.taus)
+        T = len(taus)
         if not entries:  # a unit position axis broadcasts against any position
-            return np.zeros((T, 0, 1)), np.zeros(0), np.zeros(0), np.zeros(0, dtype=int), []
+            self.anchors, self.sign, self.offset = np.zeros((T, 0, 1)), np.zeros(0), np.zeros(0)
+            self.kinds, self.labels = np.zeros(0, dtype=int), []
+            return
         labels, anchors, sign, offset, kinds = zip(*entries)
-        anchors = np.stack([np.broadcast_to(a, (T, np.shape(a)[-1])) for a in anchors], axis=1)
-        return anchors, np.array(sign), np.array(offset), np.array(kinds), list(labels)
-
-    @property
-    def kinds(self):
-        """Index in MARGIN_KINDS of each stacked column, (C,)."""
-        return self._columns[3]
-
-    @property
-    def labels(self):
-        """What each stacked column is measured against ("agent1", "obst0",
-        "workspace"), in column order."""
-        return self._columns[4]
+        self.anchors = np.stack([np.broadcast_to(a, (T, np.shape(a)[-1])) for a in anchors],
+                                axis=1)
+        self.sign, self.offset, self.kinds = np.array(sign), np.array(offset), np.array(kinds)
+        self.labels = list(labels)
 
     def _evaluate(self, pos):
         """Raw margins of positions (..., T, d) with the offsets from and
         distances to each column's anchor: (..., T, C), (..., T, C, d) and
         (..., T, C). Callers after a run read the margins here, without the
         gradient :meth:`margins` forms."""
-        anchors, sign, offset = self._columns[:3]
-        diff = pos[..., None, :] - anchors
+        diff = pos[..., None, :] - self.anchors
         # the sum np.linalg.norm forms, so the distances are the same floats
         dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-        return sign * dist + offset, diff, dist
+        return self.sign * dist + self.offset, diff, dist
 
     def margins(self, pos):
         """Raw margins of positions (..., T, d), stacked by kind in
@@ -168,7 +154,7 @@ class StageGeometry:
         slopes, as a central difference gives).
         """
         margins, diff, dist = self._evaluate(pos)
-        grad = diff * (self._columns[1] / np.where(dist > 0.0, dist, np.inf))[..., None]
+        grad = diff * (self.sign / np.where(dist > 0.0, dist, np.inf))[..., None]
         return margins, grad
 
     def tightened(self, pos, rho):
@@ -177,19 +163,24 @@ class StageGeometry:
         margins, grad = self.margins(pos)
         return margins - np.asarray(rho)[..., :, None], grad
 
-    def window_empty(self, rho):
-        """True if erosion by rho makes some separation/connectivity pair empty.
+    def pair_windows(self):
+        """(sep, conn), each (P,): the separation and connectivity thresholds
+        of every agent that is both sensed and a neighbor, in the order of
+        its separation column. Its distance must stay within [sep, conn]."""
+        columns = list(zip(self.labels, self.kinds, self.offset))
+        conn = {label: offset for label, kind, offset in columns if kind == 1}
+        pairs = [(-offset, conn[label]) for label, kind, offset in columns
+                 if kind == 0 and label in conn]
+        return np.array(pairs).reshape(-1, 2).T
 
-        A pair is empty when the same other agent must simultaneously be kept
-        farther than its (eroded) separation threshold and closer than its
-        (eroded) connectivity threshold.
-        """
+    def window_empty(self, rho):
+        """True if erosion by rho makes some pair window of
+        :meth:`pair_windows` empty: the same other agent must be kept
+        farther than its eroded separation threshold and closer than its
+        eroded connectivity threshold."""
+        sep, conn = self.pair_windows()
         rho = np.asarray(rho)
-        for label_n, traj_n, thr_n in self.neighbor:
-            for label_i, traj_i, thr_i in self.interagent:
-                if label_n == label_i and np.any(thr_i + rho > thr_n - rho):
-                    return True
-        return False
+        return bool(np.any(sep[:, None] + rho > conn[:, None] - rho))
 
     def terminal_excluded(self, goal, radius, rho_end, tol):
         """True if no position within `radius` of `goal` meets every
@@ -200,10 +191,9 @@ class StageGeometry:
         max(|goal - anchor| - radius, 0) (sign -1). Reads the stacked columns
         without calling :meth:`margins`.
         """
-        anchors, sign, offset = self._columns[:3]
-        dist = np.linalg.norm(goal - anchors[-1], axis=-1)
-        reach = np.where(sign > 0.0, dist + radius, -np.maximum(dist - radius, 0.0))
-        return bool(np.any(offset - rho_end + reach < -tol))
+        dist = np.linalg.norm(goal - self.anchors[-1], axis=-1)
+        reach = np.where(self.sign > 0.0, dist + radius, -np.maximum(dist - radius, 0.0))
+        return bool(np.any(self.offset - rho_end + reach < -tol))
 
 
 def tube_profile_radii(profile: TubeProfile, taus):

@@ -47,7 +47,6 @@ __all__ = [
     "AgentTrace",
     "SimulationError",
     "Simulation",
-    "run",
 ]
 
 
@@ -98,7 +97,7 @@ def validate_initial(world: WorldModel, states, models):
 
 @dataclass
 class PredictionEntry:
-    """A posted open-loop prediction: absolute states on a uniform time grid.
+    """A posted open-loop prediction: absolute positions on a uniform time grid.
 
     Predictions are posted on the integrator substep grid so that other
     agents' linear interpolation of the posted plan stays within integrator
@@ -110,17 +109,15 @@ class PredictionEntry:
 
     t0: float
     h: float
-    states: np.ndarray  # (n_grid + 1, n)
-    position_slice: slice
+    positions: np.ndarray  # (n_grid + 1, d)
 
     def positions_at(self, times):
         """Positions interpolated on the posted grid, held beyond both ends."""
-        grid = self.t0 + self.h * np.arange(self.states.shape[0])
-        pos = self.states[:, self.position_slice]
+        grid = self.t0 + self.h * np.arange(len(self.positions))
         times = np.asarray(times, dtype=float)
-        out = np.empty((len(times), pos.shape[1]))
-        for d in range(pos.shape[1]):
-            out[:, d] = np.interp(times, grid, pos[:, d])
+        out = np.empty((len(times), self.positions.shape[1]))
+        for d in range(self.positions.shape[1]):
+            out[:, d] = np.interp(times, grid, self.positions[:, d])
         return out
 
 
@@ -326,12 +323,10 @@ class Simulation:
                 self.known_obstacles[i].add(ell)
 
     def _bootstrap_board(self):
-        for i, model in enumerate(self.models):
-            n_grid = self.config.n_stages * self.config.substeps + 1
-            states = np.tile(self.states[i], (n_grid, 1))
-            self.board[i] = PredictionEntry(
-                t0=0.0, h=self.config.h / self.config.substeps, states=states,
-                position_slice=model.position_slice)
+        n_grid = self.config.n_stages * self.config.substeps + 1
+        for i, position in enumerate(self._positions()):
+            self.board[i] = PredictionEntry(t0=0.0, h=self.config.h / self.config.substeps,
+                                            positions=np.tile(position, (n_grid, 1)))
 
     def _geometry(self, i, t_k, dense_taus):
         """Constraint snapshot for agent i solving at t_k: the agents in
@@ -484,7 +479,7 @@ class Simulation:
                 # a plan that barely moves while far from the goal signals a
                 # blocked local optimum: probe lateral detours for a cheaper one
                 displacement = np.linalg.norm(
-                    (incumbent.predicted_errors[-1] - incumbent.predicted_errors[0])
+                    (incumbent.dense_errors[-1] - incumbent.dense_errors[0])
                     [self.models[i].position_slice])
                 if pos_err > 1.0 and displacement < 0.1 * cfg.u_bar * cfg.T_p:
                     # the starts not yet tried, then the lateral probes
@@ -543,10 +538,10 @@ class Simulation:
                     f"agent {i} infeasible at t = {t_k:.3f} "
                     f"(residual {sol.solve_stats['residual']:.3g})",
                     partial_log=self.finalize_log(), agent=i, t=t_k)
+            pos = self.models[i].position_slice
             self.board[i] = PredictionEntry(
                 t0=t_k, h=cfg.h / cfg.substeps,
-                states=self.errordyns[i].state_of(sol.dense_errors),
-                position_slice=self.models[i].position_slice)
+                positions=sol.dense_errors[:, pos] + self.errordyns[i].z_des[pos])
             self.prev_solution[i] = sol
 
             # apply the first input segment to the true disturbed dynamics
@@ -585,8 +580,8 @@ class Simulation:
                 "status": sol.status,
                 "cost": sol.cost,
                 "errsq_int": errsq_int,
-                "terminal_relaxed": sol.solve_stats.get("terminal_relaxed", False),
-                "tube_capped": sol.solve_stats.get("tube_capped", False),
+                "terminal_relaxed": sol.solve_stats["terminal_relaxed"],
+                "tube_capped": sol.solve_stats["tube_capped"],
                 "terminal_excluded": sol.solve_stats["terminal_excluded"],
                 "suboptimal_stop": sol.solve_stats["suboptimal_stop"],
                 "iterations": sol.solve_stats["iterations"],
@@ -638,8 +633,3 @@ class Simulation:
         for k in range(self._n_steps):
             self.step(k)
         return self.finalize_log()
-
-
-def run(scenario):
-    """Build a simulation from a scenario object and run it to completion."""
-    return scenario.build_simulation().run()

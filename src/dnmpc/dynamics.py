@@ -26,7 +26,6 @@ __all__ = [
     "UNICYCLE",
     "integrate",
     "rollout_zoh",
-    "estimate_lipschitz",
 ]
 
 
@@ -403,38 +402,3 @@ def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset,
     jac[1:, :, :, 1] = cum[:, 2:]
     return traj, jac.reshape(n_sub + 1, 3, -1)
 
-
-# inflation of the largest sampled difference quotient in estimate_lipschitz
-LIPSCHITZ_SAFETY_FACTOR = 1.1
-
-
-def estimate_lipschitz(model, input_bound, state_low, state_high, sample_count=10_000,
-                       rng_seed=0):
-    """Empirical Lipschitz constant of the vector field over a state box.
-
-    Samples state pairs and inputs of norm at most `input_bound` and returns
-    the largest observed difference quotient, inflated by
-    LIPSCHITZ_SAFETY_FACTOR. Deterministic per seed.
-    """
-    low = np.asarray(state_low, dtype=float)
-    high = np.asarray(state_high, dtype=float)
-    if low.shape != (model.state_dim,) or high.shape != (model.state_dim,):
-        raise ValueError("region bounds must match the state dimension")
-    if np.any(high <= low):
-        raise ValueError("degenerate sampling region")
-    if sample_count < 2:
-        raise ValueError("need at least two samples")
-    rng = np.random.default_rng(rng_seed)
-    z_a = rng.uniform(low, high, size=(sample_count, model.state_dim))
-    z_b = rng.uniform(low, high, size=(sample_count, model.state_dim))
-    u_dir = rng.normal(size=(sample_count, model.input_dim))
-    u_dir /= np.linalg.norm(u_dir, axis=1, keepdims=True)
-    u_mag = rng.uniform(size=(sample_count, 1)) * input_bound
-    u = u_dir * u_mag
-    df = model.vector_field(z_a, u) - model.vector_field(z_b, u)
-    dz = np.linalg.norm(z_a - z_b, axis=1)
-    good = dz > 1e-12
-    ratios = np.linalg.norm(df[good], axis=1) / dz[good]
-    if ratios.size == 0:
-        return 0.0
-    return LIPSCHITZ_SAFETY_FACTOR * float(ratios.max())

@@ -200,11 +200,10 @@ class OcpConfig:
 class HorizonSolution:
     """Solver output: ZOH inputs, nominal prediction, cost and status."""
 
-    inputs: np.ndarray            # (N, m)
-    predicted_errors: np.ndarray  # (N + 1, n) on the stage grid
-    dense_errors: np.ndarray      # (N * substeps + 1, n) on the substep grid
+    inputs: np.ndarray        # (N, m)
+    dense_errors: np.ndarray  # (N * substeps + 1, n) on the substep grid
     cost: float
-    status: str                   # optimal | feasible-suboptimal | infeasible
+    status: str               # optimal | feasible-suboptimal | infeasible
     solve_stats: dict = field(default_factory=dict)
 
 
@@ -490,11 +489,9 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
     else:
         status = "optimal"
 
-    traj = res["traj"]
     return HorizonSolution(
         inputs=U.copy(),
-        predicted_errors=traj[tr.stage_idx],
-        dense_errors=traj,
+        dense_errors=res["traj"],
         cost=res["cost"],
         status=status,
         solve_stats={
@@ -581,7 +578,7 @@ def warm_start_shift(previous: HorizonSolution, controller, config: OcpConfig):
     """
     if previous.status == "infeasible":
         raise ValueError("cannot shift an infeasible solution")
-    tail = previous.predicted_errors[-1]
+    tail = previous.dense_errors[-1]
     u_tail = np.asarray(controller(tail), dtype=float)
     norm = np.linalg.norm(u_tail)
     if norm > config.u_bar:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,10 @@ from dnmpc import certify
 from dnmpc.certify import (build_certificate, disturbance_bound,
                            lipschitz_of_cost, ultimate_bound, write_report,
                            xi_bound)
+from dnmpc.cli import load_scenario
+from dnmpc.setalg import TubeProfile, tube_radius
+
+SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
 # the reference constants of the bundled three-unicycle scenario
 EPS_PSI, EPS_OMEGA = 0.0582, 0.0035
@@ -194,7 +199,6 @@ def test_logged_margins_on_partial_log_with_pair_out_of_range():
     checks every pair, net of the safety margin, aligned by timestamp."""
     from dnmpc.coordination import AgentTrace, Simulation
     from dnmpc.ocp import OcpConfig
-    from dnmpc.setalg import TubeProfile
 
     _, world, scenario = _forged_log_scenario(distance=1.2)
     gaps = [1.2, 1.5, 1.8, 2.1, 2.4, 2.7]  # agent 1's distance to agent 0
@@ -237,7 +241,7 @@ def test_logged_margins_on_partial_log_with_pair_out_of_range():
 
 def test_window_closes_where_the_tube_diameter_meets_the_smallest_gap():
     from dnmpc.constraints import WorldModel
-    from dnmpc.setalg import Ball, TubeProfile, tube_radius
+    from dnmpc.setalg import Ball
 
     # gaps (d_i - eps) - (r_i + r_j + eps): 0 with 1 and 1 with 0 leave 0.98
     # and 0.88 (agent 1 senses only 1.9 m), 0 with 2 and 2 with 0 leave 1.18
@@ -251,3 +255,25 @@ def test_window_closes_where_the_tube_diameter_meets_the_smallest_gap():
     assert certify.window_closes_at(world, 0.1, L_G, 0.9 * tau) == math.inf
     assert certify.window_closes_at(world, 0.01, L_G, T_P) == math.inf
     assert certify.window_closes_at(world, 0.0, L_G, T_P) == math.inf
+
+
+def test_window_closes_at_is_where_window_empty_turns_true():
+    """One window definition: on the bundled world with its declared L_g,
+    the closest neighbor pair's window is open at the tube radius just
+    before the tau that window_closes_at returns and empty just after it."""
+    scenario = load_scenario(SCENARIO)
+    world = scenario.build_world()
+    tau = certify.window_closes_at(world, scenario.w_bar, scenario.L_g, scenario.T_p)
+    assert 0.0 < tau < scenario.T_p
+    tracks = [spec.start[None, :2] for spec in scenario.agents]
+    geometries = [world.geometry(i, np.zeros(1), tracks, neighbors, (), world.margin)
+                  for i, neighbors in enumerate(world.neighbor_sets)]
+
+    def smallest_gap(geo):
+        sep, conn = geo.pair_windows()
+        return np.min(conn - sep)
+
+    closest = min(geometries, key=smallest_gap)
+    profile = TubeProfile(scenario.w_bar, scenario.L_g)
+    assert not closest.window_empty(np.array([tube_radius(profile, tau * (1.0 - 1e-6))]))
+    assert closest.window_empty(np.array([tube_radius(profile, tau * (1.0 + 1e-6))]))

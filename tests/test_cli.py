@@ -8,6 +8,7 @@ import yaml
 from dnmpc import certify, coordination
 from dnmpc.cli import ScenarioError, cmd_certify, load_scenario, main
 from dnmpc.coordination import AgentTrace, TrajectoryLog
+from dnmpc.dynamics import unicycle_field
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
@@ -90,34 +91,57 @@ def test_certify_exit_codes(tmp_path, capsys):
     assert cmd_certify(heavy) == 1
 
 
-def test_certify_reports_declared_L_g_below_estimate(capsys):
+def test_certify_reports_declared_L_g_below_exact(capsys):
     """The bundled scenario declares L_g = 8.5883, while the unicycle field's
-    state-Lipschitz constant is sup |v| = u_bar ~ 11.31: the sampled estimate
-    exceeds the declared value, and the disturbance bound at the estimate,
-    about 0.0298, falls below w_bar = 0.1. This is reported without changing
-    the exit code, which covers the disturbance bound at the declared L_g."""
+    state-Lipschitz constant is sup |v| = u_bar ~ 11.31, and the disturbance
+    bound at it, about 0.02186, falls below w_bar = 0.1. This is reported
+    without changing the exit code, which covers the disturbance bound at the
+    declared L_g."""
     assert main(["certify", str(SCENARIO)]) == 0
     values = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
     assert values["L_g_sound"] == "false"
-    assert 8.5883 < float(values["L_g_estimate"]) <= 1.1 * 8 * np.sqrt(2)
     scenario = load_scenario(SCENARIO)
-    assert float(values["w_max_at_L_g_estimate"]) == certify.disturbance_bound(
-        scenario.eps_psi, scenario.eps_omega, scenario.L_V, float(values["L_g_estimate"]),
+    assert float(values["L_g_exact"]) == scenario.u_bar == 8 * np.sqrt(2)
+    assert float(values["w_max_at_L_g_exact"]) == certify.disturbance_bound(
+        scenario.eps_psi, scenario.eps_omega, scenario.L_V, scenario.u_bar,
         scenario.h, scenario.T_p)
-    assert float(values["w_max_at_L_g_estimate"]) == pytest.approx(0.0298, abs=5e-4)
-    assert float(values["w_max_at_L_g_estimate"]) < float(values["w_max"])
+    assert float(values["w_max_at_L_g_exact"]) == pytest.approx(0.02186, abs=1e-5)
+    assert float(values["w_max_at_L_g_exact"]) < float(values["w_max"])
+
+
+def test_certify_L_g_exact_is_reached_and_not_exceeded(capsys):
+    """Two states whose headings are 1e-6 apart, at v = u_bar, give the
+    unicycle field a difference quotient of the printed L_g_exact, and no
+    sampled pair of states under an input of the ball exceeds it."""
+    assert main(["certify", str(SCENARIO)]) == 0
+    values = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    L_g = float(values["L_g_exact"])
+    u_bar = load_scenario(SCENARIO).u_bar
+
+    def quotients(z_a, z_b, u):
+        df = unicycle_field(z_a, u) - unicycle_field(z_b, u)
+        return np.linalg.norm(df, axis=-1) / np.linalg.norm(z_a - z_b, axis=-1)
+
+    z_a = np.array([1.0, -2.0, 0.7])
+    witness = quotients(z_a, z_a + [0.0, 0.0, 1e-6], np.array([u_bar, 0.0]))
+    assert witness == pytest.approx(L_g, rel=1e-8)
+    rng = np.random.default_rng(0)
+    z_a, z_b = rng.uniform(-np.pi, np.pi, (2, 10_000, 3))
+    u = rng.normal(size=(10_000, 2))
+    u *= u_bar * rng.uniform(size=(10_000, 1)) / np.linalg.norm(u, axis=1, keepdims=True)
+    assert quotients(z_a, z_b, u).max() <= L_g
 
 
 def test_certify_reports_where_the_tube_closes_the_window(capsys):
     """The certificate covers only the uncapped tube. With the declared L_g
     the tube diameter passes the 0.98 m between the bundled scenario's
     connectivity (1.99 m) and separation (1.01 m) thresholds at tau ~ 0.438 s,
-    with the estimated L_g at ~ 0.370 s, both inside T_p = 0.6 s."""
+    with the exact L_g at ~ 0.3565 s, both inside T_p = 0.6 s."""
     assert main(["certify", str(SCENARIO)]) == 0
     values = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
     assert float(values["window_closes_at_tau"]) == pytest.approx(0.438, abs=1e-3)
-    assert float(values["window_closes_at_tau_at_L_g_estimate"]) == pytest.approx(
-        0.370, abs=1e-3)
+    assert float(values["window_closes_at_tau_at_L_g_exact"]) == pytest.approx(
+        0.3565, abs=1e-4)
 
 
 def test_solver_settings_default_to_the_solver_config(tmp_path):

@@ -54,15 +54,16 @@ def test_terminal_set_ordering():
                   eps_omega=0.1, eps_psi=0.05, u_bar=1.0)
 
 
+_OTHER = np.array([[2.0, 0.0], [2.5, 0.0], [3.0, 0.0]])  # agent1 on the three stages
+_OBSTACLE = np.array([0.0, 5.0])
+
+
 def _geometry():
-    taus = np.array([0.1, 0.2, 0.3])
-    other = np.array([[2.0, 0.0], [2.5, 0.0], [3.0, 0.0]])
-    geo = StageGeometry(taus=taus)
-    geo.interagent.append(("agent1", other, 1.01))
-    geo.neighbor.append(("agent1", other, 1.99))
-    geo.obstacles.append(("obst0", np.array([0.0, 5.0]), 1.51))
-    geo.workspace = (np.zeros(2), 9.49)
-    return geo
+    return StageGeometry(taus=np.array([0.1, 0.2, 0.3]),
+                         interagent=[("agent1", _OTHER, 1.01)],
+                         neighbor=[("agent1", _OTHER, 1.99)],
+                         obstacles=[("obst0", _OBSTACLE, 1.51)],
+                         workspace=(np.zeros(2), 9.49))
 
 
 def test_geometry_margins_shape_and_values():
@@ -81,18 +82,21 @@ def test_geometry_margins_shape_and_values():
 
 
 def test_geometry_margins_stacked_match_per_column_distances():
+    """The geometry keeps only its stacked columns, and each column's margin
+    is its entry's distance margin."""
     geo = _geometry()
+    assert set(vars(geo)) == {"anchors", "sign", "offset", "kinds", "labels"}
+    assert geo.labels == ["agent1", "agent1", "obst0", "workspace"]
+    assert list(geo.kinds) == [0, 1, 2, 3]
     pos = np.random.default_rng(2).normal(scale=3.0, size=(5, 3, 2))
 
     def dist(anchor):
         return np.linalg.norm(pos - anchor, axis=-1)
 
-    (_, other, sep), (_, near, conn) = geo.interagent[0], geo.neighbor[0]
-    (_, center, clear), (w_center, limit) = geo.obstacles[0], geo.workspace
-    per_column = np.stack([dist(other) - sep, conn - dist(near), dist(center) - clear,
-                           limit - dist(w_center)], axis=-1)
+    per_column = np.stack([dist(_OTHER) - 1.01, 1.99 - dist(_OTHER), dist(_OBSTACLE) - 1.51,
+                           9.49 - dist(np.zeros(2))], axis=-1)
     assert np.array_equal(geo.margins(pos)[0], per_column)
-    margins, grad = StageGeometry(taus=geo.taus).margins(pos)
+    margins, grad = StageGeometry(taus=np.array([0.1, 0.2, 0.3])).margins(pos)
     assert margins.shape == (5, 3, 0)
     assert grad.shape == (5, 3, 0, 2)
 
@@ -120,9 +124,8 @@ def test_geometry_gradient_matches_central_differences():
     # unit vectors, pointing away from the anchor for the lower bounds and
     # towards it for the neighbor and workspace upper bounds
     assert np.allclose(np.linalg.norm(grad, axis=-1), 1.0)
-    _, other, _ = geo.interagent[0]
     assert np.allclose(grad[..., 0, :], -grad[..., 1, :])
-    assert np.all(np.sum(grad[..., 0, :] * (pos - other), axis=-1) > 0.0)
+    assert np.all(np.sum(grad[..., 0, :] * (pos - _OTHER), axis=-1) > 0.0)
     _, tightened_grad = geo.tightened(pos, rho)
     assert np.array_equal(tightened_grad, grad)
     fd = _central_difference(lambda p: geo.tightened(p, rho)[0], pos)
@@ -167,9 +170,18 @@ def test_geometry_tightening_erodes_uniformly():
 
 def test_window_empty_detection():
     geo = _geometry()
+    sep, conn = geo.pair_windows()
+    assert (list(sep), list(conn)) == ([1.01], [1.99])
     assert not geo.window_empty(np.zeros(3))
     # erosion of 0.5 from both sides closes the [1.01, 1.99] window
     assert geo.window_empty(np.full(3, 0.5))
+    # an agent sensed but not a neighbor, or a neighbor not sensed, has no window
+    for entries in ({"interagent": [("agent1", _OTHER, 1.01)]},
+                    {"interagent": [("agent2", _OTHER, 1.01)],
+                     "neighbor": [("agent1", _OTHER, 1.99)]}):
+        lone = StageGeometry(taus=np.array([0.1, 0.2, 0.3]), **entries)
+        assert lone.pair_windows().shape == (2, 0)
+        assert not lone.window_empty(np.full(3, 0.5))
 
 
 def _ball_points(goal, radius, anchors):
@@ -203,19 +215,20 @@ def test_terminal_excluded_is_sound(columns, goal, radius, rho_end):
     tol = 1e-4
     taus = np.array([0.1, 0.2, 0.3])
     early = np.array([[40.0, 0.0], [40.0, 0.0]])  # rows 0 and 1
-    geo = StageGeometry(taus=taus)
+    entries = {"interagent": [], "neighbor": [], "obstacles": [], "workspace": None}
     anchors = []
     for k, (kind, x, y, threshold) in enumerate(columns):
         anchor = np.array([x, y])
         anchors.append(anchor)
         if kind == "inter-agent":
-            geo.interagent.append((f"agent{k}", np.vstack([early, anchor]), threshold))
+            entries["interagent"].append((f"agent{k}", np.vstack([early, anchor]), threshold))
         elif kind == "neighbor":
-            geo.neighbor.append((f"agent{k}", np.vstack([early, anchor]), threshold))
+            entries["neighbor"].append((f"agent{k}", np.vstack([early, anchor]), threshold))
         elif kind == "obstacle":
-            geo.obstacles.append((f"obst{k}", anchor, threshold))
+            entries["obstacles"].append((f"obst{k}", anchor, threshold))
         else:
-            geo.workspace = (anchor, threshold)
+            entries["workspace"] = (anchor, threshold)
+    geo = StageGeometry(taus=taus, **entries)
     goal = np.array(goal)
     excluded = geo.terminal_excluded(goal, radius, rho_end, tol)
     points = _ball_points(goal, radius, anchors)
@@ -232,8 +245,7 @@ def test_terminal_excluded_is_sound(columns, goal, radius, rho_end):
 def test_terminal_excluded_hand_built():
     tol = 1e-4
     # sign +1: an obstacle at the origin to be kept 1.0 away
-    obstacle = StageGeometry(taus=np.array([0.1, 0.2]))
-    obstacle.obstacles.append(("obst0", np.zeros(2), 1.0))
+    obstacle = StageGeometry(taus=np.array([0.1, 0.2]), obstacles=[("obst0", np.zeros(2), 1.0)])
     goal = np.array([0.5, 0.0])
     # farthest point of the ball is 0.7 away: margin -0.3
     assert obstacle.terminal_excluded(goal, 0.2, 0.0, tol)
@@ -241,8 +253,8 @@ def test_terminal_excluded_hand_built():
     assert not obstacle.terminal_excluded(goal, 0.6, 0.0, tol)
     assert obstacle.terminal_excluded(goal, 0.6, 0.2, tol)
     # sign -1: a neighbor at the origin on its last row, to be kept within 2.0
-    neighbor = StageGeometry(taus=np.array([0.1, 0.2]))
-    neighbor.neighbor.append(("agent1", np.array([[3.0, 0.0], [0.0, 0.0]]), 2.0))
+    neighbor = StageGeometry(taus=np.array([0.1, 0.2]),
+                             neighbor=[("agent1", np.array([[3.0, 0.0], [0.0, 0.0]]), 2.0)])
     goal = np.array([3.0, 0.0])
     # nearest point of the ball is 2.5 away: margin -0.5
     assert neighbor.terminal_excluded(goal, 0.5, 0.0, tol)
@@ -270,14 +282,20 @@ def test_build_stage_constraints_counts_and_missing_prediction():
     """One margin column per constraint kind for agent 0, and a sensed agent
     with no posted prediction is an error, not a silently dropped column."""
     sim = _simulation()
-    geo = sim._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))
+    taus = np.array([0.1, 0.2, 0.3])
+    geo = sim._geometry(0, 0.0, taus)
+    assert geo.labels == ["agent1", "agent1", "obst0", "workspace"]
     pos = np.zeros((3, 2))
     margins, _ = geo.margins(pos)
     assert margins.shape == (3, len(MARGIN_KINDS))
-    # columns in MARGIN_KINDS order: each equals a one-kind geometry's margin
-    for column, kind in enumerate(({"interagent": geo.interagent}, {"neighbor": geo.neighbor},
-                                   {"obstacles": geo.obstacles}, {"workspace": geo.workspace})):
-        single, _ = StageGeometry(taus=geo.taus, **kind).margins(pos)
+    # columns in MARGIN_KINDS order: each equals a one-kind geometry's margin,
+    # against agent 1's posted prediction, held at (1.5, 0)
+    track = sim.board[1].positions_at(taus)
+    for column, kind in enumerate(({"interagent": [("agent1", track, 1.01)]},
+                                   {"neighbor": [("agent1", track, 1.99)]},
+                                   {"obstacles": [("obst0", np.array([3.0, 0.0]), 1.51)]},
+                                   {"workspace": (np.zeros(2), 9.49)})):
+        single, _ = StageGeometry(taus=taus, **kind).margins(pos)
         assert single.shape == (3, 1)
         assert np.array_equal(margins[:, column], single[:, 0])
     del sim.board[1]

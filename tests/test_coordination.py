@@ -74,8 +74,8 @@ def test_validate_initial_workspace_and_velocity():
 
 
 def test_prediction_entry_interpolates_and_holds():
-    states = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    entry = PredictionEntry(t0=1.0, h=0.1, states=states, position_slice=slice(0, 2))
+    positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    entry = PredictionEntry(t0=1.0, h=0.1, positions=positions)
     pos = entry.positions_at([1.05, 1.2, 5.0, 0.0])
     assert pos[0, 0] == pytest.approx(0.5)   # midway through stage 0
     assert pos[1, 0] == pytest.approx(2.0)   # end of grid
@@ -379,8 +379,9 @@ def test_terminal_exclusion_leaves_trajectory_unchanged(monkeypatch):
 def test_engine_calls_the_benchmark_hooks(monkeypatch):
     """perfbench times each agent-solve at `coordination.integrate`, which the
     engine calls once per agent-solve, and traces its layers at
-    `coordination.solve_fhocp`, `ocp.minimize` and `ocp.rollout_zoh`. A
-    refactor that binds one of these names elsewhere would zero a benchmark
+    `coordination.solve_fhocp`, `ocp.minimize`, `ocp.rollout_zoh`,
+    `constraints.StageGeometry.margins` and `coordination.tube_profile_radii`.
+    A refactor that binds one of these names elsewhere would zero a benchmark
     span without an error; this fails instead."""
     calls = {}
 
@@ -396,6 +397,8 @@ def test_engine_calls_the_benchmark_hooks(monkeypatch):
     counted(coordination, "solve_fhocp")
     counted(ocp, "minimize")
     counted(ocp, "rollout_zoh")
+    counted(StageGeometry, "margins")
+    counted(coordination, "tube_profile_radii")
     log = _simulation(w_bar=0.05, total_time=0.3).run()
     solves = sum(len(trace.step_meta) for trace in log.traces)
     assert solves == 6
@@ -403,3 +406,6 @@ def test_engine_calls_the_benchmark_hooks(monkeypatch):
     assert calls["solve_fhocp"] >= solves
     assert calls["minimize"] >= calls["solve_fhocp"]
     assert calls["rollout_zoh"] >= calls["minimize"]
+    # one margin evaluation per rollout, and the tube radii once per simulation
+    assert calls["margins"] == calls["rollout_zoh"]
+    assert calls["tube_profile_radii"] == 1

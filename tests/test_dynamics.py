@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from dnmpc.dynamics import (UNICYCLE, AgentModel, DisturbanceSignal, ErrorDynamics,
-                            estimate_lipschitz, integrate, rollout_zoh,
-                            unicycle_field, wrap_angle)
+                            integrate, rollout_zoh, unicycle_field, wrap_angle)
 
 
 def test_wrap_angle_range():
@@ -254,18 +253,3 @@ def test_error_field_is_shifted_field():
     u = np.array([1.0, 0.4])
     assert np.allclose(ed.field(e, u), unicycle_field(e + ed.z_des, u), atol=1e-15)
 
-
-def test_estimate_lipschitz_unicycle():
-    low = np.array([-1.0, -1.0, -np.pi])
-    high = np.array([1.0, 1.0, np.pi])
-    L = estimate_lipschitz(UNICYCLE, 1.0, low, high, sample_count=20_000, rng_seed=3)
-    # Lipschitz constant wrt the state is sup |v| = input bound, times the
-    # 1.1 safety factor; the sampled estimate must bracket it loosely
-    assert 0.5 < L < 1.2
-
-
-def test_estimate_lipschitz_deterministic():
-    low, high = -np.ones(3), np.ones(3)
-    a = estimate_lipschitz(UNICYCLE, 2.0, low, high, sample_count=500, rng_seed=9)
-    b = estimate_lipschitz(UNICYCLE, 2.0, low, high, sample_count=500, rng_seed=9)
-    assert a == b

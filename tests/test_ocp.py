@@ -200,7 +200,7 @@ def test_terminal_constraint_enforced_near_origin():
     ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
     sol = solve_fhocp(ed, np.array([0.2, 0.0]), None, cfg, use_terminal=True)
     assert sol.status != "infeasible"
-    v_term = float(sol.predicted_errors[-1] @ cfg.P @ sol.predicted_errors[-1])
+    v_term = float(sol.dense_errors[-1] @ cfg.P @ sol.dense_errors[-1])
     assert v_term <= cfg.eps_omega + cfg.constraint_tol
 
 
@@ -229,7 +229,6 @@ def test_solution_shapes_and_stats():
     ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
     sol = solve_fhocp(ed, np.array([1.0, 0.0]), None, cfg, use_terminal=False)
     assert sol.inputs.shape == (6, 1)
-    assert sol.predicted_errors.shape == (7, 2)
     assert sol.dense_errors.shape == (61, 2)
     assert sol.solve_stats["rollouts"] > 0
     assert sol.solve_stats["terminal_enforced"] is False
