@@ -127,7 +127,7 @@ class Scenario:
             dim = len(spec.start)
 
             def gen(z, t, amp=amp, freq=freq, dim=dim):
-                return amp * math.sin(freq * t) * np.ones(dim)
+                return np.full(dim, amp * math.sin(freq * t))
 
             out.append(DisturbanceSignal(generator=gen, bound=self.w_bar))
         return out

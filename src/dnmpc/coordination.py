@@ -24,6 +24,7 @@ and some last-stage margin is violated on that whole ball.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -570,8 +571,8 @@ class Simulation:
                 # every row but the last is where a later substep of
                 # `integrate` took its first RK4 sample; the last is sampled
                 trace.w_norms.extend(w_norms[1:])
-                trace.w_norms.append(
-                    float(np.linalg.norm(disturbance.sample(states[-1], times[-1]))))
+                w = disturbance.sample(states[-1], times[-1])
+                trace.w_norms.append(math.sqrt(w.dot(w)))
             e = self.errordyns[i].error_of(states)
             ep = e @ cfg.P
             trace.V.extend(float(ep[r] @ e[r]) for r in range(len(e)))

@@ -126,7 +126,7 @@ class DisturbanceSignal:
     def sample(self, z, t):
         self.samples += 1
         w = np.asarray(self.generator(z, t), dtype=float)
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w.dot(w))
         if norm > self.bound:
             self.clipped += 1
             if norm > 0.0:
@@ -176,7 +176,7 @@ def integrate(model, z0, u, disturbance, t0, t1, step, w_norms=None):
         if disturbance is not None:
             w = disturbance.sample(z, t)
             if norms is not None:
-                norms.append(float(np.linalg.norm(w)))
+                norms.append(math.sqrt(w.dot(w)))
             dz = dz + w
         return dz
 
@@ -218,7 +218,7 @@ def _unicycle_integrate(z0, u, disturbance, times, dt, w_norms=None):
             return dx, dy, dh
         w = disturbance.sample(np.array([x, y, heading]), t)
         if norms is not None:
-            norms.append(float(np.linalg.norm(w)))
+            norms.append(math.sqrt(w.dot(w)))
         wx, wy, wh = w.tolist()
         return dx + wx, dy + wy, dh + wh
 

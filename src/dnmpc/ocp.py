@@ -10,11 +10,14 @@ rollout returns its Jacobian with respect to the inputs (exact for the
 unicycle, central differences for other fields), and `margin_fn(errors)`
 returns the margins with their Jacobian with respect to the error (exact for
 the distance margins of :class:`~dnmpc.constraints.StageGeometry`). The cost,
-terminal-value and margin gradients follow by the chain rule. scipy's SLSQP
-does the constrained minimization. Any method meeting the HorizonSolution
-contract is conforming; SLSQP was chosen because the decision dimension is
-tiny (N * input_dim). SLSQP runs with the bundled OpenBLAS on one thread
-(see :func:`single_blas_thread`).
+terminal-value and margin gradients follow by the chain rule. SLSQP does the
+constrained minimization (the decision dimension, N * input_dim, is tiny):
+scipy's compiled core, the private `scipy.optimize._slsqplib.slsqp` that
+tests/test_ocp.py checks against scipy's public SLSQP bit for bit, driven by
+this module's loop :func:`minimize`, whose name perfbench's traced mode
+patches for its `slsqp` span. The loop evaluates once per request of the
+core, where scipy's wrapper evaluated each constraint block, and writes the
+rows in place; it runs on one OpenBLAS thread (:func:`single_blas_thread`).
 
 There is one SLSQP problem (:func:`_slsqp`): margins, input ball and
 terminal set over the inputs u. :func:`solve_fhocp` minimizes the cost over
@@ -65,7 +68,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 from scipy.linalg import solve_triangular
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
+from scipy.optimize._slsqplib import slsqp as _slsqp_core
 
 from .dynamics import ErrorDynamics, rollout_zoh, wrap_angle
 
@@ -148,8 +152,7 @@ takes 597 iterations and gains 5%. At 1e-4 the bundled runs' verdicts and
 the robustness sweep's outcomes are those of SLSQP's own test; larger
 values were not tried."""
 
-# the status scipy's minimize gives a solve that a callback halted with
-# StopIteration
+# status of a run that its callback halted with StopIteration (scipy's value)
 _CALLBACK_HALT = 99
 
 
@@ -296,79 +299,119 @@ def _project_inputs(U, u_bar):
     return U * scale
 
 
-def _slsqp(tr: _Transcription, x0, fun, jac, ftol, slack=False, scale=None, callback=None):
-    """Minimize `fun` under the transcription's constraints with SLSQP, on one
-    BLAS thread; returns scipy's OptimizeResult.
+def minimize(values, gradients, x0, m, maxiter, ftol, callback=None):
+    """SLSQP (Kraft 1988) for min f(x) s.t. m >= 1 rows c(x) >= 0: drives
+    scipy's compiled core by reverse communication, one call per request:
+    `values(x, d)` returns f and writes c into `d`, `gradients(x, g, C)`
+    writes grad f into `g` and dc/dx into `C`. State, work arrays, nfev and
+    callback are those of scipy's `_minimize_slsqp` without bounds or equality
+    rows, so the iterates are bitwise ``minimize(method="SLSQP")``'s. The
+    callback gets a copy of each major iterate; its StopIteration ends the
+    run with status _CALLBACK_HALT. Returns x, nit, nfev, status, success."""
+    x = np.array(x0, dtype=float)
+    n = len(x)
+    state = dict(acc=ftol, alpha=0.0, f0=0.0, gs=0.0, h1=0.0, h2=0.0, h3=0.0, h4=0.0, t=0.0,
+                 t0=0.0, tol=10.0 * ftol, exact=0, inconsistent=0, reset=0, iter=0,
+                 itermax=int(maxiter), line=0, m=m, meq=0, mode=0, n=n)
+    buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
+    mult, indices = np.zeros(m + 2 * n + 2), np.zeros(m + 2 * n + 2, dtype=np.int32)
+    xl, xu = np.full(n, np.nan), np.full(n, np.nan)
+    g, C, d = np.zeros(n), np.zeros((m, n), order="F"), np.zeros(m)
+    f = values(x, d)
+    gradients(x, g, C)
+    # scipy's ScalarFunction counts f at the start and at each new point
+    nfev, f_at, iter_prev = 1, x.copy(), 0
+    while True:
+        _slsqp_core(state, f, g, C, d, x, mult, xl, xu, buffer, indices)
+        status = state["mode"]
+        if status == 1:
+            f = values(x, d)
+            if not np.array_equal(x, f_at):
+                nfev, f_at = nfev + 1, x.copy()
+        elif status == -1:
+            gradients(x, g, C)
+        if state["iter"] > iter_prev and callback is not None:
+            try:
+                callback(x.copy())
+            except StopIteration:
+                status = _CALLBACK_HALT
+                break
+        if abs(status) != 1:
+            break
+        iter_prev = state["iter"]
+    return OptimizeResult(x=x, nit=state["iter"], nfev=nfev, status=status,
+                          success=status == 0)
+
+
+def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None):
+    """Run :func:`minimize` under the transcription's constraints on one BLAS
+    thread; the result's `x` is in the variables of `x0`.
 
     The constraints are the margins (when `tr.margin_fn` is set), the input
     ball u_bar^2 - ||u_k||^2 >= 0 on each stage input and, when
-    `tr.use_terminal`, eps_omega - V(e_N) >= 0. The decision vector is x = u,
-    or with `slack` x = (u, s): each margin and the terminal constraint is
-    lowered by s (Jacobian column -1), while the input ball stays hard.
+    `tr.use_terminal`, eps_omega - V(e_N) >= 0. SLSQP minimizes the cost over
+    x = u or, with `slack`, maximizes s over x = (u, s) with each margin and
+    the terminal constraint lowered by s (Jacobian column -1), the ball hard.
 
-    With `scale` = T, SLSQP runs in y, x = x0 + T y, from y = 0: the cost is
-    f(x0 + T y) with gradient T' grad f, each constraint Jacobian C becomes
-    C T, and the result's `x` is mapped back to x0 + T y. `callback` is
-    SLSQP's, called with each major iterate in SLSQP's own variables.
+    With `scale` = T, SLSQP runs in y, x = x0 + T y, from y = 0, with cost
+    gradient grad f(x) T and each constraint block's Jacobian times T. Each
+    request maps its point to x once, evaluates `tr` once and writes the rows
+    in place. `callback` gets each major iterate in SLSQP's variables.
     """
     cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
-    u_bar_sq = cfg.u_bar ** 2
-    ball_rows, ball_cols = np.repeat(np.arange(N), m), np.arange(nx)
+    start = x0 if scale is None else np.zeros_like(x0)
 
-    def lowered(x, value):
-        return value - x[-1] if slack else value
+    def to_x(z):
+        return z if scale is None else x0 + scale @ z
 
-    def with_slack_column(jacobian):
-        return np.hstack([jacobian, -np.ones((len(jacobian), 1))]) if slack else jacobian
+    def in_z(jacobian):
+        return jacobian if scale is None else jacobian @ scale
 
-    def ball_fun(x):
-        U = x[:nx].reshape(N, m)
-        return u_bar_sq - np.sum(U * U, axis=1)
-
-    def ball_jac(x):
-        out = np.zeros((N, len(x)))
-        out[ball_rows, ball_cols] = -2.0 * x[:nx]
-        return out
-
-    margins, ball, terminal = [], [{"type": "ineq", "fun": ball_fun, "jac": ball_jac}], []
-    if tr.margin_fn is not None:
-        margins.append({
-            "type": "ineq",
-            "fun": lambda x: lowered(x, tr.eval(x[:nx])["margins"]),
-            "jac": lambda x: with_slack_column(tr.eval(x[:nx])["margins_jac"]),
-        })
-    if tr.use_terminal:
-        terminal.append({
-            "type": "ineq",
-            "fun": lambda x: lowered(x, np.array([cfg.eps_omega - tr.eval(x[:nx])["v_term"]])),
-            "jac": lambda x: with_slack_column(-tr.eval(x[:nx])["v_term_grad"][None, :]),
-        })
+    n_margins = tr.eval(to_x(start)[:nx])["margins"].size if tr.margin_fn is not None else 0
+    n_terminal = int(tr.use_terminal)
     # SLSQP's iterates depend on the order of the constraint rows, so the slack
     # form keeps the terminal row ahead of the ball: in the solve's order, 48
     # of 48 seeded unicycle phase-1 problems with the terminal set enforced
-    # ended elsewhere (those without it did not move).
-    cons = margins + (terminal + ball if slack else ball + terminal)
-    start = x0
-    if scale is not None:
-        def to_x(y):
-            return x0 + scale @ y
+    # ended elsewhere. One product of T with the stacked rows moves them too.
+    terminal_row, ball_start = ((n_margins, n_margins + n_terminal) if slack
+                                else (n_margins + N, n_margins))
+    ball_rows = slice(ball_start, ball_start + N)
+    ball_jac = np.zeros((N, nx))
+    ball_index = np.repeat(np.arange(N), m), np.arange(nx)
 
-        def in_y(value):
-            return lambda y: value(to_x(y))
+    def values(z, d):
+        x = to_x(z)
+        res = tr.eval(x[:nx])
+        U = x[:nx].reshape(N, m)
+        d[ball_rows] = cfg.u_bar ** 2 - np.sum(U * U, axis=1)
+        if n_margins:
+            d[:n_margins] = res["margins"]
+        if n_terminal:
+            d[terminal_row] = cfg.eps_omega - res["v_term"]
+        if slack:
+            d[:n_margins + n_terminal] -= x[-1]
+            return -x[-1]
+        return res["cost"]
 
-        def jacobian_in_y(jacobian):
-            return lambda y: jacobian(to_x(y)) @ scale
+    def gradients(z, g, C):
+        x = to_x(z)
+        res = tr.eval(x[:nx])
+        ball_jac[ball_index] = -2.0 * x[:nx]
+        C[ball_rows, :nx] = in_z(ball_jac)
+        if n_margins:
+            C[:n_margins, :nx] = in_z(res["margins_jac"])
+        if n_terminal:
+            C[terminal_row, :nx] = in_z(-res["v_term_grad"][None, :])
+        if slack:
+            C[:n_margins + n_terminal, nx] = -1.0
+            g[:nx], g[nx] = 0.0, -1.0
+        else:
+            g[:] = in_z(res["cost_grad"])
 
-        fun, jac = in_y(fun), jacobian_in_y(jac)
-        cons = [{"type": "ineq", "fun": in_y(c["fun"]), "jac": jacobian_in_y(c["jac"])}
-                for c in cons]
-        start = np.zeros_like(x0)
     with single_blas_thread():
-        opt = minimize(fun, start, jac=jac, constraints=cons, method="SLSQP",
-                       callback=callback,
-                       options={"maxiter": cfg.max_iterations, "ftol": ftol})
-        if scale is not None:
-            opt.x = to_x(opt.x)
+        opt = minimize(values, gradients, start, n_margins + n_terminal + N,
+                       cfg.max_iterations, ftol, callback)
+        opt.x = to_x(opt.x)
     return opt
 
 
@@ -462,8 +505,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
         if use_terminal:
             scale = _gauss_newton_scaling(tr, x0)
             callback = _suboptimal_stop(tr, x0, scale)
-        opt = _slsqp(tr, x0, lambda x: tr.eval(x)["cost"], lambda x: tr.eval(x)["cost_grad"],
-                     config.ftol, scale=scale, callback=callback)
+        opt = _slsqp(tr, x0, config.ftol, scale=scale, callback=callback)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"solver diverged: {exc}") from exc
     x_best = opt.x
@@ -521,14 +563,11 @@ def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfi
                         use_terminal)
     u0 = _project_inputs(np.asarray(start, dtype=float), config.u_bar).ravel()
     x0 = np.append(u0, tr.eval(u0)["slack"])
-    grad = np.zeros(tr.nx + 1)
-    grad[-1] = -1.0
     try:
-        opt = _slsqp(tr, x0, lambda x: -x[-1], lambda x: grad, 1e-12, slack=True)
+        opt = _slsqp(tr, x0, 1e-12, slack=True)
     except (FloatingPointError, np.linalg.LinAlgError):
         return start, 0
-    candidate = opt.x[:-1]
-    iterations = int(opt.nit)
+    candidate, iterations = opt.x[:-1], int(opt.nit)
     if not np.all(np.isfinite(candidate)):
         return start, iterations
     U = _project_inputs(candidate.reshape(tr.N, tr.m), config.u_bar)

@@ -1,5 +1,8 @@
+import inspect
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from dnmpc import ocp
 from dnmpc.dynamics import UNICYCLE, AgentModel, ErrorDynamics
@@ -146,9 +149,10 @@ def test_suboptimal_stop_only_on_terminal_solves(monkeypatch):
     the terminal set, which they lack."""
     callbacks = []
     original = ocp.minimize
+    signature = inspect.signature(original)
 
     def recorded(*args, **kwargs):
-        callbacks.append(kwargs.get("callback"))
+        callbacks.append(signature.bind(*args, **kwargs).arguments.get("callback"))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ocp, "minimize", recorded)
@@ -162,15 +166,22 @@ def test_suboptimal_stop_only_on_terminal_solves(monkeypatch):
 
 
 def test_slsqp_halts_on_callback_stop_iteration():
-    """The suboptimal stop relies on scipy's SLSQP ending at the iterate whose
-    callback raised StopIteration, with status 99 (scipy 1.17 does); a scipy
-    that ignores the halt would run every terminal solve to its own test."""
+    """The suboptimal stop relies on SLSQP ending at the iterate whose
+    callback raised StopIteration, with status 99 (scipy's minimize gives the
+    same); a loop that ignored the halt would run every terminal solve to
+    SLSQP's own test."""
+    def values(x, d):
+        d[0] = x[0] + 2.0
+        return float(x @ x)
+
+    def gradients(x, g, C):
+        g[:] = 2.0 * x
+        C[0] = [1.0, 0.0, 0.0]
+
     def halt(x):
         raise StopIteration
 
-    opt = ocp.minimize(lambda x: float(x @ x), np.ones(3), jac=lambda x: 2.0 * x,
-                       method="SLSQP", callback=halt,
-                       constraints=[{"type": "ineq", "fun": lambda x: x[0] + 2.0}])
+    opt = ocp.minimize(values, gradients, np.ones(3), 1, 100, 1e-6, callback=halt)
     assert (opt.status, opt.nit, opt.success) == (ocp._CALLBACK_HALT, 1, False)
     assert ocp._CALLBACK_HALT == 99
 
@@ -359,3 +370,116 @@ def test_solve_independent_of_blas_thread_count():
     assert solutions[0].solve_stats["iterations"] > 1
     assert np.array_equal(solutions[0].inputs, solutions[1].inputs)
     assert solutions[0].cost == solutions[1].cost
+
+
+def _scipy_slsqp(tr, x0, ftol, slack=False, scale=None, callback=None):
+    """The SLSQP run of `ocp._slsqp` through scipy's public
+    ``minimize(method="SLSQP")``: one constraint dict per block (margins,
+    ball, terminal; in the slack form margins, terminal, ball), each with its
+    own evaluation, and with `scale` each block's Jacobian times T."""
+    cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
+    u_bar_sq = cfg.u_bar ** 2
+    ball_rows, ball_cols = np.repeat(np.arange(N), m), np.arange(nx)
+
+    def lowered(x, value):
+        return value - x[-1] if slack else value
+
+    def with_slack_column(jacobian):
+        return np.hstack([jacobian, -np.ones((len(jacobian), 1))]) if slack else jacobian
+
+    def ball_jac(x):
+        out = np.zeros((N, len(x)))
+        out[ball_rows, ball_cols] = -2.0 * x[:nx]
+        return out
+
+    def ball_fun(x):
+        U = x[:nx].reshape(N, m)
+        return u_bar_sq - np.sum(U * U, axis=1)
+
+    ball = [{"type": "ineq", "fun": ball_fun, "jac": ball_jac}]
+    margins = [{"type": "ineq",
+                "fun": lambda x: lowered(x, tr.eval(x[:nx])["margins"]),
+                "jac": lambda x: with_slack_column(tr.eval(x[:nx])["margins_jac"])}]
+    terminal = [{"type": "ineq",
+                 "fun": lambda x: lowered(x, np.array([cfg.eps_omega - tr.eval(x[:nx])["v_term"]])),
+                 "jac": lambda x: with_slack_column(-tr.eval(x[:nx])["v_term_grad"][None, :])}]
+    if not tr.use_terminal:
+        terminal = []
+    cons = margins + (terminal + ball if slack else ball + terminal)
+    if slack:
+        grad = np.zeros(nx + 1)
+        grad[-1] = -1.0
+        fun, jac = (lambda x: -x[-1]), (lambda x: grad)
+    else:
+        fun, jac = (lambda x: tr.eval(x)["cost"]), (lambda x: tr.eval(x)["cost_grad"])
+    start, to_x = x0, (lambda y: y)
+    if scale is not None:
+        def to_x(y):
+            return x0 + scale @ y
+
+        def in_y(value):
+            return lambda y: value(to_x(y))
+
+        def jacobian_in_y(jacobian):
+            return lambda y: jacobian(to_x(y)) @ scale
+
+        fun, jac = in_y(fun), jacobian_in_y(jac)
+        cons = [{"type": "ineq", "fun": in_y(c["fun"]), "jac": jacobian_in_y(c["jac"])}
+                for c in cons]
+        start = np.zeros_like(x0)
+    with single_blas_thread():
+        opt = scipy.optimize.minimize(fun, start, jac=jac, constraints=cons, method="SLSQP",
+                                      callback=callback,
+                                      options={"maxiter": cfg.max_iterations, "ftol": ftol})
+    return to_x(opt.x), opt
+
+
+def _unicycle_problems():
+    """`_unicycle_near_disc` and four seeded variants: the start state, two
+    discs and the straight-ahead start each drawn around it."""
+    yield _unicycle_near_disc()
+    for seed in range(1, 5):
+        rng = np.random.default_rng(seed)
+        cfg, ed, e0, _, start = _unicycle_near_disc()
+        centers = rng.uniform([0.2, 0.1], [0.8, 0.5], size=(2, 2))
+        yield (cfg, ed, e0 + rng.uniform(-0.3, 0.3, 3), disc_margin_fn(ed, centers, 0.25),
+               start + rng.uniform(-0.4, 0.4, start.shape))
+
+
+def _slsqp_form(form, cfg, ed, e0, margin_fn, start):
+    """`ocp._slsqp`'s arguments (tr, x0, ftol, options) for one form of the
+    solve, on a fresh transcription, as `solve_fhocp` and
+    `restore_feasibility` build them."""
+    tr = _Transcription(ed, e0, margin_fn, cfg, form in ("terminal", "restore-terminal"))
+    u0 = ocp._project_inputs(start, cfg.u_bar).ravel()
+    if form == "terminal":
+        scale = ocp._gauss_newton_scaling(tr, u0)
+        return tr, u0, cfg.ftol, {"scale": scale, "callback": ocp._suboptimal_stop(tr, u0, scale)}
+    if form.startswith("restore"):
+        return tr, np.append(u0, tr.eval(u0)["slack"]), 1e-12, {"slack": True}
+    return tr, u0, cfg.ftol, {}
+
+
+def test_minimize_matches_scipy_slsqp_bitwise():
+    """`ocp.minimize` drives scipy's private compiled SLSQP core
+    (`scipy.optimize._slsqplib.slsqp`) as scipy's own wrapper does. On the
+    seeded unicycle problems, in each form `_slsqp` runs (relaxed: plain
+    variables, no callback; terminal: Gauss-Newton scaled, with the
+    suboptimal stop; restore: the slack form, with and without the terminal
+    row), it must return bitwise scipy's x, and its nit, nfev and status. A
+    scipy release that changes the core's contract fails here first."""
+    statuses = set()
+    for problem in _unicycle_problems():
+        for form in ("relaxed", "terminal", "restore", "restore-terminal"):
+            tr, x0, ftol, options = _slsqp_form(form, *problem)
+            ours = ocp._slsqp(tr, x0, ftol, **options)
+            ref_tr, _, _, ref_options = _slsqp_form(form, *problem)
+            ref_x, ref = _scipy_slsqp(ref_tr, x0, ftol, **ref_options)
+            got = (ours.x.tobytes(), ours.nit, ours.nfev, ours.status)
+            want = (ref_x.tobytes(), ref.nit, ref.nfev, ref.status)
+            assert got == want, (
+                f"{form}: ocp.minimize gives (nit, nfev, status) {got[1:]}, scipy's "
+                f"SLSQP {want[1:]}, or another x; has scipy.optimize._slsqplib changed?")
+            statuses.add(ours.status)
+    # the problems reach SLSQP's own test and the suboptimal stop
+    assert {0, ocp._CALLBACK_HALT} <= statuses
