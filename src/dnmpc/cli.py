@@ -206,6 +206,10 @@ def load_scenario(path, seed=None) -> Scenario:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{path}: field {key!r} must be a number ({exc})") from exc
 
+    raw_agents = need("agents")
+    if not (isinstance(raw_agents, list) and raw_agents
+            and all(isinstance(a, dict) for a in raw_agents)):
+        raise ScenarioError(f"{path}: field 'agents' must be a non-empty list of mappings")
     try:
         agents = [
             AgentSpec(
@@ -216,7 +220,7 @@ def load_scenario(path, seed=None) -> Scenario:
                 start=np.asarray(a["start"], dtype=float),
                 goal=np.asarray(a["goal"], dtype=float),
             )
-            for a in need("agents")
+            for a in raw_agents
         ]
         state_dim = len(agents[0].start)
         use_seed = int(raw.get("seed", 0)) if seed is None else int(seed)
@@ -260,6 +264,12 @@ def load_scenario(path, seed=None) -> Scenario:
 def _validate(scenario: Scenario, path):
     """Build what `run` and `certify` build: their checks fail here, named."""
     try:
+        for k, (spec, model) in enumerate(zip(scenario.agents, scenario.build_models())):
+            for name in ("start", "goal"):
+                value = getattr(spec, name)
+                if value.shape != (model.state_dim,) or not np.all(np.isfinite(value)):
+                    raise ValueError(f"agent {k} {name} must be {model.state_dim} "
+                                     f"finite numbers, got {value.tolist()}")
         sim = scenario.build_simulation()
         scenario.build_certificate()
     except ValueError as exc:

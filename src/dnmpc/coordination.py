@@ -294,6 +294,8 @@ class Simulation:
         self.total_time = float(total_time)
         if not 0.0 < self.total_time < np.inf:
             raise ValueError(f"total time must be positive and finite, got {self.total_time}")
+        if tube_cap is not None and not tube_cap >= 0.0:
+            raise ValueError(f"tube_cap must be nonnegative, got {tube_cap}")
         self.tube_cap = tube_cap
         self.board = {}  # agent -> latest posted PredictionEntry
         self.known_obstacles = [set() for _ in models]

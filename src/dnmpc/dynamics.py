@@ -2,10 +2,11 @@
 
 An :class:`AgentModel` is its dynamics: a vector field vectorized over a
 leading batch dimension, and where the position and angles sit in the state.
-Scenarios load the planar unicycle, :data:`UNICYCLE`. :func:`integrate`
-integrates one agent under a held input. A ZOH rollout can return its
-Jacobian with respect to the inputs: in closed form for the unicycle, and for
-any other field by central differences over one batched integration.
+Scenarios load one model, the planar unicycle :data:`UNICYCLE`, and
+:func:`integrate`, which applies an agent's held input to its true, disturbed
+dynamics, steps that model only. A ZOH rollout can return its Jacobian with respect to the
+inputs: in closed form for the unicycle, and for any other field by central
+differences over one batched integration.
 """
 
 from __future__ import annotations
@@ -49,16 +50,8 @@ class AgentModel:
     state_dim: int
     input_dim: int
     vector_field: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    position_slice: slice = field(default_factory=lambda: slice(0, 2))
+    position_slice: slice
     angle_indices: tuple = ()
-
-    def wrap_state(self, z):
-        """Wrap the circular components of a state (out of place)."""
-        if not self.angle_indices:
-            return z
-        z = np.array(z, dtype=float, copy=True)
-        z[..., list(self.angle_indices)] = wrap_angle(z[..., list(self.angle_indices)])
-        return z
 
 
 # --- unicycle -----------------------------------------------------------
@@ -106,9 +99,6 @@ class ErrorDynamics:
             e[..., idx] = wrap_angle(e[..., idx])
         return e
 
-    def state_of(self, e):
-        return self.model.wrap_state(np.asarray(e, dtype=float) + self.z_des)
-
 
 @dataclass
 class DisturbanceSignal:
@@ -146,48 +136,29 @@ def _rk4_step(deriv, t, z, dt, k1=None):
 
 
 def integrate(model, z0, u, disturbance, t0, t1, step, w_norms=None):
-    """Fixed-step RK4 integration of dz/dt = f(z, u) [+ w(z, t)] under the
-    held input `u`.
+    """Fixed-step RK4 integration of the unicycle, dz/dt = f(z, u) [+ w(z, t)]
+    under the held input `u`, by :func:`_unicycle_integrate`.
 
     With `disturbance=None` the nominal system is integrated. Returns
-    (times, states) including both endpoints; circular state components are
-    wrapped after each full step. The unicycle takes a path on Python floats
-    (:func:`_unicycle_integrate`) whose states are bit-identical to the
-    generic substep loop's. With a disturbance and a list `w_norms`, the
-    norm of each substep's first RK4 sample, w(states[k], times[k]) for
-    every k but the last, is appended to it.
+    (times, states) including both endpoints; the heading is wrapped after
+    each full step. With a disturbance and a list `w_norms`, the norm of each
+    substep's first RK4 sample, w(states[k], times[k]) for every k but the
+    last, is appended to it.
 
     Raises:
-        ValueError: if t1 < t0 or step does not divide the interval.
+        ValueError: if `model` is not the unicycle, if t1 < t0 or if step
+            does not divide the interval.
     """
+    if model.vector_field is not unicycle_field or model.angle_indices != (2,):
+        raise ValueError("integrate steps the unicycle only; scenarios load no other model")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     span = t1 - t0
     n_steps = int(round(span / step))
     if abs(n_steps * step - span) > 1e-9:
         raise ValueError(f"step {step} does not divide interval {span}")
-
     times = t0 + step * np.arange(n_steps + 1)
-    if model.vector_field is unicycle_field and model.angle_indices == (2,):
-        return times, _unicycle_integrate(z0, u, disturbance, times.tolist(), step, w_norms)
-
-    def deriv(t, z, norms=None):
-        dz = model.vector_field(z, u)
-        if disturbance is not None:
-            w = disturbance.sample(z, t)
-            if norms is not None:
-                norms.append(math.sqrt(w.dot(w)))
-            dz = dz + w
-        return dz
-
-    z = model.wrap_state(np.asarray(z0, dtype=float))
-    states = np.empty((n_steps + 1, model.state_dim))
-    states[0] = z
-    for k in range(n_steps):
-        k1 = deriv(times[k], z, w_norms)
-        z = model.wrap_state(_rk4_step(deriv, times[k], z, step, k1))
-        states[k + 1] = z
-    return times, states
+    return times, _unicycle_integrate(z0, u, disturbance, times.tolist(), step, w_norms)
 
 
 def _wrap_heading(heading):
@@ -201,11 +172,13 @@ def _unicycle_integrate(z0, u, disturbance, times, dt, w_norms=None):
     a time.
 
     Each substep takes the float operations of :func:`_rk4_step` over
-    :func:`unicycle_field`, in the same order, with numpy's cos and sin and
-    the same disturbance samples (state as an array, time); the heading is
-    wrapped after each substep as ``wrap_state`` does. The states are
-    therefore bit-identical to the generic loop's, and the disturbance's
-    `samples` and `clipped` counts, and any `w_norms`, are the same.
+    :func:`unicycle_field`, in the same order, with numpy's cos and sin, and
+    samples the disturbance at each stage's state (as an array) and time;
+    the heading is wrapped after each substep as :func:`wrap_angle` wraps
+    it. The states are therefore bit-identical to a generic :func:`_rk4_step`
+    loop over the field that wraps the heading after each step, with the same
+    disturbance `samples` and `clipped` counts; tests/test_dynamics.py keeps
+    that loop as the oracle.
     """
     v, omega = np.asarray(u, dtype=float).tolist()
     x, y, heading = np.asarray(z0, dtype=float).tolist()

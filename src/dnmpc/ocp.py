@@ -576,7 +576,13 @@ def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfi
     return np.asarray(start, dtype=float), iterations
 
 
-def unicycle_steering_law(z_des, u_bar, k_v=2.0, k_alpha=4.0, k_theta=2.0, blend=0.05):
+# gains of unicycle_steering_law: speed per metre of distance, turn rate per
+# radian of bearing and of heading error, and the distance (m) at which the
+# bearing and heading terms weigh the same
+_STEER_K_V, _STEER_K_ALPHA, _STEER_K_THETA, _STEER_BLEND = 2.0, 4.0, 2.0, 0.05
+
+
+def unicycle_steering_law(z_des, u_bar):
     """Distance/bearing feedback for the unicycle error state.
 
     Drives the position error to zero by steering toward the goal, then
@@ -594,12 +600,13 @@ def unicycle_steering_law(z_des, u_bar, k_v=2.0, k_alpha=4.0, k_theta=2.0, blend
         if dist > 1e-12:
             bearing = np.arctan2(dy, dx)
             alpha = float(wrap_angle(bearing - theta))
-            v = k_v * dist * np.cos(alpha)
-            w_goal = dist / (dist + blend)
-            omega = k_alpha * alpha * w_goal - k_theta * float(wrap_angle(e[2])) * (1 - w_goal)
+            v = _STEER_K_V * dist * np.cos(alpha)
+            w_goal = dist / (dist + _STEER_BLEND)
+            omega = (_STEER_K_ALPHA * alpha * w_goal
+                     - _STEER_K_THETA * float(wrap_angle(e[2])) * (1 - w_goal))
         else:
             v = 0.0
-            omega = -k_theta * float(wrap_angle(e[2]))
+            omega = -_STEER_K_THETA * float(wrap_angle(e[2]))
         u = np.array([v, omega])
         norm = np.linalg.norm(u)
         if norm > u_bar:

@@ -58,9 +58,6 @@ class Ball:
     def dim(self):
         return self.center.shape[0]
 
-    def contains(self, point, tol=0.0):
-        return np.linalg.norm(np.asarray(point, dtype=float) - self.center) <= self.radius + tol
-
     def sample(self, rng, count):
         """Draw `count` points uniformly from the ball (for sampling oracles)."""
         direction = rng.normal(size=(count, self.dim))

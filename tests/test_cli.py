@@ -21,6 +21,13 @@ def _variant(tmp_path, **overrides):
     return path
 
 
+def _agents_with(k, **fields):
+    """The bundled scenario's agents, with agent k's `fields` replaced."""
+    agents = yaml.safe_load(SCENARIO.read_text())["agents"]
+    agents[k].update(fields)
+    return agents
+
+
 def test_bundled_scenario_loads_with_expected_structure():
     sc = load_scenario(SCENARIO)
     assert len(sc.agents) == 3
@@ -242,11 +249,19 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
     ({"u_bar": -1.0}, [], "input bound"),
     ({"w_bar": -0.1}, [], "disturbance bound"),
     ({"L_g": -8.5883}, [], "Lipschitz constant must be positive"),
+    ({"tube_cap": -0.1}, [], "tube_cap must be nonnegative, got -0.1"),
+    ({"agents": []}, [], "field 'agents' must be a non-empty list of mappings"),
+    ({"agents": [1, 2, 3]}, [], "field 'agents' must be a non-empty list of mappings"),
+    ({"agents": _agents_with(0, start=[-6.0, 3.5])}, [],
+     "agent 0 start must be 3 finite numbers"),
+    ({"agents": _agents_with(1, start=[-6.0, float("nan"), 0.0])}, [],
+     "agent 1 start must be 3 finite numbers"),
     ({}, ["--total-time", "0.15"], "--total-time 0.15: sampling time must divide"),
     ({}, ["--total-time", "0"], "--total-time 0.0: total time must be positive"),
     ({}, ["--total-time", "-1"], "--total-time -1.0: total time must be positive"),
-], ids=["total_time", "L_V", "u_bar", "w_bar", "L_g", "run-total-time-0.15",
-        "run-total-time-0", "run-total-time-negative"])
+], ids=["total_time", "L_V", "u_bar", "w_bar", "L_g", "tube_cap-negative", "agents-empty",
+        "agents-not-mappings", "agents-start-short", "agents-start-nan",
+        "run-total-time-0.15", "run-total-time-0", "run-total-time-negative"])
 def test_bad_values_fail_before_any_solve(tmp_path, monkeypatch, capsys, overrides,
                                           options, message):
     """A bad scenario value fails at load as a ScenarioError, and a bad

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from dnmpc.dynamics import (UNICYCLE, AgentModel, DisturbanceSignal, ErrorDynamics,
-                            integrate, rollout_zoh, unicycle_field, wrap_angle)
+                            _rk4_step, integrate, rollout_zoh, unicycle_field, wrap_angle)
 
 
 def test_wrap_angle_range():
@@ -35,13 +37,36 @@ def test_unicycle_field_batched():
     assert unicycle_field(z, u).shape == (5, 4, 3)
 
 
-def test_agent_model_default_position_slice():
-    # the default must be a factory: a slice default is rejected by
-    # dataclasses on interpreters where slice is unhashable
-    model = AgentModel(state_dim=3, input_dim=2, vector_field=unicycle_field)
-    assert model.position_slice == slice(0, 2)
-    z = np.array([1.5, -2.0, 0.7])
-    assert np.array_equal(z[model.position_slice], [1.5, -2.0])
+def _rk4_integrate(z0, u, disturbance, t0, t1, step, w_norms=None):
+    """Oracle of :func:`integrate`: the generic substep loop, :func:`_rk4_step`
+    over the unicycle field as an array function under the held input `u`,
+    with the heading wrapped after each full step. With a disturbance and a
+    list `w_norms`, it appends the norm of each step's first RK4 sample."""
+    n_steps = int(round((t1 - t0) / step))
+    times = t0 + step * np.arange(n_steps + 1)
+
+    def deriv(t, z, norms=None):
+        dz = unicycle_field(z, u)
+        if disturbance is not None:
+            w = disturbance.sample(z, t)
+            if norms is not None:
+                norms.append(math.sqrt(w.dot(w)))
+            dz = dz + w
+        return dz
+
+    def wrap_heading(z):
+        z = np.array(z, dtype=float, copy=True)
+        z[..., [2]] = wrap_angle(z[..., [2]])
+        return z
+
+    z = wrap_heading(z0)
+    states = np.empty((n_steps + 1, 3))
+    states[0] = z
+    for k in range(n_steps):
+        k1 = deriv(times[k], z, w_norms)
+        z = wrap_heading(_rk4_step(deriv, times[k], z, step, k1))
+        states[k + 1] = z
+    return times, states
 
 
 def _reference_zoh(z0, u_seq, stage_time):
@@ -74,6 +99,15 @@ def test_integrate_matches_scipy_reference():
 def test_integrate_step_must_divide():
     with pytest.raises(ValueError):
         integrate(UNICYCLE, [0, 0, 0], np.zeros(2), None, 0.0, 0.35, 0.1)
+
+
+def test_integrate_rejects_other_models():
+    # a lambda around the unicycle field is another model to integrate
+    wrapped = AgentModel(3, 2, lambda z, u: unicycle_field(z, u), slice(0, 2), (2,))
+    headless = AgentModel(3, 2, unicycle_field, slice(0, 2))
+    for model in (wrapped, headless):
+        with pytest.raises(ValueError, match="unicycle only"):
+            integrate(model, [0, 0, 0], np.zeros(2), None, 0.0, 0.1, 0.01)
 
 
 def test_integrate_with_disturbance_shifts_state():
@@ -134,30 +168,28 @@ def test_unicycle_rollout_fast_path_is_bit_identical():
 
 def test_integrate_reports_first_stage_disturbance_norms():
     """`w_norms` receives the norm of each substep's first RK4 sample, the
-    disturbance at (states[k], times[k]) for every k but the last, from the
-    unicycle path and the generic loop alike; nothing without a disturbance."""
-    generic = AgentModel(3, 2, lambda z, u: unicycle_field(z, u), angle_indices=(2,))
+    disturbance at (states[k], times[k]) for every k but the last, from
+    `integrate` and its generic-loop oracle alike; nothing without a
+    disturbance."""
 
     def gen(z, t):
         return 0.2 * np.array([np.cos(z[2]), 0.1 * z[0], np.sin(z[1] + t)])
 
     oracle = DisturbanceSignal(gen, 0.18)
-    for model in (UNICYCLE, generic):
+    for run in (lambda *args: integrate(UNICYCLE, *args), _rk4_integrate):
         norms = []
-        times, states = integrate(model, [0.3, -0.2, 3.1], np.array([2.0, 9.0]),
-                                  DisturbanceSignal(gen, 0.18), 0.4, 0.5, 0.01, norms)
+        times, states = run([0.3, -0.2, 3.1], np.array([2.0, 9.0]),
+                            DisturbanceSignal(gen, 0.18), 0.4, 0.5, 0.01, norms)
         assert norms == [float(np.linalg.norm(oracle.sample(z, t)))
                          for z, t in zip(states[:-1], times[:-1])]
         assert 0 < oracle.clipped < oracle.samples
         nominal = []
-        integrate(model, [0.3, -0.2, 3.1], np.array([2.0, 9.0]), None, 0.4, 0.5, 0.01, nominal)
+        run([0.3, -0.2, 3.1], np.array([2.0, 9.0]), None, 0.4, 0.5, 0.01, nominal)
         assert nominal == []
 
 
 def test_unicycle_integrate_fast_path_is_bit_identical():
-    # a lambda around the field is not recognized and takes the generic
-    # _rk4_step loop, the oracle of the Python-float path
-    generic = AgentModel(3, 2, lambda z, u: unicycle_field(z, u), angle_indices=(2,))
+    # the generic _rk4_step loop is the oracle of the Python-float path
     generators = {
         "none": None,
         "in bound": lambda z, t: 0.05 * np.sin(3 * t) * np.ones(3),
@@ -173,9 +205,9 @@ def test_unicycle_integrate_fast_path_is_bit_identical():
         for z0, u in cases:
             t0 = float(rng.uniform(0.0, 10.0))
             runs = []
-            for model in (UNICYCLE, generic):
+            for run in (lambda *args: integrate(UNICYCLE, *args), _rk4_integrate):
                 dist = None if gen is None else DisturbanceSignal(gen, 0.1)
-                times, states = integrate(model, z0, u, dist, t0, t0 + 0.1, 0.01)
+                times, states = run(z0, u, dist, t0, t0 + 0.1, 0.01)
                 runs.append((times, states, None if dist is None else
                              (dist.samples, dist.clipped)))
             (t_fast, fast, n_fast), (t_loop, loop, n_loop) = runs
@@ -243,8 +275,8 @@ def test_error_dynamics_roundtrip_and_wrapping():
     z = np.array([0.5, 1.0, -3.0])
     e = ed.error_of(z)
     assert abs(e[2]) <= np.pi  # shortest signed heading difference
-    assert np.allclose(ed.state_of(e)[:2], z[:2], atol=1e-12)
-    assert np.sin(ed.state_of(e)[2]) == pytest.approx(np.sin(z[2]), abs=1e-12)
+    assert np.allclose(e[:2] + ed.z_des[:2], z[:2], atol=1e-12)
+    assert np.sin(e[2] + ed.z_des[2]) == pytest.approx(np.sin(z[2]), abs=1e-12)
 
 
 def test_error_field_is_shifted_field():

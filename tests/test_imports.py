@@ -1,8 +1,10 @@
-"""Import hygiene: every name a module of the package, of the tests or of
-the scripts imports is used in that module, or exported through its
-`__all__`."""
+"""Import hygiene and dead code: every name a module of the package, of the
+tests or of the scripts imports is used in that module, or exported through
+its `__all__`; and everything the package defines is used by the program,
+not only by its own unit tests."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,4 +36,63 @@ def test_no_unused_imports():
              for pattern in ("src/dnmpc/*.py", "tests/*.py", "scripts/*.py")
              for path in sorted(ROOT.glob(pattern))
              for line, name in unused_imports(path.read_text())]
+    assert not found
+
+
+# where a use of a package definition counts: the program, its benchmark and
+# scripts, and the acceptance criteria
+USERS = ("src/dnmpc/*.py", "perfbench/*.py", "scripts/*.py", "tests/test_acceptance.py")
+
+
+def definitions(source):
+    """(name, first line, last line) of each function, method and class, and
+    of each module-level constant, that `source` defines; dunders excluded."""
+    tree = ast.parse(source)
+    found = [(node.name, node.lineno, node.end_lineno) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                found += [(name.id, node.lineno, node.end_lineno) for name in ast.walk(target)
+                          if isinstance(name, ast.Name)]
+    return [d for d in found if not (d[0].startswith("__") and d[0].endswith("__"))]
+
+
+def references(source):
+    """(name, line) of each name that `source` reads, as a variable, as an
+    attribute or as an identifier inside a string literal (perfbench patches
+    by attribute name). Docstrings and `__all__` entries name without using."""
+    tree = ast.parse(source)
+    skip = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+            skip.update(id(elt) for elt in node.value.elts)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
+            found += [(word, node.lineno) for word in re.findall(r"[A-Za-z_]\w*", node.value)]
+    return found
+
+
+def test_no_definition_only_tests_use():
+    example = ('"""Doc: unused, _Hidden."""\n__all__ = ["unused"]\nLIMIT = 2\n'
+               'def unused():\n    return unused()\n'
+               'class _Hidden:\n    def __init__(self): pass\n    def probe(self): pass\n'
+               'def used(x):\n    return getattr(x, "probe")(LIMIT)\n')
+    uses = references(example)
+    assert [name for name, first, last in definitions(example)
+            if not any(n == name and not first <= line <= last for n, line in uses)
+            ] == ["unused", "_Hidden", "used"]
+    users = [path for pattern in USERS for path in sorted(ROOT.glob(pattern))]
+    uses = {path: references(path.read_text()) for path in users}
+    found = [f"{path.relative_to(ROOT)}:{first}: {name}"
+             for path in sorted(ROOT.glob("src/dnmpc/*.py"))
+             for name, first, last in definitions(path.read_text())
+             if not any(n == name and (user != path or not first <= line <= last)
+                        for user, names in uses.items() for n, line in names)]
     assert not found

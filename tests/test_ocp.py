@@ -1,10 +1,12 @@
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from dnmpc import ocp
+from dnmpc.cli import load_scenario
 from dnmpc.dynamics import UNICYCLE, AgentModel, ErrorDynamics
 from dnmpc.ocp import (OcpConfig, _openblas_thread_controls, _Transcription,
                        restore_feasibility, single_blas_thread, solve_fhocp, stage_cost,
@@ -483,3 +485,31 @@ def test_minimize_matches_scipy_slsqp_bitwise():
             statuses.add(ours.status)
     # the problems reach SLSQP's own test and the suboptimal stop
     assert {0, ocp._CALLBACK_HALT} <= statuses
+
+
+def test_closed_loop_scaled_solves_match_scipy_slsqp_bitwise(monkeypatch):
+    """The Gauss-Newton-scaled solves of the bundled scenario's first 1.5 s,
+    as the closed loop makes them: hundreds of margin rows of several kinds,
+    the terminal row and the scale T. On each, `ocp._slsqp` must return
+    bitwise what scipy's public SLSQP returns with each constraint block's
+    Jacobian times T on its own. The seeded problems above cannot tell that
+    from one product of T with all the stacked rows, which moves the closed
+    loop's iterates."""
+    scenario = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
+    real = ocp._slsqp
+    margin_rows = []
+
+    def checked(tr, x0, ftol, slack=False, scale=None, callback=None):
+        ours = real(tr, x0, ftol, slack=slack, scale=scale, callback=callback)
+        if scale is not None:
+            ref_tr = _Transcription(tr.errordyn, tr.e0, tr.margin_fn, tr.cfg, tr.use_terminal)
+            ref_callback = None if callback is None else ocp._suboptimal_stop(ref_tr, x0, scale)
+            ref_x, ref = _scipy_slsqp(ref_tr, x0, ftol, slack, scale, ref_callback)
+            assert (ours.x.tobytes(), ours.nit, ours.nfev, ours.status) == (
+                ref_x.tobytes(), ref.nit, ref.nfev, ref.status), f"scaled solve {len(margin_rows)}"
+            margin_rows.append(ref_tr.eval(x0)["margins"].size)
+        return ours
+
+    monkeypatch.setattr(ocp, "_slsqp", checked)
+    load_scenario(scenario).build_simulation(total_time=1.5).run()
+    assert len(margin_rows) >= 5 and min(margin_rows) >= 300

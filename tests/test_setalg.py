@@ -14,13 +14,6 @@ def test_ball_validates_radius():
         Ball(np.zeros(2), -0.1)
 
 
-def test_ball_contains():
-    b = Ball([1.0, 1.0], 2.0)
-    assert b.contains([2.0, 2.0])
-    assert b.contains([3.0, 1.0])  # boundary, closed ball
-    assert not b.contains([3.5, 1.0])
-
-
 def test_minkowski_radii_add():
     a = Ball([0.0, 2.0], 1.0)
     b = Ball([1.0, -1.0], 0.5)
