@@ -270,6 +270,12 @@ def _validate(scenario: Scenario, path):
                 if value.shape != (model.state_dim,) or not np.all(np.isfinite(value)):
                     raise ValueError(f"agent {k} {name} must be {model.state_dim} "
                                      f"finite numbers, got {value.tolist()}")
+            for name, dim in (("Q", model.state_dim), ("P", model.state_dim),
+                              ("R", model.input_dim)):
+                shape = getattr(scenario, name).shape
+                if shape != (dim, dim):
+                    raise ValueError(f"weight {name} must be {dim}x{dim} for agent {k}'s "
+                                     f"{spec.model} model, got {'x'.join(map(str, shape))}")
         sim = scenario.build_simulation()
         scenario.build_certificate()
     except ValueError as exc:

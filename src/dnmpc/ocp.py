@@ -19,6 +19,13 @@ patches for its `slsqp` span. The loop evaluates once per request of the
 core, where scipy's wrapper evaluated each constraint block, and writes the
 rows in place; it runs on one OpenBLAS thread (:func:`single_blas_thread`).
 
+That core and LAPACK's `dtrtrs` (`scipy.linalg._flapack`, the triangular
+solve of the scaling below) are the only scipy code the solver runs. Both
+are loaded from their files (:func:`_scipy_compiled`), not through
+`scipy.optimize` and `scipy.linalg`: importing those packages whole loads
+linprog, `scipy.special`, `scipy.fft` and `numpy.f2py` besides, which took
+about 0.5 s and 40 MB of every `dnmpc` process's start (BENCH_18.json).
+
 There is one SLSQP problem (:func:`_slsqp`): margins, input ball and
 terminal set over the inputs u. :func:`solve_fhocp` minimizes the cost over
 it. The phase-1 pass :func:`restore_feasibility` solves its slack form,
@@ -60,6 +67,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -67,9 +76,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg import solve_triangular
-from scipy.optimize import OptimizeResult
-from scipy.optimize._slsqplib import slsqp as _slsqp_core
 
 from .dynamics import ErrorDynamics, rollout_zoh, wrap_angle
 
@@ -83,6 +89,26 @@ __all__ = [
     "warm_start_shift",
     "single_blas_thread",
 ]
+
+
+def _scipy_compiled(subpackage, name):
+    """scipy's compiled module ``scipy.<subpackage>.<name>``, loaded from its
+    file next to ``scipy.__file__`` without running the subpackage's
+    ``__init__``. A later ``import`` of the subpackage works as usual."""
+    directory = Path(scipy.__file__).parent / subpackage
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"{name}{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(f"scipy.{subpackage}.{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy {scipy.__version__} has no compiled module {directory / name}"
+                      f" with any of the suffixes {importlib.machinery.EXTENSION_SUFFIXES}")
+
+
+_slsqp_core = _scipy_compiled("optimize", "_slsqplib").slsqp
+_dtrtrs = _scipy_compiled("linalg", "_flapack").dtrtrs
 
 
 # (getter, setter) symbol names of OpenBLAS thread counts, as numpy's and
@@ -299,6 +325,22 @@ def _project_inputs(U, u_bar):
     return U * scale
 
 
+@dataclass
+class SlsqpResult:
+    """What :func:`minimize` returns: the last iterate `x`, the major
+    iterations `nit`, the distinct points evaluated `nfev` (as scipy counts
+    them) and SLSQP's exit `status`, 0 when its own test passed."""
+
+    x: np.ndarray
+    nit: int
+    nfev: int
+    status: int
+
+    @property
+    def success(self):
+        return self.status == 0
+
+
 def minimize(values, gradients, x0, m, maxiter, ftol, callback=None):
     """SLSQP (Kraft 1988) for min f(x) s.t. m >= 1 rows c(x) >= 0: drives
     scipy's compiled core by reverse communication, one call per request:
@@ -307,7 +349,7 @@ def minimize(values, gradients, x0, m, maxiter, ftol, callback=None):
     callback are those of scipy's `_minimize_slsqp` without bounds or equality
     rows, so the iterates are bitwise ``minimize(method="SLSQP")``'s. The
     callback gets a copy of each major iterate; its StopIteration ends the
-    run with status _CALLBACK_HALT. Returns x, nit, nfev, status, success."""
+    run with status _CALLBACK_HALT."""
     x = np.array(x0, dtype=float)
     n = len(x)
     state = dict(acc=ftol, alpha=0.0, f0=0.0, gs=0.0, h1=0.0, h2=0.0, h3=0.0, h4=0.0, t=0.0,
@@ -339,8 +381,7 @@ def minimize(values, gradients, x0, m, maxiter, ftol, callback=None):
         if abs(status) != 1:
             break
         iter_prev = state["iter"]
-    return OptimizeResult(x=x, nit=state["iter"], nfev=nfev, status=status,
-                          success=status == 0)
+    return SlsqpResult(x=x, nit=state["iter"], nfev=nfev, status=status)
 
 
 def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None):
@@ -419,14 +460,23 @@ def _gauss_newton_scaling(tr: _Transcription, x):
     """T = L^-T, where L L' = H is the Gauss-Newton Hessian of the cost at x,
     2h sum_k J_k' Q J_k + 2h blkdiag(R) + 2 J_N' P J_N with J_k = d e_k / d x
     (positive definite, as R is). In the variables y of x + T y that metric
-    is the identity, which SLSQP's BFGS starts from."""
+    is the identity, which SLSQP's BFGS starts from.
+
+    T solves L' T = I with LAPACK's dtrtrs called as scipy's
+    ``solve_triangular(L, I, lower=True, trans="T")`` calls it for the
+    C-ordered L that numpy's Cholesky returns: on the F-ordered L' as upper
+    triangular, untransposed. H is finite, as e0 and the projected warm start
+    are, so scipy's finiteness check is left out."""
     cfg = tr.cfg
     J = tr.eval(x)["jac"][tr.stage_idx]
     with single_blas_thread():
         H = 2.0 * cfg.h * (np.einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
                            + np.kron(np.eye(tr.N), cfg.R)) + 2.0 * J[-1].T @ cfg.P @ J[-1]
         L = np.linalg.cholesky(H)
-        return solve_triangular(L, np.eye(tr.nx), lower=True, trans="T")
+        T, info = _dtrtrs(L.T, np.eye(tr.nx), lower=False, trans=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return T
 
 
 def _suboptimal_stop(tr: _Transcription, x0, scale):

@@ -21,6 +21,12 @@ def _variant(tmp_path, **overrides):
     return path
 
 
+def _weights(Q=3, P=3, R=2):
+    """Explicit weights with identity matrices of the given sizes (the
+    unicycle's are 3, 3 and 2)."""
+    return {"Q": np.eye(Q).tolist(), "P": np.eye(P).tolist(), "R": np.eye(R).tolist()}
+
+
 def _agents_with(k, **fields):
     """The bundled scenario's agents, with agent k's `fields` replaced."""
     agents = yaml.safe_load(SCENARIO.read_text())["agents"]
@@ -256,11 +262,18 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
      "agent 0 start must be 3 finite numbers"),
     ({"agents": _agents_with(1, start=[-6.0, float("nan"), 0.0])}, [],
      "agent 1 start must be 3 finite numbers"),
+    ({"weights": _weights(Q=2)}, [],
+     "weight Q must be 3x3 for agent 0's unicycle model, got 2x2"),
+    ({"weights": _weights(P=2)}, [],
+     "weight P must be 3x3 for agent 0's unicycle model, got 2x2"),
+    ({"weights": _weights(R=3)}, [],
+     "weight R must be 2x2 for agent 0's unicycle model, got 3x3"),
     ({}, ["--total-time", "0.15"], "--total-time 0.15: sampling time must divide"),
     ({}, ["--total-time", "0"], "--total-time 0.0: total time must be positive"),
     ({}, ["--total-time", "-1"], "--total-time -1.0: total time must be positive"),
 ], ids=["total_time", "L_V", "u_bar", "w_bar", "L_g", "tube_cap-negative", "agents-empty",
         "agents-not-mappings", "agents-start-short", "agents-start-nan",
+        "weights-Q-2x2", "weights-P-2x2", "weights-R-3x3",
         "run-total-time-0.15", "run-total-time-0", "run-total-time-negative"])
 def test_bad_values_fail_before_any_solve(tmp_path, monkeypatch, capsys, overrides,
                                           options, message):

@@ -1,13 +1,20 @@
 """Import hygiene and dead code: every name a module of the package, of the
 tests or of the scripts imports is used in that module, or exported through
-its `__all__`; and everything the package defines is used by the program,
-not only by its own unit tests."""
+its `__all__`; everything the package defines is used by the program, not
+only by its own unit tests; and a fresh interpreter that loads the package
+first loads no scipy subpackage the solver does not run."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+from dnmpc.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
+SCENARIO = ROOT / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
 
 def unused_imports(source):
@@ -96,3 +103,51 @@ def test_no_definition_only_tests_use():
              if not any(n == name and (user != path or not first <= line <= last)
                         for user, names in uses.items() for n, line in names)]
     assert not found
+
+
+# run by a fresh interpreter with argv [scenario, output directory, tests directory]
+FRESH_INTERPRETER = """
+import sys
+import dnmpc.cli
+
+loaded = sorted({"scipy.optimize", "scipy.linalg"} & set(sys.modules))
+assert not loaded, f"import dnmpc.cli loaded {loaded}"
+scenario, out = sys.argv[1], sys.argv[2]
+assert dnmpc.cli.main(["certify", scenario]) == 0
+assert dnmpc.cli.main(["run", scenario, "--out", out, "--total-time", "0.2"]) == 1
+
+sys.path.insert(0, sys.argv[3])
+import scipy.optimize
+import test_ocp
+
+problem = list(test_ocp._unicycle_problems())[1]
+for form in ("relaxed", "terminal"):
+    tr, x0, ftol, options = test_ocp._slsqp_form(form, *problem)
+    ours = test_ocp.ocp._slsqp(tr, x0, ftol, **options)
+    ref_tr, _, _, ref_options = test_ocp._slsqp_form(form, *problem)
+    ref_x, ref = test_ocp._scipy_slsqp(ref_tr, x0, ftol, **ref_options)
+    assert (ours.x.tobytes(), ours.nit, ours.nfev, ours.status) == (
+        ref_x.tobytes(), ref.nit, ref.nfev, ref.status), form
+"""
+
+
+def test_fresh_interpreter_loads_only_the_compiled_scipy_routines(tmp_path, capsys):
+    """In a fresh interpreter, where dnmpc is loaded before anything else
+    (in-process tests always find scipy.optimize loaded by a test module),
+    `import dnmpc.cli` loads neither scipy.optimize nor scipy.linalg;
+    `certify` and a 0.2 s `run` work, the run's CSV is byte for byte the
+    in-process run's, and once scipy.optimize is imported after all, a
+    seeded problem of tests/test_ocp.py solves bitwise as scipy's public
+    SLSQP solves it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run(
+        [sys.executable, "-c", FRESH_INTERPRETER, str(SCENARIO), str(tmp_path / "fresh"),
+         str(ROOT / "tests")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert fresh.returncode == 0, fresh.stderr
+    assert main(["run", str(SCENARIO), "--out", str(tmp_path / "here"),
+                 "--total-time", "0.2"]) == 1
+    capsys.readouterr()
+    assert ((tmp_path / "fresh" / "trajectory.csv").read_bytes()
+            == (tmp_path / "here" / "trajectory.csv").read_bytes())

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from dnmpc import ocp
@@ -513,3 +514,45 @@ def test_closed_loop_scaled_solves_match_scipy_slsqp_bitwise(monkeypatch):
     monkeypatch.setattr(ocp, "_slsqp", checked)
     load_scenario(scenario).build_simulation(total_time=1.5).run()
     assert len(margin_rows) >= 5 and min(margin_rows) >= 300
+
+
+def _gauss_newton_hessian(tr, x):
+    """The Gauss-Newton Hessian of `_gauss_newton_scaling`'s docstring, by
+    the same float operations."""
+    cfg = tr.cfg
+    J = tr.eval(x)["jac"][tr.stage_idx]
+    return (2.0 * cfg.h * (np.einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
+                           + np.kron(np.eye(tr.N), cfg.R)) + 2.0 * J[-1].T @ cfg.P @ J[-1])
+
+
+def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
+    """`_gauss_newton_scaling` calls LAPACK's dtrtrs itself. Its T must be
+    bitwise what scipy's ``solve_triangular(L, I, lower=True, trans="T")``
+    gives for the Cholesky factor L of the same H, on the terminal-tier
+    problems of the bundled scenario's first 1.5 s, on seeded perturbations
+    of their warm starts and on the seeded unicycle problems. The closed-loop
+    SLSQP test hands both sides the same T, so it cannot see a flipped
+    `lower` or `trans` flag; this test does."""
+    scenario = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
+    real = ocp._gauss_newton_scaling
+    problems = []
+
+    def recorded(tr, x):
+        problems.append((tr, x.copy()))
+        return real(tr, x)
+
+    monkeypatch.setattr(ocp, "_gauss_newton_scaling", recorded)
+    load_scenario(scenario).build_simulation(total_time=1.5).run()
+    monkeypatch.undo()
+    assert len(problems) >= 5
+    rng = np.random.default_rng(7)
+    problems += [(tr, x + rng.uniform(-0.5, 0.5, x.shape)) for tr, x in problems]
+    for cfg, ed, e0, margin_fn, start in _unicycle_problems():
+        problems.append((_Transcription(ed, e0, margin_fn, cfg, True),
+                         ocp._project_inputs(start, cfg.u_bar).ravel()))
+    for k, (tr, x) in enumerate(problems):
+        with single_blas_thread():
+            L = np.linalg.cholesky(_gauss_newton_hessian(tr, x))
+            want = scipy.linalg.solve_triangular(L, np.eye(tr.nx), lower=True, trans="T")
+        got = ocp._gauss_newton_scaling(tr, x)
+        assert np.array_equal(got, want), f"problem {k}: T differs from scipy's L^-T"
