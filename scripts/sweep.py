@@ -18,6 +18,14 @@ the ``SimulationError`` message) and then the completion count. The runs are
 spread over one worker process per available CPU; they are bitwise
 deterministic, so two sweeps of the same code print the same lines in the
 order above whatever the number of CPUs.
+
+    python3 scripts/sweep.py --parent parent_sweep.txt
+
+also reads the lines another sweep printed (saved to a file, typically from
+the parent commit) and then prints each run whose outcome flipped and the
+paired gate for changes that move the closed loop's iterates: newly aborting
+minus newly completing runs must not exceed 2 sqrt(flipped runs), a
+two-sigma sign test. The exit status is 1 when the gate fails.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse
+import math
+import re
 import sys
 from multiprocessing import Pool
 from pathlib import Path
@@ -72,14 +83,59 @@ def run_one(run):
     return f"{kind} {seed}: ok"
 
 
-def main():
+def outcomes(lines):
+    """{"<kind> <seed>": completed} of the run lines among `lines`."""
+    runs = {}
+    for line in lines:
+        match = re.match(r"((?:weight-seed|jitter) \d+): (.*)$", line.strip())
+        if match:
+            runs[match[1]] = match[2] == "ok"
+    return runs
+
+
+def paired_gate(parent_lines, lines):
+    """(report lines, passed) of the paired gate of `lines` against
+    `parent_lines`: the runs whose outcome flipped, then newly aborting -
+    newly completing <= 2 sqrt(flipped)."""
+    parent, change = outcomes(parent_lines), outcomes(lines)
+    if set(parent) != set(change):
+        raise ValueError(f"the two sweeps have different runs: {sorted(set(parent) ^ set(change))}")
+    report = [f"flipped {run}: {'ok' if parent[run] else 'abort'} -> "
+              f"{'ok' if change[run] else 'abort'}"
+              for run in change if parent[run] != change[run]]
+    aborting = sum(parent[run] and not change[run] for run in change)
+    completing = sum(change[run] and not parent[run] for run in change)
+    bound = 2.0 * math.sqrt(len(report))
+    passed = aborting - completing <= bound
+    report.append(f"paired gate: newly aborting {aborting} - newly completing {completing} = "
+                  f"{aborting - completing} <= 2 sqrt({len(report)}) = {bound:.2f}: "
+                  f"{'pass' if passed else 'FAIL'}")
+    return report, passed
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", help="file with the lines of another sweep to compare with")
+    args = parser.parse_args(argv)
+    parent_lines = None
+    if args.parent:
+        with open(args.parent) as fh:
+            parent_lines = fh.read().splitlines()
+        names = {f"{kind} {seed}" for kind, seed in RUNS}
+        if set(outcomes(parent_lines)) != names:
+            parser.error(f"{args.parent} does not have one line for each of the {len(RUNS)} runs")
     with Pool(len(os.sched_getaffinity(0))) as pool:
         lines = pool.map(run_one, RUNS, chunksize=1)
     for line in lines:
         print(line)
     completed = sum(line.endswith(": ok") for line in lines)
     print(f"completed {completed}/{len(RUNS)}")
-    return 0
+    if parent_lines is None:
+        return 0
+    report, passed = paired_gate(parent_lines, lines)
+    for line in report:
+        print(line)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

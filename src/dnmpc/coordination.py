@@ -34,8 +34,8 @@ import numpy as np
 from .certify import ultimate_bound
 from .constraints import MARGIN_KINDS, WorldModel, tube_profile_radii
 from .dynamics import ErrorDynamics, integrate
-from .ocp import (OcpConfig, restore_feasibility, solve_fhocp, unicycle_steering_law,
-                  warm_start_shift)
+from .ocp import (OcpConfig, dual_mode_controller, restore_feasibility, solve_fhocp,
+                  unicycle_steering_law, warm_start_shift)
 from .setalg import TubeProfile
 
 __all__ = [
@@ -301,7 +301,9 @@ class Simulation:
         self.known_obstacles = [set() for _ in models]
         self.prev_solution: list = [None] * len(models)
         self.traces = [AgentTrace() for _ in models]
-        self.steering = [unicycle_steering_law(ed.z_des, config.u_bar)
+        # each agent's terminal controller kappa, which extends the shifted plan
+        self.steering = [dual_mode_controller(unicycle_steering_law(ed.z_des, config.u_bar),
+                                              config)
                          for ed in self.errordyns]
         # V(e) >= lambda_min(P) |e|^2: a terminal-feasible plan ends this close
         # to the goal
@@ -397,7 +399,9 @@ class Simulation:
         restore_feasibility), `iterations` (summed over those calls),
         `terminal_excluded` (a terminal-enforced tier was skipped as provably
         infeasible) and `wall_time` stats cover the whole ladder; its other
-        stats are those of the accepted attempt.
+        stats are those of the accepted attempt, with `feasible_witness`
+        true when that attempt is terminal-enforced and started from the
+        shifted plan, feasible within `constraint_tol`.
         """
         start = time.perf_counter()
         ladder = {"attempts": 0, "iterations": 0, "terminal_excluded": False}
@@ -447,6 +451,7 @@ class Simulation:
                     tiers.append((use_terminal, cap, rho))
 
         starts = self._starts(i)
+        shifted = starts[0] if len(starts) > 1 else None
         best = None
         for use_terminal, cap, rho in tiers:
             margin_fn = self._margin_fn(i, geometry, rho)
@@ -456,6 +461,8 @@ class Simulation:
                                   warm_start=start, use_terminal=use_terminal)
                 ladder["attempts"] += 1
                 ladder["iterations"] += sol.solve_stats["iterations"]
+                sol.solve_stats["feasible_witness"] = (
+                    use_terminal and start is shifted and sol.solve_stats["start_feasible"])
                 return sol
 
             def accept(sol):
@@ -587,6 +594,7 @@ class Simulation:
                 "tube_capped": sol.solve_stats["tube_capped"],
                 "terminal_excluded": sol.solve_stats["terminal_excluded"],
                 "suboptimal_stop": sol.solve_stats["suboptimal_stop"],
+                "feasible_witness": sol.solve_stats["feasible_witness"],
                 "iterations": sol.solve_stats["iterations"],
                 "attempts": sol.solve_stats["attempts"],
                 "wall_time": sol.solve_stats["wall_time"],

@@ -5,7 +5,9 @@ Each test covers one numbered acceptance criterion and prints a single
 verdict survives into piped logs. Criteria 1, 2 and 9 share one 100-second
 closed-loop run of the bundled scenario; criterion 6 uses a separate
 disturbance-free run. The remaining criteria are self-contained and checked
-against independent oracles.
+against independent oracles. The terminal-set invariance oracle at the end
+checks the paper's terminal-controller assumption the same way and prints
+its disturbed case as a finding.
 """
 
 import math
@@ -350,3 +352,50 @@ def test_criterion_9_iss_cost_inequality(paper_run, capsys):
     ok = worst >= -1e-6
     _report(capsys, 9, "ISS optimal-cost inequality", ok,
             f"smallest inequality slack {worst:+.3f}")
+
+
+def test_terminal_controller_keeps_the_terminal_set_invariant(capsys):
+    """The paper's terminal-set assumption, by sampling in the style of
+    criterion 4: from errors e drawn in Omega = {e'Pe <= eps_omega} of each
+    agent, the terminal controller kappa that extends the shifted plan, held
+    for h on the nominal unicycle, keeps V = e'Pe <= eps_omega at every
+    substep. The same draws under a constant disturbance of norm w_bar give
+    the largest V / eps_omega, printed as a finding and not gated on: the gap
+    eps_psi - eps_omega is what is meant to absorb it."""
+    scenario = load_scenario(SCENARIO)
+    sim = scenario.build_simulation()
+    cfg = sim.config
+    rng = np.random.default_rng(19)
+    chol = np.linalg.cholesky(cfg.P)  # e'Pe = |chol' e|^2
+    worst_nominal = worst_disturbed = 0.0
+    draws = 0
+    for errordyn, kappa in zip(sim.errordyns, sim.steering):
+        for _ in range(100):
+            direction = rng.normal(size=3)
+            # uniform in the ellipsoid: radius^3 uniform, so V^(3/2) uniform
+            radius = math.sqrt(cfg.eps_omega) * rng.uniform() ** (1.0 / 3.0)
+            e = np.linalg.solve(chol.T, radius * direction / np.linalg.norm(direction))
+            w = rng.normal(size=3)
+            w *= scenario.w_bar / np.linalg.norm(w)
+            u = kappa(e)
+            for disturbance in (None, DisturbanceSignal(lambda z, t, w=w: w, scenario.w_bar)):
+                _, states = integrate(UNICYCLE, errordyn.z_des + e, u, disturbance, 0.0,
+                                      cfg.h, cfg.h / cfg.substeps)
+                errors = errordyn.error_of(states)
+                ratio = float(np.einsum("ti,ij,tj->t", errors, cfg.P, errors).max()
+                              / cfg.eps_omega)
+                if disturbance is None:
+                    worst_nominal = max(worst_nominal, ratio)
+                else:
+                    worst_disturbed = max(worst_disturbed, ratio)
+            draws += 1
+    with capsys.disabled():
+        print(f"\nfinding terminal-set invariance under w_bar = {scenario.w_bar}: largest "
+              f"V/eps_omega {worst_disturbed:.3f} after h over {draws} draws "
+              f"(eps_psi/eps_omega = {cfg.eps_psi / cfg.eps_omega:.1f})", flush=True)
+    ok = worst_nominal <= 1.0
+    line = (f"terminal-set invariance: {'PASS' if ok else 'FAIL'}  [largest nominal "
+            f"V/eps_omega {worst_nominal:.6f} after h over {draws} draws]")
+    with capsys.disabled():
+        print(line, flush=True)
+    assert ok, line

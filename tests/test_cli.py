@@ -379,6 +379,29 @@ def test_run_then_verify_roundtrip(tmp_path, capsys):
         assert line1 == line2
 
 
+def test_run_reports_feasible_witness_solves(tmp_path, monkeypatch):
+    """report.txt counts, next to the suboptimal stops, the accepted
+    terminal-enforced solves that started from a feasible shifted plan, as
+    step_meta flags them; from t = 1.6 s the bundled agents reach their
+    terminal tiers."""
+    logs, real_run = [], coordination.Simulation.run
+
+    def run(sim):
+        logs.append(real_run(sim))
+        return logs[-1]
+
+    monkeypatch.setattr(coordination.Simulation, "run", run)
+    out_dir = tmp_path / "out"
+    main(["run", str(SCENARIO), "--out", str(out_dir), "--total-time", "2.0"])
+    keys = [line.split(" = ", 1)[0] for line in (out_dir / "report.txt").read_text().splitlines()]
+    report = dict(line.split(" = ", 1) for line in (out_dir / "report.txt").read_text().splitlines())
+    metas = [meta for trace in logs[0].traces for meta in trace.step_meta]
+    witnesses = int(report["feasible_witness_solves"])
+    assert witnesses == sum(meta["feasible_witness"] for meta in metas) > 0
+    assert witnesses <= sum(not meta["terminal_relaxed"] for meta in metas)
+    assert keys.index("feasible_witness_solves") == keys.index("suboptimal_stop_solves") + 1
+
+
 def test_run_reports_clipped_disturbance_samples(tmp_path):
     """Past t = 0.31 the bundled generator's norm 0.173 |sin(2t)| exceeds
     w_bar = 0.1 and DisturbanceSignal clips it; report.txt counts those samples."""

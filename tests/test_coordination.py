@@ -173,6 +173,53 @@ def test_step_meta_flags_suboptimal_stops():
             assert not meta["terminal_relaxed"]
 
 
+@pytest.mark.parametrize("at_rest", [False, True])
+def test_step_meta_flags_feasible_witnesses(monkeypatch, at_rest):
+    """`feasible_witness` marks an accepted solve that is terminal-enforced
+    and started from the shifted previous plan, that plan meeting every
+    constraint of the solve within `constraint_tol`: each attempt's start is
+    checked on a transcription of its own. Agents that approach their goals,
+    and agents at rest in the terminal set, where agent 0's shifted attempt
+    at t = 0.1 is rejected so that its ladder accepts the (feasible) zero
+    start, which is no witness."""
+    sim = _simulation(total_time=0.3 if at_rest else 0.6)
+    if at_rest:
+        sim.states = [np.array([2.98, 0.01, 0.02]), np.array([3.01, 1.19, -0.01])]
+    expected, flags, now = {}, [], [0.0]
+    real_solve, real_agent = coordination.solve_fhocp, sim._solve_agent
+
+    def solve(errordyn, e0, margin_fn, cfg, warm_start=None, use_terminal=True):
+        sol = real_solve(errordyn, e0, margin_fn, cfg, warm_start=warm_start,
+                         use_terminal=use_terminal)
+        i = next(k for k, known in enumerate(sim.errordyns) if known is errordyn)
+        prev = sim.prev_solution[i]
+        shifted = prev is not None and np.array_equal(
+            warm_start, warm_start_shift(prev, sim.steering[i], cfg))
+        start = ocp._project_inputs(warm_start, cfg.u_bar).ravel()
+        slack = ocp._Transcription(errordyn, e0, margin_fn, cfg, use_terminal).eval(start)["slack"]
+        expected[id(sol)] = use_terminal and shifted and -slack <= cfg.constraint_tol
+        if at_rest and shifted and i == 0 and now[0] == 0.1:
+            sol.status, sol.solve_stats["residual"] = "infeasible", 1.0
+        return sol
+
+    def solve_agent(i, t_k):
+        now[0] = t_k
+        sol = real_agent(i, t_k)
+        flags.append((sol.solve_stats["feasible_witness"], expected[id(sol)]))
+        if at_rest and (i, t_k) == (0, 0.1):
+            assert sol.solve_stats["start_feasible"] and not expected[id(sol)]
+        return sol
+
+    monkeypatch.setattr(coordination, "solve_fhocp", solve)
+    monkeypatch.setattr(sim, "_solve_agent", solve_agent)
+    log = sim.run()
+    metas = [meta for trace in log.traces for meta in trace.step_meta]
+    assert [got for got, _ in flags] == [want for _, want in flags]
+    assert sum(meta["feasible_witness"] for meta in metas) == sum(got for got, _ in flags)
+    assert 0 < sum(got for got, _ in flags) < len(flags) == len(metas)
+    assert all(not meta["terminal_relaxed"] for meta in metas if meta["feasible_witness"])
+
+
 def test_csv_roundtrip(tmp_path):
     log = _simulation(w_bar=0.05, total_time=0.3).run()
     path = tmp_path / "log.csv"

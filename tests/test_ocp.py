@@ -95,14 +95,17 @@ def test_solver_matches_riccati_oracle():
 
 def test_terminal_solve_in_gauss_newton_scaling_matches_riccati_oracle():
     # the double integrator is linear, so the Gauss-Newton Hessian the
-    # terminal tier scales by is the exact one: SLSQP's first step is Newton's
+    # terminal tier scales by is the exact one: SLSQP's first step is Newton's.
+    # The zero start is feasible and that step's plan costs less, so the
+    # suboptimal stop ends the solve there, before SLSQP's own test
     cfg = _config(eps_omega=1e3, eps_psi=2e3)  # terminal set far from binding
     ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
     for e0 in ([1.5, -0.7], [0.3, 0.2], [-2.0, 1.0]):
         e0 = np.array(e0)
         sol = solve_fhocp(ed, e0, None, cfg, use_terminal=True)
-        assert sol.status == "optimal"
-        assert sol.solve_stats["iterations"] <= 3
+        assert sol.status == "feasible-suboptimal"
+        assert sol.solve_stats["suboptimal_stop"] is True
+        assert sol.solve_stats["iterations"] == 1
         assert np.max(np.abs(sol.inputs - lqr_dp_reference(e0, cfg))) < 1e-6
 
 
@@ -144,6 +147,138 @@ def test_suboptimal_stop_returns_a_feasible_plan_no_worse_than_its_start():
             assert sol.cost <= before["cost"]
         else:
             assert sol.status == "optimal"
+
+
+def _stop_iterates(monkeypatch, cfg, ed, e0, margin_fn, start):
+    """A terminal-enforced solve with `ocp._suboptimal_stop` observed: the
+    start's (feasible, cost) and each major iterate's (feasible, cost,
+    halted) as the stop sees it, on a transcription of its own, and the
+    solution."""
+    iterates, real = [], ocp._suboptimal_stop
+
+    def observed(tr, x0, scale):
+        callback = real(tr, x0, scale)
+        check = _Transcription(tr.errordyn, tr.e0, tr.margin_fn, tr.cfg, True)
+
+        def state(x):
+            res = check.eval(x)
+            return bool(-res["slack"] <= cfg.constraint_tol), res["cost"]
+
+        iterates.append(state(x0))
+
+        def recorded(y):
+            U = ocp._project_inputs((x0 + scale @ y).reshape(tr.N, tr.m), cfg.u_bar)
+            seen = state(U.ravel())
+            try:
+                callback(y)
+            except StopIteration:
+                iterates.append((*seen, True))
+                raise
+            iterates.append((*seen, False))
+
+        return recorded
+
+    monkeypatch.setattr(ocp, "_suboptimal_stop", observed)
+    sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
+    monkeypatch.undo()
+    return iterates[0], iterates[1:], sol
+
+
+def _settled(cost, previous):
+    return abs(cost - previous) <= ocp.SUBOPTIMAL_STOP_DELTA * previous
+
+
+def test_stop_from_a_feasible_start_takes_the_first_iterate_that_beats_it(monkeypatch):
+    """From a feasible start (a witness, cost J~) the solve ends at the first
+    major iterate that is feasible and costs at most J~, settled or not: the
+    swerve past the disc stops at SLSQP's first iterate, whose cost moved by
+    a quarter."""
+    cfg, ed, e0, margin_fn, _ = _unicycle_near_disc()
+    swerve = np.tile([1.7, -0.6], (6, 1))
+    (feasible, bound), iterates, sol = _stop_iterates(monkeypatch, cfg, ed, e0, margin_fn,
+                                                      swerve)
+    assert feasible
+    halted = [k for k, (_, _, halt) in enumerate(iterates) if halt]
+    beats = [k for k, (ok, cost, _) in enumerate(iterates) if ok and cost <= bound]
+    assert halted == beats[:1] == [len(iterates) - 1]
+    assert not _settled(iterates[-1][1], bound)
+    assert sol.solve_stats["suboptimal_stop"] is True
+    assert sol.solve_stats["iterations"] == len(iterates) == 1
+    assert sol.status == "feasible-suboptimal" and sol.cost <= bound
+
+
+def test_stop_from_an_infeasible_start_waits_for_the_cost_to_settle(monkeypatch):
+    """From a start outside the tolerance there is no J~: the solve ends at
+    the first feasible iterate whose cost changed by at most
+    SUBOPTIMAL_STOP_DELTA, although earlier iterates were feasible and
+    cheaper than the start."""
+    cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
+    (feasible, start_cost), iterates, sol = _stop_iterates(monkeypatch, cfg, ed, e0,
+                                                           margin_fn, start)
+    assert not feasible
+    costs = [start_cost] + [cost for _, cost, _ in iterates]
+    settled = [k for k, (ok, cost, _) in enumerate(iterates)
+               if ok and _settled(cost, costs[k])]
+    halted = [k for k, (_, _, halt) in enumerate(iterates) if halt]
+    assert halted == settled[:1] == [len(iterates) - 1]
+    assert any(ok and cost <= start_cost for ok, cost, _ in iterates[:-1])
+    assert sol.solve_stats["suboptimal_stop"] is True
+    assert sol.status == "feasible-suboptimal"
+
+
+def test_stop_where_slsqp_converges_too_reports_optimal(monkeypatch):
+    """Terminal-enforced solves warm-started at their own optimum: at SLSQP's
+    first iterate its own test passes and the stop fires as well (a feasible
+    plan no costlier than the start). `ocp.minimize` keeps the core's exit
+    mode 0 beside the halt, so the solve reads optimal, not stopped."""
+    results, real = [], ocp.minimize
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    for cfg, ed, e0, margin_fn in (
+            _unicycle_near_disc()[:4],
+            (_config(eps_omega=1e3, eps_psi=2e3),
+             ErrorDynamics(double_integrator_model(), np.zeros(2)), np.array([1.5, -0.7]),
+             None)):
+        plan = solve_fhocp(ed, e0, margin_fn, cfg, use_terminal=True).inputs
+        for _ in range(5):
+            # restarts from the stop's plan, until SLSQP's own test passes
+            monkeypatch.setattr(ocp, "minimize", recorded)
+            sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=plan, use_terminal=True)
+            monkeypatch.undo()
+            if results[-1].mode == 0:
+                break
+            plan = sol.inputs
+        opt = results[-1]
+        assert (opt.status, opt.mode, opt.success) == (ocp._CALLBACK_HALT, 0, True)
+        assert sol.status == "optimal"
+        assert sol.solve_stats["suboptimal_stop"] is False
+
+
+def test_dual_mode_controller_switches_at_eps_omega():
+    """kappa is zero input on Omega = {e'Pe <= eps_omega}, boundary included,
+    and the steering law outside it."""
+    cfg = _config(u_bar=3.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
+                  P=np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.2]]))
+    z_des = np.array([1.0, -2.0, 0.3])
+    steering = unicycle_steering_law(z_des, cfg.u_bar)
+    kappa = ocp.dual_mode_controller(steering, cfg)
+    direction = np.array([0.6, -0.3, 0.2])
+    unit = direction / np.sqrt(direction @ cfg.P @ direction)
+    for scale in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
+        e = np.sqrt(cfg.eps_omega * scale) * unit
+        V = e @ cfg.P @ e
+        u = kappa(e)
+        assert u.shape == (2,)
+        if V <= cfg.eps_omega:
+            assert np.array_equal(u, np.zeros(2))
+        else:
+            assert np.array_equal(u, steering(e)) and np.linalg.norm(u) > 0.0
+    on_boundary = np.sqrt(cfg.eps_omega) * unit
+    on_boundary *= np.sqrt(cfg.eps_omega / (on_boundary @ cfg.P @ on_boundary))
+    assert [kappa(s * on_boundary).any() for s in (1.0 - 1e-6, 1.0 + 1e-6)] == [False, True]
 
 
 def test_suboptimal_stop_only_on_terminal_solves(monkeypatch):
