@@ -122,12 +122,15 @@ class Scenario:
             raise ScenarioError(f"unsupported disturbance kind {kind!r}")
         amp = float(self.disturbance.get("amplitude", self.w_bar))
         freq = float(self.disturbance.get("frequency", 1.0))
+        for name, value in (("amplitude", amp), ("frequency", freq)):
+            if not math.isfinite(value):
+                raise ScenarioError(f"disturbance {name} must be finite, got {value}")
         out = []
         for spec in self.agents:
             dim = len(spec.start)
 
             def gen(z, t, amp=amp, freq=freq, dim=dim):
-                return np.full(dim, amp * math.sin(freq * t))
+                return [amp * math.sin(freq * t)] * dim
 
             out.append(DisturbanceSignal(generator=gen, bound=self.w_bar))
         return out

@@ -129,8 +129,9 @@ class StageGeometry:
             self.kinds, self.labels = np.zeros(0, dtype=int), []
             return
         labels, anchors, sign, offset, kinds = zip(*entries)
-        self.anchors = np.stack([np.broadcast_to(a, (T, np.shape(a)[-1])) for a in anchors],
-                                axis=1)
+        self.anchors = np.empty((T, len(entries), np.shape(anchors[0])[-1]))
+        for c, anchor in enumerate(anchors):
+            self.anchors[:, c] = anchor
         self.sign, self.offset, self.kinds = np.array(sign), np.array(offset), np.array(kinds)
         self.labels = list(labels)
 
@@ -180,7 +181,7 @@ class StageGeometry:
         eroded connectivity threshold."""
         sep, conn = self.pair_windows()
         rho = np.asarray(rho)
-        return bool(np.any(sep[:, None] + rho > conn[:, None] - rho))
+        return bool((sep[:, None] + rho > conn[:, None] - rho).any())
 
     def terminal_excluded(self, goal, radius, rho_end, tol):
         """True if no position within `radius` of `goal` meets every
@@ -191,9 +192,10 @@ class StageGeometry:
         max(|goal - anchor| - radius, 0) (sign -1). Reads the stacked columns
         without calling :meth:`margins`.
         """
-        dist = np.linalg.norm(goal - self.anchors[-1], axis=-1)
+        diff = goal - self.anchors[-1]
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
         reach = np.where(self.sign > 0.0, dist + radius, -np.maximum(dist - radius, 0.0))
-        return bool(np.any(self.offset - rho_end + reach < -tol))
+        return bool((self.offset - rho_end + reach < -tol).any())
 
 
 def tube_profile_radii(profile: TubeProfile, taus):

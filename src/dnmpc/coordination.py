@@ -54,7 +54,9 @@ __all__ = [
 def sensing_set(agent, positions, d_i):
     """Agents strictly within sensing range of `agent` (excluding itself)."""
     positions = np.asarray(positions, dtype=float)
-    dists = np.linalg.norm(positions - positions[agent], axis=1)
+    diff = positions - positions[agent]
+    # the sum np.linalg.norm forms, so the distances are the same floats
+    dists = np.sqrt(np.add.reduce(diff * diff, axis=1))
     return {j for j in range(len(positions)) if j != agent and dists[j] < d_i}
 
 
@@ -324,7 +326,8 @@ class Simulation:
         p = self.states[i][self.models[i].position_slice]
         b_i = self.world.detection_ranges[i]
         for ell, obstacle in enumerate(self.world.obstacles):
-            if np.linalg.norm(p - obstacle.center) - obstacle.radius <= b_i:
+            offset = p - obstacle.center
+            if math.sqrt(offset.dot(offset)) - obstacle.radius <= b_i:
                 self.known_obstacles[i].add(ell)
 
     def _bootstrap_board(self):
@@ -437,7 +440,8 @@ class Simulation:
         if not caps:
             caps = [None]
 
-        pos_err = np.linalg.norm(e0[self.models[i].position_slice])
+        pos_e0 = e0[self.models[i].position_slice]
+        pos_err = math.sqrt(pos_e0.dot(pos_e0))
         terminal_plausible = pos_err <= 0.5 * cfg.u_bar * cfg.T_p
         goal = self.errordyns[i].z_des[self.models[i].position_slice]
         tiers = []
@@ -488,9 +492,9 @@ class Simulation:
             if incumbent is not None:
                 # a plan that barely moves while far from the goal signals a
                 # blocked local optimum: probe lateral detours for a cheaper one
-                displacement = np.linalg.norm(
-                    (incumbent.dense_errors[-1] - incumbent.dense_errors[0])
-                    [self.models[i].position_slice])
+                moved = (incumbent.dense_errors[-1]
+                         - incumbent.dense_errors[0])[self.models[i].position_slice]
+                displacement = math.sqrt(moved.dot(moved))
                 if pos_err > 1.0 and displacement < 0.1 * cfg.u_bar * cfg.T_p:
                     # the starts not yet tried, then the lateral probes
                     for start in [*starts[k + 1:], *self._probe_starts(i)]:
@@ -562,10 +566,12 @@ class Simulation:
                                       t_k, t_k + cfg.h, cfg.h / cfg.substeps, w_norms)
             self.states[i] = states[-1].copy()
 
-            # predicted nominal error energy over the applied interval (for ISS)
+            # predicted nominal error energy over the applied interval (for
+            # ISS), by the trapezoid rule as np.trapezoid sums it
             dense = sol.dense_errors[: cfg.substeps + 1]
-            errsq = np.sum(dense * dense, axis=1)
-            errsq_int = float(np.trapezoid(errsq, dx=cfg.h / cfg.substeps))
+            errsq = np.add.reduce(dense * dense, axis=1)
+            errsq_int = float(np.add.reduce(
+                (cfg.h / cfg.substeps) * (errsq[1:] + errsq[:-1]) / 2.0))
 
             # log the substeps after t_k, which the previous step logged, as
             # one block; V is still each row's own dot product, as at t = 0
@@ -573,7 +579,7 @@ class Simulation:
             times, states = times[1:], states[1:]
             trace.times.extend(times.tolist())
             trace.states.extend(states)
-            trace.inputs.extend(np.tile(u0, (len(states), 1)))
+            trace.inputs.extend(u0[None].repeat(len(states), axis=0))
             if disturbance is None:
                 trace.w_norms.extend([0.0] * len(states))
             else:
@@ -584,7 +590,7 @@ class Simulation:
                 trace.w_norms.append(math.sqrt(w.dot(w)))
             e = self.errordyns[i].error_of(states)
             ep = e @ cfg.P
-            trace.V.extend(float(ep[r] @ e[r]) for r in range(len(e)))
+            trace.V.extend([float(ep[r] @ e[r]) for r in range(len(e))])
             trace.step_meta.append({
                 "t": t_k,
                 "status": sol.status,

@@ -94,9 +94,8 @@ class ErrorDynamics:
 
     def error_of(self, z):
         e = np.asarray(z, dtype=float) - self.z_des
-        if self.model.angle_indices:
-            idx = list(self.model.angle_indices)
-            e[..., idx] = wrap_angle(e[..., idx])
+        for k in self.model.angle_indices:
+            e[..., k] = wrap_angle(e[..., k])
         return e
 
 
@@ -104,8 +103,10 @@ class ErrorDynamics:
 class DisturbanceSignal:
     """Bounded additive disturbance. Output is clipped to the stated bound.
 
-    `samples` counts the calls of :meth:`sample` and `clipped` those whose
-    generator output exceeded the bound.
+    `generator(z, t)` gives the unclipped disturbance at the state z (an
+    array) and time t, as an array or a sequence of floats. `samples` counts
+    the calls of :meth:`sample` and `clipped` those whose generator output
+    exceeded the bound.
     """
 
     generator: Callable[[np.ndarray, float], np.ndarray]
@@ -184,16 +185,17 @@ def _unicycle_integrate(z0, u, disturbance, times, dt, w_norms=None):
     x, y, heading = np.asarray(z0, dtype=float).tolist()
     heading = _wrap_heading(heading)
     half, sixth = 0.5 * dt, dt / 6.0
+    sample = None if disturbance is None else disturbance.sample
 
     def deriv(t, x, y, heading, norms=None):
-        dx, dy, dh = v * float(np.cos(heading)), v * float(np.sin(heading)), omega
-        if disturbance is None:
-            return dx, dy, dh
-        w = disturbance.sample(np.array([x, y, heading]), t)
+        dx, dy = v * float(np.cos(heading)), v * float(np.sin(heading))
+        if sample is None:
+            return dx, dy, omega
+        w = sample(np.array((x, y, heading)), t)
         if norms is not None:
             norms.append(math.sqrt(w.dot(w)))
         wx, wy, wh = w.tolist()
-        return dx + wx, dy + wy, dh + wh
+        return dx + wx, dy + wy, omega + wh
 
     out = [(x, y, heading)]
     for t in times[:-1]:
@@ -290,29 +292,32 @@ def _unicycle_heading_offset(field):
 
 # Rows: cos, then sin, of (heading, heading + dt/2 * omega, heading + dt *
 # omega). Columns: the weighted sums in dx/dv, dy/dv, dx/domega and dy/domega
-# of a substep's own stage, before their scale, and a zero column that
-# _unicycle_rollout_zoh fills with dheading/domega.
+# of a substep's own stage, before their scale.
 _OWN_STAGE_WEIGHTS = np.array([
-    [1.0, 0.0, 0.0, 0.0, 0.0],
-    [4.0, 0.0, 0.0, 2.0, 0.0],
-    [1.0, 0.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0, 0.0],
-    [0.0, 4.0, -2.0, 0.0, 0.0],
-    [0.0, 1.0, -1.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0],
+    [4.0, 0.0, 0.0, 2.0],
+    [1.0, 0.0, 0.0, 1.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [0.0, 4.0, -2.0, 0.0],
+    [0.0, 1.0, -1.0, 0.0],
 ])
 
 
 @functools.cache
-def _stage_layout(n_stage, substeps):
+def _stage_layout(n_stage, substeps, dt):
     """Where each substep j lies relative to each stage k, as read-only
-    arrays: `own` (T, 1, N) is 1 where j belongs to stage k, else 0;
-    `spent` (T, N) counts the substeps of stage k before j (0 before the
-    stage, `substeps` after it)."""
+    arrays: `own` (T, 1, N, 1) is 1 where j belongs to stage k, else 0;
+    `spent` (T, 1, N) counts the substeps of stage k before j (0 before the
+    stage, `substeps` after it); `heading` (T, N, 2) is the heading's input
+    Jacobian after each substep, d heading / d (v_k, omega_k): zero, and the
+    cumulative sum of dt * own over the substeps, which no input changes."""
     offset = np.arange(n_stage * substeps)[:, None] - substeps * np.arange(n_stage)
-    own = ((offset >= 0) & (offset < substeps)).astype(float)[:, None, :]
-    spent = np.clip(offset, 0, substeps).astype(float)
-    own.flags.writeable = spent.flags.writeable = False
-    return own, spent
+    own = ((offset >= 0) & (offset < substeps)).astype(float)[:, None, :, None]
+    spent = np.clip(offset, 0, substeps).astype(float)[:, None, :]
+    heading = np.zeros(offset.shape + (2,))
+    heading[..., 1] = (dt * own[:, 0, :, 0]).cumsum(axis=0)
+    own.flags.writeable = spent.flags.writeable = heading.flags.writeable = False
+    return own, spent, heading
 
 
 def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset,
@@ -327,6 +332,11 @@ def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset,
     cumulative sum chains the substeps. Every element goes through the same
     float operations, in the same order, as in the generic loop, and
     ``np.cumsum`` adds sequentially, so the trajectory is bit-identical.
+    The terms that depend on a stage's input alone (v, the heading's RK4
+    increment and the two turns) are formed once per stage and held over its
+    substeps, and one product gives v (cos, sin) at the three headings;
+    tests/test_dynamics.py checks the result bit for bit against the
+    substep-by-substep form.
 
     The input Jacobian (unbatched only) differentiates the same closed form.
     Substep j of stage k(j) moves the position by
@@ -338,40 +348,54 @@ def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset,
     (-dy, dx). J is one cumulative sum of these per-substep contributions.
     """
     dt = stage_time / substeps
-    v = np.repeat(u_seq[..., 0], substeps, axis=-1)
-    omega = np.repeat(u_seq[..., 1], substeps, axis=-1)
-    batch = np.broadcast_shapes(e0.shape[:-1], u_seq.shape[:-2])
-    steps = np.empty(batch + (v.shape[-1] + 1, 3))
+    sixth = dt / 6.0
+    omega = u_seq[..., 1]
+    # per stage: v, the heading increment and the half- and full-step turns
+    held = np.empty((4,) + omega.shape)
+    held[0] = u_seq[..., 0]
+    held[1] = sixth * (((omega + 2.0 * omega) + 2.0 * omega) + omega)
+    held[2] = (0.5 * dt) * omega
+    held[3] = dt * omega
+    held = held.repeat(substeps, axis=-1)
+    v = held[0]
+    n_sub = v.shape[-1]
+    batch = () if want_jacobian else np.broadcast_shapes(e0.shape[:-1], u_seq.shape[:-2])
+    steps = np.empty(batch + (n_sub + 1, 3))
     steps[..., 0, :] = e0
-    steps[..., 1:, 2] = (dt / 6.0) * (((omega + 2.0 * omega) + 2.0 * omega) + omega)
-    heading = np.cumsum(steps[..., 2], axis=-1)[..., :-1]
-    theta = np.stack([heading, heading + (0.5 * dt) * omega, heading + dt * omega])
+    steps[..., 1:, 2] = held[1]
+    heading = steps[..., 2].cumsum(axis=-1)[..., :-1]
+    # the headings k1, k2 (= k3's) and k4 see
+    theta = np.empty((3,) + heading.shape)
+    theta[0] = heading
+    np.add(heading, held[2:], out=theta[1:])
     if heading_offset is not None:
-        theta = theta + heading_offset
-    cos, sin = np.cos(theta), np.sin(theta)
-    vx = v * cos
-    vy = v * sin
-    steps[..., 1:, 0] = (dt / 6.0) * (((vx[0] + 2.0 * vx[1]) + 2.0 * vx[1]) + vx[2])
-    steps[..., 1:, 1] = (dt / 6.0) * (((vy[0] + 2.0 * vy[1]) + 2.0 * vy[1]) + vy[2])
-    traj = np.cumsum(steps, axis=-2)
+        theta += heading_offset
+    trig = np.empty((2,) + theta.shape)
+    np.cos(theta, out=trig[0])
+    np.sin(theta, out=trig[1])
+    # v (cos, sin) at the three headings, and the RK4 sums of both components
+    vtrig = v * trig
+    two_mid = 2.0 * vtrig[:, 1]
+    increments = sixth * (((vtrig[:, 0] + two_mid) + two_mid) + vtrig[:, 2])
+    steps[..., 1:, 0] = increments[0]
+    steps[..., 1:, 1] = increments[1]
+    traj = steps.cumsum(axis=-2)
     if not want_jacobian:
         return traj
-    n_sub = v.shape[0]
-    own, spent = _stage_layout(u_seq.shape[0], substeps)
+    own, spent, heading_jac = _stage_layout(u_seq.shape[0], substeps, dt)
     # per substep, d increment / d (v, omega) of its own stage:
-    # (dx/dv, dy/dv, dx/domega, dy/domega, dheading/domega)
-    terms = np.concatenate([cos, sin]).T @ _OWN_STAGE_WEIGHTS
-    terms[:, :2] *= dt / 6.0
-    terms[:, 2:4] *= (dt * dt / 6.0) * v[:, None]
-    terms[:, 4] = dt
-    # (T, 5, N): the own-stage terms, and for omega of every stage the turn
-    # (-dy, dx) of the increment times the heading change dt * spent
-    blocks = terms[:, :, None] * own
+    # [[dx/dv, dx/domega], [dy/dv, dy/domega]]
+    terms = trig.reshape(6, n_sub).T @ _OWN_STAGE_WEIGHTS
+    own_terms = np.empty((n_sub, 2, 2))
+    np.multiply(terms[:, :2], sixth, out=own_terms[:, :, 0])
+    np.multiply(terms[:, 2:], (dt * dt / 6.0) * v[:, None], out=own_terms[:, :, 1])
+    # (T, 2, N, 2): the own-stage terms, and for omega of every stage the
+    # turn (-dy, dx) of the increment times the heading change dt * spent
+    blocks = own_terms[:, :, None, :] * own
     turn = steps[1:, 1::-1] * np.array([-dt, dt])
-    blocks[:, 2:4] += turn[:, :, None] * spent[:, None, :]
-    jac = np.zeros((n_sub + 1, 3, own.shape[2], 2))
-    cum = np.cumsum(blocks, axis=0)
-    jac[1:, :2, :, 0] = cum[:, :2]
-    jac[1:, :, :, 1] = cum[:, 2:]
+    blocks[..., 1] += turn[:, :, None] * spent
+    jac = np.empty((n_sub + 1, 3, own.shape[2], 2))
+    jac[0] = 0.0
+    np.cumsum(blocks, axis=0, out=jac[1:, :2])
+    jac[1:, 2] = heading_jac
     return traj, jac.reshape(n_sub + 1, 3, -1)
-

@@ -10,7 +10,8 @@ rollout returns its Jacobian with respect to the inputs (exact for the
 unicycle, central differences for other fields), and `margin_fn(errors)`
 returns the margins with their Jacobian with respect to the error (exact for
 the distance margins of :class:`~dnmpc.constraints.StageGeometry`). The cost,
-terminal-value and margin gradients follow by the chain rule. SLSQP does the
+terminal-value and margin gradients follow by the chain rule, formed from
+that iterate's rollout when SLSQP first asks for them. SLSQP does the
 constrained minimization (the decision dimension, N * input_dim, is tiny):
 scipy's compiled core, the private `scipy.optimize._slsqplib.slsqp` that
 tests/test_ocp.py checks against scipy's public SLSQP bit for bit, driven by
@@ -96,6 +97,7 @@ import ctypes
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -109,7 +111,6 @@ from .dynamics import ErrorDynamics, rollout_zoh, wrap_angle
 __all__ = [
     "OcpConfig",
     "HorizonSolution",
-    "stage_cost",
     "solve_fhocp",
     "restore_feasibility",
     "unicycle_steering_law",
@@ -249,6 +250,12 @@ class OcpConfig:
             raise ValueError("need 0 < eps_omega < eps_psi")
         if self.u_bar <= 0.0:
             raise ValueError(f"input bound u_bar must be positive, got {self.u_bar}")
+        # a NaN tolerance would pass every infeasibility test
+        if not 0.0 < self.constraint_tol < math.inf:
+            raise ValueError("constraint_tol must be positive and finite, "
+                             f"got {self.constraint_tol}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
     @property
     def n_stages(self):
@@ -264,17 +271,6 @@ class HorizonSolution:
     cost: float
     status: str               # optimal | feasible-suboptimal | infeasible
     solve_stats: dict = field(default_factory=dict)
-
-
-def stage_cost(e, u, Q, R):
-    """Quadratic running cost e'Qe + u'Ru."""
-    e = np.asarray(e, dtype=float)
-    u = np.asarray(u, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
-    if e.shape[-1] != Q.shape[0] or u.shape[-1] != R.shape[0]:
-        raise ValueError("dimension mismatch in stage cost")
-    return np.einsum("...i,ij,...j->...", e, Q, e) + np.einsum("...i,ij,...j->...", u, R, u)
 
 
 class _Transcription:
@@ -303,54 +299,67 @@ class _Transcription:
         self.N = config.n_stages
         self.nx = self.N * self.m
         self.stage_idx = config.substeps * np.arange(self.N + 1)
+        self._stages = self.stage_idx[:-1]
         self._cache_key = None
         self._cache = None
+        self._chain = None
         self.n_rollouts = 0
 
-    def eval(self, x):
+    def eval(self, x, gradients=False):
+        """The values at x: `traj`, `jac`, `cost`, `v_term`, `slack` and,
+        with a `margin_fn`, `margins`. With `gradients`, also `cost_grad`,
+        `v_term_grad` and `margins_jac`: chain-rule products of `jac` that
+        this iterate's rollout already gave, formed on the first request, as
+        SLSQP asks for them at some iterates only."""
         key = x.tobytes()
-        if key == self._cache_key:
-            return self._cache
+        if key != self._cache_key:
+            self._cache_key, self._cache = key, self._values(x)
+        result = self._cache
+        if gradients and "cost_grad" not in result:
+            cfg, jac = self.cfg, result["jac"]
+            stage_e, U, Pe_N, dm_de = self._chain
+            v_term_grad = 2.0 * (jac[-1].T @ Pe_N)
+            run_grad = (2.0 * cfg.h) * (
+                np.einsum("kix,ki->x", jac[self._stages], stage_e @ cfg.Q)
+                + (U @ cfg.R).ravel())
+            result["cost_grad"] = run_grad + v_term_grad
+            result["v_term_grad"] = v_term_grad
+            if dm_de is not None:
+                # (T, C, n) @ (T, n, nx), flattened to (T*C, nx)
+                result["margins_jac"] = (dm_de @ jac[1:]).reshape(-1, self.nx)
+        return result
+
+    def _values(self, x):
         cfg = self.cfg
         U = x.reshape(self.N, self.m)
         traj, jac = rollout_zoh(self.errordyn.field, self.e0, U, cfg.h, cfg.substeps,
                                 FD_EPS)
         self.n_rollouts += 1
-        stage_e = traj[self.stage_idx[:-1]]
+        stage_e = traj[self._stages]
         e_N = traj[-1]
         Pe_N = cfg.P @ e_N
         v_term = float(e_N @ Pe_N)
-        v_term_grad = 2.0 * (jac[-1].T @ Pe_N)
-        run = float(stage_cost(stage_e, U, cfg.Q, cfg.R).sum()) * cfg.h
-        run_grad = (2.0 * cfg.h) * (
-            np.einsum("kix,ki->x", jac[self.stage_idx[:-1]], stage_e @ cfg.Q)
-            + (U @ cfg.R).ravel())
-        result = {
-            "traj": traj,
-            "jac": jac,
-            "cost": run + v_term,
-            "cost_grad": run_grad + v_term_grad,
-            "v_term": v_term,
-            "v_term_grad": v_term_grad,
-        }
+        # h sum_k (e_k'Q e_k + u_k'R u_k), each stage's two forms summed first
+        run = float(np.add.reduce(np.einsum("...i,ij,...j->...", stage_e, cfg.Q, stage_e)
+                                  + np.einsum("...i,ij,...j->...", U, cfg.R, U))) * cfg.h
+        result = {"traj": traj, "jac": jac, "cost": run + v_term, "v_term": v_term}
         slacks = []
+        dm_de = None
         if self.margin_fn is not None:
             margins, dm_de = self.margin_fn(traj[1:])
-            result["margins"] = margins.ravel()
-            # (T, C, n) @ (T, n, nx), flattened to (T*C, nx)
-            result["margins_jac"] = (dm_de @ jac[1:]).reshape(-1, self.nx)
-            slacks.append(result["margins"].min(initial=np.inf))
+            result["margins"] = margins = margins.ravel()
+            slacks.append(np.minimum.reduce(margins, initial=np.inf))
         if self.use_terminal:
             slacks.append(cfg.eps_omega - v_term)
         result["slack"] = float(min(slacks, default=0.0))
-        self._cache_key = key
-        self._cache = result
+        self._chain = stage_e, U, Pe_N, dm_de
         return result
 
 
 def _project_inputs(U, u_bar):
     """Exact projection of each stage input onto the norm ball."""
-    norms = np.linalg.norm(U, axis=-1, keepdims=True)
+    # the sum np.linalg.norm forms, so the norms are the same floats
+    norms = np.sqrt(np.add.reduce(U * U, axis=-1, keepdims=True))
     scale = np.minimum(1.0, u_bar / np.maximum(norms, 1e-300))
     return U * scale
 
@@ -393,7 +402,8 @@ def minimize(values, gradients, x0, m, maxiter, ftol, callback=None):
                  itermax=int(maxiter), line=0, m=m, meq=0, mode=0, n=n)
     buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
     mult, indices = np.zeros(m + 2 * n + 2), np.zeros(m + 2 * n + 2, dtype=np.int32)
-    xl, xu = np.full(n, np.nan), np.full(n, np.nan)
+    xl = np.full(n, np.nan)
+    xu = xl.copy()
     g, C, d = np.zeros(n), np.zeros((m, n), order="F"), np.zeros(m)
     f = values(x, d)
     gradients(x, g, C)
@@ -404,7 +414,7 @@ def minimize(values, gradients, x0, m, maxiter, ftol, callback=None):
         status = mode = state["mode"]
         if status == 1:
             f = values(x, d)
-            if not np.array_equal(x, f_at):
+            if not (x == f_at).all():
                 nfev, f_at = nfev + 1, x.copy()
         elif status == -1:
             gradients(x, g, C)
@@ -436,7 +446,7 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
     in place. `callback` gets each major iterate in SLSQP's variables.
     """
     cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
-    start = x0 if scale is None else np.zeros_like(x0)
+    start = x0 if scale is None else np.zeros(x0.shape)
 
     def to_x(z):
         return z if scale is None else x0 + scale @ z
@@ -454,13 +464,13 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
                                 else (n_margins + N, n_margins))
     ball_rows = slice(ball_start, ball_start + N)
     ball_jac = np.zeros((N, nx))
-    ball_index = np.repeat(np.arange(N), m), np.arange(nx)
+    ball_index = np.arange(N).repeat(m), np.arange(nx)
 
     def values(z, d):
         x = to_x(z)
         res = tr.eval(x[:nx])
         U = x[:nx].reshape(N, m)
-        d[ball_rows] = cfg.u_bar ** 2 - np.sum(U * U, axis=1)
+        d[ball_rows] = cfg.u_bar ** 2 - np.add.reduce(U * U, axis=1)
         if n_margins:
             d[:n_margins] = res["margins"]
         if n_terminal:
@@ -472,7 +482,7 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
 
     def gradients(z, g, C):
         x = to_x(z)
-        res = tr.eval(x[:nx])
+        res = tr.eval(x[:nx], gradients=True)
         ball_jac[ball_index] = -2.0 * x[:nx]
         C[ball_rows, :nx] = in_z(ball_jac)
         if n_margins:
@@ -492,6 +502,17 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
     return opt
 
 
+@functools.cache
+def _gauss_newton_constants(n_stages, r_bytes, m):
+    """(kron(I_N, R), I_{N m}) for the m x m weight R given by its bytes, as
+    read-only arrays: the constant terms of :func:`_gauss_newton_scaling`,
+    built once per (N, R)."""
+    R = np.frombuffer(r_bytes).reshape(m, m)
+    block_r, identity = np.kron(np.eye(n_stages), R), np.eye(n_stages * m)
+    block_r.flags.writeable = identity.flags.writeable = False
+    return block_r, identity
+
+
 def _gauss_newton_scaling(tr: _Transcription, x):
     """T = L^-T, where L L' = H is the Gauss-Newton Hessian of the cost at x,
     2h sum_k J_k' Q J_k + 2h blkdiag(R) + 2 J_N' P J_N with J_k = d e_k / d x
@@ -504,12 +525,13 @@ def _gauss_newton_scaling(tr: _Transcription, x):
     triangular, untransposed. H is finite, as e0 and the projected warm start
     are, so scipy's finiteness check is left out."""
     cfg = tr.cfg
+    block_r, identity = _gauss_newton_constants(tr.N, cfg.R.tobytes(), tr.m)
     J = tr.eval(x)["jac"][tr.stage_idx]
     with single_blas_thread():
         H = 2.0 * cfg.h * (np.einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
-                           + np.kron(np.eye(tr.N), cfg.R)) + 2.0 * J[-1].T @ cfg.P @ J[-1]
+                           + block_r) + 2.0 * J[-1].T @ cfg.P @ J[-1]
         L = np.linalg.cholesky(H)
-        T, info = _dtrtrs(L.T, np.eye(tr.nx), lower=False, trans=0)
+        T, info = _dtrtrs(L.T, identity, lower=False, trans=0)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return T
@@ -577,7 +599,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
     """
     t_start = time.perf_counter()
     e0 = np.asarray(e0, dtype=float)
-    if not np.all(np.isfinite(e0)):
+    if not np.isfinite(e0).all():
         raise ValueError("initial error must be finite")
     tr = _Transcription(errordyn, e0, margin_fn, config, use_terminal)
     N, m = tr.N, tr.m
@@ -600,7 +622,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"solver diverged: {exc}") from exc
     x_best = opt.x
-    if not np.all(np.isfinite(x_best)):
+    if not np.isfinite(x_best).all():
         raise RuntimeError("solver produced non-finite iterate")
 
     U = _project_inputs(x_best.reshape(N, m), config.u_bar)
@@ -743,8 +765,8 @@ def warm_start_shift(previous: HorizonSolution, controller, config: OcpConfig):
         raise ValueError("cannot shift an infeasible solution")
     tail = previous.dense_errors[-1]
     u_tail = np.asarray(controller(tail), dtype=float)
-    norm = np.linalg.norm(u_tail)
+    norm = math.sqrt(u_tail.dot(u_tail))
     if norm > config.u_bar:
         u_tail = u_tail * (config.u_bar / norm)
-    return np.vstack([previous.inputs[1:], u_tail[None, :]])
+    return np.concatenate([previous.inputs[1:], u_tail[None, :]])
 

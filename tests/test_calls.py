@@ -1,0 +1,57 @@
+import importlib.util
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """scripts/calls.py as a module; the BLAS variables it sets at import are
+    restored afterwards."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("calls", ROOT / "scripts" / "calls.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_entry_resolves(calls):
+    """A renamed entry function fails here rather than reading 0 calls."""
+    codes = [calls.code_of(module, name) for module, name in calls.LAYERS]
+    assert [code.co_name for code in codes] == [name.rsplit(".", 1)[-1]
+                                                for _, name in calls.LAYERS]
+    assert set(calls.LAYERS.values()) | {"engine"} == set(calls.ORDER)
+
+
+def _inner(x):
+    return abs(x) + len([x])
+
+
+def _outer(x):
+    def nested(y):
+        return _inner(y)
+
+    return nested(x) + _inner(x)
+
+
+def test_calls_count_towards_the_innermost_layer(calls, monkeypatch):
+    """_outer's own call and its nested function's count towards layer "a";
+    each _inner call, made from inside "a", and its two builtin calls
+    towards "b"; the builtin calls outside both layers towards "engine"."""
+    toy = types.ModuleType("toy")
+    toy._outer, toy._inner = _outer, _inner
+    monkeypatch.setattr(calls, "LAYERS", {(toy, "_outer"): "a", (toy, "_inner"): "b"})
+    counter = calls.CallCounter()
+    sys.setprofile(counter)
+    try:
+        _outer(-2)
+        len("x")
+    finally:
+        sys.setprofile(None)
+    # the setprofile(None) call itself is a builtin call outside every layer
+    assert dict(counter.counts) == {"a": 2, "b": 6, "engine": 2}

@@ -27,6 +27,11 @@ def _weights(Q=3, P=3, R=2):
     return {"Q": np.eye(Q).tolist(), "P": np.eye(P).tolist(), "R": np.eye(R).tolist()}
 
 
+def _disturbance(**fields):
+    """The bundled scenario's disturbance section, with `fields` replaced."""
+    return {**yaml.safe_load(SCENARIO.read_text())["disturbance"], **fields}
+
+
 def _agents_with(k, **fields):
     """The bundled scenario's agents, with agent k's `fields` replaced."""
     agents = yaml.safe_load(SCENARIO.read_text())["agents"]
@@ -268,12 +273,21 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
      "weight P must be 3x3 for agent 0's unicycle model, got 2x2"),
     ({"weights": _weights(R=3)}, [],
      "weight R must be 2x2 for agent 0's unicycle model, got 3x3"),
+    ({"disturbance": _disturbance(amplitude=float("nan"))}, [],
+     "disturbance amplitude must be finite, got nan"),
+    ({"disturbance": _disturbance(frequency=float("inf"))}, [],
+     "disturbance frequency must be finite, got inf"),
+    ({"constraint_tol": float("nan")}, [], "constraint_tol must be positive and finite, got nan"),
+    ({"constraint_tol": -1.0}, [], "constraint_tol must be positive and finite, got -1.0"),
+    ({"max_iterations": 0}, [], "max_iterations must be at least 1, got 0"),
     ({}, ["--total-time", "0.15"], "--total-time 0.15: sampling time must divide"),
     ({}, ["--total-time", "0"], "--total-time 0.0: total time must be positive"),
     ({}, ["--total-time", "-1"], "--total-time -1.0: total time must be positive"),
 ], ids=["total_time", "L_V", "u_bar", "w_bar", "L_g", "tube_cap-negative", "agents-empty",
         "agents-not-mappings", "agents-start-short", "agents-start-nan",
-        "weights-Q-2x2", "weights-P-2x2", "weights-R-3x3",
+        "weights-Q-2x2", "weights-P-2x2", "weights-R-3x3", "disturbance-amplitude-nan",
+        "disturbance-frequency-inf", "constraint_tol-nan", "constraint_tol-negative",
+        "max_iterations-0",
         "run-total-time-0.15", "run-total-time-0", "run-total-time-negative"])
 def test_bad_values_fail_before_any_solve(tmp_path, monkeypatch, capsys, overrides,
                                           options, message):

@@ -166,6 +166,84 @@ def test_unicycle_rollout_fast_path_is_bit_identical():
     assert np.array_equal(fast, loop)
 
 
+# The unicycle kernel in its substep-by-substep form, as it stood before the
+# terms that depend on a stage's input alone were formed once per stage: the
+# oracle of rollout_zoh's fast path, trajectory and input Jacobian, bit for bit
+_ORACLE_WEIGHTS = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0],
+    [4.0, 0.0, 0.0, 2.0, 0.0],
+    [1.0, 0.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0, 0.0],
+    [0.0, 4.0, -2.0, 0.0, 0.0],
+    [0.0, 1.0, -1.0, 0.0, 0.0],
+])
+
+
+def _unicycle_rollout_oracle(e0, u_seq, stage_time, substeps, heading_offset):
+    """(trajectory, input Jacobian) of the unicycle under the ZOH inputs
+    u_seq (N, 2) from e0 (3,), every per-stage term formed on every
+    substep."""
+    dt = stage_time / substeps
+    v = np.repeat(u_seq[..., 0], substeps, axis=-1)
+    omega = np.repeat(u_seq[..., 1], substeps, axis=-1)
+    steps = np.empty((v.shape[-1] + 1, 3))
+    steps[0, :] = e0
+    steps[1:, 2] = (dt / 6.0) * (((omega + 2.0 * omega) + 2.0 * omega) + omega)
+    heading = np.cumsum(steps[..., 2], axis=-1)[..., :-1]
+    theta = np.stack([heading, heading + (0.5 * dt) * omega, heading + dt * omega])
+    if heading_offset is not None:
+        theta = theta + heading_offset
+    cos, sin = np.cos(theta), np.sin(theta)
+    vx = v * cos
+    vy = v * sin
+    steps[1:, 0] = (dt / 6.0) * (((vx[0] + 2.0 * vx[1]) + 2.0 * vx[1]) + vx[2])
+    steps[1:, 1] = (dt / 6.0) * (((vy[0] + 2.0 * vy[1]) + 2.0 * vy[1]) + vy[2])
+    traj = np.cumsum(steps, axis=-2)
+    n_stage, n_sub = u_seq.shape[0], v.shape[0]
+    offset = np.arange(n_sub)[:, None] - substeps * np.arange(n_stage)
+    own = ((offset >= 0) & (offset < substeps)).astype(float)[:, None, :]
+    spent = np.clip(offset, 0, substeps).astype(float)
+    terms = np.concatenate([cos, sin]).T @ _ORACLE_WEIGHTS
+    terms[:, :2] *= dt / 6.0
+    terms[:, 2:4] *= (dt * dt / 6.0) * v[:, None]
+    terms[:, 4] = dt
+    blocks = terms[:, :, None] * own
+    turn = steps[1:, 1::-1] * np.array([-dt, dt])
+    blocks[:, 2:4] += turn[:, :, None] * spent[:, None, :]
+    jac = np.zeros((n_sub + 1, 3, n_stage, 2))
+    cum = np.cumsum(blocks, axis=0)
+    jac[1:, :2, :, 0] = cum[:, :2]
+    jac[1:, :, :, 1] = cum[:, 2:]
+    return traj, jac.reshape(n_sub + 1, 3, -1)
+
+
+def test_unicycle_rollout_matches_its_substep_oracle_bitwise():
+    """The fast path's trajectory and Jacobian are the oracle's floats, signed
+    zeros included (compared as bytes): seeded inputs with and without a
+    heading offset, zero inputs and inputs on the ball u_bar = 8 sqrt(2)."""
+    rng = np.random.default_rng(23)
+    u_bar = 8.0 * math.sqrt(2.0)
+    ed = ErrorDynamics(UNICYCLE, np.array([6.0, 2.3, 0.4]))
+    cases = []
+    for _ in range(10):
+        e0 = rng.normal(size=3)
+        u_seq = rng.uniform(-8.0, 8.0, (6, 2))
+        on_ball = u_seq * (u_bar / np.linalg.norm(u_seq, axis=1, keepdims=True))
+        cases += [(e0, u_seq), (e0, on_ball)]
+    cases += [(np.zeros(3), np.zeros((6, 2))), (rng.normal(size=3), np.zeros((6, 2)))]
+    for field, offset in ((ed.field, ed.z_des[2]), (unicycle_field, None)):
+        for stage_time, substeps in ((0.1, 10), (0.13, 4)):
+            for e0, u_seq in cases:
+                traj, jac = rollout_zoh(field, e0, u_seq, stage_time, substeps, 1e-6)
+                want_traj, want_jac = _unicycle_rollout_oracle(e0, u_seq, stage_time,
+                                                               substeps, offset)
+                assert traj.shape == want_traj.shape and jac.shape == want_jac.shape
+                assert traj.tobytes() == want_traj.tobytes()
+                assert jac.tobytes() == want_jac.tobytes()
+                plain = rollout_zoh(field, e0, u_seq, stage_time, substeps)
+                assert plain.tobytes() == want_traj.tobytes()
+
+
 def test_integrate_reports_first_stage_disturbance_norms():
     """`w_norms` receives the norm of each substep's first RK4 sample, the
     disturbance at (states[k], times[k]) for every k but the last, from

@@ -10,7 +10,7 @@ from dnmpc import ocp
 from dnmpc.cli import load_scenario
 from dnmpc.dynamics import UNICYCLE, AgentModel, ErrorDynamics
 from dnmpc.ocp import (OcpConfig, _openblas_thread_controls, _Transcription,
-                       restore_feasibility, single_blas_thread, solve_fhocp, stage_cost,
+                       restore_feasibility, single_blas_thread, solve_fhocp,
                        unicycle_steering_law, warm_start_shift)
 
 
@@ -324,19 +324,6 @@ def test_slsqp_halts_on_callback_stop_iteration():
     assert ocp._CALLBACK_HALT == 99
 
 
-def test_stage_cost_quadratic():
-    Q = np.diag([2.0, 1.0])
-    R = np.array([[0.5]])
-    assert stage_cost([1.0, 2.0], [2.0], Q, R) == pytest.approx(2 + 4 + 2)
-    batch = stage_cost(np.ones((4, 2)), np.ones((4, 1)), Q, R)
-    assert batch.shape == (4,)
-
-
-def test_stage_cost_dimension_mismatch():
-    with pytest.raises(ValueError):
-        stage_cost([1.0, 2.0, 3.0], [1.0], np.eye(2), np.eye(1))
-
-
 def test_input_bound_respected():
     cfg = _config(u_bar=0.5)
     ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
@@ -392,7 +379,7 @@ def test_transcription_gradients_match_central_differences():
     margin_fn = disc_margin_fn(ed, [1.2, 0.3], 0.3)
     tr = _Transcription(ed, np.array([-3.0, 0.1, -0.2]), margin_fn, cfg, use_terminal=True)
     x = np.random.default_rng(4).uniform(-3.0, 3.0, tr.nx)
-    res = tr.eval(x)
+    res = tr.eval(x, gradients=True)
     assert tr.n_rollouts == 1
     eps = 1e-6
     for value, grad in (("cost", "cost_grad"), ("v_term", "v_term_grad"),
@@ -407,6 +394,22 @@ def test_transcription_gradients_match_central_differences():
         exact = np.atleast_2d(res[grad])
         assert exact.shape == fd.shape
         assert np.abs(exact - fd).max() <= 1e-6 * np.abs(fd).max(), value
+
+
+def test_transcription_cost_is_the_rectangle_rule_quadratic():
+    """cost = h sum_k (e_k'Q e_k + u_k'R u_k) + e_N'P e_N over the stage
+    instants of the rollout, and v_term its last term."""
+    cfg = _config(u_bar=8.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
+                  P=np.diag([0.5, 0.5, 0.1]))
+    ed = ErrorDynamics(UNICYCLE, np.array([3.0, 0.0, 0.4]))
+    tr = _Transcription(ed, np.array([-3.0, 0.1, -0.2]), None, cfg, use_terminal=True)
+    x = np.random.default_rng(9).uniform(-3.0, 3.0, tr.nx)
+    res = tr.eval(x)
+    stages = res["traj"][::cfg.substeps]
+    U = x.reshape(tr.N, tr.m)
+    run = sum(e @ cfg.Q @ e + u @ cfg.R @ u for e, u in zip(stages[:-1], U))
+    assert res["v_term"] == pytest.approx(stages[-1] @ cfg.P @ stages[-1], rel=1e-12)
+    assert res["cost"] == pytest.approx(cfg.h * run + res["v_term"], rel=1e-12)
 
 
 def _unicycle_near_disc():
@@ -537,10 +540,12 @@ def _scipy_slsqp(tr, x0, ftol, slack=False, scale=None, callback=None):
     ball = [{"type": "ineq", "fun": ball_fun, "jac": ball_jac}]
     margins = [{"type": "ineq",
                 "fun": lambda x: lowered(x, tr.eval(x[:nx])["margins"]),
-                "jac": lambda x: with_slack_column(tr.eval(x[:nx])["margins_jac"])}]
+                "jac": lambda x: with_slack_column(
+                     tr.eval(x[:nx], gradients=True)["margins_jac"])}]
     terminal = [{"type": "ineq",
                  "fun": lambda x: lowered(x, np.array([cfg.eps_omega - tr.eval(x[:nx])["v_term"]])),
-                 "jac": lambda x: with_slack_column(-tr.eval(x[:nx])["v_term_grad"][None, :])}]
+                 "jac": lambda x: with_slack_column(
+                     -tr.eval(x[:nx], gradients=True)["v_term_grad"][None, :])}]
     if not tr.use_terminal:
         terminal = []
     cons = margins + (terminal + ball if slack else ball + terminal)
@@ -549,7 +554,8 @@ def _scipy_slsqp(tr, x0, ftol, slack=False, scale=None, callback=None):
         grad[-1] = -1.0
         fun, jac = (lambda x: -x[-1]), (lambda x: grad)
     else:
-        fun, jac = (lambda x: tr.eval(x)["cost"]), (lambda x: tr.eval(x)["cost_grad"])
+        fun = lambda x: tr.eval(x)["cost"]  # noqa: E731
+        jac = lambda x: tr.eval(x, gradients=True)["cost_grad"]  # noqa: E731
     start, to_x = x0, (lambda y: y)
     if scale is not None:
         def to_x(y):
