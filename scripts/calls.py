@@ -19,7 +19,8 @@ stack (see ``LAYERS``); calls outside every layer count towards ``engine``.
 The counts do not depend on the machine's speed or load, only on the code and
 on the installed Python, numpy and scipy, so two checkouts compare on a noisy
 machine where single timings cannot resolve a 10% change. Prints one table
-per window and, last, one JSON object with every count.
+per window, with each layer's calls, share and calls per agent-step, and,
+last, one JSON object with every count.
 """
 
 from __future__ import annotations
@@ -128,17 +129,26 @@ def measure():
     return out
 
 
+def table(name, window):
+    """The printed lines of one window of :func:`measure`: per layer, its
+    calls, its share and its calls per agent-step (the count over the
+    window's agent-solves)."""
+    start, end = window["t"]
+    solves = window["agent_solves"]
+    lines = [f"{name}: t in [{start:g}, {end:g}) s, {solves} agent-solves "
+             f"({window['feasible_witness_solves']} from a feasible witness), "
+             f"{window['slsqp_iterations']} SLSQP iterations",
+             f"  {'layer':<11}{'calls':>10}  {'share':>6}  {'per step':>8}"]
+    for layer, count in list(window["calls"].items()) + [("total", window["total"])]:
+        lines.append(f"  {layer:<11}{count:>10,}  {count / window['total']:6.1%}  "
+                     f"{count / solves:8.1f}")
+    return lines
+
+
 def main():
     result = measure()
     for name, window in result.items():
-        start, end = window["t"]
-        print(f"{name}: t in [{start:g}, {end:g}) s, {window['agent_solves']} "
-              f"agent-solves ({window['feasible_witness_solves']} from a feasible witness), "
-              f"{window['slsqp_iterations']} SLSQP iterations")
-        for layer in ORDER:
-            count = window["calls"][layer]
-            print(f"  {layer:<11}{count:>10,}  {count / window['total']:6.1%}")
-        print(f"  {'total':<11}{window['total']:>10,}")
+        print("\n".join(table(name, window)))
     print(json.dumps(result, sort_keys=True))
     return 0
 

@@ -120,17 +120,23 @@ class Scenario:
         kind = self.disturbance.get("kind", "sinusoid")
         if kind != "sinusoid":
             raise ScenarioError(f"unsupported disturbance kind {kind!r}")
-        amp = float(self.disturbance.get("amplitude", self.w_bar))
-        freq = float(self.disturbance.get("frequency", 1.0))
-        for name, value in (("amplitude", amp), ("frequency", freq)):
+        numbers = []
+        for name, default in (("amplitude", self.w_bar), ("frequency", 1.0)):
+            raw = self.disturbance.get(name, default)
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):
+                raise ScenarioError(f"disturbance {name} must be a number, got {raw!r}") from None
             if not math.isfinite(value):
                 raise ScenarioError(f"disturbance {name} must be finite, got {value}")
+            numbers.append(value)
+        amp, freq = numbers
         out = []
         for spec in self.agents:
             dim = len(spec.start)
 
-            def gen(z, t, amp=amp, freq=freq, dim=dim):
-                return [amp * math.sin(freq * t)] * dim
+            def gen(times, amp=amp, freq=freq, dim=dim):
+                return (amp * np.sin(freq * times))[:, None].repeat(dim, axis=1)
 
             out.append(DisturbanceSignal(generator=gen, bound=self.w_bar))
         return out

@@ -534,6 +534,12 @@ class Simulation:
     def step(self, k):
         """Run one sampling step (all agents in schedule order).
 
+        Each agent's first input is applied to its true dynamics by one
+        `integrate` call, which draws the step's disturbance samples in one
+        generator call: the four RK4 stages of each substep and the step's
+        last logged row. Each logged row's `w_norm` is the norm of the
+        sample at its time.
+
         Raises SimulationError with the partial log when a solve ends
         infeasible or the solver raises (diverged, non-finite iterate).
         """
@@ -583,11 +589,8 @@ class Simulation:
             if disturbance is None:
                 trace.w_norms.extend([0.0] * len(states))
             else:
-                # every row but the last is where a later substep of
-                # `integrate` took its first RK4 sample; the last is sampled
-                trace.w_norms.extend(w_norms[1:])
-                w = disturbance.sample(states[-1], times[-1])
-                trace.w_norms.append(math.sqrt(w.dot(w)))
+                # `integrate` drew the samples at these rows' times
+                trace.w_norms.extend(w_norms)
             e = self.errordyns[i].error_of(states)
             ep = e @ cfg.P
             trace.V.extend([float(ep[r] @ e[r]) for r in range(len(e))])

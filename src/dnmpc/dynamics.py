@@ -101,28 +101,44 @@ class ErrorDynamics:
 
 @dataclass
 class DisturbanceSignal:
-    """Bounded additive disturbance. Output is clipped to the stated bound.
+    """Bounded additive disturbance w(t), clipped to the stated bound.
 
-    `generator(z, t)` gives the unclipped disturbance at the state z (an
-    array) and time t, as an array or a sequence of floats. `samples` counts
-    the calls of :meth:`sample` and `clipped` those whose generator output
-    exceeded the bound.
+    `generator(times)` gives the unclipped disturbance at each time of the
+    1-D array `times`, one row per time, as an array or a nested sequence of
+    floats. The disturbance reads the time only: the one generator a
+    scenario loads (:meth:`dnmpc.cli.Scenario.build_disturbances`) is a
+    sinusoid in t. `samples` counts the rows :meth:`sample_times` drew and
+    `clipped` those whose norm exceeded the bound.
     """
 
-    generator: Callable[[np.ndarray, float], np.ndarray]
+    generator: Callable[[np.ndarray], np.ndarray]
     bound: float
     samples: int = field(default=0, init=False)
     clipped: int = field(default=0, init=False)
 
-    def sample(self, z, t):
-        self.samples += 1
-        w = np.asarray(self.generator(z, t), dtype=float)
-        norm = math.sqrt(w.dot(w))
-        if norm > self.bound:
-            self.clipped += 1
-            if norm > 0.0:
-                w = w * (self.bound / norm)
-        return w
+    def __post_init__(self):
+        if not 0.0 < self.bound < math.inf:
+            raise ValueError(f"disturbance bound must be positive and finite, got {self.bound}")
+
+    def sample_times(self, times):
+        """The disturbance at each of `times`, in one generator call.
+
+        Returns (w, norms): the generator's rows, each row whose norm
+        sqrt(w . w) exceeds the bound scaled by bound / norm onto it, and
+        the norms of the returned rows. Every other row is scaled by
+        bound / bound, which is exactly 1. Each row and norm is the float
+        that clipping the row alone gives: `np.vecdot` of a row is its
+        `dot` with itself.
+        """
+        w = np.asarray(self.generator(times), dtype=float)
+        norms = np.sqrt(np.vecdot(w, w))
+        clipped = int(np.count_nonzero(norms > self.bound))
+        self.samples += len(norms)
+        if clipped:
+            self.clipped += clipped
+            w = w * (self.bound / np.maximum(norms, self.bound))[:, None]
+            norms = np.sqrt(np.vecdot(w, w))
+        return w, norms
 
 
 # --- integration --------------------------------------------------------
@@ -137,14 +153,15 @@ def _rk4_step(deriv, t, z, dt, k1=None):
 
 
 def integrate(model, z0, u, disturbance, t0, t1, step, w_norms=None):
-    """Fixed-step RK4 integration of the unicycle, dz/dt = f(z, u) [+ w(z, t)]
+    """Fixed-step RK4 integration of the unicycle, dz/dt = f(z, u) [+ w(t)]
     under the held input `u`, by :func:`_unicycle_integrate`.
 
     With `disturbance=None` the nominal system is integrated. Returns
     (times, states) including both endpoints; the heading is wrapped after
-    each full step. With a disturbance and a list `w_norms`, the norm of each
-    substep's first RK4 sample, w(states[k], times[k]) for every k but the
-    last, is appended to it.
+    each full step. With a disturbance and a list `w_norms`, the disturbance
+    is also sampled at times[-1], and the norm of the sample at each of
+    times[1:] is appended to it: the first RK4 sample of every substep but
+    the first, then that last one.
 
     Raises:
         ValueError: if `model` is not the unicycle, if t1 < t0 or if step
@@ -159,55 +176,95 @@ def integrate(model, z0, u, disturbance, t0, t1, step, w_norms=None):
     if abs(n_steps * step - span) > 1e-9:
         raise ValueError(f"step {step} does not divide interval {span}")
     times = t0 + step * np.arange(n_steps + 1)
-    return times, _unicycle_integrate(z0, u, disturbance, times.tolist(), step, w_norms)
+    return times, _unicycle_integrate(z0, u, disturbance, times, step, w_norms)
 
 
-def _wrap_heading(heading):
-    """:func:`wrap_angle` of one float: Python's % is the floor modulo that
-    np.mod computes, so the result is the same float."""
-    return -((-heading + math.pi) % (2.0 * math.pi) - math.pi)
+@functools.cache
+def _stage_offsets(dt):
+    """Read-only column (0, dt/2, dt/2, dt): where an RK4 substep's four
+    stages sample the disturbance, after the substep's start."""
+    offsets = np.array([[0.0], [0.5 * dt], [0.5 * dt], [dt]])
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _unicycle_integrate(z0, u, disturbance, times, dt, w_norms=None):
-    """:func:`integrate` of the unicycle on Python floats, one RK4 substep at
-    a time.
+    """:func:`integrate` of the unicycle over the grid `times`, all substeps
+    at once.
 
-    Each substep takes the float operations of :func:`_rk4_step` over
-    :func:`unicycle_field`, in the same order, with numpy's cos and sin, and
-    samples the disturbance at each stage's state (as an array) and time;
-    the heading is wrapped after each substep as :func:`wrap_angle` wraps
-    it. The states are therefore bit-identical to a generic :func:`_rk4_step`
-    loop over the field that wraps the heading after each step, with the same
-    disturbance `samples` and `clipped` counts; tests/test_dynamics.py keeps
-    that loop as the oracle.
+    The field depends on the state through the heading only, and the
+    disturbance on the time only, so every stage's disturbance is known
+    before the first step: one :meth:`DisturbanceSignal.sample_times` call
+    draws the n samples of each RK4 stage (at t, t + dt/2 twice and t + dt
+    for each substep's start t), then the step's last time when `w_norms`
+    asks for it. The heading chain, omega plus the sample's heading
+    component at each stage and a wrap after each substep as
+    :func:`wrap_angle` wraps it, runs on Python floats; then one cos and one
+    sin give v (cos, sin) at all stage headings, and a cumulative sum chains
+    the position increments. Every element takes the float operations of
+    :func:`_rk4_step` over :func:`unicycle_field`, in the same order, with
+    numpy's cos and sin, and ``cumsum`` adds sequentially; without a
+    disturbance no zero is added. The states are therefore bit-identical to
+    a generic :func:`_rk4_step` loop over the field that wraps the heading
+    after each step, with the same disturbance `samples` and `clipped`
+    counts; tests/test_dynamics.py keeps that loop as the oracle.
     """
     v, omega = np.asarray(u, dtype=float).tolist()
     x, y, heading = np.asarray(z0, dtype=float).tolist()
-    heading = _wrap_heading(heading)
+    n = len(times) - 1
     half, sixth = 0.5 * dt, dt / 6.0
-    sample = None if disturbance is None else disturbance.sample
+    if disturbance is None:
+        # every stage turns at omega: one increment, one set of turns
+        increments = [sixth * (((omega + 2.0 * omega) + 2.0 * omega) + omega)] * n
+        turns = np.array([[half * omega], [half * omega], [dt * omega]])
+    else:
+        # stage-major sample times (t + 0.0 is t: the grid t0 + step * arange
+        # holds no -0.0), then times[-1]
+        offsets = _stage_offsets(dt)
+        stage_times = np.empty(4 * n + 1)
+        np.add(offsets, times[:-1], out=stage_times[:-1].reshape(4, n))
+        stage_times[-1] = times[-1]
+        w, norms = disturbance.sample_times(
+            stage_times if w_norms is not None else stage_times[:-1])
+        if w_norms is not None:
+            # times[1:]: the first stage of substeps 1..n-1, then the last
+            w_norms.extend(norms[1:n].tolist())
+            w_norms.append(norms[-1].item())
+        w = w[:4 * n].reshape(4, n, 3)
+        spin = omega + w[..., 2]
+        increments = (sixth * _rk4_sum(spin)).tolist()
+        turns = spin[:3] * offsets[1:]
+    # the heading after each substep, wrapped as wrap_angle wraps it: Python's
+    # % is the floor modulo that np.mod computes
+    tau = 2.0 * math.pi
+    heading = -((-heading + math.pi) % tau - math.pi)
+    headings = [heading]
+    for increment in increments:
+        heading = -((-(heading + increment) + math.pi) % tau - math.pi)
+        headings.append(heading)
+    out = np.empty((n + 1, 3))
+    out[:, 2] = headings
+    # the headings each stage of each substep sees, stage-major
+    theta = np.empty((4, n))
+    theta[0] = out[:-1, 2]
+    np.add(out[:-1, 2], turns, out=theta[1:])
+    trig = np.empty((4, n, 2))
+    np.cos(theta, out=trig[..., 0])
+    np.sin(theta, out=trig[..., 1])
+    rates = v * trig
+    if disturbance is not None:
+        rates += w[..., :2]
+    out[0, :2] = x, y
+    np.multiply(sixth, _rk4_sum(rates), out=out[1:, :2])
+    out[:, :2].cumsum(axis=0, out=out[:, :2])
+    return out
 
-    def deriv(t, x, y, heading, norms=None):
-        dx, dy = v * float(np.cos(heading)), v * float(np.sin(heading))
-        if sample is None:
-            return dx, dy, omega
-        w = sample(np.array((x, y, heading)), t)
-        if norms is not None:
-            norms.append(math.sqrt(w.dot(w)))
-        wx, wy, wh = w.tolist()
-        return dx + wx, dy + wy, omega + wh
 
-    out = [(x, y, heading)]
-    for t in times[:-1]:
-        dx1, dy1, dh1 = deriv(t, x, y, heading, w_norms)
-        dx2, dy2, dh2 = deriv(t + half, x + half * dx1, y + half * dy1, heading + half * dh1)
-        dx3, dy3, dh3 = deriv(t + half, x + half * dx2, y + half * dy2, heading + half * dh2)
-        dx4, dy4, dh4 = deriv(t + dt, x + dt * dx3, y + dt * dy3, heading + dt * dh3)
-        x = x + sixth * (((dx1 + 2.0 * dx2) + 2.0 * dx3) + dx4)
-        y = y + sixth * (((dy1 + 2.0 * dy2) + 2.0 * dy3) + dy4)
-        heading = _wrap_heading(heading + sixth * (((dh1 + 2.0 * dh2) + 2.0 * dh3) + dh4))
-        out.append((x, y, heading))
-    return np.array(out)
+def _rk4_sum(k):
+    """((k1 + 2 k2) + 2 k3) + k4 of the stages k1..k4 on the leading axis,
+    the sum :func:`_rk4_step` forms."""
+    two = 2.0 * k[1:3]
+    return ((k[0] + two[0]) + two[1]) + k[3]
 
 
 def rollout_zoh(field, e0, u_seq, stage_time, substeps, jacobian_eps=None):

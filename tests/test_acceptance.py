@@ -168,7 +168,8 @@ def test_criterion_4_tube_validity(capsys):
         direction /= np.linalg.norm(direction)
         freq, phase = rng.uniform(0.5, 6.0), rng.uniform(0, 2 * np.pi)
         dist = DisturbanceSignal(
-            lambda z, t, d=direction, f=freq, p=phase: 0.1 * np.sin(f * t + p) * d,
+            lambda times, d=direction, f=freq, p=phase:
+                0.1 * np.sin(f * times + p)[:, None] * d,
             bound=0.1)
         nominal = rollout_zoh(UNICYCLE.vector_field, z0, u_seq, h, substeps)
         z, disturbed = z0.copy(), [z0.copy()]
@@ -215,7 +216,7 @@ def test_criterion_5_tightening_soundness(capsys):
         direction /= np.linalg.norm(direction)
         freq = rng.uniform(0.5, 6.0)
         dist = DisturbanceSignal(
-            lambda z, t, d=direction, f=freq: 0.1 * np.sin(f * t) * d, bound=0.1)
+            lambda times, d=direction, f=freq: 0.1 * np.sin(f * times)[:, None] * d, bound=0.1)
         z, disturbed = z0.copy(), []
         for s, u in enumerate(u_seq):
             _, seg = integrate(UNICYCLE, z, u, dist,
@@ -378,7 +379,9 @@ def test_terminal_controller_keeps_the_terminal_set_invariant(capsys):
             w = rng.normal(size=3)
             w *= scenario.w_bar / np.linalg.norm(w)
             u = kappa(e)
-            for disturbance in (None, DisturbanceSignal(lambda z, t, w=w: w, scenario.w_bar)):
+            constant = DisturbanceSignal(lambda times, w=w: np.tile(w, (len(times), 1)),
+                                         scenario.w_bar)
+            for disturbance in (None, constant):
                 _, states = integrate(UNICYCLE, errordyn.z_des + e, u, disturbance, 0.0,
                                       cfg.h, cfg.h / cfg.substeps)
                 errors = errordyn.error_of(states)

@@ -55,3 +55,20 @@ def test_calls_count_towards_the_innermost_layer(calls, monkeypatch):
         sys.setprofile(None)
     # the setprofile(None) call itself is a builtin call outside every layer
     assert dict(counter.counts) == {"a": 2, "b": 6, "engine": 2}
+
+
+def test_table_prints_calls_per_agent_step(calls):
+    """The last column of each layer's row, and of the total, is its count
+    over the window's agent-solves."""
+    window = {"t": [10.0, 12.0], "agent_solves": 60, "feasible_witness_solves": 60,
+              "slsqp_iterations": 60, "calls": {layer: 7 * (i + 1) for i, layer in
+                                                 enumerate(calls.ORDER)}}
+    window["total"] = sum(window["calls"].values())
+    lines = calls.table("rest", window)
+    assert lines[0].startswith("rest: t in [10, 12) s, 60 agent-solves")
+    rows = {line.split()[0]: line.split() for line in lines[2:]}
+    assert list(rows) == calls.ORDER + ["total"]
+    for layer, row in rows.items():
+        count = window["total"] if layer == "total" else window["calls"][layer]
+        assert int(row[1].replace(",", "")) == count
+        assert float(row[3]) == round(count / 60, 1)

@@ -277,6 +277,10 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
      "disturbance amplitude must be finite, got nan"),
     ({"disturbance": _disturbance(frequency=float("inf"))}, [],
      "disturbance frequency must be finite, got inf"),
+    ({"disturbance": _disturbance(amplitude="abc")}, [],
+     "disturbance amplitude must be a number, got 'abc'"),
+    ({"disturbance": _disturbance(frequency="fast")}, [],
+     "disturbance frequency must be a number, got 'fast'"),
     ({"constraint_tol": float("nan")}, [], "constraint_tol must be positive and finite, got nan"),
     ({"constraint_tol": -1.0}, [], "constraint_tol must be positive and finite, got -1.0"),
     ({"max_iterations": 0}, [], "max_iterations must be at least 1, got 0"),
@@ -286,7 +290,8 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
 ], ids=["total_time", "L_V", "u_bar", "w_bar", "L_g", "tube_cap-negative", "agents-empty",
         "agents-not-mappings", "agents-start-short", "agents-start-nan",
         "weights-Q-2x2", "weights-P-2x2", "weights-R-3x3", "disturbance-amplitude-nan",
-        "disturbance-frequency-inf", "constraint_tol-nan", "constraint_tol-negative",
+        "disturbance-frequency-inf", "disturbance-amplitude-text",
+        "disturbance-frequency-text", "constraint_tol-nan", "constraint_tol-negative",
         "max_iterations-0",
         "run-total-time-0.15", "run-total-time-0", "run-total-time-negative"])
 def test_bad_values_fail_before_any_solve(tmp_path, monkeypatch, capsys, overrides,

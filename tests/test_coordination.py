@@ -94,7 +94,8 @@ def _simulation(n=2, w_bar=0.0, total_time=0.5, schedule=None):
                     P=0.3 * np.eye(3), eps_omega=0.01, eps_psi=0.1, u_bar=8.0,
                     max_iterations=40, constraint_tol=1e-4)
     if w_bar > 0:
-        dists = [DisturbanceSignal(lambda z, t: w_bar * np.sin(3 * t) * np.ones(3), w_bar)
+        dists = [DisturbanceSignal(lambda times: w_bar * np.sin(3 * times)[:, None] * np.ones(3),
+                                   w_bar)
                  for _ in range(n)]
     else:
         dists = [None] * n
@@ -140,25 +141,48 @@ def test_determinism_bitwise():
         assert [m["cost"] for m in ta.step_meta] == [m["cost"] for m in tb.step_meta]
 
 
-def test_logged_disturbance_norms_match_fresh_samples():
-    """Each logged w_norm is the norm of the disturbance at its row's state
-    and time. Every row of a step but the last reuses a sample `integrate`
-    took; a generator that reads the state tells a row matched with the
-    wrong sample."""
-    def gen(z, t):
-        return 0.05 * np.array([np.cos(z[2] + t), np.sin(3.0 * z[0]), 0.5 * np.sin(z[1] - t)])
+def _varying(times):
+    """A time-only disturbance whose norm differs at every sample time of a
+    0.3 s run; 0.05 clips it at some of them."""
+    return np.stack([0.04 * np.cos(5.0 * times), 0.02 * np.sin(3.0 * times + 1.0),
+                     0.2 * times], axis=1)
 
+
+def test_logged_disturbance_norms_match_fresh_samples():
+    """Each logged w_norm is the norm of the disturbance at its row's time,
+    drawn alone. `integrate` draws a step's samples in one batch, the four
+    RK4 stages of each substep and the last row; a disturbance that differs
+    at every sample time tells a row matched with the wrong sample (the next
+    row's, or a substep's midpoint)."""
     sim = _simulation(total_time=0.3)
-    sim.disturbances = [DisturbanceSignal(gen, 0.05) for _ in sim.disturbances]
+    sim.disturbances = [DisturbanceSignal(_varying, 0.05) for _ in sim.disturbances]
     log = sim.run()
-    oracle = DisturbanceSignal(gen, 0.05)
+    oracle = DisturbanceSignal(_varying, 0.05)
     for trace in log.traces:
-        fresh = [float(np.linalg.norm(oracle.sample(z, t)))
-                 for z, t in zip(trace.states[1:], trace.times[1:])]
+        fresh = [oracle.sample_times(np.array([t]))[1][0] for t in trace.times[1:]]
         assert trace.w_norms[1:] == fresh
+        # a clipped norm is the bound to an ulp or so; the others all differ
+        assert all(a != b for a, b in zip(fresh, fresh[1:]) if min(a, b) < 0.05 - 1e-12)
     assert 0 < oracle.clipped < oracle.samples
     # 3 steps x 10 substeps x 4 RK4 stages, and one sample per step's last row
     assert [d.samples for d in sim.disturbances] == [3 * (40 + 1)] * 2
+
+
+def test_plant_draws_each_agent_steps_samples_in_one_call():
+    """The plant calls the generator once per agent-step, with the step's 41
+    sample times; the counts stay 40 + 1 per step."""
+    calls = []
+
+    def counting(times):
+        calls.append(len(times))
+        return _varying(times)
+
+    sim = _simulation(total_time=0.3)
+    sim.disturbances = [DisturbanceSignal(counting, 0.05) for _ in sim.disturbances]
+    log = sim.run()
+    assert calls == [41] * 3 * 2
+    assert [d.samples for d in sim.disturbances] == [3 * (40 + 1)] * 2
+    assert [len(trace.w_norms) for trace in log.traces] == [31, 31]
 
 
 def test_step_meta_flags_suboptimal_stops():

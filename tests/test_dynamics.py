@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from dnmpc.cli import load_scenario
 from dnmpc.dynamics import (UNICYCLE, AgentModel, DisturbanceSignal, ErrorDynamics,
                             _rk4_step, integrate, rollout_zoh, unicycle_field, wrap_angle)
+
+SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
 
 def test_wrap_angle_range():
@@ -40,17 +44,25 @@ def test_unicycle_field_batched():
 def _rk4_integrate(z0, u, disturbance, t0, t1, step, w_norms=None):
     """Oracle of :func:`integrate`: the generic substep loop, :func:`_rk4_step`
     over the unicycle field as an array function under the held input `u`,
-    with the heading wrapped after each full step. With a disturbance and a
-    list `w_norms`, it appends the norm of each step's first RK4 sample."""
+    with the heading wrapped after each full step, and each disturbance
+    sample drawn alone at its stage's time. With a disturbance and a list
+    `w_norms`, it also samples times[-1] and appends the norms of the samples
+    at times[1:]: each step's first RK4 sample but the first, then that
+    last one."""
     n_steps = int(round((t1 - t0) / step))
     times = t0 + step * np.arange(n_steps + 1)
+    first = []
+
+    def sample(t):
+        w, norms = disturbance.sample_times(np.array([t]))
+        return w[0], norms[0]
 
     def deriv(t, z, norms=None):
         dz = unicycle_field(z, u)
         if disturbance is not None:
-            w = disturbance.sample(z, t)
+            w, norm = sample(t)
             if norms is not None:
-                norms.append(math.sqrt(w.dot(w)))
+                norms.append(norm)
             dz = dz + w
         return dz
 
@@ -63,9 +75,11 @@ def _rk4_integrate(z0, u, disturbance, t0, t1, step, w_norms=None):
     states = np.empty((n_steps + 1, 3))
     states[0] = z
     for k in range(n_steps):
-        k1 = deriv(times[k], z, w_norms)
+        k1 = deriv(times[k], z, first)
         z = wrap_heading(_rk4_step(deriv, times[k], z, step, k1))
         states[k + 1] = z
+    if disturbance is not None and w_norms is not None:
+        w_norms.extend(first[1:] + [sample(times[-1])[1]])
     return times, states
 
 
@@ -84,8 +98,8 @@ def test_integrate_matches_scipy_reference():
     # a held input and a smooth disturbance inside its bound, so both
     # integrators solve the same time-varying ODE
     u = np.array([1.5, 0.8])
-    w = lambda t: 0.05 * np.array([np.sin(3 * t), np.cos(2 * t), np.sin(t)])
-    dist = DisturbanceSignal(lambda z, t: w(t), 0.1)
+    w = lambda t: 0.05 * np.stack([np.sin(3 * t), np.cos(2 * t), np.sin(t)], axis=-1)
+    dist = DisturbanceSignal(w, 0.1)
     _, ours = integrate(UNICYCLE, [0.1, -0.2, 0.3], u, dist, 0.0, 0.3, 0.01)
     assert dist.clipped == 0
 
@@ -111,7 +125,7 @@ def test_integrate_rejects_other_models():
 
 
 def test_integrate_with_disturbance_shifts_state():
-    dist = DisturbanceSignal(lambda z, t: np.array([0.1, 0.0, 0.0]), 0.5)
+    dist = DisturbanceSignal(lambda times: np.tile([0.1, 0.0, 0.0], (len(times), 1)), 0.5)
     _, nominal = integrate(UNICYCLE, [0, 0, 0], np.zeros(2), None, 0.0, 1.0, 0.01)
     _, pushed = integrate(UNICYCLE, [0, 0, 0], np.zeros(2), dist, 0.0, 1.0, 0.01)
     assert pushed[-1][0] == pytest.approx(nominal[-1][0] + 0.1, abs=1e-9)
@@ -120,11 +134,24 @@ def test_integrate_with_disturbance_shifts_state():
 
 
 def test_disturbance_clipping():
-    dist = DisturbanceSignal(lambda z, t: np.array([3.0, 4.0]), 1.0)
-    w = dist.sample(np.zeros(2), 0.0)
-    assert np.linalg.norm(w) == pytest.approx(1.0)
-    assert np.allclose(w, [0.6, 0.8])
-    assert (dist.samples, dist.clipped) == (1, 1)
+    """Rows over the bound are scaled onto it, the others pass unchanged,
+    and the norms are those of the returned rows."""
+    rows = np.array([[3.0, 4.0], [0.3, -0.4], [0.0, -0.0], [-0.6, 0.8]])
+    dist = DisturbanceSignal(lambda times: rows[:len(times)], 1.0)
+    w, norms = dist.sample_times(np.zeros(4))
+    assert np.allclose(w[0], [0.6, 0.8]) and norms[0] == pytest.approx(1.0)
+    assert w[1:].tobytes() == rows[1:].tobytes()
+    assert norms.tolist() == [math.sqrt(r.dot(r)) for r in w]
+    assert (dist.samples, dist.clipped) == (4, 1)
+    w, norms = dist.sample_times(np.zeros(2))
+    assert len(w) == len(norms) == 2
+    assert (dist.samples, dist.clipped) == (6, 2)
+
+
+@pytest.mark.parametrize("bound", [0.0, -0.1, math.inf, math.nan])
+def test_disturbance_bound_must_be_positive_and_finite(bound):
+    with pytest.raises(ValueError, match="disturbance bound must be positive and finite"):
+        DisturbanceSignal(lambda times: np.zeros((len(times), 3)), bound)
 
 
 def test_rollout_zoh_matches_integrate():
@@ -244,35 +271,86 @@ def test_unicycle_rollout_matches_its_substep_oracle_bitwise():
                 assert plain.tobytes() == want_traj.tobytes()
 
 
+def _varying(times):
+    """A time-only disturbance that differs at every sample time; 0.15 clips
+    it at some of those in [0.4, 0.5]."""
+    return np.stack([0.1 * np.cos(7.0 * times), 0.02 * np.sin(times),
+                     0.15 * np.sin(9.0 * times)], axis=1)
+
+
 def test_integrate_reports_first_stage_disturbance_norms():
-    """`w_norms` receives the norm of each substep's first RK4 sample, the
-    disturbance at (states[k], times[k]) for every k but the last, from
-    `integrate` and its generic-loop oracle alike; nothing without a
-    disturbance."""
-
-    def gen(z, t):
-        return 0.2 * np.array([np.cos(z[2]), 0.1 * z[0], np.sin(z[1] + t)])
-
-    oracle = DisturbanceSignal(gen, 0.18)
+    """`w_norms` receives the norm of the disturbance at each of times[1:],
+    each drawn alone, from `integrate` and its generic-loop oracle alike,
+    and the disturbance is sampled 4 times per substep plus once at the
+    last row; nothing without a disturbance."""
+    oracle = DisturbanceSignal(_varying, 0.15)
     for run in (lambda *args: integrate(UNICYCLE, *args), _rk4_integrate):
         norms = []
-        times, states = run([0.3, -0.2, 3.1], np.array([2.0, 9.0]),
-                            DisturbanceSignal(gen, 0.18), 0.4, 0.5, 0.01, norms)
-        assert norms == [float(np.linalg.norm(oracle.sample(z, t)))
-                         for z, t in zip(states[:-1], times[:-1])]
-        assert 0 < oracle.clipped < oracle.samples
+        dist = DisturbanceSignal(_varying, 0.15)
+        times, states = run([0.3, -0.2, 3.1], np.array([2.0, 9.0]), dist, 0.4, 0.5, 0.01,
+                            norms)
+        fresh = [oracle.sample_times(np.array([t]))[1][0] for t in times[1:]]
+        assert norms == fresh
+        assert all(a != b for a, b in zip(fresh, fresh[1:]) if min(a, b) < 0.15 - 1e-12)
+        assert dist.samples == 41
         nominal = []
         run([0.3, -0.2, 3.1], np.array([2.0, 9.0]), None, 0.4, 0.5, 0.01, nominal)
         assert nominal == []
+    assert 0 < oracle.clipped < oracle.samples
+
+
+def test_bundled_disturbance_matches_a_per_sample_oracle_bitwise():
+    """The bundled sinusoid, drawn as the plant draws it over a 100 s run (one
+    generator call per agent-step: its 40 RK4 stage times and its last row),
+    and clipped by `sample_times`, matches a per-sample oracle bit for bit:
+    math.sin at each time, and the norm and clip of that row alone from
+    math.sqrt(w.dot(w)). Vectorised sin and row norms can differ from the
+    per-sample ones by an ulp on some CPUs; this test would show it."""
+    scenario = load_scenario(SCENARIO)
+    signal = scenario.build_disturbances()[0]
+    amp = float(scenario.disturbance["amplitude"])
+    freq = float(scenario.disturbance["frequency"])
+    bound = scenario.w_bar
+    batches = []
+
+    def recording(times):
+        batches.append(times.copy())
+        return signal.generator(times)
+
+    h = scenario.h
+    step = h / scenario.build_config().substeps
+    recorder = DisturbanceSignal(recording, bound)
+    for k in range(round(100.0 / h)):
+        t_k = k * h
+        integrate(UNICYCLE, [0.0, 0.0, 0.0], [0.0, 0.0], recorder, t_k, t_k + h, step, [])
+    assert [len(times) for times in batches] == [41] * 1000
+    clipped = 0
+    for times in batches:
+        w, norms = signal.sample_times(times)
+        rows, row_norms = [], []
+        for t in times.tolist():
+            row = np.array([amp * math.sin(freq * t)] * 3)
+            norm = math.sqrt(row.dot(row))
+            if norm > bound:
+                clipped += 1
+                row = row * (bound / norm)
+                norm = math.sqrt(row.dot(row))
+            rows.append(row)
+            row_norms.append(norm)
+        assert w.tobytes() == np.array(rows).tobytes()
+        assert norms.tobytes() == np.array(row_norms).tobytes()
+    assert signal.samples == 41_000 and signal.clipped == clipped
+    assert 0 < clipped < 41_000
 
 
 def test_unicycle_integrate_fast_path_is_bit_identical():
-    # the generic _rk4_step loop is the oracle of the Python-float path
+    # the generic _rk4_step loop is the oracle of the batched path
     generators = {
         "none": None,
-        "in bound": lambda z, t: 0.05 * np.sin(3 * t) * np.ones(3),
-        "clipping": lambda z, t: np.array([3.0 * np.sin(t), 1.0, -2.0]),
-        "reads z": lambda z, t: 0.2 * np.array([np.cos(z[2]), 0.1 * z[0], np.sin(z[1] + t)]),
+        "in bound": lambda times: 0.05 * np.sin(3 * times)[:, None] * np.ones(3),
+        "clipping": lambda times: np.stack([3.0 * np.sin(times), np.ones_like(times),
+                                            np.full_like(times, -2.0)], axis=1),
+        "varying": _varying,
     }
     rng = np.random.default_rng(7)
     # the last case starts at heading 3.1 and turns through +pi
@@ -291,10 +369,11 @@ def test_unicycle_integrate_fast_path_is_bit_identical():
             (t_fast, fast, n_fast), (t_loop, loop, n_loop) = runs
             assert np.array_equal(t_fast, t_loop), name
             assert fast.shape == loop.shape == (11, 3)
-            assert np.array_equal(fast, loop), name
+            assert fast.tobytes() == loop.tobytes(), name
             assert n_fast == n_loop, name
             counts.add((name, n_fast))
     assert ("in bound", (40, 0)) in counts and ("clipping", (40, 40)) in counts
+    assert any(name == "varying" and 0 < n[1] < 40 for name, n in counts)
     _, crossing = integrate(UNICYCLE, cases[-1][0], cases[-1][1], None, 0.0, 0.1, 0.01)
     assert np.all(np.abs(crossing[:, 2]) <= np.pi) and crossing[-1, 2] < 0.0
 
