@@ -54,6 +54,8 @@ LAYERS = {
     (ocp, "_Transcription.eval"): "evaluation",
     (ocp, "minimize"): "minimize",
     (ocp, "_gauss_newton_scaling"): "scaling",
+    (ocp, "_metric_scaling"): "scaling",
+    (ocp, "_bfgs_metric"): "scaling",
     (coordination, "Simulation._geometry"): "geometry",
     (coordination, "Simulation._solve_agent"): "ladder",
 }

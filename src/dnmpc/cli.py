@@ -327,6 +327,8 @@ def cmd_run(scenario_path, out_dir, seed=None, total_time=None):
         "tube_capped_solves": sum(meta["tube_capped"] for meta in metas),
         "suboptimal_stop_solves": sum(meta["suboptimal_stop"] for meta in metas),
         "feasible_witness_solves": sum(meta["feasible_witness"] for meta in metas),
+        "carried_metric_solves": sum(meta["carried_metric"] for meta in metas),
+        "metric_fallback_attempts": sum(meta["metric_fallbacks"] for meta in metas),
         "disturbance_samples": sum(d.samples for d in disturbances),
         "disturbance_clipped_samples": sum(d.clipped for d in disturbances),
     }

@@ -34,8 +34,8 @@ import numpy as np
 from .certify import ultimate_bound
 from .constraints import MARGIN_KINDS, WorldModel, tube_profile_radii
 from .dynamics import ErrorDynamics, integrate
-from .ocp import (OcpConfig, dual_mode_controller, restore_feasibility, solve_fhocp,
-                  unicycle_steering_law, warm_start_shift)
+from .ocp import (OcpConfig, dual_mode_controller, restore_feasibility, shift_metric,
+                  solve_fhocp, unicycle_steering_law, warm_start_shift)
 from .setalg import TubeProfile
 
 __all__ = [
@@ -404,10 +404,13 @@ class Simulation:
         infeasible) and `wall_time` stats cover the whole ladder; its other
         stats are those of the accepted attempt, with `feasible_witness`
         true when that attempt is terminal-enforced and started from the
-        shifted plan, feasible within `constraint_tol`.
+        shifted plan, feasible within `constraint_tol`. `metric_fallbacks`
+        counts the attempts from the shifted plan with the identity metric
+        that followed an infeasible one with the carried metric.
         """
         start = time.perf_counter()
-        ladder = {"attempts": 0, "iterations": 0, "terminal_excluded": False}
+        ladder = {"attempts": 0, "iterations": 0, "terminal_excluded": False,
+                  "metric_fallbacks": 0}
         sol = self._ladder(i, t_k, ladder)
         sol.solve_stats.update(ladder, wall_time=time.perf_counter() - start)
         return sol
@@ -425,7 +428,10 @@ class Simulation:
         terminal set lies beyond some last-stage tightened margin
         (StageGeometry.terminal_excluded) is skipped: every attempt of it
         would end infeasible, and every tier tries the same starts, so the
-        accepted solution is the same.
+        accepted solution is the same. After a relaxed solve, which leaves
+        its metric on the solution, a relaxed tier first tries the shifted
+        plan in that metric, shifted one stage; it stands for the shifted
+        start, so a blocked plan from it goes on to the zero start.
         """
         cfg = self.config
         dense_taus, rho_full = self._tube
@@ -456,13 +462,14 @@ class Simulation:
 
         starts = self._starts(i)
         shifted = starts[0] if len(starts) > 1 else None
+        carried = None if shifted is None else self.prev_solution[i].metric
         best = None
         for use_terminal, cap, rho in tiers:
             margin_fn = self._margin_fn(i, geometry, rho)
 
-            def attempt(start):
-                sol = solve_fhocp(self.errordyns[i], e0, margin_fn, cfg,
-                                  warm_start=start, use_terminal=use_terminal)
+            def attempt(start, metric=None):
+                sol = solve_fhocp(self.errordyns[i], e0, margin_fn, cfg, warm_start=start,
+                                  use_terminal=use_terminal, metric=metric)
                 ladder["attempts"] += 1
                 ladder["iterations"] += sol.solve_stats["iterations"]
                 sol.solve_stats["feasible_witness"] = (
@@ -481,14 +488,23 @@ class Simulation:
 
             tier_best = None
             incumbent = None
-            for k, start in enumerate(starts):
-                sol = attempt(start)
+            k = 0
+            if carried is not None and not use_terminal:
+                sol = attempt(shifted, shift_metric(carried, self.models[i].input_dim))
                 if sol.status != "infeasible":
                     incumbent = sol
-                    break
-                if (tier_best is None
-                        or sol.solve_stats["residual"] < tier_best.solve_stats["residual"]):
+                else:
+                    ladder["metric_fallbacks"] += 1
                     tier_best = sol
+            if incumbent is None:
+                for k, start in enumerate(starts):
+                    sol = attempt(start)
+                    if sol.status != "infeasible":
+                        incumbent = sol
+                        break
+                    if (tier_best is None or sol.solve_stats["residual"]
+                            < tier_best.solve_stats["residual"]):
+                        tier_best = sol
             if incumbent is not None:
                 # a plan that barely moves while far from the goal signals a
                 # blocked local optimum: probe lateral detours for a cheaper one
@@ -580,7 +596,8 @@ class Simulation:
                 (cfg.h / cfg.substeps) * (errsq[1:] + errsq[:-1]) / 2.0))
 
             # log the substeps after t_k, which the previous step logged, as
-            # one block; V is still each row's own dot product, as at t = 0
+            # one block; np.vecdot gives V the floats of each row's own dot
+            # product ep[r] @ e[r]
             trace = self.traces[i]
             times, states = times[1:], states[1:]
             trace.times.extend(times.tolist())
@@ -593,7 +610,7 @@ class Simulation:
                 trace.w_norms.extend(w_norms)
             e = self.errordyns[i].error_of(states)
             ep = e @ cfg.P
-            trace.V.extend([float(ep[r] @ e[r]) for r in range(len(e))])
+            trace.V.extend(np.vecdot(ep, e).tolist())
             trace.step_meta.append({
                 "t": t_k,
                 "status": sol.status,
@@ -604,6 +621,8 @@ class Simulation:
                 "terminal_excluded": sol.solve_stats["terminal_excluded"],
                 "suboptimal_stop": sol.solve_stats["suboptimal_stop"],
                 "feasible_witness": sol.solve_stats["feasible_witness"],
+                "carried_metric": sol.solve_stats["carried_metric"],
+                "metric_fallbacks": sol.solve_stats["metric_fallbacks"],
                 "iterations": sol.solve_stats["iterations"],
                 "attempts": sol.solve_stats["attempts"],
                 "wall_time": sol.solve_stats["wall_time"],

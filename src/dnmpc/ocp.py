@@ -43,8 +43,35 @@ al. 2005 build real-time-iteration NMPC on this metric). Gauss-Newton is
 accurate where the residuals are small, near the goal, which is where the
 fallback ladder tries the terminal tiers. Far from the goal it is not: with
 every tier scaled, the bundled scenario aborted in its corridor crossing
-(agent 2 infeasible at t = 0.6 s). The relaxed tiers and
-:func:`restore_feasibility` keep the identity.
+(agent 2 infeasible at t = 0.6 s). :func:`restore_feasibility` keeps the
+identity.
+
+A relaxed solve instead carries SLSQP's own metric from one sampling
+instant to the next, the warm start of real-time-iteration NMPC. SLSQP
+ends each run with a quasi-Newton (BFGS) estimate B of the Lagrangian's
+Hessian, which includes the curvature of the constraints that Gauss-Newton
+leaves out. Its compiled core keeps B in its work array as an L D L'
+factor (:func:`_bfgs_metric`; private layout, which tests/test_ocp.py
+pins). A relaxed solve returns B mapped back to the inputs
+(:func:`_metric_scaling`). The agent's next relaxed solve from the shifted
+plan runs in the variables in which that metric, shifted one stage
+(:func:`shift_metric`), is the identity. SLSQP's BFGS starts from the
+identity at every run, so this needs no change to the core. The appended
+last stage gets an identity block, so its input starts as it does without
+a carried metric. METRIC_DAMPING (0.01) is then added to the diagonal.
+SLSQP's estimate is nearly flat along some directions (over the corridor
+crossing its smallest eigenvalue ranges from 3e-5 to 1, median 1.3e-3),
+and a unit step in y along such a direction is a step of up to 180 in x;
+the damping bounds that factor by 10. Undamped, the disturbance-free 10 s
+run broke inter-agent separation by 8 mm at t = 0.77 s. The cause is the
+engine's mixed-time sensing (ROADMAP item 4); tests/test_acceptance.py
+pins that the damped run does not hit it. When the carried metric ends
+infeasible, the ladder tries the shifted plan again with the identity. A
+terminal solve returns no metric, so the first relaxed solve of an agent
+and every relaxed solve after a terminal one start from the identity. Over
+the bundled scenario's corridor crossing SLSQP then takes 2,041 iterations
+where it took 2,659. The variants that were measured and not kept are in
+BENCH_23.json.
 
 A terminal-enforced solve also stops at the accuracy the closed loop needs.
 The paper's stability argument takes the optimal cost as its Lyapunov
@@ -102,6 +129,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import scipy
@@ -116,6 +144,7 @@ __all__ = [
     "unicycle_steering_law",
     "dual_mode_controller",
     "warm_start_shift",
+    "shift_metric",
     "single_blas_thread",
 ]
 
@@ -271,6 +300,9 @@ class HorizonSolution:
     cost: float
     status: str               # optimal | feasible-suboptimal | infeasible
     solve_stats: dict = field(default_factory=dict)
+    # a relaxed solve's final SLSQP metric in the inputs, (N m, N m); None
+    # after a terminal-enforced solve
+    metric: Optional[np.ndarray] = None
 
 
 class _Transcription:
@@ -371,13 +403,15 @@ class SlsqpResult:
     `status`, all as scipy counts them, and the `mode` SLSQP's core had set
     at `x`. The mode is the status, except when the callback halted the run
     (status _CALLBACK_HALT): then it is 0 if SLSQP's own test passed at that
-    iterate too, and 1 or -1 if SLSQP would have gone on."""
+    iterate too, and 1 or -1 if SLSQP would have gone on. `buffer` is the
+    core's work array as the run left it (see :func:`_bfgs_metric`)."""
 
     x: np.ndarray
     nit: int
     nfev: int
     status: int
     mode: int
+    buffer: np.ndarray
 
     @property
     def success(self):
@@ -427,7 +461,8 @@ def minimize(values, gradients, x0, m, maxiter, ftol, callback=None):
         if abs(status) != 1:
             break
         iter_prev = state["iter"]
-    return SlsqpResult(x=x, nit=state["iter"], nfev=nfev, status=status, mode=mode)
+    return SlsqpResult(x=x, nit=state["iter"], nfev=nfev, status=status, mode=mode,
+                       buffer=buffer)
 
 
 def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None):
@@ -504,37 +539,98 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
 
 @functools.cache
 def _gauss_newton_constants(n_stages, r_bytes, m):
-    """(kron(I_N, R), I_{N m}) for the m x m weight R given by its bytes, as
-    read-only arrays: the constant terms of :func:`_gauss_newton_scaling`,
-    built once per (N, R)."""
+    """kron(I_N, R) for the m x m weight R given by its bytes, as a read-only
+    array: the constant term of :func:`_gauss_newton_scaling`, built once per
+    (N, R)."""
     R = np.frombuffer(r_bytes).reshape(m, m)
-    block_r, identity = np.kron(np.eye(n_stages), R), np.eye(n_stages * m)
-    block_r.flags.writeable = identity.flags.writeable = False
-    return block_r, identity
+    block_r = np.kron(np.eye(n_stages), R)
+    block_r.flags.writeable = False
+    return block_r
 
 
-def _gauss_newton_scaling(tr: _Transcription, x):
-    """T = L^-T, where L L' = H is the Gauss-Newton Hessian of the cost at x,
-    2h sum_k J_k' Q J_k + 2h blkdiag(R) + 2 J_N' P J_N with J_k = d e_k / d x
-    (positive definite, as R is). In the variables y of x + T y that metric
-    is the identity, which SLSQP's BFGS starts from.
+@functools.cache
+def _identity(n):
+    """The n x n identity as a read-only array, built once per n."""
+    identity = np.eye(n)
+    identity.flags.writeable = False
+    return identity
+
+
+def _metric_scaling(H):
+    """(L, T) for a positive definite metric H: L L' = H and T = L^-T, so that
+    in the variables y of x = x0 + T y the metric is the identity, which
+    SLSQP's BFGS starts from. A metric B_y that SLSQP ends with in y is
+    L B_y L' in x. Call it on one BLAS thread.
 
     T solves L' T = I with LAPACK's dtrtrs called as scipy's
     ``solve_triangular(L, I, lower=True, trans="T")`` calls it for the
     C-ordered L that numpy's Cholesky returns: on the F-ordered L' as upper
-    triangular, untransposed. H is finite, as e0 and the projected warm start
-    are, so scipy's finiteness check is left out."""
+    triangular, untransposed. H is finite, so scipy's finiteness check is left
+    out."""
+    L = np.linalg.cholesky(H)
+    T, info = _dtrtrs(L.T, _identity(len(H)), lower=False, trans=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return L, T
+
+
+def _gauss_newton_scaling(tr: _Transcription, x):
+    """T = L^-T of :func:`_metric_scaling` for the Gauss-Newton Hessian of the
+    cost at x, H = 2h sum_k J_k' Q J_k + 2h blkdiag(R) + 2 J_N' P J_N with
+    J_k = d e_k / d x (positive definite, as R is; finite, as e0 and the
+    projected warm start are)."""
     cfg = tr.cfg
-    block_r, identity = _gauss_newton_constants(tr.N, cfg.R.tobytes(), tr.m)
+    block_r = _gauss_newton_constants(tr.N, cfg.R.tobytes(), tr.m)
     J = tr.eval(x)["jac"][tr.stage_idx]
     with single_blas_thread():
         H = 2.0 * cfg.h * (np.einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
                            + block_r) + 2.0 * J[-1].T @ cfg.P @ J[-1]
-        L = np.linalg.cholesky(H)
-        T, info = _dtrtrs(L.T, identity, lower=False, trans=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    return T
+        return _metric_scaling(H)[1]
+
+
+@functools.cache
+def _packed_lower(n):
+    """(rows, columns) of an n x n lower triangle in the order SLSQP packs
+    it, column by column, as read-only arrays."""
+    columns, rows = np.triu_indices(n)
+    rows.flags.writeable = columns.flags.writeable = False
+    return rows, columns
+
+
+def _bfgs_metric(buffer, n):
+    """The quasi-Newton estimate B = L D L' of the Lagrangian's Hessian that
+    an SLSQP run over n variables left in its work array `buffer`, or None
+    when some entry of D is not positive. ``buffer[:n(n+1)/2]`` holds the
+    lower triangle of the unit-lower L column by column, with D in the
+    diagonal slots. That is private layout of scipy's compiled core, found by
+    probing; tests/test_ocp.py pins it."""
+    rows, columns = _packed_lower(n)
+    L = np.zeros((n, n))
+    L[rows, columns] = buffer[:rows.size]
+    d = L.diagonal().copy()
+    if not (d > 0.0).all():
+        return None
+    np.fill_diagonal(L, 1.0)
+    return (L * d) @ L.T
+
+
+# added to a carried metric's diagonal: SLSQP's BFGS estimates end a relaxed
+# solve with eigenvalues down to 3e-5, along which the next solve's variables
+# would stretch 180-fold; this bounds the stretch by 10
+METRIC_DAMPING = 0.01
+
+
+def shift_metric(metric, m):
+    """A carried metric for the shifted start: the first stage's m rows and
+    columns dropped, an m x m identity block appended for the new last stage,
+    whose input starts where a solve without a carried metric starts it, and
+    METRIC_DAMPING added to the diagonal."""
+    n = len(metric)
+    shifted = np.zeros((n, n))
+    shifted[:n - m, :n - m] = metric[m:, m:]
+    shifted[n - m:, n - m:] = _identity(m)
+    shifted.flat[::n + 1] += METRIC_DAMPING
+    return shifted
 
 
 def _suboptimal_stop(tr: _Transcription, x0, scale):
@@ -571,7 +667,7 @@ def _suboptimal_stop(tr: _Transcription, x0, scale):
 
 
 def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
-                warm_start=None, use_terminal=True):
+                warm_start=None, use_terminal=True, metric=None):
     """Solve the tightened finite-horizon problem for one agent.
 
     Args:
@@ -587,6 +683,10 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
         use_terminal: enforce V(e_N) <= eps_omega as a hard constraint, run
             SLSQP in the Gauss-Newton-scaled variables of the module
             docstring, and stop at its suboptimal-MPC accuracy.
+        metric: a relaxed solve only: the positive definite (N m, N m)
+            metric in the inputs that SLSQP's BFGS starts from, in the
+            variables that make it the identity (:func:`_metric_scaling`);
+            None starts it from the identity in the inputs.
 
     Returns:
         HorizonSolution; status is "infeasible" when the constraint residual
@@ -595,8 +695,12 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
         "feasible-suboptimal" otherwise. The stat `suboptimal_stop` says
         whether the suboptimal-MPC stop ended the solve short of SLSQP's own
         test, and `start_feasible` whether the projected warm start met every
-        constraint of this solve within `constraint_tol`.
+        constraint of this solve within `constraint_tol`, and
+        `carried_metric` whether `metric` was given. A relaxed solve returns
+        the metric SLSQP ended with, in the inputs (:func:`_bfgs_metric`).
     """
+    if use_terminal and metric is not None:
+        raise ValueError("a carried metric applies to relaxed solves only")
     t_start = time.perf_counter()
     e0 = np.asarray(e0, dtype=float)
     if not np.isfinite(e0).all():
@@ -614,13 +718,22 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
         # Gauss-Newton scaling is accurate near the goal only, where the cost's
         # residuals are small, and the suboptimal stop needs a feasible shifted
         # candidate under the terminal set: the terminal tiers
-        scale = callback = None
+        factor = scale = callback = None
         if use_terminal:
             scale = _gauss_newton_scaling(tr, x0)
             callback = _suboptimal_stop(tr, x0, scale)
+        elif metric is not None:
+            with single_blas_thread():
+                factor, scale = _metric_scaling(metric)
         opt = _slsqp(tr, x0, config.ftol, scale=scale, callback=callback)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"solver diverged: {exc}") from exc
+    final_metric = None
+    if not use_terminal:
+        with single_blas_thread():
+            final_metric = _bfgs_metric(opt.buffer, tr.nx)
+            if final_metric is not None and factor is not None:
+                final_metric = factor @ final_metric @ factor.T
     x_best = opt.x
     if not np.isfinite(x_best).all():
         raise RuntimeError("solver produced non-finite iterate")
@@ -657,7 +770,9 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
             "terminal_enforced": bool(use_terminal),
             "suboptimal_stop": stopped,
             "start_feasible": bool(start_feasible),
+            "carried_metric": metric is not None,
         },
+        metric=final_metric,
     )
 
 

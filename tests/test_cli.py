@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,8 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
     ({"w_bar": -0.1}, [], "disturbance bound"),
     ({"L_g": -8.5883}, [], "Lipschitz constant must be positive"),
     ({"tube_cap": -0.1}, [], "tube_cap must be nonnegative, got -0.1"),
+    ({"tube_cap": "wide"}, [],
+     "field 'tube_cap' must be a number (could not convert string to float: 'wide')"),
     ({"agents": []}, [], "field 'agents' must be a non-empty list of mappings"),
     ({"agents": [1, 2, 3]}, [], "field 'agents' must be a non-empty list of mappings"),
     ({"agents": _agents_with(0, start=[-6.0, 3.5])}, [],
@@ -287,7 +290,8 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
     ({}, ["--total-time", "0.15"], "--total-time 0.15: sampling time must divide"),
     ({}, ["--total-time", "0"], "--total-time 0.0: total time must be positive"),
     ({}, ["--total-time", "-1"], "--total-time -1.0: total time must be positive"),
-], ids=["total_time", "L_V", "u_bar", "w_bar", "L_g", "tube_cap-negative", "agents-empty",
+], ids=["total_time", "L_V", "u_bar", "w_bar", "L_g", "tube_cap-negative", "tube_cap-text",
+        "agents-empty",
         "agents-not-mappings", "agents-start-short", "agents-start-nan",
         "weights-Q-2x2", "weights-P-2x2", "weights-R-3x3", "disturbance-amplitude-nan",
         "disturbance-frequency-inf", "disturbance-amplitude-text",
@@ -298,13 +302,14 @@ def test_bad_values_fail_before_any_solve(tmp_path, monkeypatch, capsys, overrid
                                           options, message):
     """A bad scenario value fails at load as a ScenarioError, and a bad
     --total-time before the run starts: both reach the CLI as `error: ...`
-    with exit code 2, with no solve, and `run` writes no artifacts."""
+    with exit code 2, with no solve, and `run` writes no artifacts. Each
+    message is matched literally, brackets and parentheses included."""
     solves = []
     monkeypatch.setattr(coordination, "solve_fhocp", lambda *args, **kw: solves.append(args))
     path = _variant(tmp_path, **overrides)
     commands = [["run", str(path), "--out", str(tmp_path / "out")] + options]
     if overrides:
-        with pytest.raises(ScenarioError, match=message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
             load_scenario(path)
         commands.append(["certify", str(path)])
     for argv in commands:
@@ -402,7 +407,9 @@ def test_run_reports_feasible_witness_solves(tmp_path, monkeypatch):
     """report.txt counts, next to the suboptimal stops, the accepted
     terminal-enforced solves that started from a feasible shifted plan, as
     step_meta flags them; from t = 1.6 s the bundled agents reach their
-    terminal tiers."""
+    terminal tiers. Before that their relaxed solves carry the previous
+    relaxed solve's metric: report.txt counts the accepted ones and the
+    identity fallbacks after a carried-metric attempt ended infeasible."""
     logs, real_run = [], coordination.Simulation.run
 
     def run(sim):
@@ -419,6 +426,12 @@ def test_run_reports_feasible_witness_solves(tmp_path, monkeypatch):
     assert witnesses == sum(meta["feasible_witness"] for meta in metas) > 0
     assert witnesses <= sum(not meta["terminal_relaxed"] for meta in metas)
     assert keys.index("feasible_witness_solves") == keys.index("suboptimal_stop_solves") + 1
+    carried = int(report["carried_metric_solves"])
+    assert carried == sum(meta["carried_metric"] for meta in metas) > 0
+    assert all(meta["terminal_relaxed"] for meta in metas if meta["carried_metric"])
+    fallbacks = int(report["metric_fallback_attempts"])
+    assert fallbacks == sum(meta["metric_fallbacks"] for meta in metas)
+    assert keys.index("metric_fallback_attempts") == keys.index("carried_metric_solves") + 1
 
 
 def test_run_reports_clipped_disturbance_samples(tmp_path):

@@ -212,9 +212,9 @@ def test_step_meta_flags_feasible_witnesses(monkeypatch, at_rest):
     expected, flags, now = {}, [], [0.0]
     real_solve, real_agent = coordination.solve_fhocp, sim._solve_agent
 
-    def solve(errordyn, e0, margin_fn, cfg, warm_start=None, use_terminal=True):
+    def solve(errordyn, e0, margin_fn, cfg, warm_start=None, use_terminal=True, metric=None):
         sol = real_solve(errordyn, e0, margin_fn, cfg, warm_start=warm_start,
-                         use_terminal=use_terminal)
+                         use_terminal=use_terminal, metric=metric)
         i = next(k for k, known in enumerate(sim.errordyns) if known is errordyn)
         prev = sim.prev_solution[i]
         shifted = prev is not None and np.array_equal(
@@ -327,15 +327,18 @@ def test_starts_and_tube_radii_built_on_demand(monkeypatch):
 
 
 def test_restore_runs_once_from_the_best_near_feasible_attempt(monkeypatch):
-    """When both starts of a solve end infeasible within the 5e-2 residual
+    """When every start of a solve ends infeasible within the 5e-2 residual
     threshold, the ladder restores feasibility once, from the inputs of the
-    attempt with the lower residual, and accepts the attempt from the
-    restored plan: the two starts, the restoration and that attempt make 4
-    attempts, with no re-attempt from an infeasible attempt's inputs."""
+    attempt with the lowest residual, and accepts the attempt from the
+    restored plan. The solve is relaxed and follows a relaxed one, so its
+    starts are the shifted plan with the carried metric, the shifted plan
+    with the identity (a metric fallback) and zero input: with the
+    restoration and the attempt from the restored plan they make 5 attempts,
+    with no re-attempt from an infeasible attempt's inputs."""
     solve_fhocp, restore = coordination.solve_fhocp, coordination.restore_feasibility
     solve_agent = Simulation._solve_agent
     sim = load_scenario(SCENARIO).build_simulation(total_time=0.2)
-    target = (sim.schedule[0], 0.1)  # that agent's second solve: two starts
+    target = (sim.schedule[0], 0.1)  # that agent's second solve: three starts
     current, attempts, restores = {}, [], []
 
     def tracked(self, i, t_k):
@@ -345,10 +348,10 @@ def test_restore_runs_once_from_the_best_near_feasible_attempt(monkeypatch):
     def near_feasible(*args, **kwargs):
         sol = solve_fhocp(*args, **kwargs)
         if current["solve"] == target:
-            if len(attempts) < 2:  # shifted start, then zero start
+            if len(attempts) < 3:  # the three starts
                 sol.status = "infeasible"
-                sol.solve_stats["residual"] = (3e-2, 1e-2)[len(attempts)]
-            attempts.append((kwargs["warm_start"], sol))
+                sol.solve_stats["residual"] = (3e-2, 1e-2, 2e-2)[len(attempts)]
+            attempts.append((kwargs, sol))
         return sol
 
     def recorded(*args, **kwargs):
@@ -362,17 +365,70 @@ def test_restore_runs_once_from_the_best_near_feasible_attempt(monkeypatch):
     log = sim.run()
 
     i, t_k = target
+    assert len(attempts) == 4
+    assert all(not kwargs["use_terminal"] for kwargs, _ in attempts)
+    (first, _), (second, _), (third, _), (last, accepted) = attempts
+    assert first["warm_start"] is second["warm_start"]
+    assert first["metric"] is not None and second["metric"] is None
+    assert not third["warm_start"].any() and third["metric"] is None
     assert len(restores) == 1
     start, restored = restores[0]
     np.testing.assert_array_equal(start, attempts[1][1].inputs)  # residual 1e-2
-    assert len(attempts) == 3
-    np.testing.assert_array_equal(attempts[2][0], restored)
-    accepted = attempts[2][1]
+    np.testing.assert_array_equal(last["warm_start"], restored)
+    assert last["metric"] is None
     assert accepted.status != "infeasible"
     assert sim.prev_solution[i] is accepted
     meta = next(m for m in log.traces[i].step_meta if m["t"] == t_k)
     assert meta["status"] == accepted.status
-    assert meta["attempts"] == 4
+    assert meta["attempts"] == 5
+    assert meta["metric_fallbacks"] == 1 and not meta["carried_metric"]
+
+
+def test_relaxed_solve_after_a_terminal_one_carries_no_metric(monkeypatch):
+    """Terminal-enforced solves return no metric, so a relaxed solve that
+    follows one starts from the shifted plan and the zero input with the
+    identity, as before metrics were carried: its attempts pass no metric
+    and match, bit for bit, a solve called without the `metric` argument.
+    The terminal attempts of the first solve after an accepted terminal one
+    are forced infeasible, so that its ladder falls to the relaxed tier."""
+    sim = _simulation(total_time=0.6)
+    real_solve, real_agent = coordination.solve_fhocp, sim._solve_agent
+    current, forced, relaxed = {}, [], []
+
+    def solve(errordyn, e0, margin_fn, cfg, warm_start=None, use_terminal=True, metric=None):
+        sol = real_solve(errordyn, e0, margin_fn, cfg, warm_start=warm_start,
+                         use_terminal=use_terminal, metric=metric)
+        if use_terminal:
+            assert sol.metric is None
+        if current["solve"] == forced[:1]:
+            if use_terminal:
+                sol.status, sol.solve_stats["residual"] = "infeasible", 1.0
+            else:
+                relaxed.append((errordyn, e0, margin_fn, cfg, warm_start, metric, sol,
+                                sol.solve_stats["iterations"]))
+        return sol
+
+    def solve_agent(i, t_k):
+        prev = sim.prev_solution[i]
+        if not forced and prev is not None and not prev.solve_stats["terminal_relaxed"]:
+            forced.append((i, t_k))
+        current["solve"] = [(i, t_k)]
+        return real_agent(i, t_k)
+
+    monkeypatch.setattr(coordination, "solve_fhocp", solve)
+    monkeypatch.setattr(sim, "_solve_agent", solve_agent)
+    sim.run()
+    assert forced and relaxed
+    shifted = relaxed[0][4]
+    assert shifted is not None and shifted.any()
+    for errordyn, e0, margin_fn, cfg, warm_start, metric, sol, iterations in relaxed:
+        assert metric is None and not sol.solve_stats["carried_metric"]
+        again = real_solve(errordyn, e0, margin_fn, cfg, warm_start=warm_start,
+                           use_terminal=False)
+        assert again.inputs.tobytes() == sol.inputs.tobytes()
+        assert again.dense_errors.tobytes() == sol.dense_errors.tobytes()
+        assert (again.cost, again.solve_stats["iterations"]) == (sol.cost, iterations)
+        assert again.metric.tobytes() == sol.metric.tobytes()
 
 
 def test_step_meta_covers_the_whole_ladder(monkeypatch):

@@ -630,31 +630,38 @@ def test_minimize_matches_scipy_slsqp_bitwise():
 
 
 def test_closed_loop_scaled_solves_match_scipy_slsqp_bitwise(monkeypatch):
-    """The Gauss-Newton-scaled solves of the bundled scenario's first 1.5 s,
-    as the closed loop makes them: hundreds of margin rows of several kinds,
-    the terminal row and the scale T. On each, `ocp._slsqp` must return
-    bitwise what scipy's public SLSQP returns with each constraint block's
-    Jacobian times T on its own. The seeded problems above cannot tell that
-    from one product of T with all the stacked rows, which moves the closed
-    loop's iterates."""
+    """The scaled solves of the bundled scenario's first 1.5 s, as the closed
+    loop makes them: the Gauss-Newton-scaled terminal solves, with hundreds
+    of margin rows of several kinds, the terminal row and the scale T, and
+    the relaxed solves that run in the carried metric's T. On each,
+    `ocp._slsqp` must return bitwise what scipy's public SLSQP returns with
+    each constraint block's Jacobian times T on its own. The seeded problems
+    above cannot tell that from one product of T with all the stacked rows,
+    which moves the closed loop's iterates."""
     scenario = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
     real = ocp._slsqp
-    margin_rows = []
+    margin_rows, carried = [], 0
 
     def checked(tr, x0, ftol, slack=False, scale=None, callback=None):
+        nonlocal carried
         ours = real(tr, x0, ftol, slack=slack, scale=scale, callback=callback)
         if scale is not None:
             ref_tr = _Transcription(tr.errordyn, tr.e0, tr.margin_fn, tr.cfg, tr.use_terminal)
             ref_callback = None if callback is None else ocp._suboptimal_stop(ref_tr, x0, scale)
             ref_x, ref = _scipy_slsqp(ref_tr, x0, ftol, slack, scale, ref_callback)
             assert (ours.x.tobytes(), ours.nit, ours.nfev, ours.status) == (
-                ref_x.tobytes(), ref.nit, ref.nfev, ref.status), f"scaled solve {len(margin_rows)}"
-            margin_rows.append(ref_tr.eval(x0)["margins"].size)
+                ref_x.tobytes(), ref.nit, ref.nfev, ref.status), (
+                f"scaled solve {len(margin_rows) + carried}")
+            if tr.use_terminal:
+                margin_rows.append(ref_tr.eval(x0)["margins"].size)
+            else:
+                carried += 1
         return ours
 
     monkeypatch.setattr(ocp, "_slsqp", checked)
     load_scenario(scenario).build_simulation(total_time=1.5).run()
     assert len(margin_rows) >= 5 and min(margin_rows) >= 300
+    assert carried >= 1
 
 
 def _gauss_newton_hessian(tr, x):
@@ -697,3 +704,62 @@ def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
             want = scipy.linalg.solve_triangular(L, np.eye(tr.nx), lower=True, trans="T")
         got = ocp._gauss_newton_scaling(tr, x)
         assert np.array_equal(got, want), f"problem {k}: T differs from scipy's L^-T"
+
+
+def test_bfgs_metric_reads_slsqps_quasi_newton_factor():
+    """`_bfgs_metric` reads private layout of scipy's compiled SLSQP core:
+    the quasi-Newton estimate B = L D L', packed column by column at the
+    front of the work array. On these convex quadratics 1/2 x'Ax - b'x,
+    A >= 5 I, under an inactive ball constraint, SLSQP's BFGS from the
+    identity ends with B = A to 1e-10 relative. (With A's eigenvalues near
+    or below 1 it stops short of A, so those cannot pin the layout.) A scipy
+    release that moves the factor fails here."""
+    for seed, n in ((0, 4), (1, 4), (2, 4), (0, 6)):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, n))
+        A, b = 5.0 * (M @ M.T / n + np.eye(n)), rng.standard_normal(n)
+
+        def values(x, d):
+            d[0] = 100.0 - x @ x
+            return 0.5 * x @ A @ x - b @ x
+
+        def gradients(x, g, C):
+            g[:] = A @ x - b
+            C[0] = -2.0 * x
+
+        opt = ocp.minimize(values, gradients, np.zeros(n), 1, 200, 1e-14)
+        assert opt.success and opt.x @ opt.x < 1.0  # the ball is inactive
+        B = ocp._bfgs_metric(opt.buffer, n)
+        assert B is not None and np.abs(B - A).max() <= 1e-10 * np.abs(A).max(), (
+            f"seed {seed}: SLSQP's BFGS factor is not where _bfgs_metric reads it; "
+            "has scipy.optimize._slsqplib changed its work array?")
+
+
+def test_relaxed_solves_carry_their_metric():
+    """A relaxed solve returns the metric SLSQP ended with, in the inputs:
+    symmetric and positive definite. Shifted one stage, with an identity
+    block appended and METRIC_DAMPING on the diagonal, it starts the next
+    relaxed solve from the shifted plan, which reports `carried_metric` and
+    stays feasible; a terminal-enforced solve returns no metric and takes
+    none."""
+    cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
+    first = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=False)
+    assert not first.solve_stats["carried_metric"]
+    metric = first.metric
+    assert metric.shape == (first.inputs.size,) * 2
+    np.testing.assert_allclose(metric, metric.T, rtol=1e-12, atol=1e-12)
+    assert np.linalg.eigvalsh(metric).min() > 0.0
+    shifted = ocp.shift_metric(metric, ed.model.input_dim)
+    damping = ocp.METRIC_DAMPING * np.eye(len(metric))
+    np.testing.assert_array_equal(shifted[:-2, :-2], metric[2:, 2:] + damping[2:, 2:])
+    np.testing.assert_array_equal(shifted[-2:], np.eye(len(metric))[-2:] + damping[-2:])
+    e1 = first.dense_errors[cfg.substeps]
+    plan = np.concatenate([first.inputs[1:], np.zeros((1, 2))])
+    second = solve_fhocp(ed, e1, margin_fn, cfg, warm_start=plan, use_terminal=False,
+                         metric=shifted)
+    assert second.solve_stats["carried_metric"] and second.status != "infeasible"
+    assert np.linalg.eigvalsh(second.metric).min() > 0.0
+    terminal = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
+    assert terminal.metric is None
+    with pytest.raises(ValueError, match="relaxed solves only"):
+        solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True, metric=shifted)
