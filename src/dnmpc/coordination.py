@@ -7,6 +7,10 @@ solves its FHOCP warm-started from the shifted previous solution, posts the
 new prediction, and applies the first input segment to the true disturbed
 dynamics while all other agents hold still.
 
+Sensing reads the current states, so the agents earlier in the schedule are
+sensed at t_k + h and the later ones at t_k (the paper senses all at one
+instant); constraints are built against each agent's newest posted plan.
+
 The strictly tightened problem can be structurally empty at the horizon tail
 (the tube radius grows exponentially), and the terminal constraint can be
 unreachable far from the goal. Both cases are handled by a fallback ladder
@@ -14,11 +18,13 @@ of tiers (terminal constraint enforced or relaxed, tail tightening uncapped
 or capped) whose relaxations are flagged in the solution status and solve
 stats; the applied first segment always satisfies the strictly tightened
 early-stage constraints. Each tier tries the shifted and zero starts, lateral
-probes when blocked and a phase-1 feasibility restoration. The
-terminal-enforced tiers run only near the goal, and one is skipped when a
-closed-form check proves it infeasible: every position the terminal set
-admits lies within r = sqrt((eps_omega + tol) / lambda_min(P)) of the goal,
-and some last-stage margin is violated on that whole ball.
+probes when blocked and a phase-1 feasibility restoration. In a relaxed tier
+after a relaxed solve, the shifted start is tried first in the SLSQP metric
+that solve ended with, shifted one stage, and with the identity only if that
+ends infeasible. The terminal-enforced tiers run only near the goal, and one
+is skipped when a closed-form check proves it infeasible: every position the
+terminal set admits lies within r = sqrt((eps_omega + tol) / lambda_min(P))
+of the goal, and some last-stage margin is violated on that whole ball.
 """
 
 from __future__ import annotations
@@ -261,6 +267,10 @@ class TrajectoryLog:
         return cls(traces=traces, meta={"h": h, "substeps": substeps})
 
 
+def _residual(sol):
+    return sol.solve_stats["residual"]
+
+
 class SimulationError(RuntimeError):
     """A step failed (solver infeasible or raised); carries the partial log."""
 
@@ -278,6 +288,10 @@ class Simulation:
     scenarios produce bit-identical logs. `tube_cap`, when set, is one
     ceiling on the tube radius for every constraint kind, used by the
     ladder's capped tiers.
+
+    A solve at t_k senses the agents before it in the schedule after their
+    move (t_k + h) and those after it at t_k, and is constrained against
+    each one's newest posted plan: this step's, or the previous step's.
     """
 
     def __init__(self, world: WorldModel, models, references, config: OcpConfig,
@@ -311,6 +325,15 @@ class Simulation:
         # to the goal
         self.terminal_radius = ultimate_bound(config.eps_omega + config.constraint_tol,
                                               float(np.linalg.eigvalsh(config.P)[0]))
+        # the ladder's lateral detours for a blocked plan, turn then drive:
+        # 1 turn stage +/-, then 2 turn stages +/-
+        mag = 0.7 * config.u_bar
+        self._probes = []
+        for turn_stages, sign in ((1, 1.0), (1, -1.0), (2, 1.0), (2, -1.0)):
+            probe = np.zeros((config.n_stages, 2))
+            probe[:turn_stages, 1] = sign * mag
+            probe[turn_stages:, 0] = mag
+            self._probes.append(probe)
         self._n_steps = int(round(self.total_time / config.h))
         if abs(self._n_steps * config.h - self.total_time) > 1e-9:
             raise ValueError("sampling time must divide the total time")
@@ -338,7 +361,9 @@ class Simulation:
 
     def _geometry(self, i, t_k, dense_taus):
         """Constraint snapshot for agent i solving at t_k: the agents in
-        sensing range and the known obstacles, net of the safety margin."""
+        sensing range (from the current states, so at t_k + h for the agents
+        that moved this step) and the known obstacles, net of the safety
+        margin; the tracks are each agent's newest posted plan."""
         in_range = sensing_set(i, self._positions(), self.world.sensing_ranges[i])
         times = t_k + dense_taus
         tracks = {j: self.board[j].positions_at(times)
@@ -381,62 +406,57 @@ class Simulation:
             return [zeros]
         return [warm_start_shift(prev, self.steering[i], cfg), zeros]
 
-    def _probe_starts(self, i):
-        """Lateral-detour guesses (turn, then drive) used to escape the
-        stationary local optimum when an agent is blocked far from its goal."""
-        cfg = self.config
-        mag = 0.7 * cfg.u_bar
-        probes = []
-        for turn_stages in (1, 2):
-            for sign in (1.0, -1.0):
-                seq = np.zeros((cfg.n_stages, 2))
-                seq[:turn_stages, 1] = sign * mag
-                seq[turn_stages:, 0] = mag
-                probes.append(seq)
-        return probes
-
     def _solve_agent(self, i, t_k):
         """Solve agent i's problem through the fallback ladder.
 
         Returns the solution. Its `attempts` (calls of solve_fhocp and
         restore_feasibility), `iterations` (summed over those calls),
-        `terminal_excluded` (a terminal-enforced tier was skipped as provably
-        infeasible) and `wall_time` stats cover the whole ladder; its other
-        stats are those of the accepted attempt, with `feasible_witness`
-        true when that attempt is terminal-enforced and started from the
-        shifted plan, feasible within `constraint_tol`. `metric_fallbacks`
-        counts the attempts from the shifted plan with the identity metric
-        that followed an infeasible one with the carried metric.
+        `metric_fallbacks` (attempts with a carried metric that ended
+        infeasible), `terminal_excluded` (a terminal-enforced tier was skipped
+        as provably infeasible) and `wall_time` stats cover the whole ladder;
+        its other stats are those of the accepted attempt, with
+        `feasible_witness` true when that attempt is terminal-enforced and
+        started from the shifted plan, feasible within `constraint_tol`.
         """
         start = time.perf_counter()
-        ladder = {"attempts": 0, "iterations": 0, "terminal_excluded": False,
-                  "metric_fallbacks": 0}
-        sol = self._ladder(i, t_k, ladder)
-        sol.solve_stats.update(ladder, wall_time=time.perf_counter() - start)
+        tried, restores = [], []
+        sol, terminal_excluded = self._ladder(i, t_k, tried, restores)
+        iterations = [s.solve_stats["iterations"] for s in tried] + restores
+        sol.solve_stats.update(
+            attempts=len(iterations),
+            iterations=sum(iterations),
+            terminal_excluded=terminal_excluded,
+            metric_fallbacks=[s.status for s in tried
+                              if s.solve_stats["carried_metric"]].count("infeasible"),
+            wall_time=time.perf_counter() - start)
         return sol
 
-    def _ladder(self, i, t_k, ladder):
-        """The fallback ladder; counts its attempts and SLSQP iterations into
-        `ladder`.
+    def _ladder(self, i, t_k, tried, restores):
+        """The fallback ladder as one walk: appends each solve_fhocp solution
+        to `tried` and each restore_feasibility iteration count to
+        `restores`; returns the accepted solution, or the lowest-residual
+        attempt (the first of equals) when every tier fails, and whether a
+        terminal-enforced tier was skipped.
 
         Tiers: terminal enforced (near the goal only), then relaxed, each
         with the uncapped tube while it leaves the window open, then capped.
-        In each tier: the starts; lateral probes when the plan is blocked;
-        and, when every start ends infeasible within a residual of 5e-2,
-        restore_feasibility from the lowest-residual attempt, then one
-        attempt from the restored plan. A terminal-enforced tier whose
+        In each tier: the starts until one ends feasible; if its plan is
+        blocked, the starts not yet tried and the lateral probes, the
+        cheapest feasible plan winning; if none ends feasible but the lowest
+        residual is within 5e-2, restore_feasibility from that attempt and
+        one attempt from the restored plan. A carried metric (left on a
+        relaxed solution) stands for the shifted start of a relaxed tier:
+        the shifted plan is tried in it, shifted one stage, then with the
+        identity only if that ends infeasible. A terminal-enforced tier whose
         terminal set lies beyond some last-stage tightened margin
-        (StageGeometry.terminal_excluded) is skipped: every attempt of it
-        would end infeasible, and every tier tries the same starts, so the
-        accepted solution is the same. After a relaxed solve, which leaves
-        its metric on the solution, a relaxed tier first tries the shifted
-        plan in that metric, shifted one stage; it stands for the shifted
-        start, so a blocked plan from it goes on to the zero start.
+        (StageGeometry.terminal_excluded) is skipped: all its attempts would
+        end infeasible, and every tier tries the same starts.
         """
         cfg = self.config
         dense_taus, rho_full = self._tube
         geometry = self._geometry(i, t_k, dense_taus)
         e0 = self.errordyns[i].error_of(self.states[i])
+        pos = self.models[i].position_slice
 
         caps = []
         if not geometry.window_empty(rho_full):
@@ -446,95 +466,72 @@ class Simulation:
         if not caps:
             caps = [None]
 
-        pos_e0 = e0[self.models[i].position_slice]
+        pos_e0 = e0[pos]
         pos_err = math.sqrt(pos_e0.dot(pos_e0))
         terminal_plausible = pos_err <= 0.5 * cfg.u_bar * cfg.T_p
-        goal = self.errordyns[i].z_des[self.models[i].position_slice]
-        tiers = []
+        goal = self.errordyns[i].z_des[pos]
+        tiers, terminal_excluded = [], False
         for use_terminal in (True, False) if terminal_plausible else (False,):
             for cap in caps:
                 rho = rho_full if cap is None else np.minimum(rho_full, cap)
                 if use_terminal and geometry.terminal_excluded(
                         goal, self.terminal_radius, rho[-1], cfg.constraint_tol):
-                    ladder["terminal_excluded"] = True
+                    terminal_excluded = True
                 else:
                     tiers.append((use_terminal, cap, rho))
 
         starts = self._starts(i)
         shifted = starts[0] if len(starts) > 1 else None
         carried = None if shifted is None else self.prev_solution[i].metric
-        best = None
         for use_terminal, cap, rho in tiers:
             margin_fn = self._margin_fn(i, geometry, rho)
+            first = len(tried)
 
             def attempt(start, metric=None):
                 sol = solve_fhocp(self.errordyns[i], e0, margin_fn, cfg, warm_start=start,
                                   use_terminal=use_terminal, metric=metric)
-                ladder["attempts"] += 1
-                ladder["iterations"] += sol.solve_stats["iterations"]
                 sol.solve_stats["feasible_witness"] = (
                     use_terminal and start is shifted and sol.solve_stats["start_feasible"])
+                tried.append(sol)
                 return sol
 
-            def accept(sol):
-                relaxed = (not use_terminal) or (cap is not None)
-                if relaxed and sol.status == "optimal":
-                    sol.status = "feasible-suboptimal"
-                sol.solve_stats.update({
-                    "terminal_relaxed": not use_terminal,
-                    "tube_capped": cap is not None,
-                })
-                return sol
-
-            tier_best = None
-            incumbent = None
-            k = 0
-            if carried is not None and not use_terminal:
-                sol = attempt(shifted, shift_metric(carried, self.models[i].input_dim))
-                if sol.status != "infeasible":
-                    incumbent = sol
-                else:
-                    ladder["metric_fallbacks"] += 1
-                    tier_best = sol
-            if incumbent is None:
-                for k, start in enumerate(starts):
-                    sol = attempt(start)
+            for k, start in enumerate(starts):
+                if start is shifted and carried is not None and not use_terminal:
+                    sol = attempt(start, shift_metric(carried, self.models[i].input_dim))
                     if sol.status != "infeasible":
-                        incumbent = sol
                         break
-                    if (tier_best is None or sol.solve_stats["residual"]
-                            < tier_best.solve_stats["residual"]):
-                        tier_best = sol
-            if incumbent is not None:
+                sol = attempt(start)
+                if sol.status != "infeasible":
+                    break
+            if sol.status != "infeasible":
                 # a plan that barely moves while far from the goal signals a
                 # blocked local optimum: probe lateral detours for a cheaper one
-                moved = (incumbent.dense_errors[-1]
-                         - incumbent.dense_errors[0])[self.models[i].position_slice]
-                displacement = math.sqrt(moved.dot(moved))
-                if pos_err > 1.0 and displacement < 0.1 * cfg.u_bar * cfg.T_p:
+                moved = (sol.dense_errors[-1] - sol.dense_errors[0])[pos]
+                if pos_err > 1.0 and math.sqrt(moved.dot(moved)) < 0.1 * cfg.u_bar * cfg.T_p:
                     # the starts not yet tried, then the lateral probes
-                    for start in [*starts[k + 1:], *self._probe_starts(i)]:
-                        sol = attempt(start)
-                        if sol.status != "infeasible" and sol.cost < incumbent.cost:
-                            incumbent = sol
-                return accept(incumbent)
-            # phase-1 slack maximization from the best near-feasible attempt:
-            # the iteration budget often ends a hair short of feasible
-            sol = tier_best
-            if sol.solve_stats["residual"] <= 5e-2:
-                restored, iterations = restore_feasibility(
-                    self.errordyns[i], e0, margin_fn, cfg, sol.inputs,
-                    use_terminal=use_terminal)
-                ladder["attempts"] += 1
-                ladder["iterations"] += iterations
-                retried = attempt(restored)
-                if retried.status != "infeasible":
-                    return accept(retried)
-                if retried.solve_stats["residual"] < sol.solve_stats["residual"]:
-                    sol = retried
-            if best is None or sol.solve_stats["residual"] < best.solve_stats["residual"]:
-                best = sol
-        return best
+                    accepted = len(tried) - 1
+                    for start in [*starts[k + 1:], *self._probes]:
+                        attempt(start)
+                    sol = min((s for s in tried[accepted:] if s.status != "infeasible"),
+                              key=lambda s: s.cost)
+            else:
+                # phase-1 slack maximization from the best near-feasible
+                # attempt: the iteration budget often ends a hair short of
+                # feasible
+                nearest = min(tried[first:], key=_residual)
+                if nearest.solve_stats["residual"] <= 5e-2:
+                    restored, iterations = restore_feasibility(
+                        self.errordyns[i], e0, margin_fn, cfg, nearest.inputs,
+                        use_terminal=use_terminal)
+                    restores.append(iterations)
+                    sol = attempt(restored)
+            if sol.status != "infeasible":
+                if (not use_terminal or cap is not None) and sol.status == "optimal":
+                    sol.status = "feasible-suboptimal"
+                sol.solve_stats["terminal_relaxed"] = not use_terminal
+                sol.solve_stats["tube_capped"] = cap is not None
+                return sol, terminal_excluded
+        return min(tried, key=_residual), terminal_excluded
 
     # -- main loop ------------------------------------------------------
 

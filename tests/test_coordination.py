@@ -7,7 +7,7 @@ import pytest
 from dnmpc import coordination, ocp
 from dnmpc.cli import load_scenario
 from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel
-from dnmpc.coordination import (PredictionEntry, Simulation, TrajectoryLog,
+from dnmpc.coordination import (PredictionEntry, Simulation, SimulationError, TrajectoryLog,
                                 neighbor_sets, sensing_set, validate_initial)
 from dnmpc.dynamics import UNICYCLE, DisturbanceSignal
 from dnmpc.ocp import OcpConfig, warm_start_shift
@@ -536,3 +536,148 @@ def test_engine_calls_the_benchmark_hooks(monkeypatch):
     # one margin evaluation per rollout, and the tube radii once per simulation
     assert calls["margins"] == calls["rollout_zoh"]
     assert calls["tube_profile_radii"] == 1
+
+
+def test_sensing_reads_earlier_agents_after_their_move(monkeypatch):
+    """The engine's information pattern: within a step, `sensing_set` gets
+    the current states, so the agent scheduled second senses the first one
+    where its move of this step ended and itself where it stands at t_k;
+    the first one senses the second at t_k. Each solve's constraints use the
+    newest posted plans: the first agent's of this step, the second agent's
+    of the previous step."""
+    sim = _simulation(total_time=0.3, schedule=[1, 0])
+    sensed, moved, posted = [], [], []
+    real_sensing, real_integrate = coordination.sensing_set, coordination.integrate
+    real_geometry = sim._geometry
+
+    def sensing(agent, positions, d_i):
+        sensed.append((agent, np.array(positions)))
+        return real_sensing(agent, positions, d_i)
+
+    def integrate(model, z, *args):
+        times, states = real_integrate(model, z, *args)
+        moved.append(states[-1][model.position_slice].copy())
+        return times, states
+
+    def geometry(i, t_k, dense_taus):
+        posted.append((i, t_k, {j: entry.t0 for j, entry in sim.board.items()}))
+        return real_geometry(i, t_k, dense_taus)
+
+    monkeypatch.setattr(coordination, "sensing_set", sensing)
+    monkeypatch.setattr(coordination, "integrate", integrate)
+    monkeypatch.setattr(sim, "_geometry", geometry)
+    sim.run()
+    assert [agent for agent, _ in sensed] == [1, 0] * 3
+    here = {0: np.array([0.0, 0.0]), 1: np.array([0.0, 1.2])}  # the starts
+    for k in range(3):
+        (_, first), (_, second) = sensed[2 * k], sensed[2 * k + 1]
+        assert np.array_equal(first[0], here[0]) and np.array_equal(first[1], here[1])
+        # agent 1 has moved: the second solve senses it at t_k + h
+        assert np.array_equal(second[1], moved[2 * k])
+        assert not np.array_equal(second[1], here[1])
+        assert np.array_equal(second[0], here[0])
+        here = {1: moved[2 * k], 0: moved[2 * k + 1]}
+    for i, t_k, t0 in posted:
+        other = 1 - i
+        assert t0[other] == (t_k if i == 0 else max(t_k - 0.1, 0.0)), (i, t_k)
+
+
+def _probes(cfg):
+    """The ladder's lateral probes, in their order: 1 turn stage +/-, then
+    2 turn stages +/-, driving at 0.7 u_bar after the turn."""
+    mag = 0.7 * cfg.u_bar
+    out = []
+    for turn_stages in (1, 2):
+        for sign in (1.0, -1.0):
+            probe = np.zeros((cfg.n_stages, 2))
+            probe[:turn_stages, 1] = sign * mag
+            probe[turn_stages:, 0] = mag
+            out.append(probe)
+    return out
+
+
+def test_blocked_plan_tries_the_untried_starts_then_the_probes(monkeypatch):
+    """A feasible plan that barely moves far from the goal is blocked: the
+    ladder then tries the starts not yet tried and the four lateral probes,
+    in that order, and the cheapest feasible plan wins, the first of equal
+    costs. Agent 0's second solve, over 1 m from its goal, carries the
+    metric of its first, relaxed solve; its terminal-enforced attempts are
+    made infeasible, and its carried-metric attempt the blocked plan, so no
+    shifted-plan attempt with the identity follows that one."""
+    sim = _simulation(total_time=0.2)
+    sim._bootstrap_board()
+    sim._log_initial()
+    sim.step(0)
+    assert sim.prev_solution[0].metric is not None
+    shifted, zeros = sim._starts(0)
+    real_solve, calls, terminal = coordination.solve_fhocp, [], []
+    # the carried attempt, the zero start, then the four probes; one probe
+    # is cheapest but infeasible, and two feasible ones tie at the lowest cost
+    costs = [10.0, 7.0, 3.0, 5.0, 6.0, 5.0]
+
+    def solve(*args, **kwargs):
+        sol = real_solve(*args, **kwargs)
+        if kwargs["use_terminal"]:
+            sol.status, sol.solve_stats["residual"] = "infeasible", 1.0
+            terminal.append(sol)
+            return sol
+        sol.status, sol.cost = "feasible-suboptimal", costs[len(calls)]
+        sol.solve_stats["residual"] = 0.0
+        if len(calls) == 0:  # the carried attempt: a plan that stays put
+            sol.dense_errors = np.repeat(sol.dense_errors[:1], len(sol.dense_errors), axis=0)
+        if len(calls) == 2:
+            sol.status, sol.solve_stats["residual"] = "infeasible", 1.0
+        calls.append((kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(coordination, "solve_fhocp", solve)
+    sol = sim._solve_agent(0, 0.1)
+    starts = [kwargs["warm_start"] for kwargs, _ in calls]
+    metrics = [kwargs["metric"] for kwargs, _ in calls]
+    assert len(calls) == 6
+    np.testing.assert_array_equal(starts[0], shifted)
+    assert metrics[0] is not None
+    assert all(metric is None for metric in metrics[1:])
+    for got, want in zip(starts[1:], [zeros, *_probes(sim.config)]):
+        np.testing.assert_array_equal(got, want)
+    assert sol is calls[3][1]
+    assert sol.solve_stats["attempts"] == len(terminal) + 6
+    assert sol.solve_stats["metric_fallbacks"] == 0
+    assert sol.solve_stats["terminal_relaxed"] and not sol.solve_stats["tube_capped"]
+
+
+def test_all_tiers_failing_returns_the_first_lowest_residual_attempt(monkeypatch):
+    """When every attempt of every tier ends infeasible, the solve returns
+    the attempt with the lowest residual, the first of equal ones, and the
+    run aborts with a SimulationError that reports it. Agent 0, 1.5 m from
+    its goal, walks the terminal and relaxed tiers, each uncapped and
+    capped, from its one (zero) start; the relaxed uncapped tier's residual
+    is within 5e-2, so it restores feasibility and retries, and the retry
+    ties that residual."""
+    sim = _simulation(total_time=0.2)
+    sim.states = [np.array([1.5, 0.0, 0.0]), np.array([1.5, 1.2, 0.0])]
+    real_solve, real_agent = coordination.solve_fhocp, sim._solve_agent
+    residuals = [0.3, 0.2, 0.04, 0.04, 0.5]
+    calls, returned = [], []
+
+    def solve(*args, **kwargs):
+        sol = real_solve(*args, **kwargs)
+        sol.status, sol.solve_stats["residual"] = "infeasible", residuals[len(calls)]
+        calls.append((kwargs, sol))
+        return sol
+
+    def solve_agent(i, t_k):
+        returned.append(real_agent(i, t_k))
+        return returned[-1]
+
+    monkeypatch.setattr(coordination, "solve_fhocp", solve)
+    monkeypatch.setattr(sim, "_solve_agent", solve_agent)
+    with pytest.raises(SimulationError, match=r"agent 0 infeasible at t = 0\.000 "
+                                              r"\(residual 0\.04\)") as err:
+        sim.run()
+    assert (err.value.agent, err.value.t) == (0, 0.0)
+    assert [kwargs["use_terminal"] for kwargs, _ in calls] == [True, True, False, False, False]
+    assert not calls[2][0]["warm_start"].any()
+    assert calls[3][0]["warm_start"].any()  # the restored plan
+    assert returned == [calls[2][1]]
+    assert returned[0].solve_stats["attempts"] == 6  # 5 solves and 1 restoration
