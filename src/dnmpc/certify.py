@@ -74,11 +74,12 @@ def window_closes_at(world, w_bar, L_g, T_p):
     conn - sep of a neighbor pair's window (StageGeometry.pair_windows); inf
     if it never does within the horizon.
 
-    From that tau on the pair's tightened window is empty
-    (StageGeometry.window_empty), so only a capped tube can keep a plan that
-    long feasible. The thresholds are those the solver uses, net of the
-    world's safety margin; they do not depend on where the agents are, so
-    every agent is placed at the workspace centre.
+    From that tau on the pair's tightened window is empty (sep + 2 rho >
+    conn), so only a capped tube can keep a plan that long feasible: a
+    scenario whose tube_cap binds before T_p runs every solve capped, one
+    without a binding cap none. The thresholds are those the solver uses,
+    net of the world's safety margin; they do not depend on where the agents
+    are, so every agent is placed at the workspace centre.
     """
     if w_bar <= 0.0:
         return math.inf

@@ -359,8 +359,8 @@ def cmd_certify(scenario_path, seed=None):
         scenario.eps_psi, scenario.eps_omega, scenario.L_V, L_g_exact,
         scenario.h, scenario.T_p))
     print(f"L_g_sound = {str(scenario.L_g >= L_g_exact).lower()}")
-    # the certificate covers only the uncapped tube tier, which cannot run
-    # once the tube has closed some neighbor pair's window
+    # the certificate covers only an uncapped tube, which leaves no plan
+    # once it has closed some neighbor pair's window within the horizon
     world = scenario.build_world()
     for name, L_g in (("window_closes_at_tau", scenario.L_g),
                       ("window_closes_at_tau_at_L_g_exact", L_g_exact)):

@@ -167,21 +167,13 @@ class StageGeometry:
     def pair_windows(self):
         """(sep, conn), each (P,): the separation and connectivity thresholds
         of every agent that is both sensed and a neighbor, in the order of
-        its separation column. Its distance must stay within [sep, conn]."""
+        its separation column. Its distance must stay within [sep, conn], a
+        window that erosion by rho closes where sep + 2 rho > conn."""
         columns = list(zip(self.labels, self.kinds, self.offset))
         conn = {label: offset for label, kind, offset in columns if kind == 1}
         pairs = [(-offset, conn[label]) for label, kind, offset in columns
                  if kind == 0 and label in conn]
         return np.array(pairs).reshape(-1, 2).T
-
-    def window_empty(self, rho):
-        """True if erosion by rho makes some pair window of
-        :meth:`pair_windows` empty: the same other agent must be kept
-        farther than its eroded separation threshold and closer than its
-        eroded connectivity threshold."""
-        sep, conn = self.pair_windows()
-        rho = np.asarray(rho)
-        return bool((sep[:, None] + rho > conn[:, None] - rho).any())
 
     def terminal_excluded(self, goal, radius, rho_end, tol):
         """True if no position within `radius` of `goal` meets every

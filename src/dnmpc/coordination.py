@@ -11,20 +11,21 @@ Sensing reads the current states, so the agents earlier in the schedule are
 sensed at t_k + h and the later ones at t_k (the paper senses all at one
 instant); constraints are built against each agent's newest posted plan.
 
-The strictly tightened problem can be structurally empty at the horizon tail
-(the tube radius grows exponentially), and the terminal constraint can be
-unreachable far from the goal. Both cases are handled by a fallback ladder
-of tiers (terminal constraint enforced or relaxed, tail tightening uncapped
-or capped) whose relaxations are flagged in the solution status and solve
-stats; the applied first segment always satisfies the strictly tightened
-early-stage constraints. Each tier tries the shifted and zero starts, lateral
-probes when blocked and a phase-1 feasibility restoration. In a relaxed tier
-after a relaxed solve, the shifted start is tried first in the SLSQP metric
-that solve ended with, shifted one stage, and with the identity only if that
-ends infeasible. The terminal-enforced tiers run only near the goal, and one
-is skipped when a closed-form check proves it infeasible: every position the
-terminal set admits lies within r = sqrt((eps_omega + tol) / lambda_min(P))
-of the goal, and some last-stage margin is violated on that whole ball.
+Every solve of a simulation is tightened by one tube: the tube profile's
+radius at each prediction time, clipped at `tube_cap` when the profile
+exceeds it on the horizon (the radius grows exponentially, and unclipped it
+can empty the tightened problem at the horizon tail); the solve stats flag a
+capped tube. The terminal constraint can be unreachable far from the goal,
+so a fallback ladder tries a terminal-enforced tier, then a relaxed one,
+flagged in the solution status and solve stats. Each tier tries the shifted
+and zero starts, lateral probes when blocked and a phase-1 feasibility
+restoration. In a relaxed tier after a relaxed solve, the shifted start is
+tried first in the SLSQP metric that solve ended with, shifted one stage,
+and with the identity only if that ends infeasible or cannot be factored.
+The terminal-enforced tier runs only near the goal, and is skipped when a
+closed-form check proves it infeasible: every position the terminal set
+admits lies within r = sqrt((eps_omega + tol) / lambda_min(P)) of the goal,
+and some last-stage margin is violated on that whole ball.
 """
 
 from __future__ import annotations
@@ -286,8 +287,9 @@ class Simulation:
 
     All randomness is seeded and the loop is single-threaded, so identical
     scenarios produce bit-identical logs. `tube_cap`, when set, is one
-    ceiling on the tube radius for every constraint kind, used by the
-    ladder's capped tiers.
+    ceiling on the tube radius for every constraint kind and every solve;
+    a cap that the tube profile never exceeds on the horizon leaves the
+    tube, and the solves, uncapped.
 
     A solve at t_k senses the agents before it in the schedule after their
     move (t_k + h) and those after it at t_k, and is constrained against
@@ -388,13 +390,17 @@ class Simulation:
 
     @functools.cached_property
     def _tube(self):
-        """(dense_taus, rho_full): the horizon's substep offsets and the
-        uncapped tube radius at each, the same for every solve. Built at the
-        first solve rather than in __init__, so that it runs inside `run`,
-        where perfbench's tracer counts the `tube_profile_radii` call."""
+        """(dense_taus, rho, capped): the horizon's substep offsets, the tube
+        radius at each, clipped at `tube_cap` when the profile exceeds the
+        cap somewhere on the horizon, and whether it is; the same for every
+        solve. Built at the first solve rather than in __init__, so that it
+        runs inside `run`, where perfbench's tracer counts the
+        `tube_profile_radii` call."""
         cfg = self.config
         dense_taus = (cfg.h / cfg.substeps) * np.arange(1, cfg.n_stages * cfg.substeps + 1)
-        return dense_taus, tube_profile_radii(self.profile, dense_taus)
+        rho = tube_profile_radii(self.profile, dense_taus)
+        capped = self.tube_cap is not None and bool((rho > self.tube_cap).any())
+        return dense_taus, np.minimum(rho, self.tube_cap) if capped else rho, capped
 
     def _starts(self, i):
         """Warm start candidates, best first: the shifted previous plan (the
@@ -411,23 +417,23 @@ class Simulation:
 
         Returns the solution. Its `attempts` (calls of solve_fhocp and
         restore_feasibility), `iterations` (summed over those calls),
-        `metric_fallbacks` (attempts with a carried metric that ended
-        infeasible), `terminal_excluded` (a terminal-enforced tier was skipped
-        as provably infeasible) and `wall_time` stats cover the whole ladder;
-        its other stats are those of the accepted attempt, with
-        `feasible_witness` true when that attempt is terminal-enforced and
-        started from the shifted plan, feasible within `constraint_tol`.
+        `metric_fallbacks` (carried-metric attempts that ended infeasible or
+        whose metric had no Cholesky factor), `terminal_excluded` (a
+        terminal-enforced tier was skipped as provably infeasible) and
+        `wall_time` stats cover the whole ladder; its other stats are those
+        of the accepted attempt, with `feasible_witness` true when that
+        attempt is terminal-enforced and started from the shifted plan,
+        feasible within `constraint_tol`.
         """
         start = time.perf_counter()
         tried, restores = [], []
-        sol, terminal_excluded = self._ladder(i, t_k, tried, restores)
+        sol, terminal_excluded, metric_fallbacks = self._ladder(i, t_k, tried, restores)
         iterations = [s.solve_stats["iterations"] for s in tried] + restores
         sol.solve_stats.update(
             attempts=len(iterations),
             iterations=sum(iterations),
             terminal_excluded=terminal_excluded,
-            metric_fallbacks=[s.status for s in tried
-                              if s.solve_stats["carried_metric"]].count("infeasible"),
+            metric_fallbacks=metric_fallbacks,
             wall_time=time.perf_counter() - start)
         return sol
 
@@ -435,11 +441,12 @@ class Simulation:
         """The fallback ladder as one walk: appends each solve_fhocp solution
         to `tried` and each restore_feasibility iteration count to
         `restores`; returns the accepted solution, or the lowest-residual
-        attempt (the first of equals) when every tier fails, and whether a
-        terminal-enforced tier was skipped.
+        attempt (the first of equals) when every tier fails, whether a
+        terminal-enforced tier was skipped, and the number of metric
+        fallbacks.
 
-        Tiers: terminal enforced (near the goal only), then relaxed, each
-        with the uncapped tube while it leaves the window open, then capped.
+        Tiers: terminal enforced (near the goal only), then relaxed, both
+        tightened by the simulation's one tube (:attr:`_tube`).
         In each tier: the starts until one ends feasible; if its plan is
         blocked, the starts not yet tried and the lateral probes, the
         cheapest feasible plan winning; if none ends feasible but the lowest
@@ -447,44 +454,31 @@ class Simulation:
         one attempt from the restored plan. A carried metric (left on a
         relaxed solution) stands for the shifted start of a relaxed tier:
         the shifted plan is tried in it, shifted one stage, then with the
-        identity only if that ends infeasible. A terminal-enforced tier whose
+        identity only if that ends infeasible or the shifted metric has no
+        Cholesky factor (a metric fallback). A terminal-enforced tier whose
         terminal set lies beyond some last-stage tightened margin
         (StageGeometry.terminal_excluded) is skipped: all its attempts would
         end infeasible, and every tier tries the same starts.
         """
         cfg = self.config
-        dense_taus, rho_full = self._tube
+        dense_taus, rho, capped = self._tube
         geometry = self._geometry(i, t_k, dense_taus)
         e0 = self.errordyns[i].error_of(self.states[i])
         pos = self.models[i].position_slice
-
-        caps = []
-        if not geometry.window_empty(rho_full):
-            caps.append(None)
-        if self.tube_cap is not None:
-            caps.append(self.tube_cap)
-        if not caps:
-            caps = [None]
+        margin_fn = self._margin_fn(i, geometry, rho)
 
         pos_e0 = e0[pos]
         pos_err = math.sqrt(pos_e0.dot(pos_e0))
         terminal_plausible = pos_err <= 0.5 * cfg.u_bar * cfg.T_p
-        goal = self.errordyns[i].z_des[pos]
-        tiers, terminal_excluded = [], False
-        for use_terminal in (True, False) if terminal_plausible else (False,):
-            for cap in caps:
-                rho = rho_full if cap is None else np.minimum(rho_full, cap)
-                if use_terminal and geometry.terminal_excluded(
-                        goal, self.terminal_radius, rho[-1], cfg.constraint_tol):
-                    terminal_excluded = True
-                else:
-                    tiers.append((use_terminal, cap, rho))
+        terminal_excluded = terminal_plausible and geometry.terminal_excluded(
+            self.errordyns[i].z_des[pos], self.terminal_radius, rho[-1], cfg.constraint_tol)
+        tiers = (True, False) if terminal_plausible and not terminal_excluded else (False,)
 
         starts = self._starts(i)
         shifted = starts[0] if len(starts) > 1 else None
         carried = None if shifted is None else self.prev_solution[i].metric
-        for use_terminal, cap, rho in tiers:
-            margin_fn = self._margin_fn(i, geometry, rho)
+        metric_fallbacks = 0
+        for use_terminal in tiers:
             first = len(tried)
 
             def attempt(start, metric=None):
@@ -497,9 +491,13 @@ class Simulation:
 
             for k, start in enumerate(starts):
                 if start is shifted and carried is not None and not use_terminal:
-                    sol = attempt(start, shift_metric(carried, self.models[i].input_dim))
-                    if sol.status != "infeasible":
-                        break
+                    try:
+                        sol = attempt(start, shift_metric(carried, self.models[i].input_dim))
+                        if sol.status != "infeasible":
+                            break
+                    except np.linalg.LinAlgError:
+                        pass  # grown too ill-conditioned to factor in floats
+                    metric_fallbacks += 1
                 sol = attempt(start)
                 if sol.status != "infeasible":
                     break
@@ -526,12 +524,12 @@ class Simulation:
                     restores.append(iterations)
                     sol = attempt(restored)
             if sol.status != "infeasible":
-                if (not use_terminal or cap is not None) and sol.status == "optimal":
+                if (not use_terminal or capped) and sol.status == "optimal":
                     sol.status = "feasible-suboptimal"
                 sol.solve_stats["terminal_relaxed"] = not use_terminal
-                sol.solve_stats["tube_capped"] = cap is not None
-                return sol, terminal_excluded
-        return min(tried, key=_residual), terminal_excluded
+                sol.solve_stats["tube_capped"] = capped
+                return sol, terminal_excluded, metric_fallbacks
+        return min(tried, key=_residual), terminal_excluded, metric_fallbacks
 
     # -- main loop ------------------------------------------------------
 

@@ -66,7 +66,8 @@ the damping bounds that factor by 10. Undamped, the disturbance-free 10 s
 run broke inter-agent separation by 8 mm at t = 0.77 s. The cause is the
 engine's mixed-time sensing (ROADMAP item 4); tests/test_acceptance.py
 pins that the damped run does not hit it. When the carried metric ends
-infeasible, the ladder tries the shifted plan again with the identity. A
+infeasible, or has grown too ill-conditioned for a Cholesky factor, the
+ladder tries the shifted plan again with the identity. A
 terminal solve returns no metric, so the first relaxed solve of an agent
 and every relaxed solve after a terminal one start from the identity. Over
 the bundled scenario's corridor crossing SLSQP then takes 2,041 iterations
@@ -686,7 +687,9 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
         metric: a relaxed solve only: the positive definite (N m, N m)
             metric in the inputs that SLSQP's BFGS starts from, in the
             variables that make it the identity (:func:`_metric_scaling`);
-            None starts it from the identity in the inputs.
+            None starts it from the identity in the inputs. Raises
+            numpy.linalg.LinAlgError, not RuntimeError, when the metric has
+            no Cholesky factor in floating point.
 
     Returns:
         HorizonSolution; status is "infeasible" when the constraint residual
@@ -714,17 +717,19 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
     # the first evaluation of every solve, so it costs no extra rollout
     start_feasible = -tr.eval(x0)["slack"] <= config.constraint_tol
 
+    factor = scale = callback = None
+    if metric is not None:
+        # outside the try: a metric without a Cholesky factor is the
+        # caller's to handle, not a diverged solve
+        with single_blas_thread():
+            factor, scale = _metric_scaling(metric)
     try:
         # Gauss-Newton scaling is accurate near the goal only, where the cost's
         # residuals are small, and the suboptimal stop needs a feasible shifted
         # candidate under the terminal set: the terminal tiers
-        factor = scale = callback = None
         if use_terminal:
             scale = _gauss_newton_scaling(tr, x0)
             callback = _suboptimal_stop(tr, x0, scale)
-        elif metric is not None:
-            with single_blas_thread():
-                factor, scale = _metric_scaling(metric)
         opt = _slsqp(tr, x0, config.ftol, scale=scale, callback=callback)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"solver diverged: {exc}") from exc

@@ -257,10 +257,11 @@ def test_window_closes_where_the_tube_diameter_meets_the_smallest_gap():
     assert certify.window_closes_at(world, 0.0, L_G, T_P) == math.inf
 
 
-def test_window_closes_at_is_where_window_empty_turns_true():
+def test_window_closes_at_is_where_the_pair_window_closes():
     """One window definition: on the bundled world with its declared L_g,
-    the closest neighbor pair's window is open at the tube radius just
-    before the tau that window_closes_at returns and empty just after it."""
+    the closest neighbor pair's window of StageGeometry.pair_windows is open
+    (sep + 2 rho <= conn) at the tube radius just before the tau that
+    window_closes_at returns and empty just after it."""
     scenario = load_scenario(SCENARIO)
     world = scenario.build_world()
     tau = certify.window_closes_at(world, scenario.w_bar, scenario.L_g, scenario.T_p)
@@ -273,7 +274,11 @@ def test_window_closes_at_is_where_window_empty_turns_true():
         sep, conn = geo.pair_windows()
         return np.min(conn - sep)
 
-    closest = min(geometries, key=smallest_gap)
+    sep, conn = min(geometries, key=smallest_gap).pair_windows()
     profile = TubeProfile(scenario.w_bar, scenario.L_g)
-    assert not closest.window_empty(np.array([tube_radius(profile, tau * (1.0 - 1e-6))]))
-    assert closest.window_empty(np.array([tube_radius(profile, tau * (1.0 + 1e-6))]))
+
+    def closed(tau):
+        return bool((sep + 2.0 * tube_radius(profile, tau) > conn).any())
+
+    assert not closed(tau * (1.0 - 1e-6))
+    assert closed(tau * (1.0 + 1e-6))

@@ -168,20 +168,16 @@ def test_geometry_tightening_erodes_uniformly():
     assert np.allclose(geo.tightened(pos, rho)[0], geo.margins(pos)[0] - rho[:, None])
 
 
-def test_window_empty_detection():
+def test_pair_windows_detection():
     geo = _geometry()
     sep, conn = geo.pair_windows()
     assert (list(sep), list(conn)) == ([1.01], [1.99])
-    assert not geo.window_empty(np.zeros(3))
-    # erosion of 0.5 from both sides closes the [1.01, 1.99] window
-    assert geo.window_empty(np.full(3, 0.5))
     # an agent sensed but not a neighbor, or a neighbor not sensed, has no window
     for entries in ({"interagent": [("agent1", _OTHER, 1.01)]},
                     {"interagent": [("agent2", _OTHER, 1.01)],
                      "neighbor": [("agent1", _OTHER, 1.99)]}):
         lone = StageGeometry(taus=np.array([0.1, 0.2, 0.3]), **entries)
         assert lone.pair_windows().shape == (2, 0)
-        assert not lone.window_empty(np.full(3, 0.5))
 
 
 def _ball_points(goal, radius, anchors):

@@ -647,17 +647,16 @@ def test_blocked_plan_tries_the_untried_starts_then_the_probes(monkeypatch):
 
 
 def test_all_tiers_failing_returns_the_first_lowest_residual_attempt(monkeypatch):
-    """When every attempt of every tier ends infeasible, the solve returns
+    """When every attempt of both tiers ends infeasible, the solve returns
     the attempt with the lowest residual, the first of equal ones, and the
     run aborts with a SimulationError that reports it. Agent 0, 1.5 m from
-    its goal, walks the terminal and relaxed tiers, each uncapped and
-    capped, from its one (zero) start; the relaxed uncapped tier's residual
-    is within 5e-2, so it restores feasibility and retries, and the retry
-    ties that residual."""
+    its goal, walks the terminal and relaxed tiers from its one (zero)
+    start; the relaxed tier's residual is within 5e-2, so it restores
+    feasibility and retries, and the retry ties that residual."""
     sim = _simulation(total_time=0.2)
     sim.states = [np.array([1.5, 0.0, 0.0]), np.array([1.5, 1.2, 0.0])]
     real_solve, real_agent = coordination.solve_fhocp, sim._solve_agent
-    residuals = [0.3, 0.2, 0.04, 0.04, 0.5]
+    residuals = [0.3, 0.04, 0.04]
     calls, returned = [], []
 
     def solve(*args, **kwargs):
@@ -676,8 +675,79 @@ def test_all_tiers_failing_returns_the_first_lowest_residual_attempt(monkeypatch
                                               r"\(residual 0\.04\)") as err:
         sim.run()
     assert (err.value.agent, err.value.t) == (0, 0.0)
-    assert [kwargs["use_terminal"] for kwargs, _ in calls] == [True, True, False, False, False]
-    assert not calls[2][0]["warm_start"].any()
-    assert calls[3][0]["warm_start"].any()  # the restored plan
-    assert returned == [calls[2][1]]
-    assert returned[0].solve_stats["attempts"] == 6  # 5 solves and 1 restoration
+    assert [kwargs["use_terminal"] for kwargs, _ in calls] == [True, False, False]
+    assert not calls[1][0]["warm_start"].any()
+    assert calls[2][0]["warm_start"].any()  # the restored plan
+    assert returned == [calls[1][1]]
+    assert returned[0].solve_stats["attempts"] == 4  # 3 solves and 1 restoration
+
+
+def test_tube_is_chosen_once_per_simulation(monkeypatch):
+    """_tube clips the tube profile at tube_cap, and flags it capped, when
+    the profile exceeds the cap on the horizon; otherwise it returns the
+    profile itself, uncapped. Every attempt of a solve is tightened by that
+    one tube, also when the uncapped profile leaves every pair window open:
+    no attempt runs uncapped."""
+    for cap in (None, 0.3, 0.05):
+        sim = _simulation(w_bar=0.1)
+        sim.tube_cap = cap
+        dense_taus, rho, capped = sim._tube
+        rho_full = coordination.tube_profile_radii(sim.profile, dense_taus)
+        assert 0.05 < rho_full.max() < 0.3
+        assert capped == (cap == 0.05)
+        assert np.array_equal(rho, np.minimum(rho_full, 0.05) if capped else rho_full)
+
+    sim._bootstrap_board()  # the last simulation, whose cap binds
+    sep, conn = sim._geometry(0, 0.0, dense_taus).pair_windows()
+    assert sep.size and (sep + 2.0 * rho_full.max() <= conn).all()
+    real_margin_fn, tubes = sim._margin_fn, []
+
+    def margin_fn(i, geometry, rho):
+        tubes.append(rho)
+        return real_margin_fn(i, geometry, rho)
+
+    monkeypatch.setattr(sim, "_margin_fn", margin_fn)
+    sol = sim._solve_agent(0, 0.0)
+    assert tubes and all(tube is rho for tube in tubes)
+    assert sol.status != "infeasible" and sol.solve_stats["tube_capped"]
+
+
+def test_a_carried_metric_without_a_cholesky_factor_falls_back(monkeypatch):
+    """A carried metric that has grown too ill-conditioned to factor is a
+    metric fallback, not a diverged solve: the shifted plan is tried again
+    with the identity and the solve goes on, with one fallback counted.
+    Agent 0's second solve carries the metric of its first, relaxed solve,
+    made indefinite here; its terminal-enforced attempts are made
+    infeasible, so that it reaches the relaxed tier."""
+    sim = _simulation(total_time=0.2)
+    sim._bootstrap_board()
+    sim._log_initial()
+    sim.step(0)
+    prev = sim.prev_solution[0]
+    assert prev.metric is not None
+    prev.metric = -np.eye(len(prev.metric))
+    shifted = sim._starts(0)[0]
+    real_solve, relaxed = coordination.solve_fhocp, []
+
+    def solve(*args, **kwargs):
+        if not kwargs["use_terminal"]:
+            relaxed.append(kwargs)
+            return real_solve(*args, **kwargs)
+        sol = real_solve(*args, **kwargs)
+        sol.status, sol.solve_stats["residual"] = "infeasible", 1.0
+        return sol
+
+    monkeypatch.setattr(coordination, "solve_fhocp", solve)
+    sol = sim._solve_agent(0, 0.1)
+    assert len(relaxed) >= 2
+    first, second = relaxed[:2]
+    assert first["metric"] is not None and second["metric"] is None
+    np.testing.assert_array_equal(first["warm_start"], shifted)
+    np.testing.assert_array_equal(second["warm_start"], shifted)
+    assert sol.solve_stats["metric_fallbacks"] == 1
+    assert sol.status != "infeasible" and not sol.solve_stats["carried_metric"]
+    # solve_fhocp itself raises LinAlgError for it, not a RuntimeError
+    with pytest.raises(np.linalg.LinAlgError):
+        real_solve(sim.errordyns[0], sim.errordyns[0].error_of(sim.states[0]), None,
+                   sim.config, warm_start=shifted, use_terminal=False,
+                   metric=-np.eye(len(prev.metric)))
