@@ -14,18 +14,18 @@ instant); constraints are built against each agent's newest posted plan.
 Every solve of a simulation is tightened by one tube: the tube profile's
 radius at each prediction time, clipped at `tube_cap` when the profile
 exceeds it on the horizon (the radius grows exponentially, and unclipped it
-can empty the tightened problem at the horizon tail); the solve stats flag a
-capped tube. The terminal constraint can be unreachable far from the goal,
-so a fallback ladder tries a terminal-enforced tier, then a relaxed one,
-flagged in the solution status and solve stats. Each tier tries the shifted
-and zero starts, lateral probes when blocked and a phase-1 feasibility
-restoration. In a relaxed tier after a relaxed solve, the shifted start is
-tried first in the SLSQP metric that solve ended with, shifted one stage,
-and with the identity only if that ends infeasible or cannot be factored.
-The terminal-enforced tier runs only near the goal, and is skipped when a
-closed-form check proves it infeasible: every position the terminal set
-admits lies within r = sqrt((eps_omega + tol) / lambda_min(P)) of the goal,
-and some last-stage margin is violated on that whole ball.
+can empty the tightened problem at the horizon tail); each solve's record
+flags a capped tube. The terminal constraint can be unreachable far from the
+goal, so a fallback ladder tries a terminal-enforced tier, then a relaxed
+one, flagged in the solution status and the solve's record. Each tier tries
+the shifted and zero starts, lateral probes when blocked and a phase-1
+feasibility restoration. In a relaxed tier after a relaxed solve, the
+shifted start is tried first in the SLSQP metric that solve ended with,
+shifted one stage, and with the identity only if that ends infeasible or
+cannot be factored. The terminal-enforced tier runs only near the goal, and
+is skipped when a closed-form check proves it infeasible: every position the
+terminal set admits lies within r = sqrt((eps_omega + tol) / lambda_min(P))
+of the goal, and some last-stage margin is violated on that whole ball.
 """
 
 from __future__ import annotations
@@ -147,7 +147,9 @@ class AgentTrace:
     V: list = field(default_factory=list)
     # (T, len(MARGIN_KINDS)) raw margins in MARGIN_KINDS order, filled post-run
     margins: Optional[np.ndarray] = None
-    step_meta: list = field(default_factory=list)   # one dict per sampling step
+    # one record (dict) per solve, as Simulation._solve_agent built it; six
+    # keys (t, status and the solver columns) when read back from a CSV
+    step_meta: list = field(default_factory=list)
 
 
 _MARGIN_COLUMNS = ["m_" + kind.replace("-", "_") for kind in MARGIN_KINDS]
@@ -415,35 +417,18 @@ class Simulation:
     def _solve_agent(self, i, t_k):
         """Solve agent i's problem through the fallback ladder.
 
-        Returns the solution. Its `attempts` (calls of solve_fhocp and
-        restore_feasibility), `iterations` (summed over those calls),
-        `metric_fallbacks` (carried-metric attempts that ended infeasible or
-        whose metric had no Cholesky factor), `terminal_excluded` (a
-        terminal-enforced tier was skipped as provably infeasible) and
-        `wall_time` stats cover the whole ladder; its other stats are those
-        of the accepted attempt, with `feasible_witness` true when that
+        Returns `(sol, record)`: the accepted solution and the solve's one
+        record, which `step` logs in `step_meta` as it is; or, when every
+        tier fails, the lowest-residual attempt (the first of equals) and
+        None. The record's `attempts` (solve_fhocp and restore_feasibility
+        calls), `iterations` (their sum), `metric_fallbacks` (carried-metric
+        attempts that ended infeasible or had no Cholesky factor),
+        `terminal_excluded` (a terminal-enforced tier was skipped as provably
+        infeasible) and `wall_time` cover the whole ladder; its other fields
+        are the accepted attempt's, with `feasible_witness` true when that
         attempt is terminal-enforced and started from the shifted plan,
-        feasible within `constraint_tol`.
-        """
-        start = time.perf_counter()
-        tried, restores = [], []
-        sol, terminal_excluded, metric_fallbacks = self._ladder(i, t_k, tried, restores)
-        iterations = [s.solve_stats["iterations"] for s in tried] + restores
-        sol.solve_stats.update(
-            attempts=len(iterations),
-            iterations=sum(iterations),
-            terminal_excluded=terminal_excluded,
-            metric_fallbacks=metric_fallbacks,
-            wall_time=time.perf_counter() - start)
-        return sol
-
-    def _ladder(self, i, t_k, tried, restores):
-        """The fallback ladder as one walk: appends each solve_fhocp solution
-        to `tried` and each restore_feasibility iteration count to
-        `restores`; returns the accepted solution, or the lowest-residual
-        attempt (the first of equals) when every tier fails, whether a
-        terminal-enforced tier was skipped, and the number of metric
-        fallbacks.
+        feasible within `constraint_tol`. Each attempt's `solve_stats` stay
+        as solve_fhocp wrote them.
 
         Tiers: terminal enforced (near the goal only), then relaxed, both
         tightened by the simulation's one tube (:attr:`_tube`).
@@ -460,6 +445,7 @@ class Simulation:
         (StageGeometry.terminal_excluded) is skipped: all its attempts would
         end infeasible, and every tier tries the same starts.
         """
+        wall_start = time.perf_counter()
         cfg = self.config
         dense_taus, rho, capped = self._tube
         geometry = self._geometry(i, t_k, dense_taus)
@@ -477,15 +463,19 @@ class Simulation:
         starts = self._starts(i)
         shifted = starts[0] if len(starts) > 1 else None
         carried = None if shifted is None else self.prev_solution[i].metric
+        # every solve_fhocp solution and restore_feasibility iteration count
+        tried, restores = [], []
+        witness = None  # the terminal-enforced attempt from a feasible shifted plan
         metric_fallbacks = 0
         for use_terminal in tiers:
             first = len(tried)
 
             def attempt(start, metric=None):
+                nonlocal witness
                 sol = solve_fhocp(self.errordyns[i], e0, margin_fn, cfg, warm_start=start,
                                   use_terminal=use_terminal, metric=metric)
-                sol.solve_stats["feasible_witness"] = (
-                    use_terminal and start is shifted and sol.solve_stats["start_feasible"])
+                if use_terminal and start is shifted and sol.solve_stats["start_feasible"]:
+                    witness = sol
                 tried.append(sol)
                 return sol
 
@@ -526,10 +516,29 @@ class Simulation:
             if sol.status != "infeasible":
                 if (not use_terminal or capped) and sol.status == "optimal":
                     sol.status = "feasible-suboptimal"
-                sol.solve_stats["terminal_relaxed"] = not use_terminal
-                sol.solve_stats["tube_capped"] = capped
-                return sol, terminal_excluded, metric_fallbacks
-        return min(tried, key=_residual), terminal_excluded, metric_fallbacks
+                # predicted nominal error energy over the applied interval
+                # (for ISS), by the trapezoid rule as np.trapezoid sums it
+                dense = sol.dense_errors[: cfg.substeps + 1]
+                errsq = np.add.reduce(dense * dense, axis=1)
+                iterations = [s.solve_stats["iterations"] for s in tried] + restores
+                return sol, {
+                    "t": t_k,
+                    "status": sol.status,
+                    "cost": sol.cost,
+                    "errsq_int": float(np.add.reduce(
+                        (cfg.h / cfg.substeps) * (errsq[1:] + errsq[:-1]) / 2.0)),
+                    "terminal_relaxed": not use_terminal,
+                    "tube_capped": capped,
+                    "terminal_excluded": terminal_excluded,
+                    "suboptimal_stop": sol.solve_stats["suboptimal_stop"],
+                    "feasible_witness": sol is witness,
+                    "carried_metric": sol.solve_stats["carried_metric"],
+                    "metric_fallbacks": metric_fallbacks,
+                    "iterations": sum(iterations),
+                    "attempts": len(iterations),
+                    "wall_time": time.perf_counter() - wall_start,
+                }
+        return min(tried, key=_residual), None
 
     # -- main loop ------------------------------------------------------
 
@@ -559,12 +568,12 @@ class Simulation:
         for i in self.schedule:
             self._update_known_obstacles(i)
             try:
-                sol = self._solve_agent(i, t_k)
+                sol, record = self._solve_agent(i, t_k)
             except RuntimeError as exc:
                 raise SimulationError(
                     f"agent {i} solver failed at t = {t_k:.3f}: {exc}",
                     partial_log=self.finalize_log(), agent=i, t=t_k) from exc
-            if sol.status == "infeasible":
+            if record is None:
                 raise SimulationError(
                     f"agent {i} infeasible at t = {t_k:.3f} "
                     f"(residual {sol.solve_stats['residual']:.3g})",
@@ -583,13 +592,6 @@ class Simulation:
                                       t_k, t_k + cfg.h, cfg.h / cfg.substeps, w_norms)
             self.states[i] = states[-1].copy()
 
-            # predicted nominal error energy over the applied interval (for
-            # ISS), by the trapezoid rule as np.trapezoid sums it
-            dense = sol.dense_errors[: cfg.substeps + 1]
-            errsq = np.add.reduce(dense * dense, axis=1)
-            errsq_int = float(np.add.reduce(
-                (cfg.h / cfg.substeps) * (errsq[1:] + errsq[:-1]) / 2.0))
-
             # log the substeps after t_k, which the previous step logged, as
             # one block; np.vecdot gives V the floats of each row's own dot
             # product ep[r] @ e[r]
@@ -606,22 +608,7 @@ class Simulation:
             e = self.errordyns[i].error_of(states)
             ep = e @ cfg.P
             trace.V.extend(np.vecdot(ep, e).tolist())
-            trace.step_meta.append({
-                "t": t_k,
-                "status": sol.status,
-                "cost": sol.cost,
-                "errsq_int": errsq_int,
-                "terminal_relaxed": sol.solve_stats["terminal_relaxed"],
-                "tube_capped": sol.solve_stats["tube_capped"],
-                "terminal_excluded": sol.solve_stats["terminal_excluded"],
-                "suboptimal_stop": sol.solve_stats["suboptimal_stop"],
-                "feasible_witness": sol.solve_stats["feasible_witness"],
-                "carried_metric": sol.solve_stats["carried_metric"],
-                "metric_fallbacks": sol.solve_stats["metric_fallbacks"],
-                "iterations": sol.solve_stats["iterations"],
-                "attempts": sol.solve_stats["attempts"],
-                "wall_time": sol.solve_stats["wall_time"],
-            })
+            trace.step_meta.append(record)
 
     def finalize_log(self):
         log_out = TrajectoryLog(

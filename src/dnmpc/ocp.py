@@ -300,6 +300,7 @@ class HorizonSolution:
     dense_errors: np.ndarray  # (N * substeps + 1, n) on the substep grid
     cost: float
     status: str               # optimal | feasible-suboptimal | infeasible
+    # this attempt's own stats, written by solve_fhocp only
     solve_stats: dict = field(default_factory=dict)
     # a relaxed solve's final SLSQP metric in the inputs, (N m, N m); None
     # after a terminal-enforced solve

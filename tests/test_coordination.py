@@ -228,11 +228,11 @@ def test_step_meta_flags_feasible_witnesses(monkeypatch, at_rest):
 
     def solve_agent(i, t_k):
         now[0] = t_k
-        sol = real_agent(i, t_k)
-        flags.append((sol.solve_stats["feasible_witness"], expected[id(sol)]))
+        sol, record = real_agent(i, t_k)
+        flags.append((record["feasible_witness"], expected[id(sol)]))
         if at_rest and (i, t_k) == (0, 0.1):
             assert sol.solve_stats["start_feasible"] and not expected[id(sol)]
-        return sol
+        return sol, record
 
     monkeypatch.setattr(coordination, "solve_fhocp", solve)
     monkeypatch.setattr(sim, "_solve_agent", solve_agent)
@@ -409,8 +409,8 @@ def test_relaxed_solve_after_a_terminal_one_carries_no_metric(monkeypatch):
         return sol
 
     def solve_agent(i, t_k):
-        prev = sim.prev_solution[i]
-        if not forced and prev is not None and not prev.solve_stats["terminal_relaxed"]:
+        records = sim.traces[i].step_meta  # the last one is prev_solution's
+        if not forced and records and not records[-1]["terminal_relaxed"]:
             forced.append((i, t_k))
         current["solve"] = [(i, t_k)]
         return real_agent(i, t_k)
@@ -457,6 +457,33 @@ def test_step_meta_covers_the_whole_ladder(monkeypatch):
     assert sum(meta["attempts"] for meta in metas) == calls["attempts"]
     assert sum(meta["iterations"] for meta in metas) == calls["iterations"]
     assert sum(meta["wall_time"] for meta in metas) >= calls["seconds"]
+
+
+def test_solve_stats_stay_the_accepted_attempts_own(monkeypatch):
+    """The ladder writes its totals into the solve's record, not into the
+    accepted attempt's `solve_stats`: those keep exactly the keys and the
+    iteration count solve_fhocp returned. Agent 0, at rest near its goal,
+    has its first (terminal-enforced) attempt made infeasible, so its solve
+    takes two attempts."""
+    sim = _simulation(total_time=0.1)
+    sim.states = [np.array([2.98, 0.01, 0.02]), np.array([3.01, 1.19, -0.01])]
+    sim._bootstrap_board()
+    real_solve, calls = coordination.solve_fhocp, []
+
+    def solve(*args, **kwargs):
+        sol = real_solve(*args, **kwargs)
+        if not calls:
+            sol.status, sol.solve_stats["residual"] = "infeasible", 1.0
+        calls.append((sol, set(sol.solve_stats), sol.solve_stats["iterations"]))
+        return sol
+
+    monkeypatch.setattr(coordination, "solve_fhocp", solve)
+    sol, record = sim._solve_agent(0, 0.0)
+    assert len(calls) == 2 and sol is calls[1][0]
+    assert set(sol.solve_stats) == calls[1][1]
+    assert sol.solve_stats["iterations"] == calls[1][2]
+    assert record["attempts"] == 2
+    assert record["iterations"] == calls[0][2] + calls[1][2]
 
 
 def test_terminal_exclusion_leaves_trajectory_unchanged(monkeypatch):
@@ -631,7 +658,7 @@ def test_blocked_plan_tries_the_untried_starts_then_the_probes(monkeypatch):
         return sol
 
     monkeypatch.setattr(coordination, "solve_fhocp", solve)
-    sol = sim._solve_agent(0, 0.1)
+    sol, record = sim._solve_agent(0, 0.1)
     starts = [kwargs["warm_start"] for kwargs, _ in calls]
     metrics = [kwargs["metric"] for kwargs, _ in calls]
     assert len(calls) == 6
@@ -641,9 +668,9 @@ def test_blocked_plan_tries_the_untried_starts_then_the_probes(monkeypatch):
     for got, want in zip(starts[1:], [zeros, *_probes(sim.config)]):
         np.testing.assert_array_equal(got, want)
     assert sol is calls[3][1]
-    assert sol.solve_stats["attempts"] == len(terminal) + 6
-    assert sol.solve_stats["metric_fallbacks"] == 0
-    assert sol.solve_stats["terminal_relaxed"] and not sol.solve_stats["tube_capped"]
+    assert record["attempts"] == len(terminal) + 6
+    assert record["metric_fallbacks"] == 0
+    assert record["terminal_relaxed"] and not record["tube_capped"]
 
 
 def test_all_tiers_failing_returns_the_first_lowest_residual_attempt(monkeypatch):
@@ -656,8 +683,9 @@ def test_all_tiers_failing_returns_the_first_lowest_residual_attempt(monkeypatch
     sim = _simulation(total_time=0.2)
     sim.states = [np.array([1.5, 0.0, 0.0]), np.array([1.5, 1.2, 0.0])]
     real_solve, real_agent = coordination.solve_fhocp, sim._solve_agent
+    real_restore = coordination.restore_feasibility
     residuals = [0.3, 0.04, 0.04]
-    calls, returned = [], []
+    calls, restores, returned = [], [], []
 
     def solve(*args, **kwargs):
         sol = real_solve(*args, **kwargs)
@@ -665,11 +693,16 @@ def test_all_tiers_failing_returns_the_first_lowest_residual_attempt(monkeypatch
         calls.append((kwargs, sol))
         return sol
 
+    def restore(*args, **kwargs):
+        restores.append(real_restore(*args, **kwargs))
+        return restores[-1]
+
     def solve_agent(i, t_k):
         returned.append(real_agent(i, t_k))
         return returned[-1]
 
     monkeypatch.setattr(coordination, "solve_fhocp", solve)
+    monkeypatch.setattr(coordination, "restore_feasibility", restore)
     monkeypatch.setattr(sim, "_solve_agent", solve_agent)
     with pytest.raises(SimulationError, match=r"agent 0 infeasible at t = 0\.000 "
                                               r"\(residual 0\.04\)") as err:
@@ -678,8 +711,9 @@ def test_all_tiers_failing_returns_the_first_lowest_residual_attempt(monkeypatch
     assert [kwargs["use_terminal"] for kwargs, _ in calls] == [True, False, False]
     assert not calls[1][0]["warm_start"].any()
     assert calls[2][0]["warm_start"].any()  # the restored plan
-    assert returned == [calls[1][1]]
-    assert returned[0].solve_stats["attempts"] == 4  # 3 solves and 1 restoration
+    assert len(returned) == 1 and returned[0][0] is calls[1][1]
+    assert returned[0][1] is None  # no record for a failed solve
+    assert len(calls) + len(restores) == 4  # 3 solves and 1 restoration
 
 
 def test_tube_is_chosen_once_per_simulation(monkeypatch):
@@ -707,9 +741,9 @@ def test_tube_is_chosen_once_per_simulation(monkeypatch):
         return real_margin_fn(i, geometry, rho)
 
     monkeypatch.setattr(sim, "_margin_fn", margin_fn)
-    sol = sim._solve_agent(0, 0.0)
+    sol, record = sim._solve_agent(0, 0.0)
     assert tubes and all(tube is rho for tube in tubes)
-    assert sol.status != "infeasible" and sol.solve_stats["tube_capped"]
+    assert sol.status != "infeasible" and record["tube_capped"]
 
 
 def test_a_carried_metric_without_a_cholesky_factor_falls_back(monkeypatch):
@@ -738,14 +772,14 @@ def test_a_carried_metric_without_a_cholesky_factor_falls_back(monkeypatch):
         return sol
 
     monkeypatch.setattr(coordination, "solve_fhocp", solve)
-    sol = sim._solve_agent(0, 0.1)
+    sol, record = sim._solve_agent(0, 0.1)
     assert len(relaxed) >= 2
     first, second = relaxed[:2]
     assert first["metric"] is not None and second["metric"] is None
     np.testing.assert_array_equal(first["warm_start"], shifted)
     np.testing.assert_array_equal(second["warm_start"], shifted)
-    assert sol.solve_stats["metric_fallbacks"] == 1
-    assert sol.status != "infeasible" and not sol.solve_stats["carried_metric"]
+    assert record["metric_fallbacks"] == 1
+    assert sol.status != "infeasible" and not record["carried_metric"]
     # solve_fhocp itself raises LinAlgError for it, not a RuntimeError
     with pytest.raises(np.linalg.LinAlgError):
         real_solve(sim.errordyns[0], sim.errordyns[0].error_of(sim.states[0]), None,
