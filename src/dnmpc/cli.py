@@ -298,6 +298,21 @@ def _validate(scenario: Scenario, path):
                                 + "; ".join(report.failures))
 
 
+# the boolean keys of a solve's record that report.txt counts, in its order,
+# each as "<key>_solves"
+COUNTED_FLAGS = ("terminal_relaxed", "terminal_excluded", "tube_capped", "suboptimal_stop",
+                 "feasible_witness")
+
+
+def solve_counts(metas):
+    """report.txt's solve counts over the records `metas` (step_meta
+    entries): "solves", then "<key>_solves", the records with `key` set, for
+    each key of COUNTED_FLAGS."""
+    counts = {"solves": len(metas)}
+    counts.update({f"{key}_solves": sum(meta[key] for meta in metas) for key in COUNTED_FLAGS})
+    return counts
+
+
 # -- subcommands ---------------------------------------------------------
 
 def cmd_run(scenario_path, out_dir, seed=None, total_time=None):
@@ -321,14 +336,7 @@ def cmd_run(scenario_path, out_dir, seed=None, total_time=None):
     extra = {
         "scenario": scenario.name,
         "aborted": aborted or "",
-        "solves": len(metas),
-        "terminal_relaxed_solves": sum(meta["terminal_relaxed"] for meta in metas),
-        "terminal_excluded_solves": sum(meta["terminal_excluded"] for meta in metas),
-        "tube_capped_solves": sum(meta["tube_capped"] for meta in metas),
-        "suboptimal_stop_solves": sum(meta["suboptimal_stop"] for meta in metas),
-        "feasible_witness_solves": sum(meta["feasible_witness"] for meta in metas),
-        "carried_metric_solves": sum(meta["carried_metric"] for meta in metas),
-        "metric_fallback_attempts": sum(meta["metric_fallbacks"] for meta in metas),
+        **solve_counts(metas),
         "disturbance_samples": sum(d.samples for d in disturbances),
         "disturbance_clipped_samples": sum(d.clipped for d in disturbances),
     }

@@ -19,13 +19,11 @@ flags a capped tube. The terminal constraint can be unreachable far from the
 goal, so a fallback ladder tries a terminal-enforced tier, then a relaxed
 one, flagged in the solution status and the solve's record. Each tier tries
 the shifted and zero starts, lateral probes when blocked and a phase-1
-feasibility restoration. In a relaxed tier after a relaxed solve, the
-shifted start is tried first in the SLSQP metric that solve ended with,
-shifted one stage, and with the identity only if that ends infeasible or
-cannot be factored. The terminal-enforced tier runs only near the goal, and
-is skipped when a closed-form check proves it infeasible: every position the
-terminal set admits lies within r = sqrt((eps_omega + tol) / lambda_min(P))
-of the goal, and some last-stage margin is violated on that whole ball.
+feasibility restoration. The terminal-enforced tier runs only near the goal,
+and is skipped when a closed-form check proves it infeasible: every position
+the terminal set admits lies within r = sqrt((eps_omega + tol) /
+lambda_min(P)) of the goal, and some last-stage margin is violated on that
+whole ball.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ import numpy as np
 from .certify import ultimate_bound
 from .constraints import MARGIN_KINDS, WorldModel, tube_profile_radii
 from .dynamics import ErrorDynamics, integrate
-from .ocp import (OcpConfig, dual_mode_controller, restore_feasibility, shift_metric,
-                  solve_fhocp, unicycle_steering_law, warm_start_shift)
+from .ocp import (OcpConfig, dual_mode_controller, restore_feasibility, solve_fhocp,
+                  unicycle_steering_law, warm_start_shift)
 from .setalg import TubeProfile
 
 __all__ = [
@@ -421,14 +419,13 @@ class Simulation:
         record, which `step` logs in `step_meta` as it is; or, when every
         tier fails, the lowest-residual attempt (the first of equals) and
         None. The record's `attempts` (solve_fhocp and restore_feasibility
-        calls), `iterations` (their sum), `metric_fallbacks` (carried-metric
-        attempts that ended infeasible or had no Cholesky factor),
-        `terminal_excluded` (a terminal-enforced tier was skipped as provably
-        infeasible) and `wall_time` cover the whole ladder; its other fields
-        are the accepted attempt's, with `feasible_witness` true when that
-        attempt is terminal-enforced and started from the shifted plan,
-        feasible within `constraint_tol`. Each attempt's `solve_stats` stay
-        as solve_fhocp wrote them.
+        calls), `iterations` (their sum), `terminal_excluded` (a
+        terminal-enforced tier was skipped as provably infeasible) and
+        `wall_time` cover the whole ladder; its other fields are the
+        accepted attempt's, with `feasible_witness` true when that attempt is
+        terminal-enforced and started from the shifted plan, feasible within
+        `constraint_tol`. Each attempt's `solve_stats` stay as solve_fhocp
+        wrote them.
 
         Tiers: terminal enforced (near the goal only), then relaxed, both
         tightened by the simulation's one tube (:attr:`_tube`).
@@ -436,11 +433,7 @@ class Simulation:
         blocked, the starts not yet tried and the lateral probes, the
         cheapest feasible plan winning; if none ends feasible but the lowest
         residual is within 5e-2, restore_feasibility from that attempt and
-        one attempt from the restored plan. A carried metric (left on a
-        relaxed solution) stands for the shifted start of a relaxed tier:
-        the shifted plan is tried in it, shifted one stage, then with the
-        identity only if that ends infeasible or the shifted metric has no
-        Cholesky factor (a metric fallback). A terminal-enforced tier whose
+        one attempt from the restored plan. A terminal-enforced tier whose
         terminal set lies beyond some last-stage tightened margin
         (StageGeometry.terminal_excluded) is skipped: all its attempts would
         end infeasible, and every tier tries the same starts.
@@ -462,32 +455,22 @@ class Simulation:
 
         starts = self._starts(i)
         shifted = starts[0] if len(starts) > 1 else None
-        carried = None if shifted is None else self.prev_solution[i].metric
         # every solve_fhocp solution and restore_feasibility iteration count
         tried, restores = [], []
         witness = None  # the terminal-enforced attempt from a feasible shifted plan
-        metric_fallbacks = 0
         for use_terminal in tiers:
             first = len(tried)
 
-            def attempt(start, metric=None):
+            def attempt(start):
                 nonlocal witness
                 sol = solve_fhocp(self.errordyns[i], e0, margin_fn, cfg, warm_start=start,
-                                  use_terminal=use_terminal, metric=metric)
+                                  use_terminal=use_terminal)
                 if use_terminal and start is shifted and sol.solve_stats["start_feasible"]:
                     witness = sol
                 tried.append(sol)
                 return sol
 
             for k, start in enumerate(starts):
-                if start is shifted and carried is not None and not use_terminal:
-                    try:
-                        sol = attempt(start, shift_metric(carried, self.models[i].input_dim))
-                        if sol.status != "infeasible":
-                            break
-                    except np.linalg.LinAlgError:
-                        pass  # grown too ill-conditioned to factor in floats
-                    metric_fallbacks += 1
                 sol = attempt(start)
                 if sol.status != "infeasible":
                     break
@@ -532,8 +515,6 @@ class Simulation:
                     "terminal_excluded": terminal_excluded,
                     "suboptimal_stop": sol.solve_stats["suboptimal_stop"],
                     "feasible_witness": sol is witness,
-                    "carried_metric": sol.solve_stats["carried_metric"],
-                    "metric_fallbacks": metric_fallbacks,
                     "iterations": sum(iterations),
                     "attempts": len(iterations),
                     "wall_time": time.perf_counter() - wall_start,

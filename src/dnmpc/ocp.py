@@ -11,68 +11,69 @@ unicycle, central differences for other fields), and `margin_fn(errors)`
 returns the margins with their Jacobian with respect to the error (exact for
 the distance margins of :class:`~dnmpc.constraints.StageGeometry`). The cost,
 terminal-value and margin gradients follow by the chain rule, formed from
-that iterate's rollout when SLSQP first asks for them. SLSQP does the
-constrained minimization (the decision dimension, N * input_dim, is tiny):
-scipy's compiled core, the private `scipy.optimize._slsqplib.slsqp` that
-tests/test_ocp.py checks against scipy's public SLSQP bit for bit, driven by
-this module's loop :func:`minimize`, whose name perfbench's traced mode
-patches for its `slsqp` span. The loop evaluates once per request of the
-core, where scipy's wrapper evaluated each constraint block, and writes the
-rows in place; it runs on one OpenBLAS thread (:func:`single_blas_thread`).
+that iterate's rollout when the solver first asks for them. The decision
+dimension, N * input_dim, is tiny, and every solve runs on one OpenBLAS
+thread (:func:`single_blas_thread`).
 
-That core and LAPACK's `dtrtrs` (`scipy.linalg._flapack`, the triangular
-solve of the scaling below) are the only scipy code the solver runs. Both
-are loaded from their files (:func:`_scipy_compiled`), not through
-`scipy.optimize` and `scipy.linalg`: importing those packages whole loads
-linprog, `scipy.special`, `scipy.fft` and `numpy.f2py` besides, which took
-about 0.5 s and 40 MB of every `dnmpc` process's start (BENCH_18.json).
+The cost h sum_k (e_k'Q e_k + u_k'R u_k) + e_N'P e_N is a sum of squares, so
+the rollout Jacobian J gives its Gauss-Newton Hessian
+H = 2h sum_k J_k'Q J_k + 2h blkdiag(R) + 2 J_N'P J_N at no extra rollout
+(:func:`_gauss_newton_hessian`; Diehl et al. 2005 build real-time-iteration
+NMPC on it). Both tiers of the fallback ladder use it.
 
-There is one SLSQP problem (:func:`_slsqp`): margins, input ball and
-terminal set over the inputs u. :func:`solve_fhocp` minimizes the cost over
-it. The phase-1 pass :func:`restore_feasibility` solves its slack form,
-maximizing s over (u, s) with the margins and the terminal constraint
-lowered by s. Both measure infeasibility by the same worst slack.
+A relaxed solve (the terminal set not enforced) runs this module's own
+sequential quadratic programming, :func:`_gauss_newton_sqp`:
 
-A terminal-enforced solve runs in scaled variables. The cost
-h sum_k (e_k'Q e_k + u_k'R u_k) + e_N'P e_N is a sum of squares, so the
-rollout Jacobian J gives its Gauss-Newton Hessian
-H = 2h sum_k J_k'Q J_k + 2h blkdiag(R) + 2 J_N'P J_N at no extra rollout.
-With L L' = H at the warm start x0, SLSQP solves for y in x = x0 + L^-T y,
-and its BFGS, which starts from the identity, starts from H in x (Diehl et
-al. 2005 build real-time-iteration NMPC on this metric). Gauss-Newton is
-accurate where the residuals are small, near the goal, which is where the
-fallback ladder tries the terminal tiers. Far from the goal it is not: with
-every tier scaled, the bundled scenario aborted in its corridor crossing
-(agent 2 infeasible at t = 0.6 s). :func:`restore_feasibility` keeps the
-identity.
+- the Hessian of each QP is H at the iterate;
+- the QP is reduced to a least-distance problem and solved by NNLS (Lawson
+  & Hanson 1974; the reduction SLSQP makes, Kraft 1988) with the `nnls` that
+  scipy compiles into `_slsqplib`, over a working set: the margin rows
+  within NEAR_ACTIVE of zero and those active at the last QP. Every other
+  row is checked against the step; the most violated one joins and the QP
+  is solved again, so the step is that of the QP over all the margin rows
+  (:func:`_working_set_qp`). An inconsistent linearization gets the elastic
+  QP, every margin row lowered by t >= 0 at a quadratic cost;
+- the input ball is met exactly: the QP has one norm row per stage, the
+  ball's tangent at the stage input's direction, and each trial point is
+  projected onto the ball;
+- one merit, cost + mu * (worst margin violation), and one Armijo line
+  search;
+- a stop of its own: the first iterate within `constraint_tol` of every
+  margin whose QP predicts a decrease of the cost (the running cost with its
+  terminal penalty) of at most RELAXED_STOP_DELTA of it.
 
-A relaxed solve instead carries SLSQP's own metric from one sampling
-instant to the next, the warm start of real-time-iteration NMPC. SLSQP
-ends each run with a quasi-Newton (BFGS) estimate B of the Lagrangian's
-Hessian, which includes the curvature of the constraints that Gauss-Newton
-leaves out. Its compiled core keeps B in its work array as an L D L'
-factor (:func:`_bfgs_metric`; private layout, which tests/test_ocp.py
-pins). A relaxed solve returns B mapped back to the inputs
-(:func:`_metric_scaling`). The agent's next relaxed solve from the shifted
-plan runs in the variables in which that metric, shifted one stage
-(:func:`shift_metric`), is the identity. SLSQP's BFGS starts from the
-identity at every run, so this needs no change to the core. The appended
-last stage gets an identity block, so its input starts as it does without
-a carried metric. METRIC_DAMPING (0.01) is then added to the diagonal.
-SLSQP's estimate is nearly flat along some directions (over the corridor
-crossing its smallest eigenvalue ranges from 3e-5 to 1, median 1.3e-3),
-and a unit step in y along such a direction is a step of up to 180 in x;
-the damping bounds that factor by 10. Undamped, the disturbance-free 10 s
-run broke inter-agent separation by 8 mm at t = 0.77 s. The cause is the
-engine's mixed-time sensing (ROADMAP item 4); tests/test_acceptance.py
-pins that the damped run does not hit it. When the carried metric ends
-infeasible, or has grown too ill-conditioned for a Cholesky factor, the
-ladder tries the shifted plan again with the identity. A
-terminal solve returns no metric, so the first relaxed solve of an agent
-and every relaxed solve after a terminal one start from the identity. Over
-the bundled scenario's corridor crossing SLSQP then takes 2,041 iterations
-where it took 2,659. The variants that were measured and not kept are in
-BENCH_23.json.
+Over the bundled scenario's corridor crossing the relaxed solves take 942
+iterations where SLSQP, with the metric it carried from one relaxed solve to
+the next, took 1,942 (BENCH_27.json).
+
+A terminal-enforced solve and the phase-1 pass run SLSQP: scipy's compiled
+core, the private `scipy.optimize._slsqplib.slsqp` that tests/test_ocp.py
+checks against scipy's public SLSQP bit for bit, driven by this module's
+loop :func:`minimize`, whose name perfbench's traced mode patches for its
+`slsqp` span. The loop evaluates once per request of the core, where scipy's
+wrapper evaluated each constraint block, and writes the rows in place. There
+is one SLSQP problem (:func:`_slsqp`): margins, input ball and terminal set
+over the inputs u. :func:`solve_fhocp` minimizes the cost over it. The
+phase-1 pass :func:`restore_feasibility` solves its slack form, maximizing s
+over (u, s) with the margins and the terminal constraint lowered by s. Both
+measure infeasibility by the same worst slack.
+
+The two compiled routines of `_slsqplib` and LAPACK's `dtrtrs`
+(`scipy.linalg._flapack`, the triangular solve of :func:`_inverse_factor`)
+are the only scipy code the solver runs. They are loaded from their files
+(:func:`_scipy_compiled`), not through `scipy.optimize` and `scipy.linalg`:
+importing those packages whole loads linprog, `scipy.special`, `scipy.fft`
+and `numpy.f2py` besides, which took about 0.5 s and 40 MB of every `dnmpc`
+process's start (BENCH_18.json).
+
+A terminal-enforced solve runs SLSQP in scaled variables. With L L' = H at
+the warm start x0, SLSQP solves for y in x = x0 + L^-T y, so its BFGS, which
+starts from the identity, starts from H in x. Gauss-Newton is accurate where
+the residuals are small, near the goal, which is where the fallback ladder
+tries the terminal tiers. As a scaling of SLSQP far from the goal it is not:
+with every tier scaled, the bundled scenario aborted in its corridor
+crossing (agent 2 infeasible at t = 0.6 s). :func:`restore_feasibility`
+keeps the identity.
 
 A terminal-enforced solve also stops at the accuracy the closed loop needs.
 The paper's stability argument takes the optimal cost as its Lyapunov
@@ -90,10 +91,10 @@ as the returned plan is, meets every constraint within `constraint_tol` and
 
 Such a plan has status "feasible-suboptimal"; "optimal" means SLSQP's own
 test passed, also at an iterate where the stop fired as well. The relaxed
-tiers and :func:`restore_feasibility` run to SLSQP's own test: their
-premise, a feasible shifted candidate under the terminal set, is missing,
-and the same rule applied to them aborted the bundled scenario in its
-corridor crossing (agent 1 infeasible at t = 0.7 s).
+tiers stop by their own rule and :func:`restore_feasibility` runs to SLSQP's
+own test: their premise, a feasible shifted candidate under the terminal
+set, is missing, and the rule applied to the relaxed tiers aborted the
+bundled scenario in its corridor crossing (agent 1 infeasible at t = 0.7 s).
 
 The witness is the previous plan shifted by one stage with the input of the
 terminal controller kappa appended (:func:`warm_start_shift`). kappa is
@@ -130,7 +131,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import scipy
@@ -145,7 +145,6 @@ __all__ = [
     "unicycle_steering_law",
     "dual_mode_controller",
     "warm_start_shift",
-    "shift_metric",
     "single_blas_thread",
 ]
 
@@ -166,7 +165,8 @@ def _scipy_compiled(subpackage, name):
                       f" with any of the suffixes {importlib.machinery.EXTENSION_SUFFIXES}")
 
 
-_slsqp_core = _scipy_compiled("optimize", "_slsqplib").slsqp
+_slsqplib = _scipy_compiled("optimize", "_slsqplib")
+_slsqp_core, _nnls = _slsqplib.slsqp, _slsqplib.nnls
 _dtrtrs = _scipy_compiled("linalg", "_flapack").dtrtrs
 
 
@@ -302,9 +302,6 @@ class HorizonSolution:
     status: str               # optimal | feasible-suboptimal | infeasible
     # this attempt's own stats, written by solve_fhocp only
     solve_stats: dict = field(default_factory=dict)
-    # a relaxed solve's final SLSQP metric in the inputs, (N m, N m); None
-    # after a terminal-enforced solve
-    metric: Optional[np.ndarray] = None
 
 
 class _Transcription:
@@ -344,7 +341,7 @@ class _Transcription:
         with a `margin_fn`, `margins`. With `gradients`, also `cost_grad`,
         `v_term_grad` and `margins_jac`: chain-rule products of `jac` that
         this iterate's rollout already gave, formed on the first request, as
-        SLSQP asks for them at some iterates only."""
+        the solvers ask for them at some iterates only."""
         key = x.tobytes()
         if key != self._cache_key:
             self._cache_key, self._cache = key, self._values(x)
@@ -405,15 +402,13 @@ class SlsqpResult:
     `status`, all as scipy counts them, and the `mode` SLSQP's core had set
     at `x`. The mode is the status, except when the callback halted the run
     (status _CALLBACK_HALT): then it is 0 if SLSQP's own test passed at that
-    iterate too, and 1 or -1 if SLSQP would have gone on. `buffer` is the
-    core's work array as the run left it (see :func:`_bfgs_metric`)."""
+    iterate too, and 1 or -1 if SLSQP would have gone on."""
 
     x: np.ndarray
     nit: int
     nfev: int
     status: int
     mode: int
-    buffer: np.ndarray
 
     @property
     def success(self):
@@ -463,8 +458,7 @@ def minimize(values, gradients, x0, m, maxiter, ftol, callback=None):
         if abs(status) != 1:
             break
         iter_prev = state["iter"]
-    return SlsqpResult(x=x, nit=state["iter"], nfev=nfev, status=status, mode=mode,
-                       buffer=buffer)
+    return SlsqpResult(x=x, nit=state["iter"], nfev=nfev, status=status, mode=mode)
 
 
 def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None):
@@ -542,7 +536,7 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
 @functools.cache
 def _gauss_newton_constants(n_stages, r_bytes, m):
     """kron(I_N, R) for the m x m weight R given by its bytes, as a read-only
-    array: the constant term of :func:`_gauss_newton_scaling`, built once per
+    array: the constant term of :func:`_gauss_newton_hessian`, built once per
     (N, R)."""
     R = np.frombuffer(r_bytes).reshape(m, m)
     block_r = np.kron(np.eye(n_stages), R)
@@ -558,11 +552,22 @@ def _identity(n):
     return identity
 
 
-def _metric_scaling(H):
-    """(L, T) for a positive definite metric H: L L' = H and T = L^-T, so that
-    in the variables y of x = x0 + T y the metric is the identity, which
-    SLSQP's BFGS starts from. A metric B_y that SLSQP ends with in y is
-    L B_y L' in x. Call it on one BLAS thread.
+def _gauss_newton_hessian(tr: _Transcription, x):
+    """The Gauss-Newton Hessian of the cost at x, H = 2h sum_k J_k' Q J_k +
+    2h blkdiag(R) + 2 J_N' P J_N with J_k = d e_k / d x, from the rollout
+    Jacobian of x's evaluation (positive definite, as R is; finite, as e0 and
+    x are). Call it on one BLAS thread."""
+    cfg = tr.cfg
+    block_r = _gauss_newton_constants(tr.N, cfg.R.tobytes(), tr.m)
+    J = tr.eval(x)["jac"][tr.stage_idx]
+    return 2.0 * cfg.h * (np.einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
+                          + block_r) + 2.0 * J[-1].T @ cfg.P @ J[-1]
+
+
+def _inverse_factor(H):
+    """T = L^-T for the Cholesky factor L L' = H of a positive definite H, so
+    that H^-1 = T T' and, in the variables y of x = x0 + T y, H is the
+    identity. Call it on one BLAS thread.
 
     T solves L' T = I with LAPACK's dtrtrs called as scipy's
     ``solve_triangular(L, I, lower=True, trans="T")`` calls it for the
@@ -573,66 +578,175 @@ def _metric_scaling(H):
     T, info = _dtrtrs(L.T, _identity(len(H)), lower=False, trans=0)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    return L, T
+    return T
 
 
 def _gauss_newton_scaling(tr: _Transcription, x):
-    """T = L^-T of :func:`_metric_scaling` for the Gauss-Newton Hessian of the
-    cost at x, H = 2h sum_k J_k' Q J_k + 2h blkdiag(R) + 2 J_N' P J_N with
-    J_k = d e_k / d x (positive definite, as R is; finite, as e0 and the
-    projected warm start are)."""
-    cfg = tr.cfg
-    block_r = _gauss_newton_constants(tr.N, cfg.R.tobytes(), tr.m)
-    J = tr.eval(x)["jac"][tr.stage_idx]
+    """T = L^-T of :func:`_inverse_factor` for the Gauss-Newton Hessian of the
+    cost at x (:func:`_gauss_newton_hessian`)."""
     with single_blas_thread():
-        H = 2.0 * cfg.h * (np.einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
-                           + block_r) + 2.0 * J[-1].T @ cfg.P @ J[-1]
-        return _metric_scaling(H)[1]
+        return _inverse_factor(_gauss_newton_hessian(tr, x))
 
 
-@functools.cache
-def _packed_lower(n):
-    """(rows, columns) of an n x n lower triangle in the order SLSQP packs
-    it, column by column, as read-only arrays."""
-    columns, rows = np.triu_indices(n)
-    rows.flags.writeable = columns.flags.writeable = False
-    return rows, columns
-
-
-def _bfgs_metric(buffer, n):
-    """The quasi-Newton estimate B = L D L' of the Lagrangian's Hessian that
-    an SLSQP run over n variables left in its work array `buffer`, or None
-    when some entry of D is not positive. ``buffer[:n(n+1)/2]`` holds the
-    lower triangle of the unit-lower L column by column, with D in the
-    diagonal slots. That is private layout of scipy's compiled core, found by
-    probing; tests/test_ocp.py pins it."""
-    rows, columns = _packed_lower(n)
-    L = np.zeros((n, n))
-    L[rows, columns] = buffer[:rows.size]
-    d = L.diagonal().copy()
-    if not (d > 0.0).all():
+def _least_distance(E, f):
+    """(w, lam) for min ||w|| s.t. E w >= f: the least-distance problem, solved
+    as the NNLS problem min ||[E'; f'] z - e_{n+1}||, z >= 0 (Lawson & Hanson
+    1974, ch. 23), with scipy's compiled `nnls`. lam >= 0 are the rows'
+    multipliers and w = E' lam. None when the rows are inconsistent."""
+    n = E.shape[1]
+    A = np.empty((n + 1, len(f)), order="F")
+    A[:n] = E.T
+    A[n] = f
+    target = np.zeros(n + 1)
+    target[n] = 1.0
+    z, _, _ = _nnls(A, target, 3 * len(f) + 30)
+    fac = 1.0 - f @ z
+    if not fac > 1e-12:
         return None
-    np.fill_diagonal(L, 1.0)
-    return (L * d) @ L.T
+    lam = z / fac
+    return E.T @ lam, lam
 
 
-# added to a carried metric's diagonal: SLSQP's BFGS estimates end a relaxed
-# solve with eigenvalues down to 3e-5, along which the next solve's variables
-# would stretch 180-fold; this bounds the stretch by 10
-METRIC_DAMPING = 0.01
+def _working_set_qp(T, g, G, b, working):
+    """(d, lam) for the QP min g'd + d'Hd / 2 s.t. G d >= b, with H^-1 = T T'
+    (:func:`_inverse_factor`), or None when its rows are inconsistent.
+
+    It is solved over the rows of the boolean mask `working` first. Every row
+    outside it is then checked against the step; the most violated one joins
+    the working set and the QP is solved again, until the step meets every
+    row, so d is the QP's over all rows. lam holds every row's multiplier (0
+    off the working set). In w = T^-1 (d - d_free), d_free = -T T'g the
+    unconstrained step, the QP is the least-distance problem of
+    :func:`_least_distance` with E = G T and f = b - G d_free."""
+    d_free = -T @ (T.T @ g)
+    E = G @ T
+    f = b - G @ d_free
+    working = working.copy()
+    lam = np.zeros(len(b))
+    w = np.zeros(len(g))
+    while True:
+        if working.any():
+            solution = _least_distance(E[working], f[working])
+            if solution is None:
+                return None
+            w, lam[working] = solution
+        shortfall = np.where(working, -np.inf, f - E @ w)
+        worst = int(shortfall.argmax())
+        if shortfall[worst] <= 1e-10:
+            return T @ w + d_free, lam
+        working[worst] = True
 
 
-def shift_metric(metric, m):
-    """A carried metric for the shifted start: the first stage's m rows and
-    columns dropped, an m x m identity block appended for the new last stage,
-    whose input starts where a solve without a carried metric starts it, and
-    METRIC_DAMPING added to the diagonal."""
-    n = len(metric)
-    shifted = np.zeros((n, n))
-    shifted[:n - m, :n - m] = metric[m:, m:]
-    shifted[n - m:, n - m:] = _identity(m)
-    shifted.flat[::n + 1] += METRIC_DAMPING
-    return shifted
+# a margin row joins the working set of a relaxed solve's QP when its margin is
+# at most this (m) at the iterate, or its multiplier was positive at the last
+# QP; every other row is checked against the QP's step
+NEAR_ACTIVE = 0.05
+
+RELAXED_STOP_DELTA = 1e-6
+"""A relaxed solve ends at the first iterate that meets every margin within
+`constraint_tol` and whose QP step predicts a decrease of the cost (the
+running cost with its terminal penalty) of at most this fraction of it."""
+
+# least weight of the elastic variable, relative to the mean diagonal of the
+# Gauss-Newton Hessian
+ELASTIC_WEIGHT = 1e4
+
+# Armijo constant of the line search (Nocedal & Wright's 1e-4), the factor of
+# each backtrack, and the smallest step length it tries
+_ARMIJO, _BACKTRACK, _MIN_STEP = 1e-4, 0.5, 1e-3
+
+
+def _gauss_newton_sqp(tr: _Transcription, x0):
+    """A relaxed solve: min cost(u) s.t. margins(u) >= 0 and ||u_k|| <= u_bar
+    by sequential quadratic programming from x0, inside the ball. Returns
+    (x, iterations, converged). Call it on one BLAS thread.
+
+    Each iteration solves one QP (:func:`_working_set_qp`): the Gauss-Newton
+    Hessian H of the cost (:func:`_gauss_newton_hessian`), the cost gradient,
+    the linearized margins and, for each stage, one norm row: the ball's
+    tangent n'(u_k + d_k) <= u_bar at the direction n of u_k. When those rows
+    are inconsistent, or the step that meets them costs the model more than
+    weight * violation^2 / 2, it solves the elastic QP instead: every margin
+    row lowered by t >= 0 at the cost weight * t^2 / 2. The weight is
+    ELASTIC_WEIGHT times the mean diagonal of H, the largest so far in the
+    solve.
+
+    The merit is cost + mu * violation, the violation being the worst
+    margin's shortfall and mu at least twice the sum of the margins'
+    multipliers. The step length backtracks from 1 by _BACKTRACK until the
+    merit falls by _ARMIJO times its directional derivative. Each trial point
+    is projected onto the ball, so every iterate meets it exactly.
+
+    The solve converges at an iterate within `constraint_tol` of every margin
+    whose QP (not the elastic one) predicts a decrease of at most
+    RELAXED_STOP_DELTA of the cost. It ends unconverged after `max_iterations`,
+    or when the merit has no descent direction or no step length down to
+    _MIN_STEP lowers it."""
+    cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
+    x, mu, weight = x0, 0.0, 0.0
+    res = tr.eval(x, gradients=True)
+    n_margins = res["margins"].size if tr.margin_fn is not None else 0
+    rows = n_margins + N
+    # rows of the elastic QP over (d, t): the margins, one norm row per stage,
+    # then t >= 0; the QP over d alone takes the first `rows` and nx columns
+    G = np.zeros((rows + 1, nx + 1))
+    G[:n_margins, nx] = G[rows, nx] = 1.0
+    b = np.zeros(rows + 1)
+    norm_rows = np.arange(n_margins, rows).repeat(m), np.arange(nx)
+    working = np.ones(rows + 1, dtype=bool)
+    if n_margins:
+        working[:n_margins] = res["margins"] <= NEAR_ACTIVE
+    T_e = np.zeros((nx + 1, nx + 1))
+    for iteration in range(1, cfg.max_iterations + 1):
+        H = _gauss_newton_hessian(tr, x)
+        T = _inverse_factor(H)
+        g = res["cost_grad"]
+        U = x.reshape(N, m)
+        norms = np.sqrt(np.add.reduce(U * U, axis=1))
+        if n_margins:
+            G[:n_margins, :nx] = res["margins_jac"]
+            b[:n_margins] = -res["margins"]
+        G[norm_rows] = -(U / np.maximum(norms, 1e-300)[:, None]).ravel()
+        b[n_margins:rows] = np.minimum(norms - cfg.u_bar, 0.0)
+        violation = max(0.0, -res["slack"])
+        weight = max(weight, ELASTIC_WEIGHT * np.trace(H) / nx)
+        lowered = 0.0
+        solution = _working_set_qp(T, g, G[:rows, :nx], b[:rows], working[:rows])
+        if solution is not None:
+            d, lam = solution
+            model = g @ d + 0.5 * d @ H @ d
+        if solution is None or model > 0.5 * weight * violation ** 2:
+            T_e[:nx, :nx] = T
+            T_e[nx, nx] = 1.0 / math.sqrt(weight)
+            solution = _working_set_qp(T_e, np.append(g, 0.0), G, b, working)
+            if solution is None:
+                return x, iteration, False
+            d, lam = solution
+            d, lowered = d[:nx], max(0.0, d[nx])
+            model = g @ d + 0.5 * d @ H @ d
+        working[:n_margins] = lam[:n_margins] > 0.0
+        if lowered == 0.0 and violation <= cfg.constraint_tol and (
+                -model <= RELAXED_STOP_DELTA * res["cost"]):
+            return x, iteration, True
+        mu = max(mu, 2.0 * float(np.add.reduce(lam[:n_margins])))
+        merit = res["cost"] + mu * violation
+        derivative = g @ d - mu * (violation - lowered)
+        if not derivative < 0.0:
+            return x, iteration, False
+        step = 1.0
+        while True:
+            trial = _project_inputs((x + step * d).reshape(N, m), cfg.u_bar).ravel()
+            res = tr.eval(trial)
+            if res["cost"] + mu * max(0.0, -res["slack"]) <= merit + _ARMIJO * step * derivative:
+                break
+            step *= _BACKTRACK
+            if step < _MIN_STEP:
+                return x, iteration, False
+        x = trial
+        res = tr.eval(x, gradients=True)
+        if n_margins:
+            working[:n_margins] |= res["margins"] <= NEAR_ACTIVE
+    return x, cfg.max_iterations, False
 
 
 def _suboptimal_stop(tr: _Transcription, x0, scale):
@@ -669,7 +783,7 @@ def _suboptimal_stop(tr: _Transcription, x0, scale):
 
 
 def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
-                warm_start=None, use_terminal=True, metric=None):
+                warm_start=None, use_terminal=True):
     """Solve the tightened finite-horizon problem for one agent.
 
     Args:
@@ -684,27 +798,18 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
         warm_start: initial guess for the (N, m) input sequence.
         use_terminal: enforce V(e_N) <= eps_omega as a hard constraint, run
             SLSQP in the Gauss-Newton-scaled variables of the module
-            docstring, and stop at its suboptimal-MPC accuracy.
-        metric: a relaxed solve only: the positive definite (N m, N m)
-            metric in the inputs that SLSQP's BFGS starts from, in the
-            variables that make it the identity (:func:`_metric_scaling`);
-            None starts it from the identity in the inputs. Raises
-            numpy.linalg.LinAlgError, not RuntimeError, when the metric has
-            no Cholesky factor in floating point.
+            docstring, and stop at its suboptimal-MPC accuracy; otherwise
+            (a relaxed solve) run :func:`_gauss_newton_sqp`.
 
     Returns:
         HorizonSolution; status is "infeasible" when the constraint residual
         (the negated worst slack) exceeds the tolerance after the iteration
-        budget, "optimal" when SLSQP's own convergence test passed and
+        budget, "optimal" when the solver's own convergence test passed and
         "feasible-suboptimal" otherwise. The stat `suboptimal_stop` says
         whether the suboptimal-MPC stop ended the solve short of SLSQP's own
         test, and `start_feasible` whether the projected warm start met every
-        constraint of this solve within `constraint_tol`, and
-        `carried_metric` whether `metric` was given. A relaxed solve returns
-        the metric SLSQP ended with, in the inputs (:func:`_bfgs_metric`).
+        constraint of this solve within `constraint_tol`.
     """
-    if use_terminal and metric is not None:
-        raise ValueError("a carried metric applies to relaxed solves only")
     t_start = time.perf_counter()
     e0 = np.asarray(e0, dtype=float)
     if not np.isfinite(e0).all():
@@ -718,36 +823,29 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
     # the first evaluation of every solve, so it costs no extra rollout
     start_feasible = -tr.eval(x0)["slack"] <= config.constraint_tol
 
-    factor = scale = callback = None
-    if metric is not None:
-        # outside the try: a metric without a Cholesky factor is the
-        # caller's to handle, not a diverged solve
-        with single_blas_thread():
-            factor, scale = _metric_scaling(metric)
+    stopped = False
     try:
-        # Gauss-Newton scaling is accurate near the goal only, where the cost's
-        # residuals are small, and the suboptimal stop needs a feasible shifted
-        # candidate under the terminal set: the terminal tiers
         if use_terminal:
+            # Gauss-Newton scaling is accurate near the goal only, where the
+            # cost's residuals are small, and the suboptimal stop needs a
+            # feasible shifted candidate under the terminal set
             scale = _gauss_newton_scaling(tr, x0)
-            callback = _suboptimal_stop(tr, x0, scale)
-        opt = _slsqp(tr, x0, config.ftol, scale=scale, callback=callback)
+            opt = _slsqp(tr, x0, config.ftol, scale=scale,
+                         callback=_suboptimal_stop(tr, x0, scale))
+            x_best, iterations, converged = opt.x, opt.nit, opt.success
+            stopped = opt.status == _CALLBACK_HALT and not opt.success
+        else:
+            with single_blas_thread():
+                x_best, iterations, converged = _gauss_newton_sqp(tr, x0)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"solver diverged: {exc}") from exc
-    final_metric = None
-    if not use_terminal:
-        with single_blas_thread():
-            final_metric = _bfgs_metric(opt.buffer, tr.nx)
-            if final_metric is not None and factor is not None:
-                final_metric = factor @ final_metric @ factor.T
-    x_best = opt.x
     if not np.isfinite(x_best).all():
         raise RuntimeError("solver produced non-finite iterate")
 
     U = _project_inputs(x_best.reshape(N, m), config.u_bar)
     x_best = U.ravel()
     res = tr.eval(x_best)
-    # Keep the warm start if SLSQP wandered to something worse and infeasible.
+    # Keep the warm start if the solver wandered to something worse and infeasible.
     if max(0.0, -res["slack"]) > config.constraint_tol:
         res0 = tr.eval(x0)
         if max(0.0, -res0["slack"]) <= config.constraint_tol:
@@ -755,10 +853,9 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
             U = x_best.reshape(N, m)
 
     residual = max(0.0, -res["slack"])
-    stopped = opt.status == _CALLBACK_HALT and not opt.success
     if residual > config.constraint_tol:
         status = "infeasible"
-    elif opt.success:
+    elif converged:
         status = "optimal"
     else:
         status = "feasible-suboptimal"
@@ -769,16 +866,14 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
         cost=res["cost"],
         status=status,
         solve_stats={
-            "iterations": int(opt.nit),
+            "iterations": int(iterations),
             "wall_time": time.perf_counter() - t_start,
             "residual": float(residual),
             "rollouts": tr.n_rollouts,
             "terminal_enforced": bool(use_terminal),
             "suboptimal_stop": stopped,
             "start_feasible": bool(start_feasible),
-            "carried_metric": metric is not None,
         },
-        metric=final_metric,
     )
 
 

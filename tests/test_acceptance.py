@@ -266,6 +266,21 @@ def test_nominal_run_keeps_separation(nominal_run):
                           f"at t={check.worst_time:.2f}")
 
 
+def test_nominal_run_verify_verdicts_are_a_finding(nominal_run, capsys):
+    """The disturbance-free run's `verify` verdicts, each with its worst
+    margin and the time of it, printed as one finding line and not gated on:
+    a change of the solver moves this run, and criterion 6 and the
+    separation test above read only part of it."""
+    scenario, log, abort = nominal_run
+    checks = verify(log, scenario.build_world(), scenario).checks
+    verdicts = "; ".join(f"{name} {'PASS' if check.passed else 'FAIL'} "
+                         f"{check.worst_margin:+.3e} at t={check.worst_time:.2f}"
+                         for name, check in checks.items())
+    with capsys.disabled():
+        print(f"\nfinding disturbance-free run verify: {verdicts}", flush=True)
+    assert checks
+
+
 def test_criterion_7_set_algebra_oracles(capsys):
     rng = np.random.default_rng(3)
     ok = True

@@ -61,7 +61,7 @@ def test_table_prints_calls_per_agent_step(calls):
     """The last column of each layer's row, and of the total, is its count
     over the window's agent-solves."""
     window = {"t": [10.0, 12.0], "agent_solves": 60, "feasible_witness_solves": 60,
-              "slsqp_iterations": 60, "calls": {layer: 7 * (i + 1) for i, layer in
+              "solver_iterations": 60, "calls": {layer: 7 * (i + 1) for i, layer in
                                                  enumerate(calls.ORDER)}}
     window["total"] = sum(window["calls"].values())
     lines = calls.table("rest", window)

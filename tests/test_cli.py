@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dnmpc import certify, coordination
+from dnmpc import certify, cli, coordination
 from dnmpc.cli import ScenarioError, cmd_certify, load_scenario, main
 from dnmpc.coordination import AgentTrace, TrajectoryLog
 from dnmpc.dynamics import unicycle_field
@@ -333,20 +333,20 @@ def test_run_writes_artifacts_when_solver_raises(tmp_path, monkeypatch, capsys):
 
 
 def test_aborted_run_csv_reads_back(tmp_path, monkeypatch):
-    """The 8th solve_fhocp call of a 0.5 s run raises: with the schedule
-    [2, 0, 1] and one call per solve, the run aborts at agent 0, t = 0.2,
-    leaving traces of unequal length. The partial CSV reads back to the same
-    bytes, and verify on the read-back log reproduces report.txt."""
-    solve_fhocp = coordination.solve_fhocp
+    """The 8th solve of a 0.5 s run raises: with the schedule [2, 0, 1] the
+    run aborts at agent 0, t = 0.2, leaving traces of unequal length. The
+    partial CSV reads back to the same bytes, and verify on the read-back
+    log reproduces report.txt."""
+    solve_agent = coordination.Simulation._solve_agent
     calls = []
 
-    def eighth_call_raises(*args, **kwargs):
+    def eighth_solve_raises(self, i, t_k):
         calls.append(None)
         if len(calls) == 8:
             raise RuntimeError("solver diverged: forced")
-        return solve_fhocp(*args, **kwargs)
+        return solve_agent(self, i, t_k)
 
-    monkeypatch.setattr(coordination, "solve_fhocp", eighth_call_raises)
+    monkeypatch.setattr(coordination.Simulation, "_solve_agent", eighth_solve_raises)
     out_dir = tmp_path / "out"
     assert main(["run", str(SCENARIO), "--out", str(out_dir), "--total-time", "0.5"]) == 1
     report = dict(line.split(" = ", 1)
@@ -407,9 +407,8 @@ def test_run_reports_feasible_witness_solves(tmp_path, monkeypatch):
     """report.txt counts, next to the suboptimal stops, the accepted
     terminal-enforced solves that started from a feasible shifted plan, as
     step_meta flags them; from t = 1.6 s the bundled agents reach their
-    terminal tiers. Before that their relaxed solves carry the previous
-    relaxed solve's metric: report.txt counts the accepted ones and the
-    identity fallbacks after a carried-metric attempt ended infeasible."""
+    terminal tiers. Every `<key>_solves` count of report.txt is the number of
+    step_meta records with `key` set, and `solves` the number of records."""
     logs, real_run = [], coordination.Simulation.run
 
     def run(sim):
@@ -426,12 +425,11 @@ def test_run_reports_feasible_witness_solves(tmp_path, monkeypatch):
     assert witnesses == sum(meta["feasible_witness"] for meta in metas) > 0
     assert witnesses <= sum(not meta["terminal_relaxed"] for meta in metas)
     assert keys.index("feasible_witness_solves") == keys.index("suboptimal_stop_solves") + 1
-    carried = int(report["carried_metric_solves"])
-    assert carried == sum(meta["carried_metric"] for meta in metas) > 0
-    assert all(meta["terminal_relaxed"] for meta in metas if meta["carried_metric"])
-    fallbacks = int(report["metric_fallback_attempts"])
-    assert fallbacks == sum(meta["metric_fallbacks"] for meta in metas)
-    assert keys.index("metric_fallback_attempts") == keys.index("carried_metric_solves") + 1
+    counted = [key for key in keys if key.endswith("_solves")]
+    assert counted == [f"{key}_solves" for key in cli.COUNTED_FLAGS]
+    assert int(report["solves"]) == len(metas)
+    for key in counted:
+        assert int(report[key]) == sum(meta[key[:-len("_solves")]] for meta in metas), key
 
 
 def test_run_reports_clipped_disturbance_samples(tmp_path):

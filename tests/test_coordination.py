@@ -212,9 +212,9 @@ def test_step_meta_flags_feasible_witnesses(monkeypatch, at_rest):
     expected, flags, now = {}, [], [0.0]
     real_solve, real_agent = coordination.solve_fhocp, sim._solve_agent
 
-    def solve(errordyn, e0, margin_fn, cfg, warm_start=None, use_terminal=True, metric=None):
+    def solve(errordyn, e0, margin_fn, cfg, warm_start=None, use_terminal=True):
         sol = real_solve(errordyn, e0, margin_fn, cfg, warm_start=warm_start,
-                         use_terminal=use_terminal, metric=metric)
+                         use_terminal=use_terminal)
         i = next(k for k, known in enumerate(sim.errordyns) if known is errordyn)
         prev = sim.prev_solution[i]
         shifted = prev is not None and np.array_equal(
@@ -331,14 +331,13 @@ def test_restore_runs_once_from_the_best_near_feasible_attempt(monkeypatch):
     threshold, the ladder restores feasibility once, from the inputs of the
     attempt with the lowest residual, and accepts the attempt from the
     restored plan. The solve is relaxed and follows a relaxed one, so its
-    starts are the shifted plan with the carried metric, the shifted plan
-    with the identity (a metric fallback) and zero input: with the
-    restoration and the attempt from the restored plan they make 5 attempts,
-    with no re-attempt from an infeasible attempt's inputs."""
+    starts are the shifted plan and zero input: with the restoration and the
+    attempt from the restored plan they make 4 attempts, with no re-attempt
+    from an infeasible attempt's inputs."""
     solve_fhocp, restore = coordination.solve_fhocp, coordination.restore_feasibility
     solve_agent = Simulation._solve_agent
     sim = load_scenario(SCENARIO).build_simulation(total_time=0.2)
-    target = (sim.schedule[0], 0.1)  # that agent's second solve: three starts
+    target = (sim.schedule[0], 0.1)  # that agent's second solve: two starts
     current, attempts, restores = {}, [], []
 
     def tracked(self, i, t_k):
@@ -348,9 +347,9 @@ def test_restore_runs_once_from_the_best_near_feasible_attempt(monkeypatch):
     def near_feasible(*args, **kwargs):
         sol = solve_fhocp(*args, **kwargs)
         if current["solve"] == target:
-            if len(attempts) < 3:  # the three starts
+            if len(attempts) < 2:  # the two starts
                 sol.status = "infeasible"
-                sol.solve_stats["residual"] = (3e-2, 1e-2, 2e-2)[len(attempts)]
+                sol.solve_stats["residual"] = (3e-2, 1e-2)[len(attempts)]
             attempts.append((kwargs, sol))
         return sol
 
@@ -365,70 +364,19 @@ def test_restore_runs_once_from_the_best_near_feasible_attempt(monkeypatch):
     log = sim.run()
 
     i, t_k = target
-    assert len(attempts) == 4
+    assert len(attempts) == 3
     assert all(not kwargs["use_terminal"] for kwargs, _ in attempts)
-    (first, _), (second, _), (third, _), (last, accepted) = attempts
-    assert first["warm_start"] is second["warm_start"]
-    assert first["metric"] is not None and second["metric"] is None
-    assert not third["warm_start"].any() and third["metric"] is None
+    (first, _), (second, _), (last, accepted) = attempts
+    assert first["warm_start"].any() and not second["warm_start"].any()
     assert len(restores) == 1
     start, restored = restores[0]
     np.testing.assert_array_equal(start, attempts[1][1].inputs)  # residual 1e-2
     np.testing.assert_array_equal(last["warm_start"], restored)
-    assert last["metric"] is None
     assert accepted.status != "infeasible"
     assert sim.prev_solution[i] is accepted
     meta = next(m for m in log.traces[i].step_meta if m["t"] == t_k)
     assert meta["status"] == accepted.status
-    assert meta["attempts"] == 5
-    assert meta["metric_fallbacks"] == 1 and not meta["carried_metric"]
-
-
-def test_relaxed_solve_after_a_terminal_one_carries_no_metric(monkeypatch):
-    """Terminal-enforced solves return no metric, so a relaxed solve that
-    follows one starts from the shifted plan and the zero input with the
-    identity, as before metrics were carried: its attempts pass no metric
-    and match, bit for bit, a solve called without the `metric` argument.
-    The terminal attempts of the first solve after an accepted terminal one
-    are forced infeasible, so that its ladder falls to the relaxed tier."""
-    sim = _simulation(total_time=0.6)
-    real_solve, real_agent = coordination.solve_fhocp, sim._solve_agent
-    current, forced, relaxed = {}, [], []
-
-    def solve(errordyn, e0, margin_fn, cfg, warm_start=None, use_terminal=True, metric=None):
-        sol = real_solve(errordyn, e0, margin_fn, cfg, warm_start=warm_start,
-                         use_terminal=use_terminal, metric=metric)
-        if use_terminal:
-            assert sol.metric is None
-        if current["solve"] == forced[:1]:
-            if use_terminal:
-                sol.status, sol.solve_stats["residual"] = "infeasible", 1.0
-            else:
-                relaxed.append((errordyn, e0, margin_fn, cfg, warm_start, metric, sol,
-                                sol.solve_stats["iterations"]))
-        return sol
-
-    def solve_agent(i, t_k):
-        records = sim.traces[i].step_meta  # the last one is prev_solution's
-        if not forced and records and not records[-1]["terminal_relaxed"]:
-            forced.append((i, t_k))
-        current["solve"] = [(i, t_k)]
-        return real_agent(i, t_k)
-
-    monkeypatch.setattr(coordination, "solve_fhocp", solve)
-    monkeypatch.setattr(sim, "_solve_agent", solve_agent)
-    sim.run()
-    assert forced and relaxed
-    shifted = relaxed[0][4]
-    assert shifted is not None and shifted.any()
-    for errordyn, e0, margin_fn, cfg, warm_start, metric, sol, iterations in relaxed:
-        assert metric is None and not sol.solve_stats["carried_metric"]
-        again = real_solve(errordyn, e0, margin_fn, cfg, warm_start=warm_start,
-                           use_terminal=False)
-        assert again.inputs.tobytes() == sol.inputs.tobytes()
-        assert again.dense_errors.tobytes() == sol.dense_errors.tobytes()
-        assert (again.cost, again.solve_stats["iterations"]) == (sol.cost, iterations)
-        assert again.metric.tobytes() == sol.metric.tobytes()
+    assert meta["attempts"] == 4
 
 
 def test_step_meta_covers_the_whole_ladder(monkeypatch):
@@ -553,16 +501,24 @@ def test_engine_calls_the_benchmark_hooks(monkeypatch):
     counted(ocp, "rollout_zoh")
     counted(StageGeometry, "margins")
     counted(coordination, "tube_profile_radii")
-    log = _simulation(w_bar=0.05, total_time=0.3).run()
-    solves = sum(len(trace.step_meta) for trace in log.traces)
-    assert solves == 6
-    assert calls["integrate"] == solves
-    assert calls["solve_fhocp"] >= solves
-    assert calls["minimize"] >= calls["solve_fhocp"]
-    assert calls["rollout_zoh"] >= calls["minimize"]
-    # one margin evaluation per rollout, and the tube radii once per simulation
-    assert calls["margins"] == calls["rollout_zoh"]
-    assert calls["tube_profile_radii"] == 1
+    # agents on their way (relaxed solves) and agents at rest (terminal-
+    # enforced solves, the ones that run SLSQP)
+    for at_rest in (False, True):
+        calls.clear()
+        sim = _simulation(w_bar=0.05, total_time=0.3)
+        if at_rest:
+            sim.states = [np.array([2.98, 0.01, 0.02]), np.array([3.01, 1.19, -0.01])]
+        log = sim.run()
+        metas = [meta for trace in log.traces for meta in trace.step_meta]
+        assert len(metas) == 6
+        assert calls["integrate"] == len(metas)
+        assert calls["solve_fhocp"] >= len(metas)
+        assert calls.get("minimize", 0) >= sum(not meta["terminal_relaxed"] for meta in metas)
+        assert calls["rollout_zoh"] >= calls["solve_fhocp"]
+        # one margin evaluation per rollout, and the tube radii once per simulation
+        assert calls["margins"] == calls["rollout_zoh"]
+        assert calls["tube_profile_radii"] == 1
+    assert calls["minimize"] >= 6
 
 
 def test_sensing_reads_earlier_agents_after_their_move(monkeypatch):
@@ -627,19 +583,17 @@ def test_blocked_plan_tries_the_untried_starts_then_the_probes(monkeypatch):
     """A feasible plan that barely moves far from the goal is blocked: the
     ladder then tries the starts not yet tried and the four lateral probes,
     in that order, and the cheapest feasible plan wins, the first of equal
-    costs. Agent 0's second solve, over 1 m from its goal, carries the
-    metric of its first, relaxed solve; its terminal-enforced attempts are
-    made infeasible, and its carried-metric attempt the blocked plan, so no
-    shifted-plan attempt with the identity follows that one."""
+    costs. Agent 0's second solve is over 1 m from its goal; its
+    terminal-enforced attempts are made infeasible, and its relaxed attempt
+    from the shifted plan the blocked plan."""
     sim = _simulation(total_time=0.2)
     sim._bootstrap_board()
     sim._log_initial()
     sim.step(0)
-    assert sim.prev_solution[0].metric is not None
     shifted, zeros = sim._starts(0)
     real_solve, calls, terminal = coordination.solve_fhocp, [], []
-    # the carried attempt, the zero start, then the four probes; one probe
-    # is cheapest but infeasible, and two feasible ones tie at the lowest cost
+    # the shifted start, the zero start, then the four probes; one probe is
+    # cheapest but infeasible, and two feasible ones tie at the lowest cost
     costs = [10.0, 7.0, 3.0, 5.0, 6.0, 5.0]
 
     def solve(*args, **kwargs):
@@ -650,7 +604,7 @@ def test_blocked_plan_tries_the_untried_starts_then_the_probes(monkeypatch):
             return sol
         sol.status, sol.cost = "feasible-suboptimal", costs[len(calls)]
         sol.solve_stats["residual"] = 0.0
-        if len(calls) == 0:  # the carried attempt: a plan that stays put
+        if len(calls) == 0:  # the shifted attempt: a plan that stays put
             sol.dense_errors = np.repeat(sol.dense_errors[:1], len(sol.dense_errors), axis=0)
         if len(calls) == 2:
             sol.status, sol.solve_stats["residual"] = "infeasible", 1.0
@@ -660,16 +614,12 @@ def test_blocked_plan_tries_the_untried_starts_then_the_probes(monkeypatch):
     monkeypatch.setattr(coordination, "solve_fhocp", solve)
     sol, record = sim._solve_agent(0, 0.1)
     starts = [kwargs["warm_start"] for kwargs, _ in calls]
-    metrics = [kwargs["metric"] for kwargs, _ in calls]
     assert len(calls) == 6
     np.testing.assert_array_equal(starts[0], shifted)
-    assert metrics[0] is not None
-    assert all(metric is None for metric in metrics[1:])
     for got, want in zip(starts[1:], [zeros, *_probes(sim.config)]):
         np.testing.assert_array_equal(got, want)
     assert sol is calls[3][1]
     assert record["attempts"] == len(terminal) + 6
-    assert record["metric_fallbacks"] == 0
     assert record["terminal_relaxed"] and not record["tube_capped"]
 
 
@@ -744,44 +694,3 @@ def test_tube_is_chosen_once_per_simulation(monkeypatch):
     sol, record = sim._solve_agent(0, 0.0)
     assert tubes and all(tube is rho for tube in tubes)
     assert sol.status != "infeasible" and record["tube_capped"]
-
-
-def test_a_carried_metric_without_a_cholesky_factor_falls_back(monkeypatch):
-    """A carried metric that has grown too ill-conditioned to factor is a
-    metric fallback, not a diverged solve: the shifted plan is tried again
-    with the identity and the solve goes on, with one fallback counted.
-    Agent 0's second solve carries the metric of its first, relaxed solve,
-    made indefinite here; its terminal-enforced attempts are made
-    infeasible, so that it reaches the relaxed tier."""
-    sim = _simulation(total_time=0.2)
-    sim._bootstrap_board()
-    sim._log_initial()
-    sim.step(0)
-    prev = sim.prev_solution[0]
-    assert prev.metric is not None
-    prev.metric = -np.eye(len(prev.metric))
-    shifted = sim._starts(0)[0]
-    real_solve, relaxed = coordination.solve_fhocp, []
-
-    def solve(*args, **kwargs):
-        if not kwargs["use_terminal"]:
-            relaxed.append(kwargs)
-            return real_solve(*args, **kwargs)
-        sol = real_solve(*args, **kwargs)
-        sol.status, sol.solve_stats["residual"] = "infeasible", 1.0
-        return sol
-
-    monkeypatch.setattr(coordination, "solve_fhocp", solve)
-    sol, record = sim._solve_agent(0, 0.1)
-    assert len(relaxed) >= 2
-    first, second = relaxed[:2]
-    assert first["metric"] is not None and second["metric"] is None
-    np.testing.assert_array_equal(first["warm_start"], shifted)
-    np.testing.assert_array_equal(second["warm_start"], shifted)
-    assert record["metric_fallbacks"] == 1
-    assert sol.status != "infeasible" and not record["carried_metric"]
-    # solve_fhocp itself raises LinAlgError for it, not a RuntimeError
-    with pytest.raises(np.linalg.LinAlgError):
-        real_solve(sim.errordyns[0], sim.errordyns[0].error_of(sim.states[0]), None,
-                   sim.config, warm_start=shifted, use_terminal=False,
-                   metric=-np.eye(len(prev.metric)))

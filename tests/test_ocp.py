@@ -93,6 +93,107 @@ def test_solver_matches_riccati_oracle():
     assert np.max(np.abs(sol.inputs - ref)) < 1e-4
 
 
+def test_relaxed_solve_takes_newtons_step_on_a_linear_quadratic_problem():
+    """With linear dynamics and no constraints the Gauss-Newton Hessian is the
+    exact one, so the relaxed solver's first QP step lands on the LQ optimum
+    (the dynamic-programming Riccati oracle) and its second iteration stops
+    there."""
+    cfg = _config()
+    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    for e0 in ([1.5, -0.7], [0.3, 0.2], [-2.0, 1.0]):
+        e0 = np.array(e0)
+        sol = solve_fhocp(ed, e0, None, cfg, use_terminal=False)
+        assert sol.status == "optimal"
+        assert sol.solve_stats["iterations"] == 2
+        # the double integrator's rollout Jacobian is by central differences
+        np.testing.assert_allclose(sol.inputs, lqr_dp_reference(e0, cfg), rtol=0, atol=1e-6)
+
+
+def _qp_by_active_sets(H, g, G, b):
+    """(d, lam) of min g'd + d'Hd / 2 s.t. G d >= b by enumerating the active
+    sets: the one whose equality-constrained KKT point meets every row with
+    nonnegative multipliers (a small strictly convex QP has exactly one)."""
+    n, rows = len(g), len(b)
+    for mask in range(1 << rows):
+        active = [i for i in range(rows) if mask >> i & 1]
+        A = G[active]
+        kkt = np.block([[H, -A.T], [A, np.zeros((len(active), len(active)))]])
+        try:
+            z = np.linalg.solve(kkt, np.concatenate([-g, b[active]]))
+        except np.linalg.LinAlgError:
+            continue
+        d, lam = z[:n], np.zeros(rows)
+        lam[active] = z[n:]
+        if (G @ d >= b - 1e-12).all() and (lam >= -1e-12).all():
+            return d, lam
+    raise AssertionError("no active set is optimal")
+
+
+def test_working_set_qp_adds_a_binding_row_left_out_of_its_first_working_set():
+    """A row that the first working set leaves out, and that binds at the
+    optimum, joins it when the step violates it: the QP returns the all-rows
+    solution (the active-set enumeration oracle) and meets the KKT
+    conditions, H d + g = G' lam, lam >= 0, G d >= b, lam'(G d - b) = 0,
+    with lam zero off the binding rows."""
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((3, 3))
+    H = M @ M.T + np.eye(3)
+    g = np.array([-4.0, 1.0, -2.0])
+    G = np.vstack([np.eye(3), -np.eye(3), [[-1.0, -1.0, -1.0]]])
+    b = np.array([-5.0, -5.0, -5.0, -5.0, -5.0, -5.0, -1.0])
+    free = np.linalg.solve(H, -g)
+    d_ref, lam_ref = _qp_by_active_sets(H, g, G, b)
+    assert G[-1] @ free < b[-1]              # the unconstrained step violates the last row
+    assert lam_ref[-1] > 1e-3                # which binds at the optimum
+    first = np.ones(len(b), dtype=bool)
+    first[-1] = False                        # and is left out of the first working set
+    with single_blas_thread():
+        d, lam = ocp._working_set_qp(ocp._inverse_factor(H), g, G, b, first)
+    np.testing.assert_allclose(d, d_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(lam, lam_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(H @ d + g, G.T @ lam, rtol=0, atol=1e-10)
+    slack = G @ d - b
+    assert (lam >= 0.0).all() and (slack >= -1e-12).all()
+    assert np.abs(lam * slack).max() <= 1e-10
+
+
+def test_relaxed_solve_finds_a_margin_its_first_working_set_leaves_out():
+    """The double integrator kept at position >= 0.8 from position 1: no
+    margin is near active at the zero start, so the first working set is
+    empty, and the unconstrained optimum crosses 0.8. The problem is a
+    convex QP, so the first step, checked against every margin row, is its
+    solution: the solve stops at its second iteration on the optimum of
+    scipy's SLSQP run to a tight tolerance, with the margin binding."""
+    cfg = _config()
+    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    e0 = np.array([1.0, 0.0])
+    margin_fn = position_margin_fn(-0.8)
+    tr = _Transcription(ed, e0, margin_fn, cfg, False)
+    assert tr.eval(np.zeros(tr.nx))["margins"].min() > ocp.NEAR_ACTIVE
+    assert tr.eval(lqr_dp_reference(e0, cfg).ravel())["margins"].min() < 0.0
+    sol = solve_fhocp(ed, e0, margin_fn, cfg, use_terminal=False)
+    assert sol.status == "optimal" and sol.solve_stats["iterations"] == 2
+    ref_x, _ = _scipy_slsqp(_Transcription(ed, e0, margin_fn, cfg, False), np.zeros(tr.nx),
+                            1e-14)
+    np.testing.assert_allclose(sol.inputs.ravel(), ref_x, rtol=0, atol=1e-6)
+    assert abs(sol.dense_errors[1:, 0].min() - 0.8) <= 1e-7
+
+
+def test_relaxed_plans_meet_the_input_ball_exactly():
+    """Every plan a relaxed solve returns lies in the input ball, to the last
+    bit of the projection, and its prediction is its own rollout: on the
+    seeded unicycle problems with u_bar = 2.5, where the ball binds at some
+    stage of every plan."""
+    for cfg, ed, e0, margin_fn, start in _unicycle_problems():
+        cfg.u_bar = 2.5
+        sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=False)
+        norms = np.linalg.norm(sol.inputs, axis=1)
+        assert norms.max() <= cfg.u_bar * (1.0 + 2.0 * np.finfo(float).eps)
+        assert norms.max() >= cfg.u_bar * (1.0 - 1e-9)
+        again = _Transcription(ed, e0, margin_fn, cfg, False).eval(sol.inputs.ravel())
+        assert np.array_equal(again["traj"], sol.dense_errors)
+
+
 def test_terminal_solve_in_gauss_newton_scaling_matches_riccati_oracle():
     # the double integrator is linear, so the Gauss-Newton Hessian the
     # terminal tier scales by is the exact one: SLSQP's first step is Newton's.
@@ -282,9 +383,10 @@ def test_dual_mode_controller_switches_at_eps_omega():
 
 
 def test_suboptimal_stop_only_on_terminal_solves(monkeypatch):
-    """The relaxed tiers and the feasibility restoration pass SLSQP no
-    callback: the suboptimal stop needs a feasible shifted candidate under
-    the terminal set, which they lack."""
+    """The relaxed tiers run no SLSQP (their solver is `_gauss_newton_sqp`)
+    and the feasibility restoration passes SLSQP no callback: the suboptimal
+    stop needs a feasible shifted candidate under the terminal set, which
+    they lack."""
     callbacks = []
     original = ocp.minimize
     signature = inspect.signature(original)
@@ -296,9 +398,10 @@ def test_suboptimal_stop_only_on_terminal_solves(monkeypatch):
     monkeypatch.setattr(ocp, "minimize", recorded)
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
     solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=False)
+    assert callbacks == []
     for use_terminal in (False, True):
         restore_feasibility(ed, e0, margin_fn, cfg, start, use_terminal=use_terminal)
-    assert len(callbacks) == 3 and callbacks == [None] * 3
+    assert len(callbacks) == 2 and callbacks == [None] * 2
     solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
     assert callable(callbacks[-1])
 
@@ -630,20 +733,18 @@ def test_minimize_matches_scipy_slsqp_bitwise():
 
 
 def test_closed_loop_scaled_solves_match_scipy_slsqp_bitwise(monkeypatch):
-    """The scaled solves of the bundled scenario's first 1.5 s, as the closed
+    """The scaled solves of the bundled scenario's first 2 s, as the closed
     loop makes them: the Gauss-Newton-scaled terminal solves, with hundreds
-    of margin rows of several kinds, the terminal row and the scale T, and
-    the relaxed solves that run in the carried metric's T. On each,
-    `ocp._slsqp` must return bitwise what scipy's public SLSQP returns with
-    each constraint block's Jacobian times T on its own. The seeded problems
-    above cannot tell that from one product of T with all the stacked rows,
-    which moves the closed loop's iterates."""
+    of margin rows of several kinds, the terminal row and the scale T. On
+    each, `ocp._slsqp` must return bitwise what scipy's public SLSQP returns
+    with each constraint block's Jacobian times T on its own. The seeded
+    problems above cannot tell that from one product of T with all the
+    stacked rows, which moves the closed loop's iterates."""
     scenario = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
     real = ocp._slsqp
-    margin_rows, carried = [], 0
+    margin_rows = []
 
     def checked(tr, x0, ftol, slack=False, scale=None, callback=None):
-        nonlocal carried
         ours = real(tr, x0, ftol, slack=slack, scale=scale, callback=callback)
         if scale is not None:
             ref_tr = _Transcription(tr.errordyn, tr.e0, tr.margin_fn, tr.cfg, tr.use_terminal)
@@ -651,17 +752,13 @@ def test_closed_loop_scaled_solves_match_scipy_slsqp_bitwise(monkeypatch):
             ref_x, ref = _scipy_slsqp(ref_tr, x0, ftol, slack, scale, ref_callback)
             assert (ours.x.tobytes(), ours.nit, ours.nfev, ours.status) == (
                 ref_x.tobytes(), ref.nit, ref.nfev, ref.status), (
-                f"scaled solve {len(margin_rows) + carried}")
-            if tr.use_terminal:
-                margin_rows.append(ref_tr.eval(x0)["margins"].size)
-            else:
-                carried += 1
+                f"scaled solve {len(margin_rows)}")
+            margin_rows.append(ref_tr.eval(x0)["margins"].size)
         return ours
 
     monkeypatch.setattr(ocp, "_slsqp", checked)
-    load_scenario(scenario).build_simulation(total_time=1.5).run()
+    load_scenario(scenario).build_simulation(total_time=2.0).run()
     assert len(margin_rows) >= 5 and min(margin_rows) >= 300
-    assert carried >= 1
 
 
 def _gauss_newton_hessian(tr, x):
@@ -676,20 +773,21 @@ def _gauss_newton_hessian(tr, x):
 def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
     """`_gauss_newton_scaling` calls LAPACK's dtrtrs itself. Its T must be
     bitwise what scipy's ``solve_triangular(L, I, lower=True, trans="T")``
-    gives for the Cholesky factor L of the same H, on the terminal-tier
-    problems of the bundled scenario's first 1.5 s, on seeded perturbations
-    of their warm starts and on the seeded unicycle problems. The closed-loop
-    SLSQP test hands both sides the same T, so it cannot see a flipped
-    `lower` or `trans` flag; this test does."""
+    gives for the Cholesky factor L of the same H, at every point where the
+    bundled scenario's first 1.5 s builds a Gauss-Newton Hessian (the
+    terminal tier's warm starts and the relaxed tier's iterates), on seeded
+    perturbations of those points and on the seeded unicycle problems. The
+    closed-loop SLSQP test hands both sides the same T, so it cannot see a
+    flipped `lower` or `trans` flag; this test does."""
     scenario = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
-    real = ocp._gauss_newton_scaling
+    real = ocp._gauss_newton_hessian
     problems = []
 
     def recorded(tr, x):
         problems.append((tr, x.copy()))
         return real(tr, x)
 
-    monkeypatch.setattr(ocp, "_gauss_newton_scaling", recorded)
+    monkeypatch.setattr(ocp, "_gauss_newton_hessian", recorded)
     load_scenario(scenario).build_simulation(total_time=1.5).run()
     monkeypatch.undo()
     assert len(problems) >= 5
@@ -704,62 +802,3 @@ def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
             want = scipy.linalg.solve_triangular(L, np.eye(tr.nx), lower=True, trans="T")
         got = ocp._gauss_newton_scaling(tr, x)
         assert np.array_equal(got, want), f"problem {k}: T differs from scipy's L^-T"
-
-
-def test_bfgs_metric_reads_slsqps_quasi_newton_factor():
-    """`_bfgs_metric` reads private layout of scipy's compiled SLSQP core:
-    the quasi-Newton estimate B = L D L', packed column by column at the
-    front of the work array. On these convex quadratics 1/2 x'Ax - b'x,
-    A >= 5 I, under an inactive ball constraint, SLSQP's BFGS from the
-    identity ends with B = A to 1e-10 relative. (With A's eigenvalues near
-    or below 1 it stops short of A, so those cannot pin the layout.) A scipy
-    release that moves the factor fails here."""
-    for seed, n in ((0, 4), (1, 4), (2, 4), (0, 6)):
-        rng = np.random.default_rng(seed)
-        M = rng.standard_normal((n, n))
-        A, b = 5.0 * (M @ M.T / n + np.eye(n)), rng.standard_normal(n)
-
-        def values(x, d):
-            d[0] = 100.0 - x @ x
-            return 0.5 * x @ A @ x - b @ x
-
-        def gradients(x, g, C):
-            g[:] = A @ x - b
-            C[0] = -2.0 * x
-
-        opt = ocp.minimize(values, gradients, np.zeros(n), 1, 200, 1e-14)
-        assert opt.success and opt.x @ opt.x < 1.0  # the ball is inactive
-        B = ocp._bfgs_metric(opt.buffer, n)
-        assert B is not None and np.abs(B - A).max() <= 1e-10 * np.abs(A).max(), (
-            f"seed {seed}: SLSQP's BFGS factor is not where _bfgs_metric reads it; "
-            "has scipy.optimize._slsqplib changed its work array?")
-
-
-def test_relaxed_solves_carry_their_metric():
-    """A relaxed solve returns the metric SLSQP ended with, in the inputs:
-    symmetric and positive definite. Shifted one stage, with an identity
-    block appended and METRIC_DAMPING on the diagonal, it starts the next
-    relaxed solve from the shifted plan, which reports `carried_metric` and
-    stays feasible; a terminal-enforced solve returns no metric and takes
-    none."""
-    cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
-    first = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=False)
-    assert not first.solve_stats["carried_metric"]
-    metric = first.metric
-    assert metric.shape == (first.inputs.size,) * 2
-    np.testing.assert_allclose(metric, metric.T, rtol=1e-12, atol=1e-12)
-    assert np.linalg.eigvalsh(metric).min() > 0.0
-    shifted = ocp.shift_metric(metric, ed.model.input_dim)
-    damping = ocp.METRIC_DAMPING * np.eye(len(metric))
-    np.testing.assert_array_equal(shifted[:-2, :-2], metric[2:, 2:] + damping[2:, 2:])
-    np.testing.assert_array_equal(shifted[-2:], np.eye(len(metric))[-2:] + damping[-2:])
-    e1 = first.dense_errors[cfg.substeps]
-    plan = np.concatenate([first.inputs[1:], np.zeros((1, 2))])
-    second = solve_fhocp(ed, e1, margin_fn, cfg, warm_start=plan, use_terminal=False,
-                         metric=shifted)
-    assert second.solve_stats["carried_metric"] and second.status != "infeasible"
-    assert np.linalg.eigvalsh(second.metric).min() > 0.0
-    terminal = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
-    assert terminal.metric is None
-    with pytest.raises(ValueError, match="relaxed solves only"):
-        solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True, metric=shifted)
