@@ -1,12 +1,10 @@
-"""Agent motion models, error-coordinate dynamics and fixed-step integration.
+"""The unicycle agent model, its error coordinates and fixed-step integration.
 
-An :class:`AgentModel` is its dynamics: a vector field vectorized over a
-leading batch dimension, and where the position and angles sit in the state.
-Scenarios load one model, the planar unicycle :data:`UNICYCLE`, and
-:func:`integrate`, which applies an agent's held input to its true, disturbed
-dynamics, steps that model only. A ZOH rollout can return its Jacobian with respect to the
-inputs: in closed form for the unicycle, and for any other field by central
-differences over one batched integration.
+Scenarios load one model, the planar unicycle :data:`UNICYCLE`, and both
+integrators step it only, by RK4 with all substeps formed at once:
+:func:`integrate` applies an agent's held input to its true, disturbed
+dynamics, and :func:`rollout_zoh` rolls out the nominal error dynamics under
+zero-order-hold inputs, with their exact input Jacobian.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ __all__ = [
     "ErrorDynamics",
     "DisturbanceSignal",
     "wrap_angle",
-    "unicycle_field",
     "UNICYCLE",
     "integrate",
     "rollout_zoh",
@@ -38,43 +35,29 @@ def wrap_angle(a):
 
 @dataclass(frozen=True)
 class AgentModel:
-    """Dynamics descriptor for one agent.
+    """Layout of one agent's state and input.
 
     Attributes:
         state_dim, input_dim: dimensions of state z and input u.
-        vector_field: f(z, u) -> dz/dt, vectorized over leading batch dims.
         position_slice: slice of the state holding the workspace position.
         angle_indices: state indices that live on the circle.
     """
 
     state_dim: int
     input_dim: int
-    vector_field: Callable[[np.ndarray, np.ndarray], np.ndarray]
     position_slice: slice
     angle_indices: tuple = ()
 
 
-# --- unicycle -----------------------------------------------------------
-
-def unicycle_field(state, control):
-    """Planar unicycle: (dx, dy, dtheta) = (v cos(theta), v sin(theta), omega)."""
-    state = np.asarray(state, dtype=float)
-    control = np.asarray(control, dtype=float)
-    theta = state[..., 2]
-    v = control[..., 0]
-    omega = control[..., 1]
-    return np.stack([v * np.cos(theta), v * np.sin(theta), omega], axis=-1)
-
-
-UNICYCLE = AgentModel(state_dim=3, input_dim=2, vector_field=unicycle_field,
-                      position_slice=slice(0, 2), angle_indices=(2,))
+# the planar unicycle, (x, y, theta) under (v, omega)
+UNICYCLE = AgentModel(state_dim=3, input_dim=2, position_slice=slice(0, 2), angle_indices=(2,))
 
 
 # --- error dynamics -----------------------------------------------------
 
 @dataclass(frozen=True)
 class ErrorDynamics:
-    """Error-coordinate dynamics g(e, u) = f(e + z_des, u) for a fixed reference.
+    """Error coordinates e = z - z_des about a fixed reference.
 
     The reference carries zero desired velocity; circular state components of
     the error are computed with the shortest signed difference.
@@ -88,9 +71,6 @@ class ErrorDynamics:
         if z_des.shape != (self.model.state_dim,):
             raise ValueError(f"reference shape {z_des.shape} does not match state dim")
         object.__setattr__(self, "z_des", z_des)
-
-    def field(self, e, u):
-        return self.model.vector_field(np.asarray(e) + self.z_des, u)
 
     def error_of(self, z):
         e = np.asarray(z, dtype=float) - self.z_des
@@ -143,15 +123,6 @@ class DisturbanceSignal:
 
 # --- integration --------------------------------------------------------
 
-def _rk4_step(deriv, t, z, dt, k1=None):
-    if k1 is None:
-        k1 = deriv(t, z)
-    k2 = deriv(t + 0.5 * dt, z + 0.5 * dt * k1)
-    k3 = deriv(t + 0.5 * dt, z + 0.5 * dt * k2)
-    k4 = deriv(t + dt, z + dt * k3)
-    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def integrate(model, z0, u, disturbance, t0, t1, step, w_norms=None):
     """Fixed-step RK4 integration of the unicycle, dz/dt = f(z, u) [+ w(t)]
     under the held input `u`, by :func:`_unicycle_integrate`.
@@ -167,7 +138,7 @@ def integrate(model, z0, u, disturbance, t0, t1, step, w_norms=None):
         ValueError: if `model` is not the unicycle, if t1 < t0 or if step
             does not divide the interval.
     """
-    if model.vector_field is not unicycle_field or model.angle_indices != (2,):
+    if model is not UNICYCLE:
         raise ValueError("integrate steps the unicycle only; scenarios load no other model")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -202,12 +173,12 @@ def _unicycle_integrate(z0, u, disturbance, times, dt, w_norms=None):
     :func:`wrap_angle` wraps it, runs on Python floats; then one cos and one
     sin give v (cos, sin) at all stage headings, and a cumulative sum chains
     the position increments. Every element takes the float operations of
-    :func:`_rk4_step` over :func:`unicycle_field`, in the same order, with
+    one generic RK4 step over the unicycle field, in the same order, with
     numpy's cos and sin, and ``cumsum`` adds sequentially; without a
     disturbance no zero is added. The states are therefore bit-identical to
-    a generic :func:`_rk4_step` loop over the field that wraps the heading
-    after each step, with the same disturbance `samples` and `clipped`
-    counts; tests/test_dynamics.py keeps that loop as the oracle.
+    the generic RK4 substep loop over the field that wraps the heading after
+    each step, with the same disturbance `samples` and `clipped` counts;
+    tests/test_dynamics.py keeps that loop as the oracle.
     """
     v, omega = np.asarray(u, dtype=float).tolist()
     x, y, heading = np.asarray(z0, dtype=float).tolist()
@@ -262,89 +233,9 @@ def _unicycle_integrate(z0, u, disturbance, times, dt, w_norms=None):
 
 def _rk4_sum(k):
     """((k1 + 2 k2) + 2 k3) + k4 of the stages k1..k4 on the leading axis,
-    the sum :func:`_rk4_step` forms."""
+    the sum a generic RK4 step forms."""
     two = 2.0 * k[1:3]
     return ((k[0] + two[0]) + two[1]) + k[3]
-
-
-def rollout_zoh(field, e0, u_seq, stage_time, substeps, jacobian_eps=None):
-    """Batched nominal rollout under zero-order-hold inputs.
-
-    Args:
-        field: batched vector field g(e, u).
-        e0: initial states, shape (..., n).
-        u_seq: stage inputs, shape (..., N, m).
-        stage_time: duration of each stage.
-        substeps: RK4 substeps per stage.
-        jacobian_eps: if given, also return the sensitivity of the trajectory
-            to the inputs. Needs an unbatched rollout: e0 (n,), u_seq (N, m).
-
-    Returns:
-        states at all substep boundaries, shape (..., N * substeps + 1, n);
-        with `jacobian_eps`, the pair (states, J) where
-        J = d states / d u_seq.ravel() has shape (N * substeps + 1, n, N * m).
-
-    The unicycle field, in absolute or error coordinates, takes a fast path
-    (:func:`_unicycle_rollout_zoh`) whose trajectory is bit-identical to the
-    generic substep loop and whose J is exact. For any other field J is a
-    central difference with step `jacobian_eps`, taken over one batched run
-    of the generic loop.
-    """
-    e0 = np.asarray(e0, dtype=float)
-    u_seq = np.asarray(u_seq, dtype=float)
-    want_jacobian = jacobian_eps is not None
-    if want_jacobian and (e0.ndim != 1 or u_seq.ndim != 2):
-        raise ValueError("the input Jacobian needs e0 of shape (n,) and u_seq of shape (N, m)")
-    is_unicycle, heading_offset = _unicycle_heading_offset(field)
-    if is_unicycle:
-        return _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset,
-                                     want_jacobian)
-    if not want_jacobian:
-        return _rk4_rollout_zoh(field, e0, u_seq, stage_time, substeps)
-    # rows: the nominal sequence, then +eps and -eps on each input component
-    nx = u_seq.size
-    steps = jacobian_eps * np.eye(nx).reshape(nx, *u_seq.shape)
-    batch = np.concatenate([u_seq[None], u_seq + steps, u_seq - steps])
-    out = _rk4_rollout_zoh(field, np.broadcast_to(e0, (2 * nx + 1,) + e0.shape), batch,
-                           stage_time, substeps)
-    jac = (out[1:1 + nx] - out[1 + nx:]) / (2.0 * jacobian_eps)
-    return out[0], np.moveaxis(jac, 0, -1)
-
-
-def _rk4_rollout_zoh(field, e0, u_seq, stage_time, substeps):
-    """:func:`rollout_zoh` by the generic RK4 substep loop, for any field."""
-    n_stage = u_seq.shape[-2]
-    dt = stage_time / substeps
-    out = np.empty(e0.shape[:-1] + (n_stage * substeps + 1, e0.shape[-1]))
-    e = e0
-    out[..., 0, :] = e
-    idx = 1
-    for k in range(n_stage):
-        def held(t, e, u=u_seq[..., k, :]):
-            return field(e, u)
-
-        for _ in range(substeps):
-            e = _rk4_step(held, 0.0, e, dt)
-            out[..., idx, :] = e
-            idx += 1
-    return out
-
-
-def _unicycle_heading_offset(field):
-    """(True, offset) if `field` is the unicycle field, else (False, None).
-
-    The offset is the reference heading when `field` is the error-coordinate
-    field of an :class:`ErrorDynamics` over the unicycle, None when `field` is
-    :func:`unicycle_field` itself.
-    """
-    if field is unicycle_field:
-        return True, None
-    owner = getattr(field, "__self__", None)
-    if (isinstance(owner, ErrorDynamics)
-            and getattr(field, "__func__", None) is ErrorDynamics.field
-            and owner.model.vector_field is unicycle_field):
-        return True, owner.z_des[2]
-    return False, None
 
 
 # Rows: cos, then sin, of (heading, heading + dt/2 * omega, heading + dt *
@@ -377,9 +268,14 @@ def _stage_layout(n_stage, substeps, dt):
     return own, spent, heading
 
 
-def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset,
-                          want_jacobian=False):
-    """:func:`rollout_zoh` of the unicycle with all substeps formed at once.
+def rollout_zoh(errordyn, e0, u_seq, stage_time, substeps):
+    """Nominal rollout of the unicycle's error dynamics about
+    `errordyn.z_des` from the error e0 (3,) under the zero-order-hold inputs
+    u_seq (N, 2), each held for `stage_time` in `substeps` RK4 substeps.
+
+    Returns (states, J): the errors at all substep boundaries, shape
+    (N * substeps + 1, 3), and J = d states / d u_seq.ravel(), shape
+    (N * substeps + 1, 3, 2 N).
 
     The unicycle field depends on the state only through the heading, whose
     rate is the held input omega. Each RK4 substep therefore needs only the
@@ -393,10 +289,10 @@ def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset,
     increment and the two turns) are formed once per stage and held over its
     substeps, and one product gives v (cos, sin) at the three headings;
     tests/test_dynamics.py checks the result bit for bit against the
-    substep-by-substep form.
+    substep-by-substep form and against the generic loop.
 
-    The input Jacobian (unbatched only) differentiates the same closed form.
-    Substep j of stage k(j) moves the position by
+    J differentiates the same closed form exactly. Substep j of stage k(j)
+    moves the position by
     (dx, dy) = dt/6 * v * sum_r c_r (cos, sin)(heading_j + a_r * dt * omega)
     with (c_r) = (1, 4, 1) and (a_r) = (0, 1/2, 1), and the heading by
     dt * omega. Its increment depends on v and omega of stage k(j) directly,
@@ -406,27 +302,25 @@ def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset,
     """
     dt = stage_time / substeps
     sixth = dt / 6.0
-    omega = u_seq[..., 1]
+    omega = u_seq[:, 1]
     # per stage: v, the heading increment and the half- and full-step turns
     held = np.empty((4,) + omega.shape)
-    held[0] = u_seq[..., 0]
+    held[0] = u_seq[:, 0]
     held[1] = sixth * (((omega + 2.0 * omega) + 2.0 * omega) + omega)
     held[2] = (0.5 * dt) * omega
     held[3] = dt * omega
     held = held.repeat(substeps, axis=-1)
     v = held[0]
     n_sub = v.shape[-1]
-    batch = () if want_jacobian else np.broadcast_shapes(e0.shape[:-1], u_seq.shape[:-2])
-    steps = np.empty(batch + (n_sub + 1, 3))
-    steps[..., 0, :] = e0
-    steps[..., 1:, 2] = held[1]
-    heading = steps[..., 2].cumsum(axis=-1)[..., :-1]
+    steps = np.empty((n_sub + 1, 3))
+    steps[0] = e0
+    steps[1:, 2] = held[1]
+    heading = steps[:, 2].cumsum()[:-1]
     # the headings k1, k2 (= k3's) and k4 see
     theta = np.empty((3,) + heading.shape)
     theta[0] = heading
     np.add(heading, held[2:], out=theta[1:])
-    if heading_offset is not None:
-        theta += heading_offset
+    theta += errordyn.z_des[2]
     trig = np.empty((2,) + theta.shape)
     np.cos(theta, out=trig[0])
     np.sin(theta, out=trig[1])
@@ -434,11 +328,9 @@ def _unicycle_rollout_zoh(e0, u_seq, stage_time, substeps, heading_offset,
     vtrig = v * trig
     two_mid = 2.0 * vtrig[:, 1]
     increments = sixth * (((vtrig[:, 0] + two_mid) + two_mid) + vtrig[:, 2])
-    steps[..., 1:, 0] = increments[0]
-    steps[..., 1:, 1] = increments[1]
-    traj = steps.cumsum(axis=-2)
-    if not want_jacobian:
-        return traj
+    steps[1:, 0] = increments[0]
+    steps[1:, 1] = increments[1]
+    traj = steps.cumsum(axis=0)
     own, spent, heading_jac = _stage_layout(u_seq.shape[0], substeps, dt)
     # per substep, d increment / d (v, omega) of its own stage:
     # [[dx/dv, dx/domega], [dy/dv, dy/domega]]

@@ -6,10 +6,10 @@ out with the shared fixed-step RK4, and the tightened stage constraints are
 enforced on the full substep grid (the same grid the verifier checks).
 
 Each decision point costs one rollout and one margin evaluation. The
-rollout returns its Jacobian with respect to the inputs (exact for the
-unicycle, central differences for other fields), and `margin_fn(errors)`
-returns the margins with their Jacobian with respect to the error (exact for
-the distance margins of :class:`~dnmpc.constraints.StageGeometry`). The cost,
+unicycle's rollout returns its exact Jacobian with respect to the inputs, and
+`margin_fn(errors)` returns the margins with their Jacobian with respect to
+the error (exact for the distance margins of
+:class:`~dnmpc.constraints.StageGeometry`). The cost,
 terminal-value and margin gradients follow by the chain rule, formed from
 that iterate's rollout when the solver first asks for them. The decision
 dimension, N * input_dim, is tiny, and every solve runs on one OpenBLAS
@@ -223,10 +223,6 @@ def single_blas_thread():
             set_threads(count)
 
 
-# central-difference step of the rollout's input Jacobian, for vector fields
-# without a closed form (the unicycle's is exact)
-FD_EPS = 1e-6
-
 SUBOPTIMAL_STOP_DELTA = 1e-4
 """Relative cost change between SLSQP major iterates at or below which a
 feasible terminal-enforced plan is accepted when the solve's start is not
@@ -238,6 +234,10 @@ wall time down by 16%, and 1e-6 to 597 iterations and 5%. Since only
 infeasible starts wait for it, settle takes 253 iterations. At 1e-4 the
 bundled runs' verdicts and the robustness sweep's outcomes are those of
 SLSQP's own test; larger values were not tried."""
+
+# SLSQP's own accuracy (scipy's `ftol`) in a terminal-enforced solve; the
+# restoration runs to 1e-12
+SLSQP_FTOL = 1e-10
 
 # status of a run that its callback halted with StopIteration (scipy's value)
 _CALLBACK_HALT = 99
@@ -258,7 +258,6 @@ class OcpConfig:
     substeps: int = 10
     constraint_tol: float = 1e-6
     max_iterations: int = 200
-    ftol: float = 1e-10
 
     def __post_init__(self):
         if not (0.0 < self.h < self.T_p):
@@ -363,8 +362,7 @@ class _Transcription:
     def _values(self, x):
         cfg = self.cfg
         U = x.reshape(self.N, self.m)
-        traj, jac = rollout_zoh(self.errordyn.field, self.e0, U, cfg.h, cfg.substeps,
-                                FD_EPS)
+        traj, jac = rollout_zoh(self.errordyn, self.e0, U, cfg.h, cfg.substeps)
         self.n_rollouts += 1
         stage_e = traj[self._stages]
         e_N = traj[-1]
@@ -830,7 +828,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
             # cost's residuals are small, and the suboptimal stop needs a
             # feasible shifted candidate under the terminal set
             scale = _gauss_newton_scaling(tr, x0)
-            opt = _slsqp(tr, x0, config.ftol, scale=scale,
+            opt = _slsqp(tr, x0, SLSQP_FTOL, scale=scale,
                          callback=_suboptimal_stop(tr, x0, scale))
             x_best, iterations, converged = opt.x, opt.nit, opt.success
             stopped = opt.status == _CALLBACK_HALT and not opt.success

@@ -1,0 +1,94 @@
+"""Reference dynamics that the tests check the program against.
+
+`unicycle_field` and `rk4_step` are the generic form of the unicycle's RK4:
+the program's integrators form all substeps at once and must match a loop of
+`rk4_step` over `unicycle_field` bit for bit. The double integrator is the
+linear model of the solver's Riccati oracles. The program rolls out the
+unicycle only, so `use_double_integrator` puts a rollout of it in place of
+`ocp.rollout_zoh`, the seam perfbench's traced mode patches too.
+"""
+
+import numpy as np
+
+from dnmpc import ocp
+from dnmpc.dynamics import AgentModel
+
+
+def unicycle_field(state, control):
+    """Planar unicycle: (dx, dy, dtheta) = (v cos(theta), v sin(theta),
+    omega), vectorized over leading batch dimensions."""
+    state = np.asarray(state, dtype=float)
+    control = np.asarray(control, dtype=float)
+    theta = state[..., 2]
+    v = control[..., 0]
+    omega = control[..., 1]
+    return np.stack([v * np.cos(theta), v * np.sin(theta), omega], axis=-1)
+
+
+def rk4_step(deriv, t, z, dt, k1=None):
+    """One classical RK4 step of dz/dt = deriv(t, z)."""
+    if k1 is None:
+        k1 = deriv(t, z)
+    k2 = deriv(t + 0.5 * dt, z + 0.5 * dt * k1)
+    k3 = deriv(t + 0.5 * dt, z + 0.5 * dt * k2)
+    k4 = deriv(t + dt, z + dt * k3)
+    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_rollout(field, e0, u_seq, stage_time, substeps):
+    """States of de/dt = field(e, u) at every substep boundary under the
+    zero-order-hold inputs u_seq (N, m), by `rk4_step` one substep at a time."""
+    dt = stage_time / substeps
+    out = np.empty((len(u_seq) * substeps + 1, len(e0)))
+    out[0] = e = e0
+    for k, u in enumerate(u_seq):
+        def held(t, e, u=u):
+            return field(e, u)
+
+        for j in range(substeps):
+            e = rk4_step(held, 0.0, e, dt)
+            out[k * substeps + j + 1] = e
+    return out
+
+
+def double_integrator_field(z, u):
+    """(dp, dv) = (v, u)."""
+    z = np.asarray(z, dtype=float)
+    u = np.asarray(u, dtype=float)
+    return np.stack([z[..., 1], u[..., 0]], axis=-1)
+
+
+DOUBLE_INTEGRATOR = AgentModel(state_dim=2, input_dim=1, position_slice=slice(0, 1))
+
+
+def double_integrator_rollout(errordyn, e0, u_seq, stage_time, substeps):
+    """`ocp.rollout_zoh` of the double integrator: the states by `rk4_step`,
+    which is exact on this field up to rounding, and their exact ZOH input
+    Jacobian. Under a held input u_k, p and v respond to u_k by (s^2 / 2, s)
+    after s seconds of stage k, and the end-of-stage response then carries
+    on as (h^2 / 2 + h s', h) for s' seconds after it."""
+    traj = rk4_rollout(lambda e, u: double_integrator_field(e + errordyn.z_des, u),
+                       e0, u_seq, stage_time, substeps)
+    n_stage = len(u_seq)
+    t = (stage_time / substeps) * np.arange(n_stage * substeps + 1)
+    jac = np.empty((len(t), 2, n_stage))
+    for k in range(n_stage):
+        s = np.clip(t - k * stage_time, 0.0, stage_time)
+        after = np.maximum(t - (k + 1) * stage_time, 0.0)
+        jac[:, 0, k] = 0.5 * s * s + s * after
+        jac[:, 1, k] = s
+    return traj, jac
+
+
+def use_double_integrator(monkeypatch):
+    """Roll the double integrator out by `double_integrator_rollout` wherever
+    the solver calls `ocp.rollout_zoh`; every other model still gets the real
+    rollout."""
+    real = ocp.rollout_zoh
+
+    def rollout(errordyn, *args):
+        if errordyn.model is DOUBLE_INTEGRATOR:
+            return double_integrator_rollout(errordyn, *args)
+        return real(errordyn, *args)
+
+    monkeypatch.setattr(ocp, "rollout_zoh", rollout)

@@ -9,7 +9,7 @@ import yaml
 from dnmpc import certify, cli, coordination
 from dnmpc.cli import ScenarioError, cmd_certify, load_scenario, main
 from dnmpc.coordination import AgentTrace, TrajectoryLog
-from dnmpc.dynamics import unicycle_field
+from oracles import unicycle_field
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 

@@ -484,21 +484,43 @@ def test_engine_calls_the_benchmark_hooks(monkeypatch):
     `coordination.solve_fhocp`, `ocp.minimize`, `ocp.rollout_zoh`,
     `constraints.StageGeometry.margins` and `coordination.tube_profile_radii`.
     A refactor that binds one of these names elsewhere would zero a benchmark
-    span without an error; this fails instead."""
+    span without an error; this fails instead. The rollout span counts the
+    rows of its second argument, so every rollout must get the initial error
+    of the solve or restoration it serves there, of shape (n,)."""
     calls = {}
+    solving = []      # the initial error of the solve in progress
 
-    def counted(owner, name):
+    def counted(owner, name, check=None):
         fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
+            if check is not None:
+                check(args)
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
+    def solve(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(errordyn, e0, *args, **kwargs):
+            solving.append(np.array(e0, dtype=float))
+            try:
+                return fn(errordyn, e0, *args, **kwargs)
+            finally:
+                solving.pop()
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def rollout_args(args):
+        assert len(solving) == 1
+        assert args[1].shape == (3,) and np.array_equal(args[1], solving[0])
+
+    solve(coordination, "solve_fhocp")
+    solve(coordination, "restore_feasibility")
     counted(coordination, "integrate")
     counted(coordination, "solve_fhocp")
     counted(ocp, "minimize")
-    counted(ocp, "rollout_zoh")
+    counted(ocp, "rollout_zoh", rollout_args)
     counted(StageGeometry, "margins")
     counted(coordination, "tube_profile_radii")
     # agents on their way (relaxed solves) and agents at rest (terminal-

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from dnmpc.cli import load_scenario
-from dnmpc.dynamics import (UNICYCLE, AgentModel, DisturbanceSignal, ErrorDynamics,
-                            _rk4_step, integrate, rollout_zoh, unicycle_field, wrap_angle)
+from dnmpc.dynamics import (UNICYCLE, AgentModel, DisturbanceSignal, ErrorDynamics, integrate,
+                            rollout_zoh, wrap_angle)
+from oracles import DOUBLE_INTEGRATOR, rk4_rollout, rk4_step, unicycle_field
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
@@ -42,7 +43,7 @@ def test_unicycle_field_batched():
 
 
 def _rk4_integrate(z0, u, disturbance, t0, t1, step, w_norms=None):
-    """Oracle of :func:`integrate`: the generic substep loop, :func:`_rk4_step`
+    """Oracle of :func:`integrate`: the generic substep loop, `rk4_step`
     over the unicycle field as an array function under the held input `u`,
     with the heading wrapped after each full step, and each disturbance
     sample drawn alone at its stage's time. With a disturbance and a list
@@ -76,7 +77,7 @@ def _rk4_integrate(z0, u, disturbance, t0, t1, step, w_norms=None):
     states[0] = z
     for k in range(n_steps):
         k1 = deriv(times[k], z, first)
-        z = wrap_heading(_rk4_step(deriv, times[k], z, step, k1))
+        z = wrap_heading(rk4_step(deriv, times[k], z, step, k1))
         states[k + 1] = z
     if disturbance is not None and w_norms is not None:
         w_norms.extend(first[1:] + [sample(times[-1])[1]])
@@ -116,10 +117,10 @@ def test_integrate_step_must_divide():
 
 
 def test_integrate_rejects_other_models():
-    # a lambda around the unicycle field is another model to integrate
-    wrapped = AgentModel(3, 2, lambda z, u: unicycle_field(z, u), slice(0, 2), (2,))
-    headless = AgentModel(3, 2, unicycle_field, slice(0, 2))
-    for model in (wrapped, headless):
+    # an equal copy of the unicycle is another model to integrate
+    copy = AgentModel(3, 2, slice(0, 2), (2,))
+    headless = AgentModel(3, 2, slice(0, 2))
+    for model in (copy, headless, DOUBLE_INTEGRATOR):
         with pytest.raises(ValueError, match="unicycle only"):
             integrate(model, [0, 0, 0], np.zeros(2), None, 0.0, 0.1, 0.01)
 
@@ -155,8 +156,10 @@ def test_disturbance_bound_must_be_positive_and_finite(bound):
 
 
 def test_rollout_zoh_matches_integrate():
+    # about a reference at the origin the error is the state
     u_seq = np.array([[1.5, 0.2], [0.5, -0.8]])
-    traj = rollout_zoh(UNICYCLE.vector_field, np.array([0.0, 1.0, 0.2]), u_seq, 0.1, 10)
+    ed = ErrorDynamics(UNICYCLE, np.zeros(3))
+    traj, _ = rollout_zoh(ed, np.array([0.0, 1.0, 0.2]), u_seq, 0.1, 10)
     assert traj.shape == (21, 3)
     assert np.allclose(traj[-1], _reference_zoh([0.0, 1.0, 0.2], u_seq, 0.1), atol=1e-8)
     # and against the shared integrator, one constant-input segment per call
@@ -168,29 +171,20 @@ def test_rollout_zoh_matches_integrate():
     assert np.allclose(traj[-1], z, atol=1e-10)
 
 
-def test_rollout_zoh_batched_consistency():
-    u_seq = np.array([[1.5, 0.2], [0.5, -0.8]])
-    e0 = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]])
-    batch = rollout_zoh(unicycle_field, e0, np.broadcast_to(u_seq, (2, 2, 2)), 0.1, 5)
-    single = rollout_zoh(unicycle_field, e0[1], u_seq, 0.1, 5)
-    assert np.allclose(batch[1], single, atol=1e-14)
-
-
 def test_unicycle_rollout_fast_path_is_bit_identical():
-    # a lambda around the field is not recognized and takes the generic loop
+    """rollout_zoh's trajectory is the generic loop's, `rk4_step` one substep
+    at a time over the error field g(e, u) = f(e + z_des, u), bit for bit."""
     rng = np.random.default_rng(5)
-    ed = ErrorDynamics(UNICYCLE, np.array([6.0, 2.3, 0.4]))
-    e0 = np.broadcast_to(rng.normal(size=3), (7, 3))
-    u_seq = rng.uniform(-8.0, 8.0, (7, 6, 2))
-    fast = rollout_zoh(ed.field, e0, u_seq, 0.1, 10)
-    loop = rollout_zoh(lambda e, u: ed.field(e, u), e0, u_seq, 0.1, 10)
-    assert fast.shape == loop.shape == (7, 61, 3)
-    assert np.array_equal(fast, loop)
-    z0 = rng.normal(size=3)
-    fast = rollout_zoh(unicycle_field, z0, u_seq[0], 0.13, 4)
-    loop = rollout_zoh(lambda z, u: unicycle_field(z, u), z0, u_seq[0], 0.13, 4)
-    assert fast.shape == loop.shape == (25, 3)
-    assert np.array_equal(fast, loop)
+    for z_des, stage_time, substeps in (([6.0, 2.3, 0.4], 0.1, 10), ([0.0, 0.0, 0.0], 0.13, 4)):
+        ed = ErrorDynamics(UNICYCLE, np.array(z_des))
+        for _ in range(7):
+            e0 = rng.normal(size=3)
+            u_seq = rng.uniform(-8.0, 8.0, (6, 2))
+            fast, _ = rollout_zoh(ed, e0, u_seq, stage_time, substeps)
+            loop = rk4_rollout(lambda e, u: unicycle_field(e + ed.z_des, u), e0, u_seq,
+                               stage_time, substeps)
+            assert fast.shape == loop.shape == (6 * substeps + 1, 3)
+            assert np.array_equal(fast, loop)
 
 
 # The unicycle kernel in its substep-by-substep form, as it stood before the
@@ -218,8 +212,7 @@ def _unicycle_rollout_oracle(e0, u_seq, stage_time, substeps, heading_offset):
     steps[1:, 2] = (dt / 6.0) * (((omega + 2.0 * omega) + 2.0 * omega) + omega)
     heading = np.cumsum(steps[..., 2], axis=-1)[..., :-1]
     theta = np.stack([heading, heading + (0.5 * dt) * omega, heading + dt * omega])
-    if heading_offset is not None:
-        theta = theta + heading_offset
+    theta = theta + heading_offset
     cos, sin = np.cos(theta), np.sin(theta)
     vx = v * cos
     vy = v * sin
@@ -246,11 +239,11 @@ def _unicycle_rollout_oracle(e0, u_seq, stage_time, substeps, heading_offset):
 
 def test_unicycle_rollout_matches_its_substep_oracle_bitwise():
     """The fast path's trajectory and Jacobian are the oracle's floats, signed
-    zeros included (compared as bytes): seeded inputs with and without a
-    heading offset, zero inputs and inputs on the ball u_bar = 8 sqrt(2)."""
+    zeros included (compared as bytes): seeded inputs about references with
+    and without a heading, zero inputs and inputs on the ball
+    u_bar = 8 sqrt(2)."""
     rng = np.random.default_rng(23)
     u_bar = 8.0 * math.sqrt(2.0)
-    ed = ErrorDynamics(UNICYCLE, np.array([6.0, 2.3, 0.4]))
     cases = []
     for _ in range(10):
         e0 = rng.normal(size=3)
@@ -258,17 +251,16 @@ def test_unicycle_rollout_matches_its_substep_oracle_bitwise():
         on_ball = u_seq * (u_bar / np.linalg.norm(u_seq, axis=1, keepdims=True))
         cases += [(e0, u_seq), (e0, on_ball)]
     cases += [(np.zeros(3), np.zeros((6, 2))), (rng.normal(size=3), np.zeros((6, 2)))]
-    for field, offset in ((ed.field, ed.z_des[2]), (unicycle_field, None)):
+    for z_des in ([6.0, 2.3, 0.4], [1.0, -2.0, 0.0]):
+        ed = ErrorDynamics(UNICYCLE, np.array(z_des))
         for stage_time, substeps in ((0.1, 10), (0.13, 4)):
             for e0, u_seq in cases:
-                traj, jac = rollout_zoh(field, e0, u_seq, stage_time, substeps, 1e-6)
+                traj, jac = rollout_zoh(ed, e0, u_seq, stage_time, substeps)
                 want_traj, want_jac = _unicycle_rollout_oracle(e0, u_seq, stage_time,
-                                                               substeps, offset)
+                                                               substeps, ed.z_des[2])
                 assert traj.shape == want_traj.shape and jac.shape == want_jac.shape
                 assert traj.tobytes() == want_traj.tobytes()
                 assert jac.tobytes() == want_jac.tobytes()
-                plain = rollout_zoh(field, e0, u_seq, stage_time, substeps)
-                assert plain.tobytes() == want_traj.tobytes()
 
 
 def _varying(times):
@@ -344,7 +336,7 @@ def test_bundled_disturbance_matches_a_per_sample_oracle_bitwise():
 
 
 def test_unicycle_integrate_fast_path_is_bit_identical():
-    # the generic _rk4_step loop is the oracle of the batched path
+    # the generic rk4_step loop is the oracle of the batched path
     generators = {
         "none": None,
         "in bound": lambda times: 0.05 * np.sin(3 * times)[:, None] * np.ones(3),
@@ -378,53 +370,28 @@ def test_unicycle_integrate_fast_path_is_bit_identical():
     assert np.all(np.abs(crossing[:, 2]) <= np.pi) and crossing[-1, 2] < 0.0
 
 
-def _central_jacobian(field, e0, u_seq, stage_time, substeps, eps=1e-6):
+def _central_jacobian(ed, e0, u_seq, stage_time, substeps, eps=1e-6):
     """d rollout / d u_seq.ravel() by central differences, one input at a time."""
     cols = []
     for c in range(u_seq.size):
         step = np.zeros(u_seq.size)
         step[c] = eps
         step = step.reshape(u_seq.shape)
-        cols.append((rollout_zoh(field, e0, u_seq + step, stage_time, substeps)
-                     - rollout_zoh(field, e0, u_seq - step, stage_time, substeps))
+        cols.append((rollout_zoh(ed, e0, u_seq + step, stage_time, substeps)[0]
+                     - rollout_zoh(ed, e0, u_seq - step, stage_time, substeps)[0])
                     / (2.0 * eps))
     return np.stack(cols, axis=-1)
 
 
 def test_unicycle_rollout_jacobian_matches_central_differences():
     rng = np.random.default_rng(11)
-    ed = ErrorDynamics(UNICYCLE, np.array([6.0, 2.3, 0.4]))
-    for field, substeps in ((ed.field, 10), (unicycle_field, 4)):
+    for z_des, substeps in (([6.0, 2.3, 0.4], 10), ([0.0, 0.0, 0.0], 4)):
+        ed = ErrorDynamics(UNICYCLE, np.array(z_des))
         e0 = rng.normal(size=3)
         u_seq = rng.uniform(-8.0, 8.0, (6, 2))
-        traj, jac = rollout_zoh(field, e0, u_seq, 0.1, substeps, 1e-6)
-        assert np.array_equal(traj, rollout_zoh(field, e0, u_seq, 0.1, substeps))
+        _, jac = rollout_zoh(ed, e0, u_seq, 0.1, substeps)
         assert jac.shape == (6 * substeps + 1, 3, 12)
-        assert np.abs(jac - _central_jacobian(field, e0, u_seq, 0.1, substeps)).max() < 1e-8
-    with pytest.raises(ValueError, match="Jacobian"):
-        rollout_zoh(unicycle_field, np.zeros((2, 3)), np.zeros((2, 6, 2)), 0.1, 10, 1e-6)
-
-
-def test_double_integrator_rollout_jacobian_is_exact_zoh_sensitivity():
-    """Under a held input u_k, p and v respond to u_k by (s^2 / 2, s) after s
-    seconds of stage k, and the end-of-stage response then carries on as
-    (h^2 / 2 + h s', h) for s' seconds after it."""
-
-    def field(z, u):
-        return np.stack([z[..., 1], u[..., 0]], axis=-1)
-
-    h, substeps, n_stage = 0.1, 10, 6
-    u_seq = np.array([[0.3], [-1.2], [2.0], [0.1], [-0.4], [0.9]])
-    traj, jac = rollout_zoh(field, np.array([0.5, -0.2]), u_seq, h, substeps, 1e-6)
-    assert np.array_equal(traj, rollout_zoh(field, np.array([0.5, -0.2]), u_seq, h, substeps))
-    t = (h / substeps) * np.arange(n_stage * substeps + 1)
-    exact = np.empty((len(t), 2, n_stage))
-    for k in range(n_stage):
-        s = np.clip(t - k * h, 0.0, h)
-        after = np.maximum(t - (k + 1) * h, 0.0)
-        exact[:, 0, k] = 0.5 * s * s + s * after
-        exact[:, 1, k] = s
-    assert np.abs(jac - exact).max() < 1e-8
+        assert np.abs(jac - _central_jacobian(ed, e0, u_seq, 0.1, substeps)).max() < 1e-8
 
 
 def test_error_dynamics_roundtrip_and_wrapping():
@@ -434,11 +401,4 @@ def test_error_dynamics_roundtrip_and_wrapping():
     assert abs(e[2]) <= np.pi  # shortest signed heading difference
     assert np.allclose(e[:2] + ed.z_des[:2], z[:2], atol=1e-12)
     assert np.sin(e[2] + ed.z_des[2]) == pytest.approx(np.sin(z[2]), abs=1e-12)
-
-
-def test_error_field_is_shifted_field():
-    ed = ErrorDynamics(UNICYCLE, np.array([1.0, -1.0, 0.5]))
-    e = np.array([0.2, 0.3, -0.1])
-    u = np.array([1.0, 0.4])
-    assert np.allclose(ed.field(e, u), unicycle_field(e + ed.z_des, u), atol=1e-15)
 

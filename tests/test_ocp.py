@@ -8,20 +8,20 @@ import scipy.optimize
 
 from dnmpc import ocp
 from dnmpc.cli import load_scenario
-from dnmpc.dynamics import UNICYCLE, AgentModel, ErrorDynamics
+from dnmpc.dynamics import UNICYCLE, ErrorDynamics
 from dnmpc.ocp import (OcpConfig, _openblas_thread_controls, _Transcription,
                        restore_feasibility, single_blas_thread, solve_fhocp,
                        unicycle_steering_law, warm_start_shift)
+from oracles import DOUBLE_INTEGRATOR, unicycle_field, use_double_integrator
 
 
-def double_integrator_model():
-    def field(z, u):
-        z = np.asarray(z, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return np.stack([z[..., 1], u[..., 0]], axis=-1)
-
-    return AgentModel(state_dim=2, input_dim=1, vector_field=field,
-                      position_slice=slice(0, 1))
+@pytest.fixture
+def double_integrator(monkeypatch):
+    """The double integrator's error dynamics about the origin, which the
+    real solver rolls out through the test stand-in for `ocp.rollout_zoh`
+    (the program rolls out the unicycle only)."""
+    use_double_integrator(monkeypatch)
+    return ErrorDynamics(DOUBLE_INTEGRATOR, np.zeros(2))
 
 
 def _config(u_bar=1e6, **kw):
@@ -83,9 +83,9 @@ def lqr_dp_reference(e0, cfg):
     return np.asarray(inputs)
 
 
-def test_solver_matches_riccati_oracle():
+def test_solver_matches_riccati_oracle(double_integrator):
     cfg = _config()
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    ed = double_integrator
     e0 = np.array([1.5, -0.7])
     sol = solve_fhocp(ed, e0, None, cfg, use_terminal=False)
     ref = lqr_dp_reference(e0, cfg)
@@ -93,19 +93,18 @@ def test_solver_matches_riccati_oracle():
     assert np.max(np.abs(sol.inputs - ref)) < 1e-4
 
 
-def test_relaxed_solve_takes_newtons_step_on_a_linear_quadratic_problem():
+def test_relaxed_solve_takes_newtons_step_on_a_linear_quadratic_problem(double_integrator):
     """With linear dynamics and no constraints the Gauss-Newton Hessian is the
     exact one, so the relaxed solver's first QP step lands on the LQ optimum
     (the dynamic-programming Riccati oracle) and its second iteration stops
     there."""
     cfg = _config()
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    ed = double_integrator
     for e0 in ([1.5, -0.7], [0.3, 0.2], [-2.0, 1.0]):
         e0 = np.array(e0)
         sol = solve_fhocp(ed, e0, None, cfg, use_terminal=False)
         assert sol.status == "optimal"
         assert sol.solve_stats["iterations"] == 2
-        # the double integrator's rollout Jacobian is by central differences
         np.testing.assert_allclose(sol.inputs, lqr_dp_reference(e0, cfg), rtol=0, atol=1e-6)
 
 
@@ -157,7 +156,7 @@ def test_working_set_qp_adds_a_binding_row_left_out_of_its_first_working_set():
     assert np.abs(lam * slack).max() <= 1e-10
 
 
-def test_relaxed_solve_finds_a_margin_its_first_working_set_leaves_out():
+def test_relaxed_solve_finds_a_margin_its_first_working_set_leaves_out(double_integrator):
     """The double integrator kept at position >= 0.8 from position 1: no
     margin is near active at the zero start, so the first working set is
     empty, and the unconstrained optimum crosses 0.8. The problem is a
@@ -165,7 +164,7 @@ def test_relaxed_solve_finds_a_margin_its_first_working_set_leaves_out():
     solution: the solve stops at its second iteration on the optimum of
     scipy's SLSQP run to a tight tolerance, with the margin binding."""
     cfg = _config()
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    ed = double_integrator
     e0 = np.array([1.0, 0.0])
     margin_fn = position_margin_fn(-0.8)
     tr = _Transcription(ed, e0, margin_fn, cfg, False)
@@ -194,13 +193,13 @@ def test_relaxed_plans_meet_the_input_ball_exactly():
         assert np.array_equal(again["traj"], sol.dense_errors)
 
 
-def test_terminal_solve_in_gauss_newton_scaling_matches_riccati_oracle():
+def test_terminal_solve_in_gauss_newton_scaling_matches_riccati_oracle(double_integrator):
     # the double integrator is linear, so the Gauss-Newton Hessian the
     # terminal tier scales by is the exact one: SLSQP's first step is Newton's.
     # The zero start is feasible and that step's plan costs less, so the
     # suboptimal stop ends the solve there, before SLSQP's own test
     cfg = _config(eps_omega=1e3, eps_psi=2e3)  # terminal set far from binding
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    ed = double_integrator
     for e0 in ([1.5, -0.7], [0.3, 0.2], [-2.0, 1.0]):
         e0 = np.array(e0)
         sol = solve_fhocp(ed, e0, None, cfg, use_terminal=True)
@@ -327,7 +326,7 @@ def test_stop_from_an_infeasible_start_waits_for_the_cost_to_settle(monkeypatch)
     assert sol.status == "feasible-suboptimal"
 
 
-def test_stop_where_slsqp_converges_too_reports_optimal(monkeypatch):
+def test_stop_where_slsqp_converges_too_reports_optimal(monkeypatch, double_integrator):
     """Terminal-enforced solves warm-started at their own optimum: at SLSQP's
     first iterate its own test passes and the stop fires as well (a feasible
     plan no costlier than the start). `ocp.minimize` keeps the core's exit
@@ -341,14 +340,13 @@ def test_stop_where_slsqp_converges_too_reports_optimal(monkeypatch):
     for cfg, ed, e0, margin_fn in (
             _unicycle_near_disc()[:4],
             (_config(eps_omega=1e3, eps_psi=2e3),
-             ErrorDynamics(double_integrator_model(), np.zeros(2)), np.array([1.5, -0.7]),
-             None)):
+             double_integrator, np.array([1.5, -0.7]), None)):
         plan = solve_fhocp(ed, e0, margin_fn, cfg, use_terminal=True).inputs
         for _ in range(5):
             # restarts from the stop's plan, until SLSQP's own test passes
-            monkeypatch.setattr(ocp, "minimize", recorded)
-            sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=plan, use_terminal=True)
-            monkeypatch.undo()
+            with monkeypatch.context() as patch:
+                patch.setattr(ocp, "minimize", recorded)
+                sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=plan, use_terminal=True)
             if results[-1].mode == 0:
                 break
             plan = sol.inputs
@@ -427,25 +425,25 @@ def test_slsqp_halts_on_callback_stop_iteration():
     assert ocp._CALLBACK_HALT == 99
 
 
-def test_input_bound_respected():
+def test_input_bound_respected(double_integrator):
     cfg = _config(u_bar=0.5)
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    ed = double_integrator
     sol = solve_fhocp(ed, np.array([5.0, 0.0]), None, cfg, use_terminal=False)
     assert np.all(np.linalg.norm(sol.inputs, axis=1) <= 0.5 + 1e-9)
 
 
-def test_terminal_constraint_enforced_near_origin():
+def test_terminal_constraint_enforced_near_origin(double_integrator):
     cfg = _config()
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    ed = double_integrator
     sol = solve_fhocp(ed, np.array([0.2, 0.0]), None, cfg, use_terminal=True)
     assert sol.status != "infeasible"
     v_term = float(sol.dense_errors[-1] @ cfg.P @ sol.dense_errors[-1])
     assert v_term <= cfg.eps_omega + cfg.constraint_tol
 
 
-def test_margin_constraints_enforced():
+def test_margin_constraints_enforced(double_integrator):
     cfg = _config(u_bar=5.0)
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    ed = double_integrator
     # keep the position coordinate above -0.1 along the horizon
     margin_fn = position_margin_fn(0.1)
     sol = solve_fhocp(ed, np.array([1.0, -1.0]), margin_fn, cfg, use_terminal=False)
@@ -453,9 +451,9 @@ def test_margin_constraints_enforced():
     assert sol.dense_errors[1:, 0].min() >= -0.1 - cfg.constraint_tol
 
 
-def test_infeasible_status_reported():
+def test_infeasible_status_reported(double_integrator):
     cfg = _config(u_bar=0.01)
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    ed = double_integrator
     # requires the position to move by 10 within the horizon
     impossible = position_margin_fn(-10.0)
     sol = solve_fhocp(ed, np.array([0.0, 0.0]), impossible, cfg, use_terminal=False)
@@ -463,9 +461,9 @@ def test_infeasible_status_reported():
     assert sol.solve_stats["residual"] > 1.0
 
 
-def test_solution_shapes_and_stats():
+def test_solution_shapes_and_stats(double_integrator):
     cfg = _config()
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    ed = double_integrator
     sol = solve_fhocp(ed, np.array([1.0, 0.0]), None, cfg, use_terminal=False)
     assert sol.inputs.shape == (6, 1)
     assert sol.dense_errors.shape == (61, 2)
@@ -561,13 +559,13 @@ def test_unicycle_steering_law_converges():
     for _ in range(2000):
         u = kappa(e)
         assert np.linalg.norm(u) <= 3.0 + 1e-12
-        e = e + dt * ed.field(e, u)
+        e = e + dt * unicycle_field(e + ed.z_des, u)
     assert np.linalg.norm(e[:2]) < 0.05
 
 
-def test_warm_start_shift_structure():
+def test_warm_start_shift_structure(double_integrator):
     cfg = _config()
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    ed = double_integrator
     sol = solve_fhocp(ed, np.array([1.0, 0.0]), None, cfg, use_terminal=False)
     shifted = warm_start_shift(sol, lambda e: np.array([0.3]), cfg)
     assert shifted.shape == sol.inputs.shape
@@ -575,9 +573,9 @@ def test_warm_start_shift_structure():
     assert shifted[-1, 0] == pytest.approx(0.3)
 
 
-def test_warm_start_shift_rejects_infeasible():
+def test_warm_start_shift_rejects_infeasible(double_integrator):
     cfg = _config()
-    ed = ErrorDynamics(double_integrator_model(), np.zeros(2))
+    ed = double_integrator
     sol = solve_fhocp(ed, np.array([1.0, 0.0]), None, cfg, use_terminal=False)
     sol.status = "infeasible"
     with pytest.raises(ValueError):
@@ -701,10 +699,11 @@ def _slsqp_form(form, cfg, ed, e0, margin_fn, start):
     u0 = ocp._project_inputs(start, cfg.u_bar).ravel()
     if form == "terminal":
         scale = ocp._gauss_newton_scaling(tr, u0)
-        return tr, u0, cfg.ftol, {"scale": scale, "callback": ocp._suboptimal_stop(tr, u0, scale)}
+        return tr, u0, ocp.SLSQP_FTOL, {"scale": scale,
+                                        "callback": ocp._suboptimal_stop(tr, u0, scale)}
     if form.startswith("restore"):
         return tr, np.append(u0, tr.eval(u0)["slack"]), 1e-12, {"slack": True}
-    return tr, u0, cfg.ftol, {}
+    return tr, u0, ocp.SLSQP_FTOL, {}
 
 
 def test_minimize_matches_scipy_slsqp_bitwise():
