@@ -16,11 +16,16 @@ every Python function call and every call of a builtin or compiled function
 
 Each event counts towards the innermost layer whose entry function is on the
 stack (see ``LAYERS``); calls outside every layer count towards ``engine``.
-The counts do not depend on the machine's speed or load, only on the code and
-on the installed Python, numpy and scipy, so two checkouts compare on a noisy
-machine where single timings cannot resolve a 10% change. Prints one table
-per window, with each layer's calls, share and calls per agent-step, and,
-last, one JSON object with every count.
+The rollout's input Jacobian and the margins' error Jacobian are formed by
+callables that the rollout and the margins return, so each callable is an
+entry of its own: ``jacobian`` for the rollout's, ``margins`` for the
+margins'. The window also counts the rollouts and the rollout Jacobians
+formed (entries of ``rollout_zoh`` and of its callable). The counts do not
+depend on the machine's speed or load, only on the code and on the installed
+Python, numpy and scipy, so two checkouts compare on a noisy machine where
+single timings cannot resolve a 10% change. Prints one table per window,
+with each layer's calls, share and calls per agent-step, and, last, one JSON
+object with every count.
 """
 
 from __future__ import annotations
@@ -46,11 +51,16 @@ SCENARIO = ROOT / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 # (name, first step, end step); the scenario's h is 0.1 s
 WINDOWS = (("corridor", 0, 34), ("rest", 100, 120))
 
+ROLLOUT = (dynamics, "rollout_zoh")
+JACOBIAN = (dynamics, "rollout_zoh.<locals>.jacobian")
+
 # (module, qualified name of the entry function) -> layer
 LAYERS = {
     (dynamics, "integrate"): "plant",
-    (dynamics, "rollout_zoh"): "rollout",
+    ROLLOUT: "rollout",
+    JACOBIAN: "jacobian",
     (coordination, "Simulation._margin_fn.<locals>.margin_fn"): "margins",
+    (coordination, "Simulation._margin_fn.<locals>.margin_fn.<locals>.jacobian"): "margins",
     (ocp, "_Transcription.eval"): "evaluation",
     (ocp, "minimize"): "minimize",
     (ocp, "_gauss_newton_sqp"): "minimize",
@@ -58,36 +68,39 @@ LAYERS = {
     (coordination, "Simulation._geometry"): "geometry",
     (coordination, "Simulation._solve_agent"): "ladder",
 }
-ORDER = ["plant", "rollout", "margins", "evaluation", "minimize", "scaling", "geometry",
+ORDER = ["plant", "rollout", "jacobian", "margins", "evaluation", "minimize", "scaling", "geometry",
          "ladder", "engine"]
 
 
 def code_of(module, qualname):
-    """The code object of the function `qualname` of `module`, a nested one
-    ("<owner>.<locals>.<name>") included."""
-    owner, _, nested = qualname.partition(".<locals>.")
+    """The code object of the function `qualname` of `module`, nested ones
+    ("<owner>.<locals>.<name>", at any depth) included."""
+    owner, *nested = qualname.split(".<locals>.")
     obj = module
     for part in owner.split("."):
         obj = getattr(obj, part)
     code = obj.__code__
-    if nested:
+    for name in nested:
         code = next(c for c in code.co_consts
-                    if isinstance(c, types.CodeType) and c.co_name == nested)
+                    if isinstance(c, types.CodeType) and c.co_name == name)
     return code
 
 
 class CallCounter:
-    """A ``sys.setprofile`` hook that counts call events by layer."""
+    """A ``sys.setprofile`` hook that counts call events by layer, and the
+    entries of each layer's entry function by its code object."""
 
     def __init__(self):
         self.layers = {code_of(module, name): layer for (module, name), layer in LAYERS.items()}
         self.counts = Counter()
+        self.entries = Counter()
         self._stack = [(None, "engine")]
 
     def __call__(self, frame, event, arg):
         if event == "call":
             layer = self.layers.get(frame.f_code)
             if layer is not None:
+                self.entries[frame.f_code] += 1
                 self._stack.append((frame, layer))
             self.counts[self._stack[-1][1]] += 1
         elif event == "c_call":
@@ -98,9 +111,11 @@ class CallCounter:
 
 def measure():
     """{window: {"t", "agent_solves", "feasible_witness_solves",
-    "solver_iterations", "calls": {layer: count}, "total"}} of one 12 s run of
-    the bundled scenario; the iterations are SLSQP's in terminal-enforced
-    solves and restorations and the Gauss-Newton SQP's in relaxed solves."""
+    "solver_iterations", "rollouts", "jacobians", "calls": {layer: count},
+    "total"}} of one 12 s run of the bundled scenario; the iterations are
+    SLSQP's in terminal-enforced solves and restorations and the Gauss-Newton
+    SQP's in relaxed solves, and "jacobians" counts the rollout Jacobians
+    formed."""
     sim = cli.load_scenario(SCENARIO).build_simulation(total_time=12.0)
     counters = {name: CallCounter() for name, _, _ in WINDOWS}
     step = sim.step
@@ -122,11 +137,14 @@ def measure():
     for name, first, end in WINDOWS:
         metas = [m for trace in log.traces for m in trace.step_meta
                  if first <= round(m["t"] / h) < end]
-        calls = {layer: counters[name].counts[layer] for layer in ORDER}
+        counter = counters[name]
+        calls = {layer: counter.counts[layer] for layer in ORDER}
         out[name] = {"t": [round(first * h, 9), round(end * h, 9)],
                      "agent_solves": len(metas),
                      "feasible_witness_solves": sum(m["feasible_witness"] for m in metas),
                      "solver_iterations": sum(m["iterations"] for m in metas),
+                     "rollouts": counter.entries[code_of(*ROLLOUT)],
+                     "jacobians": counter.entries[code_of(*JACOBIAN)],
                      "calls": calls, "total": sum(calls.values())}
     return out
 
@@ -139,7 +157,8 @@ def table(name, window):
     solves = window["agent_solves"]
     lines = [f"{name}: t in [{start:g}, {end:g}) s, {solves} agent-solves "
              f"({window['feasible_witness_solves']} from a feasible witness), "
-             f"{window['solver_iterations']} solver iterations",
+             f"{window['solver_iterations']} solver iterations, "
+             f"{window['rollouts']} rollouts, {window['jacobians']} Jacobians formed",
              f"  {'layer':<11}{'calls':>10}  {'share':>6}  {'per step':>8}"]
     for layer, count in list(window["calls"].items()) + [("total", window["total"])]:
         lines.append(f"  {layer:<11}{count:>10,}  {count / window['total']:6.1%}  "

@@ -1,0 +1,199 @@
+#!/usr/bin/env python3
+"""Bit-for-bit evidence of a change against a parent revision.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/parity.py <parent-rev>
+
+Extracts ``git archive <parent-rev>`` into a temporary directory and runs the
+same pieces there and in this checkout's working tree:
+
+- ``dnmpc run`` of the bundled scenario for its own 10 s and for 100 s, and
+  of a copy with ``w_bar: 0.0`` (no disturbance) for 10 s, each keeping its
+  ``trajectory.csv`` and ``report.txt``;
+- ``scripts/sweep.py``, on the change with ``--parent`` and the parent's
+  lines, so that it also prints the flipped runs and the paired gate, and
+  ``scripts/calls.py``;
+- ``perfbench/run.py --trace 1 --seed 1`` of each workload, as a subprocess.
+
+Prints one line per artifact: ``identical`` when the two sides' bytes are
+the same (as ``cmp`` finds them), otherwise the first differing line of each
+side. Of the sweep, the run lines and the completion count are compared. Of
+a traced benchmark run only the lines that do not depend on the machine are
+compared: the verdicts, the digests, the failed fraction, every metric
+counted in calls, rows, iterations or bytes, and ``correct``. Last, it prints
+one JSON object with the comparisons, the sweep's completion counts and
+paired gate, both sides' ``scripts/calls.py`` counts and the traced counts,
+the block a ``BENCH_<pr>.json`` records. The exit status is 0 when every
+artifact is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO = Path("src") / "dnmpc" / "scenarios" / "three_unicycles.yaml"
+# (name, total time or None for the file's, disturbance-free)
+RUNS = (("bundled-10s", None, False), ("bundled-100s", 100.0, False),
+        ("nominal-10s", None, True))
+WORKLOADS = ("corridor", "settle", "replay")
+# perfbench metrics in these units do not depend on the machine
+COUNT_UNITS = ("count", "bytes")
+
+
+def first_difference(a, b):
+    """None when the byte strings `a` and `b` are equal, else (line number,
+    line of a, line of b) of their first differing line, counted from 1, with
+    None for a side that has no such line."""
+    if a == b:
+        return None
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for k in range(max(len(lines_a), len(lines_b))):
+        line_a = lines_a[k] if k < len(lines_a) else None
+        line_b = lines_b[k] if k < len(lines_b) else None
+        if line_a != line_b:
+            return (k + 1, _text(line_a), _text(line_b))
+    # equal lines, different line ends
+    return (len(lines_a), _text(lines_a[-1]), _text(lines_b[-1]))
+
+
+def _text(line):
+    return None if line is None else line.decode(errors="replace")
+
+
+def traced_lines(output):
+    """The lines of a ``perfbench/run.py --trace 1`` output that do not depend
+    on the machine, as bytes: ``workload``, ``verify``, ``digest`` and
+    ``failed_frac`` lines, the metrics in `COUNT_UNITS`, and ``correct``
+    from the closing JSON object."""
+    keep = []
+    lines = output.decode().splitlines()
+    for line in lines:
+        head = line.split(":", 1)[0]
+        if head in ("workload", "verify", "digest", "failed_frac"):
+            keep.append(line)
+        elif " = " in line and not line.startswith("raw "):
+            if line.rsplit(" ", 1)[-1] in COUNT_UNITS:
+                keep.append(line)
+    if lines:
+        keep.append(f"correct: {json.loads(lines[-1])['correct']}")
+    return "\n".join(keep).encode() + b"\n"
+
+
+def traced_counts(kept):
+    """{"digest", "correct", metric: value} of :func:`traced_lines`' lines."""
+    out = {}
+    for line in kept.decode().splitlines():
+        if line.startswith("digest: "):
+            out["digest"] = line[len("digest: "):]
+        elif line.startswith("correct: "):
+            out["correct"] = line == "correct: True"
+        elif " = " in line and not line.startswith(("workload", "verify", "failed_frac")):
+            name, value = line.split(" = ", 1)
+            out[name] = json.loads(value.rsplit(" ", 1)[0])
+    return out
+
+
+def _run(side, args):
+    """(exit status, standard output) of ``python3 <args>`` in `side`, with
+    `side`'s own source first on the path."""
+    env = dict(os.environ, PYTHONPATH=str(side / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, *map(str, args)], cwd=side, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
+    return proc.returncode, proc.stdout
+
+
+def artifacts(side, work, parent_sweep=None):
+    """{artifact name: bytes} of every piece run in checkout `side`, its
+    outputs written under `work`; "sweep" holds the sweep's run lines and
+    completion count, "paired gate" the lines it prints after them when
+    given the file `parent_sweep`."""
+    out = {}
+    nominal = work / "nominal.yaml"
+    nominal.write_text((side / SCENARIO).read_text().replace("\nw_bar: 0.1", "\nw_bar: 0.0", 1))
+    for name, total, disturbance_free in RUNS:
+        run_dir = work / name
+        args = ["-m", "dnmpc.cli", "run", nominal if disturbance_free else SCENARIO,
+                "--out", run_dir]
+        if total is not None:
+            args += ["--total-time", total]
+        status, _ = _run(side, args)
+        out[f"{name} exit status"] = str(status).encode()
+        for file in ("trajectory.csv", "report.txt"):
+            out[f"{name} {file}"] = (run_dir / file).read_bytes()
+    args = ["scripts/sweep.py"] + ([] if parent_sweep is None else ["--parent", parent_sweep])
+    lines = _run(side, args)[1].splitlines(keepends=True)
+    end = next(k for k, line in enumerate(lines) if line.startswith(b"completed ")) + 1
+    out["sweep"], out["paired gate"] = b"".join(lines[:end]), b"".join(lines[end:])
+    out["calls"] = _run(side, ["scripts/calls.py"])[1]
+    for workload in WORKLOADS:
+        _, stdout = _run(side, ["perfbench/run.py", "--workload", workload, "--seed", 1,
+                                "--seconds", 1, "--trace", 1])
+        out[f"traced {workload}"] = traced_lines(stdout)
+    return out
+
+
+def record(parent_rev, parent, change):
+    """The JSON block of a ``BENCH_<pr>.json`` from both sides' artifacts."""
+    bit_for_bit = {}
+    for name in parent:
+        if name == "paired gate":
+            continue
+        diff = first_difference(parent[name], change[name])
+        bit_for_bit[name] = "identical" if diff is None else {
+            "line": diff[0], "parent": diff[1], "change": diff[2]}
+    return {
+        "parent": parent_rev,
+        "bit_for_bit": bit_for_bit,
+        "sweep": {side: arts["sweep"].decode().splitlines()[-1]
+                  for side, arts in (("parent", parent), ("change", change))},
+        "paired_gate": change["paired gate"].decode().splitlines(),
+        "calls": {side: json.loads(arts["calls"].decode().splitlines()[-1])
+                  for side, arts in (("parent", parent), ("change", change))},
+        "traced": {workload: {side: traced_counts(arts[f"traced {workload}"])
+                              for side, arts in (("parent", parent), ("change", change))}
+                   for workload in WORKLOADS},
+    }
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    parent_rev = argv[0]
+    archive = subprocess.run(["git", "archive", parent_rev], cwd=ROOT, check=True,
+                             stdout=subprocess.PIPE).stdout
+    with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
+        tmp = Path(tmp)
+        parent_root = tmp / "parent"
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent_root, filter="data")
+        sides, parent_sweep = {}, tmp / "parent-sweep.txt"
+        for side, root in (("parent", parent_root), ("change", ROOT)):
+            work = tmp / f"{side}-out"
+            work.mkdir()
+            sides[side] = artifacts(root, work, parent_sweep if side == "change" else None)
+            if side == "parent":
+                parent_sweep.write_bytes(sides[side]["sweep"])
+    result = record(parent_rev, sides["parent"], sides["change"])
+    for name, verdict in result["bit_for_bit"].items():
+        if verdict == "identical":
+            print(f"{name}: identical")
+        else:
+            print(f"{name}: differs at line {verdict['line']}: "
+                  f"parent {verdict['parent']!r} change {verdict['change']!r}")
+    print(json.dumps(result, indent=1, sort_keys=True))
+    return 0 if all(v == "identical" for v in result["bit_for_bit"].values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,7 @@ satisfied. Erosion of the constraint set by the disturbance tube is realized
 as scalar margin reduction by the tube radius, which is exact for these
 1-Lipschitz distance margins. Each margin's gradient in the position is the
 unit vector ±(p - anchor)/|p - anchor|, which :meth:`StageGeometry.margins`
-returns with the margins.
+forms when the callable it returns with the margins is called.
 
 :meth:`WorldModel.geometry` alone writes the four thresholds, net of a
 safety margin eps: the solver, the CSV margin columns, the verifier and the
@@ -138,8 +138,8 @@ class StageGeometry:
     def _evaluate(self, pos):
         """Raw margins of positions (..., T, d) with the offsets from and
         distances to each column's anchor: (..., T, C), (..., T, C, d) and
-        (..., T, C). Callers after a run read the margins here, without the
-        gradient :meth:`margins` forms."""
+        (..., T, C). Callers after a run read the margins here, outside the
+        solver's count of :meth:`margins` calls."""
         diff = pos[..., None, :] - self.anchors
         # the sum np.linalg.norm forms, so the distances are the same floats
         dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
@@ -147,22 +147,26 @@ class StageGeometry:
 
     def margins(self, pos):
         """Raw margins of positions (..., T, d), stacked by kind in
-        `MARGIN_KINDS` order, and their gradient d margins / d pos: shapes
-        (..., T, C) and (..., T, C, d).
+        `MARGIN_KINDS` order, shape (..., T, C), and a callable that forms
+        their gradient d margins / d pos, shape (..., T, C, d).
 
         The gradient of a column is sign * (pos - anchor) / distance, and zero
         where the position sits on its anchor (the mean of the one-sided
         slopes, as a central difference gives).
         """
         margins, diff, dist = self._evaluate(pos)
-        grad = diff * (self.sign / np.where(dist > 0.0, dist, np.inf))[..., None]
-        return margins, grad
+
+        def gradient():
+            return diff * (self.sign / np.where(dist > 0.0, dist, np.inf))[..., None]
+
+        return margins, gradient
 
     def tightened(self, pos, rho):
         """Margins eroded by the tube radius profile rho of shape (T,), and
-        their gradient, which erosion leaves as in :meth:`margins`."""
-        margins, grad = self.margins(pos)
-        return margins - np.asarray(rho)[..., :, None], grad
+        the callable of :meth:`margins` for their gradient, which erosion
+        leaves unchanged."""
+        margins, gradient = self.margins(pos)
+        return margins - np.asarray(rho)[..., :, None], gradient
 
     def pair_windows(self):
         """(sep, conn), each (P,): the separation and connectivity thresholds

@@ -374,17 +374,22 @@ class Simulation:
                                    self.world.margin)
 
     def _margin_fn(self, i, geometry, rho):
-        """Tightened margins of agent i's errors and their error Jacobian,
-        which is the position gradient on the position components and zero
-        on the others."""
+        """Tightened margins of agent i's errors and a callable that forms
+        their error Jacobian, which is the position gradient on the position
+        components and zero on the others."""
         pos_slice = self.models[i].position_slice
         pos_ref = self.errordyns[i].z_des[pos_slice]
 
         def margin_fn(errors):
-            margins, grad = geometry.tightened(errors[..., pos_slice] + pos_ref, rho)
-            jac = np.zeros(grad.shape[:-1] + errors.shape[-1:])
-            jac[..., pos_slice] = grad
-            return margins, jac
+            margins, gradient = geometry.tightened(errors[..., pos_slice] + pos_ref, rho)
+
+            def jacobian():
+                grad = gradient()
+                jac = np.zeros(grad.shape[:-1] + errors.shape[-1:])
+                jac[..., pos_slice] = grad
+                return jac
+
+            return margins, jacobian
 
         return margin_fn
 

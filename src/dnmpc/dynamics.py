@@ -4,7 +4,8 @@ Scenarios load one model, the planar unicycle :data:`UNICYCLE`, and both
 integrators step it only, by RK4 with all substeps formed at once:
 :func:`integrate` applies an agent's held input to its true, disturbed
 dynamics, and :func:`rollout_zoh` rolls out the nominal error dynamics under
-zero-order-hold inputs, with their exact input Jacobian.
+zero-order-hold inputs, with a callable that forms their exact input
+Jacobian on request.
 """
 
 from __future__ import annotations
@@ -273,9 +274,12 @@ def rollout_zoh(errordyn, e0, u_seq, stage_time, substeps):
     `errordyn.z_des` from the error e0 (3,) under the zero-order-hold inputs
     u_seq (N, 2), each held for `stage_time` in `substeps` RK4 substeps.
 
-    Returns (states, J): the errors at all substep boundaries, shape
-    (N * substeps + 1, 3), and J = d states / d u_seq.ravel(), shape
-    (N * substeps + 1, 3, 2 N).
+    Returns (states, jacobian): the errors at all substep boundaries, shape
+    (N * substeps + 1, 3), and a callable that forms J = d states /
+    d u_seq.ravel(), shape (N * substeps + 1, 3, 2 N), from the rollout's
+    own headings, trig values and increments. Each call forms J anew; the
+    solvers ask for it at some rollouts only (a rejected line-search trial
+    needs none), and forming it costs about as much as the rollout itself.
 
     The unicycle field depends on the state only through the heading, whose
     rate is the held input omega. Each RK4 substep therefore needs only the
@@ -331,20 +335,24 @@ def rollout_zoh(errordyn, e0, u_seq, stage_time, substeps):
     steps[1:, 0] = increments[0]
     steps[1:, 1] = increments[1]
     traj = steps.cumsum(axis=0)
-    own, spent, heading_jac = _stage_layout(u_seq.shape[0], substeps, dt)
-    # per substep, d increment / d (v, omega) of its own stage:
-    # [[dx/dv, dx/domega], [dy/dv, dy/domega]]
-    terms = trig.reshape(6, n_sub).T @ _OWN_STAGE_WEIGHTS
-    own_terms = np.empty((n_sub, 2, 2))
-    np.multiply(terms[:, :2], sixth, out=own_terms[:, :, 0])
-    np.multiply(terms[:, 2:], (dt * dt / 6.0) * v[:, None], out=own_terms[:, :, 1])
-    # (T, 2, N, 2): the own-stage terms, and for omega of every stage the
-    # turn (-dy, dx) of the increment times the heading change dt * spent
-    blocks = own_terms[:, :, None, :] * own
-    turn = steps[1:, 1::-1] * np.array([-dt, dt])
-    blocks[..., 1] += turn[:, :, None] * spent
-    jac = np.empty((n_sub + 1, 3, own.shape[2], 2))
-    jac[0] = 0.0
-    np.cumsum(blocks, axis=0, out=jac[1:, :2])
-    jac[1:, 2] = heading_jac
-    return traj, jac.reshape(n_sub + 1, 3, -1)
+
+    def jacobian():
+        own, spent, heading_jac = _stage_layout(u_seq.shape[0], substeps, dt)
+        # per substep, d increment / d (v, omega) of its own stage:
+        # [[dx/dv, dx/domega], [dy/dv, dy/domega]]
+        terms = trig.reshape(6, n_sub).T @ _OWN_STAGE_WEIGHTS
+        own_terms = np.empty((n_sub, 2, 2))
+        np.multiply(terms[:, :2], sixth, out=own_terms[:, :, 0])
+        np.multiply(terms[:, 2:], (dt * dt / 6.0) * v[:, None], out=own_terms[:, :, 1])
+        # (T, 2, N, 2): the own-stage terms, and for omega of every stage the
+        # turn (-dy, dx) of the increment times the heading change dt * spent
+        blocks = own_terms[:, :, None, :] * own
+        turn = steps[1:, 1::-1] * np.array([-dt, dt])
+        blocks[..., 1] += turn[:, :, None] * spent
+        jac = np.empty((n_sub + 1, 3, own.shape[2], 2))
+        jac[0] = 0.0
+        np.cumsum(blocks, axis=0, out=jac[1:, :2])
+        jac[1:, 2] = heading_jac
+        return jac.reshape(n_sub + 1, 3, -1)
+
+    return traj, jacobian

@@ -6,12 +6,14 @@ out with the shared fixed-step RK4, and the tightened stage constraints are
 enforced on the full substep grid (the same grid the verifier checks).
 
 Each decision point costs one rollout and one margin evaluation. The
-unicycle's rollout returns its exact Jacobian with respect to the inputs, and
-`margin_fn(errors)` returns the margins with their Jacobian with respect to
-the error (exact for the distance margins of
-:class:`~dnmpc.constraints.StageGeometry`). The cost,
-terminal-value and margin gradients follow by the chain rule, formed from
-that iterate's rollout when the solver first asks for them. The decision
+unicycle's rollout returns, besides the states, a callable that forms their
+exact Jacobian with respect to the inputs, and `margin_fn(errors)` returns
+the margins with a callable that forms their Jacobian with respect to the
+error (exact for the distance margins of
+:class:`~dnmpc.constraints.StageGeometry`). Both are called only at the
+points whose derivatives a solver reads: the iterates, not the rejected
+trials of a line search. The cost, terminal-value and margin gradients
+follow by the chain rule when the solver first asks for them. The decision
 dimension, N * input_dim, is tiny, and every solve runs on one OpenBLAS
 thread (:func:`single_blas_thread`).
 
@@ -209,11 +211,16 @@ def single_blas_thread():
     of SLSQP's core took 10 to 100 times as long), and the floating-point
     result depends on the thread count, so the iterates would differ between
     machines with different CPU counts. The previous counts are restored on
-    exit. BLAS builds not found by :func:`_openblas_thread_controls` keep
-    their own setting (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS).
+    exit. An entry that finds every count at 1 sets nothing, so one nested in
+    another leaves the outer one's pin to it. BLAS builds not found by
+    :func:`_openblas_thread_controls` keep their own setting
+    (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS).
     """
     controls = _openblas_thread_controls()
     previous = [get() for get, _ in controls]
+    if all(count == 1 for count in previous):
+        yield
+        return
     for _, set_threads in controls:
         set_threads(1)
     try:
@@ -304,17 +311,19 @@ class HorizonSolution:
 
 
 class _Transcription:
-    """Single-shooting evaluation cache: one rollout with its input Jacobian
-    and one `margin_fn` call per iterate.
+    """Single-shooting evaluation cache: one rollout and one `margin_fn` call
+    per point, with their derivatives formed at the points a solver asks
+    them for.
 
     `margin_fn` must be pointwise: the margins at a substep depend only on
-    the error at that substep. It returns them with d margins / d error, and
-    their input Jacobian is that times the rollout's input Jacobian.
+    the error at that substep. It returns them with a callable for
+    d margins / d error, and their input Jacobian is that times the
+    rollout's input Jacobian.
 
-    `slack` is the worst constraint slack of an iterate: the smallest margin
+    `slack` is the worst constraint slack of a point: the smallest margin
     and, when `use_terminal`, eps_omega - V(e_N); 0.0 when there is neither.
-    Negative means some constraint is violated. `jac` is the rollout's input
-    Jacobian d traj / d x, of shape (T + 1, n, nx).
+    Negative means some constraint is violated. :meth:`jac` gives the
+    rollout's input Jacobian d traj / d x, of shape (T + 1, n, nx).
     """
 
     def __init__(self, errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
@@ -333,36 +342,45 @@ class _Transcription:
         self._cache_key = None
         self._cache = None
         self._chain = None
+        self._rollout_jac = None
         self.n_rollouts = 0
 
     def eval(self, x, gradients=False):
-        """The values at x: `traj`, `jac`, `cost`, `v_term`, `slack` and,
-        with a `margin_fn`, `margins`. With `gradients`, also `cost_grad`,
-        `v_term_grad` and `margins_jac`: chain-rule products of `jac` that
-        this iterate's rollout already gave, formed on the first request, as
-        the solvers ask for them at some iterates only."""
+        """The values at x: `traj`, `cost`, `v_term`, `slack` and, with a
+        `margin_fn`, `margins`. With `gradients`, also `cost_grad`,
+        `v_term_grad` and `margins_jac`: chain-rule products of :meth:`jac`,
+        formed on the first request, as the solvers ask for them at some
+        points only."""
         key = x.tobytes()
         if key != self._cache_key:
             self._cache_key, self._cache = key, self._values(x)
         result = self._cache
         if gradients and "cost_grad" not in result:
-            cfg, jac = self.cfg, result["jac"]
-            stage_e, U, Pe_N, dm_de = self._chain
+            cfg, jac = self.cfg, self.jac(x)
+            stage_e, U, Pe_N, margin_jac = self._chain
             v_term_grad = 2.0 * (jac[-1].T @ Pe_N)
             run_grad = (2.0 * cfg.h) * (
                 np.einsum("kix,ki->x", jac[self._stages], stage_e @ cfg.Q)
                 + (U @ cfg.R).ravel())
             result["cost_grad"] = run_grad + v_term_grad
             result["v_term_grad"] = v_term_grad
-            if dm_de is not None:
+            if margin_jac is not None:
                 # (T, C, n) @ (T, n, nx), flattened to (T*C, nx)
-                result["margins_jac"] = (dm_de @ jac[1:]).reshape(-1, self.nx)
+                result["margins_jac"] = (margin_jac() @ jac[1:]).reshape(-1, self.nx)
         return result
+
+    def jac(self, x):
+        """The rollout's input Jacobian at x, d traj / d x, formed by the
+        rollout's callable on the first request at x."""
+        result = self.eval(x)
+        if "jac" not in result:
+            result["jac"] = self._rollout_jac()
+        return result["jac"]
 
     def _values(self, x):
         cfg = self.cfg
         U = x.reshape(self.N, self.m)
-        traj, jac = rollout_zoh(self.errordyn, self.e0, U, cfg.h, cfg.substeps)
+        traj, rollout_jac = rollout_zoh(self.errordyn, self.e0, U, cfg.h, cfg.substeps)
         self.n_rollouts += 1
         stage_e = traj[self._stages]
         e_N = traj[-1]
@@ -371,17 +389,18 @@ class _Transcription:
         # h sum_k (e_k'Q e_k + u_k'R u_k), each stage's two forms summed first
         run = float(np.add.reduce(np.einsum("...i,ij,...j->...", stage_e, cfg.Q, stage_e)
                                   + np.einsum("...i,ij,...j->...", U, cfg.R, U))) * cfg.h
-        result = {"traj": traj, "jac": jac, "cost": run + v_term, "v_term": v_term}
+        result = {"traj": traj, "cost": run + v_term, "v_term": v_term}
         slacks = []
-        dm_de = None
+        margin_jac = None
         if self.margin_fn is not None:
-            margins, dm_de = self.margin_fn(traj[1:])
+            margins, margin_jac = self.margin_fn(traj[1:])
             result["margins"] = margins = margins.ravel()
             slacks.append(np.minimum.reduce(margins, initial=np.inf))
         if self.use_terminal:
             slacks.append(cfg.eps_omega - v_term)
         result["slack"] = float(min(slacks, default=0.0))
-        self._chain = stage_e, U, Pe_N, dm_de
+        self._chain = stage_e, U, Pe_N, margin_jac
+        self._rollout_jac = rollout_jac
         return result
 
 
@@ -460,8 +479,8 @@ def minimize(values, gradients, x0, m, maxiter, ftol, callback=None):
 
 
 def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None):
-    """Run :func:`minimize` under the transcription's constraints on one BLAS
-    thread; the result's `x` is in the variables of `x0`.
+    """Run :func:`minimize` under the transcription's constraints; the
+    result's `x` is in the variables of `x0`. Call it on one BLAS thread.
 
     The constraints are the margins (when `tr.margin_fn` is set), the input
     ball u_bar^2 - ||u_k||^2 >= 0 on each stage input and, when
@@ -524,10 +543,9 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
         else:
             g[:] = in_z(res["cost_grad"])
 
-    with single_blas_thread():
-        opt = minimize(values, gradients, start, n_margins + n_terminal + N,
-                       cfg.max_iterations, ftol, callback)
-        opt.x = to_x(opt.x)
+    opt = minimize(values, gradients, start, n_margins + n_terminal + N,
+                   cfg.max_iterations, ftol, callback)
+    opt.x = to_x(opt.x)
     return opt
 
 
@@ -557,7 +575,7 @@ def _gauss_newton_hessian(tr: _Transcription, x):
     x are). Call it on one BLAS thread."""
     cfg = tr.cfg
     block_r = _gauss_newton_constants(tr.N, cfg.R.tobytes(), tr.m)
-    J = tr.eval(x)["jac"][tr.stage_idx]
+    J = tr.jac(x)[tr.stage_idx]
     return 2.0 * cfg.h * (np.einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
                           + block_r) + 2.0 * J[-1].T @ cfg.P @ J[-1]
 
@@ -581,9 +599,8 @@ def _inverse_factor(H):
 
 def _gauss_newton_scaling(tr: _Transcription, x):
     """T = L^-T of :func:`_inverse_factor` for the Gauss-Newton Hessian of the
-    cost at x (:func:`_gauss_newton_hessian`)."""
-    with single_blas_thread():
-        return _inverse_factor(_gauss_newton_hessian(tr, x))
+    cost at x (:func:`_gauss_newton_hessian`). Call it on one BLAS thread."""
+    return _inverse_factor(_gauss_newton_hessian(tr, x))
 
 
 def _least_distance(E, f):
@@ -780,18 +797,23 @@ def _suboptimal_stop(tr: _Transcription, x0, scale):
     return callback
 
 
+@single_blas_thread()
 def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
                 warm_start=None, use_terminal=True):
     """Solve the tightened finite-horizon problem for one agent.
 
+    Runs on one BLAS thread (:func:`single_blas_thread`), pinned once.
+
     Args:
         errordyn: nominal error dynamics of the agent.
-        margin_fn: callable errors (T, n) -> (tightened margins (T, C), their
-            Jacobian d margins / d errors (T, C, n)), T being the substeps
-            of the horizon;
-            nonnegative margins mean satisfied. It must be pointwise:
-            margins[t] depends on errors[t] alone. The simulator's distance
-            margins give the Jacobian in closed form. None disables state
+        margin_fn: callable errors (T, n) -> (tightened margins (T, C), a
+            callable of no arguments that returns their Jacobian
+            d margins / d errors (T, C, n)), T being the substeps of the
+            horizon; nonnegative margins mean satisfied. The Jacobian's
+            callable is called at most once, and only at points whose
+            gradients the solver reads. It must be pointwise: margins[t]
+            depends on errors[t] alone. The simulator's distance margins
+            give the Jacobian in closed form. None disables state
             constraints.
         warm_start: initial guess for the (N, m) input sequence.
         use_terminal: enforce V(e_N) <= eps_omega as a hard constraint, run
@@ -833,8 +855,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
             x_best, iterations, converged = opt.x, opt.nit, opt.success
             stopped = opt.status == _CALLBACK_HALT and not opt.success
         else:
-            with single_blas_thread():
-                x_best, iterations, converged = _gauss_newton_sqp(tr, x0)
+            x_best, iterations, converged = _gauss_newton_sqp(tr, x0)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"solver diverged: {exc}") from exc
     if not np.isfinite(x_best).all():
@@ -875,10 +896,11 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
     )
 
 
+@single_blas_thread()
 def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
                         start, use_terminal=False):
     """Phase-1 pass: maximize the worst constraint slack from a near-feasible
-    input sequence.
+    input sequence, on one BLAS thread, pinned once.
 
     Solves max_s { s : margins(u) >= s, [eps_omega - V(e_N) >= s],
     ||u_k|| <= u_bar } with SLSQP over the augmented variable (u, s). Used

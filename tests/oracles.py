@@ -5,7 +5,8 @@ the program's integrators form all substeps at once and must match a loop of
 `rk4_step` over `unicycle_field` bit for bit. The double integrator is the
 linear model of the solver's Riccati oracles. The program rolls out the
 unicycle only, so `use_double_integrator` puts a rollout of it in place of
-`ocp.rollout_zoh`, the seam perfbench's traced mode patches too.
+`ocp.rollout_zoh`, the seam perfbench's traced mode patches too, and
+`count_jacobians` counts there the rollout Jacobians the solvers form.
 """
 
 import numpy as np
@@ -63,21 +64,26 @@ DOUBLE_INTEGRATOR = AgentModel(state_dim=2, input_dim=1, position_slice=slice(0,
 
 def double_integrator_rollout(errordyn, e0, u_seq, stage_time, substeps):
     """`ocp.rollout_zoh` of the double integrator: the states by `rk4_step`,
-    which is exact on this field up to rounding, and their exact ZOH input
-    Jacobian. Under a held input u_k, p and v respond to u_k by (s^2 / 2, s)
-    after s seconds of stage k, and the end-of-stage response then carries
-    on as (h^2 / 2 + h s', h) for s' seconds after it."""
+    which is exact on this field up to rounding, and a callable that forms
+    their exact ZOH input Jacobian. Under a held input u_k, p and v respond
+    to u_k by (s^2 / 2, s) after s seconds of stage k, and the end-of-stage
+    response then carries on as (h^2 / 2 + h s', h) for s' seconds after
+    it."""
     traj = rk4_rollout(lambda e, u: double_integrator_field(e + errordyn.z_des, u),
                        e0, u_seq, stage_time, substeps)
     n_stage = len(u_seq)
-    t = (stage_time / substeps) * np.arange(n_stage * substeps + 1)
-    jac = np.empty((len(t), 2, n_stage))
-    for k in range(n_stage):
-        s = np.clip(t - k * stage_time, 0.0, stage_time)
-        after = np.maximum(t - (k + 1) * stage_time, 0.0)
-        jac[:, 0, k] = 0.5 * s * s + s * after
-        jac[:, 1, k] = s
-    return traj, jac
+
+    def jacobian():
+        t = (stage_time / substeps) * np.arange(n_stage * substeps + 1)
+        jac = np.empty((len(t), 2, n_stage))
+        for k in range(n_stage):
+            s = np.clip(t - k * stage_time, 0.0, stage_time)
+            after = np.maximum(t - (k + 1) * stage_time, 0.0)
+            jac[:, 0, k] = 0.5 * s * s + s * after
+            jac[:, 1, k] = s
+        return jac
+
+    return traj, jacobian
 
 
 def use_double_integrator(monkeypatch):
@@ -92,3 +98,25 @@ def use_double_integrator(monkeypatch):
         return real(errordyn, *args)
 
     monkeypatch.setattr(ocp, "rollout_zoh", rollout)
+
+
+def count_jacobians(monkeypatch):
+    """Wrap `ocp.rollout_zoh` so that each rollout appends [its inputs as
+    bytes, the Jacobians formed] to the returned list, counting the calls of
+    the Jacobian callable it returns."""
+    rollouts = []
+    real = ocp.rollout_zoh
+
+    def rollout(errordyn, e0, u_seq, stage_time, substeps):
+        traj, jacobian = real(errordyn, e0, u_seq, stage_time, substeps)
+        entry = [u_seq.tobytes(), 0]
+        rollouts.append(entry)
+
+        def counted():
+            entry[1] += 1
+            return jacobian()
+
+        return traj, counted
+
+    monkeypatch.setattr(ocp, "rollout_zoh", rollout)
+    return rollouts

@@ -3,9 +3,16 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dnmpc import coordination, dynamics
+from dnmpc.cli import load_scenario
+from dnmpc.constraints import StageGeometry
+from dnmpc.dynamics import UNICYCLE, ErrorDynamics
+
 ROOT = Path(__file__).resolve().parents[1]
+SCENARIO = ROOT / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
 
 @pytest.fixture
@@ -21,11 +28,26 @@ def calls(monkeypatch):
 
 
 def test_every_layer_entry_resolves(calls):
-    """A renamed entry function fails here rather than reading 0 calls."""
+    """A renamed entry function fails here rather than reading 0 calls. The
+    Jacobian entries are the code of the callables that the rollout and the
+    engine's margin function return, so their calls and the Jacobians
+    formed are attributed and counted."""
     codes = [calls.code_of(module, name) for module, name in calls.LAYERS]
     assert [code.co_name for code in codes] == [name.rsplit(".", 1)[-1]
                                                 for _, name in calls.LAYERS]
     assert set(calls.LAYERS.values()) | {"engine"} == set(calls.ORDER)
+    assert calls.LAYERS[calls.ROLLOUT] == "rollout"
+    assert calls.LAYERS[calls.JACOBIAN] == "jacobian"
+    ed = ErrorDynamics(UNICYCLE, np.zeros(3))
+    _, jacobian = dynamics.rollout_zoh(ed, np.zeros(3), np.zeros((2, 2)), 0.1, 2)
+    assert jacobian.__code__ is calls.code_of(*calls.JACOBIAN)
+    sim = load_scenario(SCENARIO).build_simulation(total_time=0.1)
+    geometry = StageGeometry(np.array([0.1]), workspace=(np.zeros(2), 9.0))
+    margin_fn = sim._margin_fn(0, geometry, np.zeros(1))
+    _, margin_jacobian = margin_fn(np.zeros((1, 3)))
+    assert calls.LAYERS[(coordination, margin_jacobian.__qualname__)] == "margins"
+    assert margin_jacobian.__code__ is calls.code_of(coordination,
+                                                     margin_jacobian.__qualname__)
 
 
 def _inner(x):
@@ -61,11 +83,12 @@ def test_table_prints_calls_per_agent_step(calls):
     """The last column of each layer's row, and of the total, is its count
     over the window's agent-solves."""
     window = {"t": [10.0, 12.0], "agent_solves": 60, "feasible_witness_solves": 60,
-              "solver_iterations": 60, "calls": {layer: 7 * (i + 1) for i, layer in
-                                                 enumerate(calls.ORDER)}}
+              "solver_iterations": 60, "rollouts": 120, "jacobians": 60,
+              "calls": {layer: 7 * (i + 1) for i, layer in enumerate(calls.ORDER)}}
     window["total"] = sum(window["calls"].values())
     lines = calls.table("rest", window)
     assert lines[0].startswith("rest: t in [10, 12) s, 60 agent-solves")
+    assert lines[0].endswith("60 solver iterations, 120 rollouts, 60 Jacobians formed")
     rows = {line.split()[0]: line.split() for line in lines[2:]}
     assert list(rows) == calls.ORDER + ["total"]
     for layer, row in rows.items():

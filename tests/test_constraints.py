@@ -96,9 +96,9 @@ def test_geometry_margins_stacked_match_per_column_distances():
     per_column = np.stack([dist(_OTHER) - 1.01, 1.99 - dist(_OTHER), dist(_OBSTACLE) - 1.51,
                            9.49 - dist(np.zeros(2))], axis=-1)
     assert np.array_equal(geo.margins(pos)[0], per_column)
-    margins, grad = StageGeometry(taus=np.array([0.1, 0.2, 0.3])).margins(pos)
+    margins, gradient = StageGeometry(taus=np.array([0.1, 0.2, 0.3])).margins(pos)
     assert margins.shape == (5, 3, 0)
-    assert grad.shape == (5, 3, 0, 2)
+    assert gradient().shape == (5, 3, 0, 2)
 
 
 def _central_difference(fn, pos, eps=1e-6):
@@ -117,7 +117,7 @@ def test_geometry_gradient_matches_central_differences():
     geo = _geometry()
     pos = np.random.default_rng(3).normal(scale=3.0, size=(5, 3, 2))
     rho = np.array([0.1, 0.2, 0.3])
-    _, grad = geo.margins(pos)
+    grad = geo.margins(pos)[1]()
     assert grad.shape == (5, 3, len(MARGIN_KINDS), 2)
     fd = _central_difference(lambda p: geo.margins(p)[0], pos)
     assert np.abs(grad - fd).max() <= 1e-8
@@ -126,7 +126,7 @@ def test_geometry_gradient_matches_central_differences():
     assert np.allclose(np.linalg.norm(grad, axis=-1), 1.0)
     assert np.allclose(grad[..., 0, :], -grad[..., 1, :])
     assert np.all(np.sum(grad[..., 0, :] * (pos - _OTHER), axis=-1) > 0.0)
-    _, tightened_grad = geo.tightened(pos, rho)
+    tightened_grad = geo.tightened(pos, rho)[1]()
     assert np.array_equal(tightened_grad, grad)
     fd = _central_difference(lambda p: geo.tightened(p, rho)[0], pos)
     assert np.abs(tightened_grad - fd).max() <= 1e-8
@@ -135,7 +135,7 @@ def test_geometry_gradient_matches_central_differences():
 def test_geometry_gradient_zero_on_anchor():
     geo = _geometry()
     pos = np.zeros((3, 2))  # on the workspace centre at every stage
-    _, grad = geo.margins(pos)
+    grad = geo.margins(pos)[1]()
     assert np.array_equal(grad[:, 3], np.zeros((3, 2)))
     assert np.all(np.linalg.norm(grad[:, :3], axis=-1) > 0.99)
     # the central difference of |p| at its kink is zero too
@@ -152,7 +152,8 @@ def test_margin_fn_jacobian_is_position_gradient_with_zero_heading():
     rho = tube_profile_radii(TubeProfile(0.1, 2.0), taus)
     margin_fn = sim._margin_fn(0, geo, rho)
     errors = np.random.default_rng(5).normal(scale=0.5, size=(3, 3))
-    margins, jac = margin_fn(errors)
+    margins, jacobian = margin_fn(errors)
+    jac = jacobian()
     assert jac.shape == (3, len(MARGIN_KINDS), 3)
     assert np.array_equal(jac[..., 2], np.zeros((3, len(MARGIN_KINDS))))
     fd = _central_difference(lambda e: margin_fn(e)[0], errors)

@@ -12,6 +12,7 @@ from dnmpc.coordination import (PredictionEntry, Simulation, SimulationError, Tr
 from dnmpc.dynamics import UNICYCLE, DisturbanceSignal
 from dnmpc.ocp import OcpConfig, warm_start_shift
 from dnmpc.setalg import Ball, TubeProfile
+from oracles import count_jacobians
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
@@ -716,3 +717,33 @@ def test_tube_is_chosen_once_per_simulation(monkeypatch):
     sol, record = sim._solve_agent(0, 0.0)
     assert tubes and all(tube is rho for tube in tubes)
     assert sol.status != "infeasible" and record["tube_capped"]
+
+
+def test_at_rest_terminal_solve_forms_one_jacobian_for_two_rollouts(monkeypatch):
+    """Agents at rest take one terminal-enforced solve each per step, from a
+    feasible start (the shifted plan, a witness, after the first step), in
+    two rollouts: the start's, whose Jacobian the Gauss-Newton scaling and
+    SLSQP's first gradients read, and the first SLSQP iterate's, where the
+    suboptimal stop ends the solve on values alone. That second rollout
+    forms no Jacobian."""
+    rollouts = count_jacobians(monkeypatch)
+    per_solve = []
+    real_solve = coordination.solve_fhocp
+
+    def solve(*args, **kwargs):
+        first = len(rollouts)
+        sol = real_solve(*args, **kwargs)
+        per_solve.append((sol, [formed for _, formed in rollouts[first:]]))
+        return sol
+
+    monkeypatch.setattr(coordination, "solve_fhocp", solve)
+    sim = _simulation(total_time=0.4)
+    sim.states = [np.array([2.98, 0.01, 0.02]), np.array([3.01, 1.19, -0.01])]
+    log = sim.run()
+    metas = [meta for trace in log.traces for meta in trace.step_meta]
+    assert len(per_solve) == len(metas) == 8
+    assert sum(meta["feasible_witness"] for meta in metas) == 6
+    assert all(sol.solve_stats["terminal_enforced"] for sol, _ in per_solve)
+    assert [formed for _, formed in per_solve] == [[1, 0]] * 8
+    # no Jacobian is formed twice
+    assert max(formed for _, formed in rollouts) == 1

@@ -255,12 +255,34 @@ def test_unicycle_rollout_matches_its_substep_oracle_bitwise():
         ed = ErrorDynamics(UNICYCLE, np.array(z_des))
         for stage_time, substeps in ((0.1, 10), (0.13, 4)):
             for e0, u_seq in cases:
-                traj, jac = rollout_zoh(ed, e0, u_seq, stage_time, substeps)
+                traj, jacobian = rollout_zoh(ed, e0, u_seq, stage_time, substeps)
+                jac = jacobian()
                 want_traj, want_jac = _unicycle_rollout_oracle(e0, u_seq, stage_time,
                                                                substeps, ed.z_des[2])
                 assert traj.shape == want_traj.shape and jac.shape == want_jac.shape
                 assert traj.tobytes() == want_traj.tobytes()
                 assert jac.tobytes() == want_jac.tobytes()
+
+
+def test_rollout_jacobian_is_formed_from_the_rollouts_own_state():
+    """The callable forms the Jacobian of its own rollout, bit for bit the
+    substep oracle's eager one, signed zeros included, after the caller has
+    overwritten the inputs and the initial error in place and rolled out
+    elsewhere (the solvers pass views of iterates they go on to change); a
+    second call gives the same bytes."""
+    rng = np.random.default_rng(31)
+    ed = ErrorDynamics(UNICYCLE, np.array([6.0, 2.3, 0.4]))
+    for u_seq in (rng.uniform(-8.0, 8.0, (6, 2)), np.zeros((6, 2)),
+                  np.tile([-0.0, 0.0], (6, 1))):
+        e0 = rng.normal(size=3)
+        _, want_jac = _unicycle_rollout_oracle(e0, u_seq, 0.1, 10, ed.z_des[2])
+        _, jacobian = rollout_zoh(ed, e0, u_seq, 0.1, 10)
+        u_seq[:] = rng.uniform(-8.0, 8.0, u_seq.shape)
+        e0[:] = rng.normal(size=3)
+        rollout_zoh(ed, e0, u_seq, 0.1, 10)[1]()
+        first = jacobian()
+        assert first.tobytes() == want_jac.tobytes()
+        assert jacobian().tobytes() == first.tobytes()
 
 
 def _varying(times):
@@ -389,7 +411,7 @@ def test_unicycle_rollout_jacobian_matches_central_differences():
         ed = ErrorDynamics(UNICYCLE, np.array(z_des))
         e0 = rng.normal(size=3)
         u_seq = rng.uniform(-8.0, 8.0, (6, 2))
-        _, jac = rollout_zoh(ed, e0, u_seq, 0.1, substeps)
+        jac = rollout_zoh(ed, e0, u_seq, 0.1, substeps)[1]()
         assert jac.shape == (6 * substeps + 1, 3, 12)
         assert np.abs(jac - _central_jacobian(ed, e0, u_seq, 0.1, substeps)).max() < 1e-8
 

@@ -123,7 +123,8 @@ import test_ocp
 problem = list(test_ocp._unicycle_problems())[1]
 for form in ("relaxed", "terminal"):
     tr, x0, ftol, options = test_ocp._slsqp_form(form, *problem)
-    ours = test_ocp.ocp._slsqp(tr, x0, ftol, **options)
+    with test_ocp.single_blas_thread():
+        ours = test_ocp.ocp._slsqp(tr, x0, ftol, **options)
     ref_tr, _, _, ref_options = test_ocp._slsqp_form(form, *problem)
     ref_x, ref = test_ocp._scipy_slsqp(ref_tr, x0, ftol, **ref_options)
     assert (ours.x.tobytes(), ours.nit, ours.nfev, ours.status) == (

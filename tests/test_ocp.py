@@ -12,7 +12,8 @@ from dnmpc.dynamics import UNICYCLE, ErrorDynamics
 from dnmpc.ocp import (OcpConfig, _openblas_thread_controls, _Transcription,
                        restore_feasibility, single_blas_thread, solve_fhocp,
                        unicycle_steering_law, warm_start_shift)
-from oracles import DOUBLE_INTEGRATOR, unicycle_field, use_double_integrator
+from oracles import (DOUBLE_INTEGRATOR, count_jacobians, unicycle_field,
+                     use_double_integrator)
 
 
 @pytest.fixture
@@ -32,28 +33,35 @@ def _config(u_bar=1e6, **kw):
 
 
 def position_margin_fn(offset):
-    """Margin e[0] + offset of the double integrator's position, with its
-    error Jacobian [1, 0]."""
+    """Margin e[0] + offset of the double integrator's position, with a
+    callable for its error Jacobian [1, 0]."""
     def margin_fn(errors):
-        jac = np.zeros((len(errors), 1, errors.shape[-1]))
-        jac[:, 0, 0] = 1.0
-        return (errors[:, 0] + offset)[:, None], jac
+        def jacobian():
+            jac = np.zeros((len(errors), 1, errors.shape[-1]))
+            jac[:, 0, 0] = 1.0
+            return jac
+
+        return (errors[:, 0] + offset)[:, None], jacobian
 
     return margin_fn
 
 
 def disc_margin_fn(ed, centers, radius):
     """Clearance of a unicycle's position from discs of one radius, one
-    column per disc, with its error Jacobian: (p - c) / |p - c| on the
-    position, zero on the heading."""
+    column per disc, with a callable for its error Jacobian: (p - c) / |p - c|
+    on the position, zero on the heading."""
     centers = np.atleast_2d(centers)
 
     def margin_fn(errors):
         diff = errors[:, None, :2] + ed.z_des[:2] - centers
         dist = np.linalg.norm(diff, axis=-1)
-        jac = np.zeros(dist.shape + errors.shape[-1:])
-        jac[..., :2] = diff / dist[..., None]
-        return dist - radius, jac
+
+        def jacobian():
+            jac = np.zeros(dist.shape + errors.shape[-1:])
+            jac[..., :2] = diff / dist[..., None]
+            return jac
+
+        return dist - radius, jacobian
 
     return margin_fn
 
@@ -590,6 +598,72 @@ def test_single_blas_thread_pins_and_restores():
     assert [get() for get, _ in controls] == before
 
 
+def test_nested_single_blas_thread_keeps_the_outer_pin(monkeypatch):
+    """solve_fhocp and restore_feasibility pin the threads once per call. An
+    entry that finds them pinned sets nothing, so inside an outer block the
+    count stays 1 after a nested block and after each solve, and the outer
+    block's exit restores the count it found. Stand-in controls record every
+    set."""
+    count, sets = [3], []
+
+    def set_threads(n):
+        sets.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(ocp, "_openblas_thread_controls", lambda: ((lambda: count[0],
+                                                                    set_threads),))
+    cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
+    for use_terminal in (True, False):
+        solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=use_terminal)
+    restore_feasibility(ed, e0, margin_fn, cfg, start)
+    assert sets == [1, 3] * 3
+    sets.clear()
+    with single_blas_thread():
+        with single_blas_thread():
+            assert count == [1]
+        assert count == [1]
+        solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=False)
+        restore_feasibility(ed, e0, margin_fn, cfg, start)
+        assert count == [1]
+    assert count == [3] and sets == [1, 3]
+
+
+def test_relaxed_solve_forms_no_jacobian_for_a_rejected_trial(monkeypatch):
+    """Inside `_gauss_newton_sqp`, a trial point whose merit the line search
+    rejects is evaluated for its values only, and its rollout forms no
+    Jacobian; each iterate, whose gradients the solver asks for, forms one.
+    The seeded problem's relaxed solve rejects a trial."""
+    rollouts, asked, inside = count_jacobians(monkeypatch), {}, [False]
+    real_eval, real_sqp = _Transcription.eval, ocp._gauss_newton_sqp
+
+    def evaluated(tr, x, gradients=False):
+        if inside[0]:
+            asked[x.tobytes()] = asked.get(x.tobytes(), False) or gradients
+        return real_eval(tr, x, gradients)
+
+    def sqp(tr, x0):
+        inside[0] = True
+        try:
+            return real_sqp(tr, x0)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(_Transcription, "eval", evaluated)
+    monkeypatch.setattr(ocp, "_gauss_newton_sqp", sqp)
+    cfg, ed, e0, margin_fn, start = list(_unicycle_problems())[2]
+    sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=False)
+    rejected = [x for x, gradients in asked.items() if not gradients]
+    assert len(rejected) >= 1
+    assert len(rollouts) == sol.solve_stats["rollouts"]
+    formed = {}  # Jacobians formed per point, over all its rollouts
+    for x, count in rollouts:
+        formed[x] = formed.get(x, 0) + count
+    assert [formed[x] for x in rejected] == [0] * len(rejected)
+    assert all(formed[x] == 1 for x, gradients in asked.items() if gradients)
+    # the start and each accepted trial: one Jacobian per iteration
+    assert sum(formed.values()) == sol.solve_stats["iterations"]
+
+
 def test_solve_independent_of_blas_thread_count():
     # a unicycle kept clear of four discs on the 60-point substep grid: 240
     # margin rows, enough for OpenBLAS to split SLSQP's subproblem over threads
@@ -718,7 +792,8 @@ def test_minimize_matches_scipy_slsqp_bitwise():
     for problem in _unicycle_problems():
         for form in ("relaxed", "terminal", "restore", "restore-terminal"):
             tr, x0, ftol, options = _slsqp_form(form, *problem)
-            ours = ocp._slsqp(tr, x0, ftol, **options)
+            with single_blas_thread():
+                ours = ocp._slsqp(tr, x0, ftol, **options)
             ref_tr, _, _, ref_options = _slsqp_form(form, *problem)
             ref_x, ref = _scipy_slsqp(ref_tr, x0, ftol, **ref_options)
             got = (ours.x.tobytes(), ours.nit, ours.nfev, ours.status)
@@ -764,7 +839,7 @@ def _gauss_newton_hessian(tr, x):
     """The Gauss-Newton Hessian of `_gauss_newton_scaling`'s docstring, by
     the same float operations."""
     cfg = tr.cfg
-    J = tr.eval(x)["jac"][tr.stage_idx]
+    J = tr.jac(x)[tr.stage_idx]
     return (2.0 * cfg.h * (np.einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
                            + np.kron(np.eye(tr.N), cfg.R)) + 2.0 * J[-1].T @ cfg.P @ J[-1])
 
@@ -799,5 +874,5 @@ def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
         with single_blas_thread():
             L = np.linalg.cholesky(_gauss_newton_hessian(tr, x))
             want = scipy.linalg.solve_triangular(L, np.eye(tr.nx), lower=True, trans="T")
-        got = ocp._gauss_newton_scaling(tr, x)
+            got = ocp._gauss_newton_scaling(tr, x)
         assert np.array_equal(got, want), f"problem {k}: T differs from scipy's L^-T"
