@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/parity.py <parent-rev>
+    python3 scripts/parity.py <parent-rev> [--pairs N]
 
 Extracts ``git archive <parent-rev>`` into a temporary directory and runs the
 same pieces there and in this checkout's working tree:
@@ -26,13 +26,22 @@ one JSON object with the comparisons, the sweep's completion counts and
 paired gate, both sides' ``scripts/calls.py`` counts and the traced counts,
 the block a ``BENCH_<pr>.json`` records. The exit status is 0 when every
 artifact is identical and 1 otherwise.
+
+With ``--pairs N`` it also runs ``perfbench/run.py --seconds 5`` of each
+workload on both sides for seeds 1 to N, the two runs of a seed one after
+the other, the parent's first on odd seeds and the change's first on even
+ones. Per workload and end-to-end metric it prints both sides' medians, the
+parent's interquartile range and in how many pairs the change's value is
+lower, and the JSON object gets these under ``end_to_end``.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -47,6 +56,7 @@ RUNS = (("bundled-10s", None, False), ("bundled-100s", 100.0, False),
 WORKLOADS = ("corridor", "settle", "replay")
 # perfbench metrics in these units do not depend on the machine
 COUNT_UNITS = ("count", "bytes")
+PAIR_SECONDS = 5
 
 
 def first_difference(a, b):
@@ -164,12 +174,78 @@ def record(parent_rev, parent, change):
     }
 
 
+def end_to_end_runs(parent, change, pairs):
+    """{workload: {"parent": [...], "change": [...]}} of the closing JSON
+    objects of ``perfbench/run.py --seconds PAIR_SECONDS`` for seeds 1 to
+    `pairs`, run in checkouts `parent` and `change`, the parent first on odd
+    seeds."""
+    out = {}
+    for workload in WORKLOADS:
+        runs = out[workload] = {"parent": [], "change": []}
+        for seed in range(1, pairs + 1):
+            order = (("parent", parent), ("change", change))
+            for side, root in order if seed % 2 else order[::-1]:
+                _, stdout = _run(root, ["perfbench/run.py", "--workload", workload, "--seed",
+                                        seed, "--seconds", PAIR_SECONDS])
+                runs[side].append(json.loads(stdout.decode().splitlines()[-1]))
+    return out
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return [values[0], values[0]]
+    quartiles = statistics.quantiles(values, n=4, method="inclusive")
+    return [quartiles[0], quartiles[2]]
+
+
+def pair_summary(parent, change):
+    """The end-to-end block of one workload from the paired runs' JSON
+    objects, `parent[k]` and `change[k]` of the same seed: whether every run
+    was correct with no failed operation, then per metric both sides'
+    medians, their relative change and values, the parent's quartiles and
+    interquartile range, and in how many pairs the change's value is
+    lower."""
+    out = {"pairs": len(parent),
+           "order": f"seeds 1 to {len(parent)}, the parent first on odd seeds",
+           "all_correct_failed_0": all(run["correct"] and run["failed"] == 0
+                                       for run in parent + change)}
+    for name in parent[0]["metrics"]:
+        a = [run["metrics"][name]["value"] for run in parent]
+        b = [run["metrics"][name]["value"] for run in change]
+        low, high = _quartiles(a)
+        median_a, median_b = statistics.median(a), statistics.median(b)
+        out[name] = {
+            "median_parent": median_a,
+            "median_change": median_b,
+            "rel_change": median_b / median_a - 1.0,
+            "parent_quartiles": [low, high],
+            "parent_iqr": high - low,
+            "change_lower_pairs": sum(y < x for x, y in zip(a, b)),
+            "parent": a,
+            "change": b,
+        }
+    return out
+
+
+def summary_lines(workload, summary):
+    """One printed line per metric of a :func:`pair_summary`."""
+    lines = []
+    for name, m in summary.items():
+        if isinstance(m, dict):
+            lines.append(f"{workload} {name}: parent {m['median_parent']:.6g} change "
+                         f"{m['median_change']:.6g} ({m['rel_change']:+.1%}), parent IQR "
+                         f"{m['parent_iqr']:.3g}, lower in {m['change_lower_pairs']}/"
+                         f"{summary['pairs']}")
+    return lines
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
-        return 2
-    parent_rev = argv[0]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_rev")
+    parser.add_argument("--pairs", type=int, default=0,
+                        help="end-to-end perfbench pairs per workload (default 0: none)")
+    args = parser.parse_args(argv)
+    parent_rev = args.parent_rev
     archive = subprocess.run(["git", "archive", parent_rev], cwd=ROOT, check=True,
                              stdout=subprocess.PIPE).stdout
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
@@ -184,6 +260,7 @@ def main(argv=None):
             sides[side] = artifacts(root, work, parent_sweep if side == "change" else None)
             if side == "parent":
                 parent_sweep.write_bytes(sides[side]["sweep"])
+        runs = end_to_end_runs(parent_root, ROOT, args.pairs) if args.pairs > 0 else {}
     result = record(parent_rev, sides["parent"], sides["change"])
     for name, verdict in result["bit_for_bit"].items():
         if verdict == "identical":
@@ -191,6 +268,12 @@ def main(argv=None):
         else:
             print(f"{name}: differs at line {verdict['line']}: "
                   f"parent {verdict['parent']!r} change {verdict['change']!r}")
+    if runs:
+        result["end_to_end"] = {workload: pair_summary(r["parent"], r["change"])
+                                for workload, r in runs.items()}
+        for workload, summary in result["end_to_end"].items():
+            for line in summary_lines(workload, summary):
+                print(line)
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0 if all(v == "identical" for v in result["bit_for_bit"].values()) else 1
 

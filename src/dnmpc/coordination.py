@@ -134,8 +134,9 @@ class AgentTrace:
     """Time-indexed true trajectory and per-step solver metadata.
 
     `times`, `states`, `inputs`, `w_norms` and `V` hold one entry per logged
-    sample: a running simulation appends to lists, and
-    :meth:`TrajectoryLog.from_csv` returns arrays.
+    sample: a running simulation appends to lists, while
+    :meth:`Simulation.finalize_log` and :meth:`TrajectoryLog.from_csv`
+    return arrays.
     """
 
     times: list = field(default_factory=list)
@@ -152,6 +153,9 @@ class AgentTrace:
 
 _MARGIN_COLUMNS = ["m_" + kind.replace("-", "_") for kind in MARGIN_KINDS]
 _SOLVER_COLUMNS = ["status", "cost", "errsq_int", "terminal_relaxed", "tube_capped"]
+# rows that to_csv formats at a time: enough to spread each column's numpy
+# calls over many rows, few enough that the strings of a chunk stay small
+_CSV_CHUNK_ROWS = 256
 
 
 def csv_columns(n_x, n_u):
@@ -159,6 +163,20 @@ def csv_columns(n_x, n_u):
     return (["t", "agent", "step"]
             + [f"x{d}" for d in range(n_x)] + [f"u{d}" for d in range(n_u)]
             + ["w_norm", "V"] + _MARGIN_COLUMNS + _SOLVER_COLUMNS)
+
+
+def _format_runs(values, fmt):
+    """`fmt` of each entry of the 1-D float64 or int64 array `values`, called
+    once per run of equal bit patterns: -0.0 and 0.0 stay apart, and so do
+    NaNs of different payloads."""
+    bits = values.view(np.int64)
+    change = np.empty(len(bits), dtype=bool)
+    change[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=change[1:])
+    strings = list(map(fmt, values[change].tolist()))
+    if len(strings) == len(bits):
+        return strings
+    return np.array(strings, dtype=object)[change.cumsum() - 1].tolist()
 
 
 @dataclass
@@ -171,32 +189,60 @@ class TrajectoryLog:
 
         Solver columns (step, status, cost, errsq_int, relaxation flags)
         repeat the values of the sampling step the row belongs to; the t = 0
-        row carries step -1 and empty solver fields. A trace without margins
+        row carries step -1 and empty solver fields. The step of a row is its
+        substep index over `meta["substeps"]`, which a log with a trace of more
+        than one row must give (ValueError otherwise). A trace without margins
         writes inf in the margin columns. Floats are written with `repr` so
         identical runs produce byte-identical files; rows end in CRLF, as
         the csv module writes them.
+
+        The fields are formatted column by column over chunks of
+        `_CSV_CHUNK_ROWS` rows, with one `repr` per run of equal bit patterns
+        in a column (an input held over a step's substeps, a clipped
+        disturbance norm), and the agents' times formatted once where their
+        chunks are equal.
         """
-        substeps = int(self.meta.get("substeps", 10))
+        if "substeps" in self.meta:
+            substeps = int(self.meta["substeps"])
+        elif any(len(trace.times) > 1 for trace in self.traces):
+            raise ValueError("the log's meta has no 'substeps', which numbers the step "
+                             "column of a trace with more than one row")
+        else:
+            substeps = 1  # every row is a t = 0 row, of step -1
         n_x = np.shape(self.traces[0].states)[1]
         n_u = np.shape(self.traces[0].inputs)[1]
+        time_cells = {}  # chunk start -> (the chunk's times as bits, their strings)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(csv_columns(n_x, n_u)) + "\r\n")
             for i, trace in enumerate(self.traces):
                 T = len(trace.times)
                 margins = (np.full((T, len(MARGIN_KINDS)), np.inf)
-                           if trace.margins is None else trace.margins)
-                block = np.column_stack(
-                    [trace.states, trace.inputs, trace.w_norms, trace.V, margins])
-                solver = ["," * (len(_SOLVER_COLUMNS) - 1)] + [
+                           if trace.margins is None else np.asarray(trace.margins, dtype=float))
+                columns = [np.asarray(trace.times, dtype=float),
+                           *np.asarray(trace.states, dtype=float).T,
+                           *np.asarray(trace.inputs, dtype=float).T,
+                           np.asarray(trace.w_norms, dtype=float),
+                           np.asarray(trace.V, dtype=float), *margins.T]
+                solver = np.array(["," * (len(_SOLVER_COLUMNS) - 1)] + [
                     f"{m['status']},{float(m['cost'])!r},{float(m['errsq_int'])!r},"
                     f"{int(m['terminal_relaxed'])},{int(m['tube_capped'])}"
-                    for m in trace.step_meta]
-                times = np.asarray(trace.times, dtype=float).tolist()
-                fh.writelines(
-                    f"{t!r},{i},{step},{','.join(map(repr, row))},{solver[step + 1]}\r\n"
-                    for t, step, row in zip(
-                        times, [-1] + [r // substeps for r in range(T - 1)],
-                        block.tolist()))
+                    for m in trace.step_meta], dtype=object)
+                steps = np.arange(-1, T - 1) // substeps
+                agent = str(i)
+                for start in range(0, T, _CSV_CHUNK_ROWS):
+                    rows = slice(start, start + _CSV_CHUNK_ROWS)
+                    step = steps[rows]
+                    times = columns[0][rows]
+                    seen = time_cells.get(start)
+                    if seen is None or not np.array_equal(seen[0], times.view(np.int64)):
+                        seen = time_cells[start] = (times.view(np.int64),
+                                                    _format_runs(times, repr))
+                    cells = [seen[1], [agent] * len(step),
+                             _format_runs(step, str),
+                             *(_format_runs(column[rows], repr) for column in columns[1:]),
+                             solver[step + 1].tolist()]
+                    fh.write("\r\n".join(map(",".join, zip(*cells))))
+                    fh.write("\r\n")
 
     @classmethod
     def from_csv(cls, path, h):
@@ -597,8 +643,21 @@ class Simulation:
             trace.step_meta.append(record)
 
     def finalize_log(self):
+        """The log of the run so far, with its raw margins filled in.
+
+        Each trace's fields are arrays, converted once from the engine's
+        rows, as :meth:`TrajectoryLog.from_csv` returns them; the
+        simulation's own traces stay lists, and its step records are shared
+        with the log's step_meta lists.
+        """
         log_out = TrajectoryLog(
-            traces=self.traces,
+            traces=[AgentTrace(times=np.array(tr.times, dtype=float),
+                               states=np.array(tr.states, dtype=float),
+                               inputs=np.array(tr.inputs, dtype=float),
+                               w_norms=np.array(tr.w_norms, dtype=float),
+                               V=np.array(tr.V, dtype=float),
+                               step_meta=list(tr.step_meta))
+                    for tr in self.traces],
             meta={
                 "h": self.config.h,
                 "T_p": self.config.T_p,
@@ -617,8 +676,8 @@ class Simulation:
         that sample; the neighbor margin covers the fixed neighbor set.
         """
         traces = log_out.traces
-        times = [np.asarray(tr.times) for tr in traces]
-        positions = [np.asarray(tr.states)[:, model.position_slice]
+        times = [tr.times for tr in traces]
+        positions = [tr.states[:, model.position_slice]
                      for tr, model in zip(traces, self.models)]
         for i, trace in enumerate(traces):
             geo = self.world.logged_geometry(i, times, positions, 0.0)

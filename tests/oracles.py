@@ -7,11 +7,16 @@ linear model of the solver's Riccati oracles. The program rolls out the
 unicycle only, so `use_double_integrator` puts a rollout of it in place of
 `ocp.rollout_zoh`, the seam perfbench's traced mode patches too, and
 `count_jacobians` counts there the rollout Jacobians the solvers form.
+
+`write_csv_rows` is the trajectory CSV writer that formats one row at a time;
+`TrajectoryLog.to_csv`, which formats column by column, must write its bytes.
 """
 
 import numpy as np
 
 from dnmpc import ocp
+from dnmpc.constraints import MARGIN_KINDS
+from dnmpc.coordination import _SOLVER_COLUMNS, csv_columns
 from dnmpc.dynamics import AgentModel
 
 
@@ -120,3 +125,30 @@ def count_jacobians(monkeypatch):
 
     monkeypatch.setattr(ocp, "rollout_zoh", rollout)
     return rollouts
+
+
+def write_csv_rows(log, path):
+    """Write `log` (a TrajectoryLog) as `TrajectoryLog.to_csv` does, one row
+    at a time: each row's floats by `repr` of the row's list, its step as the
+    row's substep index over `meta["substeps"]` (10 when absent)."""
+    substeps = int(log.meta.get("substeps", 10))
+    n_x = np.shape(log.traces[0].states)[1]
+    n_u = np.shape(log.traces[0].inputs)[1]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(csv_columns(n_x, n_u)) + "\r\n")
+        for i, trace in enumerate(log.traces):
+            T = len(trace.times)
+            margins = (np.full((T, len(MARGIN_KINDS)), np.inf)
+                       if trace.margins is None else trace.margins)
+            block = np.column_stack(
+                [trace.states, trace.inputs, trace.w_norms, trace.V, margins])
+            solver = ["," * (len(_SOLVER_COLUMNS) - 1)] + [
+                f"{m['status']},{float(m['cost'])!r},{float(m['errsq_int'])!r},"
+                f"{int(m['terminal_relaxed'])},{int(m['tube_capped'])}"
+                for m in trace.step_meta]
+            times = np.asarray(trace.times, dtype=float).tolist()
+            fh.writelines(
+                f"{t!r},{i},{step},{','.join(map(repr, row))},{solver[step + 1]}\r\n"
+                for t, step, row in zip(
+                    times, [-1] + [r // substeps for r in range(T - 1)],
+                    block.tolist()))

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dnmpc import coordination, ocp
+from dnmpc import certify, coordination, ocp
 from dnmpc.cli import load_scenario
 from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel
 from dnmpc.coordination import (PredictionEntry, Simulation, SimulationError, TrajectoryLog,
@@ -12,7 +14,7 @@ from dnmpc.coordination import (PredictionEntry, Simulation, SimulationError, Tr
 from dnmpc.dynamics import UNICYCLE, DisturbanceSignal
 from dnmpc.ocp import OcpConfig, warm_start_shift
 from dnmpc.setalg import Ball, TubeProfile
-from oracles import count_jacobians
+from oracles import count_jacobians, write_csv_rows
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
@@ -161,7 +163,7 @@ def test_logged_disturbance_norms_match_fresh_samples():
     oracle = DisturbanceSignal(_varying, 0.05)
     for trace in log.traces:
         fresh = [oracle.sample_times(np.array([t]))[1][0] for t in trace.times[1:]]
-        assert trace.w_norms[1:] == fresh
+        assert trace.w_norms[1:].tolist() == fresh
         # a clipped norm is the bound to an ulp or so; the others all differ
         assert all(a != b for a, b in zip(fresh, fresh[1:]) if min(a, b) < 0.05 - 1e-12)
     assert 0 < oracle.clipped < oracle.samples
@@ -273,6 +275,189 @@ def test_csv_deterministic_bytes(tmp_path):
     log_a.to_csv(pa)
     log_b.to_csv(pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+# NaN with another payload than np.nan's
+_NAN_PAYLOAD = np.array([0x7FF8000000000001]).view(np.float64)[0]
+_SPECIAL = [0.0, -0.0, np.nan, _NAN_PAYLOAD, np.inf, -np.inf, 1e16, 1e-05, 5e-324,
+            0.1 + 0.2, 1.0000000000000002, 1.0 / 3.0]
+
+
+def _hand_trace(T, rng, margins=True, substeps=10):
+    """A hand-built trace of T rows as the engine logs them: NaN inputs at t
+    = 0, then each step's input held over its substeps, and one solve
+    record per step. Its states hold 0.0, -0.0, 0.0 in a row and the special
+    values; its margins are drawn from +-inf, +-0.0 and 0.5."""
+    n_steps = -(-(T - 1) // substeps)
+    held = rng.choice(_SPECIAL + rng.normal(size=6).tolist(), size=(n_steps, 2))
+    held[:1] = [0.0, -0.0]
+    inputs = np.vstack([np.full((1, 2), np.nan), held.repeat(substeps, axis=0)[:T - 1]])
+    states = rng.normal(size=(T, 3))
+    if T > 16:
+        states[1:4, 0] = [0.0, -0.0, 0.0]
+        states[4:9, 1] = _SPECIAL[:5]
+        states[9:16, 2] = _SPECIAL[5:]
+    w_norms = np.minimum(rng.uniform(0.0, 0.2, T), 0.1)
+    w_norms[0] = 0.0
+    trace = coordination.AgentTrace(
+        times=[0.01 * k for k in range(T)], states=list(states), inputs=list(inputs),
+        w_norms=w_norms.tolist(), V=rng.uniform(size=T).tolist(),
+        step_meta=[{"t": 0.1 * k, "status": "optimal", "cost": 1.0 / (k + 3),
+                    "errsq_int": 1e-05 * k, "terminal_relaxed": k % 2 == 0,
+                    "tube_capped": True} for k in range(n_steps)])
+    if margins:
+        trace.margins = rng.choice([np.inf, -np.inf, 0.0, -0.0, 0.5], size=(T, len(MARGIN_KINDS)))
+    return trace
+
+
+@pytest.mark.parametrize("chunk", [1, 3, coordination._CSV_CHUNK_ROWS])
+def test_to_csv_writes_the_row_writers_bytes(monkeypatch, tmp_path, chunk):
+    """Column-wise formatting writes what the row writer writes: -0.0 next
+    to 0.0 in one run, NaNs of two payloads, NaN inputs at t = 0, +-inf
+    margins, 1e16, 1e-05, 5e-324 and 17-digit values, runs across chunk
+    edges, traces of different lengths (times shared with an earlier trace
+    but for one row, or for a prefix) and a trace with margins=None."""
+    monkeypatch.setattr(coordination, "_CSV_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(3)
+    traces = [_hand_trace(301, rng), _hand_trace(296, rng), _hand_trace(301, rng, margins=False)]
+    traces[2].times[0] = -0.0
+    log = TrajectoryLog(traces=traces, meta={"substeps": 10})
+    got, want = tmp_path / "columns.csv", tmp_path / "rows.csv"
+    log.to_csv(got)
+    write_csv_rows(log, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert b",-0.0," in want.read_bytes() and b",-inf," in want.read_bytes()
+
+
+# signed zeros often, so that runs of 0.0 and -0.0 meet
+_values = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from(_SPECIAL),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _run_columns(draw, rows, count):
+    """`count` float columns of `rows` entries, each of repeated runs."""
+    columns = []
+    for _ in range(count):
+        runs = draw(st.lists(st.tuples(_values, st.integers(1, 12)), min_size=1, max_size=30))
+        column = np.concatenate([np.full(n, value) for value, n in runs])
+        columns.append(np.resize(column, rows))
+    return np.column_stack(columns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), chunk=st.sampled_from([2, 5, coordination._CSV_CHUNK_ROWS]))
+def test_to_csv_matches_the_row_writer_on_repeated_runs(tmp_path_factory, data, chunk):
+    """Random columns of repeated runs, in traces of random lengths and
+    substep counts, write the row writer's bytes at every chunk size."""
+    substeps = data.draw(st.integers(1, 12))
+    traces = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        T = data.draw(st.integers(1, 300))
+        block = data.draw(_run_columns(T, 1 + 3 + 2 + 2 + len(MARGIN_KINDS)))
+        traces.append(coordination.AgentTrace(
+            times=block[:, 0], states=block[:, 1:4], inputs=block[:, 4:6], w_norms=block[:, 6],
+            V=block[:, 7], margins=block[:, 8:],
+            step_meta=[{"status": "optimal", "cost": 0.5, "errsq_int": 0.0,
+                        "terminal_relaxed": False, "tube_capped": False}]
+            * (-(-(T - 1) // substeps))))
+    log = TrajectoryLog(traces=traces, meta={"substeps": substeps})
+    directory = tmp_path_factory.getbasetemp()
+    got, want = directory / "runs_columns.csv", directory / "runs_rows.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coordination, "_CSV_CHUNK_ROWS", chunk)
+        log.to_csv(got)
+    write_csv_rows(log, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_to_csv_needs_the_substep_count_of_a_multi_row_trace(tmp_path):
+    """A log whose meta lacks `substeps` cannot number the steps of a
+    multi-row trace, which raises a ValueError naming it; a log of
+    single-row traces, whose rows are all of step -1, still writes."""
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="substeps"):
+        TrajectoryLog(traces=[_hand_trace(1, rng), _hand_trace(21, rng, substeps=5)]).to_csv(
+            tmp_path / "multi.csv")
+    single = TrajectoryLog(traces=[_hand_trace(1, rng), _hand_trace(1, rng, margins=False)])
+    single.to_csv(tmp_path / "single.csv")
+    write_csv_rows(single, tmp_path / "rows.csv")
+    assert (tmp_path / "single.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def _verdicts(report):
+    return [(name, c.passed, repr(c.worst_margin), repr(c.worst_time), c.detail)
+            for name, c in report.checks.items()]
+
+
+def _listed(log, sim):
+    """`log` on the engine's row lists, with the log's margins."""
+    return TrajectoryLog(traces=[
+        coordination.AgentTrace(times=tr.times, states=tr.states, inputs=tr.inputs,
+                                w_norms=tr.w_norms, V=tr.V, margins=done.margins,
+                                step_meta=tr.step_meta)
+        for tr, done in zip(sim.traces, log.traces)], meta=log.meta)
+
+
+def test_finalized_log_holds_arrays_of_the_engines_rows(tmp_path):
+    """finalize_log converts each trace once: its fields are float arrays
+    whose bits are the engine's rows, the simulation's traces stay lists, a
+    second finalize_log gives an equal log of its own arrays, and the CSV
+    and verify's verdicts are those of the list-backed log."""
+    scenario = load_scenario(SCENARIO)
+    sim = scenario.build_simulation(total_time=0.3)
+    log = sim.run()
+    again = sim.finalize_log()
+    for trace, first, second in zip(sim.traces, log.traces, again.traces):
+        for name in ("times", "states", "inputs", "w_norms", "V"):
+            rows = getattr(trace, name)
+            assert isinstance(rows, list) and len(rows) == 31
+            for done in (first, second):
+                value = getattr(done, name)
+                assert isinstance(value, np.ndarray) and value.dtype == np.float64
+                assert value.tobytes() == b"".join(np.float64(row).tobytes() for row in rows)
+            assert getattr(first, name) is not getattr(second, name)
+        assert trace.margins is None
+        assert np.array_equal(first.margins, second.margins)
+        assert first.step_meta == trace.step_meta and first.step_meta is not trace.step_meta
+    listed = _listed(log, sim)
+    log.to_csv(tmp_path / "log.csv")
+    write_csv_rows(listed, tmp_path / "rows.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    world = scenario.build_world()
+    assert (_verdicts(certify.verify(log, world, scenario))
+            == _verdicts(certify.verify(listed, world, scenario)))
+
+
+def test_partial_log_is_finalized_from_the_rows_so_far(monkeypatch, tmp_path):
+    """An abort's partial log is a finalized log of traces of different
+    lengths: the agent after the failing one has one step fewer."""
+    scenario = load_scenario(SCENARIO)
+    sim = scenario.build_simulation(total_time=0.3)
+    real = sim._solve_agent
+    failing = sim.schedule[1]
+
+    def solve_agent(i, t_k):
+        if (i, t_k) == (failing, 0.2):
+            raise RuntimeError("stop here")
+        return real(i, t_k)
+
+    monkeypatch.setattr(sim, "_solve_agent", solve_agent)
+    with pytest.raises(SimulationError) as caught:
+        sim.run()
+    log = caught.value.partial_log
+    rows = {i: 31 if k < 1 else 21 for k, i in enumerate(sim.schedule)}
+    assert [len(trace.times) for trace in log.traces] == [rows[i] for i in range(3)]
+    for trace, done in zip(sim.traces, log.traces):
+        assert isinstance(trace.states, list)
+        assert isinstance(done.states, np.ndarray) and done.margins.shape == (len(done.times), 4)
+        assert done.states.tobytes() == np.array(trace.states).tobytes()
+    log.to_csv(tmp_path / "log.csv")
+    write_csv_rows(_listed(log, sim), tmp_path / "rows.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    world = scenario.build_world()
+    assert (_verdicts(certify.verify(log, world, scenario))
+            == _verdicts(certify.verify(_listed(log, sim), world, scenario)))
 
 
 def test_separation_maintained_head_on():

@@ -61,3 +61,38 @@ def test_traced_runs_compare_on_their_machine_independent_lines(parity):
     assert parity.traced_counts(a) == {"digest": "fb873281d5a58a05", "correct": True,
                                        "dynamics.rollout_calls": 2072,
                                        "coordination.csv_bytes": 294203}
+
+
+def _bench(correct=True, failed=0, **metrics):
+    """The closing JSON object of a ``perfbench/run.py`` run."""
+    return {"correct": correct, "attempted": 10, "failed": failed,
+            "metrics": {name: {"value": value, "unit": "s"} for name, value in metrics.items()}}
+
+
+def test_pair_summary_gives_medians_parent_iqr_and_lower_pairs(parity):
+    """Three pairs of two metrics, then one pair with a failed operation:
+    medians per side, the parent's inclusive quartiles and IQR, the pairs
+    in which the change is lower, and one printed line per metric."""
+    parent = [_bench(post_s=0.020, op_p50_s=0.002), _bench(post_s=0.018, op_p50_s=0.003),
+              _bench(post_s=0.019, op_p50_s=0.001)]
+    change = [_bench(post_s=0.016, op_p50_s=0.002), _bench(post_s=0.019, op_p50_s=0.002),
+              _bench(post_s=0.017, op_p50_s=0.004)]
+    summary = parity.pair_summary(parent, change)
+    assert summary["pairs"] == 3 and summary["all_correct_failed_0"]
+    post = summary["post_s"]
+    assert (post["median_parent"], post["median_change"]) == (0.019, 0.017)
+    assert post["parent_quartiles"] == pytest.approx([0.0185, 0.0195])
+    assert post["parent_iqr"] == pytest.approx(0.001)
+    assert post["rel_change"] == pytest.approx(0.017 / 0.019 - 1.0)
+    assert post["change_lower_pairs"] == 2
+    assert (post["parent"], post["change"]) == ([0.020, 0.018, 0.019], [0.016, 0.019, 0.017])
+    assert summary["op_p50_s"]["change_lower_pairs"] == 1  # ties are not lower
+    assert parity.summary_lines("corridor", summary) == [
+        "corridor post_s: parent 0.019 change 0.017 (-10.5%), parent IQR 0.001, lower in 2/3",
+        "corridor op_p50_s: parent 0.002 change 0.002 (+0.0%), parent IQR 0.001, lower in 1/3"]
+
+    one = parity.pair_summary([_bench(post_s=0.5)], [_bench(failed=1, post_s=0.4)])
+    assert not one["all_correct_failed_0"]
+    assert one["post_s"]["parent_quartiles"] == [0.5, 0.5] and one["post_s"]["parent_iqr"] == 0.0
+    assert parity.summary_lines("replay", one) == [
+        "replay post_s: parent 0.5 change 0.4 (-20.0%), parent IQR 0, lower in 1/1"]
