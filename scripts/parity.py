@@ -11,6 +11,9 @@ same pieces there and in this checkout's working tree:
 - ``dnmpc run`` of the bundled scenario for its own 10 s and for 100 s, and
   of a copy with ``w_bar: 0.0`` (no disturbance) for 10 s, each keeping its
   ``trajectory.csv`` and ``report.txt``;
+- ``dnmpc verify`` of the 10 s and 100 s runs' ``trajectory.csv``, keeping
+  its standard output and exit status, and measuring the peak RSS of each
+  verify process;
 - ``scripts/sweep.py``, on the change with ``--parent`` and the parent's
   lines, so that it also prints the flipped runs and the paired gate, and
   ``scripts/calls.py``;
@@ -21,9 +24,10 @@ the same (as ``cmp`` finds them), otherwise the first differing line of each
 side. Of the sweep, the run lines and the completion count are compared. Of
 a traced benchmark run only the lines that do not depend on the machine are
 compared: the verdicts, the digests, the failed fraction, every metric
-counted in calls, rows, iterations or bytes, and ``correct``. Last, it prints
-one JSON object with the comparisons, the sweep's completion counts and
-paired gate, both sides' ``scripts/calls.py`` counts and the traced counts,
+counted in calls, rows, iterations or bytes, and ``correct``. The verify
+processes' peak RSS is recorded, not compared. Last, it prints one JSON
+object with the comparisons, the sweep's completion counts and paired gate,
+both sides' ``scripts/calls.py`` counts, verify peak RSS and traced counts,
 the block a ``BENCH_<pr>.json`` records. The exit status is 0 when every
 artifact is identical and 1 otherwise.
 
@@ -53,6 +57,18 @@ SCENARIO = Path("src") / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 # (name, total time or None for the file's, disturbance-free)
 RUNS = (("bundled-10s", None, False), ("bundled-100s", 100.0, False),
         ("nominal-10s", None, True))
+# the runs whose trajectory.csv ``dnmpc verify`` reads back
+VERIFIED = ("bundled-10s", "bundled-100s")
+# the artifacts that are recorded but not compared
+UNCOMPARED = ("paired gate", "verify peak_rss_mb")
+# ``python3 -c _PEAK_RSS <command>`` runs the command as its only child, the
+# command's standard output passed through, then prints the child's peak RSS
+# in KiB on standard error and exits with the child's status
+_PEAK_RSS = """import resource, subprocess, sys
+code = subprocess.run(sys.argv[1:], stderr=subprocess.DEVNULL).returncode
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
 WORKLOADS = ("corridor", "settle", "replay")
 # perfbench metrics in these units do not depend on the machine
 COUNT_UNITS = ("count", "bytes")
@@ -112,13 +128,42 @@ def traced_counts(kept):
     return out
 
 
+def _env(side):
+    return dict(os.environ, PYTHONPATH=str(side / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+
 def _run(side, args):
     """(exit status, standard output) of ``python3 <args>`` in `side`, with
     `side`'s own source first on the path."""
-    env = dict(os.environ, PYTHONPATH=str(side / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, *map(str, args)], cwd=side, env=env,
+    proc = subprocess.run([sys.executable, *map(str, args)], cwd=side, env=_env(side),
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
     return proc.returncode, proc.stdout
+
+
+def _run_peak_rss(side, args):
+    """(exit status, standard output, peak RSS in MB) of ``python3 <args>``
+    run as `_run` runs it, as the only child of a process of its own, so
+    that that process's ``resource.getrusage(RUSAGE_CHILDREN)`` is the
+    command's peak alone."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, *map(str, args)],
+                          cwd=side, env=_env(side), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, check=False)
+    return proc.returncode, proc.stdout, int(proc.stderr) / 1024.0
+
+
+def verify_artifacts(side, work):
+    """{artifact name: bytes} of ``dnmpc verify`` in checkout `side` of the
+    ``trajectory.csv`` of each run of `VERIFIED` under `work`: its standard
+    output and exit status, and under "verify peak_rss_mb" the JSON object
+    of each verify process's peak RSS in MB."""
+    out, peaks = {}, {}
+    for name in VERIFIED:
+        status, stdout, peaks[name] = _run_peak_rss(
+            side, ["-m", "dnmpc.cli", "verify", work / name / "trajectory.csv", SCENARIO])
+        out[f"{name} verify stdout"] = stdout
+        out[f"{name} verify exit status"] = str(status).encode()
+    out["verify peak_rss_mb"] = json.dumps(peaks).encode()
+    return out
 
 
 def artifacts(side, work, parent_sweep=None):
@@ -139,6 +184,7 @@ def artifacts(side, work, parent_sweep=None):
         out[f"{name} exit status"] = str(status).encode()
         for file in ("trajectory.csv", "report.txt"):
             out[f"{name} {file}"] = (run_dir / file).read_bytes()
+    out.update(verify_artifacts(side, work))
     args = ["scripts/sweep.py"] + ([] if parent_sweep is None else ["--parent", parent_sweep])
     lines = _run(side, args)[1].splitlines(keepends=True)
     end = next(k for k, line in enumerate(lines) if line.startswith(b"completed ")) + 1
@@ -155,7 +201,7 @@ def record(parent_rev, parent, change):
     """The JSON block of a ``BENCH_<pr>.json`` from both sides' artifacts."""
     bit_for_bit = {}
     for name in parent:
-        if name == "paired gate":
+        if name in UNCOMPARED:
             continue
         diff = first_difference(parent[name], change[name])
         bit_for_bit[name] = "identical" if diff is None else {
@@ -168,6 +214,8 @@ def record(parent_rev, parent, change):
         "paired_gate": change["paired gate"].decode().splitlines(),
         "calls": {side: json.loads(arts["calls"].decode().splitlines()[-1])
                   for side, arts in (("parent", parent), ("change", change))},
+        "verify_peak_rss_mb": {side: json.loads(arts["verify peak_rss_mb"])
+                               for side, arts in (("parent", parent), ("change", change))},
         "traced": {workload: {side: traced_counts(arts[f"traced {workload}"])
                               for side, arts in (("parent", parent), ("change", change))}
                    for workload in WORKLOADS},

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -156,6 +157,11 @@ _SOLVER_COLUMNS = ["status", "cost", "errsq_int", "terminal_relaxed", "tube_capp
 # rows that to_csv formats at a time: enough to spread each column's numpy
 # calls over many rows, few enough that the strings of a chunk stay small
 _CSV_CHUNK_ROWS = 256
+# bytes that from_csv reads at a time, then cuts back to whole lines: one
+# block's text and lines are all the text it holds
+_CSV_BLOCK_BYTES = 1 << 20
+# how np.loadtxt names the row it could not parse, counted within its input
+_LOADTXT_ROW = re.compile(r"\bat row (\d+)")
 
 
 def csv_columns(n_x, n_u):
@@ -177,6 +183,22 @@ def _format_runs(values, fmt):
     if len(strings) == len(bits):
         return strings
     return np.array(strings, dtype=object)[change.cumsum() - 1].tolist()
+
+
+def _line_blocks(fh):
+    """The lines of the binary file `fh`, as `str.splitlines` splits its
+    decoded text, in lists of whole lines: each read of `_CSV_BLOCK_BYTES`
+    is cut after its last newline and the rest carried into the next."""
+    carry = b""
+    while chunk := fh.read(_CSV_BLOCK_BYTES):
+        chunk = carry + chunk
+        cut = chunk.rfind(b"\n") + 1
+        carry, lines = chunk[cut:], chunk[:cut].decode().splitlines()
+        del chunk  # hold the block's lines only, while the caller reads them
+        if lines:
+            yield lines
+    if carry:
+        yield carry.decode().splitlines()
 
 
 @dataclass
@@ -254,47 +276,75 @@ class TrajectoryLog:
         Columns are found by their `csv_columns` names, so a file from an
         older schema with extra columns still reads; a missing column, no
         data rows, agent ids other than 0..k-1, a row of the wrong length (a
-        truncated file) or an unparsable field raises ValueError.
+        truncated file) or an unparsable field raises ValueError, which names
+        the file and, for a row, its line.
+
+        The file is read in blocks of whole lines of about `_CSV_BLOCK_BYTES`
+        (1 MiB), so that the text of one block at a time is held, not the
+        whole file's. Each block's numeric columns are parsed by one
+        `np.loadtxt` call, and of its solver fields only those of the rows
+        that start a run of one (agent, step) are kept: the first row of
+        each step is one of them. The blocks' arrays are joined at the end.
         """
-        with open(path, newline="") as fh:
-            lines = fh.read().splitlines()
-        header = lines[0].split(",") if lines else []
-        rows = lines[1:]
-        n_x = sum(1 for c in header if c.startswith("x") and c[1:].isdigit())
-        n_u = sum(1 for c in header if c.startswith("u") and c[1:].isdigit())
-        names = csv_columns(n_x, n_u)
-        missing = [name for name in names if name not in header]
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        if not rows:
+        with open(path, "rb") as fh:
+            blocks = _line_blocks(fh)
+            rows = next(blocks, [""])  # an empty file has an empty header
+            header = rows.pop(0).split(",")
+            n_x = sum(1 for c in header if c.startswith("x") and c[1:].isdigit())
+            n_u = sum(1 for c in header if c.startswith("u") and c[1:].isdigit())
+            names = csv_columns(n_x, n_u)
+            missing = [name for name in names if name not in header]
+            if missing:
+                raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+            col = {name: header.index(name) for name in names}
+            numeric = names[:len(names) - len(_SOLVER_COLUMNS)]
+            usecols = [col[name] for name in numeric]
+            parts, starts, texts = [], [], []
+            row = 0  # data rows before this block; row r is on line r + 2
+            while rows is not None:
+                for line, text in enumerate(rows, start=row + 2):
+                    if text.count(",") != len(header) - 1:
+                        raise ValueError(f"{path}: line {line} has {text.count(',') + 1} "
+                                         f"fields, the header {len(header)}")
+                if rows:
+                    try:
+                        part = np.loadtxt(rows, delimiter=",", usecols=usecols,
+                                          comments=None, ndmin=2)
+                    except ValueError as exc:
+                        message = _LOADTXT_ROW.sub(
+                            lambda m: f"at line {row + 2 + int(m[1])}", str(exc), count=1)
+                        raise ValueError(f"{path}: {message}") from exc
+                    key = part[:, 1:3].astype(int)  # agent, step
+                    first = np.flatnonzero(np.concatenate(
+                        ([True], (key[1:] != key[:-1]).any(axis=1))))
+                    parts.append(part)
+                    starts.append(row + first)
+                    texts += [rows[r] for r in first.tolist()]
+                row += len(rows)
+                rows = next(blocks, None)
+        if not parts:
             raise ValueError(f"{path}: no data rows")
-        col = {name: header.index(name) for name in names}
-        for line, text in enumerate(rows, start=2):
-            if text.count(",") != len(header) - 1:
-                raise ValueError(f"{path}: line {line} has {text.count(',') + 1} fields, "
-                                 f"the header {len(header)}")
-        numeric = names[:len(names) - len(_SOLVER_COLUMNS)]
-        try:
-            data = np.loadtxt(rows, delimiter=",", usecols=[col[name] for name in numeric],
-                              comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        # a log of one block (a 10 s run's) needs no copy
+        data = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        del parts  # before the agents' copies of their rows
         agents = data[:, 1].astype(int)
         ids = np.unique(agents)
         if not np.array_equal(ids, np.arange(len(ids))):
             raise ValueError(f"{path}: agent ids {ids.tolist()} are not 0..{len(ids) - 1}")
         steps = data[:, 2].astype(int)
+        starts = np.concatenate(starts)
         k = 3 + n_x + n_u  # w_norm, then V, then the margins
         traces = []
         for i in ids:
             idx = np.flatnonzero(agents == i)
             block = data[idx]
-            step_values, first = np.unique(steps[idx], return_index=True)
+            own = np.flatnonzero(agents[starts] == i)
+            step_values, first = np.unique(steps[starts[own]], return_index=True)
             step_meta = []
-            for step, r in zip(step_values.tolist(), idx[first].tolist()):
+            for step, j in zip(step_values.tolist(), own[first].tolist()):
                 if step < 0:
                     continue
-                fields = rows[r].split(",")
+                fields = texts[j].split(",")
                 try:
                     step_meta.append({
                         "t": step * h,
@@ -305,13 +355,19 @@ class TrajectoryLog:
                         "tube_capped": bool(int(fields[col["tube_capped"]])),
                     })
                 except ValueError as exc:
-                    raise ValueError(f"{path}: line {r + 2}: {exc}") from exc
+                    raise ValueError(f"{path}: line {starts[j] + 2}: {exc}") from exc
             traces.append(AgentTrace(
                 times=block[:, 0], states=block[:, 3:3 + n_x], inputs=block[:, 3 + n_x:k],
                 w_norms=block[:, k], V=block[:, k + 1], margins=block[:, k + 2:],
                 step_meta=step_meta))
         substeps = int(np.bincount(agents[steps == 0]).max(initial=0))
         return cls(traces=traces, meta={"h": h, "substeps": substeps})
+
+
+def _stacked(rows, width):
+    """The (len(rows), width) float array of a list of rows, as `np.array`
+    gives it, by one concatenation: faster on many short rows."""
+    return np.concatenate(rows or [()], dtype=float).reshape(len(rows), width)
 
 
 def _residual(sol):
@@ -652,12 +708,12 @@ class Simulation:
         """
         log_out = TrajectoryLog(
             traces=[AgentTrace(times=np.array(tr.times, dtype=float),
-                               states=np.array(tr.states, dtype=float),
-                               inputs=np.array(tr.inputs, dtype=float),
+                               states=_stacked(tr.states, model.state_dim),
+                               inputs=_stacked(tr.inputs, model.input_dim),
                                w_norms=np.array(tr.w_norms, dtype=float),
                                V=np.array(tr.V, dtype=float),
                                step_meta=list(tr.step_meta))
-                    for tr in self.traces],
+                    for tr, model in zip(self.traces, self.models)],
             meta={
                 "h": self.config.h,
                 "T_p": self.config.T_p,

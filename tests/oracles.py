@@ -10,13 +10,16 @@ unicycle only, so `use_double_integrator` puts a rollout of it in place of
 
 `write_csv_rows` is the trajectory CSV writer that formats one row at a time;
 `TrajectoryLog.to_csv`, which formats column by column, must write its bytes.
+`read_csv_whole` is the reader that holds the whole file's lines at once;
+`TrajectoryLog.from_csv`, which reads the file in blocks of lines, must return
+its traces bit for bit and its step records.
 """
 
 import numpy as np
 
 from dnmpc import ocp
 from dnmpc.constraints import MARGIN_KINDS
-from dnmpc.coordination import _SOLVER_COLUMNS, csv_columns
+from dnmpc.coordination import _SOLVER_COLUMNS, AgentTrace, TrajectoryLog, csv_columns
 from dnmpc.dynamics import AgentModel
 
 
@@ -152,3 +155,65 @@ def write_csv_rows(log, path):
                 for t, step, row in zip(
                     times, [-1] + [r // substeps for r in range(T - 1)],
                     block.tolist()))
+
+
+def read_csv_whole(path, h):
+    """`TrajectoryLog.from_csv` of `path` from the whole file's lines at once:
+    one `np.loadtxt` call over every row, and each agent's step records from
+    the first row of each step."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split(",") if lines else []
+    rows = lines[1:]
+    n_x = sum(1 for c in header if c.startswith("x") and c[1:].isdigit())
+    n_u = sum(1 for c in header if c.startswith("u") and c[1:].isdigit())
+    names = csv_columns(n_x, n_u)
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    col = {name: header.index(name) for name in names}
+    for line, text in enumerate(rows, start=2):
+        if text.count(",") != len(header) - 1:
+            raise ValueError(f"{path}: line {line} has {text.count(',') + 1} fields, "
+                             f"the header {len(header)}")
+    numeric = names[:len(names) - len(_SOLVER_COLUMNS)]
+    try:
+        data = np.loadtxt(rows, delimiter=",", usecols=[col[name] for name in numeric],
+                          comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    agents = data[:, 1].astype(int)
+    ids = np.unique(agents)
+    if not np.array_equal(ids, np.arange(len(ids))):
+        raise ValueError(f"{path}: agent ids {ids.tolist()} are not 0..{len(ids) - 1}")
+    steps = data[:, 2].astype(int)
+    k = 3 + n_x + n_u  # w_norm, then V, then the margins
+    traces = []
+    for i in ids:
+        idx = np.flatnonzero(agents == i)
+        block = data[idx]
+        step_values, first = np.unique(steps[idx], return_index=True)
+        step_meta = []
+        for step, r in zip(step_values.tolist(), idx[first].tolist()):
+            if step < 0:
+                continue
+            fields = rows[r].split(",")
+            try:
+                step_meta.append({
+                    "t": step * h,
+                    "status": fields[col["status"]],
+                    "cost": float(fields[col["cost"]]),
+                    "errsq_int": float(fields[col["errsq_int"]]),
+                    "terminal_relaxed": bool(int(fields[col["terminal_relaxed"]])),
+                    "tube_capped": bool(int(fields[col["tube_capped"]])),
+                })
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {r + 2}: {exc}") from exc
+        traces.append(AgentTrace(
+            times=block[:, 0], states=block[:, 3:3 + n_x], inputs=block[:, 3 + n_x:k],
+            w_norms=block[:, k], V=block[:, k + 1], margins=block[:, k + 2:],
+            step_meta=step_meta))
+    substeps = int(np.bincount(agents[steps == 0]).max(initial=0))
+    return TrajectoryLog(traces=traces, meta={"h": h, "substeps": substeps})

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from dnmpc.coordination import (PredictionEntry, Simulation, SimulationError, Tr
 from dnmpc.dynamics import UNICYCLE, DisturbanceSignal
 from dnmpc.ocp import OcpConfig, warm_start_shift
 from dnmpc.setalg import Ball, TubeProfile
-from oracles import count_jacobians, write_csv_rows
+from oracles import count_jacobians, read_csv_whole, write_csv_rows
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
@@ -385,6 +386,152 @@ def test_to_csv_needs_the_substep_count_of_a_multi_row_trace(tmp_path):
     assert (tmp_path / "single.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+def _assert_reads_as_the_whole_file(path):
+    """from_csv of `path` returns the whole-file reader's traces bit for bit,
+    NaN payloads included, its step records and its meta."""
+    got, want = TrajectoryLog.from_csv(path, h=0.1), read_csv_whole(path, h=0.1)
+    assert got.meta == want.meta and len(got.traces) == len(want.traces)
+    for a, b in zip(got.traces, want.traces):
+        for name in ("times", "states", "inputs", "w_norms", "V", "margins"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype == np.float64 and x.shape == y.shape, name
+            assert np.array_equal(x.view(np.int64), y.view(np.int64)), name
+        assert repr(a.step_meta) == repr(b.step_meta)
+
+
+def _rewritten(data, case, rng):
+    """The CSV bytes `data` as `case`: "written" as they are; "no final
+    newline"; "scrambled", its rows in a random order (agents interleaved,
+    steps out of order) with a cost of its own on every row, so that only
+    the first row of a step gives the step's record; "extra column", an
+    older schema's column `old` after `V`."""
+    lines = data.decode().split("\r\n")[:-1]
+    if case == "no final newline":
+        return data[:-2]
+    if case == "scrambled":
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        for k, fields in enumerate(rows):
+            if fields[header.index("step")] != "-1":
+                fields[header.index("cost")] = repr(0.5 + k)
+        lines = [lines[0]] + [",".join(rows[k]) for k in rng.permutation(len(rows))]
+    elif case == "extra column":
+        at = lines[0].split(",").index("V") + 1
+        lines = [",".join(fields[:at] + [value] + fields[at:])
+                 for fields, value in zip((line.split(",") for line in lines),
+                                          ["old"] + [f"x{k}" for k in range(len(lines))])]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+@pytest.mark.parametrize("case", ["written", "no final newline", "scrambled", "extra column"])
+@pytest.mark.parametrize("block", [7, 600, coordination._CSV_BLOCK_BYTES])
+def test_from_csv_reads_blocks_as_the_whole_file_reader(monkeypatch, tmp_path, case, block):
+    """Blocks of 7 bytes (shorter than a line) and 600 (two or three rows,
+    so that block edges fall inside a step's rows and between agents) give
+    the whole-file reader's traces and step records, as one block does."""
+    rng = np.random.default_rng(8)
+    traces = [_hand_trace(301, rng), _hand_trace(296, rng), _hand_trace(301, rng, margins=False)]
+    written = tmp_path / "written.csv"
+    TrajectoryLog(traces=traces, meta={"substeps": 10}).to_csv(written)
+    path = tmp_path / "case.csv"
+    path.write_bytes(_rewritten(written.read_bytes(), case, rng))
+    assert path.stat().st_size > 100 * 600
+    monkeypatch.setattr(coordination, "_CSV_BLOCK_BYTES", block)
+    _assert_reads_as_the_whole_file(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), block=st.integers(1, 3000))
+def test_from_csv_matches_the_whole_file_reader_on_small_logs(tmp_path_factory, data, block):
+    """Random small logs of 1 to 3 traces and random substep counts, in any
+    of `_rewritten`'s forms, read as the whole file reads at any block
+    size."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    substeps = data.draw(st.integers(1, 5))
+    traces = [_hand_trace(data.draw(st.integers(1, 40)), rng, substeps=substeps)
+              for _ in range(data.draw(st.integers(1, 3)))]
+    path = tmp_path_factory.getbasetemp() / "small.csv"
+    TrajectoryLog(traces=traces, meta={"substeps": substeps}).to_csv(path)
+    case = data.draw(st.sampled_from(["written", "no final newline", "scrambled",
+                                      "extra column"]))
+    path.write_bytes(_rewritten(path.read_bytes(), case, rng))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coordination, "_CSV_BLOCK_BYTES", block)
+        _assert_reads_as_the_whole_file(path)
+
+
+def test_from_csv_names_the_line_of_an_error_in_a_later_block(monkeypatch, tmp_path):
+    """In 600-byte blocks, a short row, an unparsable numeric field and an
+    unparsable solver field far into the file raise a ValueError that names
+    the file and the row's line in the file; a header alone has no data
+    rows, and an empty file misses every column."""
+    rng = np.random.default_rng(9)
+    written = tmp_path / "written.csv"
+    TrajectoryLog(traces=[_hand_trace(301, rng), _hand_trace(301, rng)],
+                  meta={"substeps": 10}).to_csv(written)
+    lines = written.read_text().splitlines()
+    header = lines[0].split(",")
+    monkeypatch.setattr(coordination, "_CSV_BLOCK_BYTES", 600)
+    path = tmp_path / "bad.csv"
+
+    def read_with(line, column, value):
+        bad = list(lines)
+        fields = bad[line - 1].split(",")
+        if value is None:
+            del fields[column]
+        else:
+            fields[column] = value
+        bad[line - 1] = ",".join(fields)
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError) as caught:
+            TrajectoryLog.from_csv(path, h=0.1)
+        return str(caught.value)
+
+    assert read_with(500, -1, None) == f"{path}: line 500 has 18 fields, the header 19"
+    message = read_with(437, header.index("V"), "abc")
+    assert message.startswith(f"{path}: could not convert string 'abc'")
+    assert "at line 437," in message
+    # line 514 is the first row of agent 1's step 21
+    assert lines[513].split(",")[1:3] == ["1", "21"] != lines[512].split(",")[1:3]
+    message = read_with(514, header.index("cost"), "abc")
+    assert message.startswith(f"{path}: line 514: ") and "abc" in message
+    path.write_text(lines[0] + "\r\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        TrajectoryLog.from_csv(path, h=0.1)
+    path.write_text("")
+    with pytest.raises(ValueError, match=r"missing column\(s\) t, agent, step, w_norm"):
+        TrajectoryLog.from_csv(path, h=0.1)
+
+
+# tracemalloc's peak of from_csv, in multiples of the file's size, on the
+# test's 3 x 10,001-row log: 2.4 to 2.5 for the whole-file reader, 1.27 for
+# the block reader
+_FROM_CSV_PEAK_PER_FILE_BYTE = 1.5
+
+
+def test_from_csv_holds_one_block_of_text_at_a_time(tmp_path):
+    """On a log of the replay benchmark's shape (3 x 10,001 rows, about 9
+    MB), the memory that from_csv allocates at its peak stays under
+    `_FROM_CSV_PEAK_PER_FILE_BYTE` times the file's size: more than the
+    arrays it returns, less than the whole file's text."""
+    rng = np.random.default_rng(10)
+    traces = []
+    for _ in range(3):
+        trace = _hand_trace(10_001, rng)
+        trace.margins = rng.normal(size=(10_001, len(MARGIN_KINDS)))
+        traces.append(trace)
+    path = tmp_path / "long.csv"
+    TrajectoryLog(traces=traces, meta={"substeps": 10}).to_csv(path)
+    tracemalloc.start()
+    try:
+        log = TrajectoryLog.from_csv(path, h=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(trace.times) for trace in log.traces] == [10_001] * 3
+    assert peak < _FROM_CSV_PEAK_PER_FILE_BYTE * path.stat().st_size
+
+
 def _verdicts(report):
     return [(name, c.passed, repr(c.worst_margin), repr(c.worst_time), c.detail)
             for name, c in report.checks.items()]
@@ -458,6 +605,21 @@ def test_partial_log_is_finalized_from_the_rows_so_far(monkeypatch, tmp_path):
     world = scenario.build_world()
     assert (_verdicts(certify.verify(log, world, scenario))
             == _verdicts(certify.verify(_listed(log, sim), world, scenario)))
+
+
+def test_traces_without_rows_finalize(tmp_path):
+    """A simulation finalized before its first logged row gives each agent
+    arrays of no rows, states and inputs of the model's widths, and no
+    margins; its CSV is the header alone."""
+    scenario = load_scenario(SCENARIO)
+    log = scenario.build_simulation(total_time=0.3).finalize_log()
+    for trace in log.traces:
+        assert trace.times.shape == trace.w_norms.shape == trace.V.shape == (0,)
+        assert trace.states.shape == (0, 3) and trace.inputs.shape == (0, 2)
+        assert trace.margins.shape == (0, len(MARGIN_KINDS))
+    log.to_csv(tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (
+        ",".join(coordination.csv_columns(3, 2)) + "\r\n").encode()
 
 
 def test_separation_maintained_head_on():

@@ -2,7 +2,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from dnmpc.cli import load_scenario, main
+from dnmpc.coordination import AgentTrace, TrajectoryLog
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -96,3 +100,62 @@ def test_pair_summary_gives_medians_parent_iqr_and_lower_pairs(parity):
     assert one["post_s"]["parent_quartiles"] == [0.5, 0.5] and one["post_s"]["parent_iqr"] == 0.0
     assert parity.summary_lines("replay", one) == [
         "replay post_s: parent 0.5 change 0.4 (-20.0%), parent IQR 0, lower in 1/1"]
+
+
+def test_peak_rss_is_the_commands_own(parity):
+    """The wrapped command's standard output and exit status pass through,
+    and its peak RSS is its own: 64 MiB more for a command that holds 64
+    MiB of bytes than for one that holds none."""
+    status, stdout, idle = parity._run_peak_rss(ROOT, ["-c", "print('out'); raise SystemExit(3)"])
+    assert (status, stdout) == (3, b"out\n")
+    _, _, held = parity._run_peak_rss(ROOT, ["-c", "held = b'x' * (64 << 20)"])
+    assert 0 < idle < 64 < held
+
+
+def test_verify_artifacts_are_dnmpc_verifys_output(parity, tmp_path, capsys):
+    """`dnmpc verify` of each verified run's CSV gives its standard output
+    and exit status, as the in-process command prints and returns them, and
+    each verify process's peak RSS; a CSV without rows exits 2 with nothing
+    on standard output."""
+    scenario_path = ROOT / parity.SCENARIO
+    traces = [AgentTrace(times=[0.0], states=[spec.start], inputs=[np.full(2, np.nan)],
+                         w_norms=[0.0], V=[0.0])
+              for spec in load_scenario(scenario_path).agents]
+    good, empty = (tmp_path / name / "trajectory.csv" for name in parity.VERIFIED)
+    for path in (good, empty):
+        path.parent.mkdir()
+    TrajectoryLog(traces=traces).to_csv(good)
+    empty.write_text(good.read_text().splitlines()[0] + "\n")
+    out = parity.verify_artifacts(ROOT, tmp_path)
+    assert list(out) == ["bundled-10s verify stdout", "bundled-10s verify exit status",
+                         "bundled-100s verify stdout", "bundled-100s verify exit status",
+                         "verify peak_rss_mb"]
+    status = main(["verify", str(good), str(scenario_path)])
+    assert out["bundled-10s verify stdout"] == capsys.readouterr().out.encode()
+    assert out["bundled-10s verify exit status"] == str(status).encode()
+    assert (out["bundled-100s verify stdout"], out["bundled-100s verify exit status"]) == (
+        b"", b"2")
+    peaks = json.loads(out["verify peak_rss_mb"])
+    assert list(peaks) == list(parity.VERIFIED) and all(0 < mb < 1000 for mb in peaks.values())
+
+
+def test_record_compares_verify_output_and_records_its_peak(parity):
+    """The verify artifacts are compared like the others, and their peak
+    RSS goes to its own block, not to the comparisons."""
+    def side(verify_stdout, peak):
+        out = {"bundled-10s verify stdout": verify_stdout,
+               "bundled-10s verify exit status": b"0",
+               "verify peak_rss_mb": json.dumps({"bundled-10s": peak}).encode(),
+               "sweep": b"completed 17/40\n", "paired gate": b"gate: pass\n",
+               "calls": b'{"corridor": 1}\n'}
+        out.update({f"traced {workload}": parity.traced_lines(_traced("fb873281d5a58a05", 0.03))
+                    for workload in parity.WORKLOADS})
+        return out
+
+    result = parity.record("HEAD~", side(b"a = 1\nb = 2\n", 62.1), side(b"a = 1\nb = 3\n", 56.2))
+    assert result["bit_for_bit"]["bundled-10s verify stdout"] == {
+        "line": 2, "parent": "b = 2", "change": "b = 3"}
+    assert result["bit_for_bit"]["bundled-10s verify exit status"] == "identical"
+    assert "verify peak_rss_mb" not in result["bit_for_bit"]
+    assert result["verify_peak_rss_mb"] == {"parent": {"bundled-10s": 62.1},
+                                            "change": {"bundled-10s": 56.2}}
