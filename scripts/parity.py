@@ -10,7 +10,8 @@ same pieces there and in this checkout's working tree:
 
 - ``dnmpc run`` of the bundled scenario for its own 10 s and for 100 s, and
   of a copy with ``w_bar: 0.0`` (no disturbance) for 10 s, each keeping its
-  ``trajectory.csv`` and ``report.txt``;
+  ``trajectory.csv`` and ``report.txt`` and measuring the peak RSS of each
+  run process;
 - ``dnmpc verify`` of the 10 s and 100 s runs' ``trajectory.csv``, keeping
   its standard output and exit status, and measuring the peak RSS of each
   verify process;
@@ -24,12 +25,12 @@ the same (as ``cmp`` finds them), otherwise the first differing line of each
 side. Of the sweep, the run lines and the completion count are compared. Of
 a traced benchmark run only the lines that do not depend on the machine are
 compared: the verdicts, the digests, the failed fraction, every metric
-counted in calls, rows, iterations or bytes, and ``correct``. The verify
-processes' peak RSS is recorded, not compared. Last, it prints one JSON
-object with the comparisons, the sweep's completion counts and paired gate,
-both sides' ``scripts/calls.py`` counts, verify peak RSS and traced counts,
-the block a ``BENCH_<pr>.json`` records. The exit status is 0 when every
-artifact is identical and 1 otherwise.
+counted in calls, rows, iterations or bytes, and ``correct``. The run and
+verify processes' peak RSS is recorded, not compared. Last, it prints one
+JSON object with the comparisons, the sweep's completion counts and paired
+gate, both sides' ``scripts/calls.py`` counts, run and verify peak RSS and
+traced counts, the block a ``BENCH_<pr>.json`` records. The exit status is 0
+when every artifact is identical and 1 otherwise.
 
 With ``--pairs N`` it also runs ``perfbench/run.py --seconds 5`` of each
 workload on both sides for seeds 1 to N, the two runs of a seed one after
@@ -60,7 +61,7 @@ RUNS = (("bundled-10s", None, False), ("bundled-100s", 100.0, False),
 # the runs whose trajectory.csv ``dnmpc verify`` reads back
 VERIFIED = ("bundled-10s", "bundled-100s")
 # the artifacts that are recorded but not compared
-UNCOMPARED = ("paired gate", "verify peak_rss_mb")
+UNCOMPARED = ("paired gate", "run peak_rss_mb", "verify peak_rss_mb")
 # ``python3 -c _PEAK_RSS <command>`` runs the command as its only child, the
 # command's standard output passed through, then prints the child's peak RSS
 # in KiB on standard error and exits with the child's status
@@ -168,10 +169,11 @@ def verify_artifacts(side, work):
 
 def artifacts(side, work, parent_sweep=None):
     """{artifact name: bytes} of every piece run in checkout `side`, its
-    outputs written under `work`; "sweep" holds the sweep's run lines and
+    outputs written under `work`; "run peak_rss_mb" holds the JSON object of
+    each run process's peak RSS in MB, "sweep" the sweep's run lines and
     completion count, "paired gate" the lines it prints after them when
     given the file `parent_sweep`."""
-    out = {}
+    out, peaks = {}, {}
     nominal = work / "nominal.yaml"
     nominal.write_text((side / SCENARIO).read_text().replace("\nw_bar: 0.1", "\nw_bar: 0.0", 1))
     for name, total, disturbance_free in RUNS:
@@ -180,10 +182,11 @@ def artifacts(side, work, parent_sweep=None):
                 "--out", run_dir]
         if total is not None:
             args += ["--total-time", total]
-        status, _ = _run(side, args)
+        status, _, peaks[name] = _run_peak_rss(side, args)
         out[f"{name} exit status"] = str(status).encode()
         for file in ("trajectory.csv", "report.txt"):
             out[f"{name} {file}"] = (run_dir / file).read_bytes()
+    out["run peak_rss_mb"] = json.dumps(peaks).encode()
     out.update(verify_artifacts(side, work))
     args = ["scripts/sweep.py"] + ([] if parent_sweep is None else ["--parent", parent_sweep])
     lines = _run(side, args)[1].splitlines(keepends=True)
@@ -214,6 +217,8 @@ def record(parent_rev, parent, change):
         "paired_gate": change["paired gate"].decode().splitlines(),
         "calls": {side: json.loads(arts["calls"].decode().splitlines()[-1])
                   for side, arts in (("parent", parent), ("change", change))},
+        "run_peak_rss_mb": {side: json.loads(arts["run peak_rss_mb"])
+                            for side, arts in (("parent", parent), ("change", change))},
         "verify_peak_rss_mb": {side: json.loads(arts["verify peak_rss_mb"])
                                for side, arts in (("parent", parent), ("change", change))},
         "traced": {workload: {side: traced_counts(arts[f"traced {workload}"])

@@ -204,13 +204,24 @@ def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
 
     # (2) inter-agent separation (every pair), (3) neighbor connectivity,
     # (4) obstacle clearance and (5) workspace containment, net of the safety
-    # margin: each kind's smallest margin, the first in (agent, column, time)
+    # margin: each kind's smallest margin, the first in (agent, column, time).
+    # Each column's smallest margin and its first row are carried over the
+    # chunks as np.argmin finds them in the whole column (a NaN before any
+    # number), and only then tracked across the columns in their order
     worst = [(np.inf, 0.0)] * len(MARGIN_KINDS)
     for i in range(n):
-        geo = world.logged_geometry(i, times, positions, world.margin)
-        margins = geo._evaluate(positions[i])[0]
-        for c, (kind, k) in enumerate(zip(geo.kinds, np.argmin(margins, axis=0))):
-            worst[kind] = _track(worst[kind], margins[k, c], float(times[i][k]))
+        least = first = None
+        for rows, kinds, margins, _ in world.logged_margins(i, times, positions,
+                                                            world.margin):
+            k = np.argmin(margins, axis=0)
+            low = margins[k, np.arange(len(k))]
+            if least is None:
+                least, first = low, k + rows.start
+                continue
+            lower = (low < least) | (np.isnan(low) & ~np.isnan(least))
+            least, first = np.where(lower, low, least), np.where(lower, k + rows.start, first)
+        for kind, margin, k in zip(kinds, least, first):
+            worst[kind] = _track(worst[kind], margin, float(times[i][k]))
     sep, conn, obst, wksp = worst
     report.checks["inter-agent-separation"] = CheckResult(sep[0] >= -tol, *sep)
     report.checks["neighbor-connectivity"] = CheckResult(conn[0] >= -tol, *conn)

@@ -32,6 +32,10 @@ __all__ = [
 
 # constraint kinds, in the column order of StageGeometry.margins
 MARGIN_KINDS = ("inter-agent", "neighbor", "obstacle", "workspace")
+# logged samples that WorldModel.logged_margins evaluates at a time: the
+# (rows, C, d) anchors and differences of one chunk are held, not the whole
+# log's, and the post-run passes take no longer than over the whole log
+_LOGGED_CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -88,16 +92,31 @@ class WorldModel:
                         r_i + self.obstacles[ell].radius + eps) for ell in sorted(obstacles)],
             workspace=(self.workspace.center, self.workspace.radius - r_i - eps))
 
-    def logged_geometry(self, i, times, positions, eps):
-        """Agent i's constraints against every other agent and every obstacle
-        on its logged samples. `times[j]` (T_j,) and `positions[j]` (T_j, d)
-        are agent j's samples; the logs may differ in length, as in a partial
-        log. Another agent is taken at its first sample at or after each
-        time, and at its last one beyond the end of its log."""
+    def logged_margins(self, i, times, positions, eps):
+        """Agent i's margins, thresholds net of eps, against every other agent
+        and every obstacle on its logged samples, in chunks of
+        `_LOGGED_CHUNK_ROWS` samples, so that one chunk's geometry is held at
+        a time: yields (rows, kinds, margins, dist) for the slice `rows` of
+        agent i's samples, with the columns' MARGIN_KINDS indices (C,) and
+        the margins and distances of those samples (rows, C), in the same
+        column order for every chunk.
+
+        `times[j]` (T_j,) and `positions[j]` (T_j, d) are agent j's samples;
+        the logs may differ in length, as in a partial log. Another agent is
+        taken at its first sample at or after each time, and at its last one
+        beyond the end of its log. Every step is row by row, so the chunks
+        hold the floats of one pass over the whole log."""
         others = [j for j in range(len(positions)) if j != i]
-        tracks = {j: positions[j][np.minimum(np.searchsorted(times[j], times[i]),
-                                             len(times[j]) - 1)] for j in others}
-        return self.geometry(i, times[i], tracks, others, range(len(self.obstacles)), eps)
+        for start in range(0, len(times[i]), _LOGGED_CHUNK_ROWS):
+            rows = slice(start, start + _LOGGED_CHUNK_ROWS)
+            taus = times[i][rows]
+            tracks = {j: positions[j][np.minimum(np.searchsorted(times[j], taus),
+                                                 len(times[j]) - 1)] for j in others}
+            geo = self.geometry(i, taus, tracks, others, range(len(self.obstacles)), eps)
+            kinds = geo.kinds
+            margins, diff, dist = geo._evaluate(positions[i][rows])
+            del tracks, geo, diff  # hold the chunk's margins and distances alone
+            yield rows, kinds, margins, dist
 
 
 class StageGeometry:
@@ -138,8 +157,9 @@ class StageGeometry:
     def _evaluate(self, pos):
         """Raw margins of positions (..., T, d) with the offsets from and
         distances to each column's anchor: (..., T, C), (..., T, C, d) and
-        (..., T, C). Callers after a run read the margins here, outside the
-        solver's count of :meth:`margins` calls."""
+        (..., T, C). The logged samples (:meth:`WorldModel.logged_margins`)
+        and the start check read the margins here, outside the solver's
+        count of :meth:`margins` calls."""
         diff = pos[..., None, :] - self.anchors
         # the sum np.linalg.norm forms, so the distances are the same floats
         dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))

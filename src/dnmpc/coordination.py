@@ -275,9 +275,10 @@ class TrajectoryLog:
 
         Columns are found by their `csv_columns` names, so a file from an
         older schema with extra columns still reads; a missing column, no
-        data rows, agent ids other than 0..k-1, a row of the wrong length (a
-        truncated file) or an unparsable field raises ValueError, which names
-        the file and, for a row, its line.
+        data rows, agent ids other than 0..k-1, an agent or step that is not a
+        finite integer, a row of the wrong length (a truncated file) or an
+        unparsable field raises ValueError, which names the file and, for a
+        row, its line.
 
         The file is read in blocks of whole lines of about `_CSV_BLOCK_BYTES`
         (1 MiB), so that the text of one block at a time is held, not the
@@ -314,7 +315,14 @@ class TrajectoryLog:
                         message = _LOADTXT_ROW.sub(
                             lambda m: f"at line {row + 2 + int(m[1])}", str(exc), count=1)
                         raise ValueError(f"{path}: {message}") from exc
-                    key = part[:, 1:3].astype(int)  # agent, step
+                    key = part[:, 1:3]  # agent, step
+                    whole = np.isfinite(key) & (np.trunc(key) == key)
+                    if not whole.all():
+                        r, c = np.argwhere(~whole)[0]
+                        name = ("agent", "step")[c]
+                        raise ValueError(f"{path}: line {row + 2 + r}: {name} "
+                                         f"{rows[r].split(',')[col[name]]!r} is not an integer")
+                    key = key.astype(int)
                     first = np.flatnonzero(np.concatenate(
                         ([True], (key[1:] != key[:-1]).any(axis=1))))
                     parts.append(part)
@@ -729,21 +737,24 @@ class Simulation:
         smallest column of each kind, inf where the kind has none.
 
         The inter-agent margin covers only the agents within sensing range at
-        that sample; the neighbor margin covers the fixed neighbor set.
+        that sample; the neighbor margin covers the fixed neighbor set. The
+        samples are reduced chunk by chunk, as `WorldModel.logged_margins`
+        gives them.
         """
         traces = log_out.traces
         times = [tr.times for tr in traces]
         positions = [tr.states[:, model.position_slice]
                      for tr, model in zip(traces, self.models)]
         for i, trace in enumerate(traces):
-            geo = self.world.logged_geometry(i, times, positions, 0.0)
-            margins, _, dist = geo._evaluate(positions[i])
-            sensed = ((geo.kinds != MARGIN_KINDS.index("inter-agent"))
-                      | (dist < self.world.sensing_ranges[i]))
-            margins = np.where(sensed, margins, np.inf)
-            trace.margins = np.column_stack(
-                [np.min(margins[:, geo.kinds == k], axis=1, initial=np.inf)
-                 for k in range(len(MARGIN_KINDS))])
+            trace.margins = np.empty((len(trace.times), len(MARGIN_KINDS)))
+            for rows, kinds, margins, dist in self.world.logged_margins(i, times, positions,
+                                                                        0.0):
+                sensed = ((kinds != MARGIN_KINDS.index("inter-agent"))
+                          | (dist < self.world.sensing_ranges[i]))
+                margins = np.where(sensed, margins, np.inf)
+                for k in range(len(MARGIN_KINDS)):
+                    trace.margins[rows, k] = np.min(margins[:, kinds == k], axis=1,
+                                                    initial=np.inf)
 
     def run(self):
         """Iterate steps over the full duration; returns the trajectory log."""

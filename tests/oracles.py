@@ -13,11 +13,18 @@ unicycle only, so `use_double_integrator` puts a rollout of it in place of
 `read_csv_whole` is the reader that holds the whole file's lines at once;
 `TrajectoryLog.from_csv`, which reads the file in blocks of lines, must return
 its traces bit for bit and its step records.
+
+`fill_margins_whole` and `verify_geometry_whole` evaluate each agent's logged
+geometry on its whole log at once (`logged_geometry_whole`): the CSV's margin
+columns that `Simulation.finalize_log` fills, and the four geometric checks of
+`certify.verify`. The program reduces `WorldModel.logged_margins` chunk by
+chunk, and must give their margins bit for bit and their check results.
 """
 
 import numpy as np
 
 from dnmpc import ocp
+from dnmpc.certify import CheckResult, _track
 from dnmpc.constraints import MARGIN_KINDS
 from dnmpc.coordination import _SOLVER_COLUMNS, AgentTrace, TrajectoryLog, csv_columns
 from dnmpc.dynamics import AgentModel
@@ -217,3 +224,59 @@ def read_csv_whole(path, h):
             step_meta=step_meta))
     substeps = int(np.bincount(agents[steps == 0]).max(initial=0))
     return TrajectoryLog(traces=traces, meta={"h": h, "substeps": substeps})
+
+
+def logged_geometry_whole(world, i, times, positions, eps):
+    """Agent i's `StageGeometry` against every other agent and every obstacle
+    on all of its logged samples: another agent at its first sample at or
+    after each time, and at its last one beyond the end of its log."""
+    others = [j for j in range(len(positions)) if j != i]
+    tracks = {j: positions[j][np.minimum(np.searchsorted(times[j], times[i]),
+                                         len(times[j]) - 1)] for j in others}
+    return world.geometry(i, times[i], tracks, others, range(len(world.obstacles)), eps)
+
+
+def _logged_positions(log, models):
+    times = [np.asarray(tr.times) for tr in log.traces]
+    positions = [np.asarray(tr.states)[:, model.position_slice]
+                 for tr, model in zip(log.traces, models)]
+    return times, positions
+
+
+def fill_margins_whole(sim, log):
+    """The (T, len(MARGIN_KINDS)) raw margins (eps = 0) of each trace of the
+    finalized `log` of `sim`, as `Simulation.finalize_log` fills them: per
+    kind the smallest column, inter-agent columns only within sensing
+    range, inf where the kind has none."""
+    times, positions = _logged_positions(log, sim.models)
+    out = []
+    for i in range(len(log.traces)):
+        geo = logged_geometry_whole(sim.world, i, times, positions, 0.0)
+        margins, _, dist = geo._evaluate(positions[i])
+        sensed = ((geo.kinds != MARGIN_KINDS.index("inter-agent"))
+                  | (dist < sim.world.sensing_ranges[i]))
+        margins = np.where(sensed, margins, np.inf)
+        out.append(np.column_stack(
+            [np.min(margins[:, geo.kinds == k], axis=1, initial=np.inf)
+             for k in range(len(MARGIN_KINDS))]))
+    return out
+
+
+def verify_geometry_whole(log, world, scenario, tol=1e-9):
+    """{check name: CheckResult} of `certify.verify`'s inter-agent
+    separation, neighbor connectivity, obstacle clearance and workspace
+    containment checks: each kind's smallest margin, net of the safety
+    margin, the first in (agent, column, time)."""
+    times, positions = _logged_positions(log, scenario.build_models())
+    worst = [(np.inf, 0.0)] * len(MARGIN_KINDS)
+    for i in range(len(log.traces)):
+        geo = logged_geometry_whole(world, i, times, positions, world.margin)
+        margins = geo._evaluate(positions[i])[0]
+        for c, (kind, k) in enumerate(zip(geo.kinds, np.argmin(margins, axis=0))):
+            worst[kind] = _track(worst[kind], margins[k, c], float(times[i][k]))
+    sep, conn, obst, wksp = worst
+    return {"inter-agent-separation": CheckResult(sep[0] >= -tol, *sep),
+            "neighbor-connectivity": CheckResult(conn[0] >= -tol, *conn),
+            "obstacle-clearance": CheckResult(obst[0] >= -tol if world.obstacles else True,
+                                              *obst),
+            "workspace-containment": CheckResult(wksp[0] >= -tol, *wksp)}

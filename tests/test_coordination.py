@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnmpc import certify, coordination, ocp
+from dnmpc import certify, constraints, coordination, ocp
 from dnmpc.cli import load_scenario
 from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel
 from dnmpc.coordination import (PredictionEntry, Simulation, SimulationError, TrajectoryLog,
@@ -15,7 +16,8 @@ from dnmpc.coordination import (PredictionEntry, Simulation, SimulationError, Tr
 from dnmpc.dynamics import UNICYCLE, DisturbanceSignal
 from dnmpc.ocp import OcpConfig, warm_start_shift
 from dnmpc.setalg import Ball, TubeProfile
-from oracles import count_jacobians, read_csv_whole, write_csv_rows
+from oracles import (count_jacobians, fill_margins_whole, read_csv_whole, verify_geometry_whole,
+                     write_csv_rows)
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
@@ -503,6 +505,35 @@ def test_from_csv_names_the_line_of_an_error_in_a_later_block(monkeypatch, tmp_p
         TrajectoryLog.from_csv(path, h=0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["nan", "inf", "2.5", "-0.5"])
+@pytest.mark.parametrize("name", ["agent", "step"])
+def test_from_csv_rejects_an_agent_or_step_that_is_not_an_integer(monkeypatch, tmp_path,
+                                                                  name, value):
+    """In 600-byte blocks, an agent or step field that parses as a float but
+    is not a finite integer, on the first data row or far into the file,
+    raises a ValueError naming the file, the line and the field, with no
+    warning of numpy's cast before it."""
+    rng = np.random.default_rng(12)
+    written = tmp_path / "written.csv"
+    TrajectoryLog(traces=[_hand_trace(301, rng), _hand_trace(301, rng)],
+                  meta={"substeps": 10}).to_csv(written)
+    lines = written.read_text().splitlines()
+    column = lines[0].split(",").index(name)
+    monkeypatch.setattr(coordination, "_CSV_BLOCK_BYTES", 600)
+    assert len(lines[0]) + len(lines[1]) < 600 < sum(map(len, lines[:500]))
+    path = tmp_path / "bad.csv"
+    for line in (2, 500):
+        bad = list(lines)
+        fields = bad[line - 1].split(",")
+        fields[column] = value
+        bad[line - 1] = ",".join(fields)
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError) as caught:
+            TrajectoryLog.from_csv(path, h=0.1)
+        assert str(caught.value) == f"{path}: line {line}: {name} '{value}' is not an integer"
+
+
 # tracemalloc's peak of from_csv, in multiples of the file's size, on the
 # test's 3 x 10,001-row log: 2.4 to 2.5 for the whole-file reader, 1.27 for
 # the block reader
@@ -620,6 +651,151 @@ def test_traces_without_rows_finalize(tmp_path):
     log.to_csv(tmp_path / "log.csv")
     assert (tmp_path / "log.csv").read_bytes() == (
         ",".join(coordination.csv_columns(3, 2)) + "\r\n").encode()
+
+
+# chunk lengths of WorldModel.logged_margins: one row, a few rows, the
+# program's and more rows than any test log has
+_CHUNKS = [1, 7, constraints._LOGGED_CHUNK_ROWS, 100_000]
+
+
+def _assert_logged_as_whole(sim, log, world, scenario):
+    """`log`, finalized by `sim`, holds the whole-log pass's margins bit for
+    bit, and verify's geometric checks are the whole-log pass's by repr."""
+    for trace, want in zip(log.traces, fill_margins_whole(sim, log)):
+        assert trace.margins.dtype == want.dtype and trace.margins.shape == want.shape
+        assert np.array_equal(trace.margins.view(np.int64), want.view(np.int64))
+    checks = certify.verify(log, world, scenario).checks
+    for name, want in verify_geometry_whole(log, world, scenario).items():
+        assert repr(checks[name]) == repr(want), name
+
+
+@pytest.fixture(scope="module")
+def aborted_run():
+    """The bundled scenario's 0.5 s run whose 8th solve raises, as in
+    tests/test_cli.py: its simulation, whose traces hold 21, 21 and 31 rows."""
+    solve_agent, calls = Simulation._solve_agent, []
+
+    def eighth_solve_raises(self, i, t_k):
+        calls.append(None)
+        if len(calls) == 8:
+            raise RuntimeError("solver diverged: forced")
+        return solve_agent(self, i, t_k)
+
+    scenario = load_scenario(SCENARIO)
+    sim = scenario.build_simulation(total_time=0.5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulation, "_solve_agent", eighth_solve_raises)
+        with pytest.raises(SimulationError):
+            sim.run()
+    return scenario, sim
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+def test_partial_log_margins_and_verdicts_in_chunks(monkeypatch, aborted_run, chunk):
+    """An aborted run's log, whose traces differ in length, has the whole-log
+    pass's margins and geometric checks at every chunk length."""
+    scenario, sim = aborted_run
+    monkeypatch.setattr(constraints, "_LOGGED_CHUNK_ROWS", chunk)
+    log = sim.finalize_log()
+    assert [len(trace.times) for trace in log.traces] == [21, 21, 31]
+    _assert_logged_as_whole(sim, log, scenario.build_world(), scenario)
+
+
+def _long_simulation(rows=10_001, seed=11):
+    """The bundled scenario's 100 s simulation with hand-built traces of
+    `rows` samples each, as the engine keeps them (lists of rows): positions
+    scattered about each start by a unit normal, so that agents come within
+    and leave sensing range, and agent 1's position NaN at one sample of the
+    last chunk."""
+    scenario = load_scenario(SCENARIO)
+    sim = scenario.build_simulation(total_time=100.0)
+    rng = np.random.default_rng(seed)
+    times = [0.01 * k for k in range(rows)]
+    sim.traces = []
+    for start in sim.states:
+        states = start + rng.normal(size=(rows, 3))
+        sim.traces.append(coordination.AgentTrace(
+            times=list(times), states=list(states), inputs=list(rng.normal(size=(rows, 2))),
+            w_norms=rng.uniform(0.0, 0.1, rows).tolist(), V=rng.uniform(size=rows).tolist()))
+    sim.traces[1].states[rows - 5] = np.full(3, np.nan)
+    return scenario, sim
+
+
+@pytest.mark.parametrize("chunk", [constraints._LOGGED_CHUNK_ROWS, 100_000])
+def test_long_log_margins_and_verdicts_in_chunks(monkeypatch, chunk):
+    """A log of 10,001 rows per agent, several chunks long, has the
+    whole-log pass's margins and geometric checks."""
+    scenario, sim = _long_simulation()
+    monkeypatch.setattr(constraints, "_LOGGED_CHUNK_ROWS", chunk)
+    _assert_logged_as_whole(sim, sim.finalize_log(), scenario.build_world(), scenario)
+
+
+# tracemalloc peaks on _long_simulation's 3 x 10,001-row log: finalize_log's
+# in multiples of the bytes of the arrays it returns (2.77 for the whole-log
+# pass, 1.40 in chunks of 2,048 rows), verify's as a fraction of the
+# whole-log geometry pass's (1.00 for a verify on the whole log, 0.29 in
+# chunks of 2,048 rows)
+_FINALIZE_PEAK_PER_OUTPUT_BYTE = 1.75
+_VERIFY_PEAK_PER_WHOLE_LOG_PEAK = 0.5
+
+
+def _traced_peak(fn, *args):
+    """(fn(*args), the bytes that tracemalloc saw allocated at its peak)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_post_run_geometry_holds_one_chunk_at_a_time():
+    """On a log of the replay benchmark's shape, finalize_log allocates at
+    its peak less than `_FINALIZE_PEAK_PER_OUTPUT_BYTE` times the arrays it
+    returns, and verify less than `_VERIFY_PEAK_PER_WHOLE_LOG_PEAK` of what
+    the whole-log geometry pass allocates."""
+    scenario, sim = _long_simulation()
+    world = scenario.build_world()
+    log, peak = _traced_peak(sim.finalize_log)
+    output = sum(getattr(trace, name).nbytes for trace in log.traces
+                 for name in ("times", "states", "inputs", "w_norms", "V", "margins"))
+    assert peak < _FINALIZE_PEAK_PER_OUTPUT_BYTE * output
+    whole = _traced_peak(verify_geometry_whole, log, world, scenario)[1]
+    assert _traced_peak(certify.verify, log, world, scenario)[1] < (
+        _VERIFY_PEAK_PER_WHOLE_LOG_PEAK * whole)
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+def test_verify_keeps_the_whole_logs_worst_time_across_chunks(monkeypatch, chunk):
+    """Two obstacle columns of agent 0 tie at their smallest margin, obst1's
+    at row 3 and obst0's at row 10: the whole log tracks obst0 first and
+    keeps row 10, in chunks of 7 rows too, where obst1's minimum comes
+    first. Agent 2's position is NaN at row 12, so its columns, which hold
+    the smallest separation, drop out of the check as np.argmin over the
+    whole column makes them."""
+    scenario = load_scenario(SCENARIO)
+    center = np.array(scenario.build_world().workspace.center)
+    world = dataclasses.replace(
+        scenario.build_world(), obstacles=[Ball(center + [5.0, 0.0], 1.0),
+                                           Ball(center - [5.0, 0.0], 1.0)])
+    T = 15
+    paths = np.zeros((3, T, 3))
+    paths[:, :, :2] = center
+    paths[0, 3, 0] -= 2.0
+    paths[0, 10, 0] += 2.0
+    paths[1, :, 1] += 1.2
+    paths[2, :, 1] -= 1.1
+    paths[2, 12] = np.nan
+    times = 0.01 * np.arange(T)
+    log = TrajectoryLog(traces=[coordination.AgentTrace(
+        times=times, states=path, inputs=np.zeros((T, 2)), w_norms=np.zeros(T), V=np.zeros(T))
+        for path in paths])
+    monkeypatch.setattr(constraints, "_LOGGED_CHUNK_ROWS", chunk)
+    checks = certify.verify(log, world, scenario).checks
+    for name, want in verify_geometry_whole(log, world, scenario).items():
+        assert repr(checks[name]) == repr(want), name
+    assert checks["obstacle-clearance"].worst_time == times[10]
+    assert checks["inter-agent-separation"].worst_margin == pytest.approx(1.2 - 1.01)
 
 
 def test_separation_maintained_head_on():

@@ -140,22 +140,29 @@ def test_verify_artifacts_are_dnmpc_verifys_output(parity, tmp_path, capsys):
 
 
 def test_record_compares_verify_output_and_records_its_peak(parity):
-    """The verify artifacts are compared like the others, and their peak
-    RSS goes to its own block, not to the comparisons."""
-    def side(verify_stdout, peak):
+    """The verify artifacts are compared like the others, and the run and
+    verify processes' peak RSS go to blocks of their own, not to the
+    comparisons."""
+    def side(verify_stdout, peak, run_peaks):
         out = {"bundled-10s verify stdout": verify_stdout,
                "bundled-10s verify exit status": b"0",
                "verify peak_rss_mb": json.dumps({"bundled-10s": peak}).encode(),
+               "run peak_rss_mb": json.dumps(dict(zip(
+                   (name for name, _, _ in parity.RUNS), run_peaks))).encode(),
                "sweep": b"completed 17/40\n", "paired gate": b"gate: pass\n",
                "calls": b'{"corridor": 1}\n'}
         out.update({f"traced {workload}": parity.traced_lines(_traced("fb873281d5a58a05", 0.03))
                     for workload in parity.WORKLOADS})
         return out
 
-    result = parity.record("HEAD~", side(b"a = 1\nb = 2\n", 62.1), side(b"a = 1\nb = 3\n", 56.2))
+    result = parity.record("HEAD~", side(b"a = 1\nb = 2\n", 62.1, [45.3, 67.9, 45.2]),
+                           side(b"a = 1\nb = 3\n", 56.2, [45.1, 64.2, 45.0]))
     assert result["bit_for_bit"]["bundled-10s verify stdout"] == {
         "line": 2, "parent": "b = 2", "change": "b = 3"}
     assert result["bit_for_bit"]["bundled-10s verify exit status"] == "identical"
-    assert "verify peak_rss_mb" not in result["bit_for_bit"]
+    assert not set(parity.UNCOMPARED) & set(result["bit_for_bit"])
     assert result["verify_peak_rss_mb"] == {"parent": {"bundled-10s": 62.1},
                                             "change": {"bundled-10s": 56.2}}
+    assert result["run_peak_rss_mb"] == {
+        "parent": {"bundled-10s": 45.3, "bundled-100s": 67.9, "nominal-10s": 45.2},
+        "change": {"bundled-10s": 45.1, "bundled-100s": 64.2, "nominal-10s": 45.0}}
