@@ -18,7 +18,9 @@ same pieces there and in this checkout's working tree:
 - ``scripts/sweep.py``, on the change with ``--parent`` and the parent's
   lines, so that it also prints the flipped runs and the paired gate, and
   ``scripts/calls.py``;
-- ``perfbench/run.py --trace 1 --seed 1`` of each workload, as a subprocess.
+- ``perfbench/run.py --trace 1 --seed 1`` of each workload, as a subprocess;
+- the lines of ``src/dnmpc/*.py`` and of ``tests/*.py``, as
+  ``cat <files> | wc -l`` counts them.
 
 Prints one line per artifact: ``identical`` when the two sides' bytes are
 the same (as ``cmp`` finds them), otherwise the first differing line of each
@@ -26,10 +28,11 @@ side. Of the sweep, the run lines and the completion count are compared. Of
 a traced benchmark run only the lines that do not depend on the machine are
 compared: the verdicts, the digests, the failed fraction, every metric
 counted in calls, rows, iterations or bytes, and ``correct``. The run and
-verify processes' peak RSS is recorded, not compared. Last, it prints one
-JSON object with the comparisons, the sweep's completion counts and paired
-gate, both sides' ``scripts/calls.py`` counts, run and verify peak RSS and
-traced counts, the block a ``BENCH_<pr>.json`` records. The exit status is 0
+verify processes' peak RSS and the line counts are recorded, not compared.
+Last, it prints one JSON object with the comparisons, the sweep's completion
+counts and paired gate, both sides' ``scripts/calls.py`` counts, run and
+verify peak RSS, line counts and traced counts, the block a
+``BENCH_<pr>.json`` records. The exit status is 0
 when every artifact is identical and 1 otherwise.
 
 With ``--pairs N`` it also runs ``perfbench/run.py --seconds 5`` of each
@@ -61,7 +64,7 @@ RUNS = (("bundled-10s", None, False), ("bundled-100s", 100.0, False),
 # the runs whose trajectory.csv ``dnmpc verify`` reads back
 VERIFIED = ("bundled-10s", "bundled-100s")
 # the artifacts that are recorded but not compared
-UNCOMPARED = ("paired gate", "run peak_rss_mb", "verify peak_rss_mb")
+UNCOMPARED = ("paired gate", "run peak_rss_mb", "verify peak_rss_mb", "line counts")
 # ``python3 -c _PEAK_RSS <command>`` runs the command as its only child, the
 # command's standard output passed through, then prints the child's peak RSS
 # in KiB on standard error and exits with the child's status
@@ -129,6 +132,15 @@ def traced_counts(kept):
     return out
 
 
+def line_counts(side):
+    """{"src": lines of src/dnmpc/*.py, "tests": lines of tests/*.py} in
+    checkout `side`: the newlines of the files, as ``cat <files> | wc -l``
+    counts them."""
+    return {name: sum(path.read_bytes().count(b"\n")
+                      for path in (side / directory).glob("*.py"))
+            for name, directory in (("src", "src/dnmpc"), ("tests", "tests"))}
+
+
 def _env(side):
     return dict(os.environ, PYTHONPATH=str(side / "src"), PYTHONDONTWRITEBYTECODE="1")
 
@@ -187,6 +199,7 @@ def artifacts(side, work, parent_sweep=None):
         for file in ("trajectory.csv", "report.txt"):
             out[f"{name} {file}"] = (run_dir / file).read_bytes()
     out["run peak_rss_mb"] = json.dumps(peaks).encode()
+    out["line counts"] = json.dumps(line_counts(side)).encode()
     out.update(verify_artifacts(side, work))
     args = ["scripts/sweep.py"] + ([] if parent_sweep is None else ["--parent", parent_sweep])
     lines = _run(side, args)[1].splitlines(keepends=True)
@@ -221,6 +234,9 @@ def record(parent_rev, parent, change):
                             for side, arts in (("parent", parent), ("change", change))},
         "verify_peak_rss_mb": {side: json.loads(arts["verify peak_rss_mb"])
                                for side, arts in (("parent", parent), ("change", change))},
+        **{f"{name}_lines": {side: json.loads(arts["line counts"])[name]
+                             for side, arts in (("parent", parent), ("change", change))}
+           for name in ("src", "tests")},
         "traced": {workload: {side: traced_counts(arts[f"traced {workload}"])
                               for side, arts in (("parent", parent), ("change", change))}
                    for workload in WORKLOADS},

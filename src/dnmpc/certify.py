@@ -167,6 +167,10 @@ class VerificationReport:
         return lines
 
 
+# how far below zero verify lets a margin fall: the ISS cost inequality's, every other
+CHECK_TOL, ISS_TOL = 1e-9, 1e-6
+
+
 def _track(current, margin, t):
     """Keep the (margin, time) pair with the smallest margin."""
     if margin < current[0]:
@@ -174,14 +178,15 @@ def _track(current, margin, t):
     return current
 
 
-def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
+def verify(log, world, scenario):
     """Check a trajectory log against the navigation specification.
 
     All geometric checks run on every logged sample (the RK4 substep grid),
     aligning agents by timestamp. Thresholds include the scenario safety
     margin. Also checks terminal-set trapping of V and the per-step ISS cost
     inequality using the per-step solver metadata. A log with another number
-    of traces than the world has agents raises ValueError.
+    of traces than the world has agents, or with a time or position that is
+    not finite, raises ValueError.
     """
     n = len(log.traces)
     if n != len(world.agent_radii):
@@ -192,6 +197,11 @@ def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
     times = [np.asarray(tr.times) for tr in log.traces]
     states = [np.asarray(tr.states) for tr in log.traces]
     positions = [states[i][:, models[i].position_slice] for i in range(n)]
+    for i in range(n):
+        finite = np.isfinite(positions[i]).all(axis=1) & np.isfinite(times[i])
+        if not finite.all():
+            raise ValueError(f"agent {i}'s logged time or position at row "
+                             f"{int(np.argmin(finite))} is not finite")
 
     # (1) convergence to the ultimate-bound ball (outer radius)
     cert = scenario.build_certificate()
@@ -200,14 +210,14 @@ def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
         e_final = errordyns[i].error_of(states[i][-1])
         worst = _track(worst, cert.ultimate_radius_outer - float(np.linalg.norm(e_final)),
                        float(times[i][-1]))
-    report.checks["error-ultimate-bound"] = CheckResult(worst[0] >= -tol, *worst)
+    report.checks["error-ultimate-bound"] = CheckResult(worst[0] >= -CHECK_TOL, *worst)
 
     # (2) inter-agent separation (every pair), (3) neighbor connectivity,
     # (4) obstacle clearance and (5) workspace containment, net of the safety
     # margin: each kind's smallest margin, the first in (agent, column, time).
     # Each column's smallest margin and its first row are carried over the
-    # chunks as np.argmin finds them in the whole column (a NaN before any
-    # number), and only then tracked across the columns in their order
+    # chunks as np.argmin finds them in the whole column, and only then
+    # tracked across the columns in their order
     worst = [(np.inf, 0.0)] * len(MARGIN_KINDS)
     for i in range(n):
         least = first = None
@@ -218,23 +228,23 @@ def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
             if least is None:
                 least, first = low, k + rows.start
                 continue
-            lower = (low < least) | (np.isnan(low) & ~np.isnan(least))
+            lower = low < least
             least, first = np.where(lower, low, least), np.where(lower, k + rows.start, first)
         for kind, margin, k in zip(kinds, least, first):
             worst[kind] = _track(worst[kind], margin, float(times[i][k]))
     sep, conn, obst, wksp = worst
-    report.checks["inter-agent-separation"] = CheckResult(sep[0] >= -tol, *sep)
-    report.checks["neighbor-connectivity"] = CheckResult(conn[0] >= -tol, *conn)
+    report.checks["inter-agent-separation"] = CheckResult(sep[0] >= -CHECK_TOL, *sep)
+    report.checks["neighbor-connectivity"] = CheckResult(conn[0] >= -CHECK_TOL, *conn)
     report.checks["obstacle-clearance"] = CheckResult(
-        obst[0] >= -tol if world.obstacles else True, *obst)
-    report.checks["workspace-containment"] = CheckResult(wksp[0] >= -tol, *wksp)
+        obst[0] >= -CHECK_TOL if world.obstacles else True, *obst)
+    report.checks["workspace-containment"] = CheckResult(wksp[0] >= -CHECK_TOL, *wksp)
 
     # terminal-set trapping: once V dips below the threshold it stays there
     trap = (np.inf, 0.0)
     outside = []
     for i in range(n):
         V = np.asarray(log.traces[i].V)
-        below = np.nonzero(V <= scenario.eps_omega + tol)[0]
+        below = np.nonzero(V <= scenario.eps_omega + CHECK_TOL)[0]
         if len(below) == 0:
             outside.append(f"agent {i} never entered the terminal set")
             continue
@@ -243,7 +253,7 @@ def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
         margin = scenario.eps_omega - float(tail[k])
         trap = _track(trap, margin, float(times[i][below[0] + k]))
     report.checks["terminal-trapping"] = CheckResult(
-        not outside and trap[0] >= -tol,
+        not outside and trap[0] >= -CHECK_TOL,
         trap[0] if np.isfinite(trap[0]) else -np.inf, trap[1], "; ".join(outside))
 
     # ISS cost inequality: optimal-cost increase bounded by xi*w_bar minus the
@@ -257,7 +267,7 @@ def verify(log, world, scenario, tol=1e-9, iss_tol=1e-6):
             bound = cert.xi * scenario.w_bar - m_const * prev["errsq_int"]
             margin = bound - (curr["cost"] - prev["cost"])
             iss = _track(iss, margin, curr["t"])
-    report.checks["iss-cost-decrease"] = CheckResult(iss[0] >= -iss_tol, *iss)
+    report.checks["iss-cost-decrease"] = CheckResult(iss[0] >= -ISS_TOL, *iss)
 
     # solver health: no infeasible statuses in the log
     bad = (np.inf, 0.0)

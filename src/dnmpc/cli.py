@@ -73,7 +73,6 @@ class Scenario:
     disturbance: dict
     tube_cap: float | None
     lam_max_P: float | None
-    sup_error: float | None
     max_iterations: int
     constraint_tol: float
 
@@ -141,17 +140,12 @@ class Scenario:
             out.append(DisturbanceSignal(generator=gen, bound=self.w_bar))
         return out
 
-    def default_sup_error(self):
-        """Envelope of the error norm: workspace diameter plus angle range."""
-        if self.sup_error is not None:
-            return self.sup_error
-        return 2.0 * self.workspace.radius + math.pi
-
     def build_certificate(self):
+        # the envelope of the error norm: workspace diameter plus angle range
         return certify.build_certificate(
             Q=self.Q, P=self.P, eps_omega=self.eps_omega, eps_psi=self.eps_psi,
             L_g=self.L_g, L_V=self.L_V, h=self.h, T_p=self.T_p, w_bar=self.w_bar,
-            sup_error=self.default_sup_error(), lam_max_P=self.lam_max_P,
+            sup_error=2.0 * self.workspace.radius + math.pi, lam_max_P=self.lam_max_P,
         )
 
     def build_simulation(self, total_time=None):
@@ -188,11 +182,20 @@ def _weights_from_recipe(section, seed, dim):
     return Q, R, P
 
 
+# the keys a scenario file and each of its agents may hold
+_SCENARIO_KEYS = frozenset((
+    "name", "seed", "total_time", "h", "T_p", "u_bar", "w_bar", "eps_omega", "eps_psi",
+    "margin", "L_g", "L_V", "lam_max_P", "tube_cap", "max_iterations", "constraint_tol",
+    "schedule", "workspace", "obstacles", "weights", "disturbance", "agents"))
+_AGENT_KEYS = frozenset(("model", "radius", "sensing_range", "detection_range", "start", "goal"))
+
+
 def load_scenario(path, seed=None) -> Scenario:
     """Parse and fully validate a YAML scenario file.
 
     Raises ScenarioError with the offending field (or YAML location) on any
-    parse or validation failure. `seed` overrides the file's seed.
+    parse or validation failure, an unknown key of the file or of an agent
+    included. `seed` overrides the file's seed.
     """
     try:
         with open(path) as fh:
@@ -201,6 +204,9 @@ def load_scenario(path, seed=None) -> Scenario:
         raise ScenarioError(f"parse error in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: scenario must be a mapping")
+    unknown = [key for key in raw if key not in _SCENARIO_KEYS]
+    if unknown:
+        raise ScenarioError(f"{path}: unknown field {unknown[0]!r}")
 
     def need(key):
         if key not in raw:
@@ -219,6 +225,10 @@ def load_scenario(path, seed=None) -> Scenario:
     if not (isinstance(raw_agents, list) and raw_agents
             and all(isinstance(a, dict) for a in raw_agents)):
         raise ScenarioError(f"{path}: field 'agents' must be a non-empty list of mappings")
+    for k, a in enumerate(raw_agents):
+        unknown = [key for key in a if key not in _AGENT_KEYS]
+        if unknown:
+            raise ScenarioError(f"{path}: unknown field {unknown[0]!r} of agent {k}")
     try:
         agents = [
             AgentSpec(
@@ -257,7 +267,6 @@ def load_scenario(path, seed=None) -> Scenario:
             disturbance=dict(raw.get("disturbance", {})),
             tube_cap=optional_float("tube_cap"),
             lam_max_P=optional_float("lam_max_P"),
-            sup_error=optional_float("sup_error"),
             max_iterations=int(raw.get("max_iterations", OcpConfig.max_iterations)),
             constraint_tol=float(raw.get("constraint_tol", OcpConfig.constraint_tol)),
         )

@@ -212,11 +212,11 @@ class TrajectoryLog:
         Solver columns (step, status, cost, errsq_int, relaxation flags)
         repeat the values of the sampling step the row belongs to; the t = 0
         row carries step -1 and empty solver fields. The step of a row is its
-        substep index over `meta["substeps"]`, which a log with a trace of more
-        than one row must give (ValueError otherwise). A trace without margins
-        writes inf in the margin columns. Floats are written with `repr` so
-        identical runs produce byte-identical files; rows end in CRLF, as
-        the csv module writes them.
+        substep index over `meta["substeps"]`. A log without `substeps`, or
+        with a trace without margins, raises a ValueError that names it.
+        Floats are written with `repr` so identical runs produce
+        byte-identical files; rows end in CRLF, as the csv module writes
+        them.
 
         The fields are formatted column by column over chunks of
         `_CSV_CHUNK_ROWS` rows, with one `repr` per run of equal bit patterns
@@ -224,13 +224,12 @@ class TrajectoryLog:
         disturbance norm), and the agents' times formatted once where their
         chunks are equal.
         """
-        if "substeps" in self.meta:
-            substeps = int(self.meta["substeps"])
-        elif any(len(trace.times) > 1 for trace in self.traces):
-            raise ValueError("the log's meta has no 'substeps', which numbers the step "
-                             "column of a trace with more than one row")
-        else:
-            substeps = 1  # every row is a t = 0 row, of step -1
+        if "substeps" not in self.meta:
+            raise ValueError("the log's meta has no 'substeps', which numbers the step column")
+        for i, trace in enumerate(self.traces):
+            if trace.margins is None:
+                raise ValueError(f"trace {i} has no margins, which fill the margin columns")
+        substeps = int(self.meta["substeps"])
         n_x = np.shape(self.traces[0].states)[1]
         n_u = np.shape(self.traces[0].inputs)[1]
         time_cells = {}  # chunk start -> (the chunk's times as bits, their strings)
@@ -238,8 +237,7 @@ class TrajectoryLog:
             fh.write(",".join(csv_columns(n_x, n_u)) + "\r\n")
             for i, trace in enumerate(self.traces):
                 T = len(trace.times)
-                margins = (np.full((T, len(MARGIN_KINDS)), np.inf)
-                           if trace.margins is None else np.asarray(trace.margins, dtype=float))
+                margins = np.asarray(trace.margins, dtype=float)
                 columns = [np.asarray(trace.times, dtype=float),
                            *np.asarray(trace.states, dtype=float).T,
                            *np.asarray(trace.inputs, dtype=float).T,
@@ -276,9 +274,12 @@ class TrajectoryLog:
         Columns are found by their `csv_columns` names, so a file from an
         older schema with extra columns still reads; a missing column, no
         data rows, agent ids other than 0..k-1, an agent or step that is not a
-        finite integer, a row of the wrong length (a truncated file) or an
-        unparsable field raises ValueError, which names the file and, for a
-        row, its line.
+        finite integer, a row of the wrong length (a truncated file), an
+        unparsable field or a value that no run logs raises ValueError, which
+        names the file and, for a row, its line. A run logs finite times,
+        states, `w_norm`, `V`, costs and `errsq_int`, margins that are not NaN
+        (inf where a kind has no column) and inputs that are NaN only at step
+        -1.
 
         The file is read in blocks of whole lines of about `_CSV_BLOCK_BYTES`
         (1 MiB), so that the text of one block at a time is held, not the
@@ -300,6 +301,10 @@ class TrajectoryLog:
             col = {name: header.index(name) for name in names}
             numeric = names[:len(names) - len(_SOLVER_COLUMNS)]
             usecols = [col[name] for name in numeric]
+            k = 3 + n_x + n_u  # w_norm, then V, then the margins
+            # the columns a run logs finite: t, the states, w_norm and V
+            finite = np.zeros(len(numeric), dtype=bool)
+            finite[[0, *range(3, 3 + n_x), k, k + 1]] = True
             parts, starts, texts = [], [], []
             row = 0  # data rows before this block; row r is on line r + 2
             while rows is not None:
@@ -322,6 +327,13 @@ class TrajectoryLog:
                         name = ("agent", "step")[c]
                         raise ValueError(f"{path}: line {row + 2 + r}: {name} "
                                          f"{rows[r].split(',')[col[name]]!r} is not an integer")
+                    bad = np.isnan(part) | (finite & np.isinf(part))
+                    bad[:, 3 + n_x:k] &= part[:, 2:3] != -1  # the inputs of step -1 are NaN
+                    if bad.any():
+                        r, c = np.argwhere(bad)[0]
+                        raise ValueError(f"{path}: line {row + 2 + r}: {numeric[c]} "
+                                         f"{rows[r].split(',')[usecols[c]]!r} is "
+                                         + ("not finite" if finite[c] else "NaN"))
                     key = key.astype(int)
                     first = np.flatnonzero(np.concatenate(
                         ([True], (key[1:] != key[:-1]).any(axis=1))))
@@ -341,7 +353,6 @@ class TrajectoryLog:
             raise ValueError(f"{path}: agent ids {ids.tolist()} are not 0..{len(ids) - 1}")
         steps = data[:, 2].astype(int)
         starts = np.concatenate(starts)
-        k = 3 + n_x + n_u  # w_norm, then V, then the margins
         traces = []
         for i in ids:
             idx = np.flatnonzero(agents == i)
@@ -354,16 +365,21 @@ class TrajectoryLog:
                     continue
                 fields = texts[j].split(",")
                 try:
-                    step_meta.append({
+                    record = {
                         "t": step * h,
                         "status": fields[col["status"]],
                         "cost": float(fields[col["cost"]]),
                         "errsq_int": float(fields[col["errsq_int"]]),
                         "terminal_relaxed": bool(int(fields[col["terminal_relaxed"]])),
                         "tube_capped": bool(int(fields[col["tube_capped"]])),
-                    })
+                    }
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {starts[j] + 2}: {exc}") from exc
+                if not (math.isfinite(record["cost"]) and math.isfinite(record["errsq_int"])):
+                    name = "cost" if not math.isfinite(record["cost"]) else "errsq_int"
+                    raise ValueError(f"{path}: line {starts[j] + 2}: {name} "
+                                     f"{fields[col[name]]!r} is not finite")
+                step_meta.append(record)
             traces.append(AgentTrace(
                 times=block[:, 0], states=block[:, 3:3 + n_x], inputs=block[:, 3 + n_x:k],
                 w_norms=block[:, k], V=block[:, k + 1], margins=block[:, k + 2:],
@@ -654,7 +670,7 @@ class Simulation:
         `integrate` call, which draws the step's disturbance samples in one
         generator call: the four RK4 stages of each substep and the step's
         last logged row. Each logged row's `w_norm` is the norm of the
-        sample at its time.
+        sample at its time, zero without a disturbance.
 
         Raises SimulationError with the partial log when a solve ends
         infeasible or the solver raises (diverged, non-finite iterate).
@@ -682,10 +698,8 @@ class Simulation:
 
             # apply the first input segment to the true disturbed dynamics
             u0 = sol.inputs[0]
-            disturbance = self.disturbances[i]
-            w_norms = []
-            times, states = integrate(self.models[i], self.states[i], u0, disturbance,
-                                      t_k, t_k + cfg.h, cfg.h / cfg.substeps, w_norms)
+            times, states, w_norms = integrate(self.states[i], u0, self.disturbances[i],
+                                               t_k, t_k + cfg.h, cfg.h / cfg.substeps)
             self.states[i] = states[-1].copy()
 
             # log the substeps after t_k, which the previous step logged, as
@@ -696,11 +710,7 @@ class Simulation:
             trace.times.extend(times.tolist())
             trace.states.extend(states)
             trace.inputs.extend(u0[None].repeat(len(states), axis=0))
-            if disturbance is None:
-                trace.w_norms.extend([0.0] * len(states))
-            else:
-                # `integrate` drew the samples at these rows' times
-                trace.w_norms.extend(w_norms)
+            trace.w_norms.extend(w_norms)
             e = self.errordyns[i].error_of(states)
             ep = e @ cfg.P
             trace.V.extend(np.vecdot(ep, e).tolist())
@@ -722,12 +732,7 @@ class Simulation:
                                V=np.array(tr.V, dtype=float),
                                step_meta=list(tr.step_meta))
                     for tr, model in zip(self.traces, self.models)],
-            meta={
-                "h": self.config.h,
-                "T_p": self.config.T_p,
-                "substeps": self.config.substeps,
-                "schedule": list(self.schedule),
-            },
+            meta={"h": self.config.h, "substeps": self.config.substeps},
         )
         self._fill_margins(log_out)
         return log_out

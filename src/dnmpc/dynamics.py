@@ -124,23 +124,20 @@ class DisturbanceSignal:
 
 # --- integration --------------------------------------------------------
 
-def integrate(model, z0, u, disturbance, t0, t1, step, w_norms=None):
+def integrate(z0, u, disturbance, t0, t1, step):
     """Fixed-step RK4 integration of the unicycle, dz/dt = f(z, u) [+ w(t)]
     under the held input `u`, by :func:`_unicycle_integrate`.
 
     With `disturbance=None` the nominal system is integrated. Returns
-    (times, states) including both endpoints; the heading is wrapped after
-    each full step. With a disturbance and a list `w_norms`, the disturbance
-    is also sampled at times[-1], and the norm of the sample at each of
-    times[1:] is appended to it: the first RK4 sample of every substep but
-    the first, then that last one.
+    (times, states, w_norms): the times and states including both endpoints,
+    the heading wrapped after each full step, and the norm of the
+    disturbance sample at each of times[1:], zero for the nominal system.
+    Those samples are the first RK4 sample of every substep but the first,
+    then one more drawn at times[-1].
 
     Raises:
-        ValueError: if `model` is not the unicycle, if t1 < t0 or if step
-            does not divide the interval.
+        ValueError: if t1 < t0 or if step does not divide the interval.
     """
-    if model is not UNICYCLE:
-        raise ValueError("integrate steps the unicycle only; scenarios load no other model")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     span = t1 - t0
@@ -148,7 +145,7 @@ def integrate(model, z0, u, disturbance, t0, t1, step, w_norms=None):
     if abs(n_steps * step - span) > 1e-9:
         raise ValueError(f"step {step} does not divide interval {span}")
     times = t0 + step * np.arange(n_steps + 1)
-    return times, _unicycle_integrate(z0, u, disturbance, times, step, w_norms)
+    return times, *_unicycle_integrate(z0, u, disturbance, times, step)
 
 
 @functools.cache
@@ -160,23 +157,22 @@ def _stage_offsets(dt):
     return offsets
 
 
-def _unicycle_integrate(z0, u, disturbance, times, dt, w_norms=None):
-    """:func:`integrate` of the unicycle over the grid `times`, all substeps
-    at once.
+def _unicycle_integrate(z0, u, disturbance, times, dt):
+    """(states, w_norms) of :func:`integrate` over the grid `times`, all
+    substeps at once.
 
     The field depends on the state through the heading only, and the
-    disturbance on the time only, so every stage's disturbance is known
-    before the first step: one :meth:`DisturbanceSignal.sample_times` call
-    draws the n samples of each RK4 stage (at t, t + dt/2 twice and t + dt
-    for each substep's start t), then the step's last time when `w_norms`
-    asks for it. The heading chain, omega plus the sample's heading
-    component at each stage and a wrap after each substep as
-    :func:`wrap_angle` wraps it, runs on Python floats; then one cos and one
-    sin give v (cos, sin) at all stage headings, and a cumulative sum chains
-    the position increments. Every element takes the float operations of
-    one generic RK4 step over the unicycle field, in the same order, with
-    numpy's cos and sin, and ``cumsum`` adds sequentially; without a
-    disturbance no zero is added. The states are therefore bit-identical to
+    disturbance on the time only, so every stage's disturbance is known before
+    the first step: one :meth:`DisturbanceSignal.sample_times` call draws the
+    n samples of each RK4 stage (at t, t + dt/2 twice and t + dt for each
+    substep's start t), then the step's last time. The heading chain, omega
+    plus the sample's heading component at each stage and a wrap after each
+    substep as :func:`wrap_angle` wraps it, runs on Python floats; then one
+    cos and one sin give v (cos, sin) at all stage headings, and a cumulative
+    sum chains the position increments. Every element takes the float
+    operations of one generic RK4 step over the unicycle field, in the same
+    order, with numpy's cos and sin, and ``cumsum`` adds sequentially; without
+    a disturbance no zero is added. The states are therefore bit-identical to
     the generic RK4 substep loop over the field that wraps the heading after
     each step, with the same disturbance `samples` and `clipped` counts;
     tests/test_dynamics.py keeps that loop as the oracle.
@@ -189,6 +185,7 @@ def _unicycle_integrate(z0, u, disturbance, times, dt, w_norms=None):
         # every stage turns at omega: one increment, one set of turns
         increments = [sixth * (((omega + 2.0 * omega) + 2.0 * omega) + omega)] * n
         turns = np.array([[half * omega], [half * omega], [dt * omega]])
+        w_norms = np.zeros(n)
     else:
         # stage-major sample times (t + 0.0 is t: the grid t0 + step * arange
         # holds no -0.0), then times[-1]
@@ -196,12 +193,9 @@ def _unicycle_integrate(z0, u, disturbance, times, dt, w_norms=None):
         stage_times = np.empty(4 * n + 1)
         np.add(offsets, times[:-1], out=stage_times[:-1].reshape(4, n))
         stage_times[-1] = times[-1]
-        w, norms = disturbance.sample_times(
-            stage_times if w_norms is not None else stage_times[:-1])
-        if w_norms is not None:
-            # times[1:]: the first stage of substeps 1..n-1, then the last
-            w_norms.extend(norms[1:n].tolist())
-            w_norms.append(norms[-1].item())
+        w, norms = disturbance.sample_times(stage_times)
+        # times[1:]: the first stage of substeps 1..n-1, then the last
+        w_norms = np.concatenate([norms[1:n], norms[-1:]])
         w = w[:4 * n].reshape(4, n, 3)
         spin = omega + w[..., 2]
         increments = (sixth * _rk4_sum(spin)).tolist()
@@ -229,7 +223,7 @@ def _unicycle_integrate(z0, u, disturbance, times, dt, w_norms=None):
     out[0, :2] = x, y
     np.multiply(sixth, _rk4_sum(rates), out=out[1:, :2])
     out[:, :2].cumsum(axis=0, out=out[:, :2])
-    return out
+    return out, w_norms
 
 
 def _rk4_sum(k):

@@ -44,10 +44,6 @@ sequential quadratic programming, :func:`_gauss_newton_sqp`:
   margin whose QP predicts a decrease of the cost (the running cost with its
   terminal penalty) of at most RELAXED_STOP_DELTA of it.
 
-Over the bundled scenario's corridor crossing the relaxed solves take 942
-iterations where SLSQP, with the metric it carried from one relaxed solve to
-the next, took 1,942 (BENCH_27.json).
-
 A terminal-enforced solve and the phase-1 pass run SLSQP: scipy's compiled
 core, the private `scipy.optimize._slsqplib.slsqp` that tests/test_ocp.py
 checks against scipy's public SLSQP bit for bit, driven by this module's
@@ -63,19 +59,16 @@ measure infeasibility by the same worst slack.
 The two compiled routines of `_slsqplib` and LAPACK's `dtrtrs`
 (`scipy.linalg._flapack`, the triangular solve of :func:`_inverse_factor`)
 are the only scipy code the solver runs. They are loaded from their files
-(:func:`_scipy_compiled`), not through `scipy.optimize` and `scipy.linalg`:
-importing those packages whole loads linprog, `scipy.special`, `scipy.fft`
-and `numpy.f2py` besides, which took about 0.5 s and 40 MB of every `dnmpc`
-process's start (BENCH_18.json).
+(:func:`_scipy_compiled`), not through `scipy.optimize` and `scipy.linalg`,
+whose packages import linprog, `scipy.special`, `scipy.fft` and `numpy.f2py`
+besides.
 
 A terminal-enforced solve runs SLSQP in scaled variables. With L L' = H at
 the warm start x0, SLSQP solves for y in x = x0 + L^-T y, so its BFGS, which
 starts from the identity, starts from H in x. Gauss-Newton is accurate where
 the residuals are small, near the goal, which is where the fallback ladder
-tries the terminal tiers. As a scaling of SLSQP far from the goal it is not:
-with every tier scaled, the bundled scenario aborted in its corridor
-crossing (agent 2 infeasible at t = 0.6 s). :func:`restore_feasibility`
-keeps the identity.
+tries the terminal tiers; far from the goal it is not.
+:func:`restore_feasibility` keeps the identity.
 
 A terminal-enforced solve also stops at the accuracy the closed loop needs.
 The paper's stability argument takes the optimal cost as its Lyapunov
@@ -95,8 +88,7 @@ Such a plan has status "feasible-suboptimal"; "optimal" means SLSQP's own
 test passed, also at an iterate where the stop fired as well. The relaxed
 tiers stop by their own rule and :func:`restore_feasibility` runs to SLSQP's
 own test: their premise, a feasible shifted candidate under the terminal
-set, is missing, and the rule applied to the relaxed tiers aborted the
-bundled scenario in its corridor crossing (agent 1 infeasible at t = 0.7 s).
+set, is missing.
 
 The witness is the previous plan shifted by one stage with the input of the
 terminal controller kappa appended (:func:`warm_start_shift`). kappa is
@@ -116,10 +108,7 @@ steering law outside. Of the paper's terminal conditions it meets these:
   (Worthmann et al. 2016, IEEE TCST); one agent does on the nominal run.
 
 So the shifted plan ends in Omega whenever the previous plan did, and the
-stop from a witness needs no settled cost. On the settle benchmark (traced,
-seed 1) SLSQP then takes 253 iterations where the held steering-law input
-and the settle condition for every start took 436; rollouts go from 593 to
-425 (BENCH_19.json).
+stop from a witness needs no settled cost.
 """
 
 from __future__ import annotations
@@ -235,12 +224,9 @@ SUBOPTIMAL_STOP_DELTA = 1e-4
 feasible terminal-enforced plan is accepted when the solve's start is not
 feasible within `constraint_tol`; from a feasible start the first feasible
 iterate no costlier than it is accepted, settled or not. delta trades only
-closeness to the optimum for iterations. With the condition on every start,
-1e-4 took the settle benchmark's SLSQP from 709 to 436 iterations and its
-wall time down by 16%, and 1e-6 to 597 iterations and 5%. Since only
-infeasible starts wait for it, settle takes 253 iterations. At 1e-4 the
-bundled runs' verdicts and the robustness sweep's outcomes are those of
-SLSQP's own test; larger values were not tried."""
+closeness to the optimum for iterations. At 1e-4 the bundled runs' verdicts
+and the robustness sweep's outcomes are those of SLSQP's own test; larger
+values were not tried."""
 
 # SLSQP's own accuracy (scipy's `ftol`) in a terminal-enforced solve; the
 # restoration runs to 1e-12
@@ -321,8 +307,8 @@ class _Transcription:
     rollout's input Jacobian.
 
     `slack` is the worst constraint slack of a point: the smallest margin
-    and, when `use_terminal`, eps_omega - V(e_N); 0.0 when there is neither.
-    Negative means some constraint is violated. :meth:`jac` gives the
+    and, when `use_terminal`, eps_omega - V(e_N); +inf when there is
+    neither. Negative means some constraint is violated. :meth:`jac` gives the
     rollout's input Jacobian d traj / d x, of shape (T + 1, n, nx).
     """
 
@@ -346,8 +332,8 @@ class _Transcription:
         self.n_rollouts = 0
 
     def eval(self, x, gradients=False):
-        """The values at x: `traj`, `cost`, `v_term`, `slack` and, with a
-        `margin_fn`, `margins`. With `gradients`, also `cost_grad`,
+        """The values at x: `traj`, `cost`, `v_term`, `slack` and `margins`.
+        With `gradients`, also `cost_grad`,
         `v_term_grad` and `margins_jac`: chain-rule products of :meth:`jac`,
         formed on the first request, as the solvers ask for them at some
         points only."""
@@ -364,9 +350,8 @@ class _Transcription:
                 + (U @ cfg.R).ravel())
             result["cost_grad"] = run_grad + v_term_grad
             result["v_term_grad"] = v_term_grad
-            if margin_jac is not None:
-                # (T, C, n) @ (T, n, nx), flattened to (T*C, nx)
-                result["margins_jac"] = (margin_jac() @ jac[1:]).reshape(-1, self.nx)
+            # (T, C, n) @ (T, n, nx), flattened to (T*C, nx)
+            result["margins_jac"] = (margin_jac() @ jac[1:]).reshape(-1, self.nx)
         return result
 
     def jac(self, x):
@@ -389,16 +374,13 @@ class _Transcription:
         # h sum_k (e_k'Q e_k + u_k'R u_k), each stage's two forms summed first
         run = float(np.add.reduce(np.einsum("...i,ij,...j->...", stage_e, cfg.Q, stage_e)
                                   + np.einsum("...i,ij,...j->...", U, cfg.R, U))) * cfg.h
-        result = {"traj": traj, "cost": run + v_term, "v_term": v_term}
-        slacks = []
-        margin_jac = None
-        if self.margin_fn is not None:
-            margins, margin_jac = self.margin_fn(traj[1:])
-            result["margins"] = margins = margins.ravel()
-            slacks.append(np.minimum.reduce(margins, initial=np.inf))
+        margins, margin_jac = self.margin_fn(traj[1:])
+        margins = margins.ravel()
+        slack = np.minimum.reduce(margins, initial=np.inf)
         if self.use_terminal:
-            slacks.append(cfg.eps_omega - v_term)
-        result["slack"] = float(min(slacks, default=0.0))
+            slack = min(slack, cfg.eps_omega - v_term)
+        result = {"traj": traj, "cost": run + v_term, "v_term": v_term, "margins": margins,
+                  "slack": float(slack)}
         self._chain = stage_e, U, Pe_N, margin_jac
         self._rollout_jac = rollout_jac
         return result
@@ -482,11 +464,11 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
     """Run :func:`minimize` under the transcription's constraints; the
     result's `x` is in the variables of `x0`. Call it on one BLAS thread.
 
-    The constraints are the margins (when `tr.margin_fn` is set), the input
-    ball u_bar^2 - ||u_k||^2 >= 0 on each stage input and, when
-    `tr.use_terminal`, eps_omega - V(e_N) >= 0. SLSQP minimizes the cost over
-    x = u or, with `slack`, maximizes s over x = (u, s) with each margin and
-    the terminal constraint lowered by s (Jacobian column -1), the ball hard.
+    The constraints are the margins, the input ball u_bar^2 - ||u_k||^2 >= 0
+    on each stage input and, when `tr.use_terminal`, eps_omega - V(e_N) >= 0.
+    SLSQP minimizes the cost over x = u or, with `slack`, maximizes s over
+    x = (u, s) with each margin and the terminal constraint lowered by s
+    (Jacobian column -1), the ball hard.
 
     With `scale` = T, SLSQP runs in y, x = x0 + T y, from y = 0, with cost
     gradient grad f(x) T and each constraint block's Jacobian times T. Each
@@ -502,7 +484,7 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
     def in_z(jacobian):
         return jacobian if scale is None else jacobian @ scale
 
-    n_margins = tr.eval(to_x(start)[:nx])["margins"].size if tr.margin_fn is not None else 0
+    n_margins = tr.eval(to_x(start)[:nx])["margins"].size
     n_terminal = int(tr.use_terminal)
     # SLSQP's iterates depend on the order of the constraint rows, so the slack
     # form keeps the terminal row ahead of the ball: in the solve's order, 48
@@ -519,8 +501,7 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
         res = tr.eval(x[:nx])
         U = x[:nx].reshape(N, m)
         d[ball_rows] = cfg.u_bar ** 2 - np.add.reduce(U * U, axis=1)
-        if n_margins:
-            d[:n_margins] = res["margins"]
+        d[:n_margins] = res["margins"]
         if n_terminal:
             d[terminal_row] = cfg.eps_omega - res["v_term"]
         if slack:
@@ -533,8 +514,7 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
         res = tr.eval(x[:nx], gradients=True)
         ball_jac[ball_index] = -2.0 * x[:nx]
         C[ball_rows, :nx] = in_z(ball_jac)
-        if n_margins:
-            C[:n_margins, :nx] = in_z(res["margins_jac"])
+        C[:n_margins, :nx] = in_z(res["margins_jac"])
         if n_terminal:
             C[terminal_row, :nx] = in_z(-res["v_term_grad"][None, :])
         if slack:
@@ -700,7 +680,7 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
     cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
     x, mu, weight = x0, 0.0, 0.0
     res = tr.eval(x, gradients=True)
-    n_margins = res["margins"].size if tr.margin_fn is not None else 0
+    n_margins = res["margins"].size
     rows = n_margins + N
     # rows of the elastic QP over (d, t): the margins, one norm row per stage,
     # then t >= 0; the QP over d alone takes the first `rows` and nx columns
@@ -709,8 +689,7 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
     b = np.zeros(rows + 1)
     norm_rows = np.arange(n_margins, rows).repeat(m), np.arange(nx)
     working = np.ones(rows + 1, dtype=bool)
-    if n_margins:
-        working[:n_margins] = res["margins"] <= NEAR_ACTIVE
+    working[:n_margins] = res["margins"] <= NEAR_ACTIVE
     T_e = np.zeros((nx + 1, nx + 1))
     for iteration in range(1, cfg.max_iterations + 1):
         H = _gauss_newton_hessian(tr, x)
@@ -718,9 +697,8 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
         g = res["cost_grad"]
         U = x.reshape(N, m)
         norms = np.sqrt(np.add.reduce(U * U, axis=1))
-        if n_margins:
-            G[:n_margins, :nx] = res["margins_jac"]
-            b[:n_margins] = -res["margins"]
+        G[:n_margins, :nx] = res["margins_jac"]
+        b[:n_margins] = -res["margins"]
         G[norm_rows] = -(U / np.maximum(norms, 1e-300)[:, None]).ravel()
         b[n_margins:rows] = np.minimum(norms - cfg.u_bar, 0.0)
         violation = max(0.0, -res["slack"])
@@ -759,8 +737,7 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
                 return x, iteration, False
         x = trial
         res = tr.eval(x, gradients=True)
-        if n_margins:
-            working[:n_margins] |= res["margins"] <= NEAR_ACTIVE
+        working[:n_margins] |= res["margins"] <= NEAR_ACTIVE
     return x, cfg.max_iterations, False
 
 
@@ -798,8 +775,8 @@ def _suboptimal_stop(tr: _Transcription, x0, scale):
 
 
 @single_blas_thread()
-def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
-                warm_start=None, use_terminal=True):
+def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig, warm_start,
+                use_terminal):
     """Solve the tightened finite-horizon problem for one agent.
 
     Runs on one BLAS thread (:func:`single_blas_thread`), pinned once.
@@ -813,8 +790,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
             callable is called at most once, and only at points whose
             gradients the solver reads. It must be pointwise: margins[t]
             depends on errors[t] alone. The simulator's distance margins
-            give the Jacobian in closed form. None disables state
-            constraints.
+            give the Jacobian in closed form.
         warm_start: initial guess for the (N, m) input sequence.
         use_terminal: enforce V(e_N) <= eps_omega as a hard constraint, run
             SLSQP in the Gauss-Newton-scaled variables of the module
@@ -836,10 +812,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
         raise ValueError("initial error must be finite")
     tr = _Transcription(errordyn, e0, margin_fn, config, use_terminal)
     N, m = tr.N, tr.m
-    if warm_start is None:
-        x0 = np.zeros(N * m)
-    else:
-        x0 = _project_inputs(np.asarray(warm_start, dtype=float), config.u_bar).ravel()
+    x0 = _project_inputs(np.asarray(warm_start, dtype=float), config.u_bar).ravel()
     # the first evaluation of every solve, so it costs no extra rollout
     start_feasible = -tr.eval(x0)["slack"] <= config.constraint_tol
 
@@ -898,7 +871,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
 
 @single_blas_thread()
 def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
-                        start, use_terminal=False):
+                        start, use_terminal):
     """Phase-1 pass: maximize the worst constraint slack from a near-feasible
     input sequence, on one BLAS thread, pinned once.
 

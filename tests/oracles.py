@@ -7,6 +7,8 @@ linear model of the solver's Riccati oracles. The program rolls out the
 unicycle only, so `use_double_integrator` puts a rollout of it in place of
 `ocp.rollout_zoh`, the seam perfbench's traced mode patches too, and
 `count_jacobians` counts there the rollout Jacobians the solvers form.
+`no_margins` is the margin function of a problem without state constraints,
+which the solver's oracles solve.
 
 `write_csv_rows` is the trajectory CSV writer that formats one row at a time;
 `TrajectoryLog.to_csv`, which formats column by column, must write its bytes.
@@ -24,7 +26,7 @@ chunk, and must give their margins bit for bit and their check results.
 import numpy as np
 
 from dnmpc import ocp
-from dnmpc.certify import CheckResult, _track
+from dnmpc.certify import CHECK_TOL, CheckResult, _track
 from dnmpc.constraints import MARGIN_KINDS
 from dnmpc.coordination import _SOLVER_COLUMNS, AgentTrace, TrajectoryLog, csv_columns
 from dnmpc.dynamics import AgentModel
@@ -65,6 +67,15 @@ def rk4_rollout(field, e0, u_seq, stage_time, substeps):
             e = rk4_step(held, 0.0, e, dt)
             out[k * substeps + j + 1] = e
     return out
+
+
+def no_margins(errors):
+    """A margin function with no columns: (T, 0) margins of the (T, n)
+    errors, and a callable for their (T, 0, n) Jacobian."""
+    def jacobian():
+        return np.zeros(errors.shape[:1] + (0,) + errors.shape[1:])
+
+    return np.zeros((len(errors), 0)), jacobian
 
 
 def double_integrator_field(z, u):
@@ -140,18 +151,16 @@ def count_jacobians(monkeypatch):
 def write_csv_rows(log, path):
     """Write `log` (a TrajectoryLog) as `TrajectoryLog.to_csv` does, one row
     at a time: each row's floats by `repr` of the row's list, its step as the
-    row's substep index over `meta["substeps"]` (10 when absent)."""
-    substeps = int(log.meta.get("substeps", 10))
+    row's substep index over `meta["substeps"]`."""
+    substeps = int(log.meta["substeps"])
     n_x = np.shape(log.traces[0].states)[1]
     n_u = np.shape(log.traces[0].inputs)[1]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(csv_columns(n_x, n_u)) + "\r\n")
         for i, trace in enumerate(log.traces):
             T = len(trace.times)
-            margins = (np.full((T, len(MARGIN_KINDS)), np.inf)
-                       if trace.margins is None else trace.margins)
             block = np.column_stack(
-                [trace.states, trace.inputs, trace.w_norms, trace.V, margins])
+                [trace.states, trace.inputs, trace.w_norms, trace.V, trace.margins])
             solver = ["," * (len(_SOLVER_COLUMNS) - 1)] + [
                 f"{m['status']},{float(m['cost'])!r},{float(m['errsq_int'])!r},"
                 f"{int(m['terminal_relaxed'])},{int(m['tube_capped'])}"
@@ -262,7 +271,7 @@ def fill_margins_whole(sim, log):
     return out
 
 
-def verify_geometry_whole(log, world, scenario, tol=1e-9):
+def verify_geometry_whole(log, world, scenario):
     """{check name: CheckResult} of `certify.verify`'s inter-agent
     separation, neighbor connectivity, obstacle clearance and workspace
     containment checks: each kind's smallest margin, net of the safety
@@ -275,8 +284,8 @@ def verify_geometry_whole(log, world, scenario, tol=1e-9):
         for c, (kind, k) in enumerate(zip(geo.kinds, np.argmin(margins, axis=0))):
             worst[kind] = _track(worst[kind], margins[k, c], float(times[i][k]))
     sep, conn, obst, wksp = worst
-    return {"inter-agent-separation": CheckResult(sep[0] >= -tol, *sep),
-            "neighbor-connectivity": CheckResult(conn[0] >= -tol, *conn),
-            "obstacle-clearance": CheckResult(obst[0] >= -tol if world.obstacles else True,
-                                              *obst),
-            "workspace-containment": CheckResult(wksp[0] >= -tol, *wksp)}
+    return {"inter-agent-separation": CheckResult(sep[0] >= -CHECK_TOL, *sep),
+            "neighbor-connectivity": CheckResult(conn[0] >= -CHECK_TOL, *conn),
+            "obstacle-clearance": CheckResult(
+                obst[0] >= -CHECK_TOL if world.obstacles else True, *obst),
+            "workspace-containment": CheckResult(wksp[0] >= -CHECK_TOL, *wksp)}

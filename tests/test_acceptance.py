@@ -25,7 +25,7 @@ from dnmpc.dynamics import (UNICYCLE, DisturbanceSignal, ErrorDynamics, integrat
 from dnmpc.ocp import OcpConfig, solve_fhocp
 from dnmpc.setalg import EMPTY, Ball, TubeProfile, minkowski_add, \
     pontryagin_diff, tube_radius
-from oracles import DOUBLE_INTEGRATOR, use_double_integrator
+from oracles import DOUBLE_INTEGRATOR, no_margins, use_double_integrator
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
@@ -177,8 +177,7 @@ def test_criterion_4_tube_validity(capsys):
         nominal, _ = rollout_zoh(ABSOLUTE, z0, u_seq, h, substeps)
         z, disturbed = z0.copy(), [z0.copy()]
         for s, u in enumerate(u_seq):
-            _, seg = integrate(UNICYCLE, z, u, dist,
-                               s * h, (s + 1) * h, h / substeps)
+            _, seg, _ = integrate(z, u, dist, s * h, (s + 1) * h, h / substeps)
             disturbed.extend(seg[1:])
             z = seg[-1]
         disturbed = np.asarray(disturbed)
@@ -222,8 +221,7 @@ def test_criterion_5_tightening_soundness(capsys):
             lambda times, d=direction, f=freq: 0.1 * np.sin(f * times)[:, None] * d, bound=0.1)
         z, disturbed = z0.copy(), []
         for s, u in enumerate(u_seq):
-            _, seg = integrate(UNICYCLE, z, u, dist,
-                               s * h, (s + 1) * h, h / substeps)
+            _, seg, _ = integrate(z, u, dist, s * h, (s + 1) * h, h / substeps)
             disturbed.extend(seg[1:])
             z = seg[-1]
         p_dist = np.asarray(disturbed)[:, :2]
@@ -349,7 +347,8 @@ def test_criterion_8_solver_matches_riccati(capsys, monkeypatch):
             u = -(K @ x)
             ref.append(u)
             x = A @ x + B @ u
-        sol = solve_fhocp(ed, e0, None, cfg, use_terminal=False)
+        sol = solve_fhocp(ed, e0, no_margins, cfg, np.zeros((cfg.n_stages, 1)),
+                          use_terminal=False)
         worst = max(worst, float(np.abs(sol.inputs - np.asarray(ref)).max()))
     ok = worst < 1e-4
     _report(capsys, 8, "double-integrator Riccati oracle", ok,
@@ -401,8 +400,8 @@ def test_terminal_controller_keeps_the_terminal_set_invariant(capsys):
             constant = DisturbanceSignal(lambda times, w=w: np.tile(w, (len(times), 1)),
                                          scenario.w_bar)
             for disturbance in (None, constant):
-                _, states = integrate(UNICYCLE, errordyn.z_des + e, u, disturbance, 0.0,
-                                      cfg.h, cfg.h / cfg.substeps)
+                _, states, _ = integrate(errordyn.z_des + e, u, disturbance, 0.0, cfg.h,
+                                         cfg.h / cfg.substeps)
                 errors = errordyn.error_of(states)
                 ratio = float(np.einsum("ti,ij,tj->t", errors, cfg.P, errors).max()
                               / cfg.eps_omega)

@@ -190,23 +190,26 @@ def test_columns_manifest(capsys):
     assert [int(ln.split("\t")[0]) for ln in lines] == list(range(1, len(lines) + 1))
 
 
+def _start_log():
+    """The bundled agents' t = 0 rows, as a finalized log holds them."""
+    return TrajectoryLog(
+        traces=[AgentTrace(times=[0.0], states=[spec.start], inputs=[np.full(2, np.nan)],
+                           w_norms=[0.0], V=[0.0], margins=np.full((1, 4), np.inf))
+                for spec in load_scenario(SCENARIO).agents],
+        meta={"h": 0.1, "substeps": 10})
+
+
 def test_columns_match_csv_header(tmp_path, capsys):
     assert main(["columns", str(SCENARIO)]) == 0
     names = [ln.split("\t")[1] for ln in capsys.readouterr().out.strip().splitlines()]
-    traces = [AgentTrace(times=[0.0], states=[spec.start], inputs=[np.full(2, np.nan)],
-                         w_norms=[0.0], V=[0.0])
-              for spec in load_scenario(SCENARIO).agents]
     path = tmp_path / "log.csv"
-    TrajectoryLog(traces=traces).to_csv(path)
+    _start_log().to_csv(path)
     assert path.read_text().splitlines()[0].split(",") == names
 
 
 def test_verify_reports_malformed_csv(tmp_path, capsys):
-    traces = [AgentTrace(times=[0.0], states=[spec.start], inputs=[np.full(2, np.nan)],
-                         w_norms=[0.0], V=[0.0])
-              for spec in load_scenario(SCENARIO).agents]
     full = tmp_path / "full.csv"
-    TrajectoryLog(traces=traces).to_csv(full)
+    _start_log().to_csv(full)
     rows = [line.split(",") for line in full.read_text().splitlines()]
     drop = rows[0].index("m_neighbor")
     path = tmp_path / "no_neighbor.csv"
@@ -218,10 +221,12 @@ def test_verify_reports_malformed_csv(tmp_path, capsys):
     path.write_text(full.read_text()[:-20])
     assert main(["verify", str(path), str(SCENARIO)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    # an unparsable field, in a numeric column and in a step's solver fields
+    # an unparsable field, in a numeric column and in a step's solver fields,
+    # on a row of step 0, whose inputs are numbers
     for column in ("V", "cost"):
         bad = [list(r) for r in rows]
         bad[1][rows[0].index("step")] = "0"
+        bad[1][rows[0].index("u0")] = bad[1][rows[0].index("u1")] = "0.0"
         bad[1][rows[0].index(column)] = "abc"
         path.write_text("\n".join(",".join(r) for r in bad) + "\n")
         assert main(["verify", str(path), str(SCENARIO)]) == 2
@@ -238,6 +243,33 @@ def test_verify_reports_malformed_csv(tmp_path, capsys):
         assert main(["verify", str(path), str(SCENARIO)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+def test_verify_rejects_a_position_that_hides_a_close_pass(tmp_path, capsys):
+    """Agent 2 sits 0.5 m from agent 0, where separation needs 1.01 m:
+    `dnmpc verify` fails the check. With agent 2's position NaN at a later
+    sample the CSV is rejected, exit 2, naming the line and the column, not
+    passed with agent 2's columns dropped from the check."""
+    starts = [[-6.0, 3.5, 0.0], [-6.0, 2.3, 0.0], [-6.0, 4.0, 0.0]]
+    log = TrajectoryLog(traces=[AgentTrace(
+        times=np.array([0.0, 0.01, 0.02]), states=np.tile(start, (3, 1)),
+        inputs=np.array([[np.nan, np.nan], [0.0, 0.0], [0.0, 0.0]]), w_norms=np.zeros(3),
+        V=np.zeros(3), margins=np.zeros((3, 4)),
+        step_meta=[{"t": 0.0, "status": "optimal", "cost": 1.0, "errsq_int": 0.0,
+                    "terminal_relaxed": False, "tube_capped": True}])
+        for start in starts], meta={"h": 0.1, "substeps": 10})
+    path = tmp_path / "close.csv"
+    log.to_csv(path)
+    assert main(["verify", str(path), str(SCENARIO)]) == 1
+    separation = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("inter-agent-separation")]
+    assert separation[0].split()[1:3] == ["FAIL", "worst_margin=-0.51"]
+    log.traces[2].states[2, 0] = np.nan
+    log.to_csv(path)
+    assert main(["verify", str(path), str(SCENARIO)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: line 10: x0 'nan' is not finite\n"
 
 
 @pytest.mark.parametrize("goal, message", [
@@ -287,6 +319,9 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
     ({"constraint_tol": float("nan")}, [], "constraint_tol must be positive and finite, got nan"),
     ({"constraint_tol": -1.0}, [], "constraint_tol must be positive and finite, got -1.0"),
     ({"max_iterations": 0}, [], "max_iterations must be at least 1, got 0"),
+    ({"tube_capp": 0.15}, [], "unknown field 'tube_capp'"),
+    ({"sup_error": 27.0}, [], "unknown field 'sup_error'"),
+    ({"agents": _agents_with(2, sensing=2.0)}, [], "unknown field 'sensing' of agent 2"),
     ({}, ["--total-time", "0.15"], "--total-time 0.15: sampling time must divide"),
     ({}, ["--total-time", "0"], "--total-time 0.0: total time must be positive"),
     ({}, ["--total-time", "-1"], "--total-time -1.0: total time must be positive"),
@@ -296,7 +331,7 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
         "weights-Q-2x2", "weights-P-2x2", "weights-R-3x3", "disturbance-amplitude-nan",
         "disturbance-frequency-inf", "disturbance-amplitude-text",
         "disturbance-frequency-text", "constraint_tol-nan", "constraint_tol-negative",
-        "max_iterations-0",
+        "max_iterations-0", "unknown-key", "sup_error-removed", "agents-unknown-key",
         "run-total-time-0.15", "run-total-time-0", "run-total-time-negative"])
 def test_bad_values_fail_before_any_solve(tmp_path, monkeypatch, capsys, overrides,
                                           options, message):

@@ -218,7 +218,7 @@ def test_step_meta_flags_feasible_witnesses(monkeypatch, at_rest):
     expected, flags, now = {}, [], [0.0]
     real_solve, real_agent = coordination.solve_fhocp, sim._solve_agent
 
-    def solve(errordyn, e0, margin_fn, cfg, warm_start=None, use_terminal=True):
+    def solve(errordyn, e0, margin_fn, cfg, warm_start, use_terminal):
         sol = real_solve(errordyn, e0, margin_fn, cfg, warm_start=warm_start,
                          use_terminal=use_terminal)
         i = next(k for k, known in enumerate(sim.errordyns) if known is errordyn)
@@ -286,11 +286,13 @@ _SPECIAL = [0.0, -0.0, np.nan, _NAN_PAYLOAD, np.inf, -np.inf, 1e16, 1e-05, 5e-32
             0.1 + 0.2, 1.0000000000000002, 1.0 / 3.0]
 
 
-def _hand_trace(T, rng, margins=True, substeps=10):
+def _hand_trace(T, rng, substeps=10, finite=False):
     """A hand-built trace of T rows as the engine logs them: NaN inputs at t
     = 0, then each step's input held over its substeps, and one solve
     record per step. Its states hold 0.0, -0.0, 0.0 in a row and the special
-    values; its margins are drawn from +-inf, +-0.0 and 0.5."""
+    values; its margins are drawn from +-inf, +-0.0 and 0.5. With `finite`,
+    its NaN and infinite states and inputs after t = 0 are 0.25, as in a log
+    that `from_csv` reads."""
     n_steps = -(-(T - 1) // substeps)
     held = rng.choice(_SPECIAL + rng.normal(size=6).tolist(), size=(n_steps, 2))
     held[:1] = [0.0, -0.0]
@@ -307,9 +309,12 @@ def _hand_trace(T, rng, margins=True, substeps=10):
         w_norms=w_norms.tolist(), V=rng.uniform(size=T).tolist(),
         step_meta=[{"t": 0.1 * k, "status": "optimal", "cost": 1.0 / (k + 3),
                     "errsq_int": 1e-05 * k, "terminal_relaxed": k % 2 == 0,
-                    "tube_capped": True} for k in range(n_steps)])
-    if margins:
-        trace.margins = rng.choice([np.inf, -np.inf, 0.0, -0.0, 0.5], size=(T, len(MARGIN_KINDS)))
+                    "tube_capped": True} for k in range(n_steps)],
+        margins=rng.choice([np.inf, -np.inf, 0.0, -0.0, 0.5], size=(T, len(MARGIN_KINDS))))
+    if finite:
+        for rows in (trace.states, trace.inputs[1:]):
+            for row in rows:
+                row[~np.isfinite(row)] = 0.25
     return trace
 
 
@@ -318,11 +323,11 @@ def test_to_csv_writes_the_row_writers_bytes(monkeypatch, tmp_path, chunk):
     """Column-wise formatting writes what the row writer writes: -0.0 next
     to 0.0 in one run, NaNs of two payloads, NaN inputs at t = 0, +-inf
     margins, 1e16, 1e-05, 5e-324 and 17-digit values, runs across chunk
-    edges, traces of different lengths (times shared with an earlier trace
-    but for one row, or for a prefix) and a trace with margins=None."""
+    edges, and traces of different lengths (times shared with an earlier
+    trace but for one row, or for a prefix)."""
     monkeypatch.setattr(coordination, "_CSV_CHUNK_ROWS", chunk)
     rng = np.random.default_rng(3)
-    traces = [_hand_trace(301, rng), _hand_trace(296, rng), _hand_trace(301, rng, margins=False)]
+    traces = [_hand_trace(301, rng), _hand_trace(296, rng), _hand_trace(301, rng)]
     traces[2].times[0] = -0.0
     log = TrajectoryLog(traces=traces, meta={"substeps": 10})
     got, want = tmp_path / "columns.csv", tmp_path / "rows.csv"
@@ -374,18 +379,26 @@ def test_to_csv_matches_the_row_writer_on_repeated_runs(tmp_path_factory, data, 
     assert got.read_bytes() == want.read_bytes()
 
 
-def test_to_csv_needs_the_substep_count_of_a_multi_row_trace(tmp_path):
-    """A log whose meta lacks `substeps` cannot number the steps of a
-    multi-row trace, which raises a ValueError naming it; a log of
-    single-row traces, whose rows are all of step -1, still writes."""
+def test_to_csv_needs_the_substep_count_and_every_traces_margins(tmp_path):
+    """A log whose meta lacks `substeps`, or with a trace without margins,
+    raises a ValueError naming the missing one, single-row logs included,
+    and writes no file; with both, a log of single-row traces writes the
+    row writer's bytes."""
     rng = np.random.default_rng(5)
-    with pytest.raises(ValueError, match="substeps"):
-        TrajectoryLog(traces=[_hand_trace(1, rng), _hand_trace(21, rng, substeps=5)]).to_csv(
-            tmp_path / "multi.csv")
-    single = TrajectoryLog(traces=[_hand_trace(1, rng), _hand_trace(1, rng, margins=False)])
-    single.to_csv(tmp_path / "single.csv")
+    path = tmp_path / "log.csv"
+    for traces in ([_hand_trace(1, rng), _hand_trace(21, rng, substeps=5)],
+                   [_hand_trace(1, rng), _hand_trace(1, rng)]):
+        with pytest.raises(ValueError, match="the log's meta has no 'substeps'"):
+            TrajectoryLog(traces=traces).to_csv(path)
+        traces[1].margins = None
+        with pytest.raises(ValueError, match="trace 1 has no margins"):
+            TrajectoryLog(traces=traces, meta={"substeps": 5}).to_csv(path)
+    assert not path.exists()
+    single = TrajectoryLog(traces=[_hand_trace(1, rng), _hand_trace(1, rng)],
+                           meta={"substeps": 10})
+    single.to_csv(path)
     write_csv_rows(single, tmp_path / "rows.csv")
-    assert (tmp_path / "single.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def _assert_reads_as_the_whole_file(path):
@@ -432,7 +445,8 @@ def test_from_csv_reads_blocks_as_the_whole_file_reader(monkeypatch, tmp_path, c
     so that block edges fall inside a step's rows and between agents) give
     the whole-file reader's traces and step records, as one block does."""
     rng = np.random.default_rng(8)
-    traces = [_hand_trace(301, rng), _hand_trace(296, rng), _hand_trace(301, rng, margins=False)]
+    traces = [_hand_trace(301, rng, finite=True), _hand_trace(296, rng, finite=True),
+              _hand_trace(301, rng, finite=True)]
     written = tmp_path / "written.csv"
     TrajectoryLog(traces=traces, meta={"substeps": 10}).to_csv(written)
     path = tmp_path / "case.csv"
@@ -450,7 +464,7 @@ def test_from_csv_matches_the_whole_file_reader_on_small_logs(tmp_path_factory, 
     size."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     substeps = data.draw(st.integers(1, 5))
-    traces = [_hand_trace(data.draw(st.integers(1, 40)), rng, substeps=substeps)
+    traces = [_hand_trace(data.draw(st.integers(1, 40)), rng, substeps=substeps, finite=True)
               for _ in range(data.draw(st.integers(1, 3)))]
     path = tmp_path_factory.getbasetemp() / "small.csv"
     TrajectoryLog(traces=traces, meta={"substeps": substeps}).to_csv(path)
@@ -469,7 +483,7 @@ def test_from_csv_names_the_line_of_an_error_in_a_later_block(monkeypatch, tmp_p
     rows, and an empty file misses every column."""
     rng = np.random.default_rng(9)
     written = tmp_path / "written.csv"
-    TrajectoryLog(traces=[_hand_trace(301, rng), _hand_trace(301, rng)],
+    TrajectoryLog(traces=[_hand_trace(301, rng, finite=True), _hand_trace(301, rng, finite=True)],
                   meta={"substeps": 10}).to_csv(written)
     lines = written.read_text().splitlines()
     header = lines[0].split(",")
@@ -516,7 +530,7 @@ def test_from_csv_rejects_an_agent_or_step_that_is_not_an_integer(monkeypatch, t
     warning of numpy's cast before it."""
     rng = np.random.default_rng(12)
     written = tmp_path / "written.csv"
-    TrajectoryLog(traces=[_hand_trace(301, rng), _hand_trace(301, rng)],
+    TrajectoryLog(traces=[_hand_trace(301, rng, finite=True), _hand_trace(301, rng, finite=True)],
                   meta={"substeps": 10}).to_csv(written)
     lines = written.read_text().splitlines()
     column = lines[0].split(",").index(name)
@@ -534,6 +548,36 @@ def test_from_csv_rejects_an_agent_or_step_that_is_not_an_integer(monkeypatch, t
         assert str(caught.value) == f"{path}: line {line}: {name} '{value}' is not an integer"
 
 
+@pytest.mark.parametrize("name, value, problem", [
+    ("t", "nan", "not finite"), ("x1", "inf", "not finite"), ("x2", "nan", "not finite"),
+    ("w_norm", "-inf", "not finite"), ("V", "nan", "not finite"), ("u0", "nan", "NaN"),
+    ("m_neighbor", "nan", "NaN"), ("cost", "inf", "not finite"),
+    ("errsq_int", "nan", "not finite")])
+def test_from_csv_rejects_a_value_that_no_run_logs(monkeypatch, tmp_path, name, value, problem):
+    """In 600-byte blocks, a time, state, w_norm, V, cost or errsq_int that
+    is not finite, a NaN margin and a NaN input outside step -1, on the first
+    row of a step far into the file, raise a ValueError naming the file, the
+    line and the column. The file as written, with +-inf margins and the NaN
+    inputs of step -1, reads."""
+    rng = np.random.default_rng(13)
+    written = tmp_path / "written.csv"
+    TrajectoryLog(traces=[_hand_trace(301, rng, finite=True), _hand_trace(301, rng, finite=True)],
+                  meta={"substeps": 10}).to_csv(written)
+    monkeypatch.setattr(coordination, "_CSV_BLOCK_BYTES", 600)
+    TrajectoryLog.from_csv(written, h=0.1)
+    lines = written.read_text().splitlines()
+    assert ",-inf," in written.read_text() and lines[1].split(",")[6:8] == ["nan", "nan"]
+    # line 514 is the first row of agent 1's step 21
+    fields = lines[513].split(",")
+    assert fields[1:3] == ["1", "21"] != lines[512].split(",")[1:3]
+    fields[lines[0].split(",").index(name)] = value
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines[:513] + [",".join(fields)] + lines[514:]) + "\n")
+    with pytest.raises(ValueError) as caught:
+        TrajectoryLog.from_csv(path, h=0.1)
+    assert str(caught.value) == f"{path}: line 514: {name} '{value}' is {problem}"
+
+
 # tracemalloc's peak of from_csv, in multiples of the file's size, on the
 # test's 3 x 10,001-row log: 2.4 to 2.5 for the whole-file reader, 1.27 for
 # the block reader
@@ -548,7 +592,7 @@ def test_from_csv_holds_one_block_of_text_at_a_time(tmp_path):
     rng = np.random.default_rng(10)
     traces = []
     for _ in range(3):
-        trace = _hand_trace(10_001, rng)
+        trace = _hand_trace(10_001, rng, finite=True)
         trace.margins = rng.normal(size=(10_001, len(MARGIN_KINDS)))
         traces.append(trace)
     path = tmp_path / "long.csv"
@@ -658,12 +702,18 @@ def test_traces_without_rows_finalize(tmp_path):
 _CHUNKS = [1, 7, constraints._LOGGED_CHUNK_ROWS, 100_000]
 
 
-def _assert_logged_as_whole(sim, log, world, scenario):
+def _assert_margins_as_whole(sim, log):
     """`log`, finalized by `sim`, holds the whole-log pass's margins bit for
-    bit, and verify's geometric checks are the whole-log pass's by repr."""
+    bit."""
     for trace, want in zip(log.traces, fill_margins_whole(sim, log)):
         assert trace.margins.dtype == want.dtype and trace.margins.shape == want.shape
         assert np.array_equal(trace.margins.view(np.int64), want.view(np.int64))
+
+
+def _assert_logged_as_whole(sim, log, world, scenario):
+    """`log`, finalized by `sim`, holds the whole-log pass's margins bit for
+    bit, and verify's geometric checks are the whole-log pass's by repr."""
+    _assert_margins_as_whole(sim, log)
     checks = certify.verify(log, world, scenario).checks
     for name, want in verify_geometry_whole(log, world, scenario).items():
         assert repr(checks[name]) == repr(want), name
@@ -705,8 +755,7 @@ def _long_simulation(rows=10_001, seed=11):
     """The bundled scenario's 100 s simulation with hand-built traces of
     `rows` samples each, as the engine keeps them (lists of rows): positions
     scattered about each start by a unit normal, so that agents come within
-    and leave sensing range, and agent 1's position NaN at one sample of the
-    last chunk."""
+    and leave sensing range."""
     scenario = load_scenario(SCENARIO)
     sim = scenario.build_simulation(total_time=100.0)
     rng = np.random.default_rng(seed)
@@ -717,17 +766,25 @@ def _long_simulation(rows=10_001, seed=11):
         sim.traces.append(coordination.AgentTrace(
             times=list(times), states=list(states), inputs=list(rng.normal(size=(rows, 2))),
             w_norms=rng.uniform(0.0, 0.1, rows).tolist(), V=rng.uniform(size=rows).tolist()))
-    sim.traces[1].states[rows - 5] = np.full(3, np.nan)
     return scenario, sim
 
 
 @pytest.mark.parametrize("chunk", [constraints._LOGGED_CHUNK_ROWS, 100_000])
 def test_long_log_margins_and_verdicts_in_chunks(monkeypatch, chunk):
     """A log of 10,001 rows per agent, several chunks long, has the
-    whole-log pass's margins and geometric checks."""
+    whole-log pass's margins and geometric checks. With agent 1's position
+    NaN at one sample of the last chunk it still has the whole-log pass's
+    margins, and verify raises a ValueError that names the sample."""
     scenario, sim = _long_simulation()
     monkeypatch.setattr(constraints, "_LOGGED_CHUNK_ROWS", chunk)
-    _assert_logged_as_whole(sim, sim.finalize_log(), scenario.build_world(), scenario)
+    world = scenario.build_world()
+    _assert_logged_as_whole(sim, sim.finalize_log(), world, scenario)
+    sim.traces[1].states[-5] = np.full(3, np.nan)
+    log = sim.finalize_log()
+    _assert_margins_as_whole(sim, log)
+    with pytest.raises(ValueError,
+                       match="agent 1's logged time or position at row 9996 is not finite"):
+        certify.verify(log, world, scenario)
 
 
 # tracemalloc peaks on _long_simulation's 3 x 10,001-row log: finalize_log's
@@ -770,9 +827,8 @@ def test_verify_keeps_the_whole_logs_worst_time_across_chunks(monkeypatch, chunk
     """Two obstacle columns of agent 0 tie at their smallest margin, obst1's
     at row 3 and obst0's at row 10: the whole log tracks obst0 first and
     keeps row 10, in chunks of 7 rows too, where obst1's minimum comes
-    first. Agent 2's position is NaN at row 12, so its columns, which hold
-    the smallest separation, drop out of the check as np.argmin over the
-    whole column makes them."""
+    first. Agent 2, 1.1 m from agent 0, holds the smallest separation. With
+    its position NaN at row 12, verify raises a ValueError naming the row."""
     scenario = load_scenario(SCENARIO)
     center = np.array(scenario.build_world().workspace.center)
     world = dataclasses.replace(
@@ -785,7 +841,6 @@ def test_verify_keeps_the_whole_logs_worst_time_across_chunks(monkeypatch, chunk
     paths[0, 10, 0] += 2.0
     paths[1, :, 1] += 1.2
     paths[2, :, 1] -= 1.1
-    paths[2, 12] = np.nan
     times = 0.01 * np.arange(T)
     log = TrajectoryLog(traces=[coordination.AgentTrace(
         times=times, states=path, inputs=np.zeros((T, 2)), w_norms=np.zeros(T), V=np.zeros(T))
@@ -795,7 +850,10 @@ def test_verify_keeps_the_whole_logs_worst_time_across_chunks(monkeypatch, chunk
     for name, want in verify_geometry_whole(log, world, scenario).items():
         assert repr(checks[name]) == repr(want), name
     assert checks["obstacle-clearance"].worst_time == times[10]
-    assert checks["inter-agent-separation"].worst_margin == pytest.approx(1.2 - 1.01)
+    assert checks["inter-agent-separation"].worst_margin == pytest.approx(1.1 - 1.01)
+    log.traces[2].states[12] = np.nan
+    with pytest.raises(ValueError, match="agent 2's logged time or position at row 12"):
+        certify.verify(log, world, scenario)
 
 
 def test_separation_maintained_head_on():
@@ -1083,10 +1141,10 @@ def test_sensing_reads_earlier_agents_after_their_move(monkeypatch):
         sensed.append((agent, np.array(positions)))
         return real_sensing(agent, positions, d_i)
 
-    def integrate(model, z, *args):
-        times, states = real_integrate(model, z, *args)
-        moved.append(states[-1][model.position_slice].copy())
-        return times, states
+    def integrate(z, *args):
+        times, states, w_norms = real_integrate(z, *args)
+        moved.append(states[-1][UNICYCLE.position_slice].copy())
+        return times, states, w_norms
 
     def geometry(i, t_k, dense_taus):
         posted.append((i, t_k, {j: entry.t0 for j, entry in sim.board.items()}))

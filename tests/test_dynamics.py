@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from dnmpc.cli import load_scenario
-from dnmpc.dynamics import (UNICYCLE, AgentModel, DisturbanceSignal, ErrorDynamics, integrate,
-                            rollout_zoh, wrap_angle)
-from oracles import DOUBLE_INTEGRATOR, rk4_rollout, rk4_step, unicycle_field
+from dnmpc.dynamics import (UNICYCLE, DisturbanceSignal, ErrorDynamics, integrate, rollout_zoh,
+                            wrap_angle)
+from oracles import rk4_rollout, rk4_step, unicycle_field
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
@@ -42,14 +42,14 @@ def test_unicycle_field_batched():
     assert unicycle_field(z, u).shape == (5, 4, 3)
 
 
-def _rk4_integrate(z0, u, disturbance, t0, t1, step, w_norms=None):
+def _rk4_integrate(z0, u, disturbance, t0, t1, step):
     """Oracle of :func:`integrate`: the generic substep loop, `rk4_step`
     over the unicycle field as an array function under the held input `u`,
     with the heading wrapped after each full step, and each disturbance
-    sample drawn alone at its stage's time. With a disturbance and a list
-    `w_norms`, it also samples times[-1] and appends the norms of the samples
-    at times[1:]: each step's first RK4 sample but the first, then that
-    last one."""
+    sample drawn alone at its stage's time. With a disturbance it also
+    samples times[-1], and the norms it returns are those of the samples at
+    times[1:]: each step's first RK4 sample but the first, then that last
+    one; zeros without a disturbance."""
     n_steps = int(round((t1 - t0) / step))
     times = t0 + step * np.arange(n_steps + 1)
     first = []
@@ -79,9 +79,9 @@ def _rk4_integrate(z0, u, disturbance, t0, t1, step, w_norms=None):
         k1 = deriv(times[k], z, first)
         z = wrap_heading(rk4_step(deriv, times[k], z, step, k1))
         states[k + 1] = z
-    if disturbance is not None and w_norms is not None:
-        w_norms.extend(first[1:] + [sample(times[-1])[1]])
-    return times, states
+    if disturbance is None:
+        return times, states, np.zeros(n_steps)
+    return times, states, np.array(first[1:] + [sample(times[-1])[1]])
 
 
 def _reference_zoh(z0, u_seq, stage_time):
@@ -101,7 +101,7 @@ def test_integrate_matches_scipy_reference():
     u = np.array([1.5, 0.8])
     w = lambda t: 0.05 * np.stack([np.sin(3 * t), np.cos(2 * t), np.sin(t)], axis=-1)
     dist = DisturbanceSignal(w, 0.1)
-    _, ours = integrate(UNICYCLE, [0.1, -0.2, 0.3], u, dist, 0.0, 0.3, 0.01)
+    _, ours, _ = integrate([0.1, -0.2, 0.3], u, dist, 0.0, 0.3, 0.01)
     assert dist.clipped == 0
 
     def rhs(t, z):
@@ -113,25 +113,17 @@ def test_integrate_matches_scipy_reference():
 
 def test_integrate_step_must_divide():
     with pytest.raises(ValueError):
-        integrate(UNICYCLE, [0, 0, 0], np.zeros(2), None, 0.0, 0.35, 0.1)
-
-
-def test_integrate_rejects_other_models():
-    # an equal copy of the unicycle is another model to integrate
-    copy = AgentModel(3, 2, slice(0, 2), (2,))
-    headless = AgentModel(3, 2, slice(0, 2))
-    for model in (copy, headless, DOUBLE_INTEGRATOR):
-        with pytest.raises(ValueError, match="unicycle only"):
-            integrate(model, [0, 0, 0], np.zeros(2), None, 0.0, 0.1, 0.01)
+        integrate([0, 0, 0], np.zeros(2), None, 0.0, 0.35, 0.1)
 
 
 def test_integrate_with_disturbance_shifts_state():
     dist = DisturbanceSignal(lambda times: np.tile([0.1, 0.0, 0.0], (len(times), 1)), 0.5)
-    _, nominal = integrate(UNICYCLE, [0, 0, 0], np.zeros(2), None, 0.0, 1.0, 0.01)
-    _, pushed = integrate(UNICYCLE, [0, 0, 0], np.zeros(2), dist, 0.0, 1.0, 0.01)
+    _, nominal, _ = integrate([0, 0, 0], np.zeros(2), None, 0.0, 1.0, 0.01)
+    _, pushed, _ = integrate([0, 0, 0], np.zeros(2), dist, 0.0, 1.0, 0.01)
     assert pushed[-1][0] == pytest.approx(nominal[-1][0] + 0.1, abs=1e-9)
-    # a generator inside the bound: four samples per RK4 step, none clipped
-    assert (dist.samples, dist.clipped) == (400, 0)
+    # a generator inside the bound: four samples per RK4 step and one at the
+    # last row, none clipped
+    assert (dist.samples, dist.clipped) == (401, 0)
 
 
 def test_disturbance_clipping():
@@ -166,7 +158,7 @@ def test_rollout_zoh_matches_integrate():
     # (as the closed-loop engine uses it)
     z = np.array([0.0, 1.0, 0.2])
     for u in u_seq:
-        _, seg = integrate(UNICYCLE, z, u, None, 0.0, 0.1, 0.01)
+        _, seg, _ = integrate(z, u, None, 0.0, 0.1, 0.01)
         z = seg[-1]
     assert np.allclose(traj[-1], z, atol=1e-10)
 
@@ -293,23 +285,20 @@ def _varying(times):
 
 
 def test_integrate_reports_first_stage_disturbance_norms():
-    """`w_norms` receives the norm of the disturbance at each of times[1:],
-    each drawn alone, from `integrate` and its generic-loop oracle alike,
-    and the disturbance is sampled 4 times per substep plus once at the
-    last row; nothing without a disturbance."""
+    """`integrate` returns the norm of the disturbance at each of times[1:],
+    the floats of each sample drawn alone, bit for bit, as its generic-loop
+    oracle does, and the disturbance is sampled 4 times per substep plus
+    once at the last row; zeros without a disturbance."""
     oracle = DisturbanceSignal(_varying, 0.15)
-    for run in (lambda *args: integrate(UNICYCLE, *args), _rk4_integrate):
-        norms = []
+    for run in (integrate, _rk4_integrate):
         dist = DisturbanceSignal(_varying, 0.15)
-        times, states = run([0.3, -0.2, 3.1], np.array([2.0, 9.0]), dist, 0.4, 0.5, 0.01,
-                            norms)
-        fresh = [oracle.sample_times(np.array([t]))[1][0] for t in times[1:]]
-        assert norms == fresh
+        times, _, norms = run([0.3, -0.2, 3.1], np.array([2.0, 9.0]), dist, 0.4, 0.5, 0.01)
+        fresh = np.array([oracle.sample_times(np.array([t]))[1][0] for t in times[1:]])
+        assert norms.dtype == np.float64 and norms.tobytes() == fresh.tobytes()
         assert all(a != b for a, b in zip(fresh, fresh[1:]) if min(a, b) < 0.15 - 1e-12)
         assert dist.samples == 41
-        nominal = []
-        run([0.3, -0.2, 3.1], np.array([2.0, 9.0]), None, 0.4, 0.5, 0.01, nominal)
-        assert nominal == []
+        _, _, nominal = run([0.3, -0.2, 3.1], np.array([2.0, 9.0]), None, 0.4, 0.5, 0.01)
+        assert nominal.tobytes() == np.zeros(10).tobytes()
     assert 0 < oracle.clipped < oracle.samples
 
 
@@ -336,7 +325,7 @@ def test_bundled_disturbance_matches_a_per_sample_oracle_bitwise():
     recorder = DisturbanceSignal(recording, bound)
     for k in range(round(100.0 / h)):
         t_k = k * h
-        integrate(UNICYCLE, [0.0, 0.0, 0.0], [0.0, 0.0], recorder, t_k, t_k + h, step, [])
+        integrate([0.0, 0.0, 0.0], [0.0, 0.0], recorder, t_k, t_k + h, step)
     assert [len(times) for times in batches] == [41] * 1000
     clipped = 0
     for times in batches:
@@ -375,20 +364,22 @@ def test_unicycle_integrate_fast_path_is_bit_identical():
         for z0, u in cases:
             t0 = float(rng.uniform(0.0, 10.0))
             runs = []
-            for run in (lambda *args: integrate(UNICYCLE, *args), _rk4_integrate):
+            for run in (integrate, _rk4_integrate):
                 dist = None if gen is None else DisturbanceSignal(gen, 0.1)
-                times, states = run(z0, u, dist, t0, t0 + 0.1, 0.01)
-                runs.append((times, states, None if dist is None else
+                times, states, norms = run(z0, u, dist, t0, t0 + 0.1, 0.01)
+                runs.append((times, states, norms, None if dist is None else
                              (dist.samples, dist.clipped)))
-            (t_fast, fast, n_fast), (t_loop, loop, n_loop) = runs
+            (t_fast, fast, w_fast, n_fast), (t_loop, loop, w_loop, n_loop) = runs
             assert np.array_equal(t_fast, t_loop), name
             assert fast.shape == loop.shape == (11, 3)
             assert fast.tobytes() == loop.tobytes(), name
+            assert w_fast.tobytes() == w_loop.tobytes(), name
             assert n_fast == n_loop, name
             counts.add((name, n_fast))
-    assert ("in bound", (40, 0)) in counts and ("clipping", (40, 40)) in counts
-    assert any(name == "varying" and 0 < n[1] < 40 for name, n in counts)
-    _, crossing = integrate(UNICYCLE, cases[-1][0], cases[-1][1], None, 0.0, 0.1, 0.01)
+    # four samples per substep and one at the last row
+    assert ("in bound", (41, 0)) in counts and ("clipping", (41, 41)) in counts
+    assert any(name == "varying" and 0 < n[1] < 41 for name, n in counts)
+    _, crossing, _ = integrate(cases[-1][0], cases[-1][1], None, 0.0, 0.1, 0.01)
     assert np.all(np.abs(crossing[:, 2]) <= np.pi) and crossing[-1, 2] < 0.0
 
 

@@ -12,7 +12,7 @@ from dnmpc.dynamics import UNICYCLE, ErrorDynamics
 from dnmpc.ocp import (OcpConfig, _openblas_thread_controls, _Transcription,
                        restore_feasibility, single_blas_thread, solve_fhocp,
                        unicycle_steering_law, warm_start_shift)
-from oracles import (DOUBLE_INTEGRATOR, count_jacobians, unicycle_field,
+from oracles import (DOUBLE_INTEGRATOR, count_jacobians, no_margins, unicycle_field,
                      use_double_integrator)
 
 
@@ -30,6 +30,11 @@ def _config(u_bar=1e6, **kw):
                     P=np.diag([1.0, 1.0]), eps_omega=0.01, eps_psi=0.1, u_bar=u_bar)
     defaults.update(kw)
     return OcpConfig(**defaults)
+
+
+def _zero_start(cfg, ed):
+    """The zero input sequence, the warm start of a solve from rest."""
+    return np.zeros((cfg.n_stages, ed.model.input_dim))
 
 
 def position_margin_fn(offset):
@@ -95,7 +100,7 @@ def test_solver_matches_riccati_oracle(double_integrator):
     cfg = _config()
     ed = double_integrator
     e0 = np.array([1.5, -0.7])
-    sol = solve_fhocp(ed, e0, None, cfg, use_terminal=False)
+    sol = solve_fhocp(ed, e0, no_margins, cfg, _zero_start(cfg, ed), use_terminal=False)
     ref = lqr_dp_reference(e0, cfg)
     assert sol.status == "optimal"
     assert np.max(np.abs(sol.inputs - ref)) < 1e-4
@@ -110,7 +115,7 @@ def test_relaxed_solve_takes_newtons_step_on_a_linear_quadratic_problem(double_i
     ed = double_integrator
     for e0 in ([1.5, -0.7], [0.3, 0.2], [-2.0, 1.0]):
         e0 = np.array(e0)
-        sol = solve_fhocp(ed, e0, None, cfg, use_terminal=False)
+        sol = solve_fhocp(ed, e0, no_margins, cfg, _zero_start(cfg, ed), use_terminal=False)
         assert sol.status == "optimal"
         assert sol.solve_stats["iterations"] == 2
         np.testing.assert_allclose(sol.inputs, lqr_dp_reference(e0, cfg), rtol=0, atol=1e-6)
@@ -178,7 +183,7 @@ def test_relaxed_solve_finds_a_margin_its_first_working_set_leaves_out(double_in
     tr = _Transcription(ed, e0, margin_fn, cfg, False)
     assert tr.eval(np.zeros(tr.nx))["margins"].min() > ocp.NEAR_ACTIVE
     assert tr.eval(lqr_dp_reference(e0, cfg).ravel())["margins"].min() < 0.0
-    sol = solve_fhocp(ed, e0, margin_fn, cfg, use_terminal=False)
+    sol = solve_fhocp(ed, e0, margin_fn, cfg, _zero_start(cfg, ed), use_terminal=False)
     assert sol.status == "optimal" and sol.solve_stats["iterations"] == 2
     ref_x, _ = _scipy_slsqp(_Transcription(ed, e0, margin_fn, cfg, False), np.zeros(tr.nx),
                             1e-14)
@@ -210,7 +215,7 @@ def test_terminal_solve_in_gauss_newton_scaling_matches_riccati_oracle(double_in
     ed = double_integrator
     for e0 in ([1.5, -0.7], [0.3, 0.2], [-2.0, 1.0]):
         e0 = np.array(e0)
-        sol = solve_fhocp(ed, e0, None, cfg, use_terminal=True)
+        sol = solve_fhocp(ed, e0, no_margins, cfg, _zero_start(cfg, ed), use_terminal=True)
         assert sol.status == "feasible-suboptimal"
         assert sol.solve_stats["suboptimal_stop"] is True
         assert sol.solve_stats["iterations"] == 1
@@ -348,8 +353,8 @@ def test_stop_where_slsqp_converges_too_reports_optimal(monkeypatch, double_inte
     for cfg, ed, e0, margin_fn in (
             _unicycle_near_disc()[:4],
             (_config(eps_omega=1e3, eps_psi=2e3),
-             double_integrator, np.array([1.5, -0.7]), None)):
-        plan = solve_fhocp(ed, e0, margin_fn, cfg, use_terminal=True).inputs
+             double_integrator, np.array([1.5, -0.7]), no_margins)):
+        plan = solve_fhocp(ed, e0, margin_fn, cfg, _zero_start(cfg, ed), use_terminal=True).inputs
         for _ in range(5):
             # restarts from the stop's plan, until SLSQP's own test passes
             with monkeypatch.context() as patch:
@@ -436,14 +441,16 @@ def test_slsqp_halts_on_callback_stop_iteration():
 def test_input_bound_respected(double_integrator):
     cfg = _config(u_bar=0.5)
     ed = double_integrator
-    sol = solve_fhocp(ed, np.array([5.0, 0.0]), None, cfg, use_terminal=False)
+    sol = solve_fhocp(ed, np.array([5.0, 0.0]), no_margins, cfg, _zero_start(cfg, ed),
+                      use_terminal=False)
     assert np.all(np.linalg.norm(sol.inputs, axis=1) <= 0.5 + 1e-9)
 
 
 def test_terminal_constraint_enforced_near_origin(double_integrator):
     cfg = _config()
     ed = double_integrator
-    sol = solve_fhocp(ed, np.array([0.2, 0.0]), None, cfg, use_terminal=True)
+    sol = solve_fhocp(ed, np.array([0.2, 0.0]), no_margins, cfg, _zero_start(cfg, ed),
+                      use_terminal=True)
     assert sol.status != "infeasible"
     v_term = float(sol.dense_errors[-1] @ cfg.P @ sol.dense_errors[-1])
     assert v_term <= cfg.eps_omega + cfg.constraint_tol
@@ -454,7 +461,8 @@ def test_margin_constraints_enforced(double_integrator):
     ed = double_integrator
     # keep the position coordinate above -0.1 along the horizon
     margin_fn = position_margin_fn(0.1)
-    sol = solve_fhocp(ed, np.array([1.0, -1.0]), margin_fn, cfg, use_terminal=False)
+    sol = solve_fhocp(ed, np.array([1.0, -1.0]), margin_fn, cfg, _zero_start(cfg, ed),
+                      use_terminal=False)
     assert sol.status != "infeasible"
     assert sol.dense_errors[1:, 0].min() >= -0.1 - cfg.constraint_tol
 
@@ -464,7 +472,8 @@ def test_infeasible_status_reported(double_integrator):
     ed = double_integrator
     # requires the position to move by 10 within the horizon
     impossible = position_margin_fn(-10.0)
-    sol = solve_fhocp(ed, np.array([0.0, 0.0]), impossible, cfg, use_terminal=False)
+    sol = solve_fhocp(ed, np.array([0.0, 0.0]), impossible, cfg, _zero_start(cfg, ed),
+                      use_terminal=False)
     assert sol.status == "infeasible"
     assert sol.solve_stats["residual"] > 1.0
 
@@ -472,7 +481,8 @@ def test_infeasible_status_reported(double_integrator):
 def test_solution_shapes_and_stats(double_integrator):
     cfg = _config()
     ed = double_integrator
-    sol = solve_fhocp(ed, np.array([1.0, 0.0]), None, cfg, use_terminal=False)
+    sol = solve_fhocp(ed, np.array([1.0, 0.0]), no_margins, cfg, _zero_start(cfg, ed),
+                      use_terminal=False)
     assert sol.inputs.shape == (6, 1)
     assert sol.dense_errors.shape == (61, 2)
     assert sol.solve_stats["rollouts"] > 0
@@ -511,7 +521,7 @@ def test_transcription_cost_is_the_rectangle_rule_quadratic():
     cfg = _config(u_bar=8.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
                   P=np.diag([0.5, 0.5, 0.1]))
     ed = ErrorDynamics(UNICYCLE, np.array([3.0, 0.0, 0.4]))
-    tr = _Transcription(ed, np.array([-3.0, 0.1, -0.2]), None, cfg, use_terminal=True)
+    tr = _Transcription(ed, np.array([-3.0, 0.1, -0.2]), no_margins, cfg, use_terminal=True)
     x = np.random.default_rng(9).uniform(-3.0, 3.0, tr.nx)
     res = tr.eval(x)
     stages = res["traj"][::cfg.substeps]
@@ -555,7 +565,7 @@ def test_transcription_slack_is_the_worst_constraint():
         assert enforced["slack"] == min(enforced["margins"].min(), terminal_slack)
         relaxed = _Transcription(ed, e0, margin_fn, cfg, False).eval(x)
         assert relaxed["slack"] == relaxed["margins"].min()
-        assert _Transcription(ed, e0, None, cfg, False).eval(x)["slack"] == 0.0
+        assert _Transcription(ed, e0, no_margins, cfg, False).eval(x)["slack"] == np.inf
 
 
 def test_unicycle_steering_law_converges():
@@ -574,7 +584,8 @@ def test_unicycle_steering_law_converges():
 def test_warm_start_shift_structure(double_integrator):
     cfg = _config()
     ed = double_integrator
-    sol = solve_fhocp(ed, np.array([1.0, 0.0]), None, cfg, use_terminal=False)
+    sol = solve_fhocp(ed, np.array([1.0, 0.0]), no_margins, cfg, _zero_start(cfg, ed),
+                      use_terminal=False)
     shifted = warm_start_shift(sol, lambda e: np.array([0.3]), cfg)
     assert shifted.shape == sol.inputs.shape
     assert np.allclose(shifted[:-1], sol.inputs[1:])
@@ -584,7 +595,8 @@ def test_warm_start_shift_structure(double_integrator):
 def test_warm_start_shift_rejects_infeasible(double_integrator):
     cfg = _config()
     ed = double_integrator
-    sol = solve_fhocp(ed, np.array([1.0, 0.0]), None, cfg, use_terminal=False)
+    sol = solve_fhocp(ed, np.array([1.0, 0.0]), no_margins, cfg, _zero_start(cfg, ed),
+                      use_terminal=False)
     sol.status = "infeasible"
     with pytest.raises(ValueError):
         warm_start_shift(sol, lambda e: np.array([0.0]), cfg)
@@ -615,7 +627,7 @@ def test_nested_single_blas_thread_keeps_the_outer_pin(monkeypatch):
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
     for use_terminal in (True, False):
         solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=use_terminal)
-    restore_feasibility(ed, e0, margin_fn, cfg, start)
+    restore_feasibility(ed, e0, margin_fn, cfg, start, use_terminal=False)
     assert sets == [1, 3] * 3
     sets.clear()
     with single_blas_thread():
@@ -623,7 +635,7 @@ def test_nested_single_blas_thread_keeps_the_outer_pin(monkeypatch):
             assert count == [1]
         assert count == [1]
         solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=False)
-        restore_feasibility(ed, e0, margin_fn, cfg, start)
+        restore_feasibility(ed, e0, margin_fn, cfg, start, use_terminal=False)
         assert count == [1]
     assert count == [3] and sets == [1, 3]
 
@@ -679,7 +691,7 @@ def test_solve_independent_of_blas_thread_count():
             for _, set_threads in controls:
                 set_threads(threads)
             solutions.append(solve_fhocp(ed, np.array([-3.0, 0.1, 0.0]), margin_fn,
-                                         cfg, use_terminal=False))
+                                         cfg, _zero_start(cfg, ed), use_terminal=False))
     finally:
         for (_, set_threads), count in zip(controls, before):
             set_threads(count)

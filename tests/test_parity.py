@@ -119,12 +119,12 @@ def test_verify_artifacts_are_dnmpc_verifys_output(parity, tmp_path, capsys):
     on standard output."""
     scenario_path = ROOT / parity.SCENARIO
     traces = [AgentTrace(times=[0.0], states=[spec.start], inputs=[np.full(2, np.nan)],
-                         w_norms=[0.0], V=[0.0])
+                         w_norms=[0.0], V=[0.0], margins=np.full((1, 4), np.inf))
               for spec in load_scenario(scenario_path).agents]
     good, empty = (tmp_path / name / "trajectory.csv" for name in parity.VERIFIED)
     for path in (good, empty):
         path.parent.mkdir()
-    TrajectoryLog(traces=traces).to_csv(good)
+    TrajectoryLog(traces=traces, meta={"h": 0.1, "substeps": 10}).to_csv(good)
     empty.write_text(good.read_text().splitlines()[0] + "\n")
     out = parity.verify_artifacts(ROOT, tmp_path)
     assert list(out) == ["bundled-10s verify stdout", "bundled-10s verify exit status",
@@ -139,24 +139,40 @@ def test_verify_artifacts_are_dnmpc_verifys_output(parity, tmp_path, capsys):
     assert list(peaks) == list(parity.VERIFIED) and all(0 < mb < 1000 for mb in peaks.values())
 
 
+def test_line_counts_are_wc_ls(parity, tmp_path):
+    """The newlines of src/dnmpc/*.py and of tests/*.py, a last line without
+    one uncounted, as `cat <files> | wc -l` counts them; other files are
+    left out."""
+    (tmp_path / "src" / "dnmpc").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "dnmpc" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "dnmpc" / "b.py").write_text("z = 3")
+    (tmp_path / "src" / "dnmpc" / "notes.md").write_text("one\ntwo\n")
+    (tmp_path / "tests" / "test_a.py").write_text("\n" * 5)
+    assert parity.line_counts(tmp_path) == {"src": 2, "tests": 5}
+
+
 def test_record_compares_verify_output_and_records_its_peak(parity):
     """The verify artifacts are compared like the others, and the run and
-    verify processes' peak RSS go to blocks of their own, not to the
-    comparisons."""
-    def side(verify_stdout, peak, run_peaks):
+    verify processes' peak RSS and both sides' line counts go to blocks of
+    their own, not to the comparisons."""
+    def side(verify_stdout, peak, run_peaks, lines):
         out = {"bundled-10s verify stdout": verify_stdout,
                "bundled-10s verify exit status": b"0",
                "verify peak_rss_mb": json.dumps({"bundled-10s": peak}).encode(),
                "run peak_rss_mb": json.dumps(dict(zip(
                    (name for name, _, _ in parity.RUNS), run_peaks))).encode(),
+               "line counts": json.dumps(lines).encode(),
                "sweep": b"completed 17/40\n", "paired gate": b"gate: pass\n",
                "calls": b'{"corridor": 1}\n'}
         out.update({f"traced {workload}": parity.traced_lines(_traced("fb873281d5a58a05", 0.03))
                     for workload in parity.WORKLOADS})
         return out
 
-    result = parity.record("HEAD~", side(b"a = 1\nb = 2\n", 62.1, [45.3, 67.9, 45.2]),
-                           side(b"a = 1\nb = 3\n", 56.2, [45.1, 64.2, 45.0]))
+    result = parity.record("HEAD~", side(b"a = 1\nb = 2\n", 62.1, [45.3, 67.9, 45.2],
+                                         {"src": 3218, "tests": 4993}),
+                           side(b"a = 1\nb = 3\n", 56.2, [45.1, 64.2, 45.0],
+                                {"src": 3180, "tests": 5001}))
     assert result["bit_for_bit"]["bundled-10s verify stdout"] == {
         "line": 2, "parent": "b = 2", "change": "b = 3"}
     assert result["bit_for_bit"]["bundled-10s verify exit status"] == "identical"
@@ -166,3 +182,5 @@ def test_record_compares_verify_output_and_records_its_peak(parity):
     assert result["run_peak_rss_mb"] == {
         "parent": {"bundled-10s": 45.3, "bundled-100s": 67.9, "nominal-10s": 45.2},
         "change": {"bundled-10s": 45.1, "bundled-100s": 64.2, "nominal-10s": 45.0}}
+    assert result["src_lines"] == {"parent": 3218, "change": 3180}
+    assert result["tests_lines"] == {"parent": 4993, "change": 5001}
