@@ -185,8 +185,8 @@ def verify(log, world, scenario):
     aligning agents by timestamp. Thresholds include the scenario safety
     margin. Also checks terminal-set trapping of V and the per-step ISS cost
     inequality using the per-step solver metadata. A log with another number
-    of traces than the world has agents, or with a time or position that is
-    not finite, raises ValueError.
+    of traces than the world has agents, or with a time, position, V, step
+    cost or step `errsq_int` that is not finite, raises ValueError.
     """
     n = len(log.traces)
     if n != len(world.agent_radii):
@@ -202,6 +202,13 @@ def verify(log, world, scenario):
         if not finite.all():
             raise ValueError(f"agent {i}'s logged time or position at row "
                              f"{int(np.argmin(finite))} is not finite")
+        finite = np.isfinite(log.traces[i].V)
+        if not finite.all():
+            raise ValueError(f"agent {i}'s logged V at row {int(np.argmin(finite))} is not finite")
+        for k, meta in enumerate(log.traces[i].step_meta):
+            for key in ("cost", "errsq_int"):
+                if not math.isfinite(meta[key]):
+                    raise ValueError(f"agent {i}'s {key} at step {k} is not finite")
 
     # (1) convergence to the ultimate-bound ball (outer radius)
     cert = scenario.build_certificate()

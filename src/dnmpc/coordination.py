@@ -18,8 +18,9 @@ can empty the tightened problem at the horizon tail); each solve's record
 flags a capped tube. The terminal constraint can be unreachable far from the
 goal, so a fallback ladder tries a terminal-enforced tier, then a relaxed
 one, flagged in the solution status and the solve's record. Each tier tries
-the shifted and zero starts, lateral probes when blocked and a phase-1
-feasibility restoration. The terminal-enforced tier runs only near the goal,
+the shifted and zero starts and lateral probes when blocked; when all its
+starts end infeasible, the relaxed tier also tries a phase-1 feasibility
+restoration. The terminal-enforced tier runs only near the goal,
 and is skipped when a closed-form check proves it infeasible: every position
 the terminal set admits lies within r = sqrt((eps_omega + tol) /
 lambda_min(P)) of the goal, and some last-stage margin is violated on that
@@ -562,10 +563,11 @@ class Simulation:
         tightened by the simulation's one tube (:attr:`_tube`).
         In each tier: the starts until one ends feasible; if its plan is
         blocked, the starts not yet tried and the lateral probes, the
-        cheapest feasible plan winning; if none ends feasible but the lowest
-        residual is within 5e-2, restore_feasibility from that attempt and
-        one attempt from the restored plan. A terminal-enforced tier whose
-        terminal set lies beyond some last-stage tightened margin
+        cheapest feasible plan winning. If none ends feasible, the relaxed
+        tier runs restore_feasibility from its lowest-residual attempt and
+        makes one attempt from the restored plan; a terminal-enforced tier
+        does not restore. A terminal-enforced tier whose terminal set lies
+        beyond some last-stage tightened margin
         (StageGeometry.terminal_excluded) is skipped: all its attempts would
         end infeasible, and every tier tries the same starts.
         """
@@ -616,17 +618,15 @@ class Simulation:
                         attempt(start)
                     sol = min((s for s in tried[accepted:] if s.status != "infeasible"),
                               key=lambda s: s.cost)
-            else:
-                # phase-1 slack maximization from the best near-feasible
-                # attempt: the iteration budget often ends a hair short of
-                # feasible
+            elif not use_terminal:
+                # phase-1 margin maximization from the tier's lowest-residual
+                # attempt; a failed terminal-enforced tier falls through to
+                # the relaxed one instead
                 nearest = min(tried[first:], key=_residual)
-                if nearest.solve_stats["residual"] <= 5e-2:
-                    restored, iterations = restore_feasibility(
-                        self.errordyns[i], e0, margin_fn, cfg, nearest.inputs,
-                        use_terminal=use_terminal)
-                    restores.append(iterations)
-                    sol = attempt(restored)
+                restored, iterations = restore_feasibility(self.errordyns[i], e0, margin_fn,
+                                                           cfg, nearest.inputs)
+                restores.append(iterations)
+                sol = attempt(restored)
             if sol.status != "infeasible":
                 if (not use_terminal or capped) and sol.status == "optimal":
                     sol.status = "feasible-suboptimal"

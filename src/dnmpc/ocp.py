@@ -53,8 +53,9 @@ wrapper evaluated each constraint block, and writes the rows in place. There
 is one SLSQP problem (:func:`_slsqp`): margins, input ball and terminal set
 over the inputs u. :func:`solve_fhocp` minimizes the cost over it. The
 phase-1 pass :func:`restore_feasibility` solves its slack form, maximizing s
-over (u, s) with the margins and the terminal constraint lowered by s. Both
-measure infeasibility by the same worst slack.
+over (u, s) with the margins lowered by s and the ball hard. It serves the
+relaxed tier only, so its problem has no terminal row. Both measure
+infeasibility by the same worst slack.
 
 The two compiled routines of `_slsqplib` and LAPACK's `dtrtrs`
 (`scipy.linalg._flapack`, the triangular solve of :func:`_inverse_factor`)
@@ -122,6 +123,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import scipy
@@ -248,7 +250,8 @@ class OcpConfig:
     eps_omega: float
     eps_psi: float
     u_bar: float
-    substeps: int = 10
+    # RK4 substeps per sampling step, of the rollouts, the plant and the log
+    substeps: ClassVar[int] = 10
     constraint_tol: float = 1e-6
     max_iterations: int = 200
 
@@ -464,11 +467,12 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
     """Run :func:`minimize` under the transcription's constraints; the
     result's `x` is in the variables of `x0`. Call it on one BLAS thread.
 
-    The constraints are the margins, the input ball u_bar^2 - ||u_k||^2 >= 0
-    on each stage input and, when `tr.use_terminal`, eps_omega - V(e_N) >= 0.
-    SLSQP minimizes the cost over x = u or, with `slack`, maximizes s over
-    x = (u, s) with each margin and the terminal constraint lowered by s
-    (Jacobian column -1), the ball hard.
+    The constraint rows are, in this order, the margins, the input ball
+    u_bar^2 - ||u_k||^2 >= 0 on each stage input and, when `tr.use_terminal`,
+    eps_omega - V(e_N) >= 0. SLSQP minimizes the cost over x = u or, with
+    `slack` (on a transcription without the terminal set), maximizes s over
+    x = (u, s) with each margin lowered by s (Jacobian column -1), the ball
+    hard.
 
     With `scale` = T, SLSQP runs in y, x = x0 + T y, from y = 0, with cost
     gradient grad f(x) T and each constraint block's Jacobian times T. Each
@@ -486,13 +490,7 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
 
     n_margins = tr.eval(to_x(start)[:nx])["margins"].size
     n_terminal = int(tr.use_terminal)
-    # SLSQP's iterates depend on the order of the constraint rows, so the slack
-    # form keeps the terminal row ahead of the ball: in the solve's order, 48
-    # of 48 seeded unicycle phase-1 problems with the terminal set enforced
-    # ended elsewhere. One product of T with the stacked rows moves them too.
-    terminal_row, ball_start = ((n_margins, n_margins + n_terminal) if slack
-                                else (n_margins + N, n_margins))
-    ball_rows = slice(ball_start, ball_start + N)
+    ball_rows = slice(n_margins, n_margins + N)
     ball_jac = np.zeros((N, nx))
     ball_index = np.arange(N).repeat(m), np.arange(nx)
 
@@ -503,9 +501,9 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
         d[ball_rows] = cfg.u_bar ** 2 - np.add.reduce(U * U, axis=1)
         d[:n_margins] = res["margins"]
         if n_terminal:
-            d[terminal_row] = cfg.eps_omega - res["v_term"]
+            d[-1] = cfg.eps_omega - res["v_term"]
         if slack:
-            d[:n_margins + n_terminal] -= x[-1]
+            d[:n_margins] -= x[-1]
             return -x[-1]
         return res["cost"]
 
@@ -516,9 +514,9 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
         C[ball_rows, :nx] = in_z(ball_jac)
         C[:n_margins, :nx] = in_z(res["margins_jac"])
         if n_terminal:
-            C[terminal_row, :nx] = in_z(-res["v_term_grad"][None, :])
+            C[-1, :nx] = in_z(-res["v_term_grad"][None, :])
         if slack:
-            C[:n_margins + n_terminal, nx] = -1.0
+            C[:n_margins, nx] = -1.0
             g[:nx], g[nx] = 0.0, -1.0
         else:
             g[:] = in_z(res["cost_grad"])
@@ -870,20 +868,18 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig, warm_
 
 
 @single_blas_thread()
-def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
-                        start, use_terminal):
-    """Phase-1 pass: maximize the worst constraint slack from a near-feasible
-    input sequence, on one BLAS thread, pinned once.
+def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig, start):
+    """Phase-1 pass: maximize the worst margin from an infeasible input
+    sequence, on one BLAS thread, pinned once.
 
-    Solves max_s { s : margins(u) >= s, [eps_omega - V(e_N) >= s],
-    ||u_k|| <= u_bar } with SLSQP over the augmented variable (u, s). Used
-    when the cost-driven solve stalls a hair outside the tolerance. Returns
-    the restored (N, m) input sequence, or `start` when the worst slack did
-    not grow, and the SLSQP iteration count (0 when SLSQP failed before
+    Solves max_s { s : margins(u) >= s, ||u_k|| <= u_bar } with SLSQP over
+    the augmented variable (u, s); the terminal set is not enforced. Used
+    when every start of a relaxed solve ends infeasible. Returns the
+    restored (N, m) input sequence, or `start` when the worst margin did not
+    grow, and the SLSQP iteration count (0 when SLSQP failed before
     reporting one).
     """
-    tr = _Transcription(errordyn, np.asarray(e0, dtype=float), margin_fn, config,
-                        use_terminal)
+    tr = _Transcription(errordyn, np.asarray(e0, dtype=float), margin_fn, config, False)
     u0 = _project_inputs(np.asarray(start, dtype=float), config.u_bar).ravel()
     x0 = np.append(u0, tr.eval(u0)["slack"])
     try:

@@ -192,6 +192,47 @@ def test_terminal_trapping_names_every_agent_outside_the_terminal_set():
                             "agent 1 never entered the terminal set")
 
 
+def _three_row_log():
+    """`_forged_log_scenario`'s safe log cut to its first three rows, agent
+    1 with three step records."""
+    log, world, scenario = _forged_log_scenario(distance=1.2)
+    for trace in log.traces:
+        for name in ("times", "states", "inputs", "w_norms", "V"):
+            setattr(trace, name, getattr(trace, name)[:3])
+    log.traces[1].step_meta = [dict(log.traces[1].step_meta[0], t=0.1 * k)
+                               for k in range(3)]
+    return log, world, scenario
+
+
+@pytest.mark.parametrize("V", [[0.0, 1.0, math.nan], [0.0, math.nan, 1.0]])
+def test_verify_rejects_a_V_that_is_not_finite(V):
+    """A NaN V would pass terminal trapping (np.argmax over the tail picks
+    it, and a NaN margin is never the worst); with V = [0, 1, 0] the check
+    fails."""
+    log, world, scenario = _three_row_log()
+    log.traces[1].V = [0.0, 1.0, 0.0]
+    assert not certify.verify(log, world, scenario).checks["terminal-trapping"].passed
+    log.traces[1].V = V
+    row = int(np.flatnonzero(np.isnan(V))[0])
+    with pytest.raises(ValueError, match=f"agent 1's logged V at row {row} is not finite"):
+        certify.verify(log, world, scenario)
+
+
+@pytest.mark.parametrize("key", ["cost", "errsq_int"])
+def test_verify_rejects_a_step_record_that_is_not_finite(key):
+    """Costs [1, nan, 100] would pass the ISS check (a NaN margin is never
+    the worst); with costs [1, 100, 100] the check fails. A NaN `errsq_int`
+    is rejected the same way."""
+    log, world, scenario = _three_row_log()
+    meta = log.traces[1].step_meta
+    for record, cost in zip(meta, [1.0, 100.0, 100.0]):
+        record["cost"] = cost
+    assert not certify.verify(log, world, scenario).checks["iss-cost-decrease"].passed
+    meta[1][key] = math.nan
+    with pytest.raises(ValueError, match=f"agent 1's {key} at step 1 is not finite"):
+        certify.verify(log, world, scenario)
+
+
 def test_logged_margins_on_partial_log_with_pair_out_of_range():
     """Agent 1's trace stops halfway, as in the partial log of an aborted run,
     while it drifts out of agent 0's sensing range (2.0). The logged

@@ -909,13 +909,13 @@ def test_starts_and_tube_radii_built_on_demand(monkeypatch):
 
 
 def test_restore_runs_once_from_the_best_near_feasible_attempt(monkeypatch):
-    """When every start of a solve ends infeasible within the 5e-2 residual
-    threshold, the ladder restores feasibility once, from the inputs of the
-    attempt with the lowest residual, and accepts the attempt from the
-    restored plan. The solve is relaxed and follows a relaxed one, so its
-    starts are the shifted plan and zero input: with the restoration and the
-    attempt from the restored plan they make 4 attempts, with no re-attempt
-    from an infeasible attempt's inputs."""
+    """When every start of a relaxed solve ends infeasible, the ladder
+    restores feasibility once, from the inputs of the attempt with the
+    lowest residual, and accepts the attempt from the restored plan. The
+    solve is relaxed and follows a relaxed one, so its starts are the
+    shifted plan and zero input: with the restoration and the attempt from
+    the restored plan they make 4 attempts, with no re-attempt from an
+    infeasible attempt's inputs."""
     solve_fhocp, restore = coordination.solve_fhocp, coordination.restore_feasibility
     solve_agent = Simulation._solve_agent
     sim = load_scenario(SCENARIO).build_simulation(total_time=0.2)
@@ -1232,23 +1232,26 @@ def test_all_tiers_failing_returns_the_first_lowest_residual_attempt(monkeypatch
     the attempt with the lowest residual, the first of equal ones, and the
     run aborts with a SimulationError that reports it. Agent 0, 1.5 m from
     its goal, walks the terminal and relaxed tiers from its one (zero)
-    start; the relaxed tier's residual is within 5e-2, so it restores
-    feasibility and retries, and the retry ties that residual."""
+    start. Only the relaxed tier restores: it restores feasibility once,
+    however far its residual, and retries, and the retry ties that
+    residual; the terminal tier falls through to it without restoring."""
     sim = _simulation(total_time=0.2)
     sim.states = [np.array([1.5, 0.0, 0.0]), np.array([1.5, 1.2, 0.0])]
     real_solve, real_agent = coordination.solve_fhocp, sim._solve_agent
     real_restore = coordination.restore_feasibility
-    residuals = [0.3, 0.04, 0.04]
-    calls, restores, returned = [], [], []
+    residuals = [0.5, 0.3, 0.3]
+    calls, restores, returned, events = [], [], [], []
 
     def solve(*args, **kwargs):
         sol = real_solve(*args, **kwargs)
         sol.status, sol.solve_stats["residual"] = "infeasible", residuals[len(calls)]
         calls.append((kwargs, sol))
+        events.append("terminal" if kwargs["use_terminal"] else "relaxed")
         return sol
 
     def restore(*args, **kwargs):
         restores.append(real_restore(*args, **kwargs))
+        events.append("restore")
         return restores[-1]
 
     def solve_agent(i, t_k):
@@ -1259,10 +1262,10 @@ def test_all_tiers_failing_returns_the_first_lowest_residual_attempt(monkeypatch
     monkeypatch.setattr(coordination, "restore_feasibility", restore)
     monkeypatch.setattr(sim, "_solve_agent", solve_agent)
     with pytest.raises(SimulationError, match=r"agent 0 infeasible at t = 0\.000 "
-                                              r"\(residual 0\.04\)") as err:
+                                              r"\(residual 0\.3\)") as err:
         sim.run()
     assert (err.value.agent, err.value.t) == (0, 0.0)
-    assert [kwargs["use_terminal"] for kwargs, _ in calls] == [True, False, False]
+    assert events == ["terminal", "relaxed", "restore", "relaxed"]
     assert not calls[1][0]["warm_start"].any()
     assert calls[2][0]["warm_start"].any()  # the restored plan
     assert len(returned) == 1 and returned[0][0] is calls[1][1]

@@ -394,7 +394,7 @@ def test_dual_mode_controller_switches_at_eps_omega():
 
 
 def test_suboptimal_stop_only_on_terminal_solves(monkeypatch):
-    """The relaxed tiers run no SLSQP (their solver is `_gauss_newton_sqp`)
+    """The relaxed tier runs no SLSQP (its solver is `_gauss_newton_sqp`)
     and the feasibility restoration passes SLSQP no callback: the suboptimal
     stop needs a feasible shifted candidate under the terminal set, which
     they lack."""
@@ -410,9 +410,8 @@ def test_suboptimal_stop_only_on_terminal_solves(monkeypatch):
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
     solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=False)
     assert callbacks == []
-    for use_terminal in (False, True):
-        restore_feasibility(ed, e0, margin_fn, cfg, start, use_terminal=use_terminal)
-    assert len(callbacks) == 2 and callbacks == [None] * 2
+    restore_feasibility(ed, e0, margin_fn, cfg, start)
+    assert callbacks == [None]
     solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
     assert callable(callbacks[-1])
 
@@ -541,14 +540,12 @@ def _unicycle_near_disc():
     return cfg, ed, np.array([-1.0, 0.0, 0.0]), margin_fn, np.tile([1.7, 0.0], (6, 1))
 
 
-@pytest.mark.parametrize("use_terminal", [False, True])
-def test_restore_feasibility_raises_worst_slack(use_terminal):
+def test_restore_feasibility_raises_worst_slack():
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
-    tr = _Transcription(ed, e0, margin_fn, cfg, use_terminal)
+    tr = _Transcription(ed, e0, margin_fn, cfg, False)
     before = tr.eval(start.ravel())["slack"]
     assert -0.05 < before < 0.0  # the start violates the disc margin by a little
-    restored, iterations = restore_feasibility(ed, e0, margin_fn, cfg, start,
-                                               use_terminal=use_terminal)
+    restored, iterations = restore_feasibility(ed, e0, margin_fn, cfg, start)
     assert restored.shape == start.shape
     assert iterations > 0
     assert np.all(np.linalg.norm(restored, axis=1) <= cfg.u_bar + 1e-9)
@@ -627,7 +624,7 @@ def test_nested_single_blas_thread_keeps_the_outer_pin(monkeypatch):
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
     for use_terminal in (True, False):
         solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=use_terminal)
-    restore_feasibility(ed, e0, margin_fn, cfg, start, use_terminal=False)
+    restore_feasibility(ed, e0, margin_fn, cfg, start)
     assert sets == [1, 3] * 3
     sets.clear()
     with single_blas_thread():
@@ -635,7 +632,7 @@ def test_nested_single_blas_thread_keeps_the_outer_pin(monkeypatch):
             assert count == [1]
         assert count == [1]
         solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=False)
-        restore_feasibility(ed, e0, margin_fn, cfg, start, use_terminal=False)
+        restore_feasibility(ed, e0, margin_fn, cfg, start)
         assert count == [1]
     assert count == [3] and sets == [1, 3]
 
@@ -703,8 +700,8 @@ def test_solve_independent_of_blas_thread_count():
 def _scipy_slsqp(tr, x0, ftol, slack=False, scale=None, callback=None):
     """The SLSQP run of `ocp._slsqp` through scipy's public
     ``minimize(method="SLSQP")``: one constraint dict per block (margins,
-    ball, terminal; in the slack form margins, terminal, ball), each with its
-    own evaluation, and with `scale` each block's Jacobian times T."""
+    ball, terminal; no terminal in the slack form), each with its own
+    evaluation, and with `scale` each block's Jacobian times T."""
     cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
     u_bar_sq = cfg.u_bar ** 2
     ball_rows, ball_cols = np.repeat(np.arange(N), m), np.arange(nx)
@@ -730,12 +727,11 @@ def _scipy_slsqp(tr, x0, ftol, slack=False, scale=None, callback=None):
                 "jac": lambda x: with_slack_column(
                      tr.eval(x[:nx], gradients=True)["margins_jac"])}]
     terminal = [{"type": "ineq",
-                 "fun": lambda x: lowered(x, np.array([cfg.eps_omega - tr.eval(x[:nx])["v_term"]])),
-                 "jac": lambda x: with_slack_column(
-                     -tr.eval(x[:nx], gradients=True)["v_term_grad"][None, :])}]
+                 "fun": lambda x: np.array([cfg.eps_omega - tr.eval(x[:nx])["v_term"]]),
+                 "jac": lambda x: -tr.eval(x[:nx], gradients=True)["v_term_grad"][None, :]}]
     if not tr.use_terminal:
         terminal = []
-    cons = margins + (terminal + ball if slack else ball + terminal)
+    cons = margins + ball + terminal
     if slack:
         grad = np.zeros(nx + 1)
         grad[-1] = -1.0
@@ -781,13 +777,13 @@ def _slsqp_form(form, cfg, ed, e0, margin_fn, start):
     """`ocp._slsqp`'s arguments (tr, x0, ftol, options) for one form of the
     solve, on a fresh transcription, as `solve_fhocp` and
     `restore_feasibility` build them."""
-    tr = _Transcription(ed, e0, margin_fn, cfg, form in ("terminal", "restore-terminal"))
+    tr = _Transcription(ed, e0, margin_fn, cfg, form == "terminal")
     u0 = ocp._project_inputs(start, cfg.u_bar).ravel()
     if form == "terminal":
         scale = ocp._gauss_newton_scaling(tr, u0)
         return tr, u0, ocp.SLSQP_FTOL, {"scale": scale,
                                         "callback": ocp._suboptimal_stop(tr, u0, scale)}
-    if form.startswith("restore"):
+    if form == "restore":
         return tr, np.append(u0, tr.eval(u0)["slack"]), 1e-12, {"slack": True}
     return tr, u0, ocp.SLSQP_FTOL, {}
 
@@ -797,12 +793,12 @@ def test_minimize_matches_scipy_slsqp_bitwise():
     (`scipy.optimize._slsqplib.slsqp`) as scipy's own wrapper does. On the
     seeded unicycle problems, in each form `_slsqp` runs (relaxed: plain
     variables, no callback; terminal: Gauss-Newton scaled, with the
-    suboptimal stop; restore: the slack form, with and without the terminal
-    row), it must return bitwise scipy's x, and its nit, nfev and status. A
-    scipy release that changes the core's contract fails here first."""
+    suboptimal stop; restore: the slack form), it must return bitwise
+    scipy's x, and its nit, nfev and status. A scipy release that changes
+    the core's contract fails here first."""
     statuses = set()
     for problem in _unicycle_problems():
-        for form in ("relaxed", "terminal", "restore", "restore-terminal"):
+        for form in ("relaxed", "terminal", "restore"):
             tr, x0, ftol, options = _slsqp_form(form, *problem)
             with single_blas_thread():
                 ours = ocp._slsqp(tr, x0, ftol, **options)
