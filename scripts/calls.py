@@ -19,13 +19,14 @@ stack (see ``LAYERS``); calls outside every layer count towards ``engine``.
 The rollout's input Jacobian and the margins' error Jacobian are formed by
 callables that the rollout and the margins return, so each callable is an
 entry of its own: ``jacobian`` for the rollout's, ``margins`` for the
-margins'. The window also counts the rollouts and the rollout Jacobians
-formed (entries of ``rollout_zoh`` and of its callable). The counts do not
-depend on the machine's speed or load, only on the code and on the installed
-Python, numpy and scipy, so two checkouts compare on a noisy machine where
-single timings cannot resolve a 10% change. Prints one table per window,
-with each layer's calls, share and calls per agent-step, and, last, one JSON
-object with every count.
+margins'. The window also counts the rollouts, the rollout Jacobians formed
+and the margin evaluations (entries of ``rollout_zoh``, of its callable and
+of the engine's ``margin_fn``). The counts do not depend on the machine's
+speed or load, only on the code and on the installed Python, numpy and
+scipy, so two checkouts compare on a noisy machine where single timings
+cannot resolve a 10% change. Prints one table per window, with each layer's
+calls, share and calls per agent-step, and, last, one JSON object with every
+count.
 """
 
 from __future__ import annotations
@@ -53,13 +54,14 @@ WINDOWS = (("corridor", 0, 34), ("rest", 100, 120))
 
 ROLLOUT = (dynamics, "rollout_zoh")
 JACOBIAN = (dynamics, "rollout_zoh.<locals>.jacobian")
+MARGINS = (coordination, "Simulation._margin_fn.<locals>.margin_fn")
 
 # (module, qualified name of the entry function) -> layer
 LAYERS = {
     (dynamics, "integrate"): "plant",
     ROLLOUT: "rollout",
     JACOBIAN: "jacobian",
-    (coordination, "Simulation._margin_fn.<locals>.margin_fn"): "margins",
+    MARGINS: "margins",
     (coordination, "Simulation._margin_fn.<locals>.margin_fn.<locals>.jacobian"): "margins",
     (ocp, "_Transcription.eval"): "evaluation",
     (ocp, "minimize"): "minimize",
@@ -111,11 +113,11 @@ class CallCounter:
 
 def measure():
     """{window: {"t", "agent_solves", "feasible_witness_solves",
-    "solver_iterations", "rollouts", "jacobians", "calls": {layer: count},
-    "total"}} of one 12 s run of the bundled scenario; the iterations are
-    SLSQP's in terminal-enforced solves and restorations and the Gauss-Newton
-    SQP's in relaxed solves, and "jacobians" counts the rollout Jacobians
-    formed."""
+    "solver_iterations", "rollouts", "jacobians", "margins", "calls": {layer:
+    count}, "total"}} of one 12 s run of the bundled scenario; the iterations
+    are SLSQP's in terminal-enforced solves and restorations and the
+    Gauss-Newton SQP's in relaxed solves, "jacobians" counts the rollout
+    Jacobians formed and "margins" the margin evaluations."""
     sim = cli.load_scenario(SCENARIO).build_simulation(total_time=12.0)
     counters = {name: CallCounter() for name, _, _ in WINDOWS}
     step = sim.step
@@ -145,6 +147,7 @@ def measure():
                      "solver_iterations": sum(m["iterations"] for m in metas),
                      "rollouts": counter.entries[code_of(*ROLLOUT)],
                      "jacobians": counter.entries[code_of(*JACOBIAN)],
+                     "margins": counter.entries[code_of(*MARGINS)],
                      "calls": calls, "total": sum(calls.values())}
     return out
 
@@ -158,7 +161,8 @@ def table(name, window):
     lines = [f"{name}: t in [{start:g}, {end:g}) s, {solves} agent-solves "
              f"({window['feasible_witness_solves']} from a feasible witness), "
              f"{window['solver_iterations']} solver iterations, "
-             f"{window['rollouts']} rollouts, {window['jacobians']} Jacobians formed",
+             f"{window['rollouts']} rollouts, {window['jacobians']} Jacobians formed, "
+             f"{window['margins']} margin evaluations",
              f"  {'layer':<11}{'calls':>10}  {'share':>6}  {'per step':>8}"]
     for layer, count in list(window["calls"].items()) + [("total", window["total"])]:
         lines.append(f"  {layer:<11}{count:>10,}  {count / window['total']:6.1%}  "

@@ -5,11 +5,13 @@ the stack of N zero-order-hold inputs, the nominal error dynamics are rolled
 out with the shared fixed-step RK4, and the tightened stage constraints are
 enforced on the full substep grid (the same grid the verifier checks).
 
-Each decision point costs one rollout and one margin evaluation. The
-unicycle's rollout returns, besides the states, a callable that forms their
-exact Jacobian with respect to the inputs, and `margin_fn(errors)` returns
-the margins with a callable that forms their Jacobian with respect to the
-error (exact for the distance margins of
+Each decision point costs one rollout, which gives its cost, and one margin
+evaluation, formed the first time its slack or margins are read: a trial
+that a line search rejects on its cost alone forms none. The unicycle's
+rollout returns, besides the states, a callable that forms their exact
+Jacobian with respect to the inputs, and `margin_fn(errors)` returns the
+margins with a callable that forms their Jacobian with respect to the error
+(exact for the distance margins of
 :class:`~dnmpc.constraints.StageGeometry`). Both are called only at the
 points whose derivatives a solver reads: the iterates, not the rejected
 trials of a line search. The cost, terminal-value and margin gradients
@@ -62,7 +64,12 @@ The two compiled routines of `_slsqplib` and LAPACK's `dtrtrs`
 are the only scipy code the solver runs. They are loaded from their files
 (:func:`_scipy_compiled`), not through `scipy.optimize` and `scipy.linalg`,
 whose packages import linprog, `scipy.special`, `scipy.fft` and `numpy.f2py`
-besides.
+besides. Two numpy kernels are called directly, without the Python wrapper
+that each call of the public function runs on these small arrays:
+`numpy._core.multiarray.c_einsum`, which ``np.einsum`` calls when not
+optimizing, and the `cholesky_lo` gufunc of `numpy.linalg._umath_linalg`,
+which ``np.linalg.cholesky`` calls (:func:`_inverse_factor`).
+tests/test_ocp.py checks both against the public functions bit for bit.
 
 A terminal-enforced solve runs SLSQP in scaled variables. With L L' = H at
 the warm start x0, SLSQP solves for y in x = x0 + L^-T y, so its BFGS, which
@@ -127,6 +134,8 @@ from typing import ClassVar
 
 import numpy as np
 import scipy
+from numpy._core.multiarray import c_einsum as _c_einsum
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .dynamics import ErrorDynamics, rollout_zoh, wrap_angle
 
@@ -299,9 +308,33 @@ class HorizonSolution:
     solve_stats: dict = field(default_factory=dict)
 
 
+class _Point(dict):
+    """The values of one decision point, as :meth:`_Transcription.eval`
+    returns them. `traj`, `cost` and `v_term` are set when the point is rolled
+    out. `margins`, `slack` and `margin_error_jac` (the callable of
+    `margin_fn` that forms d margins / d error) are set by one `margin_fn`
+    call on the first lookup of any of them, so a point read for its cost
+    alone forms no margins. `terminal_slack` is eps_omega - V(e_N) when the
+    terminal set is enforced, else None."""
+
+    __slots__ = ("margin_fn", "terminal_slack")
+
+    def __missing__(self, key):
+        if key not in ("margins", "slack", "margin_error_jac"):
+            raise KeyError(key)
+        margins, margin_jac = self.margin_fn(self["traj"][1:])
+        margins = margins.ravel()
+        slack = np.minimum.reduce(margins, initial=np.inf)
+        if self.terminal_slack is not None:
+            slack = min(slack, self.terminal_slack)
+        self.update(margins=margins, slack=float(slack), margin_error_jac=margin_jac)
+        return self[key]
+
+
 class _Transcription:
-    """Single-shooting evaluation cache: one rollout and one `margin_fn` call
-    per point, with their derivatives formed at the points a solver asks
+    """Single-shooting evaluation cache of one point: its rollout and cost
+    when it is evaluated, its margins (one `margin_fn` call) when its slack or
+    margins are first read, and their derivatives at the points a solver asks
     them for.
 
     `margin_fn` must be pointwise: the margins at a substep depend only on
@@ -335,26 +368,26 @@ class _Transcription:
         self.n_rollouts = 0
 
     def eval(self, x, gradients=False):
-        """The values at x: `traj`, `cost`, `v_term`, `slack` and `margins`.
-        With `gradients`, also `cost_grad`,
-        `v_term_grad` and `margins_jac`: chain-rule products of :meth:`jac`,
-        formed on the first request, as the solvers ask for them at some
-        points only."""
+        """The values at x (a :class:`_Point`): `traj`, `cost` and `v_term`,
+        and `slack` and `margins` on their first lookup. With `gradients`,
+        also `cost_grad`, `v_term_grad` and `margins_jac`: chain-rule products
+        of :meth:`jac`, formed on the first request, as the solvers ask for
+        them at some points only."""
         key = x.tobytes()
         if key != self._cache_key:
             self._cache_key, self._cache = key, self._values(x)
         result = self._cache
         if gradients and "cost_grad" not in result:
             cfg, jac = self.cfg, self.jac(x)
-            stage_e, U, Pe_N, margin_jac = self._chain
+            stage_e, U, Pe_N = self._chain
             v_term_grad = 2.0 * (jac[-1].T @ Pe_N)
             run_grad = (2.0 * cfg.h) * (
-                np.einsum("kix,ki->x", jac[self._stages], stage_e @ cfg.Q)
+                _c_einsum("kix,ki->x", jac[self._stages], stage_e @ cfg.Q)
                 + (U @ cfg.R).ravel())
             result["cost_grad"] = run_grad + v_term_grad
             result["v_term_grad"] = v_term_grad
             # (T, C, n) @ (T, n, nx), flattened to (T*C, nx)
-            result["margins_jac"] = (margin_jac() @ jac[1:]).reshape(-1, self.nx)
+            result["margins_jac"] = (result["margin_error_jac"]() @ jac[1:]).reshape(-1, self.nx)
         return result
 
     def jac(self, x):
@@ -375,24 +408,24 @@ class _Transcription:
         Pe_N = cfg.P @ e_N
         v_term = float(e_N @ Pe_N)
         # h sum_k (e_k'Q e_k + u_k'R u_k), each stage's two forms summed first
-        run = float(np.add.reduce(np.einsum("...i,ij,...j->...", stage_e, cfg.Q, stage_e)
-                                  + np.einsum("...i,ij,...j->...", U, cfg.R, U))) * cfg.h
-        margins, margin_jac = self.margin_fn(traj[1:])
-        margins = margins.ravel()
-        slack = np.minimum.reduce(margins, initial=np.inf)
-        if self.use_terminal:
-            slack = min(slack, cfg.eps_omega - v_term)
-        result = {"traj": traj, "cost": run + v_term, "v_term": v_term, "margins": margins,
-                  "slack": float(slack)}
-        self._chain = stage_e, U, Pe_N, margin_jac
+        run = float(np.add.reduce(_c_einsum("...i,ij,...j->...", stage_e, cfg.Q, stage_e)
+                                  + _c_einsum("...i,ij,...j->...", U, cfg.R, U))) * cfg.h
+        result = _Point(traj=traj, cost=run + v_term, v_term=v_term)
+        result.margin_fn = self.margin_fn
+        result.terminal_slack = cfg.eps_omega - v_term if self.use_terminal else None
+        self._chain = stage_e, U, Pe_N
         self._rollout_jac = rollout_jac
         return result
 
 
 def _project_inputs(U, u_bar):
-    """Exact projection of each stage input onto the norm ball."""
+    """Exact projection of each stage input onto the norm ball, as a new
+    array."""
     # the sum np.linalg.norm forms, so the norms are the same floats
     norms = np.sqrt(np.add.reduce(U * U, axis=-1, keepdims=True))
+    if (norms <= u_bar).all():
+        # every scale below would be exactly 1.0
+        return U.copy()
     scale = np.minimum(1.0, u_bar / np.maximum(norms, 1e-300))
     return U * scale
 
@@ -554,7 +587,7 @@ def _gauss_newton_hessian(tr: _Transcription, x):
     cfg = tr.cfg
     block_r = _gauss_newton_constants(tr.N, cfg.R.tobytes(), tr.m)
     J = tr.jac(x)[tr.stage_idx]
-    return 2.0 * cfg.h * (np.einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
+    return 2.0 * cfg.h * (_c_einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
                           + block_r) + 2.0 * J[-1].T @ cfg.P @ J[-1]
 
 
@@ -563,12 +596,17 @@ def _inverse_factor(H):
     that H^-1 = T T' and, in the variables y of x = x0 + T y, H is the
     identity. Call it on one BLAS thread.
 
-    T solves L' T = I with LAPACK's dtrtrs called as scipy's
+    L is the factor of numpy's `cholesky_lo` gufunc, the one
+    ``np.linalg.cholesky`` returns. The gufunc gives NaN where H is not
+    positive definite, which raises LinAlgError here as it does there, with no
+    warning. T solves L' T = I with LAPACK's dtrtrs called as scipy's
     ``solve_triangular(L, I, lower=True, trans="T")`` calls it for the
-    C-ordered L that numpy's Cholesky returns: on the F-ordered L' as upper
-    triangular, untransposed. H is finite, so scipy's finiteness check is left
-    out."""
-    L = np.linalg.cholesky(H)
+    C-ordered L: on the F-ordered L' as upper triangular, untransposed. H is
+    finite, so scipy's finiteness check is left out."""
+    with np.errstate(all="ignore"):
+        L = _cholesky_lo(H)
+    if not np.isfinite(L).all():
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
     T, info = _dtrtrs(L.T, _identity(len(H)), lower=False, trans=0)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
@@ -581,6 +619,17 @@ def _gauss_newton_scaling(tr: _Transcription, x):
     return _inverse_factor(_gauss_newton_hessian(tr, x))
 
 
+@functools.cache
+def _unit_vector(n):
+    """The last of the n unit vectors, e_n, as a read-only array, built once
+    per n: the NNLS target of :func:`_least_distance`, which `nnls` reads
+    only."""
+    unit = np.zeros(n)
+    unit[-1] = 1.0
+    unit.flags.writeable = False
+    return unit
+
+
 def _least_distance(E, f):
     """(w, lam) for min ||w|| s.t. E w >= f: the least-distance problem, solved
     as the NNLS problem min ||[E'; f'] z - e_{n+1}||, z >= 0 (Lawson & Hanson
@@ -590,9 +639,7 @@ def _least_distance(E, f):
     A = np.empty((n + 1, len(f)), order="F")
     A[:n] = E.T
     A[n] = f
-    target = np.zeros(n + 1)
-    target[n] = 1.0
-    z, _, _ = _nnls(A, target, 3 * len(f) + 30)
+    z, _, _ = _nnls(A, _unit_vector(n + 1), 3 * len(f) + 30)
     fac = 1.0 - f @ z
     if not fac > 1e-12:
         return None
@@ -623,7 +670,8 @@ def _working_set_qp(T, g, G, b, working):
             if solution is None:
                 return None
             w, lam[working] = solution
-        shortfall = np.where(working, -np.inf, f - E @ w)
+        shortfall = f - E @ w
+        shortfall[working] = -np.inf
         worst = int(shortfall.argmax())
         if shortfall[worst] <= 1e-10:
             return T @ w + d_free, lam
@@ -667,8 +715,10 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
     The merit is cost + mu * violation, the violation being the worst
     margin's shortfall and mu at least twice the sum of the margins'
     multipliers. The step length backtracks from 1 by _BACKTRACK until the
-    merit falls by _ARMIJO times its directional derivative. Each trial point
-    is projected onto the ball, so every iterate meets it exactly.
+    merit falls by _ARMIJO times its directional derivative; a trial whose
+    cost alone misses that bound is rejected before its margins are formed.
+    Each trial point is projected onto the ball, so every iterate meets it
+    exactly.
 
     The solve converges at an iterate within `constraint_tol` of every margin
     whose QP (not the elastic one) predicts a decrease of at most
@@ -700,7 +750,7 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
         G[norm_rows] = -(U / np.maximum(norms, 1e-300)[:, None]).ravel()
         b[n_margins:rows] = np.minimum(norms - cfg.u_bar, 0.0)
         violation = max(0.0, -res["slack"])
-        weight = max(weight, ELASTIC_WEIGHT * np.trace(H) / nx)
+        weight = max(weight, ELASTIC_WEIGHT * H.trace() / nx)
         lowered = 0.0
         solution = _working_set_qp(T, g, G[:rows, :nx], b[:rows], working[:rows])
         if solution is not None:
@@ -728,7 +778,10 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
         while True:
             trial = _project_inputs((x + step * d).reshape(N, m), cfg.u_bar).ravel()
             res = tr.eval(trial)
-            if res["cost"] + mu * max(0.0, -res["slack"]) <= merit + _ARMIJO * step * derivative:
+            bound = merit + _ARMIJO * step * derivative
+            # the merit is never below the cost, so a trial whose cost fails
+            # the bound is rejected without its margins
+            if res["cost"] <= bound and res["cost"] + mu * max(0.0, -res["slack"]) <= bound:
                 break
             step *= _BACKTRACK
             if step < _MIN_STEP:
@@ -761,12 +814,15 @@ def _suboptimal_stop(tr: _Transcription, x0, scale):
         nonlocal previous_cost
         U = _project_inputs((x0 + scale @ y).reshape(tr.N, tr.m), cfg.u_bar)
         res = tr.eval(U.ravel())
+        # read before the cost test: only the relaxed tier's line search
+        # skips the margins of a point
+        feasible = -res["slack"] <= cfg.constraint_tol
         if witness:
             good_enough = res["cost"] <= start["cost"]
         else:
             good_enough = abs(res["cost"] - previous_cost) <= SUBOPTIMAL_STOP_DELTA * previous_cost
             previous_cost = res["cost"]
-        if good_enough and -res["slack"] <= cfg.constraint_tol:
+        if good_enough and feasible:
             raise StopIteration
 
     return callback

@@ -31,7 +31,8 @@ def test_every_layer_entry_resolves(calls):
     """A renamed entry function fails here rather than reading 0 calls. The
     Jacobian entries are the code of the callables that the rollout and the
     engine's margin function return, so their calls and the Jacobians
-    formed are attributed and counted."""
+    formed are attributed and counted; the margin evaluations are the
+    entries of the engine's margin function."""
     codes = [calls.code_of(module, name) for module, name in calls.LAYERS]
     assert [code.co_name for code in codes] == [name.rsplit(".", 1)[-1]
                                                 for _, name in calls.LAYERS]
@@ -44,6 +45,8 @@ def test_every_layer_entry_resolves(calls):
     sim = load_scenario(SCENARIO).build_simulation(total_time=0.1)
     geometry = StageGeometry(np.array([0.1]), workspace=(np.zeros(2), 9.0))
     margin_fn = sim._margin_fn(0, geometry, np.zeros(1))
+    assert calls.LAYERS[calls.MARGINS] == "margins"
+    assert margin_fn.__code__ is calls.code_of(*calls.MARGINS)
     _, margin_jacobian = margin_fn(np.zeros((1, 3)))
     assert calls.LAYERS[(coordination, margin_jacobian.__qualname__)] == "margins"
     assert margin_jacobian.__code__ is calls.code_of(coordination,
@@ -83,15 +86,44 @@ def test_table_prints_calls_per_agent_step(calls):
     """The last column of each layer's row, and of the total, is its count
     over the window's agent-solves."""
     window = {"t": [10.0, 12.0], "agent_solves": 60, "feasible_witness_solves": 60,
-              "solver_iterations": 60, "rollouts": 120, "jacobians": 60,
+              "solver_iterations": 60, "rollouts": 120, "jacobians": 60, "margins": 120,
               "calls": {layer: 7 * (i + 1) for i, layer in enumerate(calls.ORDER)}}
     window["total"] = sum(window["calls"].values())
     lines = calls.table("rest", window)
     assert lines[0].startswith("rest: t in [10, 12) s, 60 agent-solves")
-    assert lines[0].endswith("60 solver iterations, 120 rollouts, 60 Jacobians formed")
+    assert lines[0].endswith("60 solver iterations, 120 rollouts, 60 Jacobians formed, "
+                             "120 margin evaluations")
     rows = {line.split()[0]: line.split() for line in lines[2:]}
     assert list(rows) == calls.ORDER + ["total"]
     for layer, row in rows.items():
         count = window["total"] if layer == "total" else window["calls"][layer]
         assert int(row[1].replace(",", "")) == count
         assert float(row[3]) == round(count / 60, 1)
+
+
+def test_margin_evaluations_are_the_engine_margin_fn_entries(calls, monkeypatch):
+    """The margin evaluations of a window are the calls of the engine's
+    margin function: on a 0.2 s run, as many as a wrapper around each one
+    sees."""
+    sim = load_scenario(SCENARIO).build_simulation(total_time=0.2)
+    seen = [0]
+    real = sim._margin_fn
+
+    def margin_fn_of(*args):
+        margin_fn = real(*args)
+
+        def counted(errors):
+            seen[0] += 1
+            return margin_fn(errors)
+
+        return counted
+
+    monkeypatch.setattr(sim, "_margin_fn", margin_fn_of)
+    counter = calls.CallCounter()
+    sys.setprofile(counter)
+    try:
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    assert seen[0] > 0
+    assert counter.entries[calls.code_of(*calls.MARGINS)] == seen[0]

@@ -1119,8 +1119,14 @@ def test_engine_calls_the_benchmark_hooks(monkeypatch):
         assert calls["solve_fhocp"] >= len(metas)
         assert calls.get("minimize", 0) >= sum(not meta["terminal_relaxed"] for meta in metas)
         assert calls["rollout_zoh"] >= calls["solve_fhocp"]
-        # one margin evaluation per rollout, and the tube radii once per simulation
-        assert calls["margins"] == calls["rollout_zoh"]
+        # at most one margin evaluation per rollout: a relaxed solve's line
+        # search rejects a trial whose cost alone misses its bound without
+        # its margins; at rest every rollout's margins are read. The tube
+        # radii once per simulation
+        if at_rest:
+            assert calls["margins"] == calls["rollout_zoh"]
+        else:
+            assert calls["margins"] <= calls["rollout_zoh"]
         assert calls["tube_profile_radii"] == 1
     assert calls["minimize"] >= 6
 

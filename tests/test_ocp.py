@@ -1,4 +1,5 @@
 import inspect
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -884,3 +885,123 @@ def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
             want = scipy.linalg.solve_triangular(L, np.eye(tr.nx), lower=True, trans="T")
             got = ocp._gauss_newton_scaling(tr, x)
         assert np.array_equal(got, want), f"problem {k}: T differs from scipy's L^-T"
+
+
+def _far_from_goal(seed):
+    """A unicycle about 3 m short of its goal with three discs of radius 0.3
+    in between, from a seeded random start: a relaxed problem whose
+    Gauss-Newton steps overshoot, so that its line search backtracks."""
+    rng = np.random.default_rng(seed)
+    cfg = _config(u_bar=8.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
+                  P=np.diag([0.5, 0.5, 0.1]), eps_omega=0.05)
+    ed = ErrorDynamics(UNICYCLE, np.array([3.0, 0.0, 0.0]))
+    e0 = np.array([-3.0, 0.0, 0.0]) + rng.uniform(-0.5, 0.5, 3) * [1.0, 1.0, 3.0]
+    margin_fn = disc_margin_fn(ed, rng.uniform([0.5, -0.6], [2.5, 0.6], size=(3, 2)), 0.3)
+    return cfg, ed, e0, margin_fn, rng.uniform(-2.0, 2.0, (6, 2))
+
+
+def test_line_search_rejects_a_trial_on_its_cost_without_its_margins(monkeypatch):
+    """The merit, cost + mu * violation, is never below the cost, so
+    `_gauss_newton_sqp` rejects a trial whose cost alone misses the Armijo
+    bound without forming its margins. On the seeded problem the line search
+    rejects trials on their cost alone, read against the bound of the
+    solver's own frame at each trial, and others on their merit. Every other
+    rollout forms one margin evaluation, and the solve returns the bits,
+    iterations and convergence flag of a solve that forms every trial's
+    margins."""
+    cfg, ed, e0, margin_fn, start = _far_from_goal(1)
+    x0 = ocp._project_inputs(start, cfg.u_bar).ravel()
+    real_eval, sqp = _Transcription.eval, ocp._gauss_newton_sqp.__code__
+    evaluations, trials = [0], []  # per line-search trial: rejected on its cost alone
+
+    def counted(errors):
+        evaluations[0] += 1
+        return margin_fn(errors)
+
+    def evaluated(tr, x, gradients=False):
+        res = real_eval(tr, x, gradients)
+        caller = inspect.currentframe().f_back
+        if caller.f_code is sqp and not gradients:
+            v = caller.f_locals
+            trials.append(res["cost"] > v["merit"] + ocp._ARMIJO * v["step"] * v["derivative"])
+        return res
+
+    monkeypatch.setattr(_Transcription, "eval", evaluated)
+    tr = _Transcription(ed, e0, counted, cfg, False)
+    with single_blas_thread():
+        x, iterations, converged = ocp._gauss_newton_sqp(tr, x0)
+    accepted = iterations - 1
+    assert sum(trials) >= 1 and len(trials) - accepted > sum(trials)
+    assert evaluations[0] == tr.n_rollouts - sum(trials)
+
+    def every_margin(tr, x, gradients=False):
+        res = real_eval(tr, x, gradients)
+        res["slack"]
+        return res
+
+    monkeypatch.setattr(_Transcription, "eval", every_margin)
+    with single_blas_thread():
+        eager = ocp._gauss_newton_sqp(_Transcription(ed, e0, margin_fn, cfg, False), x0)
+    assert x.tobytes() == eager[0].tobytes()
+    assert (iterations, converged) == eager[1:]
+
+
+# (subscript, operand shapes) of each einsum site of `ocp`, at the solver's
+# shapes: N stages, n states, m inputs, nx = N m decision variables
+_N, _n, _m = 6, 3, 2
+EINSUM_SITES = (("kix,ki->x", [(_N, _n, _N * _m), (_N, _n)]),
+                ("...i,ij,...j->...", [(_N, _n), (_n, _n), (_N, _n)]),
+                ("...i,ij,...j->...", [(_N, _m), (_m, _m), (_N, _m)]),
+                ("kix,kiy->xy", [(_N, _n, _N * _m), (_N, _n, _N * _m)]))
+
+
+def test_direct_einsum_gives_np_einsum_bits():
+    """`ocp` calls numpy's compiled `c_einsum` at its four einsum sites, the
+    kernel ``np.einsum`` calls when not optimizing. Each site's subscript
+    gives np.einsum's bits on seeded random inputs of the solver's shapes."""
+    sites = [line.split('_c_einsum("', 1)[1].split('"', 1)[0]
+             for line in inspect.getsource(ocp).splitlines() if '_c_einsum("' in line]
+    assert sorted(sites) == sorted(subscript for subscript, _ in EINSUM_SITES)
+    rng = np.random.default_rng(12)
+    for subscript, shapes in EINSUM_SITES:
+        for _ in range(20):
+            operands = [rng.standard_normal(shape) * rng.uniform(0.1, 10.0) for shape in shapes]
+            assert (ocp._c_einsum(subscript, *operands).tobytes()
+                    == np.einsum(subscript, *operands).tobytes()), subscript
+
+
+@pytest.mark.parametrize("H", [np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
+                               np.ones((2, 2)), np.zeros((3, 3))])
+def test_inverse_factor_rejects_a_matrix_not_positive_definite(H):
+    """`ocp` factors H with numpy's `cholesky_lo` gufunc; where
+    ``np.linalg.cholesky`` raises LinAlgError, `_inverse_factor` raises it
+    too, and no warning escapes."""
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(H)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            ocp._inverse_factor(H)
+
+
+def test_project_inputs_gives_the_scaling_formulas_bits():
+    """`_project_inputs` copies a plan that no stage leaves the ball of,
+    where every scale is exactly 1.0, and scales the others. Its result has
+    the bits of U * min(1, u_bar / max(|u_k|, 1e-300)) inside, on and
+    outside the ball, signed zeros included, in a new array."""
+    u_bar = 5.0
+
+    def formula(U):
+        norms = np.sqrt(np.add.reduce(U * U, axis=-1, keepdims=True))
+        return U * np.minimum(1.0, u_bar / np.maximum(norms, 1e-300))
+
+    inside = np.array([[0.0, -0.0], [-0.0, -0.0], [1.5, -2.5], [-3.0, 0.0], [-0.0, 4.999]])
+    on = np.array([[3.0, 4.0], [-0.0, 5.0], [-4.0, -3.0], [5.0, -0.0]])
+    outside = np.array([[6.0, -0.0], [-0.0, -7.5], [-30.0, 40.0], [5.0, 1e-8]])
+    rng = np.random.default_rng(13)
+    plans = [inside, on, np.vstack([inside, on]), outside, np.vstack([inside, outside, on]),
+             rng.uniform(-4.0, 4.0, (6, 2)), rng.uniform(-9.0, 9.0, (6, 2))]
+    for U in plans:
+        projected = ocp._project_inputs(U, u_bar)
+        assert projected.tobytes() == formula(U).tobytes()
+        assert not np.shares_memory(projected, U)
