@@ -39,7 +39,6 @@ class ScenarioError(ValueError):
 
 @dataclass
 class AgentSpec:
-    model: str
     radius: float
     sensing_range: float
     detection_range: float
@@ -82,14 +81,6 @@ class Scenario:
     def references(self):
         return [spec.goal for spec in self.agents]
 
-    def build_models(self):
-        models = []
-        for spec in self.agents:
-            if spec.model != "unicycle":
-                raise ScenarioError(f"unsupported model kind {spec.model!r}")
-            models.append(UNICYCLE)
-        return models
-
     def build_world(self):
         starts = np.asarray([spec.start[:2] for spec in self.agents])
         sensing = [spec.sensing_range for spec in self.agents]
@@ -116,9 +107,6 @@ class Scenario:
     def build_disturbances(self):
         if self.w_bar == 0.0 or not self.disturbance:
             return [None] * len(self.agents)
-        kind = self.disturbance.get("kind", "sinusoid")
-        if kind != "sinusoid":
-            raise ScenarioError(f"unsupported disturbance kind {kind!r}")
         numbers = []
         for name, default in (("amplitude", self.w_bar), ("frequency", 1.0)):
             raw = self.disturbance.get(name, default)
@@ -130,15 +118,12 @@ class Scenario:
                 raise ScenarioError(f"disturbance {name} must be finite, got {value}")
             numbers.append(value)
         amp, freq = numbers
-        out = []
-        for spec in self.agents:
-            dim = len(spec.start)
 
-            def gen(times, amp=amp, freq=freq, dim=dim):
-                return (amp * np.sin(freq * times))[:, None].repeat(dim, axis=1)
+        def gen(times):
+            # the same sinusoid on every state component
+            return (amp * np.sin(freq * times))[:, None].repeat(UNICYCLE.state_dim, axis=1)
 
-            out.append(DisturbanceSignal(generator=gen, bound=self.w_bar))
-        return out
+        return [DisturbanceSignal(generator=gen, bound=self.w_bar) for _ in self.agents]
 
     def build_certificate(self):
         # the envelope of the error norm: workspace diameter plus angle range
@@ -151,7 +136,6 @@ class Scenario:
     def build_simulation(self, total_time=None):
         return Simulation(
             world=self.build_world(),
-            models=self.build_models(),
             references=self.references,
             config=self.build_config(),
             profile=self.build_profile(),
@@ -163,10 +147,12 @@ class Scenario:
         )
 
 
-def _weights_from_recipe(section, seed, dim):
-    """Materialize Q, P (and R) from the scenario weight section."""
+def _weights_from_recipe(section, seed):
+    """Materialize Q, P (and R) from the scenario weight section: Q and P
+    drawn for the unicycle's state when it names the recipe, else read."""
+    dim = UNICYCLE.state_dim
     R = np.asarray(section["R"], dtype=float)
-    if section.get("recipe") == "seeded-random":
+    if "recipe" in section:
         rng = np.random.default_rng(seed)
         S = rng.uniform(0.0, 1.0, size=(dim, dim))
         # only the symmetric part contributes to the quadratic forms
@@ -182,20 +168,23 @@ def _weights_from_recipe(section, seed, dim):
     return Q, R, P
 
 
-# the keys a scenario file and each of its agents may hold
+# the keys a scenario file, each of its agents and each of its sections may hold
 _SCENARIO_KEYS = frozenset((
     "name", "seed", "total_time", "h", "T_p", "u_bar", "w_bar", "eps_omega", "eps_psi",
     "margin", "L_g", "L_V", "lam_max_P", "tube_cap", "max_iterations", "constraint_tol",
     "schedule", "workspace", "obstacles", "weights", "disturbance", "agents"))
-_AGENT_KEYS = frozenset(("model", "radius", "sensing_range", "detection_range", "start", "goal"))
+_AGENT_KEYS = frozenset(("radius", "sensing_range", "detection_range", "start", "goal"))
+_BALL_KEYS = frozenset(("center", "radius"))  # the workspace's and each obstacle's
+_WEIGHT_KEYS = frozenset(("recipe", "R", "Q", "P"))
+_DISTURBANCE_KEYS = frozenset(("amplitude", "frequency"))
 
 
 def load_scenario(path, seed=None) -> Scenario:
     """Parse and fully validate a YAML scenario file.
 
     Raises ScenarioError with the offending field (or YAML location) on any
-    parse or validation failure, an unknown key of the file or of an agent
-    included. `seed` overrides the file's seed.
+    parse or validation failure, an unknown key of the file, of an agent or
+    of a section included. `seed` overrides the file's seed.
     """
     try:
         with open(path) as fh:
@@ -213,6 +202,16 @@ def load_scenario(path, seed=None) -> Scenario:
             raise ScenarioError(f"{path}: missing field {key!r}")
         return raw[key]
 
+    def section(value, keys, name):
+        """The mapping `value`, called `name` in messages, which holds no key
+        outside `keys`."""
+        if not isinstance(value, dict):
+            raise ScenarioError(f"{path}: {name} must be a mapping")
+        unknown = [key for key in value if key not in keys]
+        if unknown:
+            raise ScenarioError(f"{path}: unknown field {unknown[0]!r} of {name}")
+        return value
+
     def optional_float(key):
         if raw.get(key) is None:
             return None
@@ -226,13 +225,18 @@ def load_scenario(path, seed=None) -> Scenario:
             and all(isinstance(a, dict) for a in raw_agents)):
         raise ScenarioError(f"{path}: field 'agents' must be a non-empty list of mappings")
     for k, a in enumerate(raw_agents):
-        unknown = [key for key in a if key not in _AGENT_KEYS]
-        if unknown:
-            raise ScenarioError(f"{path}: unknown field {unknown[0]!r} of agent {k}")
+        section(a, _AGENT_KEYS, f"agent {k}")
     try:
+        workspace = section(need("workspace"), _BALL_KEYS, "workspace")
+        obstacles = [section(o, _BALL_KEYS, f"obstacle {k}")
+                     for k, o in enumerate(raw.get("obstacles", []))]
+        disturbance = section(raw.get("disturbance", {}), _DISTURBANCE_KEYS, "disturbance")
+        weights = section(need("weights"), _WEIGHT_KEYS, "weights")
+        if weights.get("recipe", "seeded-random") != "seeded-random":
+            raise ScenarioError(f"{path}: unknown weights recipe {weights['recipe']!r}, "
+                                "the one recipe is 'seeded-random'")
         agents = [
             AgentSpec(
-                model=a.get("model", "unicycle"),
                 radius=float(a["radius"]),
                 sensing_range=float(a["sensing_range"]),
                 detection_range=float(a["detection_range"]),
@@ -241,9 +245,8 @@ def load_scenario(path, seed=None) -> Scenario:
             )
             for a in raw_agents
         ]
-        state_dim = len(agents[0].start)
         use_seed = int(raw.get("seed", 0)) if seed is None else int(seed)
-        Q, R, P = _weights_from_recipe(need("weights"), use_seed, state_dim)
+        Q, R, P = _weights_from_recipe(weights, use_seed)
         scenario = Scenario(
             name=str(raw.get("name", Path(path).stem)),
             seed=use_seed,
@@ -257,14 +260,14 @@ def load_scenario(path, seed=None) -> Scenario:
             margin=float(need("margin")),
             L_g=float(need("L_g")),
             L_V=float(need("L_V")),
-            workspace=Ball(np.asarray(need("workspace")["center"], dtype=float),
-                           float(need("workspace")["radius"])),
+            workspace=Ball(np.asarray(workspace["center"], dtype=float),
+                           float(workspace["radius"])),
             obstacles=[Ball(np.asarray(o["center"], dtype=float), float(o["radius"]))
-                       for o in raw.get("obstacles", [])],
+                       for o in obstacles],
             agents=agents,
             Q=Q, R=R, P=P,
             schedule=[int(i) for i in raw.get("schedule", range(len(agents)))],
-            disturbance=dict(raw.get("disturbance", {})),
+            disturbance=dict(disturbance),
             tube_cap=optional_float("tube_cap"),
             lam_max_P=optional_float("lam_max_P"),
             max_iterations=int(raw.get("max_iterations", OcpConfig.max_iterations)),
@@ -282,18 +285,18 @@ def load_scenario(path, seed=None) -> Scenario:
 def _validate(scenario: Scenario, path):
     """Build what `run` and `certify` build: their checks fail here, named."""
     try:
-        for k, (spec, model) in enumerate(zip(scenario.agents, scenario.build_models())):
+        for k, spec in enumerate(scenario.agents):
             for name in ("start", "goal"):
                 value = getattr(spec, name)
-                if value.shape != (model.state_dim,) or not np.all(np.isfinite(value)):
-                    raise ValueError(f"agent {k} {name} must be {model.state_dim} "
+                if value.shape != (UNICYCLE.state_dim,) or not np.all(np.isfinite(value)):
+                    raise ValueError(f"agent {k} {name} must be {UNICYCLE.state_dim} "
                                      f"finite numbers, got {value.tolist()}")
-            for name, dim in (("Q", model.state_dim), ("P", model.state_dim),
-                              ("R", model.input_dim)):
-                shape = getattr(scenario, name).shape
-                if shape != (dim, dim):
-                    raise ValueError(f"weight {name} must be {dim}x{dim} for agent {k}'s "
-                                     f"{spec.model} model, got {'x'.join(map(str, shape))}")
+        for name, dim in (("Q", UNICYCLE.state_dim), ("P", UNICYCLE.state_dim),
+                          ("R", UNICYCLE.input_dim)):
+            shape = getattr(scenario, name).shape
+            if shape != (dim, dim):
+                raise ValueError(f"weight {name} must be {dim}x{dim}, "
+                                 f"got {'x'.join(map(str, shape))}")
         sim = scenario.build_simulation()
         scenario.build_certificate()
     except ValueError as exc:
@@ -301,7 +304,7 @@ def _validate(scenario: Scenario, path):
     # the goals too must meet every raw margin, or the agents cannot reach
     # them without breaking separation or connectivity
     for name, states in (("initial", sim.states), ("desired", scenario.references)):
-        report = coordination.validate_initial(sim.world, states, sim.models)
+        report = coordination.validate_initial(sim.world, states)
         if not report.passed:
             raise ScenarioError(f"{path}: infeasible {name} configuration: "
                                 + "; ".join(report.failures))
@@ -368,8 +371,8 @@ def cmd_certify(scenario_path, seed=None):
     # |f(z_a, u) - f(z_b, u)| = |v| 2 |sin((theta_a - theta_b) / 2)| <=
     # |v| |z_a - z_b|, with the ratio tending to |v| as the headings close,
     # so it is sup |v| over the input ball, u_bar. Reported, not gated on
-    # (the verdict covers the disturbance bound only). Every agent is the one
-    # unicycle model (build_models admits no other kind).
+    # (the verdict covers the disturbance bound only). Every agent is a
+    # unicycle.
     L_g_exact = scenario.u_bar
     print(f"L_g_exact = {L_g_exact}")
     print("w_max_at_L_g_exact =", certify.disturbance_bound(
@@ -399,13 +402,9 @@ def cmd_verify(log_path, scenario_path, seed=None):
     return 0 if report.passed else 1
 
 
-def cmd_columns(scenario_path):
+def cmd_columns():
     """Print the CSV column manifest (gnuplot `using` indices are 1-based)."""
-    scenario = load_scenario(scenario_path)
-    models = scenario.build_models()
-    names = coordination.csv_columns(max(m.state_dim for m in models),
-                                     max(m.input_dim for m in models))
-    for idx, name in enumerate(names, start=1):
+    for idx, name in enumerate(coordination.CSV_COLUMNS, start=1):
         print(f"{idx}\t{name}")
     return 0
 
@@ -433,8 +432,7 @@ def main(argv=None):
     p_ver.add_argument("scenario")
     p_ver.add_argument("--seed", type=int, default=None)
 
-    p_col = sub.add_parser("columns", help="print the CSV column manifest")
-    p_col.add_argument("scenario")
+    sub.add_parser("columns", help="print the CSV column manifest")
 
     args = parser.parse_args(argv)
     try:
@@ -446,7 +444,7 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(args.log, args.scenario, seed=args.seed)
         if args.command == "columns":
-            return cmd_columns(args.scenario)
+            return cmd_columns()
     except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

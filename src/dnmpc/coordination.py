@@ -40,7 +40,7 @@ import numpy as np
 
 from .certify import ultimate_bound
 from .constraints import MARGIN_KINDS, WorldModel, tube_profile_radii
-from .dynamics import ErrorDynamics, integrate
+from .dynamics import UNICYCLE, ErrorDynamics, integrate
 from .ocp import (OcpConfig, dual_mode_controller, restore_feasibility, solve_fhocp,
                   unicycle_steering_law, warm_start_shift)
 from .setalg import TubeProfile
@@ -50,7 +50,7 @@ __all__ = [
     "neighbor_sets",
     "validate_initial",
     "PredictionEntry",
-    "csv_columns",
+    "CSV_COLUMNS",
     "TrajectoryLog",
     "AgentTrace",
     "SimulationError",
@@ -89,11 +89,11 @@ class ValidationReport:
 _VIOLATIONS = ("collides with", "is out of sensing range of", "is inside", "is outside")
 
 
-def validate_initial(world: WorldModel, states, models):
-    """Start (or goal) configuration check: every raw distance margin
-    (eps = 0) of every agent must be positive. Each pair's separation is
-    checked once, from the lower index."""
-    tracks = [np.asarray(z)[m.position_slice][None, :] for z, m in zip(states, models)]
+def validate_initial(world: WorldModel, states):
+    """Start (or goal) configuration check of the unicycles' `states`: every
+    raw distance margin (eps = 0) of every agent must be positive. Each
+    pair's separation is checked once, from the lower index."""
+    tracks = [np.asarray(z)[_POSITION][None, :] for z in states]
     failures = []
     for i, track in enumerate(tracks):
         geo = world.geometry(i, np.zeros(1), tracks, range(i + 1, len(tracks)),
@@ -142,8 +142,8 @@ class AgentTrace:
     """
 
     times: list = field(default_factory=list)
-    states: list = field(default_factory=list)      # (T, n_x)
-    inputs: list = field(default_factory=list)      # (T, n_u) applied ZOH input, NaN at t=0
+    states: list = field(default_factory=list)      # (T, 3)
+    inputs: list = field(default_factory=list)      # (T, 2) applied ZOH input, NaN at t=0
     w_norms: list = field(default_factory=list)
     V: list = field(default_factory=list)
     # (T, len(MARGIN_KINDS)) raw margins in MARGIN_KINDS order, filled post-run
@@ -153,8 +153,15 @@ class AgentTrace:
     step_meta: list = field(default_factory=list)
 
 
+# where a unicycle's state holds its workspace position
+_POSITION = UNICYCLE.position_slice
 _MARGIN_COLUMNS = ["m_" + kind.replace("-", "_") for kind in MARGIN_KINDS]
 _SOLVER_COLUMNS = ["status", "cost", "errsq_int", "terminal_relaxed", "tube_capped"]
+# the header of the trajectory CSV: the unicycle's states x0..x2 and inputs u0, u1
+CSV_COLUMNS = (["t", "agent", "step"]
+               + [f"x{d}" for d in range(UNICYCLE.state_dim)]
+               + [f"u{d}" for d in range(UNICYCLE.input_dim)]
+               + ["w_norm", "V"] + _MARGIN_COLUMNS + _SOLVER_COLUMNS)
 # rows that to_csv formats at a time: enough to spread each column's numpy
 # calls over many rows, few enough that the strings of a chunk stay small
 _CSV_CHUNK_ROWS = 256
@@ -163,13 +170,6 @@ _CSV_CHUNK_ROWS = 256
 _CSV_BLOCK_BYTES = 1 << 20
 # how np.loadtxt names the row it could not parse, counted within its input
 _LOADTXT_ROW = re.compile(r"\bat row (\d+)")
-
-
-def csv_columns(n_x, n_u):
-    """Header of the trajectory CSV for n_x state and n_u input components."""
-    return (["t", "agent", "step"]
-            + [f"x{d}" for d in range(n_x)] + [f"u{d}" for d in range(n_u)]
-            + ["w_norm", "V"] + _MARGIN_COLUMNS + _SOLVER_COLUMNS)
 
 
 def _format_runs(values, fmt):
@@ -231,11 +231,9 @@ class TrajectoryLog:
             if trace.margins is None:
                 raise ValueError(f"trace {i} has no margins, which fill the margin columns")
         substeps = int(self.meta["substeps"])
-        n_x = np.shape(self.traces[0].states)[1]
-        n_u = np.shape(self.traces[0].inputs)[1]
         time_cells = {}  # chunk start -> (the chunk's times as bits, their strings)
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(csv_columns(n_x, n_u)) + "\r\n")
+            fh.write(",".join(CSV_COLUMNS) + "\r\n")
             for i, trace in enumerate(self.traces):
                 T = len(trace.times)
                 margins = np.asarray(trace.margins, dtype=float)
@@ -272,7 +270,7 @@ class TrajectoryLog:
         `to_csv`, whose sampling steps are `h` apart. The substep count is
         that of the step column.
 
-        Columns are found by their `csv_columns` names, so a file from an
+        Columns are found by their `CSV_COLUMNS` names, so a file from an
         older schema with extra columns still reads; a missing column, no
         data rows, agent ids other than 0..k-1, an agent or step that is not a
         finite integer, a row of the wrong length (a truncated file), an
@@ -293,16 +291,14 @@ class TrajectoryLog:
             blocks = _line_blocks(fh)
             rows = next(blocks, [""])  # an empty file has an empty header
             header = rows.pop(0).split(",")
-            n_x = sum(1 for c in header if c.startswith("x") and c[1:].isdigit())
-            n_u = sum(1 for c in header if c.startswith("u") and c[1:].isdigit())
-            names = csv_columns(n_x, n_u)
-            missing = [name for name in names if name not in header]
+            missing = [name for name in CSV_COLUMNS if name not in header]
             if missing:
                 raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-            col = {name: header.index(name) for name in names}
-            numeric = names[:len(names) - len(_SOLVER_COLUMNS)]
+            col = {name: header.index(name) for name in CSV_COLUMNS}
+            numeric = CSV_COLUMNS[:-len(_SOLVER_COLUMNS)]
             usecols = [col[name] for name in numeric]
-            k = 3 + n_x + n_u  # w_norm, then V, then the margins
+            n_x = UNICYCLE.state_dim
+            k = 3 + n_x + UNICYCLE.input_dim  # w_norm, then V, then the margins
             # the columns a run logs finite: t, the states, w_norm and V
             finite = np.zeros(len(numeric), dtype=bool)
             finite[[0, *range(3, 3 + n_x), k, k + 1]] = True
@@ -423,16 +419,17 @@ class Simulation:
     each one's newest posted plan: this step's, or the previous step's.
     """
 
-    def __init__(self, world: WorldModel, models, references, config: OcpConfig,
+    def __init__(self, world: WorldModel, references, config: OcpConfig,
                  profile: TubeProfile, schedule, disturbances, initial_states,
                  total_time, tube_cap=None):
         self.world = world
-        self.models = models
-        self.errordyns = [ErrorDynamics(m, z) for m, z in zip(models, references)]
+        # every agent is a unicycle
+        self.models = [UNICYCLE] * len(references)
+        self.errordyns = [ErrorDynamics(UNICYCLE, z) for z in references]
         self.config = config
         self.profile = profile
         self.schedule = list(schedule)
-        if sorted(self.schedule) != list(range(len(models))):
+        if sorted(self.schedule) != list(range(len(self.models))):
             raise ValueError("schedule must be a permutation of the agents")
         self.disturbances = disturbances
         self.states = [np.asarray(z, dtype=float).copy() for z in initial_states]
@@ -443,9 +440,9 @@ class Simulation:
             raise ValueError(f"tube_cap must be nonnegative, got {tube_cap}")
         self.tube_cap = tube_cap
         self.board = {}  # agent -> latest posted PredictionEntry
-        self.known_obstacles = [set() for _ in models]
-        self.prev_solution: list = [None] * len(models)
-        self.traces = [AgentTrace() for _ in models]
+        self.known_obstacles = [set() for _ in self.models]
+        self.prev_solution: list = [None] * len(self.models)
+        self.traces = [AgentTrace() for _ in self.models]
         # each agent's terminal controller kappa, which extends the shifted plan
         self.steering = [dual_mode_controller(unicycle_steering_law(ed.z_des, config.u_bar),
                                               config)
@@ -470,12 +467,12 @@ class Simulation:
     # -- helpers --------------------------------------------------------
 
     def _positions(self):
-        return np.asarray([z[m.position_slice] for z, m in zip(self.states, self.models)])
+        return np.asarray([z[_POSITION] for z in self.states])
 
     def _update_known_obstacles(self, i):
         """Add the obstacles in agent i's detection range. Once per turn, at
         its start, suffices: an agent moves only in its own turns."""
-        p = self.states[i][self.models[i].position_slice]
+        p = self.states[i][_POSITION]
         b_i = self.world.detection_ranges[i]
         for ell, obstacle in enumerate(self.world.obstacles):
             offset = p - obstacle.center
@@ -504,16 +501,15 @@ class Simulation:
         """Tightened margins of agent i's errors and a callable that forms
         their error Jacobian, which is the position gradient on the position
         components and zero on the others."""
-        pos_slice = self.models[i].position_slice
-        pos_ref = self.errordyns[i].z_des[pos_slice]
+        pos_ref = self.errordyns[i].z_des[_POSITION]
 
         def margin_fn(errors):
-            margins, gradient = geometry.tightened(errors[..., pos_slice] + pos_ref, rho)
+            margins, gradient = geometry.tightened(errors[..., _POSITION] + pos_ref, rho)
 
             def jacobian():
                 grad = gradient()
                 jac = np.zeros(grad.shape[:-1] + errors.shape[-1:])
-                jac[..., pos_slice] = grad
+                jac[..., _POSITION] = grad
                 return jac
 
             return margins, jacobian
@@ -538,7 +534,7 @@ class Simulation:
         """Warm start candidates, best first: the shifted previous plan (the
         paper's feasibility candidate), when there is one, then zero input."""
         cfg = self.config
-        zeros = np.zeros((cfg.n_stages, self.models[i].input_dim))
+        zeros = np.zeros((cfg.n_stages, UNICYCLE.input_dim))
         prev = self.prev_solution[i]
         if prev is None or prev.status == "infeasible":
             return [zeros]
@@ -576,14 +572,13 @@ class Simulation:
         dense_taus, rho, capped = self._tube
         geometry = self._geometry(i, t_k, dense_taus)
         e0 = self.errordyns[i].error_of(self.states[i])
-        pos = self.models[i].position_slice
         margin_fn = self._margin_fn(i, geometry, rho)
 
-        pos_e0 = e0[pos]
+        pos_e0 = e0[_POSITION]
         pos_err = math.sqrt(pos_e0.dot(pos_e0))
         terminal_plausible = pos_err <= 0.5 * cfg.u_bar * cfg.T_p
         terminal_excluded = terminal_plausible and geometry.terminal_excluded(
-            self.errordyns[i].z_des[pos], self.terminal_radius, rho[-1], cfg.constraint_tol)
+            self.errordyns[i].z_des[_POSITION], self.terminal_radius, rho[-1], cfg.constraint_tol)
         tiers = (True, False) if terminal_plausible and not terminal_excluded else (False,)
 
         starts = self._starts(i)
@@ -610,7 +605,7 @@ class Simulation:
             if sol.status != "infeasible":
                 # a plan that barely moves while far from the goal signals a
                 # blocked local optimum: probe lateral detours for a cheaper one
-                moved = (sol.dense_errors[-1] - sol.dense_errors[0])[pos]
+                moved = (sol.dense_errors[-1] - sol.dense_errors[0])[_POSITION]
                 if pos_err > 1.0 and math.sqrt(moved.dot(moved)) < 0.1 * cfg.u_bar * cfg.T_p:
                     # the starts not yet tried, then the lateral probes
                     accepted = len(tried) - 1
@@ -658,7 +653,7 @@ class Simulation:
         for i, trace in enumerate(self.traces):
             trace.times.append(0.0)
             trace.states.append(self.states[i].copy())
-            trace.inputs.append(np.full(self.models[i].input_dim, np.nan))
+            trace.inputs.append(np.full(UNICYCLE.input_dim, np.nan))
             trace.w_norms.append(0.0)
             e = self.errordyns[i].error_of(self.states[i])
             trace.V.append(float(e @ self.config.P @ e))
@@ -690,10 +685,10 @@ class Simulation:
                     f"agent {i} infeasible at t = {t_k:.3f} "
                     f"(residual {sol.solve_stats['residual']:.3g})",
                     partial_log=self.finalize_log(), agent=i, t=t_k)
-            pos = self.models[i].position_slice
             self.board[i] = PredictionEntry(
                 t0=t_k, h=cfg.h / cfg.substeps,
-                positions=sol.dense_errors[:, pos] + self.errordyns[i].z_des[pos])
+                positions=(sol.dense_errors[:, _POSITION]
+                           + self.errordyns[i].z_des[_POSITION]))
             self.prev_solution[i] = sol
 
             # apply the first input segment to the true disturbed dynamics
@@ -726,12 +721,12 @@ class Simulation:
         """
         log_out = TrajectoryLog(
             traces=[AgentTrace(times=np.array(tr.times, dtype=float),
-                               states=_stacked(tr.states, model.state_dim),
-                               inputs=_stacked(tr.inputs, model.input_dim),
+                               states=_stacked(tr.states, UNICYCLE.state_dim),
+                               inputs=_stacked(tr.inputs, UNICYCLE.input_dim),
                                w_norms=np.array(tr.w_norms, dtype=float),
                                V=np.array(tr.V, dtype=float),
                                step_meta=list(tr.step_meta))
-                    for tr, model in zip(self.traces, self.models)],
+                    for tr in self.traces],
             meta={"h": self.config.h, "substeps": self.config.substeps},
         )
         self._fill_margins(log_out)
@@ -748,8 +743,7 @@ class Simulation:
         """
         traces = log_out.traces
         times = [tr.times for tr in traces]
-        positions = [tr.states[:, model.position_slice]
-                     for tr, model in zip(traces, self.models)]
+        positions = [tr.states[:, _POSITION] for tr in traces]
         for i, trace in enumerate(traces):
             trace.margins = np.empty((len(trace.times), len(MARGIN_KINDS)))
             for rows, kinds, margins, dist in self.world.logged_margins(i, times, positions,
@@ -763,7 +757,7 @@ class Simulation:
 
     def run(self):
         """Iterate steps over the full duration; returns the trajectory log."""
-        report = validate_initial(self.world, self.states, self.models)
+        report = validate_initial(self.world, self.states)
         if not report.passed:
             raise ValueError("infeasible initial configuration: " + "; ".join(report.failures))
         self._bootstrap_board()

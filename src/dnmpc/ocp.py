@@ -814,15 +814,13 @@ def _suboptimal_stop(tr: _Transcription, x0, scale):
         nonlocal previous_cost
         U = _project_inputs((x0 + scale @ y).reshape(tr.N, tr.m), cfg.u_bar)
         res = tr.eval(U.ravel())
-        # read before the cost test: only the relaxed tier's line search
-        # skips the margins of a point
-        feasible = -res["slack"] <= cfg.constraint_tol
         if witness:
             good_enough = res["cost"] <= start["cost"]
         else:
             good_enough = abs(res["cost"] - previous_cost) <= SUBOPTIMAL_STOP_DELTA * previous_cost
             previous_cost = res["cost"]
-        if good_enough and feasible:
+        # the slack, and so the point's margins, only when the cost passes
+        if good_enough and -res["slack"] <= cfg.constraint_tol:
             raise StopIteration
 
     return callback

@@ -28,8 +28,8 @@ import numpy as np
 from dnmpc import ocp
 from dnmpc.certify import CHECK_TOL, CheckResult, _track
 from dnmpc.constraints import MARGIN_KINDS
-from dnmpc.coordination import _SOLVER_COLUMNS, AgentTrace, TrajectoryLog, csv_columns
-from dnmpc.dynamics import AgentModel
+from dnmpc.coordination import _SOLVER_COLUMNS, CSV_COLUMNS, AgentTrace, TrajectoryLog
+from dnmpc.dynamics import UNICYCLE, AgentModel
 
 
 def unicycle_field(state, control):
@@ -153,10 +153,8 @@ def write_csv_rows(log, path):
     at a time: each row's floats by `repr` of the row's list, its step as the
     row's substep index over `meta["substeps"]`."""
     substeps = int(log.meta["substeps"])
-    n_x = np.shape(log.traces[0].states)[1]
-    n_u = np.shape(log.traces[0].inputs)[1]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(csv_columns(n_x, n_u)) + "\r\n")
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for i, trace in enumerate(log.traces):
             T = len(trace.times)
             block = np.column_stack(
@@ -181,9 +179,8 @@ def read_csv_whole(path, h):
         lines = fh.read().splitlines()
     header = lines[0].split(",") if lines else []
     rows = lines[1:]
-    n_x = sum(1 for c in header if c.startswith("x") and c[1:].isdigit())
-    n_u = sum(1 for c in header if c.startswith("u") and c[1:].isdigit())
-    names = csv_columns(n_x, n_u)
+    names = CSV_COLUMNS
+    n_x = UNICYCLE.state_dim
     missing = [name for name in names if name not in header]
     if missing:
         raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -205,7 +202,7 @@ def read_csv_whole(path, h):
     if not np.array_equal(ids, np.arange(len(ids))):
         raise ValueError(f"{path}: agent ids {ids.tolist()} are not 0..{len(ids) - 1}")
     steps = data[:, 2].astype(int)
-    k = 3 + n_x + n_u  # w_norm, then V, then the margins
+    k = 3 + n_x + UNICYCLE.input_dim  # w_norm, then V, then the margins
     traces = []
     for i in ids:
         idx = np.flatnonzero(agents == i)
@@ -245,10 +242,9 @@ def logged_geometry_whole(world, i, times, positions, eps):
     return world.geometry(i, times[i], tracks, others, range(len(world.obstacles)), eps)
 
 
-def _logged_positions(log, models):
+def _logged_positions(log):
     times = [np.asarray(tr.times) for tr in log.traces]
-    positions = [np.asarray(tr.states)[:, model.position_slice]
-                 for tr, model in zip(log.traces, models)]
+    positions = [np.asarray(tr.states)[:, UNICYCLE.position_slice] for tr in log.traces]
     return times, positions
 
 
@@ -257,7 +253,7 @@ def fill_margins_whole(sim, log):
     finalized `log` of `sim`, as `Simulation.finalize_log` fills them: per
     kind the smallest column, inter-agent columns only within sensing
     range, inf where the kind has none."""
-    times, positions = _logged_positions(log, sim.models)
+    times, positions = _logged_positions(log)
     out = []
     for i in range(len(log.traces)):
         geo = logged_geometry_whole(sim.world, i, times, positions, 0.0)
@@ -276,7 +272,7 @@ def verify_geometry_whole(log, world, scenario):
     separation, neighbor connectivity, obstacle clearance and workspace
     containment checks: each kind's smallest margin, net of the safety
     margin, the first in (agent, column, time)."""
-    times, positions = _logged_positions(log, scenario.build_models())
+    times, positions = _logged_positions(log)
     worst = [(np.inf, 0.0)] * len(MARGIN_KINDS)
     for i in range(len(log.traces)):
         geo = logged_geometry_whole(world, i, times, positions, world.margin)

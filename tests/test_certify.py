@@ -150,10 +150,6 @@ def _forged_log_scenario(distance):
         T_p = 0.6
         references = [np.array([0.0, 0.0, 0.0]), np.array([0.0, distance, 0.0])]
 
-        def build_models(self):
-            from dnmpc.dynamics import UNICYCLE
-            return [UNICYCLE, UNICYCLE]
-
         def build_certificate(self):
             return build_certificate(Q=self.Q, P=self.P, eps_omega=self.eps_omega,
                                      eps_psi=self.eps_psi, L_g=self.L_g, L_V=self.L_V,
@@ -255,7 +251,7 @@ def test_logged_margins_on_partial_log_with_pair_out_of_range():
         traces.append(tr)
     config = OcpConfig(h=0.1, T_p=0.6, Q=scenario.Q, R=scenario.R, P=scenario.P,
                        eps_omega=scenario.eps_omega, eps_psi=scenario.eps_psi, u_bar=8.0)
-    sim = Simulation(world, scenario.build_models(), scenario.references, config,
+    sim = Simulation(world, scenario.references, config,
                      TubeProfile(1e-12, 2.0), [0, 1], [None, None],
                      [tr.states[0] for tr in traces], total_time=0.1)
     sim.traces = traces

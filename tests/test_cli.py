@@ -9,6 +9,7 @@ import yaml
 from dnmpc import certify, cli, coordination
 from dnmpc.cli import ScenarioError, cmd_certify, load_scenario, main
 from dnmpc.coordination import AgentTrace, TrajectoryLog
+from dnmpc.dynamics import UNICYCLE
 from oracles import unicycle_field
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
@@ -51,6 +52,14 @@ def test_bundled_scenario_loads_with_expected_structure():
     assert world.neighbor_sets[1] == frozenset({0})
     assert world.neighbor_sets[2] == frozenset({0})
     assert len(world.obstacles) == 2
+
+
+def test_every_agent_is_a_unicycle():
+    """The simulation's agents are one unicycle each, the layout of every
+    state, input and CSV row; perfbench counts the agents by `sim.models`."""
+    sim = load_scenario(SCENARIO).build_simulation()
+    assert sim.models == [UNICYCLE] * 3
+    assert [ed.model for ed in sim.errordyns] == sim.models
 
 
 def test_weights_are_positive_definite_and_seeded():
@@ -180,7 +189,7 @@ def test_main_malformed_path_exits_2(capsys):
 
 
 def test_columns_manifest(capsys):
-    assert main(["columns", str(SCENARIO)]) == 0
+    assert main(["columns"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     names = [ln.split("\t")[1] for ln in lines]
     assert names[0] == "t"
@@ -200,7 +209,8 @@ def _start_log():
 
 
 def test_columns_match_csv_header(tmp_path, capsys):
-    assert main(["columns", str(SCENARIO)]) == 0
+    """`dnmpc columns` needs no scenario: every log has the unicycle's header."""
+    assert main(["columns"]) == 0
     names = [ln.split("\t")[1] for ln in capsys.readouterr().out.strip().splitlines()]
     path = tmp_path / "log.csv"
     _start_log().to_csv(path)
@@ -302,12 +312,9 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
      "agent 0 start must be 3 finite numbers"),
     ({"agents": _agents_with(1, start=[-6.0, float("nan"), 0.0])}, [],
      "agent 1 start must be 3 finite numbers"),
-    ({"weights": _weights(Q=2)}, [],
-     "weight Q must be 3x3 for agent 0's unicycle model, got 2x2"),
-    ({"weights": _weights(P=2)}, [],
-     "weight P must be 3x3 for agent 0's unicycle model, got 2x2"),
-    ({"weights": _weights(R=3)}, [],
-     "weight R must be 2x2 for agent 0's unicycle model, got 3x3"),
+    ({"weights": _weights(Q=2)}, [], "weight Q must be 3x3, got 2x2"),
+    ({"weights": _weights(P=2)}, [], "weight P must be 3x3, got 2x2"),
+    ({"weights": _weights(R=3)}, [], "weight R must be 2x2, got 3x3"),
     ({"disturbance": _disturbance(amplitude=float("nan"))}, [],
      "disturbance amplitude must be finite, got nan"),
     ({"disturbance": _disturbance(frequency=float("inf"))}, [],
@@ -322,6 +329,19 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
     ({"tube_capp": 0.15}, [], "unknown field 'tube_capp'"),
     ({"sup_error": 27.0}, [], "unknown field 'sup_error'"),
     ({"agents": _agents_with(2, sensing=2.0)}, [], "unknown field 'sensing' of agent 2"),
+    ({"agents": _agents_with(1, model="unicycle")}, [], "unknown field 'model' of agent 1"),
+    ({"disturbance": _disturbance(kind="sinusoid")}, [],
+     "unknown field 'kind' of disturbance"),
+    ({"disturbance": {"frequncy": 2.0}}, [], "unknown field 'frequncy' of disturbance"),
+    ({"weights": {"recipie": "seeded-random", "R": np.eye(2).tolist()}}, [],
+     "unknown field 'recipie' of weights"),
+    ({"weights": {"recipe": "seeded_random", "R": np.eye(2).tolist()}}, [],
+     "unknown weights recipe 'seeded_random', the one recipe is 'seeded-random'"),
+    ({"workspace": {"centre": [0.0, 3.5], "radius": 12.0}}, [],
+     "unknown field 'centre' of workspace"),
+    ({"obstacles": [{"center": [0.0, 2.0], "radius": 1.0},
+                    {"center": [0.0, 5.5], "radiuss": 1.0}]}, [],
+     "unknown field 'radiuss' of obstacle 1"),
     ({}, ["--total-time", "0.15"], "--total-time 0.15: sampling time must divide"),
     ({}, ["--total-time", "0"], "--total-time 0.0: total time must be positive"),
     ({}, ["--total-time", "-1"], "--total-time -1.0: total time must be positive"),
@@ -332,6 +352,9 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
         "disturbance-frequency-inf", "disturbance-amplitude-text",
         "disturbance-frequency-text", "constraint_tol-nan", "constraint_tol-negative",
         "max_iterations-0", "unknown-key", "sup_error-removed", "agents-unknown-key",
+        "agents-model-removed", "disturbance-kind-removed", "disturbance-unknown-key",
+        "weights-unknown-key", "weights-recipe-unknown", "workspace-unknown-key",
+        "obstacle-unknown-key",
         "run-total-time-0.15", "run-total-time-0", "run-total-time-negative"])
 def test_bad_values_fail_before_any_solve(tmp_path, monkeypatch, capsys, overrides,
                                           options, message):

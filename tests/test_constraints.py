@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel, tube_profile_radii
 from dnmpc.coordination import Simulation
-from dnmpc.dynamics import UNICYCLE
 from dnmpc.ocp import OcpConfig
 from dnmpc.setalg import Ball, TubeProfile, tube_radius
 
@@ -28,10 +27,9 @@ def _simulation():
     cfg = OcpConfig(h=0.1, T_p=0.3, Q=np.eye(3), R=np.eye(2), P=np.eye(3),
                     eps_omega=0.01, eps_psi=0.1, u_bar=2.0)
     starts = [np.array([0.0, 0.0, 0.0]), np.array([1.5, 0.0, 0.0])]
-    sim = Simulation(world=_world(), models=[UNICYCLE] * 2,
-                     references=starts, config=cfg, profile=TubeProfile(0.1, 2.0),
-                     schedule=[0, 1], disturbances=[None, None],
-                     initial_states=starts, total_time=0.3)
+    sim = Simulation(world=_world(), references=starts, config=cfg,
+                     profile=TubeProfile(0.1, 2.0), schedule=[0, 1],
+                     disturbances=[None, None], initial_states=starts, total_time=0.3)
     sim._bootstrap_board()
     sim._update_known_obstacles(0)
     return sim

@@ -62,19 +62,16 @@ def _world(n=2, obstacles=()):
 
 def test_validate_initial_passes_and_fails():
     world = _world()
-    models = [UNICYCLE] * 2
-    ok = validate_initial(world, [np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0])], models)
+    ok = validate_initial(world, [np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0])])
     assert ok.passed
-    bad = validate_initial(world, [np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.9, 0.0])], models)
+    bad = validate_initial(world, [np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.9, 0.0])])
     assert not bad.passed
     assert any("collide" in f for f in bad.failures)
 
 
 def test_validate_initial_workspace_and_velocity():
     world = _world()
-    models = [UNICYCLE] * 2
-    out = validate_initial(
-        world, [np.array([9.8, 0.0, 0.0]), np.array([9.8, 1.2, 0.0])], models)
+    out = validate_initial(world, [np.array([9.8, 0.0, 0.0]), np.array([9.8, 1.2, 0.0])])
     assert not out.passed
     assert any("workspace" in f for f in out.failures)
 
@@ -91,7 +88,6 @@ def test_prediction_entry_interpolates_and_holds():
 
 def _simulation(n=2, w_bar=0.0, total_time=0.5, schedule=None):
     world = _world(n)
-    models = [UNICYCLE] * n
     starts = [np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0]),
               np.array([0.0, -1.2, 0.0])][:n]
     goals = [np.array([3.0, 0.0, 0.0]), np.array([3.0, 1.2, 0.0]),
@@ -106,7 +102,7 @@ def _simulation(n=2, w_bar=0.0, total_time=0.5, schedule=None):
     else:
         dists = [None] * n
     return Simulation(
-        world=world, models=models, references=goals, config=cfg,
+        world=world, references=goals, config=cfg,
         profile=TubeProfile(max(w_bar, 1e-12), 2.0),
         schedule=schedule or list(range(n)), disturbances=dists,
         initial_states=starts, total_time=total_time, tube_cap=0.3)
@@ -515,7 +511,8 @@ def test_from_csv_names_the_line_of_an_error_in_a_later_block(monkeypatch, tmp_p
     with pytest.raises(ValueError, match="no data rows"):
         TrajectoryLog.from_csv(path, h=0.1)
     path.write_text("")
-    with pytest.raises(ValueError, match=r"missing column\(s\) t, agent, step, w_norm"):
+    with pytest.raises(ValueError, match=r"missing column\(s\) t, agent, step, x0, x1, x2, "
+                                         r"u0, u1, w_norm"):
         TrajectoryLog.from_csv(path, h=0.1)
 
 
@@ -694,7 +691,7 @@ def test_traces_without_rows_finalize(tmp_path):
         assert trace.margins.shape == (0, len(MARGIN_KINDS))
     log.to_csv(tmp_path / "log.csv")
     assert (tmp_path / "log.csv").read_bytes() == (
-        ",".join(coordination.csv_columns(3, 2)) + "\r\n").encode()
+        ",".join(coordination.CSV_COLUMNS) + "\r\n").encode()
 
 
 # chunk lengths of WorldModel.logged_margins: one row, a few rows, the
@@ -860,13 +857,12 @@ def test_separation_maintained_head_on():
     """Two agents with swapped lanes pass each other without violating the
     separation threshold read back from the log margins."""
     world = _world(2)
-    models = [UNICYCLE] * 2
     starts = [np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0])]
     goals = [np.array([2.0, 1.2, 0.0]), np.array([2.0, 0.0, 0.0])]
     cfg = OcpConfig(h=0.1, T_p=0.6, Q=0.5 * np.eye(3), R=0.05 * np.eye(2),
                     P=0.3 * np.eye(3), eps_omega=0.01, eps_psi=0.1, u_bar=8.0,
                     max_iterations=40, constraint_tol=1e-4)
-    sim = Simulation(world=world, models=models, references=goals, config=cfg,
+    sim = Simulation(world=world, references=goals, config=cfg,
                      profile=TubeProfile(1e-12, 2.0), schedule=[0, 1],
                      disturbances=[None, None], initial_states=starts,
                      total_time=1.5, tube_cap=0.3)
