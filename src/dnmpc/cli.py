@@ -6,9 +6,10 @@ with the model's exact one), ``verify`` (re-check an existing log), ``columns``
 (gnuplot-compatible manifest of the CSV columns).
 
 Scenario files are YAML; matrices are row-major nested lists; all physical
-quantities are SI. The stage/terminal weights may be given explicitly or via
-the seeded random recipe Q = 0.5 (I + 0.5 S), P = 0.3 (I + 0.5 S) with S a
-symmetrized uniform random matrix drawn from the scenario seed.
+quantities are SI. The stage and terminal weights are drawn by the seeded
+random recipe Q = 0.5 (I + 0.5 S), P = 0.3 (I + 0.5 S) with S a symmetrized
+uniform random matrix drawn from the scenario seed; the input weight R is
+given.
 """
 
 from __future__ import annotations
@@ -149,22 +150,19 @@ class Scenario:
 
 def _weights_from_recipe(section, seed):
     """Materialize Q, P (and R) from the scenario weight section: Q and P
-    drawn for the unicycle's state when it names the recipe, else read."""
+    drawn for the unicycle's state by the recipe, R read. The recipe's Q and
+    P are positive definite: S, symmetric with entries in [0, 1), has no
+    eigenvalue below -sqrt(2), so I + 0.5 S has none below 0.29."""
     dim = UNICYCLE.state_dim
     R = np.asarray(section["R"], dtype=float)
-    if "recipe" in section:
-        rng = np.random.default_rng(seed)
-        S = rng.uniform(0.0, 1.0, size=(dim, dim))
-        # only the symmetric part contributes to the quadratic forms
-        S = 0.5 * (S + S.T)
-        Q = 0.5 * (np.eye(dim) + 0.5 * S)
-        P = 0.3 * (np.eye(dim) + 0.5 * S)
-    else:
-        Q = np.asarray(section["Q"], dtype=float)
-        P = np.asarray(section["P"], dtype=float)
-    for name, M in (("Q", Q), ("P", P), ("R", R)):
-        if np.linalg.eigvalsh(0.5 * (M + M.T)).min() <= 0.0:
-            raise ScenarioError(f"weight {name} is not positive definite")
+    rng = np.random.default_rng(seed)
+    S = rng.uniform(0.0, 1.0, size=(dim, dim))
+    # only the symmetric part contributes to the quadratic forms
+    S = 0.5 * (S + S.T)
+    Q = 0.5 * (np.eye(dim) + 0.5 * S)
+    P = 0.3 * (np.eye(dim) + 0.5 * S)
+    if np.linalg.eigvalsh(0.5 * (R + R.T)).min() <= 0.0:
+        raise ScenarioError("weight R is not positive definite")
     return Q, R, P
 
 
@@ -175,7 +173,7 @@ _SCENARIO_KEYS = frozenset((
     "schedule", "workspace", "obstacles", "weights", "disturbance", "agents"))
 _AGENT_KEYS = frozenset(("radius", "sensing_range", "detection_range", "start", "goal"))
 _BALL_KEYS = frozenset(("center", "radius"))  # the workspace's and each obstacle's
-_WEIGHT_KEYS = frozenset(("recipe", "R", "Q", "P"))
+_WEIGHT_KEYS = frozenset(("recipe", "R"))
 _DISTURBANCE_KEYS = frozenset(("amplitude", "frequency"))
 
 
@@ -291,12 +289,10 @@ def _validate(scenario: Scenario, path):
                 if value.shape != (UNICYCLE.state_dim,) or not np.all(np.isfinite(value)):
                     raise ValueError(f"agent {k} {name} must be {UNICYCLE.state_dim} "
                                      f"finite numbers, got {value.tolist()}")
-        for name, dim in (("Q", UNICYCLE.state_dim), ("P", UNICYCLE.state_dim),
-                          ("R", UNICYCLE.input_dim)):
-            shape = getattr(scenario, name).shape
-            if shape != (dim, dim):
-                raise ValueError(f"weight {name} must be {dim}x{dim}, "
-                                 f"got {'x'.join(map(str, shape))}")
+        dim = UNICYCLE.input_dim
+        if scenario.R.shape != (dim, dim):
+            raise ValueError(f"weight R must be {dim}x{dim}, "
+                             f"got {'x'.join(map(str, scenario.R.shape))}")
         sim = scenario.build_simulation()
         scenario.build_certificate()
     except ValueError as exc:

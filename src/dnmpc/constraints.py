@@ -128,27 +128,22 @@ class StageGeometry:
 
     Built once from per-kind entries: `interagent` (label, traj (T, d), min
     dist), `neighbor` (label, traj (T, d), max dist), `obstacles` (label,
-    center (d,), min dist) and `workspace` (center (d,), max dist). They are
-    kept only as stacked columns, in MARGIN_KINDS order: the margin of column
-    c is sign[c] * |pos - anchors[:, c]| + offset[c], of kind
+    center (d,), min dist) and the required `workspace` (center (d,), max
+    dist), so that every geometry has a column. They are kept only as
+    stacked columns, in MARGIN_KINDS order: the margin of column c is
+    sign[c] * |pos - anchors[:, c]| + offset[c], of kind
     MARGIN_KINDS[kinds[c]] against labels[c] ("agent1", "obst0",
     "workspace"). `anchors` is (T, C, d), the others (C,).
     """
 
-    def __init__(self, taus, interagent=(), neighbor=(), obstacles=(), workspace=None):
+    def __init__(self, taus, *, workspace, interagent=(), neighbor=(), obstacles=()):
+        center, limit = workspace
         entries = ([(label, traj, 1.0, -thr, 0) for label, traj, thr in interagent]
                    + [(label, traj, -1.0, thr, 1) for label, traj, thr in neighbor]
-                   + [(label, center, 1.0, -thr, 2) for label, center, thr in obstacles])
-        if workspace is not None:
-            center, limit = workspace
-            entries.append(("workspace", center, -1.0, limit, 3))
-        T = len(taus)
-        if not entries:  # a unit position axis broadcasts against any position
-            self.anchors, self.sign, self.offset = np.zeros((T, 0, 1)), np.zeros(0), np.zeros(0)
-            self.kinds, self.labels = np.zeros(0, dtype=int), []
-            return
+                   + [(label, anchor, 1.0, -thr, 2) for label, anchor, thr in obstacles]
+                   + [("workspace", center, -1.0, limit, 3)])
         labels, anchors, sign, offset, kinds = zip(*entries)
-        self.anchors = np.empty((T, len(entries), np.shape(anchors[0])[-1]))
+        self.anchors = np.empty((len(taus), len(entries), len(center)))
         for c, anchor in enumerate(anchors):
             self.anchors[:, c] = anchor
         self.sign, self.offset, self.kinds = np.array(sign), np.array(offset), np.array(kinds)

@@ -30,6 +30,7 @@ whole ball.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 import time
@@ -136,7 +137,8 @@ class AgentTrace:
     """Time-indexed true trajectory and per-step solver metadata.
 
     `times`, `states`, `inputs`, `w_norms` and `V` hold one entry per logged
-    sample: a running simulation appends to lists, while
+    sample, the t = 0 one and then `OcpConfig.substeps` per sampling step:
+    a running simulation appends to lists, while
     :meth:`Simulation.finalize_log` and :meth:`TrajectoryLog.from_csv`
     return arrays.
     """
@@ -204,8 +206,10 @@ def _line_blocks(fh):
 
 @dataclass
 class TrajectoryLog:
+    """A run's log: one AgentTrace per agent, in agent order. Every run
+    logs `OcpConfig.substeps` rows per sampling step."""
+
     traces: list
-    meta: dict = field(default_factory=dict)
 
     def to_csv(self, path):
         """Write the log as one flat CSV, one row per agent per substep.
@@ -213,11 +217,10 @@ class TrajectoryLog:
         Solver columns (step, status, cost, errsq_int, relaxation flags)
         repeat the values of the sampling step the row belongs to; the t = 0
         row carries step -1 and empty solver fields. The step of a row is its
-        substep index over `meta["substeps"]`. A log without `substeps`, or
-        with a trace without margins, raises a ValueError that names it.
-        Floats are written with `repr` so identical runs produce
-        byte-identical files; rows end in CRLF, as the csv module writes
-        them.
+        substep index over `OcpConfig.substeps`. A trace without margins
+        raises a ValueError that names it. Floats are written with `repr` so
+        identical runs produce byte-identical files; rows end in CRLF, as the
+        csv module writes them.
 
         The fields are formatted column by column over chunks of
         `_CSV_CHUNK_ROWS` rows, with one `repr` per run of equal bit patterns
@@ -225,12 +228,9 @@ class TrajectoryLog:
         disturbance norm), and the agents' times formatted once where their
         chunks are equal.
         """
-        if "substeps" not in self.meta:
-            raise ValueError("the log's meta has no 'substeps', which numbers the step column")
         for i, trace in enumerate(self.traces):
             if trace.margins is None:
                 raise ValueError(f"trace {i} has no margins, which fill the margin columns")
-        substeps = int(self.meta["substeps"])
         time_cells = {}  # chunk start -> (the chunk's times as bits, their strings)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\r\n")
@@ -246,7 +246,7 @@ class TrajectoryLog:
                     f"{m['status']},{float(m['cost'])!r},{float(m['errsq_int'])!r},"
                     f"{int(m['terminal_relaxed'])},{int(m['tube_capped'])}"
                     for m in trace.step_meta], dtype=object)
-                steps = np.arange(-1, T - 1) // substeps
+                steps = np.arange(-1, T - 1) // OcpConfig.substeps
                 agent = str(i)
                 for start in range(0, T, _CSV_CHUNK_ROWS):
                     rows = slice(start, start + _CSV_CHUNK_ROWS)
@@ -267,18 +267,18 @@ class TrajectoryLog:
     def from_csv(cls, path, h):
         """Rebuild a TrajectoryLog (array-valued traces with states, inputs,
         V, margins, and per-step solver metadata) from a file written by
-        `to_csv`, whose sampling steps are `h` apart. The substep count is
-        that of the step column.
+        `to_csv`, whose sampling steps are `h` apart.
 
-        Columns are found by their `CSV_COLUMNS` names, so a file from an
-        older schema with extra columns still reads; a missing column, no
-        data rows, agent ids other than 0..k-1, an agent or step that is not a
-        finite integer, a row of the wrong length (a truncated file), an
-        unparsable field or a value that no run logs raises ValueError, which
-        names the file and, for a row, its line. A run logs finite times,
-        states, `w_norm`, `V`, costs and `errsq_int`, margins that are not NaN
-        (inf where a kind has no column) and inputs that are NaN only at step
-        -1.
+        The header must be `CSV_COLUMNS`: the numeric columns are read by
+        position and the solver fields are each row's last five. Another
+        header, no data rows, agent ids other than 0..k-1, an agent or step
+        that is not a finite integer, a row of the wrong length (a truncated
+        file), an unparsable field or a value that no run logs raises
+        ValueError, which names the file and, for the header, its first
+        column that differs or, for a row, its line. A run logs finite times,
+        states, `w_norm`, `V`, costs and `errsq_int`, margins that are not
+        NaN (inf where a kind has no column) and inputs that are NaN only at
+        step -1.
 
         The file is read in blocks of whole lines of about `_CSV_BLOCK_BYTES`
         (1 MiB), so that the text of one block at a time is held, not the
@@ -291,12 +291,14 @@ class TrajectoryLog:
             blocks = _line_blocks(fh)
             rows = next(blocks, [""])  # an empty file has an empty header
             header = rows.pop(0).split(",")
-            missing = [name for name in CSV_COLUMNS if name not in header]
-            if missing:
-                raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-            col = {name: header.index(name) for name in CSV_COLUMNS}
+            # the first column where the header and CSV_COLUMNS differ, by repr
+            c, got, want = next(((c, got, want) for c, (got, want) in enumerate(
+                itertools.zip_longest(map(repr, header), map(repr, CSV_COLUMNS),
+                                      fillvalue="nothing")) if got != want), (0, None, None))
+            if got != want:
+                raise ValueError(f"{path}: header column {c + 1} is {got}, expected {want}")
             numeric = CSV_COLUMNS[:-len(_SOLVER_COLUMNS)]
-            usecols = [col[name] for name in numeric]
+            usecols = range(len(numeric))
             n_x = UNICYCLE.state_dim
             k = 3 + n_x + UNICYCLE.input_dim  # w_norm, then V, then the margins
             # the columns a run logs finite: t, the states, w_norm and V
@@ -321,15 +323,14 @@ class TrajectoryLog:
                     whole = np.isfinite(key) & (np.trunc(key) == key)
                     if not whole.all():
                         r, c = np.argwhere(~whole)[0]
-                        name = ("agent", "step")[c]
-                        raise ValueError(f"{path}: line {row + 2 + r}: {name} "
-                                         f"{rows[r].split(',')[col[name]]!r} is not an integer")
+                        raise ValueError(f"{path}: line {row + 2 + r}: {numeric[c + 1]} "
+                                         f"{rows[r].split(',')[c + 1]!r} is not an integer")
                     bad = np.isnan(part) | (finite & np.isinf(part))
                     bad[:, 3 + n_x:k] &= part[:, 2:3] != -1  # the inputs of step -1 are NaN
                     if bad.any():
                         r, c = np.argwhere(bad)[0]
                         raise ValueError(f"{path}: line {row + 2 + r}: {numeric[c]} "
-                                         f"{rows[r].split(',')[usecols[c]]!r} is "
+                                         f"{rows[r].split(',')[c]!r} is "
                                          + ("not finite" if finite[c] else "NaN"))
                     key = key.astype(int)
                     first = np.flatnonzero(np.concatenate(
@@ -360,29 +361,29 @@ class TrajectoryLog:
             for step, j in zip(step_values.tolist(), own[first].tolist()):
                 if step < 0:
                     continue
-                fields = texts[j].split(",")
+                status, cost, errsq_int, relaxed, capped = (
+                    texts[j].split(",")[-len(_SOLVER_COLUMNS):])
                 try:
                     record = {
                         "t": step * h,
-                        "status": fields[col["status"]],
-                        "cost": float(fields[col["cost"]]),
-                        "errsq_int": float(fields[col["errsq_int"]]),
-                        "terminal_relaxed": bool(int(fields[col["terminal_relaxed"]])),
-                        "tube_capped": bool(int(fields[col["tube_capped"]])),
+                        "status": status,
+                        "cost": float(cost),
+                        "errsq_int": float(errsq_int),
+                        "terminal_relaxed": bool(int(relaxed)),
+                        "tube_capped": bool(int(capped)),
                     }
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {starts[j] + 2}: {exc}") from exc
                 if not (math.isfinite(record["cost"]) and math.isfinite(record["errsq_int"])):
-                    name = "cost" if not math.isfinite(record["cost"]) else "errsq_int"
-                    raise ValueError(f"{path}: line {starts[j] + 2}: {name} "
-                                     f"{fields[col[name]]!r} is not finite")
+                    name, text = (("cost", cost) if not math.isfinite(record["cost"])
+                                  else ("errsq_int", errsq_int))
+                    raise ValueError(f"{path}: line {starts[j] + 2}: {name} {text!r} is not finite")
                 step_meta.append(record)
             traces.append(AgentTrace(
                 times=block[:, 0], states=block[:, 3:3 + n_x], inputs=block[:, 3 + n_x:k],
                 w_norms=block[:, k], V=block[:, k + 1], margins=block[:, k + 2:],
                 step_meta=step_meta))
-        substeps = int(np.bincount(agents[steps == 0]).max(initial=0))
-        return cls(traces=traces, meta={"h": h, "substeps": substeps})
+        return cls(traces=traces)
 
 
 def _stacked(rows, width):
@@ -726,9 +727,7 @@ class Simulation:
                                w_norms=np.array(tr.w_norms, dtype=float),
                                V=np.array(tr.V, dtype=float),
                                step_meta=list(tr.step_meta))
-                    for tr in self.traces],
-            meta={"h": self.config.h, "substeps": self.config.substeps},
-        )
+                    for tr in self.traces])
         self._fill_margins(log_out)
         return log_out
 

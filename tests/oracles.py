@@ -151,8 +151,8 @@ def count_jacobians(monkeypatch):
 def write_csv_rows(log, path):
     """Write `log` (a TrajectoryLog) as `TrajectoryLog.to_csv` does, one row
     at a time: each row's floats by `repr` of the row's list, its step as the
-    row's substep index over `meta["substeps"]`."""
-    substeps = int(log.meta["substeps"])
+    row's substep index over `OcpConfig.substeps`."""
+    substeps = ocp.OcpConfig.substeps
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for i, trace in enumerate(log.traces):
@@ -228,8 +228,7 @@ def read_csv_whole(path, h):
             times=block[:, 0], states=block[:, 3:3 + n_x], inputs=block[:, 3 + n_x:k],
             w_norms=block[:, k], V=block[:, k + 1], margins=block[:, k + 2:],
             step_meta=step_meta))
-    substeps = int(np.bincount(agents[steps == 0]).max(initial=0))
-    return TrajectoryLog(traces=traces, meta={"h": h, "substeps": substeps})
+    return TrajectoryLog(traces=traces)
 
 
 def logged_geometry_whole(world, i, times, positions, eps):

@@ -23,10 +23,11 @@ def _variant(tmp_path, **overrides):
     return path
 
 
-def _weights(Q=3, P=3, R=2):
-    """Explicit weights with identity matrices of the given sizes (the
-    unicycle's are 3, 3 and 2)."""
-    return {"Q": np.eye(Q).tolist(), "P": np.eye(P).tolist(), "R": np.eye(R).tolist()}
+def _weights(R=2, **given):
+    """The recipe's weights with an identity R of the given size (the
+    unicycle's is 2) and the `given` identity matrices, of the sizes given."""
+    return {"recipe": "seeded-random", "R": np.eye(R).tolist(),
+            **{name: np.eye(size).tolist() for name, size in given.items()}}
 
 
 def _disturbance(**fields):
@@ -204,8 +205,7 @@ def _start_log():
     return TrajectoryLog(
         traces=[AgentTrace(times=[0.0], states=[spec.start], inputs=[np.full(2, np.nan)],
                            w_norms=[0.0], V=[0.0], margins=np.full((1, 4), np.inf))
-                for spec in load_scenario(SCENARIO).agents],
-        meta={"h": 0.1, "substeps": 10})
+                for spec in load_scenario(SCENARIO).agents])
 
 
 def test_columns_match_csv_header(tmp_path, capsys):
@@ -267,7 +267,7 @@ def test_verify_rejects_a_position_that_hides_a_close_pass(tmp_path, capsys):
         V=np.zeros(3), margins=np.zeros((3, 4)),
         step_meta=[{"t": 0.0, "status": "optimal", "cost": 1.0, "errsq_int": 0.0,
                     "terminal_relaxed": False, "tube_capped": True}])
-        for start in starts], meta={"h": 0.1, "substeps": 10})
+        for start in starts])
     path = tmp_path / "close.csv"
     log.to_csv(path)
     assert main(["verify", str(path), str(SCENARIO)]) == 1
@@ -312,8 +312,8 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
      "agent 0 start must be 3 finite numbers"),
     ({"agents": _agents_with(1, start=[-6.0, float("nan"), 0.0])}, [],
      "agent 1 start must be 3 finite numbers"),
-    ({"weights": _weights(Q=2)}, [], "weight Q must be 3x3, got 2x2"),
-    ({"weights": _weights(P=2)}, [], "weight P must be 3x3, got 2x2"),
+    ({"weights": _weights(Q=3)}, [], "unknown field 'Q' of weights"),
+    ({"weights": _weights(P=3)}, [], "unknown field 'P' of weights"),
     ({"weights": _weights(R=3)}, [], "weight R must be 2x2, got 3x3"),
     ({"disturbance": _disturbance(amplitude=float("nan"))}, [],
      "disturbance amplitude must be finite, got nan"),
@@ -348,7 +348,7 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
 ], ids=["total_time", "L_V", "u_bar", "w_bar", "L_g", "tube_cap-negative", "tube_cap-text",
         "agents-empty",
         "agents-not-mappings", "agents-start-short", "agents-start-nan",
-        "weights-Q-2x2", "weights-P-2x2", "weights-R-3x3", "disturbance-amplitude-nan",
+        "weights-Q-given", "weights-P-given", "weights-R-3x3", "disturbance-amplitude-nan",
         "disturbance-frequency-inf", "disturbance-amplitude-text",
         "disturbance-frequency-text", "constraint_tol-nan", "constraint_tol-negative",
         "max_iterations-0", "unknown-key", "sup_error-removed", "agents-unknown-key",

@@ -94,9 +94,6 @@ def test_geometry_margins_stacked_match_per_column_distances():
     per_column = np.stack([dist(_OTHER) - 1.01, 1.99 - dist(_OTHER), dist(_OBSTACLE) - 1.51,
                            9.49 - dist(np.zeros(2))], axis=-1)
     assert np.array_equal(geo.margins(pos)[0], per_column)
-    margins, gradient = StageGeometry(taus=np.array([0.1, 0.2, 0.3])).margins(pos)
-    assert margins.shape == (5, 3, 0)
-    assert gradient().shape == (5, 3, 0, 2)
 
 
 def _central_difference(fn, pos, eps=1e-6):
@@ -175,7 +172,8 @@ def test_pair_windows_detection():
     for entries in ({"interagent": [("agent1", _OTHER, 1.01)]},
                     {"interagent": [("agent2", _OTHER, 1.01)],
                      "neighbor": [("agent1", _OTHER, 1.99)]}):
-        lone = StageGeometry(taus=np.array([0.1, 0.2, 0.3]), **entries)
+        lone = StageGeometry(taus=np.array([0.1, 0.2, 0.3]), workspace=(np.zeros(2), 9.49),
+                             **entries)
         assert lone.pair_windows().shape == (2, 0)
 
 
@@ -196,6 +194,8 @@ def _ball_points(goal, radius, anchors):
 
 
 _coord = st.floats(-4.0, 4.0)
+# a workspace limit that no point within 10 m of the origin comes near
+_LOOSE = 100.0
 
 
 @given(columns=st.lists(st.tuples(st.sampled_from(MARGIN_KINDS), _coord, _coord,
@@ -206,11 +206,14 @@ _coord = st.floats(-4.0, 4.0)
 def test_terminal_excluded_is_sound(columns, goal, radius, rho_end):
     """If the check excludes the ball, every sampled point of it misses some
     last-row tightened margin by more than tol; if a sampled point meets them
-    all, the check does not exclude. Earlier rows do not take part."""
+    all, the check does not exclude. Earlier rows do not take part. Without a
+    drawn workspace column, the geometry's workspace is one that no sampled
+    point leaves."""
     tol = 1e-4
     taus = np.array([0.1, 0.2, 0.3])
     early = np.array([[40.0, 0.0], [40.0, 0.0]])  # rows 0 and 1
-    entries = {"interagent": [], "neighbor": [], "obstacles": [], "workspace": None}
+    entries = {"interagent": [], "neighbor": [], "obstacles": [],
+               "workspace": (np.zeros(2), _LOOSE)}
     anchors = []
     for k, (kind, x, y, threshold) in enumerate(columns):
         anchor = np.array([x, y])
@@ -239,8 +242,10 @@ def test_terminal_excluded_is_sound(columns, goal, radius, rho_end):
 
 def test_terminal_excluded_hand_built():
     tol = 1e-4
+    workspace = (np.zeros(2), _LOOSE)
     # sign +1: an obstacle at the origin to be kept 1.0 away
-    obstacle = StageGeometry(taus=np.array([0.1, 0.2]), obstacles=[("obst0", np.zeros(2), 1.0)])
+    obstacle = StageGeometry(taus=np.array([0.1, 0.2]), workspace=workspace,
+                             obstacles=[("obst0", np.zeros(2), 1.0)])
     goal = np.array([0.5, 0.0])
     # farthest point of the ball is 0.7 away: margin -0.3
     assert obstacle.terminal_excluded(goal, 0.2, 0.0, tol)
@@ -248,7 +253,7 @@ def test_terminal_excluded_hand_built():
     assert not obstacle.terminal_excluded(goal, 0.6, 0.0, tol)
     assert obstacle.terminal_excluded(goal, 0.6, 0.2, tol)
     # sign -1: a neighbor at the origin on its last row, to be kept within 2.0
-    neighbor = StageGeometry(taus=np.array([0.1, 0.2]),
+    neighbor = StageGeometry(taus=np.array([0.1, 0.2]), workspace=workspace,
                              neighbor=[("agent1", np.array([[3.0, 0.0], [0.0, 0.0]]), 2.0)])
     goal = np.array([3.0, 0.0])
     # nearest point of the ball is 2.5 away: margin -0.5
@@ -261,7 +266,6 @@ def test_terminal_excluded_hand_built():
     assert neighbor.terminal_excluded(np.array([0.1, 0.0]), 0.5, 2.0 + 2 * tol, tol)
     # a miss by tol or less does not exclude
     assert not neighbor.terminal_excluded(goal, 1.0 - tol / 2, 0.0, tol)
-    assert not StageGeometry(taus=np.array([0.1])).terminal_excluded(goal, 0.1, 0.0, tol)
 
 
 def test_tube_profile_radii_cap():
@@ -283,16 +287,18 @@ def test_build_stage_constraints_counts_and_missing_prediction():
     pos = np.zeros((3, 2))
     margins, _ = geo.margins(pos)
     assert margins.shape == (3, len(MARGIN_KINDS))
-    # columns in MARGIN_KINDS order: each equals a one-kind geometry's margin,
-    # against agent 1's posted prediction, held at (1.5, 0)
+    # columns in MARGIN_KINDS order: each equals the first column of a
+    # geometry of its kind and the workspace, against agent 1's posted
+    # prediction, held at (1.5, 0)
     track = sim.board[1].positions_at(taus)
     for column, kind in enumerate(({"interagent": [("agent1", track, 1.01)]},
                                    {"neighbor": [("agent1", track, 1.99)]},
                                    {"obstacles": [("obst0", np.array([3.0, 0.0]), 1.51)]},
-                                   {"workspace": (np.zeros(2), 9.49)})):
-        single, _ = StageGeometry(taus=taus, **kind).margins(pos)
-        assert single.shape == (3, 1)
+                                   {})):
+        single, _ = StageGeometry(taus=taus, workspace=(np.zeros(2), 9.49), **kind).margins(pos)
+        assert single.shape == (3, 2 if kind else 1)
         assert np.array_equal(margins[:, column], single[:, 0])
+        assert np.array_equal(margins[:, 3], single[:, -1])
     del sim.board[1]
     with pytest.raises(KeyError):
         sim._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))

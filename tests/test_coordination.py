@@ -252,7 +252,6 @@ def test_csv_roundtrip(tmp_path):
     log.to_csv(path)
     back = TrajectoryLog.from_csv(path, h=0.1)
     assert len(back.traces) == len(log.traces)
-    assert back.meta["substeps"] == log.meta["substeps"]
     for ta, tb in zip(log.traces, back.traces):
         for name in ("times", "states", "inputs", "w_norms", "V", "margins"):
             assert np.array_equal(np.asarray(getattr(ta, name)), getattr(tb, name),
@@ -282,13 +281,14 @@ _SPECIAL = [0.0, -0.0, np.nan, _NAN_PAYLOAD, np.inf, -np.inf, 1e16, 1e-05, 5e-32
             0.1 + 0.2, 1.0000000000000002, 1.0 / 3.0]
 
 
-def _hand_trace(T, rng, substeps=10, finite=False):
+def _hand_trace(T, rng, finite=False):
     """A hand-built trace of T rows as the engine logs them: NaN inputs at t
-    = 0, then each step's input held over its substeps, and one solve
+    = 0, then each step's input held over its `OcpConfig.substeps`, and one solve
     record per step. Its states hold 0.0, -0.0, 0.0 in a row and the special
     values; its margins are drawn from +-inf, +-0.0 and 0.5. With `finite`,
     its NaN and infinite states and inputs after t = 0 are 0.25, as in a log
     that `from_csv` reads."""
+    substeps = OcpConfig.substeps
     n_steps = -(-(T - 1) // substeps)
     held = rng.choice(_SPECIAL + rng.normal(size=6).tolist(), size=(n_steps, 2))
     held[:1] = [0.0, -0.0]
@@ -325,7 +325,7 @@ def test_to_csv_writes_the_row_writers_bytes(monkeypatch, tmp_path, chunk):
     rng = np.random.default_rng(3)
     traces = [_hand_trace(301, rng), _hand_trace(296, rng), _hand_trace(301, rng)]
     traces[2].times[0] = -0.0
-    log = TrajectoryLog(traces=traces, meta={"substeps": 10})
+    log = TrajectoryLog(traces=traces)
     got, want = tmp_path / "columns.csv", tmp_path / "rows.csv"
     log.to_csv(got)
     write_csv_rows(log, want)
@@ -352,9 +352,8 @@ def _run_columns(draw, rows, count):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), chunk=st.sampled_from([2, 5, coordination._CSV_CHUNK_ROWS]))
 def test_to_csv_matches_the_row_writer_on_repeated_runs(tmp_path_factory, data, chunk):
-    """Random columns of repeated runs, in traces of random lengths and
-    substep counts, write the row writer's bytes at every chunk size."""
-    substeps = data.draw(st.integers(1, 12))
+    """Random columns of repeated runs, in traces of random lengths, write
+    the row writer's bytes at every chunk size."""
     traces = []
     for _ in range(data.draw(st.integers(1, 3))):
         T = data.draw(st.integers(1, 300))
@@ -364,8 +363,8 @@ def test_to_csv_matches_the_row_writer_on_repeated_runs(tmp_path_factory, data, 
             V=block[:, 7], margins=block[:, 8:],
             step_meta=[{"status": "optimal", "cost": 0.5, "errsq_int": 0.0,
                         "terminal_relaxed": False, "tube_capped": False}]
-            * (-(-(T - 1) // substeps))))
-    log = TrajectoryLog(traces=traces, meta={"substeps": substeps})
+            * (-(-(T - 1) // OcpConfig.substeps))))
+    log = TrajectoryLog(traces=traces)
     directory = tmp_path_factory.getbasetemp()
     got, want = directory / "runs_columns.csv", directory / "runs_rows.csv"
     with pytest.MonkeyPatch.context() as patch:
@@ -375,23 +374,19 @@ def test_to_csv_matches_the_row_writer_on_repeated_runs(tmp_path_factory, data, 
     assert got.read_bytes() == want.read_bytes()
 
 
-def test_to_csv_needs_the_substep_count_and_every_traces_margins(tmp_path):
-    """A log whose meta lacks `substeps`, or with a trace without margins,
-    raises a ValueError naming the missing one, single-row logs included,
-    and writes no file; with both, a log of single-row traces writes the
-    row writer's bytes."""
+def test_to_csv_needs_every_traces_margins(tmp_path):
+    """A log with a trace without margins raises a ValueError naming it,
+    single-row logs included, and writes no file; with them, a log of
+    single-row traces writes the row writer's bytes."""
     rng = np.random.default_rng(5)
     path = tmp_path / "log.csv"
-    for traces in ([_hand_trace(1, rng), _hand_trace(21, rng, substeps=5)],
+    for traces in ([_hand_trace(1, rng), _hand_trace(21, rng)],
                    [_hand_trace(1, rng), _hand_trace(1, rng)]):
-        with pytest.raises(ValueError, match="the log's meta has no 'substeps'"):
-            TrajectoryLog(traces=traces).to_csv(path)
         traces[1].margins = None
         with pytest.raises(ValueError, match="trace 1 has no margins"):
-            TrajectoryLog(traces=traces, meta={"substeps": 5}).to_csv(path)
+            TrajectoryLog(traces=traces).to_csv(path)
     assert not path.exists()
-    single = TrajectoryLog(traces=[_hand_trace(1, rng), _hand_trace(1, rng)],
-                           meta={"substeps": 10})
+    single = TrajectoryLog(traces=[_hand_trace(1, rng), _hand_trace(1, rng)])
     single.to_csv(path)
     write_csv_rows(single, tmp_path / "rows.csv")
     assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -399,9 +394,9 @@ def test_to_csv_needs_the_substep_count_and_every_traces_margins(tmp_path):
 
 def _assert_reads_as_the_whole_file(path):
     """from_csv of `path` returns the whole-file reader's traces bit for bit,
-    NaN payloads included, its step records and its meta."""
+    NaN payloads included, and its step records."""
     got, want = TrajectoryLog.from_csv(path, h=0.1), read_csv_whole(path, h=0.1)
-    assert got.meta == want.meta and len(got.traces) == len(want.traces)
+    assert len(got.traces) == len(want.traces)
     for a, b in zip(got.traces, want.traces):
         for name in ("times", "states", "inputs", "w_norms", "V", "margins"):
             x, y = getattr(a, name), getattr(b, name)
@@ -414,8 +409,7 @@ def _rewritten(data, case, rng):
     """The CSV bytes `data` as `case`: "written" as they are; "no final
     newline"; "scrambled", its rows in a random order (agents interleaved,
     steps out of order) with a cost of its own on every row, so that only
-    the first row of a step gives the step's record; "extra column", an
-    older schema's column `old` after `V`."""
+    the first row of a step gives the step's record."""
     lines = data.decode().split("\r\n")[:-1]
     if case == "no final newline":
         return data[:-2]
@@ -426,15 +420,10 @@ def _rewritten(data, case, rng):
             if fields[header.index("step")] != "-1":
                 fields[header.index("cost")] = repr(0.5 + k)
         lines = [lines[0]] + [",".join(rows[k]) for k in rng.permutation(len(rows))]
-    elif case == "extra column":
-        at = lines[0].split(",").index("V") + 1
-        lines = [",".join(fields[:at] + [value] + fields[at:])
-                 for fields, value in zip((line.split(",") for line in lines),
-                                          ["old"] + [f"x{k}" for k in range(len(lines))])]
     return ("\r\n".join(lines) + "\r\n").encode()
 
 
-@pytest.mark.parametrize("case", ["written", "no final newline", "scrambled", "extra column"])
+@pytest.mark.parametrize("case", ["written", "no final newline", "scrambled"])
 @pytest.mark.parametrize("block", [7, 600, coordination._CSV_BLOCK_BYTES])
 def test_from_csv_reads_blocks_as_the_whole_file_reader(monkeypatch, tmp_path, case, block):
     """Blocks of 7 bytes (shorter than a line) and 600 (two or three rows,
@@ -444,7 +433,7 @@ def test_from_csv_reads_blocks_as_the_whole_file_reader(monkeypatch, tmp_path, c
     traces = [_hand_trace(301, rng, finite=True), _hand_trace(296, rng, finite=True),
               _hand_trace(301, rng, finite=True)]
     written = tmp_path / "written.csv"
-    TrajectoryLog(traces=traces, meta={"substeps": 10}).to_csv(written)
+    TrajectoryLog(traces=traces).to_csv(written)
     path = tmp_path / "case.csv"
     path.write_bytes(_rewritten(written.read_bytes(), case, rng))
     assert path.stat().st_size > 100 * 600
@@ -455,17 +444,14 @@ def test_from_csv_reads_blocks_as_the_whole_file_reader(monkeypatch, tmp_path, c
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), block=st.integers(1, 3000))
 def test_from_csv_matches_the_whole_file_reader_on_small_logs(tmp_path_factory, data, block):
-    """Random small logs of 1 to 3 traces and random substep counts, in any
-    of `_rewritten`'s forms, read as the whole file reads at any block
-    size."""
+    """Random small logs of 1 to 3 traces of random lengths, in any of
+    `_rewritten`'s forms, read as the whole file reads at any block size."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    substeps = data.draw(st.integers(1, 5))
-    traces = [_hand_trace(data.draw(st.integers(1, 40)), rng, substeps=substeps, finite=True)
+    traces = [_hand_trace(data.draw(st.integers(1, 80)), rng, finite=True)
               for _ in range(data.draw(st.integers(1, 3)))]
     path = tmp_path_factory.getbasetemp() / "small.csv"
-    TrajectoryLog(traces=traces, meta={"substeps": substeps}).to_csv(path)
-    case = data.draw(st.sampled_from(["written", "no final newline", "scrambled",
-                                      "extra column"]))
+    TrajectoryLog(traces=traces).to_csv(path)
+    case = data.draw(st.sampled_from(["written", "no final newline", "scrambled"]))
     path.write_bytes(_rewritten(path.read_bytes(), case, rng))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coordination, "_CSV_BLOCK_BYTES", block)
@@ -476,11 +462,11 @@ def test_from_csv_names_the_line_of_an_error_in_a_later_block(monkeypatch, tmp_p
     """In 600-byte blocks, a short row, an unparsable numeric field and an
     unparsable solver field far into the file raise a ValueError that names
     the file and the row's line in the file; a header alone has no data
-    rows, and an empty file misses every column."""
+    rows."""
     rng = np.random.default_rng(9)
     written = tmp_path / "written.csv"
-    TrajectoryLog(traces=[_hand_trace(301, rng, finite=True), _hand_trace(301, rng, finite=True)],
-                  meta={"substeps": 10}).to_csv(written)
+    traces = [_hand_trace(301, rng, finite=True), _hand_trace(301, rng, finite=True)]
+    TrajectoryLog(traces=traces).to_csv(written)
     lines = written.read_text().splitlines()
     header = lines[0].split(",")
     monkeypatch.setattr(coordination, "_CSV_BLOCK_BYTES", 600)
@@ -510,10 +496,40 @@ def test_from_csv_names_the_line_of_an_error_in_a_later_block(monkeypatch, tmp_p
     path.write_text(lines[0] + "\r\n")
     with pytest.raises(ValueError, match="no data rows"):
         TrajectoryLog.from_csv(path, h=0.1)
-    path.write_text("")
-    with pytest.raises(ValueError, match=r"missing column\(s\) t, agent, step, x0, x1, x2, "
-                                         r"u0, u1, w_norm"):
+
+
+# how each case rewrites a row's fields, the header's included, and the
+# first header column that then differs: its number, what it holds and what
+# CSV_COLUMNS holds there
+_HEADERS = {
+    "extra column after V": (lambda fields, new: fields[:10] + [new] + fields[10:],
+                             11, "'old'", "'m_inter_agent'"),
+    "extra column at the end": (lambda fields, new: fields + [new], 20, "'old'", "nothing"),
+    "two columns swapped": (lambda fields, new: [fields[0], fields[2], fields[1], *fields[3:]],
+                            2, "'step'", "'agent'"),
+    "missing column": (lambda fields, new: fields[:-1], 19, "nothing", "'tube_capped'"),
+    "empty file": (None, 1, "''", "'t'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_HEADERS))
+def test_from_csv_rejects_another_header(tmp_path, case):
+    """A file whose header is not CSV_COLUMNS, its rows rewritten to match
+    that header, raises a ValueError that names the file and the header's
+    first column that differs; an empty file has an empty header."""
+    rewrite, column, got, want = _HEADERS[case]
+    path = tmp_path / "log.csv"
+    if rewrite is None:
+        path.write_text("")
+    else:
+        rng = np.random.default_rng(14)
+        TrajectoryLog(traces=[_hand_trace(31, rng, finite=True)]).to_csv(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(",".join(rewrite(line.split(","), "old" if k == 0 else "0.5"))
+                                  for k, line in enumerate(lines)) + "\n")
+    with pytest.raises(ValueError) as caught:
         TrajectoryLog.from_csv(path, h=0.1)
+    assert str(caught.value) == f"{path}: header column {column} is {got}, expected {want}"
 
 
 @pytest.mark.filterwarnings("error")
@@ -527,8 +543,8 @@ def test_from_csv_rejects_an_agent_or_step_that_is_not_an_integer(monkeypatch, t
     warning of numpy's cast before it."""
     rng = np.random.default_rng(12)
     written = tmp_path / "written.csv"
-    TrajectoryLog(traces=[_hand_trace(301, rng, finite=True), _hand_trace(301, rng, finite=True)],
-                  meta={"substeps": 10}).to_csv(written)
+    traces = [_hand_trace(301, rng, finite=True), _hand_trace(301, rng, finite=True)]
+    TrajectoryLog(traces=traces).to_csv(written)
     lines = written.read_text().splitlines()
     column = lines[0].split(",").index(name)
     monkeypatch.setattr(coordination, "_CSV_BLOCK_BYTES", 600)
@@ -558,8 +574,8 @@ def test_from_csv_rejects_a_value_that_no_run_logs(monkeypatch, tmp_path, name, 
     inputs of step -1, reads."""
     rng = np.random.default_rng(13)
     written = tmp_path / "written.csv"
-    TrajectoryLog(traces=[_hand_trace(301, rng, finite=True), _hand_trace(301, rng, finite=True)],
-                  meta={"substeps": 10}).to_csv(written)
+    traces = [_hand_trace(301, rng, finite=True), _hand_trace(301, rng, finite=True)]
+    TrajectoryLog(traces=traces).to_csv(written)
     monkeypatch.setattr(coordination, "_CSV_BLOCK_BYTES", 600)
     TrajectoryLog.from_csv(written, h=0.1)
     lines = written.read_text().splitlines()
@@ -593,7 +609,7 @@ def test_from_csv_holds_one_block_of_text_at_a_time(tmp_path):
         trace.margins = rng.normal(size=(10_001, len(MARGIN_KINDS)))
         traces.append(trace)
     path = tmp_path / "long.csv"
-    TrajectoryLog(traces=traces, meta={"substeps": 10}).to_csv(path)
+    TrajectoryLog(traces=traces).to_csv(path)
     tracemalloc.start()
     try:
         log = TrajectoryLog.from_csv(path, h=0.1)
@@ -615,7 +631,7 @@ def _listed(log, sim):
         coordination.AgentTrace(times=tr.times, states=tr.states, inputs=tr.inputs,
                                 w_norms=tr.w_norms, V=tr.V, margins=done.margins,
                                 step_meta=tr.step_meta)
-        for tr, done in zip(sim.traces, log.traces)], meta=log.meta)
+        for tr, done in zip(sim.traces, log.traces)])
 
 
 def test_finalized_log_holds_arrays_of_the_engines_rows(tmp_path):

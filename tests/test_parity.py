@@ -124,7 +124,7 @@ def test_verify_artifacts_are_dnmpc_verifys_output(parity, tmp_path, capsys):
     good, empty = (tmp_path / name / "trajectory.csv" for name in parity.VERIFIED)
     for path in (good, empty):
         path.parent.mkdir()
-    TrajectoryLog(traces=traces, meta={"h": 0.1, "substeps": 10}).to_csv(good)
+    TrajectoryLog(traces=traces).to_csv(good)
     empty.write_text(good.read_text().splitlines()[0] + "\n")
     out = parity.verify_artifacts(ROOT, tmp_path)
     assert list(out) == ["bundled-10s verify stdout", "bundled-10s verify exit status",
