@@ -20,7 +20,10 @@ same pieces there and in this checkout's working tree:
   ``scripts/calls.py``;
 - ``perfbench/run.py --trace 1 --seed 1`` of each workload, as a subprocess;
 - the lines of ``src/dnmpc/*.py`` and of ``tests/*.py``, as
-  ``cat <files> | wc -l`` counts them.
+  ``cat <files> | wc -l`` counts them;
+- the seconds that ``import dnmpc.cli`` takes in each of `IMPORT_RUNS`
+  fresh interpreters per side, the sides alternating, each side's sources
+  compiled to bytecode first, as an installed package's are.
 
 Prints one line per artifact: ``identical`` when the two sides' bytes are
 the same (as ``cmp`` finds them), otherwise the first differing line of each
@@ -28,12 +31,12 @@ side. Of the sweep, the run lines and the completion count are compared. Of
 a traced benchmark run only the lines that do not depend on the machine are
 compared: the verdicts, the digests, the failed fraction, every metric
 counted in calls, rows, iterations or bytes, and ``correct``. The run and
-verify processes' peak RSS and the line counts are recorded, not compared.
-Last, it prints one JSON object with the comparisons, the sweep's completion
-counts and paired gate, both sides' ``scripts/calls.py`` counts, run and
-verify peak RSS, line counts and traced counts, the block a
-``BENCH_<pr>.json`` records. The exit status is 0
-when every artifact is identical and 1 otherwise.
+verify processes' peak RSS, the line counts and the import times are
+recorded, not compared. Last, it prints one JSON object with the
+comparisons, the sweep's completion counts and paired gate, both sides'
+``scripts/calls.py`` counts, run and verify peak RSS, line counts, import
+times and traced counts, the block a ``BENCH_<pr>.json`` records. The exit
+status is 0 when every artifact is identical and 1 otherwise.
 
 With ``--pairs N`` it also runs ``perfbench/run.py --seconds 5`` of each
 workload on both sides for seeds 1 to N, the two runs of a seed one after
@@ -73,6 +76,10 @@ code = subprocess.run(sys.argv[1:], stderr=subprocess.DEVNULL).returncode
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
 sys.exit(code)
 """
+# ``python3 -c _IMPORT_TIME`` prints the seconds that ``import dnmpc.cli`` takes
+_IMPORT_TIME = ("import time; start = time.perf_counter(); import dnmpc.cli; "
+                "print(time.perf_counter() - start)")
+IMPORT_RUNS = 10
 WORKLOADS = ("corridor", "settle", "replay")
 # perfbench metrics in these units do not depend on the machine
 COUNT_UNITS = ("count", "bytes")
@@ -243,6 +250,23 @@ def record(parent_rev, parent, change):
     }
 
 
+def import_times(parent, change, runs):
+    """{side: {"median": seconds, "runs": [seconds, ...]}} of ``import
+    dnmpc.cli`` in `runs` fresh interpreters per side, checkouts `parent`
+    and `change`, the parent first on odd runs. Each side's ``src/dnmpc`` is
+    compiled to bytecode first, so that no timed import compiles source."""
+    sides = (("parent", parent), ("change", change))
+    for _, root in sides:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src/dnmpc"], cwd=root,
+                       check=True)
+    times = {"parent": [], "change": []}
+    for k in range(1, runs + 1):
+        for side, root in sides if k % 2 else sides[::-1]:
+            times[side].append(float(_run(root, ["-c", _IMPORT_TIME])[1]))
+    return {side: {"median": statistics.median(values), "runs": values}
+            for side, values in times.items()}
+
+
 def end_to_end_runs(parent, change, pairs):
     """{workload: {"parent": [...], "change": [...]}} of the closing JSON
     objects of ``perfbench/run.py --seconds PAIR_SECONDS`` for seeds 1 to
@@ -329,14 +353,18 @@ def main(argv=None):
             sides[side] = artifacts(root, work, parent_sweep if side == "change" else None)
             if side == "parent":
                 parent_sweep.write_bytes(sides[side]["sweep"])
+        imports = import_times(parent_root, ROOT, IMPORT_RUNS)
         runs = end_to_end_runs(parent_root, ROOT, args.pairs) if args.pairs > 0 else {}
     result = record(parent_rev, sides["parent"], sides["change"])
+    result["import_dnmpc_cli_s"] = imports
     for name, verdict in result["bit_for_bit"].items():
         if verdict == "identical":
             print(f"{name}: identical")
         else:
             print(f"{name}: differs at line {verdict['line']}: "
                   f"parent {verdict['parent']!r} change {verdict['change']!r}")
+    print(f"import dnmpc.cli: parent {imports['parent']['median']:.4f} s change "
+          f"{imports['change']['median']:.4f} s (medians of {IMPORT_RUNS})")
     if runs:
         result["end_to_end"] = {workload: pair_summary(r["parent"], r["change"])
                                 for workload, r in runs.items()}

@@ -8,8 +8,8 @@ with the model's exact one), ``verify`` (re-check an existing log), ``columns``
 Scenario files are YAML; matrices are row-major nested lists; all physical
 quantities are SI. The stage and terminal weights are drawn by the seeded
 random recipe Q = 0.5 (I + 0.5 S), P = 0.3 (I + 0.5 S) with S a symmetrized
-uniform random matrix drawn from the scenario seed; the input weight R is
-given.
+uniform random matrix drawn from the scenario seed by the module's own PCG64
+generator; the input weight R is given.
 """
 
 from __future__ import annotations
@@ -148,21 +148,80 @@ class Scenario:
         )
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier (O'Neill 2014)
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seeded_uniforms(seed, count):
+    """`count` uniforms in [0, 1) from `seed`: numpy's SeedSequence pool hash
+    of the seed's 32-bit words, PCG64 (XSL-RR 128/64) seeded from its four
+    64-bit state words, and each 64-bit output's top 53 bits over 2**53.
+    These are the floats of ``np.random.default_rng(seed).uniform(0.0, 1.0,
+    count)``, without loading numpy.random."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]  # least significant first; [0] for 0
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight 32-bit words, paired little-endian
+    const, state32 = 0x8B51F9DD, []
+    for k in range(8):
+        value = pool[k % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        state32.append(value ^ value >> 16)
+    s0, s1, s2, s3 = (state32[k] | state32[k + 1] << 32 for k in range(0, 8, 2))
+    # pcg64_set_seed: state 0, a step, the initial state added, a step
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULTIPLIER + inc) & _MASK128
+    out = []
+    for _ in range(count):
+        # a step, then the new state's output: xor-fold, rotate by the top 6 bits
+        state = (state * _PCG_MULTIPLIER + inc) & _MASK128
+        value, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        value = (value >> rot | value << (64 - rot)) & _MASK64
+        out.append((value >> 11) * 2.0 ** -53)
+    return out
+
+
 def _weights_from_recipe(section, seed):
     """Materialize Q, P (and R) from the scenario weight section: Q and P
-    drawn for the unicycle's state by the recipe, R read. The recipe's Q and
-    P are positive definite: S, symmetric with entries in [0, 1), has no
-    eigenvalue below -sqrt(2), so I + 0.5 S has none below 0.29."""
+    drawn for the unicycle's state by the recipe, R read (`OcpConfig`
+    checks that it is positive definite). The recipe's Q and P are positive
+    definite: S, symmetric with entries in [0, 1), has no eigenvalue below
+    -sqrt(2), so I + 0.5 S has none below 0.29. S's uniforms come from
+    :func:`_seeded_uniforms`, so this code defines Q and P; they are the
+    floats of ``np.random.default_rng(seed).uniform(0.0, 1.0, (3, 3))``, bit
+    for bit on numpy 2.4.6 (whose stream NEP 19 does not freeze)."""
     dim = UNICYCLE.state_dim
     R = np.asarray(section["R"], dtype=float)
-    rng = np.random.default_rng(seed)
-    S = rng.uniform(0.0, 1.0, size=(dim, dim))
+    S = np.array(_seeded_uniforms(seed, dim * dim)).reshape(dim, dim)
     # only the symmetric part contributes to the quadratic forms
     S = 0.5 * (S + S.T)
     Q = 0.5 * (np.eye(dim) + 0.5 * S)
     P = 0.3 * (np.eye(dim) + 0.5 * S)
-    if np.linalg.eigvalsh(0.5 * (R + R.T)).min() <= 0.0:
-        raise ScenarioError("weight R is not positive definite")
     return Q, R, P
 
 

@@ -346,7 +346,9 @@ class TrajectoryLog:
         data = parts[0] if len(parts) == 1 else np.concatenate(parts)
         del parts  # before the agents' copies of their rows
         agents = data[:, 1].astype(int)
-        ids = np.unique(agents)
+        # the distinct ids, as np.unique gives them, whose hash path imports numpy.ma
+        ids = np.sort(agents)
+        ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
         if not np.array_equal(ids, np.arange(len(ids))):
             raise ValueError(f"{path}: agent ids {ids.tolist()} are not 0..{len(ids) - 1}")
         steps = data[:, 2].astype(int)

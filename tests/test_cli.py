@@ -75,6 +75,38 @@ def test_weights_are_positive_definite_and_seeded():
     assert not np.array_equal(a.Q, other.Q)
 
 
+def test_seeded_uniforms_are_default_rngs_bitwise():
+    """The recipe's own PCG64 draw gives the floats of numpy's
+    `default_rng(seed).uniform(0.0, 1.0, (3, 3))`, byte for byte, for seeds
+    of one to four 32-bit words and beyond, and rejects a negative seed as
+    numpy does."""
+    seeds = [*range(2001), 2**32 - 1, 2**32, 2**64 + 17, 2**127,
+             123456789012345678901234567890]
+    for seed in seeds:
+        ours = np.array(cli._seeded_uniforms(seed, 9)).reshape(3, 3)
+        assert ours.tobytes() == np.random.default_rng(seed).uniform(
+            0.0, 1.0, (3, 3)).tobytes(), seed
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        cli._seeded_uniforms(-1, 9)
+
+
+def test_bundled_weights_are_pinned():
+    """The bundled scenario's Q and P (seed 18), float for float as numpy's
+    Generator drew them before the recipe had its own generator."""
+    scenario = load_scenario(SCENARIO)
+    assert scenario.seed == 18
+    assert scenario.Q.tolist() == [
+        [0.5998264423043932, 0.10001744966079155, 0.11564303627340623],
+        [0.10001744966079155, 0.742442829823215, 0.14259977610882013],
+        [0.11564303627340623, 0.14259977610882013, 0.618840242432484]]
+    assert scenario.P.tolist() == [
+        [0.3598958653826359, 0.06001046979647493, 0.06938582176404373],
+        [0.06001046979647493, 0.445465697893929, 0.08555986566529207],
+        [0.06938582176404373, 0.08555986566529207, 0.3713041454594904]]
+
+
 def test_threshold_ordering_validated(tmp_path):
     path = _variant(tmp_path, eps_omega=0.1, eps_psi=0.05)
     with pytest.raises(ScenarioError, match="eps_omega"):
@@ -315,6 +347,9 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
     ({"weights": _weights(Q=3)}, [], "unknown field 'Q' of weights"),
     ({"weights": _weights(P=3)}, [], "unknown field 'P' of weights"),
     ({"weights": _weights(R=3)}, [], "weight R must be 2x2, got 3x3"),
+    ({"weights": {"recipe": "seeded-random", "R": [[1.0, 0.0], [0.0, -1.0]]}}, [],
+     "R must be positive definite"),
+    ({"seed": -1}, [], "invalid field (expected non-negative integer)"),
     ({"disturbance": _disturbance(amplitude=float("nan"))}, [],
      "disturbance amplitude must be finite, got nan"),
     ({"disturbance": _disturbance(frequency=float("inf"))}, [],
@@ -348,7 +383,8 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
 ], ids=["total_time", "L_V", "u_bar", "w_bar", "L_g", "tube_cap-negative", "tube_cap-text",
         "agents-empty",
         "agents-not-mappings", "agents-start-short", "agents-start-nan",
-        "weights-Q-given", "weights-P-given", "weights-R-3x3", "disturbance-amplitude-nan",
+        "weights-Q-given", "weights-P-given", "weights-R-3x3", "weights-R-indefinite",
+        "seed-negative", "disturbance-amplitude-nan",
         "disturbance-frequency-inf", "disturbance-amplitude-text",
         "disturbance-frequency-text", "constraint_tol-nan", "constraint_tol-negative",
         "max_iterations-0", "unknown-key", "sup_error-removed", "agents-unknown-key",
@@ -360,8 +396,9 @@ def test_bad_values_fail_before_any_solve(tmp_path, monkeypatch, capsys, overrid
                                           options, message):
     """A bad scenario value fails at load as a ScenarioError, and a bad
     --total-time before the run starts: both reach the CLI as `error: ...`
-    with exit code 2, with no solve, and `run` writes no artifacts. Each
-    message is matched literally, brackets and parentheses included."""
+    with exit code 2, with no solve, and `run` writes no artifacts. A
+    scenario's error names its file. Each message is matched literally,
+    brackets and parentheses included."""
     solves = []
     monkeypatch.setattr(coordination, "solve_fhocp", lambda *args, **kw: solves.append(args))
     path = _variant(tmp_path, **overrides)
@@ -373,7 +410,7 @@ def test_bad_values_fail_before_any_solve(tmp_path, monkeypatch, capsys, overrid
     for argv in commands:
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith(f"error: {path}: " if overrides else "error: ") and message in err
     assert not solves
     assert not (tmp_path / "out").exists()
 

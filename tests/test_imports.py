@@ -1,16 +1,20 @@
 """Import hygiene and dead code: every name a module of the package, of the
 tests or of the scripts imports is used in that module, or exported through
 its `__all__`; everything the package defines is used by the program, not
-only by its own unit tests; and a fresh interpreter that loads the package
-first loads no scipy subpackage the solver does not run."""
+only by its own unit tests; and a fresh interpreter that runs the package's
+commands first loads neither numpy.random, numpy.ma nor scipy's packages."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
+import pytest
+
+from dnmpc import ocp
 from dnmpc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,14 +111,26 @@ def test_no_definition_only_tests_use():
 
 # run by a fresh interpreter with argv [scenario, output directory, tests directory]
 FRESH_INTERPRETER = """
+import os
 import sys
+
+
+def assert_unloaded(after):
+    loaded = sorted({"numpy.random", "numpy.ma", "scipy", "scipy.optimize", "scipy.linalg"}
+                    & set(sys.modules))
+    assert not loaded, f"{after} loaded {loaded}"
+
+
 import dnmpc.cli
 
-loaded = sorted({"scipy.optimize", "scipy.linalg"} & set(sys.modules))
-assert not loaded, f"import dnmpc.cli loaded {loaded}"
+assert_unloaded("import dnmpc.cli")
 scenario, out = sys.argv[1], sys.argv[2]
 assert dnmpc.cli.main(["certify", scenario]) == 0
+assert_unloaded("certify")
 assert dnmpc.cli.main(["run", scenario, "--out", out, "--total-time", "0.2"]) == 1
+assert_unloaded("run")
+assert dnmpc.cli.main(["verify", os.path.join(out, "trajectory.csv"), scenario]) == 1
+assert_unloaded("verify")
 
 sys.path.insert(0, sys.argv[3])
 import scipy.optimize
@@ -132,12 +148,15 @@ for form in ("relaxed", "terminal"):
 """
 
 
-def test_fresh_interpreter_loads_only_the_compiled_scipy_routines(tmp_path, capsys):
+def test_fresh_interpreter_loads_no_numpy_random_numpy_ma_or_scipy_package(tmp_path, capsys):
     """In a fresh interpreter, where dnmpc is loaded before anything else
-    (in-process tests always find scipy.optimize loaded by a test module),
-    `import dnmpc.cli` loads neither scipy.optimize nor scipy.linalg;
-    `certify` and a 0.2 s `run` work, the run's CSV is byte for byte the
-    in-process run's, and once scipy.optimize is imported after all, a
+    (in-process tests always find numpy.random and scipy.optimize loaded by
+    a test module), neither `import dnmpc.cli`, nor `certify`, nor a 0.2 s
+    `run`, nor a `verify` of that run's CSV loads numpy.random, numpy.ma,
+    scipy's package itself, scipy.optimize or scipy.linalg: the solver loads
+    only scipy's compiled routines, and the weights' draw and the log's
+    read-back need neither numpy subpackage. The run's CSV is byte for byte
+    the in-process run's, and once scipy.optimize is imported after all, a
     seeded problem of tests/test_ocp.py solves bitwise as scipy's public
     SLSQP solves it."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -152,3 +171,13 @@ def test_fresh_interpreter_loads_only_the_compiled_scipy_routines(tmp_path, caps
     capsys.readouterr()
     assert ((tmp_path / "fresh" / "trajectory.csv").read_bytes()
             == (tmp_path / "here" / "trajectory.csv").read_bytes())
+
+
+def test_missing_compiled_scipy_module_names_its_path_and_scipys_version():
+    """A scipy without a compiled file that the solver loads fails with an
+    ImportError that names the file's path and scipy's installed version."""
+    with pytest.raises(ImportError) as raised:
+        ocp._scipy_compiled("optimize", "_no_such_module")
+    assert str(raised.value).startswith(
+        f"scipy {version('scipy')} has no compiled module "
+        f"{ocp._SCIPY / 'optimize' / '_no_such_module'} with any of the suffixes ")

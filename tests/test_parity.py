@@ -112,6 +112,15 @@ def test_peak_rss_is_the_commands_own(parity):
     assert 0 < idle < 64 < held
 
 
+def test_import_times_are_fresh_interpreters_per_side(parity):
+    """Each side gets one time per run, in seconds, and their median."""
+    times = parity.import_times(ROOT, ROOT, 2)
+    assert list(times) == ["parent", "change"]
+    for side in times.values():
+        assert len(side["runs"]) == 2 and all(0 < t < 60 for t in side["runs"])
+        assert side["median"] == sum(side["runs"]) / 2
+
+
 def test_verify_artifacts_are_dnmpc_verifys_output(parity, tmp_path, capsys):
     """`dnmpc verify` of each verified run's CSV gives its standard output
     and exit status, as the in-process command prints and returns them, and
