@@ -54,7 +54,7 @@ WINDOWS = (("corridor", 0, 34), ("rest", 100, 120))
 
 ROLLOUT = (dynamics, "rollout_zoh")
 JACOBIAN = (dynamics, "rollout_zoh.<locals>.jacobian")
-MARGINS = (coordination, "Simulation._margin_fn.<locals>.margin_fn")
+MARGINS = (coordination, "_margin_fn.<locals>.margin_fn")
 
 # (module, qualified name of the entry function) -> layer
 LAYERS = {
@@ -62,13 +62,13 @@ LAYERS = {
     ROLLOUT: "rollout",
     JACOBIAN: "jacobian",
     MARGINS: "margins",
-    (coordination, "Simulation._margin_fn.<locals>.margin_fn.<locals>.jacobian"): "margins",
+    (coordination, "_margin_fn.<locals>.margin_fn.<locals>.jacobian"): "margins",
     (ocp, "_Transcription.eval"): "evaluation",
     (ocp, "minimize"): "minimize",
     (ocp, "_gauss_newton_sqp"): "minimize",
     (ocp, "_gauss_newton_scaling"): "scaling",
-    (coordination, "Simulation._geometry"): "geometry",
-    (coordination, "Simulation._solve_agent"): "ladder",
+    (coordination, "Simulation.problem"): "geometry",
+    (coordination, "solve_ladder"): "ladder",
 }
 ORDER = ["plant", "rollout", "jacobian", "margins", "evaluation", "minimize", "scaling", "geometry",
          "ladder", "engine"]

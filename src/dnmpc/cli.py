@@ -269,6 +269,13 @@ def load_scenario(path, seed=None) -> Scenario:
             raise ScenarioError(f"{path}: unknown field {unknown[0]!r} of {name}")
         return value
 
+    def integer(value, name):
+        """`value`, which the file gives as `name`: a float, a bool or a
+        string is an error, not truncated."""
+        if type(value) is not int:
+            raise ScenarioError(f"{path}: {name} must be an integer, got {value!r}")
+        return value
+
     def optional_float(key):
         if raw.get(key) is None:
             return None
@@ -302,7 +309,7 @@ def load_scenario(path, seed=None) -> Scenario:
             )
             for a in raw_agents
         ]
-        use_seed = int(raw.get("seed", 0)) if seed is None else int(seed)
+        use_seed = integer(raw.get("seed", 0), "field 'seed'") if seed is None else int(seed)
         Q, R, P = _weights_from_recipe(weights, use_seed)
         scenario = Scenario(
             name=str(raw.get("name", Path(path).stem)),
@@ -323,11 +330,13 @@ def load_scenario(path, seed=None) -> Scenario:
                        for o in obstacles],
             agents=agents,
             Q=Q, R=R, P=P,
-            schedule=[int(i) for i in raw.get("schedule", range(len(agents)))],
+            schedule=[integer(i, f"field 'schedule' entry {k}")
+                      for k, i in enumerate(raw.get("schedule", range(len(agents))))],
             disturbance=dict(disturbance),
             tube_cap=optional_float("tube_cap"),
             lam_max_P=optional_float("lam_max_P"),
-            max_iterations=int(raw.get("max_iterations", OcpConfig.max_iterations)),
+            max_iterations=integer(raw.get("max_iterations", OcpConfig.max_iterations),
+                                   "field 'max_iterations'"),
             constraint_tol=float(raw.get("constraint_tol", OcpConfig.constraint_tol)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -359,10 +368,10 @@ def _validate(scenario: Scenario, path):
     # the goals too must meet every raw margin, or the agents cannot reach
     # them without breaking separation or connectivity
     for name, states in (("initial", sim.states), ("desired", scenario.references)):
-        report = coordination.validate_initial(sim.world, states)
-        if not report.passed:
+        failures = coordination.validate_initial(sim.world, states)
+        if failures:
             raise ScenarioError(f"{path}: infeasible {name} configuration: "
-                                + "; ".join(report.failures))
+                                + "; ".join(failures))
 
 
 # the boolean keys of a solve's record that report.txt counts, in its order,

@@ -25,6 +25,10 @@ and is skipped when a closed-form check proves it infeasible: every position
 the terminal set admits lies within r = sqrt((eps_omega + tol) /
 lambda_min(P)) of the goal, and some last-stage margin is violated on that
 whole ball.
+
+An agent-solve is two parts: `Simulation.problem` builds an `AgentProblem`,
+data alone, and `solve_ladder` solves it from that problem and the config
+alone, so a pickled problem re-solves by itself.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .certify import ultimate_bound
-from .constraints import MARGIN_KINDS, WorldModel, tube_profile_radii
+from .constraints import MARGIN_KINDS, StageGeometry, WorldModel, tube_profile_radii
 from .dynamics import UNICYCLE, ErrorDynamics, integrate
 from .ocp import (OcpConfig, dual_mode_controller, restore_feasibility, solve_fhocp,
                   unicycle_steering_law, warm_start_shift)
@@ -50,6 +54,8 @@ __all__ = [
     "sensing_set",
     "neighbor_sets",
     "validate_initial",
+    "AgentProblem",
+    "solve_ladder",
     "PredictionEntry",
     "CSV_COLUMNS",
     "TrajectoryLog",
@@ -80,12 +86,6 @@ def neighbor_sets(initial_positions, sensing_ranges):
     return out
 
 
-@dataclass
-class ValidationReport:
-    passed: bool
-    failures: list
-
-
 # how validate_initial names a violated margin, by MARGIN_KINDS index
 _VIOLATIONS = ("collides with", "is out of sensing range of", "is inside", "is outside")
 
@@ -93,7 +93,8 @@ _VIOLATIONS = ("collides with", "is out of sensing range of", "is inside", "is o
 def validate_initial(world: WorldModel, states):
     """Start (or goal) configuration check of the unicycles' `states`: every
     raw distance margin (eps = 0) of every agent must be positive. Each
-    pair's separation is checked once, from the lower index."""
+    pair's separation is checked once, from the lower index. Returns the
+    failures, one line each: none when the configuration passes."""
     tracks = [np.asarray(z)[_POSITION][None, :] for z in states]
     failures = []
     for i, track in enumerate(tracks):
@@ -103,7 +104,7 @@ def validate_initial(world: WorldModel, states):
         failures += [f"agent {i} {_VIOLATIONS[kind]} {label} (margin {margin:.4g})"
                      for kind, label, margin in zip(geo.kinds, geo.labels, margins)
                      if margin <= 0.0]
-    return ValidationReport(passed=not failures, failures=failures)
+    return failures
 
 
 @dataclass
@@ -150,7 +151,7 @@ class AgentTrace:
     V: list = field(default_factory=list)
     # (T, len(MARGIN_KINDS)) raw margins in MARGIN_KINDS order, filled post-run
     margins: Optional[np.ndarray] = None
-    # one record (dict) per solve, as Simulation._solve_agent built it; six
+    # one record (dict) per solve, as solve_ladder built it; six
     # keys (t, status and the solver columns) when read back from a CSV
     step_meta: list = field(default_factory=list)
 
@@ -398,6 +399,144 @@ def _residual(sol):
     return sol.solve_stats["residual"]
 
 
+@dataclass(frozen=True)
+class AgentProblem:
+    """Agent `agent`'s FHOCP at time `t`, as :meth:`Simulation.problem`
+    builds it and :func:`solve_ladder` reads it. It holds data and no
+    callable, so it pickles."""
+
+    agent: int
+    t: float
+    errordyn: ErrorDynamics
+    e0: np.ndarray
+    geometry: StageGeometry  # the constraint snapshot, net of the safety margin
+    rho: np.ndarray          # the simulation's one tube, at each substep of the horizon
+    capped: bool             # rho is clipped at tube_cap
+    tiers: tuple             # use_terminal of each tier, in order
+    terminal_excluded: bool  # a terminal-enforced tier was skipped as provably infeasible
+    starts: list             # the warm starts, best first
+
+
+def _margin_fn(geometry, rho, goal):
+    """Tightened margins of errors about a reference at position `goal` and
+    a callable that forms their error Jacobian, which is the position
+    gradient on the position components and zero on the others."""
+
+    def margin_fn(errors):
+        margins, gradient = geometry.tightened(errors[..., _POSITION] + goal, rho)
+
+        def jacobian():
+            grad = gradient()
+            jac = np.zeros(grad.shape[:-1] + errors.shape[-1:])
+            jac[..., _POSITION] = grad
+            return jac
+
+        return margins, jacobian
+
+    return margin_fn
+
+
+def _detours(config):
+    """The ladder's lateral detours for a blocked plan, turn then drive at
+    0.7 u_bar: 1 turn stage +/-, then 2 turn stages +/-."""
+    mag = 0.7 * config.u_bar
+    out = [np.zeros((config.n_stages, 2)) for _ in range(4)]
+    for detour, (turn_stages, sign) in zip(out, ((1, 1.0), (1, -1.0), (2, 1.0), (2, -1.0))):
+        detour[:turn_stages, 1] = sign * mag
+        detour[turn_stages:, 0] = mag
+    return out
+
+
+def solve_ladder(problem: AgentProblem, config: OcpConfig):
+    """Solve `problem` through the fallback ladder, over its tiers.
+
+    Returns `(sol, record)`: the accepted solution and the solve's one
+    record, which `Simulation.step` logs in `step_meta` as it is; or, when
+    every tier fails, the lowest-residual attempt (the first of equals) and
+    None. The record's `attempts` (solve_fhocp and restore_feasibility
+    calls), `iterations` (their sum) and `wall_time` cover the whole ladder;
+    its other fields are the accepted attempt's, with `feasible_witness`
+    true when that attempt is terminal-enforced and started from the shifted
+    plan, feasible within `constraint_tol`. Each attempt's `solve_stats`
+    stay as solve_fhocp wrote them.
+
+    In each tier: the starts until one ends feasible; if its plan is
+    blocked, the starts not yet tried and the lateral detours, the cheapest
+    feasible plan winning. If none ends feasible, the relaxed tier runs
+    restore_feasibility from its lowest-residual attempt and makes one
+    attempt from the restored plan; a terminal-enforced tier does not.
+    """
+    wall_start = time.perf_counter()
+    errordyn, e0, starts, capped = problem.errordyn, problem.e0, problem.starts, problem.capped
+    margin_fn = _margin_fn(problem.geometry, problem.rho, errordyn.z_des[_POSITION])
+    pos_e0 = e0[_POSITION]
+    pos_err = math.sqrt(pos_e0.dot(pos_e0))
+    shifted = starts[0] if len(starts) > 1 else None
+    # every solve_fhocp solution and restore_feasibility iteration count
+    tried, restores = [], []
+    witness = None  # the terminal-enforced attempt from a feasible shifted plan
+    for use_terminal in problem.tiers:
+        first = len(tried)
+
+        def attempt(start):
+            nonlocal witness
+            sol = solve_fhocp(errordyn, e0, margin_fn, config, warm_start=start,
+                              use_terminal=use_terminal)
+            if use_terminal and start is shifted and sol.solve_stats["start_feasible"]:
+                witness = sol
+            tried.append(sol)
+            return sol
+
+        for k, start in enumerate(starts):
+            sol = attempt(start)
+            if sol.status != "infeasible":
+                break
+        if sol.status != "infeasible":
+            # a plan that barely moves while far from the goal signals a
+            # blocked local optimum: probe lateral detours for a cheaper one
+            moved = (sol.dense_errors[-1] - sol.dense_errors[0])[_POSITION]
+            if pos_err > 1.0 and math.sqrt(moved.dot(moved)) < 0.1 * config.u_bar * config.T_p:
+                # the starts not yet tried, then the lateral detours
+                accepted = len(tried) - 1
+                for start in [*starts[k + 1:], *_detours(config)]:
+                    attempt(start)
+                sol = min((s for s in tried[accepted:] if s.status != "infeasible"),
+                          key=lambda s: s.cost)
+        elif not use_terminal:
+            # phase-1 margin maximization from the tier's lowest-residual
+            # attempt; a failed terminal-enforced tier falls through to
+            # the relaxed one instead
+            nearest = min(tried[first:], key=_residual)
+            restored, iterations = restore_feasibility(errordyn, e0, margin_fn, config,
+                                                       nearest.inputs)
+            restores.append(iterations)
+            sol = attempt(restored)
+        if sol.status != "infeasible":
+            if (not use_terminal or capped) and sol.status == "optimal":
+                sol.status = "feasible-suboptimal"
+            # predicted nominal error energy over the applied interval
+            # (for ISS), by the trapezoid rule as np.trapezoid sums it
+            dense = sol.dense_errors[: config.substeps + 1]
+            errsq = np.add.reduce(dense * dense, axis=1)
+            iterations = [s.solve_stats["iterations"] for s in tried] + restores
+            return sol, {
+                "t": problem.t,
+                "status": sol.status,
+                "cost": sol.cost,
+                "errsq_int": float(np.add.reduce(
+                    (config.h / config.substeps) * (errsq[1:] + errsq[:-1]) / 2.0)),
+                "terminal_relaxed": not use_terminal,
+                "tube_capped": capped,
+                "terminal_excluded": problem.terminal_excluded,
+                "suboptimal_stop": sol.solve_stats["suboptimal_stop"],
+                "feasible_witness": sol is witness,
+                "iterations": sum(iterations),
+                "attempts": len(iterations),
+                "wall_time": time.perf_counter() - wall_start,
+            }
+    return min(tried, key=_residual), None
+
+
 class SimulationError(RuntimeError):
     """A step failed (solver infeasible or raised); carries the partial log."""
 
@@ -454,15 +593,6 @@ class Simulation:
         # to the goal
         self.terminal_radius = ultimate_bound(config.eps_omega + config.constraint_tol,
                                               float(np.linalg.eigvalsh(config.P)[0]))
-        # the ladder's lateral detours for a blocked plan, turn then drive:
-        # 1 turn stage +/-, then 2 turn stages +/-
-        mag = 0.7 * config.u_bar
-        self._probes = []
-        for turn_stages, sign in ((1, 1.0), (1, -1.0), (2, 1.0), (2, -1.0)):
-            probe = np.zeros((config.n_stages, 2))
-            probe[:turn_stages, 1] = sign * mag
-            probe[turn_stages:, 0] = mag
-            self._probes.append(probe)
         self._n_steps = int(round(self.total_time / config.h))
         if abs(self._n_steps * config.h - self.total_time) > 1e-9:
             raise ValueError("sampling time must divide the total time")
@@ -488,37 +618,6 @@ class Simulation:
             self.board[i] = PredictionEntry(t0=0.0, h=self.config.h / self.config.substeps,
                                             positions=np.tile(position, (n_grid, 1)))
 
-    def _geometry(self, i, t_k, dense_taus):
-        """Constraint snapshot for agent i solving at t_k: the agents in
-        sensing range (from the current states, so at t_k + h for the agents
-        that moved this step) and the known obstacles, net of the safety
-        margin; the tracks are each agent's newest posted plan."""
-        in_range = sensing_set(i, self._positions(), self.world.sensing_ranges[i])
-        times = t_k + dense_taus
-        tracks = {j: self.board[j].positions_at(times)
-                  for j in in_range | self.world.neighbor_sets[i]}
-        return self.world.geometry(i, dense_taus, tracks, in_range, self.known_obstacles[i],
-                                   self.world.margin)
-
-    def _margin_fn(self, i, geometry, rho):
-        """Tightened margins of agent i's errors and a callable that forms
-        their error Jacobian, which is the position gradient on the position
-        components and zero on the others."""
-        pos_ref = self.errordyns[i].z_des[_POSITION]
-
-        def margin_fn(errors):
-            margins, gradient = geometry.tightened(errors[..., _POSITION] + pos_ref, rho)
-
-            def jacobian():
-                grad = gradient()
-                jac = np.zeros(grad.shape[:-1] + errors.shape[-1:])
-                jac[..., _POSITION] = grad
-                return jac
-
-            return margins, jacobian
-
-        return margin_fn
-
     @functools.cached_property
     def _tube(self):
         """(dense_taus, rho, capped): the horizon's substep offsets, the tube
@@ -533,122 +632,36 @@ class Simulation:
         capped = self.tube_cap is not None and bool((rho > self.tube_cap).any())
         return dense_taus, np.minimum(rho, self.tube_cap) if capped else rho, capped
 
-    def _starts(self, i):
-        """Warm start candidates, best first: the shifted previous plan (the
-        paper's feasibility candidate), when there is one, then zero input."""
-        cfg = self.config
-        zeros = np.zeros((cfg.n_stages, UNICYCLE.input_dim))
-        prev = self.prev_solution[i]
-        if prev is None or prev.status == "infeasible":
-            return [zeros]
-        return [warm_start_shift(prev, self.steering[i], cfg), zeros]
-
-    def _solve_agent(self, i, t_k):
-        """Solve agent i's problem through the fallback ladder.
-
-        Returns `(sol, record)`: the accepted solution and the solve's one
-        record, which `step` logs in `step_meta` as it is; or, when every
-        tier fails, the lowest-residual attempt (the first of equals) and
-        None. The record's `attempts` (solve_fhocp and restore_feasibility
-        calls), `iterations` (their sum), `terminal_excluded` (a
-        terminal-enforced tier was skipped as provably infeasible) and
-        `wall_time` cover the whole ladder; its other fields are the
-        accepted attempt's, with `feasible_witness` true when that attempt is
-        terminal-enforced and started from the shifted plan, feasible within
-        `constraint_tol`. Each attempt's `solve_stats` stay as solve_fhocp
-        wrote them.
-
-        Tiers: terminal enforced (near the goal only), then relaxed, both
-        tightened by the simulation's one tube (:attr:`_tube`).
-        In each tier: the starts until one ends feasible; if its plan is
-        blocked, the starts not yet tried and the lateral probes, the
-        cheapest feasible plan winning. If none ends feasible, the relaxed
-        tier runs restore_feasibility from its lowest-residual attempt and
-        makes one attempt from the restored plan; a terminal-enforced tier
-        does not restore. A terminal-enforced tier whose terminal set lies
-        beyond some last-stage tightened margin
-        (StageGeometry.terminal_excluded) is skipped: all its attempts would
-        end infeasible, and every tier tries the same starts.
-        """
-        wall_start = time.perf_counter()
+    def problem(self, i, t_k):
+        """Agent i's problem at t_k. Its constraints hold the agents in
+        sensing range (from the current states, so at t_k + h for the agents
+        that moved this step), against each one's newest posted plan, and the
+        known obstacles. Its terminal-enforced tier runs only near the goal,
+        and not when provably infeasible (StageGeometry.terminal_excluded).
+        Its starts are the shifted previous plan (the paper's feasibility
+        candidate), when there is one, then zero input."""
         cfg = self.config
         dense_taus, rho, capped = self._tube
-        geometry = self._geometry(i, t_k, dense_taus)
-        e0 = self.errordyns[i].error_of(self.states[i])
-        margin_fn = self._margin_fn(i, geometry, rho)
-
+        in_range = sensing_set(i, self._positions(), self.world.sensing_ranges[i])
+        times = t_k + dense_taus
+        tracks = {j: self.board[j].positions_at(times)
+                  for j in in_range | self.world.neighbor_sets[i]}
+        geometry = self.world.geometry(i, dense_taus, tracks, in_range, self.known_obstacles[i],
+                                       self.world.margin)
+        errordyn = self.errordyns[i]
+        e0 = errordyn.error_of(self.states[i])
         pos_e0 = e0[_POSITION]
-        pos_err = math.sqrt(pos_e0.dot(pos_e0))
-        terminal_plausible = pos_err <= 0.5 * cfg.u_bar * cfg.T_p
+        terminal_plausible = math.sqrt(pos_e0.dot(pos_e0)) <= 0.5 * cfg.u_bar * cfg.T_p
         terminal_excluded = terminal_plausible and geometry.terminal_excluded(
-            self.errordyns[i].z_des[_POSITION], self.terminal_radius, rho[-1], cfg.constraint_tol)
-        tiers = (True, False) if terminal_plausible and not terminal_excluded else (False,)
-
-        starts = self._starts(i)
-        shifted = starts[0] if len(starts) > 1 else None
-        # every solve_fhocp solution and restore_feasibility iteration count
-        tried, restores = [], []
-        witness = None  # the terminal-enforced attempt from a feasible shifted plan
-        for use_terminal in tiers:
-            first = len(tried)
-
-            def attempt(start):
-                nonlocal witness
-                sol = solve_fhocp(self.errordyns[i], e0, margin_fn, cfg, warm_start=start,
-                                  use_terminal=use_terminal)
-                if use_terminal and start is shifted and sol.solve_stats["start_feasible"]:
-                    witness = sol
-                tried.append(sol)
-                return sol
-
-            for k, start in enumerate(starts):
-                sol = attempt(start)
-                if sol.status != "infeasible":
-                    break
-            if sol.status != "infeasible":
-                # a plan that barely moves while far from the goal signals a
-                # blocked local optimum: probe lateral detours for a cheaper one
-                moved = (sol.dense_errors[-1] - sol.dense_errors[0])[_POSITION]
-                if pos_err > 1.0 and math.sqrt(moved.dot(moved)) < 0.1 * cfg.u_bar * cfg.T_p:
-                    # the starts not yet tried, then the lateral probes
-                    accepted = len(tried) - 1
-                    for start in [*starts[k + 1:], *self._probes]:
-                        attempt(start)
-                    sol = min((s for s in tried[accepted:] if s.status != "infeasible"),
-                              key=lambda s: s.cost)
-            elif not use_terminal:
-                # phase-1 margin maximization from the tier's lowest-residual
-                # attempt; a failed terminal-enforced tier falls through to
-                # the relaxed one instead
-                nearest = min(tried[first:], key=_residual)
-                restored, iterations = restore_feasibility(self.errordyns[i], e0, margin_fn,
-                                                           cfg, nearest.inputs)
-                restores.append(iterations)
-                sol = attempt(restored)
-            if sol.status != "infeasible":
-                if (not use_terminal or capped) and sol.status == "optimal":
-                    sol.status = "feasible-suboptimal"
-                # predicted nominal error energy over the applied interval
-                # (for ISS), by the trapezoid rule as np.trapezoid sums it
-                dense = sol.dense_errors[: cfg.substeps + 1]
-                errsq = np.add.reduce(dense * dense, axis=1)
-                iterations = [s.solve_stats["iterations"] for s in tried] + restores
-                return sol, {
-                    "t": t_k,
-                    "status": sol.status,
-                    "cost": sol.cost,
-                    "errsq_int": float(np.add.reduce(
-                        (cfg.h / cfg.substeps) * (errsq[1:] + errsq[:-1]) / 2.0)),
-                    "terminal_relaxed": not use_terminal,
-                    "tube_capped": capped,
-                    "terminal_excluded": terminal_excluded,
-                    "suboptimal_stop": sol.solve_stats["suboptimal_stop"],
-                    "feasible_witness": sol is witness,
-                    "iterations": sum(iterations),
-                    "attempts": len(iterations),
-                    "wall_time": time.perf_counter() - wall_start,
-                }
-        return min(tried, key=_residual), None
+            errordyn.z_des[_POSITION], self.terminal_radius, rho[-1], cfg.constraint_tol)
+        starts = [np.zeros((cfg.n_stages, UNICYCLE.input_dim))]
+        prev = self.prev_solution[i]
+        if prev is not None and prev.status != "infeasible":
+            starts.insert(0, warm_start_shift(prev, self.steering[i], cfg))
+        return AgentProblem(
+            agent=i, t=t_k, errordyn=errordyn, e0=e0, geometry=geometry, rho=rho, capped=capped,
+            tiers=(True, False) if terminal_plausible and not terminal_excluded else (False,),
+            terminal_excluded=terminal_excluded, starts=starts)
 
     # -- main loop ------------------------------------------------------
 
@@ -678,7 +691,7 @@ class Simulation:
         for i in self.schedule:
             self._update_known_obstacles(i)
             try:
-                sol, record = self._solve_agent(i, t_k)
+                sol, record = solve_ladder(self.problem(i, t_k), cfg)
             except RuntimeError as exc:
                 raise SimulationError(
                     f"agent {i} solver failed at t = {t_k:.3f}: {exc}",
@@ -758,9 +771,9 @@ class Simulation:
 
     def run(self):
         """Iterate steps over the full duration; returns the trajectory log."""
-        report = validate_initial(self.world, self.states)
-        if not report.passed:
-            raise ValueError("infeasible initial configuration: " + "; ".join(report.failures))
+        failures = validate_initial(self.world, self.states)
+        if failures:
+            raise ValueError("infeasible initial configuration: " + "; ".join(failures))
         self._bootstrap_board()
         self._log_initial()
         for k in range(self._n_steps):

@@ -42,9 +42,8 @@ def test_every_layer_entry_resolves(calls):
     ed = ErrorDynamics(UNICYCLE, np.zeros(3))
     _, jacobian = dynamics.rollout_zoh(ed, np.zeros(3), np.zeros((2, 2)), 0.1, 2)
     assert jacobian.__code__ is calls.code_of(*calls.JACOBIAN)
-    sim = load_scenario(SCENARIO).build_simulation(total_time=0.1)
     geometry = StageGeometry(np.array([0.1]), workspace=(np.zeros(2), 9.0))
-    margin_fn = sim._margin_fn(0, geometry, np.zeros(1))
+    margin_fn = coordination._margin_fn(geometry, np.zeros(1), np.zeros(2))
     assert calls.LAYERS[calls.MARGINS] == "margins"
     assert margin_fn.__code__ is calls.code_of(*calls.MARGINS)
     _, margin_jacobian = margin_fn(np.zeros((1, 3)))
@@ -107,7 +106,7 @@ def test_margin_evaluations_are_the_engine_margin_fn_entries(calls, monkeypatch)
     sees."""
     sim = load_scenario(SCENARIO).build_simulation(total_time=0.2)
     seen = [0]
-    real = sim._margin_fn
+    real = coordination._margin_fn
 
     def margin_fn_of(*args):
         margin_fn = real(*args)
@@ -118,12 +117,13 @@ def test_margin_evaluations_are_the_engine_margin_fn_entries(calls, monkeypatch)
 
         return counted
 
-    monkeypatch.setattr(sim, "_margin_fn", margin_fn_of)
-    counter = calls.CallCounter()
+    # the layers' code, resolved before the wrapper replaces the module's function
+    counter, margins = calls.CallCounter(), calls.code_of(*calls.MARGINS)
+    monkeypatch.setattr(coordination, "_margin_fn", margin_fn_of)
     sys.setprofile(counter)
     try:
         sim.run()
     finally:
         sys.setprofile(None)
     assert seen[0] > 0
-    assert counter.entries[calls.code_of(*calls.MARGINS)] == seen[0]
+    assert counter.entries[margins] == seen[0]

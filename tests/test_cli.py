@@ -361,6 +361,14 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
     ({"constraint_tol": float("nan")}, [], "constraint_tol must be positive and finite, got nan"),
     ({"constraint_tol": -1.0}, [], "constraint_tol must be positive and finite, got -1.0"),
     ({"max_iterations": 0}, [], "max_iterations must be at least 1, got 0"),
+    ({"seed": 18.9}, [], "field 'seed' must be an integer, got 18.9"),
+    ({"seed": True}, [], "field 'seed' must be an integer, got True"),
+    ({"seed": "18"}, [], "field 'seed' must be an integer, got '18'"),
+    ({"max_iterations": 2.5}, [], "field 'max_iterations' must be an integer, got 2.5"),
+    ({"max_iterations": "200"}, [], "field 'max_iterations' must be an integer, got '200'"),
+    ({"schedule": [2.7, 0, 1]}, [], "field 'schedule' entry 0 must be an integer, got 2.7"),
+    ({"schedule": [2, False, 1]}, [], "field 'schedule' entry 1 must be an integer, got False"),
+    ({"schedule": [2, 0, "1"]}, [], "field 'schedule' entry 2 must be an integer, got '1'"),
     ({"tube_capp": 0.15}, [], "unknown field 'tube_capp'"),
     ({"sup_error": 27.0}, [], "unknown field 'sup_error'"),
     ({"agents": _agents_with(2, sensing=2.0)}, [], "unknown field 'sensing' of agent 2"),
@@ -387,7 +395,9 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
         "seed-negative", "disturbance-amplitude-nan",
         "disturbance-frequency-inf", "disturbance-amplitude-text",
         "disturbance-frequency-text", "constraint_tol-nan", "constraint_tol-negative",
-        "max_iterations-0", "unknown-key", "sup_error-removed", "agents-unknown-key",
+        "max_iterations-0", "seed-float", "seed-bool", "seed-text", "max_iterations-float",
+        "max_iterations-text", "schedule-float", "schedule-bool", "schedule-text",
+        "unknown-key", "sup_error-removed", "agents-unknown-key",
         "agents-model-removed", "disturbance-kind-removed", "disturbance-unknown-key",
         "weights-unknown-key", "weights-recipe-unknown", "workspace-unknown-key",
         "obstacle-unknown-key",
@@ -432,16 +442,16 @@ def test_aborted_run_csv_reads_back(tmp_path, monkeypatch):
     run aborts at agent 0, t = 0.2, leaving traces of unequal length. The
     partial CSV reads back to the same bytes, and verify on the read-back
     log reproduces report.txt."""
-    solve_agent = coordination.Simulation._solve_agent
+    ladder = coordination.solve_ladder
     calls = []
 
-    def eighth_solve_raises(self, i, t_k):
+    def eighth_solve_raises(problem, config):
         calls.append(None)
         if len(calls) == 8:
             raise RuntimeError("solver diverged: forced")
-        return solve_agent(self, i, t_k)
+        return ladder(problem, config)
 
-    monkeypatch.setattr(coordination.Simulation, "_solve_agent", eighth_solve_raises)
+    monkeypatch.setattr(coordination, "solve_ladder", eighth_solve_raises)
     out_dir = tmp_path / "out"
     assert main(["run", str(SCENARIO), "--out", str(out_dir), "--total-time", "0.5"]) == 1
     report = dict(line.split(" = ", 1)

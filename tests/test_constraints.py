@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnmpc import coordination
 from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel, tube_profile_radii
 from dnmpc.coordination import Simulation
 from dnmpc.ocp import OcpConfig
@@ -142,15 +143,15 @@ def test_margin_fn_jacobian_is_position_gradient_with_zero_heading():
     """The engine's margin function: error Jacobian against central
     differences, with the heading column exactly zero."""
     sim = _simulation()
-    taus = np.array([0.1, 0.2, 0.3])
-    geo = sim._geometry(0, 0.0, taus)
-    rho = tube_profile_radii(TubeProfile(0.1, 2.0), taus)
-    margin_fn = sim._margin_fn(0, geo, rho)
-    errors = np.random.default_rng(5).normal(scale=0.5, size=(3, 3))
+    problem = sim.problem(0, 0.0)
+    geo, rho = problem.geometry, problem.rho
+    T = len(rho)
+    margin_fn = coordination._margin_fn(geo, rho, sim.errordyns[0].z_des[:2])
+    errors = np.random.default_rng(5).normal(scale=0.5, size=(T, 3))
     margins, jacobian = margin_fn(errors)
     jac = jacobian()
-    assert jac.shape == (3, len(MARGIN_KINDS), 3)
-    assert np.array_equal(jac[..., 2], np.zeros((3, len(MARGIN_KINDS))))
+    assert jac.shape == (T, len(MARGIN_KINDS), 3)
+    assert np.array_equal(jac[..., 2], np.zeros((T, len(MARGIN_KINDS))))
     fd = _central_difference(lambda e: margin_fn(e)[0], errors)
     assert np.abs(jac - fd).max() <= 1e-8
     assert np.array_equal(margins, geo.tightened(errors[:, :2] + sim.errordyns[0].z_des[:2],
@@ -281,12 +282,12 @@ def test_build_stage_constraints_counts_and_missing_prediction():
     """One margin column per constraint kind for agent 0, and a sensed agent
     with no posted prediction is an error, not a silently dropped column."""
     sim = _simulation()
-    taus = np.array([0.1, 0.2, 0.3])
-    geo = sim._geometry(0, 0.0, taus)
+    geo = sim.problem(0, 0.0).geometry
+    taus = sim._tube[0]  # the horizon's 30 substep offsets
     assert geo.labels == ["agent1", "agent1", "obst0", "workspace"]
-    pos = np.zeros((3, 2))
+    pos = np.zeros((30, 2))
     margins, _ = geo.margins(pos)
-    assert margins.shape == (3, len(MARGIN_KINDS))
+    assert margins.shape == (30, len(MARGIN_KINDS))
     # columns in MARGIN_KINDS order: each equals the first column of a
     # geometry of its kind and the workspace, against agent 1's posted
     # prediction, held at (1.5, 0)
@@ -296,18 +297,18 @@ def test_build_stage_constraints_counts_and_missing_prediction():
                                    {"obstacles": [("obst0", np.array([3.0, 0.0]), 1.51)]},
                                    {})):
         single, _ = StageGeometry(taus=taus, workspace=(np.zeros(2), 9.49), **kind).margins(pos)
-        assert single.shape == (3, 2 if kind else 1)
+        assert single.shape == (30, 2 if kind else 1)
         assert np.array_equal(margins[:, column], single[:, 0])
         assert np.array_equal(margins[:, 3], single[:, -1])
     del sim.board[1]
     with pytest.raises(KeyError):
-        sim._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))
+        sim.problem(0, 0.0)
 
 
 def test_scalar_constraint_evaluators():
     sim = _simulation()
-    geo = sim._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))
-    m, _ = geo.margins(np.zeros((3, 2)))
+    geo = sim.problem(0, 0.0).geometry
+    m, _ = geo.margins(np.zeros((30, 2)))
     assert m[0, 0] == pytest.approx(1.5 - 1.01)   # inter-agent
     assert m[0, 1] == pytest.approx(1.99 - 1.5)   # neighbor
     assert m[0, 2] == pytest.approx(3.0 - 1.51)   # obstacle
@@ -315,10 +316,10 @@ def test_scalar_constraint_evaluators():
 
 
 def test_tighten_is_identity_at_zero_offset():
-    geo = _simulation()._geometry(0, 0.0, np.array([0.1, 0.2, 0.3]))
+    geo = _simulation().problem(0, 0.0).geometry
     profile = TubeProfile(0.1, 8.5883)
-    pos = np.tile([0.2, -0.1], (3, 1))
-    same, _ = geo.tightened(pos, tube_profile_radii(profile, np.zeros(3)))
+    pos = np.tile([0.2, -0.1], (30, 1))
+    same, _ = geo.tightened(pos, tube_profile_radii(profile, np.zeros(30)))
     assert np.array_equal(same, geo.margins(pos)[0])
 
 

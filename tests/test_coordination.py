@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import time
 import tracemalloc
 from pathlib import Path
@@ -12,7 +13,7 @@ from dnmpc import certify, constraints, coordination, ocp
 from dnmpc.cli import load_scenario
 from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel
 from dnmpc.coordination import (PredictionEntry, Simulation, SimulationError, TrajectoryLog,
-                                neighbor_sets, sensing_set, validate_initial)
+                                neighbor_sets, sensing_set, solve_ladder, validate_initial)
 from dnmpc.dynamics import UNICYCLE, DisturbanceSignal
 from dnmpc.ocp import OcpConfig, warm_start_shift
 from dnmpc.setalg import Ball, TubeProfile
@@ -62,18 +63,17 @@ def _world(n=2, obstacles=()):
 
 def test_validate_initial_passes_and_fails():
     world = _world()
-    ok = validate_initial(world, [np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0])])
-    assert ok.passed
+    assert validate_initial(world, [np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0])]) == []
     bad = validate_initial(world, [np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.9, 0.0])])
-    assert not bad.passed
-    assert any("collide" in f for f in bad.failures)
+    assert bad
+    assert any("collide" in f for f in bad)
 
 
 def test_validate_initial_workspace_and_velocity():
     world = _world()
     out = validate_initial(world, [np.array([9.8, 0.0, 0.0]), np.array([9.8, 1.2, 0.0])])
-    assert not out.passed
-    assert any("workspace" in f for f in out.failures)
+    assert out
+    assert any("workspace" in f for f in out)
 
 
 def test_prediction_entry_interpolates_and_holds():
@@ -212,7 +212,7 @@ def test_step_meta_flags_feasible_witnesses(monkeypatch, at_rest):
     if at_rest:
         sim.states = [np.array([2.98, 0.01, 0.02]), np.array([3.01, 1.19, -0.01])]
     expected, flags, now = {}, [], [0.0]
-    real_solve, real_agent = coordination.solve_fhocp, sim._solve_agent
+    real_solve, real_ladder = coordination.solve_fhocp, coordination.solve_ladder
 
     def solve(errordyn, e0, margin_fn, cfg, warm_start, use_terminal):
         sol = real_solve(errordyn, e0, margin_fn, cfg, warm_start=warm_start,
@@ -228,16 +228,16 @@ def test_step_meta_flags_feasible_witnesses(monkeypatch, at_rest):
             sol.status, sol.solve_stats["residual"] = "infeasible", 1.0
         return sol
 
-    def solve_agent(i, t_k):
-        now[0] = t_k
-        sol, record = real_agent(i, t_k)
+    def ladder(problem, config):
+        now[0] = problem.t
+        sol, record = real_ladder(problem, config)
         flags.append((record["feasible_witness"], expected[id(sol)]))
-        if at_rest and (i, t_k) == (0, 0.1):
+        if at_rest and (problem.agent, problem.t) == (0, 0.1):
             assert sol.solve_stats["start_feasible"] and not expected[id(sol)]
         return sol, record
 
     monkeypatch.setattr(coordination, "solve_fhocp", solve)
-    monkeypatch.setattr(sim, "_solve_agent", solve_agent)
+    monkeypatch.setattr(coordination, "solve_ladder", ladder)
     log = sim.run()
     metas = [meta for trace in log.traces for meta in trace.step_meta]
     assert [got for got, _ in flags] == [want for _, want in flags]
@@ -669,15 +669,15 @@ def test_partial_log_is_finalized_from_the_rows_so_far(monkeypatch, tmp_path):
     lengths: the agent after the failing one has one step fewer."""
     scenario = load_scenario(SCENARIO)
     sim = scenario.build_simulation(total_time=0.3)
-    real = sim._solve_agent
+    real = coordination.solve_ladder
     failing = sim.schedule[1]
 
-    def solve_agent(i, t_k):
-        if (i, t_k) == (failing, 0.2):
+    def ladder(problem, config):
+        if (problem.agent, problem.t) == (failing, 0.2):
             raise RuntimeError("stop here")
-        return real(i, t_k)
+        return real(problem, config)
 
-    monkeypatch.setattr(sim, "_solve_agent", solve_agent)
+    monkeypatch.setattr(coordination, "solve_ladder", ladder)
     with pytest.raises(SimulationError) as caught:
         sim.run()
     log = caught.value.partial_log
@@ -736,18 +736,18 @@ def _assert_logged_as_whole(sim, log, world, scenario):
 def aborted_run():
     """The bundled scenario's 0.5 s run whose 8th solve raises, as in
     tests/test_cli.py: its simulation, whose traces hold 21, 21 and 31 rows."""
-    solve_agent, calls = Simulation._solve_agent, []
+    ladder, calls = coordination.solve_ladder, []
 
-    def eighth_solve_raises(self, i, t_k):
+    def eighth_solve_raises(problem, config):
         calls.append(None)
         if len(calls) == 8:
             raise RuntimeError("solver diverged: forced")
-        return solve_agent(self, i, t_k)
+        return ladder(problem, config)
 
     scenario = load_scenario(SCENARIO)
     sim = scenario.build_simulation(total_time=0.5)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Simulation, "_solve_agent", eighth_solve_raises)
+        patch.setattr(coordination, "solve_ladder", eighth_solve_raises)
         with pytest.raises(SimulationError):
             sim.run()
     return scenario, sim
@@ -899,20 +899,26 @@ def test_starts_and_tube_radii_built_on_demand(monkeypatch):
     shifted previous plan, then the zero input, after it; the tube radii are
     built once per simulation, at its first solve, not once per solve."""
     radii, tube_profile_radii = [], coordination.tube_profile_radii
+    problems, ladder = [], coordination.solve_ladder
 
     def counted(*args, **kwargs):
         radii.append(1)
         return tube_profile_radii(*args, **kwargs)
 
+    def recorded(problem, config):
+        problems.append(problem)
+        return ladder(problem, config)
+
     monkeypatch.setattr(coordination, "tube_profile_radii", counted)
+    monkeypatch.setattr(coordination, "solve_ladder", recorded)
     sim = _simulation(total_time=0.3)
     zeros = np.zeros((sim.config.n_stages, 2))
-    starts = sim._starts(0)
-    assert isinstance(starts, list) and len(starts) == 1
-    np.testing.assert_array_equal(starts[0], zeros)
     assert not radii
     sim.run()
-    starts = sim._starts(0)
+    starts = problems[sim.schedule.index(0)].starts  # agent 0's first solve
+    assert isinstance(starts, list) and len(starts) == 1
+    np.testing.assert_array_equal(starts[0], zeros)
+    starts = sim.problem(0, 0.3).starts
     assert isinstance(starts, list) and len(starts) == 2
     np.testing.assert_array_equal(
         starts[0], warm_start_shift(sim.prev_solution[0], sim.steering[0], sim.config))
@@ -929,14 +935,14 @@ def test_restore_runs_once_from_the_best_near_feasible_attempt(monkeypatch):
     the restored plan they make 4 attempts, with no re-attempt from an
     infeasible attempt's inputs."""
     solve_fhocp, restore = coordination.solve_fhocp, coordination.restore_feasibility
-    solve_agent = Simulation._solve_agent
+    ladder = coordination.solve_ladder
     sim = load_scenario(SCENARIO).build_simulation(total_time=0.2)
     target = (sim.schedule[0], 0.1)  # that agent's second solve: two starts
     current, attempts, restores = {}, [], []
 
-    def tracked(self, i, t_k):
-        current["solve"] = (i, t_k)
-        return solve_agent(self, i, t_k)
+    def tracked(problem, config):
+        current["solve"] = (problem.agent, problem.t)
+        return ladder(problem, config)
 
     def near_feasible(*args, **kwargs):
         sol = solve_fhocp(*args, **kwargs)
@@ -952,7 +958,7 @@ def test_restore_runs_once_from_the_best_near_feasible_attempt(monkeypatch):
         restores.append((args[4], restored[0]))
         return restored
 
-    monkeypatch.setattr(Simulation, "_solve_agent", tracked)
+    monkeypatch.setattr(coordination, "solve_ladder", tracked)
     monkeypatch.setattr(coordination, "solve_fhocp", near_feasible)
     monkeypatch.setattr(coordination, "restore_feasibility", recorded)
     log = sim.run()
@@ -1020,12 +1026,37 @@ def test_solve_stats_stay_the_accepted_attempts_own(monkeypatch):
         return sol
 
     monkeypatch.setattr(coordination, "solve_fhocp", solve)
-    sol, record = sim._solve_agent(0, 0.0)
+    sol, record = solve_ladder(sim.problem(0, 0.0), sim.config)
     assert len(calls) == 2 and sol is calls[1][0]
     assert set(sol.solve_stats) == calls[1][1]
     assert sol.solve_stats["iterations"] == calls[1][2]
     assert record["attempts"] == 2
     assert record["iterations"] == calls[0][2] + calls[1][2]
+
+
+def test_problems_re_solve_alone_bit_for_bit(monkeypatch):
+    """Each agent-solve is a function of its problem and the config alone:
+    every problem of a 0.3 s run of the bundled scenario, pickled as the run
+    makes it, re-solves from its bytes alone to the same plan, cost, status
+    and record, wall time aside."""
+    ladder, solved = coordination.solve_ladder, []
+
+    def recorded(problem, config):
+        blob = pickle.dumps(problem)
+        solved.append((blob, *ladder(problem, config)))
+        return solved[-1][1:]
+
+    monkeypatch.setattr(coordination, "solve_ladder", recorded)
+    sim = load_scenario(SCENARIO).build_simulation(total_time=0.3)
+    sim.run()
+    assert len(solved) == 9
+    for blob, sol, record in solved:
+        again, again_record = ladder(pickle.loads(blob), sim.config)
+        assert again.inputs.tobytes() == sol.inputs.tobytes()
+        assert again.dense_errors.tobytes() == sol.dense_errors.tobytes()
+        assert (repr(again.cost), again.status) == (repr(sol.cost), sol.status)
+        assert (repr({**again_record, "wall_time": None})
+                == repr({**record, "wall_time": None}))
 
 
 def test_terminal_exclusion_leaves_trajectory_unchanged(monkeypatch):
@@ -1036,19 +1067,19 @@ def test_terminal_exclusion_leaves_trajectory_unchanged(monkeypatch):
     carry `terminal_excluded`; without it they try the tier and fail it."""
     terminal_calls = []
     agent_step = {}
-    solve_agent = Simulation._solve_agent
+    ladder = coordination.solve_ladder
     solve_fhocp = coordination.solve_fhocp
 
-    def tagged_solve_agent(self, i, t_k):
-        agent_step["now"] = (i, round(t_k, 1))
-        return solve_agent(self, i, t_k)
+    def tagged_ladder(problem, config):
+        agent_step["now"] = (problem.agent, round(problem.t, 1))
+        return ladder(problem, config)
 
     def recorded_solve_fhocp(*args, **kwargs):
         if kwargs["use_terminal"]:
             terminal_calls.append(agent_step["now"])
         return solve_fhocp(*args, **kwargs)
 
-    monkeypatch.setattr(Simulation, "_solve_agent", tagged_solve_agent)
+    monkeypatch.setattr(coordination, "solve_ladder", tagged_ladder)
     monkeypatch.setattr(coordination, "solve_fhocp", recorded_solve_fhocp)
     skipped = {(1, 0.9), (1, 1.0), (1, 1.1)}
 
@@ -1153,7 +1184,7 @@ def test_sensing_reads_earlier_agents_after_their_move(monkeypatch):
     sim = _simulation(total_time=0.3, schedule=[1, 0])
     sensed, moved, posted = [], [], []
     real_sensing, real_integrate = coordination.sensing_set, coordination.integrate
-    real_geometry = sim._geometry
+    real_ladder = coordination.solve_ladder
 
     def sensing(agent, positions, d_i):
         sensed.append((agent, np.array(positions)))
@@ -1164,13 +1195,14 @@ def test_sensing_reads_earlier_agents_after_their_move(monkeypatch):
         moved.append(states[-1][UNICYCLE.position_slice].copy())
         return times, states, w_norms
 
-    def geometry(i, t_k, dense_taus):
-        posted.append((i, t_k, {j: entry.t0 for j, entry in sim.board.items()}))
-        return real_geometry(i, t_k, dense_taus)
+    def ladder(problem, config):
+        posted.append((problem.agent, problem.t,
+                       {j: entry.t0 for j, entry in sim.board.items()}))
+        return real_ladder(problem, config)
 
     monkeypatch.setattr(coordination, "sensing_set", sensing)
     monkeypatch.setattr(coordination, "integrate", integrate)
-    monkeypatch.setattr(sim, "_geometry", geometry)
+    monkeypatch.setattr(coordination, "solve_ladder", ladder)
     sim.run()
     assert [agent for agent, _ in sensed] == [1, 0] * 3
     here = {0: np.array([0.0, 0.0]), 1: np.array([0.0, 1.2])}  # the starts
@@ -1212,7 +1244,8 @@ def test_blocked_plan_tries_the_untried_starts_then_the_probes(monkeypatch):
     sim._bootstrap_board()
     sim._log_initial()
     sim.step(0)
-    shifted, zeros = sim._starts(0)
+    problem = sim.problem(0, 0.1)
+    shifted, zeros = problem.starts
     real_solve, calls, terminal = coordination.solve_fhocp, [], []
     # the shifted start, the zero start, then the four probes; one probe is
     # cheapest but infeasible, and two feasible ones tie at the lowest cost
@@ -1234,7 +1267,7 @@ def test_blocked_plan_tries_the_untried_starts_then_the_probes(monkeypatch):
         return sol
 
     monkeypatch.setattr(coordination, "solve_fhocp", solve)
-    sol, record = sim._solve_agent(0, 0.1)
+    sol, record = solve_ladder(problem, sim.config)
     starts = [kwargs["warm_start"] for kwargs, _ in calls]
     assert len(calls) == 6
     np.testing.assert_array_equal(starts[0], shifted)
@@ -1255,7 +1288,7 @@ def test_all_tiers_failing_returns_the_first_lowest_residual_attempt(monkeypatch
     residual; the terminal tier falls through to it without restoring."""
     sim = _simulation(total_time=0.2)
     sim.states = [np.array([1.5, 0.0, 0.0]), np.array([1.5, 1.2, 0.0])]
-    real_solve, real_agent = coordination.solve_fhocp, sim._solve_agent
+    real_solve, real_ladder = coordination.solve_fhocp, coordination.solve_ladder
     real_restore = coordination.restore_feasibility
     residuals = [0.5, 0.3, 0.3]
     calls, restores, returned, events = [], [], [], []
@@ -1272,13 +1305,13 @@ def test_all_tiers_failing_returns_the_first_lowest_residual_attempt(monkeypatch
         events.append("restore")
         return restores[-1]
 
-    def solve_agent(i, t_k):
-        returned.append(real_agent(i, t_k))
+    def ladder(problem, config):
+        returned.append(real_ladder(problem, config))
         return returned[-1]
 
     monkeypatch.setattr(coordination, "solve_fhocp", solve)
     monkeypatch.setattr(coordination, "restore_feasibility", restore)
-    monkeypatch.setattr(sim, "_solve_agent", solve_agent)
+    monkeypatch.setattr(coordination, "solve_ladder", ladder)
     with pytest.raises(SimulationError, match=r"agent 0 infeasible at t = 0\.000 "
                                               r"\(residual 0\.3\)") as err:
         sim.run()
@@ -1307,16 +1340,17 @@ def test_tube_is_chosen_once_per_simulation(monkeypatch):
         assert np.array_equal(rho, np.minimum(rho_full, 0.05) if capped else rho_full)
 
     sim._bootstrap_board()  # the last simulation, whose cap binds
-    sep, conn = sim._geometry(0, 0.0, dense_taus).pair_windows()
+    problem = sim.problem(0, 0.0)
+    sep, conn = problem.geometry.pair_windows()
     assert sep.size and (sep + 2.0 * rho_full.max() <= conn).all()
-    real_margin_fn, tubes = sim._margin_fn, []
+    real_margin_fn, tubes = coordination._margin_fn, []
 
-    def margin_fn(i, geometry, rho):
+    def margin_fn(geometry, rho, goal):
         tubes.append(rho)
-        return real_margin_fn(i, geometry, rho)
+        return real_margin_fn(geometry, rho, goal)
 
-    monkeypatch.setattr(sim, "_margin_fn", margin_fn)
-    sol, record = sim._solve_agent(0, 0.0)
+    monkeypatch.setattr(coordination, "_margin_fn", margin_fn)
+    sol, record = solve_ladder(problem, sim.config)
     assert tubes and all(tube is rho for tube in tubes)
     assert sol.status != "infeasible" and record["tube_capped"]
 
