@@ -9,7 +9,7 @@ Scenario files are YAML; matrices are row-major nested lists; all physical
 quantities are SI. The stage and terminal weights are drawn by the seeded
 random recipe Q = 0.5 (I + 0.5 S), P = 0.3 (I + 0.5 S) with S a symmetrized
 uniform random matrix drawn from the scenario seed by the module's own PCG64
-generator; the input weight R is given.
+generator; the input weight R is given, the `weights` section's one key.
 """
 
 from __future__ import annotations
@@ -73,8 +73,6 @@ class Scenario:
     disturbance: dict
     tube_cap: float | None
     lam_max_P: float | None
-    max_iterations: int
-    constraint_tol: float
 
     # -- component builders ---------------------------------------------
 
@@ -99,7 +97,6 @@ class Scenario:
         return OcpConfig(
             h=self.h, T_p=self.T_p, Q=self.Q, R=self.R, P=self.P,
             eps_omega=self.eps_omega, eps_psi=self.eps_psi, u_bar=self.u_bar,
-            max_iterations=self.max_iterations, constraint_tol=self.constraint_tol,
         )
 
     def build_profile(self):
@@ -228,11 +225,11 @@ def _weights_from_recipe(section, seed):
 # the keys a scenario file, each of its agents and each of its sections may hold
 _SCENARIO_KEYS = frozenset((
     "name", "seed", "total_time", "h", "T_p", "u_bar", "w_bar", "eps_omega", "eps_psi",
-    "margin", "L_g", "L_V", "lam_max_P", "tube_cap", "max_iterations", "constraint_tol",
-    "schedule", "workspace", "obstacles", "weights", "disturbance", "agents"))
+    "margin", "L_g", "L_V", "lam_max_P", "tube_cap", "schedule", "workspace", "obstacles",
+    "weights", "disturbance", "agents"))
 _AGENT_KEYS = frozenset(("radius", "sensing_range", "detection_range", "start", "goal"))
 _BALL_KEYS = frozenset(("center", "radius"))  # the workspace's and each obstacle's
-_WEIGHT_KEYS = frozenset(("recipe", "R"))
+_WEIGHT_KEYS = frozenset(("R",))
 _DISTURBANCE_KEYS = frozenset(("amplitude", "frequency"))
 
 
@@ -241,7 +238,8 @@ def load_scenario(path, seed=None) -> Scenario:
 
     Raises ScenarioError with the offending field (or YAML location) on any
     parse or validation failure, an unknown key of the file, of an agent or
-    of a section included. `seed` overrides the file's seed.
+    of a section included. `seed` overrides the file's seed, and is checked
+    as it is: an integer, not a float, bool or string.
     """
     try:
         with open(path) as fh:
@@ -270,8 +268,8 @@ def load_scenario(path, seed=None) -> Scenario:
         return value
 
     def integer(value, name):
-        """`value`, which the file gives as `name`: a float, a bool or a
-        string is an error, not truncated."""
+        """`value`, called `name` in messages: a float, a bool or a string is
+        an error, not truncated."""
         if type(value) is not int:
             raise ScenarioError(f"{path}: {name} must be an integer, got {value!r}")
         return value
@@ -296,9 +294,6 @@ def load_scenario(path, seed=None) -> Scenario:
                      for k, o in enumerate(raw.get("obstacles", []))]
         disturbance = section(raw.get("disturbance", {}), _DISTURBANCE_KEYS, "disturbance")
         weights = section(need("weights"), _WEIGHT_KEYS, "weights")
-        if weights.get("recipe", "seeded-random") != "seeded-random":
-            raise ScenarioError(f"{path}: unknown weights recipe {weights['recipe']!r}, "
-                                "the one recipe is 'seeded-random'")
         agents = [
             AgentSpec(
                 radius=float(a["radius"]),
@@ -309,7 +304,8 @@ def load_scenario(path, seed=None) -> Scenario:
             )
             for a in raw_agents
         ]
-        use_seed = integer(raw.get("seed", 0), "field 'seed'") if seed is None else int(seed)
+        use_seed = (integer(raw.get("seed", 0), "field 'seed'") if seed is None
+                    else integer(seed, "seed override"))
         Q, R, P = _weights_from_recipe(weights, use_seed)
         scenario = Scenario(
             name=str(raw.get("name", Path(path).stem)),
@@ -335,9 +331,6 @@ def load_scenario(path, seed=None) -> Scenario:
             disturbance=dict(disturbance),
             tube_cap=optional_float("tube_cap"),
             lam_max_P=optional_float("lam_max_P"),
-            max_iterations=integer(raw.get("max_iterations", OcpConfig.max_iterations),
-                                   "field 'max_iterations'"),
-            constraint_tol=float(raw.get("constraint_tol", OcpConfig.constraint_tol)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):

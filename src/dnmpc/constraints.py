@@ -126,17 +126,18 @@ class StageGeometry:
     `taus` as the agent's own predicted states. All distance margins are
     1-Lipschitz in the position, hence in the full error norm.
 
-    Built once from per-kind entries: `interagent` (label, traj (T, d), min
-    dist), `neighbor` (label, traj (T, d), max dist), `obstacles` (label,
-    center (d,), min dist) and the required `workspace` (center (d,), max
-    dist), so that every geometry has a column. They are kept only as
+    Built once from per-kind entries, every kind given (an empty list for a
+    kind with none): `interagent` (label, traj (T, d), min dist), `neighbor`
+    (label, traj (T, d), max dist), `obstacles` (label, center (d,), min
+    dist) and `workspace` (center (d,), max dist), the one entry that every
+    geometry has, so that it has a column. They are kept only as
     stacked columns, in MARGIN_KINDS order: the margin of column c is
     sign[c] * |pos - anchors[:, c]| + offset[c], of kind
     MARGIN_KINDS[kinds[c]] against labels[c] ("agent1", "obst0",
     "workspace"). `anchors` is (T, C, d), the others (C,).
     """
 
-    def __init__(self, taus, *, workspace, interagent=(), neighbor=(), obstacles=()):
+    def __init__(self, taus, *, workspace, interagent, neighbor, obstacles):
         center, limit = workspace
         entries = ([(label, traj, 1.0, -thr, 0) for label, traj, thr in interagent]
                    + [(label, traj, -1.0, thr, 1) for label, traj, thr in neighbor]

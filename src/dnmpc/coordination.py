@@ -22,7 +22,7 @@ the shifted and zero starts and lateral probes when blocked; when all its
 starts end infeasible, the relaxed tier also tries a phase-1 feasibility
 restoration. The terminal-enforced tier runs only near the goal,
 and is skipped when a closed-form check proves it infeasible: every position
-the terminal set admits lies within r = sqrt((eps_omega + tol) /
+the terminal set admits lies within r = sqrt((eps_omega + CONSTRAINT_TOL) /
 lambda_min(P)) of the goal, and some last-stage margin is violated on that
 whole ball.
 
@@ -46,8 +46,8 @@ import numpy as np
 from .certify import ultimate_bound
 from .constraints import MARGIN_KINDS, StageGeometry, WorldModel, tube_profile_radii
 from .dynamics import UNICYCLE, ErrorDynamics, integrate
-from .ocp import (OcpConfig, dual_mode_controller, restore_feasibility, solve_fhocp,
-                  unicycle_steering_law, warm_start_shift)
+from .ocp import (CONSTRAINT_TOL, OcpConfig, restore_feasibility, solve_fhocp,
+                  warm_start_shift)
 from .setalg import TubeProfile
 
 __all__ = [
@@ -457,7 +457,7 @@ def solve_ladder(problem: AgentProblem, config: OcpConfig):
     calls), `iterations` (their sum) and `wall_time` cover the whole ladder;
     its other fields are the accepted attempt's, with `feasible_witness`
     true when that attempt is terminal-enforced and started from the shifted
-    plan, feasible within `constraint_tol`. Each attempt's `solve_stats`
+    plan, feasible within `CONSTRAINT_TOL`. Each attempt's `solve_stats`
     stay as solve_fhocp wrote them.
 
     In each tier: the starts until one ends feasible; if its plan is
@@ -585,13 +585,9 @@ class Simulation:
         self.known_obstacles = [set() for _ in self.models]
         self.prev_solution: list = [None] * len(self.models)
         self.traces = [AgentTrace() for _ in self.models]
-        # each agent's terminal controller kappa, which extends the shifted plan
-        self.steering = [dual_mode_controller(unicycle_steering_law(ed.z_des, config.u_bar),
-                                              config)
-                         for ed in self.errordyns]
         # V(e) >= lambda_min(P) |e|^2: a terminal-feasible plan ends this close
         # to the goal
-        self.terminal_radius = ultimate_bound(config.eps_omega + config.constraint_tol,
+        self.terminal_radius = ultimate_bound(config.eps_omega + CONSTRAINT_TOL,
                                               float(np.linalg.eigvalsh(config.P)[0]))
         self._n_steps = int(round(self.total_time / config.h))
         if abs(self._n_steps * config.h - self.total_time) > 1e-9:
@@ -653,11 +649,11 @@ class Simulation:
         pos_e0 = e0[_POSITION]
         terminal_plausible = math.sqrt(pos_e0.dot(pos_e0)) <= 0.5 * cfg.u_bar * cfg.T_p
         terminal_excluded = terminal_plausible and geometry.terminal_excluded(
-            errordyn.z_des[_POSITION], self.terminal_radius, rho[-1], cfg.constraint_tol)
+            errordyn.z_des[_POSITION], self.terminal_radius, rho[-1], CONSTRAINT_TOL)
         starts = [np.zeros((cfg.n_stages, UNICYCLE.input_dim))]
         prev = self.prev_solution[i]
         if prev is not None and prev.status != "infeasible":
-            starts.insert(0, warm_start_shift(prev, self.steering[i], cfg))
+            starts.insert(0, warm_start_shift(prev, errordyn.z_des, cfg))
         return AgentProblem(
             agent=i, t=t_k, errordyn=errordyn, e0=e0, geometry=geometry, rho=rho, capped=capped,
             tiers=(True, False) if terminal_plausible and not terminal_excluded else (False,),

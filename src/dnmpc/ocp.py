@@ -42,7 +42,7 @@ sequential quadratic programming, :func:`_gauss_newton_sqp`:
   projected onto the ball;
 - one merit, cost + mu * (worst margin violation), and one Armijo line
   search;
-- a stop of its own: the first iterate within `constraint_tol` of every
+- a stop of its own: the first iterate within `CONSTRAINT_TOL` of every
   margin whose QP predicts a decrease of the cost (the running cost with its
   terminal penalty) of at most RELAXED_STOP_DELTA of it.
 
@@ -91,7 +91,7 @@ Scokaert, Mayne & Rawlings (1999, "Suboptimal model predictive control
 (feasibility implies stability)") show that it needs only a feasible plan
 that costs no more than that candidate. SLSQP's callback therefore ends the
 solve at the first major iterate whose plan, projected onto the input ball
-as the returned plan is, meets every constraint within `constraint_tol` and
+as the returned plan is, meets every constraint within `CONSTRAINT_TOL` and
 
 - when the solve's own start meets them too (the witness, of cost J~),
   costs at most J~;
@@ -106,12 +106,12 @@ set, is missing.
 
 The witness is the previous plan shifted by one stage with the input of the
 terminal controller kappa appended (:func:`warm_start_shift`). kappa is
-:func:`dual_mode_controller`: zero input in Omega = {e'Pe <= eps_omega}, the
+:func:`dual_mode_input`: zero input in Omega = {e'Pe <= eps_omega}, the
 steering law outside. Of the paper's terminal conditions it meets these:
 
 - invariance: a plan that ends in Omega still ends there after the shift,
   as the unicycle stands still under zero input (the tier-1 sampling oracle
-  checks it). A plan accepted up to `constraint_tol` outside Omega gets the
+  checks it). A plan accepted up to `CONSTRAINT_TOL` outside Omega gets the
   steering law. In the bundled scenario a constant disturbance of norm
   w_bar, held for h, takes V up to 1.21 eps_omega, within eps_psi =
   16.6 eps_omega;
@@ -150,7 +150,7 @@ __all__ = [
     "solve_fhocp",
     "restore_feasibility",
     "unicycle_steering_law",
-    "dual_mode_controller",
+    "dual_mode_input",
     "warm_start_shift",
     "single_blas_thread",
 ]
@@ -247,10 +247,20 @@ def single_blas_thread():
             set_threads(count)
 
 
+CONSTRAINT_TOL = 1e-4
+"""The one feasibility tolerance: a plan is feasible when its worst slack
+(its margins and, when enforced, the terminal set) is at least
+-CONSTRAINT_TOL. Every solver's stop and status, the ladder's witness, the
+terminal radius and the terminal exclusion of the engine read it."""
+
+MAX_ITERATIONS = 100
+"""Iteration cap of every solve: SLSQP's major iterations (terminal-enforced
+solves and the restoration) and the relaxed solver's SQP iterations."""
+
 SUBOPTIMAL_STOP_DELTA = 1e-4
 """Relative cost change between SLSQP major iterates at or below which a
 feasible terminal-enforced plan is accepted when the solve's start is not
-feasible within `constraint_tol`; from a feasible start the first feasible
+feasible within `CONSTRAINT_TOL`; from a feasible start the first feasible
 iterate no costlier than it is accepted, settled or not. delta trades only
 closeness to the optimum for iterations. At 1e-4 the bundled runs' verdicts
 and the robustness sweep's outcomes are those of SLSQP's own test; larger
@@ -278,8 +288,6 @@ class OcpConfig:
     u_bar: float
     # RK4 substeps per sampling step, of the rollouts, the plant and the log
     substeps: ClassVar[int] = 10
-    constraint_tol: float = 1e-6
-    max_iterations: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.h < self.T_p):
@@ -301,12 +309,6 @@ class OcpConfig:
             raise ValueError("need 0 < eps_omega < eps_psi")
         if self.u_bar <= 0.0:
             raise ValueError(f"input bound u_bar must be positive, got {self.u_bar}")
-        # a NaN tolerance would pass every infeasibility test
-        if not 0.0 < self.constraint_tol < math.inf:
-            raise ValueError("constraint_tol must be positive and finite, "
-                             f"got {self.constraint_tol}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
     @property
     def n_stages(self):
@@ -572,7 +574,7 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
             g[:] = in_z(res["cost_grad"])
 
     opt = minimize(values, gradients, start, n_margins + n_terminal + N,
-                   cfg.max_iterations, ftol, callback)
+                   MAX_ITERATIONS, ftol, callback)
     opt.x = to_x(opt.x)
     return opt
 
@@ -702,7 +704,7 @@ NEAR_ACTIVE = 0.05
 
 RELAXED_STOP_DELTA = 1e-6
 """A relaxed solve ends at the first iterate that meets every margin within
-`constraint_tol` and whose QP step predicts a decrease of the cost (the
+`CONSTRAINT_TOL` and whose QP step predicts a decrease of the cost (the
 running cost with its terminal penalty) of at most this fraction of it."""
 
 # least weight of the elastic variable, relative to the mean diagonal of the
@@ -737,9 +739,9 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
     Each trial point is projected onto the ball, so every iterate meets it
     exactly.
 
-    The solve converges at an iterate within `constraint_tol` of every margin
+    The solve converges at an iterate within `CONSTRAINT_TOL` of every margin
     whose QP (not the elastic one) predicts a decrease of at most
-    RELAXED_STOP_DELTA of the cost. It ends unconverged after `max_iterations`,
+    RELAXED_STOP_DELTA of the cost. It ends unconverged after `MAX_ITERATIONS`,
     or when the merit has no descent direction or no step length down to
     _MIN_STEP lowers it."""
     cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
@@ -756,7 +758,7 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
     working = np.ones(rows + 1, dtype=bool)
     working[:n_margins] = res["margins"] <= NEAR_ACTIVE
     T_e = np.zeros((nx + 1, nx + 1))
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         H = _gauss_newton_hessian(tr, x)
         T = _inverse_factor(H)
         g = res["cost_grad"]
@@ -783,7 +785,7 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
             d, lowered = d[:nx], max(0.0, d[nx])
             model = g @ d + 0.5 * d @ H @ d
         working[:n_margins] = lam[:n_margins] > 0.0
-        if lowered == 0.0 and violation <= cfg.constraint_tol and (
+        if lowered == 0.0 and violation <= CONSTRAINT_TOL and (
                 -model <= RELAXED_STOP_DELTA * res["cost"]):
             return x, iteration, True
         mu = max(mu, 2.0 * float(np.add.reduce(lam[:n_margins])))
@@ -806,15 +808,15 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
         x = trial
         res = tr.eval(x, gradients=True)
         working[:n_margins] |= res["margins"] <= NEAR_ACTIVE
-    return x, cfg.max_iterations, False
+    return x, MAX_ITERATIONS, False
 
 
 def _suboptimal_stop(tr: _Transcription, x0, scale):
     """SLSQP callback of a terminal-enforced solve that runs in y, x = x0 +
     `scale` y: raises StopIteration at the first major iterate whose plan,
-    projected onto the input ball, is feasible within `constraint_tol` and
+    projected onto the input ball, is feasible within `CONSTRAINT_TOL` and
 
-    - when the start x0 is feasible within `constraint_tol` (a witness),
+    - when the start x0 is feasible within `CONSTRAINT_TOL` (a witness),
       costs at most J~, the start's cost;
     - otherwise, changed the cost by at most SUBOPTIMAL_STOP_DELTA relative
       to the previous major iterate (the first one compares with x0).
@@ -824,7 +826,7 @@ def _suboptimal_stop(tr: _Transcription, x0, scale):
     solve as optimal, not stopped."""
     cfg = tr.cfg
     start = tr.eval(x0)
-    witness = -start["slack"] <= cfg.constraint_tol
+    witness = -start["slack"] <= CONSTRAINT_TOL
     previous_cost = start["cost"]
 
     def callback(y):
@@ -837,7 +839,7 @@ def _suboptimal_stop(tr: _Transcription, x0, scale):
             good_enough = abs(res["cost"] - previous_cost) <= SUBOPTIMAL_STOP_DELTA * previous_cost
             previous_cost = res["cost"]
         # the slack, and so the point's margins, only when the cost passes
-        if good_enough and -res["slack"] <= cfg.constraint_tol:
+        if good_enough and -res["slack"] <= CONSTRAINT_TOL:
             raise StopIteration
 
     return callback
@@ -873,7 +875,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig, warm_
         "feasible-suboptimal" otherwise. The stat `suboptimal_stop` says
         whether the suboptimal-MPC stop ended the solve short of SLSQP's own
         test, and `start_feasible` whether the projected warm start met every
-        constraint of this solve within `constraint_tol`.
+        constraint of this solve within `CONSTRAINT_TOL`.
     """
     t_start = time.perf_counter()
     e0 = np.asarray(e0, dtype=float)
@@ -883,7 +885,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig, warm_
     N, m = tr.N, tr.m
     x0 = _project_inputs(np.asarray(warm_start, dtype=float), config.u_bar).ravel()
     # the first evaluation of every solve, so it costs no extra rollout
-    start_feasible = -tr.eval(x0)["slack"] <= config.constraint_tol
+    start_feasible = -tr.eval(x0)["slack"] <= CONSTRAINT_TOL
 
     stopped = False
     try:
@@ -907,14 +909,14 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig, warm_
     x_best = U.ravel()
     res = tr.eval(x_best)
     # Keep the warm start if the solver wandered to something worse and infeasible.
-    if max(0.0, -res["slack"]) > config.constraint_tol:
+    if max(0.0, -res["slack"]) > CONSTRAINT_TOL:
         res0 = tr.eval(x0)
-        if max(0.0, -res0["slack"]) <= config.constraint_tol:
+        if max(0.0, -res0["slack"]) <= CONSTRAINT_TOL:
             x_best, res = x0, res0
             U = x_best.reshape(N, m)
 
     residual = max(0.0, -res["slack"])
-    if residual > config.constraint_tol:
+    if residual > CONSTRAINT_TOL:
         status = "infeasible"
     elif converged:
         status = "optimal"
@@ -972,77 +974,65 @@ def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfi
 _STEER_K_V, _STEER_K_ALPHA, _STEER_K_THETA, _STEER_BLEND = 2.0, 4.0, 2.0, 0.05
 
 
-def unicycle_steering_law(z_des, u_bar):
-    """Distance/bearing feedback for the unicycle error state.
+def unicycle_steering_law(e, z_des, u_bar):
+    """Distance/bearing feedback input at the unicycle error e of goal z_des.
 
     Drives the position error to zero by steering toward the goal, then
     aligns the heading. Saturated to the input-norm ball; the outer mode of
-    :func:`dual_mode_controller`, since the rest linearization is not
+    :func:`dual_mode_input`, since the rest linearization is not
     stabilizable.
     """
-    theta_des = float(z_des[2])
-
-    def kappa(e):
-        e = np.asarray(e, dtype=float)
-        dx, dy = -e[0], -e[1]
-        dist = float(np.hypot(dx, dy))
-        theta = theta_des + e[2]
-        if dist > 1e-12:
-            bearing = np.arctan2(dy, dx)
-            alpha = float(wrap_angle(bearing - theta))
-            v = _STEER_K_V * dist * np.cos(alpha)
-            w_goal = dist / (dist + _STEER_BLEND)
-            omega = (_STEER_K_ALPHA * alpha * w_goal
-                     - _STEER_K_THETA * float(wrap_angle(e[2])) * (1 - w_goal))
-        else:
-            v = 0.0
-            omega = -_STEER_K_THETA * float(wrap_angle(e[2]))
-        u = np.array([v, omega])
-        norm = np.linalg.norm(u)
-        if norm > u_bar:
-            u *= u_bar / norm
-        return u
-
-    return kappa
+    e = np.asarray(e, dtype=float)
+    dx, dy = -e[0], -e[1]
+    dist = float(np.hypot(dx, dy))
+    theta = float(z_des[2]) + e[2]
+    if dist > 1e-12:
+        bearing = np.arctan2(dy, dx)
+        alpha = float(wrap_angle(bearing - theta))
+        v = _STEER_K_V * dist * np.cos(alpha)
+        w_goal = dist / (dist + _STEER_BLEND)
+        omega = (_STEER_K_ALPHA * alpha * w_goal
+                 - _STEER_K_THETA * float(wrap_angle(e[2])) * (1 - w_goal))
+    else:
+        v = 0.0
+        omega = -_STEER_K_THETA * float(wrap_angle(e[2]))
+    u = np.array([v, omega])
+    norm = np.linalg.norm(u)
+    if norm > u_bar:
+        u *= u_bar / norm
+    return u
 
 
-def dual_mode_controller(outside, config: OcpConfig):
-    """The terminal controller kappa whose input `warm_start_shift` appends to
-    the shifted start: zero input when e'Pe <= eps_omega, `outside(e)`
-    otherwise (a dual-mode controller in the sense of Michalska & Mayne
-    1993).
+def dual_mode_input(e, z_des, config: OcpConfig):
+    """The input of the terminal controller kappa at the error e of goal
+    z_des, which `warm_start_shift` appends to the shifted start: zero when
+    e'Pe <= eps_omega, :func:`unicycle_steering_law` otherwise (a dual-mode
+    controller in the sense of Michalska & Mayne 1993).
 
     Zero input stops the unicycle, so its nominal error stays where it is,
     and the terminal set Omega = {e'Pe <= eps_omega} is invariant under
     kappa: a plan that ends in Omega, shifted by one stage, still ends there.
-    The held `outside` input threw that candidate out of Omega in 138 of 150
-    solves at rest. Outside Omega the steering law still drives the tail
+    The held steering-law input threw that candidate out of Omega in 138 of
+    150 solves at rest. Outside Omega the steering law still drives the tail
     toward the goal; a zero tail at every solve aborted the bundled scenario
     at t = 0.4 s.
     """
-    zero = np.zeros(config.R.shape[0])
-
-    def kappa(e):
-        e = np.asarray(e, dtype=float)
-        if e @ config.P @ e <= config.eps_omega:
-            return zero.copy()
-        return outside(e)
-
-    return kappa
+    e = np.asarray(e, dtype=float)
+    if e @ config.P @ e <= config.eps_omega:
+        return np.zeros(config.R.shape[0])
+    return unicycle_steering_law(e, z_des, config.u_bar)
 
 
-def warm_start_shift(previous: HorizonSolution, controller, config: OcpConfig):
+def warm_start_shift(previous: HorizonSolution, z_des, config: OcpConfig):
     """Shifted warm start: drop the first stage, append one terminal stage.
 
-    The appended input is the terminal controller applied to the tail state of
-    the previous prediction, projected onto the input ball.
+    The appended input is :func:`dual_mode_input` at the tail error of the
+    previous prediction, projected onto the input ball.
     """
     if previous.status == "infeasible":
         raise ValueError("cannot shift an infeasible solution")
-    tail = previous.dense_errors[-1]
-    u_tail = np.asarray(controller(tail), dtype=float)
+    u_tail = dual_mode_input(previous.dense_errors[-1], z_des, config)
     norm = math.sqrt(u_tail.dot(u_tail))
     if norm > config.u_bar:
         u_tail = u_tail * (config.u_bar / norm)
     return np.concatenate([previous.inputs[1:], u_tail[None, :]])
-

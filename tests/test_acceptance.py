@@ -22,7 +22,7 @@ from dnmpc.constraints import StageGeometry, tube_profile_radii
 from dnmpc.coordination import SimulationError
 from dnmpc.dynamics import (UNICYCLE, DisturbanceSignal, ErrorDynamics, integrate,
                             rollout_zoh, wrap_angle)
-from dnmpc.ocp import OcpConfig, solve_fhocp
+from dnmpc.ocp import OcpConfig, dual_mode_input, solve_fhocp
 from dnmpc.setalg import EMPTY, Ball, TubeProfile, minkowski_add, \
     pontryagin_diff, tube_radius
 from oracles import DOUBLE_INTEGRATOR, no_margins, use_double_integrator
@@ -211,8 +211,8 @@ def test_criterion_5_tightening_soundness(capsys):
             thr = (np.linalg.norm(p_nom - center, axis=1) - rho).min() - 1e-6
         w_center = np.asarray([0.0, 0.0])
         limit = (np.linalg.norm(p_nom - w_center, axis=1) + rho).max() + 1e-6
-        geo = StageGeometry(taus=taus, obstacles=[("o", center, thr)],
-                            workspace=(w_center, limit))
+        geo = StageGeometry(taus=taus, interagent=[], neighbor=[],
+                            obstacles=[("o", center, thr)], workspace=(w_center, limit))
         assert geo.tightened(p_nom, rho)[0].min() >= 0.0
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
@@ -388,7 +388,7 @@ def test_terminal_controller_keeps_the_terminal_set_invariant(capsys):
     chol = np.linalg.cholesky(cfg.P)  # e'Pe = |chol' e|^2
     worst_nominal = worst_disturbed = 0.0
     draws = 0
-    for errordyn, kappa in zip(sim.errordyns, sim.steering):
+    for errordyn in sim.errordyns:
         for _ in range(100):
             direction = rng.normal(size=3)
             # uniform in the ellipsoid: radius^3 uniform, so V^(3/2) uniform
@@ -396,7 +396,7 @@ def test_terminal_controller_keeps_the_terminal_set_invariant(capsys):
             e = np.linalg.solve(chol.T, radius * direction / np.linalg.norm(direction))
             w = rng.normal(size=3)
             w *= scenario.w_bar / np.linalg.norm(w)
-            u = kappa(e)
+            u = dual_mode_input(e, errordyn.z_des, cfg)
             constant = DisturbanceSignal(lambda times, w=w: np.tile(w, (len(times), 1)),
                                          scenario.w_bar)
             for disturbance in (None, constant):

@@ -42,7 +42,8 @@ def test_every_layer_entry_resolves(calls):
     ed = ErrorDynamics(UNICYCLE, np.zeros(3))
     _, jacobian = dynamics.rollout_zoh(ed, np.zeros(3), np.zeros((2, 2)), 0.1, 2)
     assert jacobian.__code__ is calls.code_of(*calls.JACOBIAN)
-    geometry = StageGeometry(np.array([0.1]), workspace=(np.zeros(2), 9.0))
+    geometry = StageGeometry(np.array([0.1]), workspace=(np.zeros(2), 9.0), interagent=[],
+                             neighbor=[], obstacles=[])
     margin_fn = coordination._margin_fn(geometry, np.zeros(1), np.zeros(2))
     assert calls.LAYERS[calls.MARGINS] == "margins"
     assert margin_fn.__code__ is calls.code_of(*calls.MARGINS)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dnmpc import certify, cli, coordination
+from dnmpc import certify, cli, coordination, ocp
 from dnmpc.cli import ScenarioError, cmd_certify, load_scenario, main
 from dnmpc.coordination import AgentTrace, TrajectoryLog
 from dnmpc.dynamics import UNICYCLE
@@ -24,9 +24,9 @@ def _variant(tmp_path, **overrides):
 
 
 def _weights(R=2, **given):
-    """The recipe's weights with an identity R of the given size (the
+    """The weights section with an identity R of the given size (the
     unicycle's is 2) and the `given` identity matrices, of the sizes given."""
-    return {"recipe": "seeded-random", "R": np.eye(R).tolist(),
+    return {"R": np.eye(R).tolist(),
             **{name: np.eye(size).tolist() for name, size in given.items()}}
 
 
@@ -205,15 +205,19 @@ def test_certify_reports_where_the_tube_closes_the_window(capsys):
         0.3565, abs=1e-4)
 
 
-def test_solver_settings_default_to_the_solver_config(tmp_path):
-    raw = yaml.safe_load(SCENARIO.read_text())
-    del raw["max_iterations"], raw["constraint_tol"]
-    path = tmp_path / "defaults.yaml"
-    path.write_text(yaml.safe_dump(raw))
-    config = load_scenario(path).build_config()
-    assert (config.max_iterations, config.constraint_tol) == (200, 1e-6)
-    bundled = load_scenario(SCENARIO).build_config()
-    assert (bundled.max_iterations, bundled.constraint_tol) == (100, 1e-4)
+def test_solver_settings_are_the_ocp_constants():
+    """Every solve, of every run and every test, runs at one tolerance and
+    one iteration cap, which no scenario sets."""
+    assert (ocp.CONSTRAINT_TOL, ocp.MAX_ITERATIONS) == (1e-4, 100)
+
+
+@pytest.mark.parametrize("seed", [18.9, True, "18"])
+def test_seed_override_must_be_an_integer(seed):
+    """A seed given to `load_scenario` is checked as the file's is, not
+    truncated: 18.9 is not seed 18, nor True seed 1."""
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"{SCENARIO}: seed override must be an integer, got {seed!r}")):
+        load_scenario(SCENARIO, seed=seed)
 
 
 def test_main_malformed_path_exits_2(capsys):
@@ -347,7 +351,7 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
     ({"weights": _weights(Q=3)}, [], "unknown field 'Q' of weights"),
     ({"weights": _weights(P=3)}, [], "unknown field 'P' of weights"),
     ({"weights": _weights(R=3)}, [], "weight R must be 2x2, got 3x3"),
-    ({"weights": {"recipe": "seeded-random", "R": [[1.0, 0.0], [0.0, -1.0]]}}, [],
+    ({"weights": {"R": [[1.0, 0.0], [0.0, -1.0]]}}, [],
      "R must be positive definite"),
     ({"seed": -1}, [], "invalid field (expected non-negative integer)"),
     ({"disturbance": _disturbance(amplitude=float("nan"))}, [],
@@ -358,19 +362,16 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
      "disturbance amplitude must be a number, got 'abc'"),
     ({"disturbance": _disturbance(frequency="fast")}, [],
      "disturbance frequency must be a number, got 'fast'"),
-    ({"constraint_tol": float("nan")}, [], "constraint_tol must be positive and finite, got nan"),
-    ({"constraint_tol": -1.0}, [], "constraint_tol must be positive and finite, got -1.0"),
-    ({"max_iterations": 0}, [], "max_iterations must be at least 1, got 0"),
     ({"seed": 18.9}, [], "field 'seed' must be an integer, got 18.9"),
     ({"seed": True}, [], "field 'seed' must be an integer, got True"),
     ({"seed": "18"}, [], "field 'seed' must be an integer, got '18'"),
-    ({"max_iterations": 2.5}, [], "field 'max_iterations' must be an integer, got 2.5"),
-    ({"max_iterations": "200"}, [], "field 'max_iterations' must be an integer, got '200'"),
     ({"schedule": [2.7, 0, 1]}, [], "field 'schedule' entry 0 must be an integer, got 2.7"),
     ({"schedule": [2, False, 1]}, [], "field 'schedule' entry 1 must be an integer, got False"),
     ({"schedule": [2, 0, "1"]}, [], "field 'schedule' entry 2 must be an integer, got '1'"),
     ({"tube_capp": 0.15}, [], "unknown field 'tube_capp'"),
     ({"sup_error": 27.0}, [], "unknown field 'sup_error'"),
+    ({"constraint_tol": 1e-4}, [], "unknown field 'constraint_tol'"),
+    ({"max_iterations": 100}, [], "unknown field 'max_iterations'"),
     ({"agents": _agents_with(2, sensing=2.0)}, [], "unknown field 'sensing' of agent 2"),
     ({"agents": _agents_with(1, model="unicycle")}, [], "unknown field 'model' of agent 1"),
     ({"disturbance": _disturbance(kind="sinusoid")}, [],
@@ -378,8 +379,8 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
     ({"disturbance": {"frequncy": 2.0}}, [], "unknown field 'frequncy' of disturbance"),
     ({"weights": {"recipie": "seeded-random", "R": np.eye(2).tolist()}}, [],
      "unknown field 'recipie' of weights"),
-    ({"weights": {"recipe": "seeded_random", "R": np.eye(2).tolist()}}, [],
-     "unknown weights recipe 'seeded_random', the one recipe is 'seeded-random'"),
+    ({"weights": {"recipe": "seeded-random", "R": np.eye(2).tolist()}}, [],
+     "unknown field 'recipe' of weights"),
     ({"workspace": {"centre": [0.0, 3.5], "radius": 12.0}}, [],
      "unknown field 'centre' of workspace"),
     ({"obstacles": [{"center": [0.0, 2.0], "radius": 1.0},
@@ -394,10 +395,10 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
         "weights-Q-given", "weights-P-given", "weights-R-3x3", "weights-R-indefinite",
         "seed-negative", "disturbance-amplitude-nan",
         "disturbance-frequency-inf", "disturbance-amplitude-text",
-        "disturbance-frequency-text", "constraint_tol-nan", "constraint_tol-negative",
-        "max_iterations-0", "seed-float", "seed-bool", "seed-text", "max_iterations-float",
-        "max_iterations-text", "schedule-float", "schedule-bool", "schedule-text",
-        "unknown-key", "sup_error-removed", "agents-unknown-key",
+        "disturbance-frequency-text", "seed-float", "seed-bool", "seed-text",
+        "schedule-float", "schedule-bool", "schedule-text",
+        "unknown-key", "sup_error-removed", "constraint_tol-removed", "max_iterations-removed",
+        "agents-unknown-key",
         "agents-model-removed", "disturbance-kind-removed", "disturbance-unknown-key",
         "weights-unknown-key", "weights-recipe-unknown", "workspace-unknown-key",
         "obstacle-unknown-key",

@@ -57,6 +57,10 @@ _OTHER = np.array([[2.0, 0.0], [2.5, 0.0], [3.0, 0.0]])  # agent1 on the three s
 _OBSTACLE = np.array([0.0, 5.0])
 
 
+# every kind of a geometry without entries, for tests that build fewer kinds
+_NO_ENTRIES = {"interagent": [], "neighbor": [], "obstacles": []}
+
+
 def _geometry():
     return StageGeometry(taus=np.array([0.1, 0.2, 0.3]),
                          interagent=[("agent1", _OTHER, 1.01)],
@@ -174,7 +178,7 @@ def test_pair_windows_detection():
                     {"interagent": [("agent2", _OTHER, 1.01)],
                      "neighbor": [("agent1", _OTHER, 1.99)]}):
         lone = StageGeometry(taus=np.array([0.1, 0.2, 0.3]), workspace=(np.zeros(2), 9.49),
-                             **entries)
+                             **{**_NO_ENTRIES, **entries})
         assert lone.pair_windows().shape == (2, 0)
 
 
@@ -246,7 +250,7 @@ def test_terminal_excluded_hand_built():
     workspace = (np.zeros(2), _LOOSE)
     # sign +1: an obstacle at the origin to be kept 1.0 away
     obstacle = StageGeometry(taus=np.array([0.1, 0.2]), workspace=workspace,
-                             obstacles=[("obst0", np.zeros(2), 1.0)])
+                             interagent=[], neighbor=[], obstacles=[("obst0", np.zeros(2), 1.0)])
     goal = np.array([0.5, 0.0])
     # farthest point of the ball is 0.7 away: margin -0.3
     assert obstacle.terminal_excluded(goal, 0.2, 0.0, tol)
@@ -255,6 +259,7 @@ def test_terminal_excluded_hand_built():
     assert obstacle.terminal_excluded(goal, 0.6, 0.2, tol)
     # sign -1: a neighbor at the origin on its last row, to be kept within 2.0
     neighbor = StageGeometry(taus=np.array([0.1, 0.2]), workspace=workspace,
+                             interagent=[], obstacles=[],
                              neighbor=[("agent1", np.array([[3.0, 0.0], [0.0, 0.0]]), 2.0)])
     goal = np.array([3.0, 0.0])
     # nearest point of the ball is 2.5 away: margin -0.5
@@ -296,7 +301,8 @@ def test_build_stage_constraints_counts_and_missing_prediction():
                                    {"neighbor": [("agent1", track, 1.99)]},
                                    {"obstacles": [("obst0", np.array([3.0, 0.0]), 1.51)]},
                                    {})):
-        single, _ = StageGeometry(taus=taus, workspace=(np.zeros(2), 9.49), **kind).margins(pos)
+        single, _ = StageGeometry(taus=taus, workspace=(np.zeros(2), 9.49),
+                                  **{**_NO_ENTRIES, **kind}).margins(pos)
         assert single.shape == (30, 2 if kind else 1)
         assert np.array_equal(margins[:, column], single[:, 0])
         assert np.array_equal(margins[:, 3], single[:, -1])

@@ -93,8 +93,7 @@ def _simulation(n=2, w_bar=0.0, total_time=0.5, schedule=None):
     goals = [np.array([3.0, 0.0, 0.0]), np.array([3.0, 1.2, 0.0]),
              np.array([3.0, -1.2, 0.0])][:n]
     cfg = OcpConfig(h=0.1, T_p=0.6, Q=0.5 * np.eye(3), R=0.05 * np.eye(2),
-                    P=0.3 * np.eye(3), eps_omega=0.01, eps_psi=0.1, u_bar=8.0,
-                    max_iterations=40, constraint_tol=1e-4)
+                    P=0.3 * np.eye(3), eps_omega=0.01, eps_psi=0.1, u_bar=8.0)
     if w_bar > 0:
         dists = [DisturbanceSignal(lambda times: w_bar * np.sin(3 * times)[:, None] * np.ones(3),
                                    w_bar)
@@ -203,8 +202,8 @@ def test_step_meta_flags_suboptimal_stops():
 def test_step_meta_flags_feasible_witnesses(monkeypatch, at_rest):
     """`feasible_witness` marks an accepted solve that is terminal-enforced
     and started from the shifted previous plan, that plan meeting every
-    constraint of the solve within `constraint_tol`: each attempt's start is
-    checked on a transcription of its own. Agents that approach their goals,
+    constraint of the solve within `ocp.CONSTRAINT_TOL`: each attempt's start
+    is checked on a transcription of its own. Agents that approach their goals,
     and agents at rest in the terminal set, where agent 0's shifted attempt
     at t = 0.1 is rejected so that its ladder accepts the (feasible) zero
     start, which is no witness."""
@@ -220,10 +219,10 @@ def test_step_meta_flags_feasible_witnesses(monkeypatch, at_rest):
         i = next(k for k, known in enumerate(sim.errordyns) if known is errordyn)
         prev = sim.prev_solution[i]
         shifted = prev is not None and np.array_equal(
-            warm_start, warm_start_shift(prev, sim.steering[i], cfg))
+            warm_start, warm_start_shift(prev, errordyn.z_des, cfg))
         start = ocp._project_inputs(warm_start, cfg.u_bar).ravel()
         slack = ocp._Transcription(errordyn, e0, margin_fn, cfg, use_terminal).eval(start)["slack"]
-        expected[id(sol)] = use_terminal and shifted and -slack <= cfg.constraint_tol
+        expected[id(sol)] = use_terminal and shifted and -slack <= ocp.CONSTRAINT_TOL
         if at_rest and shifted and i == 0 and now[0] == 0.1:
             sol.status, sol.solve_stats["residual"] = "infeasible", 1.0
         return sol
@@ -876,8 +875,7 @@ def test_separation_maintained_head_on():
     starts = [np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0])]
     goals = [np.array([2.0, 1.2, 0.0]), np.array([2.0, 0.0, 0.0])]
     cfg = OcpConfig(h=0.1, T_p=0.6, Q=0.5 * np.eye(3), R=0.05 * np.eye(2),
-                    P=0.3 * np.eye(3), eps_omega=0.01, eps_psi=0.1, u_bar=8.0,
-                    max_iterations=40, constraint_tol=1e-4)
+                    P=0.3 * np.eye(3), eps_omega=0.01, eps_psi=0.1, u_bar=8.0)
     sim = Simulation(world=world, references=goals, config=cfg,
                      profile=TubeProfile(1e-12, 2.0), schedule=[0, 1],
                      disturbances=[None, None], initial_states=starts,
@@ -921,7 +919,7 @@ def test_starts_and_tube_radii_built_on_demand(monkeypatch):
     starts = sim.problem(0, 0.3).starts
     assert isinstance(starts, list) and len(starts) == 2
     np.testing.assert_array_equal(
-        starts[0], warm_start_shift(sim.prev_solution[0], sim.steering[0], sim.config))
+        starts[0], warm_start_shift(sim.prev_solution[0], sim.errordyns[0].z_des, sim.config))
     np.testing.assert_array_equal(starts[1], zeros)
     assert len(radii) == 1
 

@@ -10,9 +10,9 @@ import scipy.optimize
 from dnmpc import ocp
 from dnmpc.cli import load_scenario
 from dnmpc.dynamics import UNICYCLE, ErrorDynamics
-from dnmpc.ocp import (OcpConfig, _openblas_thread_controls, _Transcription,
-                       restore_feasibility, single_blas_thread, solve_fhocp,
-                       unicycle_steering_law, warm_start_shift)
+from dnmpc.ocp import (HorizonSolution, OcpConfig, _openblas_thread_controls, _Transcription,
+                       dual_mode_input, restore_feasibility, single_blas_thread,
+                       solve_fhocp, unicycle_steering_law, warm_start_shift)
 from oracles import (DOUBLE_INTEGRATOR, count_jacobians, no_margins, unicycle_field,
                      use_double_integrator)
 
@@ -230,9 +230,9 @@ def test_scaled_unicycle_solve_returns_a_feasible_plan():
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
     sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
     assert sol.status != "infeasible"
-    assert sol.solve_stats["residual"] <= cfg.constraint_tol
+    assert sol.solve_stats["residual"] <= 1e-6
     res = _Transcription(ed, e0, margin_fn, cfg, True).eval(sol.inputs.ravel())
-    assert -res["slack"] <= cfg.constraint_tol
+    assert -res["slack"] <= 1e-6
     assert np.array_equal(res["traj"], sol.dense_errors)
     assert np.all(np.linalg.norm(sol.inputs, axis=1) <= cfg.u_bar + 1e-9)
 
@@ -247,15 +247,15 @@ def test_suboptimal_stop_returns_a_feasible_plan_no_worse_than_its_start():
     stop would end the solve at a plan costlier than its start."""
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
     swerve = np.tile([1.7, -0.6], (6, 1))
-    shrunk = disc_margin_fn(ed, [0.5, 0.3], 0.32 - 0.5 * cfg.constraint_tol)
+    shrunk = disc_margin_fn(ed, [0.5, 0.3], 0.32 - 0.5 * ocp.CONSTRAINT_TOL)
     inside = solve_fhocp(ed, e0, shrunk, cfg, warm_start=start, use_terminal=True).inputs
     tr = _Transcription(ed, e0, margin_fn, cfg, True)
     for warm_start, stops in ((swerve, True), (inside, False)):
         before = tr.eval(warm_start.ravel())
-        assert -before["slack"] <= cfg.constraint_tol
+        assert -before["slack"] <= ocp.CONSTRAINT_TOL
         sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=warm_start, use_terminal=True)
         assert sol.solve_stats["suboptimal_stop"] is stops
-        assert sol.solve_stats["residual"] <= cfg.constraint_tol
+        assert sol.solve_stats["residual"] <= ocp.CONSTRAINT_TOL
         if stops:
             assert sol.status == "feasible-suboptimal"
             assert sol.cost <= before["cost"]
@@ -276,7 +276,7 @@ def _stop_iterates(monkeypatch, cfg, ed, e0, margin_fn, start):
 
         def state(x):
             res = check.eval(x)
-            return bool(-res["slack"] <= cfg.constraint_tol), res["cost"]
+            return bool(-res["slack"] <= ocp.CONSTRAINT_TOL), res["cost"]
 
         iterates.append(state(x0))
 
@@ -376,8 +376,13 @@ def test_dual_mode_controller_switches_at_eps_omega():
     cfg = _config(u_bar=3.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
                   P=np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.2]]))
     z_des = np.array([1.0, -2.0, 0.3])
-    steering = unicycle_steering_law(z_des, cfg.u_bar)
-    kappa = ocp.dual_mode_controller(steering, cfg)
+
+    def steering(e):
+        return unicycle_steering_law(e, z_des, cfg.u_bar)
+
+    def kappa(e):
+        return dual_mode_input(e, z_des, cfg)
+
     direction = np.array([0.6, -0.3, 0.2])
     unit = direction / np.sqrt(direction @ cfg.P @ direction)
     for scale in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
@@ -453,7 +458,7 @@ def test_terminal_constraint_enforced_near_origin(double_integrator):
                       use_terminal=True)
     assert sol.status != "infeasible"
     v_term = float(sol.dense_errors[-1] @ cfg.P @ sol.dense_errors[-1])
-    assert v_term <= cfg.eps_omega + cfg.constraint_tol
+    assert v_term <= cfg.eps_omega + 1e-6
 
 
 def test_margin_constraints_enforced(double_integrator):
@@ -464,7 +469,7 @@ def test_margin_constraints_enforced(double_integrator):
     sol = solve_fhocp(ed, np.array([1.0, -1.0]), margin_fn, cfg, _zero_start(cfg, ed),
                       use_terminal=False)
     assert sol.status != "infeasible"
-    assert sol.dense_errors[1:, 0].min() >= -0.1 - cfg.constraint_tol
+    assert sol.dense_errors[1:, 0].min() >= -0.1 - 1e-6
 
 
 def test_infeasible_status_reported(double_integrator):
@@ -569,35 +574,45 @@ def test_transcription_slack_is_the_worst_constraint():
 def test_unicycle_steering_law_converges():
     z_des = np.array([0.0, 0.0, 0.0])
     ed = ErrorDynamics(UNICYCLE, z_des)
-    kappa = unicycle_steering_law(z_des, u_bar=3.0)
     e = np.array([-3.0, 2.0, 0.5])
     dt = 0.01
     for _ in range(2000):
-        u = kappa(e)
+        u = unicycle_steering_law(e, z_des, u_bar=3.0)
         assert np.linalg.norm(u) <= 3.0 + 1e-12
         e = e + dt * unicycle_field(e + ed.z_des, u)
     assert np.linalg.norm(e[:2]) < 0.05
 
 
-def test_warm_start_shift_structure(double_integrator):
-    cfg = _config()
-    ed = double_integrator
-    sol = solve_fhocp(ed, np.array([1.0, 0.0]), no_margins, cfg, _zero_start(cfg, ed),
-                      use_terminal=False)
-    shifted = warm_start_shift(sol, lambda e: np.array([0.3]), cfg)
-    assert shifted.shape == sol.inputs.shape
-    assert np.allclose(shifted[:-1], sol.inputs[1:])
-    assert shifted[-1, 0] == pytest.approx(0.3)
+def test_warm_start_shift_structure():
+    """The shifted start drops the first stage and appends kappa's input at
+    the plan's tail error: zero input when the plan ends inside Omega (the
+    terminal-enforced solve 2 m short of the goal), the steering law's when
+    it ends outside (a plan at half that solve's start speed, which stops
+    about 1 m short)."""
+    cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
+    inside = solve_fhocp(ed, e0, margin_fn, cfg, start, use_terminal=True)
+    short = _Transcription(ed, e0, margin_fn, cfg, True).eval(0.5 * start.ravel())
+    outside = HorizonSolution(0.5 * start, short["traj"], short["cost"],
+                              "feasible-suboptimal")
+    for sol, ends_inside in ((inside, True), (outside, False)):
+        tail = sol.dense_errors[-1]
+        assert bool(tail @ cfg.P @ tail <= cfg.eps_omega) is ends_inside
+        shifted = warm_start_shift(sol, ed.z_des, cfg)
+        assert shifted.shape == sol.inputs.shape
+        assert np.array_equal(shifted[:-1], sol.inputs[1:])
+        if ends_inside:
+            assert np.array_equal(shifted[-1], np.zeros(2))
+        else:
+            steering = unicycle_steering_law(tail, ed.z_des, cfg.u_bar)
+            assert np.array_equal(shifted[-1], steering) and steering.any()
 
 
-def test_warm_start_shift_rejects_infeasible(double_integrator):
-    cfg = _config()
-    ed = double_integrator
-    sol = solve_fhocp(ed, np.array([1.0, 0.0]), no_margins, cfg, _zero_start(cfg, ed),
-                      use_terminal=False)
+def test_warm_start_shift_rejects_infeasible():
+    cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
+    sol = solve_fhocp(ed, e0, margin_fn, cfg, start, use_terminal=False)
     sol.status = "infeasible"
     with pytest.raises(ValueError):
-        warm_start_shift(sol, lambda e: np.array([0.0]), cfg)
+        warm_start_shift(sol, ed.z_des, cfg)
 
 
 def test_single_blas_thread_pins_and_restores():
@@ -758,7 +773,7 @@ def _scipy_slsqp(tr, x0, ftol, slack=False, scale=None, callback=None):
     with single_blas_thread():
         opt = scipy.optimize.minimize(fun, start, jac=jac, constraints=cons, method="SLSQP",
                                       callback=callback,
-                                      options={"maxiter": cfg.max_iterations, "ftol": ftol})
+                                      options={"maxiter": ocp.MAX_ITERATIONS, "ftol": ftol})
     return to_x(opt.x), opt
 
 
