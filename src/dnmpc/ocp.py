@@ -59,23 +59,24 @@ over (u, s) with the margins lowered by s and the ball hard. It serves the
 relaxed tier only, so its problem has no terminal row. Both measure
 infeasibility by the same worst slack.
 
-The two compiled routines of `_slsqplib` and LAPACK's `dtrtrs`
-(`scipy.linalg._flapack`, the triangular solve of :func:`_inverse_factor`)
-are the only scipy code the solver runs. They are loaded from their files
-(:func:`_scipy_compiled`), not through `scipy.optimize` and `scipy.linalg`,
-whose packages import linprog, `scipy.special`, `scipy.fft` and `numpy.f2py`
-besides. scipy's directory is found by `importlib.util.find_spec`, so
-scipy's own ``__init__`` (its config, test utilities and `subprocess`) does
-not run either: that took a fresh ``import dnmpc.cli`` from 112 to 82 ms and
-its resident memory from 34.6 to 32.1 MB (medians of 21 interpreters on a
-shared 2-vCPU VM).
+The two compiled routines of `_slsqplib` are the only scipy code the solver
+runs. They are loaded from their file (:func:`_scipy_compiled`), not through
+`scipy.optimize`, whose package imports linprog, `scipy.linalg`,
+`scipy.special`, `scipy.fft` and `numpy.f2py` besides. scipy's directory is
+found by `importlib.util.find_spec`, so scipy's own ``__init__`` (its config,
+test utilities and `subprocess`) does not run either: that took a fresh
+``import dnmpc.cli`` from 112 to 82 ms and its resident memory from 34.6 to
+32.1 MB (medians of 21 interpreters on a shared 2-vCPU VM).
 
-Two numpy kernels are called directly, without the Python wrapper that each
-call of the public function runs on these small arrays:
+Three numpy kernels are called directly, without the Python wrapper that
+each call of the public function runs on these small arrays:
 `numpy._core.multiarray.c_einsum`, which ``np.einsum`` calls when not
-optimizing, and the `cholesky_lo` gufunc of `numpy.linalg._umath_linalg`,
-which ``np.linalg.cholesky`` calls (:func:`_inverse_factor`).
-tests/test_ocp.py checks both against the public functions bit for bit.
+optimizing, and the `cholesky_lo` and `inv` gufuncs of
+`numpy.linalg._umath_linalg`, which ``np.linalg.cholesky`` and
+``np.linalg.inv`` call (:func:`_inverse_factor`). tests/test_ocp.py checks
+the first two against the public functions and the inverse factor against
+scipy's ``solve_triangular``, bit for bit, so the triangular solve needs no
+scipy LAPACK extension (`scipy.linalg._flapack`, 2.5 MB).
 
 A terminal-enforced solve runs SLSQP in scaled variables. With L L' = H at
 the warm start x0, SLSQP solves for y in x = x0 + L^-T y, so its BFGS, which
@@ -141,6 +142,7 @@ from typing import ClassVar
 import numpy as np
 from numpy._core.multiarray import c_einsum as _c_einsum
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
+from numpy.linalg._umath_linalg import inv as _inv
 
 from .dynamics import ErrorDynamics, rollout_zoh, wrap_angle
 
@@ -186,7 +188,6 @@ def _scipy_compiled(subpackage, name):
 
 _slsqplib = _scipy_compiled("optimize", "_slsqplib")
 _slsqp_core, _nnls = _slsqplib.slsqp, _slsqplib.nnls
-_dtrtrs = _scipy_compiled("linalg", "_flapack").dtrtrs
 
 
 # (getter, setter) symbol names of OpenBLAS thread counts, as numpy's and
@@ -590,14 +591,6 @@ def _gauss_newton_constants(n_stages, r_bytes, m):
     return block_r
 
 
-@functools.cache
-def _identity(n):
-    """The n x n identity as a read-only array, built once per n."""
-    identity = np.eye(n)
-    identity.flags.writeable = False
-    return identity
-
-
 def _gauss_newton_hessian(tr: _Transcription, x):
     """The Gauss-Newton Hessian of the cost at x, H = 2h sum_k J_k' Q J_k +
     2h blkdiag(R) + 2 J_N' P J_N with J_k = d e_k / d x, from the rollout
@@ -618,18 +611,19 @@ def _inverse_factor(H):
     L is the factor of numpy's `cholesky_lo` gufunc, the one
     ``np.linalg.cholesky`` returns. The gufunc gives NaN where H is not
     positive definite, which raises LinAlgError here as it does there, with no
-    warning. T solves L' T = I with LAPACK's dtrtrs called as scipy's
-    ``solve_triangular(L, I, lower=True, trans="T")`` calls it for the
-    C-ordered L: on the F-ordered L' as upper triangular, untransposed. H is
-    finite, so scipy's finiteness check is left out."""
+    warning. A finite L has a positive diagonal, so L' is invertible, and T
+    is numpy's `inv` gufunc (the one ``np.linalg.inv`` calls) on the
+    upper-triangular L'. Its LU factorization pivots on the diagonal, since
+    every entry below it is zero, so the unit-lower solve leaves I as it is
+    and the upper solve is LAPACK's triangular one: tests/test_ocp.py checks
+    T bitwise against scipy's ``solve_triangular(L, I, lower=True,
+    trans="T")``, Fortran order included: the products that read T take
+    other BLAS paths on a C-ordered T, which moves the corridor's floats."""
     with np.errstate(all="ignore"):
         L = _cholesky_lo(H)
-    if not np.isfinite(L).all():
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-    T, info = _dtrtrs(L.T, _identity(len(H)), lower=False, trans=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    return T
+        if not np.isfinite(L).all():
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return _inv(L.T, out=np.empty(H.shape, order="F"))
 
 
 def _gauss_newton_scaling(tr: _Transcription, x):
@@ -1027,12 +1021,12 @@ def warm_start_shift(previous: HorizonSolution, z_des, config: OcpConfig):
     """Shifted warm start: drop the first stage, append one terminal stage.
 
     The appended input is :func:`dual_mode_input` at the tail error of the
-    previous prediction, projected onto the input ball.
+    previous prediction: zero or the steering law's input, which
+    :func:`unicycle_steering_law` saturates to u_bar. Its norm can round to
+    an ulp above u_bar; :func:`solve_fhocp` projects every warm start onto
+    the input ball, so the shift does not project it again.
     """
     if previous.status == "infeasible":
         raise ValueError("cannot shift an infeasible solution")
     u_tail = dual_mode_input(previous.dense_errors[-1], z_des, config)
-    norm = math.sqrt(u_tail.dot(u_tail))
-    if norm > config.u_bar:
-        u_tail = u_tail * (config.u_bar / norm)
     return np.concatenate([previous.inputs[1:], u_tail[None, :]])

@@ -116,8 +116,8 @@ import sys
 
 
 def assert_unloaded(after):
-    loaded = sorted({"numpy.random", "numpy.ma", "scipy", "scipy.optimize", "scipy.linalg"}
-                    & set(sys.modules))
+    loaded = sorted({"numpy.random", "numpy.ma", "scipy", "scipy.optimize", "scipy.linalg",
+                     "scipy.linalg._flapack"} & set(sys.modules))
     assert not loaded, f"{after} loaded {loaded}"
 
 
@@ -153,9 +153,11 @@ def test_fresh_interpreter_loads_no_numpy_random_numpy_ma_or_scipy_package(tmp_p
     (in-process tests always find numpy.random and scipy.optimize loaded by
     a test module), neither `import dnmpc.cli`, nor `certify`, nor a 0.2 s
     `run`, nor a `verify` of that run's CSV loads numpy.random, numpy.ma,
-    scipy's package itself, scipy.optimize or scipy.linalg: the solver loads
-    only scipy's compiled routines, and the weights' draw and the log's
-    read-back need neither numpy subpackage. The run's CSV is byte for byte
+    scipy's package itself, scipy.optimize, scipy.linalg or scipy's LAPACK
+    extension `scipy.linalg._flapack`: the solver loads only the compiled
+    SLSQP core of `scipy.optimize._slsqplib` and takes its triangular
+    inverse from numpy, and the weights' draw and the log's read-back need
+    neither numpy subpackage. The run's CSV is byte for byte
     the in-process run's, and once scipy.optimize is imported after all, a
     seeded problem of tests/test_ocp.py solves bitwise as scipy's public
     SLSQP solves it."""

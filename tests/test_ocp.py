@@ -869,14 +869,17 @@ def _gauss_newton_hessian(tr, x):
 
 
 def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
-    """`_gauss_newton_scaling` calls LAPACK's dtrtrs itself. Its T must be
-    bitwise what scipy's ``solve_triangular(L, I, lower=True, trans="T")``
-    gives for the Cholesky factor L of the same H, at every point where the
-    bundled scenario's first 1.5 s builds a Gauss-Newton Hessian (the
-    terminal tier's warm starts and the relaxed tier's iterates), on seeded
-    perturbations of those points and on the seeded unicycle problems. The
-    closed-loop SLSQP test hands both sides the same T, so it cannot see a
-    flipped `lower` or `trans` flag; this test does."""
+    """`_gauss_newton_scaling` inverts the upper-triangular L' with numpy's
+    `inv` gufunc. Its T must be bitwise what scipy's
+    ``solve_triangular(L, I, lower=True, trans="T")`` gives for the Cholesky
+    factor L of the same H, and Fortran-ordered as that T is (the products
+    that read T take other BLAS paths, and move the corridor's floats, on a
+    C-ordered one), at every point where the bundled scenario's first 1.5 s
+    builds a Gauss-Newton Hessian (the terminal tier's warm starts and the
+    relaxed tier's iterates), on seeded perturbations of those points and on
+    the seeded unicycle problems. The closed-loop SLSQP test hands both sides
+    the same T, so it cannot see L inverted in place of L' or a T in the
+    wrong layout; this test does."""
     scenario = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
     real = ocp._gauss_newton_hessian
     problems = []
@@ -900,6 +903,7 @@ def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
             want = scipy.linalg.solve_triangular(L, np.eye(tr.nx), lower=True, trans="T")
             got = ocp._gauss_newton_scaling(tr, x)
         assert np.array_equal(got, want), f"problem {k}: T differs from scipy's L^-T"
+        assert got.flags.f_contiguous, f"problem {k}: T is not Fortran-ordered"
 
 
 def _far_from_goal(seed):
