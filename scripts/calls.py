@@ -66,7 +66,9 @@ LAYERS = {
     (ocp, "_Transcription.eval"): "evaluation",
     (ocp, "minimize"): "minimize",
     (ocp, "_gauss_newton_sqp"): "minimize",
-    (ocp, "_gauss_newton_scaling"): "scaling",
+    # the Gauss-Newton Hessian and its inverse factor, of both solvers
+    (ocp, "_gauss_newton_hessian"): "scaling",
+    (ocp, "_inverse_factor"): "scaling",
     (coordination, "Simulation.problem"): "geometry",
     (coordination, "solve_ladder"): "ladder",
 }

@@ -52,7 +52,6 @@ class Scenario:
     """Fully validated scenario: world, agents, weights, certificate constants."""
 
     name: str
-    seed: int
     total_time: float
     h: float
     T_p: float
@@ -70,7 +69,8 @@ class Scenario:
     R: np.ndarray
     P: np.ndarray
     schedule: list
-    disturbance: dict
+    # (amplitude, frequency) of the sinusoid, None without a disturbance section
+    disturbance: tuple | None
     tube_cap: float | None
     lam_max_P: float | None
 
@@ -96,26 +96,16 @@ class Scenario:
     def build_config(self):
         return OcpConfig(
             h=self.h, T_p=self.T_p, Q=self.Q, R=self.R, P=self.P,
-            eps_omega=self.eps_omega, eps_psi=self.eps_psi, u_bar=self.u_bar,
+            eps_omega=self.eps_omega, u_bar=self.u_bar,
         )
 
     def build_profile(self):
         return TubeProfile(w_bar=max(self.w_bar, 1e-12), L_g=self.L_g)
 
     def build_disturbances(self):
-        if self.w_bar == 0.0 or not self.disturbance:
+        if self.w_bar == 0.0 or self.disturbance is None:
             return [None] * len(self.agents)
-        numbers = []
-        for name, default in (("amplitude", self.w_bar), ("frequency", 1.0)):
-            raw = self.disturbance.get(name, default)
-            try:
-                value = float(raw)
-            except (TypeError, ValueError):
-                raise ScenarioError(f"disturbance {name} must be a number, got {raw!r}") from None
-            if not math.isfinite(value):
-                raise ScenarioError(f"disturbance {name} must be finite, got {value}")
-            numbers.append(value)
-        amp, freq = numbers
+        amp, freq = self.disturbance
 
         def gen(times):
             # the same sinusoid on every state component
@@ -238,8 +228,10 @@ def load_scenario(path, seed=None) -> Scenario:
 
     Raises ScenarioError with the offending field (or YAML location) on any
     parse or validation failure, an unknown key of the file, of an agent or
-    of a section included. `seed` overrides the file's seed, and is checked
-    as it is: an integer, not a float, bool or string.
+    of a section included, and a number that is not finite. `seed` overrides
+    the file's seed, and is checked as it is: an integer, not a float, bool
+    or string. The disturbance section is read here, once: its amplitude
+    defaults to `w_bar` and its frequency to 1.0.
     """
     try:
         with open(path) as fh:
@@ -274,13 +266,27 @@ def load_scenario(path, seed=None) -> Scenario:
             raise ScenarioError(f"{path}: {name} must be an integer, got {value!r}")
         return value
 
-    def optional_float(key):
-        if raw.get(key) is None:
-            return None
+    def number(value, name):
+        """`value`, called `name` in messages, as a finite float."""
         try:
-            return float(raw[key])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{path}: field {key!r} must be a number ({exc})") from exc
+            result = float(value)
+        except (TypeError, ValueError):
+            raise ScenarioError(f"{path}: {name} must be a number, got {value!r}") from None
+        if not math.isfinite(result):
+            raise ScenarioError(f"{path}: {name} must be finite, got {result}")
+        return result
+
+    def field(key):
+        return number(need(key), f"field {key!r}")
+
+    def optional_field(key):
+        return None if raw.get(key) is None else number(raw[key], f"field {key!r}")
+
+    def ball(value, name):
+        center = np.asarray(value["center"], dtype=float)
+        if not np.isfinite(center).all():
+            raise ScenarioError(f"{path}: {name} center must be finite, got {center.tolist()}")
+        return Ball(center, number(value["radius"], f"{name} radius"))
 
     raw_agents = need("agents")
     if not (isinstance(raw_agents, list) and raw_agents
@@ -289,48 +295,49 @@ def load_scenario(path, seed=None) -> Scenario:
     for k, a in enumerate(raw_agents):
         section(a, _AGENT_KEYS, f"agent {k}")
     try:
-        workspace = section(need("workspace"), _BALL_KEYS, "workspace")
-        obstacles = [section(o, _BALL_KEYS, f"obstacle {k}")
+        workspace = ball(section(need("workspace"), _BALL_KEYS, "workspace"), "workspace")
+        obstacles = [ball(section(o, _BALL_KEYS, f"obstacle {k}"), f"obstacle {k}")
                      for k, o in enumerate(raw.get("obstacles", []))]
-        disturbance = section(raw.get("disturbance", {}), _DISTURBANCE_KEYS, "disturbance")
         weights = section(need("weights"), _WEIGHT_KEYS, "weights")
         agents = [
             AgentSpec(
-                radius=float(a["radius"]),
-                sensing_range=float(a["sensing_range"]),
-                detection_range=float(a["detection_range"]),
+                radius=number(a["radius"], f"agent {k} radius"),
+                sensing_range=number(a["sensing_range"], f"agent {k} sensing_range"),
+                detection_range=number(a["detection_range"], f"agent {k} detection_range"),
                 start=np.asarray(a["start"], dtype=float),
                 goal=np.asarray(a["goal"], dtype=float),
             )
-            for a in raw_agents
+            for k, a in enumerate(raw_agents)
         ]
         use_seed = (integer(raw.get("seed", 0), "field 'seed'") if seed is None
                     else integer(seed, "seed override"))
         Q, R, P = _weights_from_recipe(weights, use_seed)
+        w_bar = field("w_bar")
+        disturbance = section(raw.get("disturbance", {}), _DISTURBANCE_KEYS, "disturbance")
         scenario = Scenario(
             name=str(raw.get("name", Path(path).stem)),
-            seed=use_seed,
-            total_time=float(need("total_time")),
-            h=float(need("h")),
-            T_p=float(need("T_p")),
-            u_bar=float(need("u_bar")),
-            w_bar=float(need("w_bar")),
-            eps_omega=float(need("eps_omega")),
-            eps_psi=float(need("eps_psi")),
-            margin=float(need("margin")),
-            L_g=float(need("L_g")),
-            L_V=float(need("L_V")),
-            workspace=Ball(np.asarray(workspace["center"], dtype=float),
-                           float(workspace["radius"])),
-            obstacles=[Ball(np.asarray(o["center"], dtype=float), float(o["radius"]))
-                       for o in obstacles],
+            total_time=field("total_time"),
+            h=field("h"),
+            T_p=field("T_p"),
+            u_bar=field("u_bar"),
+            w_bar=w_bar,
+            eps_omega=field("eps_omega"),
+            eps_psi=field("eps_psi"),
+            margin=field("margin"),
+            L_g=field("L_g"),
+            L_V=field("L_V"),
+            workspace=workspace,
+            obstacles=obstacles,
             agents=agents,
             Q=Q, R=R, P=P,
             schedule=[integer(i, f"field 'schedule' entry {k}")
                       for k, i in enumerate(raw.get("schedule", range(len(agents))))],
-            disturbance=dict(disturbance),
-            tube_cap=optional_float("tube_cap"),
-            lam_max_P=optional_float("lam_max_P"),
+            disturbance=(
+                number(disturbance.get("amplitude", w_bar), "disturbance amplitude"),
+                number(disturbance.get("frequency", 1.0), "disturbance frequency"),
+            ) if disturbance else None,
+            tube_cap=optional_field("tube_cap"),
+            lam_max_P=optional_field("lam_max_P"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
@@ -354,6 +361,8 @@ def _validate(scenario: Scenario, path):
         if scenario.R.shape != (dim, dim):
             raise ValueError(f"weight R must be {dim}x{dim}, "
                              f"got {'x'.join(map(str, scenario.R.shape))}")
+        if not np.isfinite(scenario.R).all():
+            raise ValueError(f"weight R must be finite, got {scenario.R.tolist()}")
         sim = scenario.build_simulation()
         scenario.build_certificate()
     except ValueError as exc:

@@ -68,8 +68,13 @@ class WorldModel:
                 self.agent_radii[i] + self.agent_radii[j]
                 for i in range(n) for j in range(i + 1, n)
             )
-            if np.any(self.sensing_ranges <= pair_max):
-                raise ValueError("sensing range must exceed the largest pairwise radius sum")
+            # at or below this, a neighbor pair's window, from separation
+            # r_i + r_j + margin to connectivity d_i - margin, is empty at tau = 0
+            least = float(pair_max) + 2.0 * self.margin
+            if np.any(self.sensing_ranges <= least):
+                raise ValueError(
+                    f"sensing range must exceed the largest pairwise radius sum plus twice "
+                    f"the safety margin, {least!r}, got {self.sensing_ranges.tolist()}")
         if np.any(self.detection_ranges <= self.agent_radii):
             raise ValueError("detection range must exceed the agent radius")
 

@@ -17,14 +17,13 @@ exceeds it on the horizon (the radius grows exponentially, and unclipped it
 can empty the tightened problem at the horizon tail); each solve's record
 flags a capped tube. The terminal constraint can be unreachable far from the
 goal, so a fallback ladder tries a terminal-enforced tier, then a relaxed
-one, flagged in the solution status and the solve's record. Each tier tries
-the shifted and zero starts and lateral probes when blocked; when all its
-starts end infeasible, the relaxed tier also tries a phase-1 feasibility
-restoration. The terminal-enforced tier runs only near the goal,
-and is skipped when a closed-form check proves it infeasible: every position
-the terminal set admits lies within r = sqrt((eps_omega + CONSTRAINT_TOL) /
-lambda_min(P)) of the goal, and some last-stage margin is violated on that
-whole ball.
+one, flagged in the solve's record. Each tier tries the shifted and zero
+starts and lateral probes when blocked; when all its starts end infeasible,
+the relaxed tier also tries a phase-1 feasibility restoration. The
+terminal-enforced tier runs only near the goal, and is skipped when a
+closed-form check proves it infeasible: every position the terminal set
+admits lies within r = sqrt((eps_omega + CONSTRAINT_TOL) / lambda_min(P)) of
+the goal, and some last-stage margin is violated on that whole ball.
 
 An agent-solve is two parts: `Simulation.problem` builds an `AgentProblem`,
 data alone, and `solve_ladder` solves it from that problem and the config
@@ -457,8 +456,9 @@ def solve_ladder(problem: AgentProblem, config: OcpConfig):
     calls), `iterations` (their sum) and `wall_time` cover the whole ladder;
     its other fields are the accepted attempt's, with `feasible_witness`
     true when that attempt is terminal-enforced and started from the shifted
-    plan, feasible within `CONSTRAINT_TOL`. Each attempt's `solve_stats`
-    stay as solve_fhocp wrote them.
+    plan, feasible within `CONSTRAINT_TOL`, and `status` "feasible-suboptimal"
+    where a relaxed or capped attempt reads "optimal". Each attempt, the
+    accepted one included, stays as solve_fhocp made it.
 
     In each tier: the starts until one ends feasible; if its plan is
     blocked, the starts not yet tried and the lateral detours, the cheapest
@@ -512,8 +512,6 @@ def solve_ladder(problem: AgentProblem, config: OcpConfig):
             restores.append(iterations)
             sol = attempt(restored)
         if sol.status != "infeasible":
-            if (not use_terminal or capped) and sol.status == "optimal":
-                sol.status = "feasible-suboptimal"
             # predicted nominal error energy over the applied interval
             # (for ISS), by the trapezoid rule as np.trapezoid sums it
             dense = sol.dense_errors[: config.substeps + 1]
@@ -521,7 +519,9 @@ def solve_ladder(problem: AgentProblem, config: OcpConfig):
             iterations = [s.solve_stats["iterations"] for s in tried] + restores
             return sol, {
                 "t": problem.t,
-                "status": sol.status,
+                # a relaxed or capped solve is at best feasible-suboptimal
+                "status": ("feasible-suboptimal" if (not use_terminal or capped)
+                           and sol.status == "optimal" else sol.status),
                 "cost": sol.cost,
                 "errsq_int": float(np.add.reduce(
                     (config.h / config.substeps) * (errsq[1:] + errsq[:-1]) / 2.0)),

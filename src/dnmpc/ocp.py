@@ -51,12 +51,13 @@ core, the private `scipy.optimize._slsqplib.slsqp` that tests/test_ocp.py
 checks against scipy's public SLSQP bit for bit, driven by this module's
 loop :func:`minimize`, whose name perfbench's traced mode patches for its
 `slsqp` span. The loop evaluates once per request of the core, where scipy's
-wrapper evaluated each constraint block, and writes the rows in place. There
-is one SLSQP problem (:func:`_slsqp`): margins, input ball and terminal set
-over the inputs u. :func:`solve_fhocp` minimizes the cost over it. The
-phase-1 pass :func:`restore_feasibility` solves its slack form, maximizing s
-over (u, s) with the margins lowered by s and the ball hard. It serves the
-relaxed tier only, so its problem has no terminal row. Both measure
+wrapper evaluated each constraint block, and writes the rows in place.
+:func:`_slsqp` poses the two SLSQP problems, over the margins and the input
+ball, and takes its form from the transcription alone. With the terminal
+row, :func:`solve_fhocp` minimizes the cost over the inputs u. Without it,
+the phase-1 pass :func:`restore_feasibility` solves the slack form,
+maximizing s over (u, s) with the margins lowered by s and the ball hard; it
+serves the relaxed tier only, which enforces no terminal set. Both measure
 infeasibility by the same worst slack.
 
 The two compiled routines of `_slsqplib` are the only scipy code the solver
@@ -285,7 +286,6 @@ class OcpConfig:
     R: np.ndarray
     P: np.ndarray
     eps_omega: float
-    eps_psi: float
     u_bar: float
     # RK4 substeps per sampling step, of the rollouts, the plant and the log
     substeps: ClassVar[int] = 10
@@ -306,8 +306,8 @@ class OcpConfig:
             raise ValueError("R must be positive definite")
         if np.linalg.eigvalsh(self.P).min() <= 0.0:
             raise ValueError("P must be positive definite")
-        if not (0.0 < self.eps_omega < self.eps_psi):
-            raise ValueError("need 0 < eps_omega < eps_psi")
+        if not self.eps_omega > 0.0:
+            raise ValueError(f"terminal level eps_omega must be positive, got {self.eps_omega}")
         if self.u_bar <= 0.0:
             raise ValueError(f"input bound u_bar must be positive, got {self.u_bar}")
 
@@ -375,7 +375,6 @@ class _Transcription:
         self.margin_fn = margin_fn
         self.cfg = config
         self.use_terminal = use_terminal
-        self.n = errordyn.model.state_dim
         self.m = errordyn.model.input_dim
         self.N = config.n_stages
         self.nx = self.N * self.m
@@ -471,21 +470,22 @@ class SlsqpResult:
         return self.mode == 0
 
 
-def minimize(values, gradients, x0, m, maxiter, ftol, callback=None):
+def minimize(values, gradients, x0, m, ftol, callback=None):
     """SLSQP (Kraft 1988) for min f(x) s.t. m >= 1 rows c(x) >= 0: drives
     scipy's compiled core by reverse communication, one call per request:
     `values(x, d)` returns f and writes c into `d`, `gradients(x, g, C)`
     writes grad f into `g` and dc/dx into `C`. State, work arrays, nfev and
     callback are those of scipy's `_minimize_slsqp` without bounds or equality
-    rows, so the iterates are bitwise ``minimize(method="SLSQP")``'s. The
-    callback gets a copy of each major iterate; its StopIteration ends the
-    run with status _CALLBACK_HALT, and the result's `mode` keeps the exit
-    mode the core had set there (scipy's wrapper drops it)."""
+    rows, so the iterates are bitwise ``minimize(method="SLSQP")``'s, with
+    `MAX_ITERATIONS` as `maxiter`. The callback gets a copy of each major
+    iterate; its StopIteration ends the run with status _CALLBACK_HALT, and
+    the result's `mode` keeps the exit mode the core had set there (scipy's
+    wrapper drops it)."""
     x = np.array(x0, dtype=float)
     n = len(x)
     state = dict(acc=ftol, alpha=0.0, f0=0.0, gs=0.0, h1=0.0, h2=0.0, h3=0.0, h4=0.0, t=0.0,
                  t0=0.0, tol=10.0 * ftol, exact=0, inconsistent=0, reset=0, iter=0,
-                 itermax=int(maxiter), line=0, m=m, meq=0, mode=0, n=n)
+                 itermax=MAX_ITERATIONS, line=0, m=m, meq=0, mode=0, n=n)
     buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
     mult, indices = np.zeros(m + 2 * n + 2), np.zeros(m + 2 * n + 2, dtype=np.int32)
     xl = np.full(n, np.nan)
@@ -516,33 +516,36 @@ def minimize(values, gradients, x0, m, maxiter, ftol, callback=None):
     return SlsqpResult(x=x, nit=state["iter"], nfev=nfev, status=status, mode=mode)
 
 
-def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None):
-    """Run :func:`minimize` under the transcription's constraints; the
-    result's `x` is in the variables of `x0`. Call it on one BLAS thread.
+def _slsqp(tr: _Transcription, x0):
+    """Run :func:`minimize` on the SLSQP problem that `tr.use_terminal`
+    selects; the result's `x` is in the variables of `x0`. Call it on one
+    BLAS thread. The rows are, in this order, the margins, the input ball
+    u_bar^2 - ||u_k||^2 >= 0 on each stage input and, with the terminal set,
+    eps_omega - V(e_N) >= 0.
 
-    The constraint rows are, in this order, the margins, the input ball
-    u_bar^2 - ||u_k||^2 >= 0 on each stage input and, when `tr.use_terminal`,
-    eps_omega - V(e_N) >= 0. SLSQP minimizes the cost over x = u or, with
-    `slack` (on a transcription without the terminal set), maximizes s over
-    x = (u, s) with each margin lowered by s (Jacobian column -1), the ball
-    hard.
+    - With the terminal set, SLSQP minimizes the cost over u in y, u =
+      x0 + T y from y = 0, T the :func:`_inverse_factor` of the
+      :func:`_gauss_newton_hessian` at x0, with cost gradient grad f(u) T and
+      each constraint block's Jacobian times T; to `SLSQP_FTOL`, or until
+      :func:`_suboptimal_stop`.
+    - Without it (the restoration), SLSQP maximizes s over x = (u, s) with
+      each margin lowered by s (Jacobian column -1), the ball hard, to 1e-12.
 
-    With `scale` = T, SLSQP runs in y, x = x0 + T y, from y = 0, with cost
-    gradient grad f(x) T and each constraint block's Jacobian times T. Each
-    request maps its point to x once, evaluates `tr` once and writes the rows
-    in place. `callback` gets each major iterate in SLSQP's variables.
+    Each request maps its point to x once, evaluates `tr` once and writes the
+    rows in place.
     """
     cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
-    start = x0 if scale is None else np.zeros(x0.shape)
+    terminal = tr.use_terminal
+    if terminal:
+        T = _inverse_factor(_gauss_newton_hessian(tr, x0))
+        start, ftol, callback = np.zeros(x0.shape), SLSQP_FTOL, _suboptimal_stop(tr, x0, T)
+    else:
+        start, ftol, callback = x0, 1e-12, None
 
     def to_x(z):
-        return z if scale is None else x0 + scale @ z
-
-    def in_z(jacobian):
-        return jacobian if scale is None else jacobian @ scale
+        return x0 + T @ z if terminal else z
 
     n_margins = tr.eval(to_x(start)[:nx])["margins"].size
-    n_terminal = int(tr.use_terminal)
     ball_rows = slice(n_margins, n_margins + N)
     ball_jac = np.zeros((N, nx))
     ball_index = np.arange(N).repeat(m), np.arange(nx)
@@ -553,29 +556,28 @@ def _slsqp(tr: _Transcription, x0, ftol, slack=False, scale=None, callback=None)
         U = x[:nx].reshape(N, m)
         d[ball_rows] = cfg.u_bar ** 2 - np.add.reduce(U * U, axis=1)
         d[:n_margins] = res["margins"]
-        if n_terminal:
+        if terminal:
             d[-1] = cfg.eps_omega - res["v_term"]
-        if slack:
-            d[:n_margins] -= x[-1]
-            return -x[-1]
-        return res["cost"]
+            return res["cost"]
+        d[:n_margins] -= x[-1]
+        return -x[-1]
 
     def gradients(z, g, C):
         x = to_x(z)
         res = tr.eval(x[:nx], gradients=True)
         ball_jac[ball_index] = -2.0 * x[:nx]
-        C[ball_rows, :nx] = in_z(ball_jac)
-        C[:n_margins, :nx] = in_z(res["margins_jac"])
-        if n_terminal:
-            C[-1, :nx] = in_z(-res["v_term_grad"][None, :])
-        if slack:
+        if terminal:
+            C[ball_rows] = ball_jac @ T
+            C[:n_margins] = res["margins_jac"] @ T
+            C[-1] = -res["v_term_grad"][None, :] @ T
+            g[:] = res["cost_grad"] @ T
+        else:
+            C[ball_rows, :nx] = ball_jac
+            C[:n_margins, :nx] = res["margins_jac"]
             C[:n_margins, nx] = -1.0
             g[:nx], g[nx] = 0.0, -1.0
-        else:
-            g[:] = in_z(res["cost_grad"])
 
-    opt = minimize(values, gradients, start, n_margins + n_terminal + N,
-                   MAX_ITERATIONS, ftol, callback)
+    opt = minimize(values, gradients, start, n_margins + N + int(terminal), ftol, callback)
     opt.x = to_x(opt.x)
     return opt
 
@@ -624,12 +626,6 @@ def _inverse_factor(H):
         if not np.isfinite(L).all():
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         return _inv(L.T, out=np.empty(H.shape, order="F"))
-
-
-def _gauss_newton_scaling(tr: _Transcription, x):
-    """T = L^-T of :func:`_inverse_factor` for the Gauss-Newton Hessian of the
-    cost at x (:func:`_gauss_newton_hessian`). Call it on one BLAS thread."""
-    return _inverse_factor(_gauss_newton_hessian(tr, x))
 
 
 @functools.cache
@@ -887,9 +883,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig, warm_
             # Gauss-Newton scaling is accurate near the goal only, where the
             # cost's residuals are small, and the suboptimal stop needs a
             # feasible shifted candidate under the terminal set
-            scale = _gauss_newton_scaling(tr, x0)
-            opt = _slsqp(tr, x0, SLSQP_FTOL, scale=scale,
-                         callback=_suboptimal_stop(tr, x0, scale))
+            opt = _slsqp(tr, x0)
             x_best, iterations, converged = opt.x, opt.nit, opt.success
             stopped = opt.status == _CALLBACK_HALT and not opt.success
         else:
@@ -950,7 +944,7 @@ def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfi
     u0 = _project_inputs(np.asarray(start, dtype=float), config.u_bar).ravel()
     x0 = np.append(u0, tr.eval(u0)["slack"])
     try:
-        opt = _slsqp(tr, x0, 1e-12, slack=True)
+        opt = _slsqp(tr, x0)
     except (FloatingPointError, np.linalg.LinAlgError):
         return start, 0
     candidate, iterations = opt.x[:-1], int(opt.nit)

@@ -326,7 +326,7 @@ def test_criterion_8_solver_matches_riccati(capsys, monkeypatch):
     # roll out: tests/oracles.py stands in for ocp.rollout_zoh
     use_double_integrator(monkeypatch)
     cfg = OcpConfig(h=0.1, T_p=0.6, Q=np.diag([2.0, 0.5]), R=np.array([[0.1]]),
-                    P=np.diag([1.0, 1.0]), eps_omega=0.01, eps_psi=0.1, u_bar=1e6)
+                    P=np.diag([1.0, 1.0]), eps_omega=0.01, u_bar=1e6)
     ed = ErrorDynamics(DOUBLE_INTEGRATOR, np.zeros(2))
     # independent dynamic-programming solution of the exact discretization
     A = np.array([[1.0, cfg.h], [0.0, 1.0]])
@@ -413,7 +413,7 @@ def test_terminal_controller_keeps_the_terminal_set_invariant(capsys):
     with capsys.disabled():
         print(f"\nfinding terminal-set invariance under w_bar = {scenario.w_bar}: largest "
               f"V/eps_omega {worst_disturbed:.3f} after h over {draws} draws "
-              f"(eps_psi/eps_omega = {cfg.eps_psi / cfg.eps_omega:.1f})", flush=True)
+              f"(eps_psi/eps_omega = {scenario.eps_psi / cfg.eps_omega:.1f})", flush=True)
     ok = worst_nominal <= 1.0
     line = (f"terminal-set invariance: {'PASS' if ok else 'FAIL'}  [largest nominal "
             f"V/eps_omega {worst_nominal:.6f} after h over {draws} draws]")

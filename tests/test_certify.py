@@ -250,7 +250,7 @@ def test_logged_margins_on_partial_log_with_pair_out_of_range():
                              "tube_capped": False})
         traces.append(tr)
     config = OcpConfig(h=0.1, T_p=0.6, Q=scenario.Q, R=scenario.R, P=scenario.P,
-                       eps_omega=scenario.eps_omega, eps_psi=scenario.eps_psi, u_bar=8.0)
+                       eps_omega=scenario.eps_omega, u_bar=8.0)
     sim = Simulation(world, scenario.references, config,
                      TubeProfile(1e-12, 2.0), [0, 1], [None, None],
                      [tr.states[0] for tr in traces], total_time=0.1)

@@ -96,7 +96,6 @@ def test_bundled_weights_are_pinned():
     """The bundled scenario's Q and P (seed 18), float for float as numpy's
     Generator drew them before the recipe had its own generator."""
     scenario = load_scenario(SCENARIO)
-    assert scenario.seed == 18
     assert scenario.Q.tolist() == [
         [0.5998264423043932, 0.10001744966079155, 0.11564303627340623],
         [0.10001744966079155, 0.742442829823215, 0.14259977610882013],
@@ -341,7 +340,7 @@ def test_infeasible_goals_rejected(tmp_path, goal, message):
     ({"L_g": -8.5883}, [], "Lipschitz constant must be positive"),
     ({"tube_cap": -0.1}, [], "tube_cap must be nonnegative, got -0.1"),
     ({"tube_cap": "wide"}, [],
-     "field 'tube_cap' must be a number (could not convert string to float: 'wide')"),
+     "field 'tube_cap' must be a number, got 'wide'"),
     ({"agents": []}, [], "field 'agents' must be a non-empty list of mappings"),
     ({"agents": [1, 2, 3]}, [], "field 'agents' must be a non-empty list of mappings"),
     ({"agents": _agents_with(0, start=[-6.0, 3.5])}, [],
@@ -424,6 +423,78 @@ def test_bad_values_fail_before_any_solve(tmp_path, monkeypatch, capsys, overrid
         assert err.startswith(f"error: {path}: " if overrides else "error: ") and message in err
     assert not solves
     assert not (tmp_path / "out").exists()
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"u_bar": _NAN}, "field 'u_bar' must be finite, got nan"),
+    ({"margin": _NAN}, "field 'margin' must be finite, got nan"),
+    ({"L_g": _NAN}, "field 'L_g' must be finite, got nan"),
+    ({"L_V": _NAN}, "field 'L_V' must be finite, got nan"),
+    ({"lam_max_P": _NAN}, "field 'lam_max_P' must be finite, got nan"),
+    ({"eps_psi": _NAN}, "field 'eps_psi' must be finite, got nan"),
+    ({"u_bar": _INF}, "field 'u_bar' must be finite, got inf"),
+    ({"margin": _INF}, "field 'margin' must be finite, got inf"),
+    ({"L_g": _INF}, "field 'L_g' must be finite, got inf"),
+    ({"tube_cap": _INF}, "field 'tube_cap' must be finite, got inf"),
+    ({"agents": _agents_with(1, radius=_NAN)}, "agent 1 radius must be finite, got nan"),
+    ({"agents": _agents_with(2, detection_range=_NAN)},
+     "agent 2 detection_range must be finite, got nan"),
+    ({"workspace": {"center": [_NAN, 3.5], "radius": 12.0}},
+     "workspace center must be finite, got [nan, 3.5]"),
+    ({"workspace": {"center": [0.0, 3.5], "radius": _NAN}},
+     "workspace radius must be finite, got nan"),
+    ({"obstacles": [{"center": [0.0, 2.0], "radius": _NAN},
+                    {"center": [0.0, 5.5], "radius": 1.0}]},
+     "obstacle 0 radius must be finite, got nan"),
+    ({"obstacles": [{"center": [0.0, 2.0], "radius": 1.0},
+                    {"center": [0.0, _INF], "radius": 1.0}]},
+     "obstacle 1 center must be finite, got [0.0, inf]"),
+    ({"w_bar": 0.0, "disturbance": _disturbance(amplitude=_NAN)},
+     "disturbance amplitude must be finite, got nan"),
+    ({"weights": {"R": [[_NAN, 0.0], [0.0, 0.005]]}},
+     "weight R must be finite, got [[nan, 0.0], [0.0, 0.005]]"),
+], ids=["u_bar-nan", "margin-nan", "L_g-nan", "L_V-nan", "lam_max_P-nan", "eps_psi-nan",
+        "u_bar-inf", "margin-inf", "L_g-inf", "tube_cap-inf", "agent-radius-nan",
+        "agent-detection_range-nan", "workspace-center-nan", "workspace-radius-nan",
+        "obstacle-radius-nan", "obstacle-center-inf", "disturbance-amplitude-nan-at-w_bar-0",
+        "weights-R-nan"])
+def test_non_finite_numbers_fail_at_load_named(tmp_path, overrides, message):
+    """Every number of a scenario is checked where the load reads it: a NaN
+    or an infinity fails there, with its field named, not in a run (a NaN
+    u_bar diverged the solver at t = 0, a NaN margin or constant failed the
+    verdict), in no check at all (eps_psi's ordering test is false for a
+    NaN) or in a check that names another fault (a NaN in R read as "R must
+    be symmetric"). The disturbance is read at load too, so its amplitude is
+    checked also where w_bar = 0 switches it off."""
+    path = _variant(tmp_path, **overrides)
+    with pytest.raises(ScenarioError, match=re.escape(f"{path}: {message}")):
+        load_scenario(path)
+
+
+def test_sensing_range_without_a_neighbor_window_fails_at_load(tmp_path, capsys):
+    """Sensing ranges of 1.01 m with the outer agents 1.005 m from the
+    middle one: the separation (1.01 m) and connectivity (1.00 m) thresholds
+    leave every neighbor pair an empty window at tau = 0, so no plan keeps
+    both. The load names it; `certify` exits 2 with the same error, where it
+    printed a negative window_closes_at_tau at w_bar 0.1 and raised a math
+    domain error at w_bar 0.01."""
+    agents = yaml.safe_load(SCENARIO.read_text())["agents"]
+    for agent in agents:
+        agent["sensing_range"] = 1.01
+    for agent, y in zip(agents[1:], (3.5 - 1.005, 3.5 + 1.005)):
+        agent["start"][1] = agent["goal"][1] = y
+    for w_bar in (0.1, 0.01):
+        path = _variant(tmp_path, agents=agents, w_bar=w_bar,
+                        disturbance=_disturbance(amplitude=w_bar))
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"{path}: sensing range must exceed the largest pairwise radius sum plus "
+                f"twice the safety margin, {1.0 + 2 * 0.01!r}, got [1.01, 1.01, 1.01]")):
+            load_scenario(path)
+        assert main(["certify", str(path)]) == 2
+        assert "plus twice the safety margin" in capsys.readouterr().err
 
 
 def test_run_writes_artifacts_when_solver_raises(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnmpc import coordination
+from dnmpc.certify import disturbance_bound
 from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel, tube_profile_radii
 from dnmpc.coordination import Simulation
 from dnmpc.ocp import OcpConfig
@@ -26,7 +27,7 @@ def _simulation():
     """Two agents at rest, agent 1 at (1.5, 0) within agent 0's sensing
     range, the obstacle at (3, 0) within its detection range."""
     cfg = OcpConfig(h=0.1, T_p=0.3, Q=np.eye(3), R=np.eye(2), P=np.eye(3),
-                    eps_omega=0.01, eps_psi=0.1, u_bar=2.0)
+                    eps_omega=0.01, u_bar=2.0)
     starts = [np.array([0.0, 0.0, 0.0]), np.array([1.5, 0.0, 0.0])]
     sim = Simulation(world=_world(), references=starts, config=cfg,
                      profile=TubeProfile(0.1, 2.0), schedule=[0, 1],
@@ -46,11 +47,30 @@ def test_world_model_sensing_vs_radii():
         WorldModel(Ball([0, 0], 5.0), [], [0.5, 0.6], [1.0, 1.0], [4.0, 4.0], margin=0.01)
 
 
+def test_world_model_sensing_leaves_every_neighbor_window_open():
+    """A neighbor pair's window runs from separation r_i + r_j + margin to
+    connectivity d_i - margin, so a sensing range at or below the largest
+    radius sum plus twice the margin leaves it empty at tau = 0: no plan
+    keeps both. Just above that it is open."""
+    least = 0.5 + 0.5 + 2 * 0.01
+    for sensing in (1.01, least):
+        with pytest.raises(ValueError, match="plus twice the safety margin"):
+            WorldModel(Ball([0, 0], 5.0), [], [0.5, 0.5], [sensing, 2.0], [4.0, 4.0],
+                       margin=0.01)
+    WorldModel(Ball([0, 0], 5.0), [], [0.5, 0.5], [least + 1e-9] * 2, [4.0, 4.0], margin=0.01)
+
+
 def test_terminal_set_ordering():
-    """The terminal set Omega must lie strictly inside Psi."""
-    with pytest.raises(ValueError, match="eps_omega < eps_psi"):
-        OcpConfig(h=0.1, T_p=0.6, Q=np.eye(3), R=np.eye(2), P=np.eye(3),
-                  eps_omega=0.1, eps_psi=0.05, u_bar=1.0)
+    """The terminal set Omega must lie strictly inside Psi. eps_psi only
+    sizes the certificate's disturbance bound, which rejects eps_psi <=
+    eps_omega; the solver's config holds eps_omega alone and rejects a
+    terminal level that is not positive."""
+    with pytest.raises(ValueError, match="need eps_psi > eps_omega"):
+        disturbance_bound(0.05, 0.1, L_V=0.05, L_g=2.0, h=0.1, T_p=0.6)
+    for eps_omega in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="eps_omega must be positive"):
+            OcpConfig(h=0.1, T_p=0.6, Q=np.eye(3), R=np.eye(2), P=np.eye(3),
+                      eps_omega=eps_omega, u_bar=1.0)
 
 
 _OTHER = np.array([[2.0, 0.0], [2.5, 0.0], [3.0, 0.0]])  # agent1 on the three stages

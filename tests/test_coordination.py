@@ -93,7 +93,7 @@ def _simulation(n=2, w_bar=0.0, total_time=0.5, schedule=None):
     goals = [np.array([3.0, 0.0, 0.0]), np.array([3.0, 1.2, 0.0]),
              np.array([3.0, -1.2, 0.0])][:n]
     cfg = OcpConfig(h=0.1, T_p=0.6, Q=0.5 * np.eye(3), R=0.05 * np.eye(2),
-                    P=0.3 * np.eye(3), eps_omega=0.01, eps_psi=0.1, u_bar=8.0)
+                    P=0.3 * np.eye(3), eps_omega=0.01, u_bar=8.0)
     if w_bar > 0:
         dists = [DisturbanceSignal(lambda times: w_bar * np.sin(3 * times)[:, None] * np.ones(3),
                                    w_bar)
@@ -875,7 +875,7 @@ def test_separation_maintained_head_on():
     starts = [np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.2, 0.0])]
     goals = [np.array([2.0, 1.2, 0.0]), np.array([2.0, 0.0, 0.0])]
     cfg = OcpConfig(h=0.1, T_p=0.6, Q=0.5 * np.eye(3), R=0.05 * np.eye(2),
-                    P=0.3 * np.eye(3), eps_omega=0.01, eps_psi=0.1, u_bar=8.0)
+                    P=0.3 * np.eye(3), eps_omega=0.01, u_bar=8.0)
     sim = Simulation(world=world, references=goals, config=cfg,
                      profile=TubeProfile(1e-12, 2.0), schedule=[0, 1],
                      disturbances=[None, None], initial_states=starts,
@@ -973,7 +973,8 @@ def test_restore_runs_once_from_the_best_near_feasible_attempt(monkeypatch):
     assert accepted.status != "infeasible"
     assert sim.prev_solution[i] is accepted
     meta = next(m for m in log.traces[i].step_meta if m["t"] == t_k)
-    assert meta["status"] == accepted.status
+    # the record relabels the accepted relaxed solve; the solution keeps its status
+    assert meta["status"] == "feasible-suboptimal"
     assert meta["attempts"] == 4
 
 

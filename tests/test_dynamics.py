@@ -311,8 +311,7 @@ def test_bundled_disturbance_matches_a_per_sample_oracle_bitwise():
     per-sample ones by an ulp on some CPUs; this test would show it."""
     scenario = load_scenario(SCENARIO)
     signal = scenario.build_disturbances()[0]
-    amp = float(scenario.disturbance["amplitude"])
-    freq = float(scenario.disturbance["frequency"])
+    amp, freq = scenario.disturbance
     bound = scenario.w_bar
     batches = []
 

@@ -28,7 +28,7 @@ def double_integrator(monkeypatch):
 
 def _config(u_bar=1e6, **kw):
     defaults = dict(h=0.1, T_p=0.6, Q=np.diag([2.0, 0.5]), R=np.array([[0.1]]),
-                    P=np.diag([1.0, 1.0]), eps_omega=0.01, eps_psi=0.1, u_bar=u_bar)
+                    P=np.diag([1.0, 1.0]), eps_omega=0.01, u_bar=u_bar)
     defaults.update(kw)
     return OcpConfig(**defaults)
 
@@ -186,9 +186,15 @@ def test_relaxed_solve_finds_a_margin_its_first_working_set_leaves_out(double_in
     assert tr.eval(lqr_dp_reference(e0, cfg).ravel())["margins"].min() < 0.0
     sol = solve_fhocp(ed, e0, margin_fn, cfg, _zero_start(cfg, ed), use_terminal=False)
     assert sol.status == "optimal" and sol.solve_stats["iterations"] == 2
-    ref_x, _ = _scipy_slsqp(_Transcription(ed, e0, margin_fn, cfg, False), np.zeros(tr.nx),
-                            1e-14)
-    np.testing.assert_allclose(sol.inputs.ravel(), ref_x, rtol=0, atol=1e-6)
+    # the input ball (u_bar = 1e6) cannot bind, so the margins are the only rows
+    with single_blas_thread():
+        ref = scipy.optimize.minimize(
+            lambda x: tr.eval(x)["cost"], np.zeros(tr.nx),
+            jac=lambda x: tr.eval(x, gradients=True)["cost_grad"],
+            constraints=[{"type": "ineq", "fun": lambda x: tr.eval(x)["margins"],
+                          "jac": lambda x: tr.eval(x, gradients=True)["margins_jac"]}],
+            method="SLSQP", options={"maxiter": ocp.MAX_ITERATIONS, "ftol": 1e-14})
+    np.testing.assert_allclose(sol.inputs.ravel(), ref.x, rtol=0, atol=1e-6)
     assert abs(sol.dense_errors[1:, 0].min() - 0.8) <= 1e-7
 
 
@@ -212,7 +218,7 @@ def test_terminal_solve_in_gauss_newton_scaling_matches_riccati_oracle(double_in
     # terminal tier scales by is the exact one: SLSQP's first step is Newton's.
     # The zero start is feasible and that step's plan costs less, so the
     # suboptimal stop ends the solve there, before SLSQP's own test
-    cfg = _config(eps_omega=1e3, eps_psi=2e3)  # terminal set far from binding
+    cfg = _config(eps_omega=1e3)  # terminal set far from binding
     ed = double_integrator
     for e0 in ([1.5, -0.7], [0.3, 0.2], [-2.0, 1.0]):
         e0 = np.array(e0)
@@ -353,7 +359,7 @@ def test_stop_where_slsqp_converges_too_reports_optimal(monkeypatch, double_inte
 
     for cfg, ed, e0, margin_fn in (
             _unicycle_near_disc()[:4],
-            (_config(eps_omega=1e3, eps_psi=2e3),
+            (_config(eps_omega=1e3),
              double_integrator, np.array([1.5, -0.7]), no_margins)):
         plan = solve_fhocp(ed, e0, margin_fn, cfg, _zero_start(cfg, ed), use_terminal=True).inputs
         for _ in range(5):
@@ -438,7 +444,7 @@ def test_slsqp_halts_on_callback_stop_iteration():
     def halt(x):
         raise StopIteration
 
-    opt = ocp.minimize(values, gradients, np.ones(3), 1, 100, 1e-6, callback=halt)
+    opt = ocp.minimize(values, gradients, np.ones(3), 1, 1e-6, callback=halt)
     assert (opt.status, opt.nit, opt.success) == (ocp._CALLBACK_HALT, 1, False)
     assert ocp._CALLBACK_HALT == 99
 
@@ -713,12 +719,21 @@ def test_solve_independent_of_blas_thread_count():
     assert solutions[0].cost == solutions[1].cost
 
 
-def _scipy_slsqp(tr, x0, ftol, slack=False, scale=None, callback=None):
-    """The SLSQP run of `ocp._slsqp` through scipy's public
+def _scipy_slsqp(tr, x0):
+    """The SLSQP run of `ocp._slsqp(tr, x0)` through scipy's public
     ``minimize(method="SLSQP")``: one constraint dict per block (margins,
-    ball, terminal; no terminal in the slack form), each with its own
-    evaluation, and with `scale` each block's Jacobian times T."""
+    ball, terminal), each with its own evaluation. With the terminal row, the
+    cost in the Gauss-Newton-scaled variables, each block's Jacobian times
+    T, to `SLSQP_FTOL` with the suboptimal stop; without it, the slack form
+    to 1e-12."""
     cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
+    slack = not tr.use_terminal
+    if slack:
+        scale, ftol, callback = None, 1e-12, None
+    else:
+        with single_blas_thread():
+            scale = ocp._inverse_factor(ocp._gauss_newton_hessian(tr, x0))
+        ftol, callback = ocp.SLSQP_FTOL, ocp._suboptimal_stop(tr, x0, scale)
     u_bar_sq = cfg.u_bar ** 2
     ball_rows, ball_cols = np.repeat(np.arange(N), m), np.arange(nx)
 
@@ -790,36 +805,30 @@ def _unicycle_problems():
 
 
 def _slsqp_form(form, cfg, ed, e0, margin_fn, start):
-    """`ocp._slsqp`'s arguments (tr, x0, ftol, options) for one form of the
-    solve, on a fresh transcription, as `solve_fhocp` and
-    `restore_feasibility` build them."""
+    """`ocp._slsqp`'s arguments (tr, x0) for one of its two forms, on a fresh
+    transcription, as `solve_fhocp` ("terminal") and `restore_feasibility`
+    ("restore") build them."""
     tr = _Transcription(ed, e0, margin_fn, cfg, form == "terminal")
     u0 = ocp._project_inputs(start, cfg.u_bar).ravel()
     if form == "terminal":
-        scale = ocp._gauss_newton_scaling(tr, u0)
-        return tr, u0, ocp.SLSQP_FTOL, {"scale": scale,
-                                        "callback": ocp._suboptimal_stop(tr, u0, scale)}
-    if form == "restore":
-        return tr, np.append(u0, tr.eval(u0)["slack"]), 1e-12, {"slack": True}
-    return tr, u0, ocp.SLSQP_FTOL, {}
+        return tr, u0
+    return tr, np.append(u0, tr.eval(u0)["slack"])
 
 
 def test_minimize_matches_scipy_slsqp_bitwise():
     """`ocp.minimize` drives scipy's private compiled SLSQP core
     (`scipy.optimize._slsqplib.slsqp`) as scipy's own wrapper does. On the
-    seeded unicycle problems, in each form `_slsqp` runs (relaxed: plain
-    variables, no callback; terminal: Gauss-Newton scaled, with the
-    suboptimal stop; restore: the slack form), it must return bitwise
-    scipy's x, and its nit, nfev and status. A scipy release that changes
-    the core's contract fails here first."""
+    seeded unicycle problems, in both forms `_slsqp` runs (terminal:
+    Gauss-Newton scaled, with the suboptimal stop; restore: the slack form),
+    it must return bitwise scipy's x, and its nit, nfev and status. A scipy
+    release that changes the core's contract fails here first."""
     statuses = set()
     for problem in _unicycle_problems():
-        for form in ("relaxed", "terminal", "restore"):
-            tr, x0, ftol, options = _slsqp_form(form, *problem)
+        for form in ("terminal", "restore"):
+            tr, x0 = _slsqp_form(form, *problem)
             with single_blas_thread():
-                ours = ocp._slsqp(tr, x0, ftol, **options)
-            ref_tr, _, _, ref_options = _slsqp_form(form, *problem)
-            ref_x, ref = _scipy_slsqp(ref_tr, x0, ftol, **ref_options)
+                ours = ocp._slsqp(tr, x0)
+            ref_x, ref = _scipy_slsqp(*_slsqp_form(form, *problem))
             got = (ours.x.tobytes(), ours.nit, ours.nfev, ours.status)
             want = (ref_x.tobytes(), ref.nit, ref.nfev, ref.status)
             assert got == want, (
@@ -842,12 +851,11 @@ def test_closed_loop_scaled_solves_match_scipy_slsqp_bitwise(monkeypatch):
     real = ocp._slsqp
     margin_rows = []
 
-    def checked(tr, x0, ftol, slack=False, scale=None, callback=None):
-        ours = real(tr, x0, ftol, slack=slack, scale=scale, callback=callback)
-        if scale is not None:
+    def checked(tr, x0):
+        ours = real(tr, x0)
+        if tr.use_terminal:
             ref_tr = _Transcription(tr.errordyn, tr.e0, tr.margin_fn, tr.cfg, tr.use_terminal)
-            ref_callback = None if callback is None else ocp._suboptimal_stop(ref_tr, x0, scale)
-            ref_x, ref = _scipy_slsqp(ref_tr, x0, ftol, slack, scale, ref_callback)
+            ref_x, ref = _scipy_slsqp(ref_tr, x0)
             assert (ours.x.tobytes(), ours.nit, ours.nfev, ours.status) == (
                 ref_x.tobytes(), ref.nit, ref.nfev, ref.status), (
                 f"scaled solve {len(margin_rows)}")
@@ -860,8 +868,8 @@ def test_closed_loop_scaled_solves_match_scipy_slsqp_bitwise(monkeypatch):
 
 
 def _gauss_newton_hessian(tr, x):
-    """The Gauss-Newton Hessian of `_gauss_newton_scaling`'s docstring, by
-    the same float operations."""
+    """The Gauss-Newton Hessian of `ocp._gauss_newton_hessian`'s docstring,
+    by the same float operations."""
     cfg = tr.cfg
     J = tr.jac(x)[tr.stage_idx]
     return (2.0 * cfg.h * (np.einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
@@ -869,8 +877,8 @@ def _gauss_newton_hessian(tr, x):
 
 
 def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
-    """`_gauss_newton_scaling` inverts the upper-triangular L' with numpy's
-    `inv` gufunc. Its T must be bitwise what scipy's
+    """The Gauss-Newton scaling T = `_inverse_factor(_gauss_newton_hessian(tr,
+    x))` inverts the upper-triangular L' with numpy's `inv` gufunc. Its T must be bitwise what scipy's
     ``solve_triangular(L, I, lower=True, trans="T")`` gives for the Cholesky
     factor L of the same H, and Fortran-ordered as that T is (the products
     that read T take other BLAS paths, and move the corridor's floats, on a
@@ -901,7 +909,7 @@ def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
         with single_blas_thread():
             L = np.linalg.cholesky(_gauss_newton_hessian(tr, x))
             want = scipy.linalg.solve_triangular(L, np.eye(tr.nx), lower=True, trans="T")
-            got = ocp._gauss_newton_scaling(tr, x)
+            got = ocp._inverse_factor(ocp._gauss_newton_hessian(tr, x))
         assert np.array_equal(got, want), f"problem {k}: T differs from scipy's L^-T"
         assert got.flags.f_contiguous, f"problem {k}: T is not Fortran-ordered"
 
