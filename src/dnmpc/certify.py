@@ -193,8 +193,8 @@ def verify(log, world, scenario):
         raise ValueError(f"the log has {n} agent traces, the scenario {len(world.agent_radii)}")
     report = VerificationReport()
     errordyns = [ErrorDynamics(UNICYCLE, z) for z in scenario.references]
-    times = [np.asarray(tr.times) for tr in log.traces]
-    states = [np.asarray(tr.states) for tr in log.traces]
+    times = [tr.times for tr in log.traces]
+    states = [tr.states for tr in log.traces]
     positions = [z[:, UNICYCLE.position_slice] for z in states]
     for i in range(n):
         finite = np.isfinite(positions[i]).all(axis=1) & np.isfinite(times[i])
@@ -249,7 +249,7 @@ def verify(log, world, scenario):
     trap = (np.inf, 0.0)
     outside = []
     for i in range(n):
-        V = np.asarray(log.traces[i].V)
+        V = log.traces[i].V
         below = np.nonzero(V <= scenario.eps_omega + CHECK_TOL)[0]
         if len(below) == 0:
             outside.append(f"agent {i} never entered the terminal set")

@@ -228,10 +228,12 @@ def load_scenario(path, seed=None) -> Scenario:
 
     Raises ScenarioError with the offending field (or YAML location) on any
     parse or validation failure, an unknown key of the file, of an agent or
-    of a section included, and a number that is not finite. `seed` overrides
-    the file's seed, and is checked as it is: an integer, not a float, bool
-    or string. The disturbance section is read here, once: its amplitude
-    defaults to `w_bar` and its frequency to 1.0.
+    of a section included, and a number that is not finite: each number is
+    checked where it is read, an agent's `start` and `goal` (3 numbers each)
+    and R (2x2) with their shapes. `seed` overrides the file's seed, and is
+    checked as it is: an integer, not a float, bool or string. The
+    disturbance section is read here, once: its amplitude defaults to
+    `w_bar` and its frequency to 1.0.
     """
     try:
         with open(path) as fh:
@@ -282,6 +284,14 @@ def load_scenario(path, seed=None) -> Scenario:
     def optional_field(key):
         return None if raw.get(key) is None else number(raw[key], f"field {key!r}")
 
+    def state(value, name):
+        """`value`, called `name` in messages, as a finite unicycle state."""
+        result = np.asarray(value, dtype=float)
+        if result.shape != (UNICYCLE.state_dim,) or not np.isfinite(result).all():
+            raise ScenarioError(f"{path}: {name} must be {UNICYCLE.state_dim} finite numbers, "
+                                f"got {result.tolist()}")
+        return result
+
     def ball(value, name):
         center = np.asarray(value["center"], dtype=float)
         if not np.isfinite(center).all():
@@ -304,14 +314,20 @@ def load_scenario(path, seed=None) -> Scenario:
                 radius=number(a["radius"], f"agent {k} radius"),
                 sensing_range=number(a["sensing_range"], f"agent {k} sensing_range"),
                 detection_range=number(a["detection_range"], f"agent {k} detection_range"),
-                start=np.asarray(a["start"], dtype=float),
-                goal=np.asarray(a["goal"], dtype=float),
+                start=state(a["start"], f"agent {k} start"),
+                goal=state(a["goal"], f"agent {k} goal"),
             )
             for k, a in enumerate(raw_agents)
         ]
         use_seed = (integer(raw.get("seed", 0), "field 'seed'") if seed is None
                     else integer(seed, "seed override"))
         Q, R, P = _weights_from_recipe(weights, use_seed)
+        dim = UNICYCLE.input_dim
+        if R.shape != (dim, dim):
+            raise ScenarioError(f"{path}: weight R must be {dim}x{dim}, "
+                                f"got {'x'.join(map(str, R.shape))}")
+        if not np.isfinite(R).all():
+            raise ScenarioError(f"{path}: weight R must be finite, got {R.tolist()}")
         w_bar = field("w_bar")
         disturbance = section(raw.get("disturbance", {}), _DISTURBANCE_KEYS, "disturbance")
         scenario = Scenario(
@@ -351,18 +367,6 @@ def load_scenario(path, seed=None) -> Scenario:
 def _validate(scenario: Scenario, path):
     """Build what `run` and `certify` build: their checks fail here, named."""
     try:
-        for k, spec in enumerate(scenario.agents):
-            for name in ("start", "goal"):
-                value = getattr(spec, name)
-                if value.shape != (UNICYCLE.state_dim,) or not np.all(np.isfinite(value)):
-                    raise ValueError(f"agent {k} {name} must be {UNICYCLE.state_dim} "
-                                     f"finite numbers, got {value.tolist()}")
-        dim = UNICYCLE.input_dim
-        if scenario.R.shape != (dim, dim):
-            raise ValueError(f"weight R must be {dim}x{dim}, "
-                             f"got {'x'.join(map(str, scenario.R.shape))}")
-        if not np.isfinite(scenario.R).all():
-            raise ValueError(f"weight R must be finite, got {scenario.R.tolist()}")
         sim = scenario.build_simulation()
         scenario.build_certificate()
     except ValueError as exc:

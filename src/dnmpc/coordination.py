@@ -136,23 +136,32 @@ class PredictionEntry:
 class AgentTrace:
     """Time-indexed true trajectory and per-step solver metadata.
 
-    `times`, `states`, `inputs`, `w_norms` and `V` hold one entry per logged
-    sample, the t = 0 one and then `OcpConfig.substeps` per sampling step:
-    a running simulation appends to lists, while
-    :meth:`Simulation.finalize_log` and :meth:`TrajectoryLog.from_csv`
-    return arrays.
+    `times` (T,), `states` (T, 3), `inputs` (T, 2), `w_norms` (T,) and `V`
+    (T,) are float64 arrays of one row per logged sample, the t = 0 one and
+    then `OcpConfig.substeps` per sampling step. The constructor converts
+    other sequences (of floats, or of rows) once. A running simulation's
+    traces hold the rows it has logged so far, read-only views of its
+    buffers.
     """
 
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)      # (T, 3)
-    inputs: list = field(default_factory=list)      # (T, 2) applied ZOH input, NaN at t=0
-    w_norms: list = field(default_factory=list)
-    V: list = field(default_factory=list)
+    times: np.ndarray = ()
+    states: np.ndarray = ()   # (T, 3)
+    inputs: np.ndarray = ()   # (T, 2) applied ZOH input, NaN at t=0
+    w_norms: np.ndarray = ()
+    V: np.ndarray = ()
     # (T, len(MARGIN_KINDS)) raw margins in MARGIN_KINDS order, filled post-run
     margins: Optional[np.ndarray] = None
     # one record (dict) per solve, as solve_ladder built it; six
     # keys (t, status and the solver columns) when read back from a CSV
     step_meta: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.times, self.w_norms, self.V = (np.asarray(column, dtype=float)
+                                            for column in (self.times, self.w_norms, self.V))
+        self.states, self.inputs = (
+            np.asarray(rows, dtype=float).reshape(len(rows), width)
+            for rows, width in ((self.states, UNICYCLE.state_dim),
+                                (self.inputs, UNICYCLE.input_dim)))
 
 
 # where a unicycle's state holds its workspace position
@@ -236,12 +245,8 @@ class TrajectoryLog:
             fh.write(",".join(CSV_COLUMNS) + "\r\n")
             for i, trace in enumerate(self.traces):
                 T = len(trace.times)
-                margins = np.asarray(trace.margins, dtype=float)
-                columns = [np.asarray(trace.times, dtype=float),
-                           *np.asarray(trace.states, dtype=float).T,
-                           *np.asarray(trace.inputs, dtype=float).T,
-                           np.asarray(trace.w_norms, dtype=float),
-                           np.asarray(trace.V, dtype=float), *margins.T]
+                columns = [trace.times, *trace.states.T, *trace.inputs.T, trace.w_norms,
+                           trace.V, *trace.margins.T]
                 solver = np.array(["," * (len(_SOLVER_COLUMNS) - 1)] + [
                     f"{m['status']},{float(m['cost'])!r},{float(m['errsq_int'])!r},"
                     f"{int(m['terminal_relaxed'])},{int(m['tube_capped'])}"
@@ -386,12 +391,6 @@ class TrajectoryLog:
                 w_norms=block[:, k], V=block[:, k + 1], margins=block[:, k + 2:],
                 step_meta=step_meta))
         return cls(traces=traces)
-
-
-def _stacked(rows, width):
-    """The (len(rows), width) float array of a list of rows, as `np.array`
-    gives it, by one concatenation: faster on many short rows."""
-    return np.concatenate(rows or [()], dtype=float).reshape(len(rows), width)
 
 
 def _residual(sol):
@@ -585,6 +584,7 @@ class Simulation:
         self.known_obstacles = [set() for _ in self.models]
         self.prev_solution: list = [None] * len(self.models)
         self.traces = [AgentTrace() for _ in self.models]
+        self._buffers = None  # each agent's rows of the whole run, from _log_initial on
         # V(e) >= lambda_min(P) |e|^2: a terminal-feasible plan ends this close
         # to the goal
         self.terminal_radius = ultimate_bound(config.eps_omega + CONSTRAINT_TOL,
@@ -662,13 +662,31 @@ class Simulation:
     # -- main loop ------------------------------------------------------
 
     def _log_initial(self):
-        for i, trace in enumerate(self.traces):
-            trace.times.append(0.0)
-            trace.states.append(self.states[i].copy())
-            trace.inputs.append(np.full(UNICYCLE.input_dim, np.nan))
-            trace.w_norms.append(0.0)
-            e = self.errordyns[i].error_of(self.states[i])
-            trace.V.append(float(e @ self.config.P @ e))
+        """Allocate each agent's rows for the whole run and log its t = 0 row."""
+        rows = self._n_steps * self.config.substeps + 1
+        self._buffers = [AgentTrace(times=np.empty(rows), w_norms=np.empty(rows), V=np.empty(rows),
+                                    states=np.empty((rows, UNICYCLE.state_dim)),
+                                    inputs=np.empty((rows, UNICYCLE.input_dim)))
+                         for _ in self.traces]
+        for i, z in enumerate(self.states):
+            e = self.errordyns[i].error_of(z)
+            self._log_rows(i, 0.0, z[None], np.nan, 0.0, e @ self.config.P @ e)
+
+    def _log_rows(self, i, times, states, inputs, w_norms, V):
+        """Write agent i's next rows into its buffers, after the rows logged
+        so far, and point its trace's fields at all of them, read-only: rows
+        once logged are never written again, so an earlier view, and a log
+        finalized from it, keeps its bits."""
+        trace, buffer = self.traces[i], self._buffers[i]
+        start = len(trace.times)
+        stop = start + len(states)
+        for name, rows in (("times", times), ("states", states), ("inputs", inputs),
+                           ("w_norms", w_norms), ("V", V)):
+            column = getattr(buffer, name)
+            column[start:stop] = rows
+            view = column[:stop]
+            view.flags.writeable = False
+            setattr(trace, name, view)
 
     def step(self, k):
         """Run one sampling step (all agents in schedule order).
@@ -677,7 +695,9 @@ class Simulation:
         `integrate` call, which draws the step's disturbance samples in one
         generator call: the four RK4 stages of each substep and the step's
         last logged row. Each logged row's `w_norm` is the norm of the
-        sample at its time, zero without a disturbance.
+        sample at its time, zero without a disturbance. The step's rows are
+        written into each agent's arrays in place, one block per agent, so
+        that after it each trace field holds exactly the rows logged so far.
 
         Raises SimulationError with the partial log when a solve ends
         infeasible or the solver raises (diverged, non-finite iterate).
@@ -711,33 +731,23 @@ class Simulation:
 
             # log the substeps after t_k, which the previous step logged, as
             # one block; np.vecdot gives V the floats of each row's own dot
-            # product ep[r] @ e[r]
-            trace = self.traces[i]
-            times, states = times[1:], states[1:]
-            trace.times.extend(times.tolist())
-            trace.states.extend(states)
-            trace.inputs.extend(u0[None].repeat(len(states), axis=0))
-            trace.w_norms.extend(w_norms)
+            # product (e[r] @ P) @ e[r]
+            states = states[1:]
             e = self.errordyns[i].error_of(states)
-            ep = e @ cfg.P
-            trace.V.extend(np.vecdot(ep, e).tolist())
-            trace.step_meta.append(record)
+            self._log_rows(i, times[1:], states, u0, w_norms, np.vecdot(e @ cfg.P, e))
+            self.traces[i].step_meta.append(record)
 
     def finalize_log(self):
         """The log of the run so far, with its raw margins filled in.
 
-        Each trace's fields are arrays, converted once from the engine's
-        rows, as :meth:`TrajectoryLog.from_csv` returns them; the
-        simulation's own traces stay lists, and its step records are shared
+        Each trace's fields are the simulation's trace arrays as they are,
+        uncopied: the engine's are read-only views of the rows logged so far,
+        which later logging leaves unchanged. The step records are shared
         with the log's step_meta lists.
         """
         log_out = TrajectoryLog(
-            traces=[AgentTrace(times=np.array(tr.times, dtype=float),
-                               states=_stacked(tr.states, UNICYCLE.state_dim),
-                               inputs=_stacked(tr.inputs, UNICYCLE.input_dim),
-                               w_norms=np.array(tr.w_norms, dtype=float),
-                               V=np.array(tr.V, dtype=float),
-                               step_meta=list(tr.step_meta))
+            traces=[AgentTrace(times=tr.times, states=tr.states, inputs=tr.inputs,
+                               w_norms=tr.w_norms, V=tr.V, step_meta=list(tr.step_meta))
                     for tr in self.traces])
         self._fill_margins(log_out)
         return log_out

@@ -120,19 +120,12 @@ def _forged_log_scenario(distance):
     from dnmpc.constraints import WorldModel
     from dnmpc.setalg import Ball
 
-    traces = []
-    for y in (0.0, distance):
-        tr = AgentTrace()
-        for k in range(11):
-            tr.times.append(0.01 * k)
-            tr.states.append(np.array([0.0, y, 0.0]))
-            tr.inputs.append(np.zeros(2))
-            tr.w_norms.append(0.0)
-            tr.V.append(0.0)
-        tr.step_meta.append({"t": 0.0, "status": "optimal", "cost": 1.0,
-                             "errsq_int": 0.0, "terminal_relaxed": False,
-                             "tube_capped": False})
-        traces.append(tr)
+    traces = [AgentTrace(times=0.01 * np.arange(11), states=np.tile([0.0, y, 0.0], (11, 1)),
+                         inputs=np.zeros((11, 2)), w_norms=np.zeros(11), V=np.zeros(11),
+                         step_meta=[{"t": 0.0, "status": "optimal", "cost": 1.0,
+                                     "errsq_int": 0.0, "terminal_relaxed": False,
+                                     "tube_capped": False}])
+              for y in (0.0, distance)]
     log = TrajectoryLog(traces=traces)
     world = WorldModel(Ball([0.0, 0.0], 10.0), [], [0.5, 0.5], [2.0, 2.0],
                        [4.0, 4.0], 0.01, [frozenset({1}), frozenset({0})])
@@ -181,7 +174,7 @@ def test_verify_passes_safe_stationary_log():
 def test_terminal_trapping_names_every_agent_outside_the_terminal_set():
     log, world, scenario = _forged_log_scenario(distance=1.2)
     for trace in log.traces:
-        trace.V = [1.0] * len(trace.times)  # above eps_omega throughout
+        trace.V = np.ones(len(trace.times))  # above eps_omega throughout
     check = certify.verify(log, world, scenario).checks["terminal-trapping"]
     assert not check.passed
     assert check.detail == ("agent 0 never entered the terminal set; "
@@ -206,9 +199,9 @@ def test_verify_rejects_a_V_that_is_not_finite(V):
     it, and a NaN margin is never the worst); with V = [0, 1, 0] the check
     fails."""
     log, world, scenario = _three_row_log()
-    log.traces[1].V = [0.0, 1.0, 0.0]
+    log.traces[1].V = np.array([0.0, 1.0, 0.0])
     assert not certify.verify(log, world, scenario).checks["terminal-trapping"].passed
-    log.traces[1].V = V
+    log.traces[1].V = np.array(V)
     row = int(np.flatnonzero(np.isnan(V))[0])
     with pytest.raises(ValueError, match=f"agent 1's logged V at row {row} is not finite"):
         certify.verify(log, world, scenario)

@@ -624,48 +624,131 @@ def _verdicts(report):
             for name, c in report.checks.items()]
 
 
-def _listed(log, sim):
-    """`log` on the engine's row lists, with the log's margins."""
+# each logged trace field and the shape of one of its rows
+_LOGGED = (("times", ()), ("states", (3,)), ("inputs", (2,)), ("w_norms", ()), ("V", ()))
+
+
+def _listed(log):
+    """`log` rebuilt from Python lists, of floats or of rows, with its
+    margins and step records."""
     return TrajectoryLog(traces=[
-        coordination.AgentTrace(times=tr.times, states=tr.states, inputs=tr.inputs,
-                                w_norms=tr.w_norms, V=tr.V, margins=done.margins,
-                                step_meta=tr.step_meta)
-        for tr, done in zip(sim.traces, log.traces)])
+        coordination.AgentTrace(times=tr.times.tolist(), states=list(tr.states),
+                                inputs=[row.tolist() for row in tr.inputs],
+                                w_norms=tr.w_norms.tolist(), V=list(tr.V),
+                                margins=tr.margins, step_meta=tr.step_meta)
+        for tr in log.traces])
+
+
+def _assert_logged_rows(trace, rows):
+    """Each of `trace`'s logged fields is a float64 array of `rows` rows."""
+    for name, row in _LOGGED:
+        value = getattr(trace, name)
+        assert type(value) is np.ndarray and value.dtype == np.float64, name
+        assert value.shape == (rows, *row), name
 
 
 def test_finalized_log_holds_arrays_of_the_engines_rows(tmp_path):
-    """finalize_log converts each trace once: its fields are float arrays
-    whose bits are the engine's rows, the simulation's traces stay lists, a
-    second finalize_log gives an equal log of its own arrays, and the CSV
-    and verify's verdicts are those of the list-backed log."""
+    """finalize_log takes the engine's arrays as they are: each field holds
+    the bits of the simulation's own rows, read-only, a second finalize_log
+    gives the same bits, and the CSV and verify's verdicts are those of the
+    same log built from lists."""
     scenario = load_scenario(SCENARIO)
     sim = scenario.build_simulation(total_time=0.3)
     log = sim.run()
     again = sim.finalize_log()
     for trace, first, second in zip(sim.traces, log.traces, again.traces):
-        for name in ("times", "states", "inputs", "w_norms", "V"):
+        _assert_logged_rows(trace, 31)
+        for name, _ in _LOGGED:
             rows = getattr(trace, name)
-            assert isinstance(rows, list) and len(rows) == 31
             for done in (first, second):
                 value = getattr(done, name)
-                assert isinstance(value, np.ndarray) and value.dtype == np.float64
-                assert value.tobytes() == b"".join(np.float64(row).tobytes() for row in rows)
-            assert getattr(first, name) is not getattr(second, name)
+                assert value.dtype == np.float64 and value.tobytes() == rows.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    value[0] = 1.0
         assert trace.margins is None
         assert np.array_equal(first.margins, second.margins)
         assert first.step_meta == trace.step_meta and first.step_meta is not trace.step_meta
-    listed = _listed(log, sim)
+    listed = _listed(log)
     log.to_csv(tmp_path / "log.csv")
     write_csv_rows(listed, tmp_path / "rows.csv")
     assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    listed.to_csv(tmp_path / "listed.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
     world = scenario.build_world()
     assert (_verdicts(certify.verify(log, world, scenario))
             == _verdicts(certify.verify(listed, world, scenario)))
 
 
+def test_traces_hold_the_rows_logged_after_every_step(monkeypatch):
+    """Before and after every step of a 0.3 s run, each trace field is a
+    float64 array of exactly the rows logged so far: the t = 0 row and
+    `OcpConfig.substeps` per step taken."""
+    sim = _simulation(total_time=0.3)
+    real_step, steps = Simulation.step, []
+
+    def step(self, k):
+        for trace in self.traces:
+            _assert_logged_rows(trace, 1 + k * OcpConfig.substeps)
+        real_step(self, k)
+        for trace in self.traces:
+            _assert_logged_rows(trace, 1 + (k + 1) * OcpConfig.substeps)
+        steps.append(k)
+
+    monkeypatch.setattr(Simulation, "step", step)
+    sim.run()
+    assert steps == [0, 1, 2]
+
+
+def test_list_form_traces_hold_the_bits_of_array_form():
+    """A trace built from lists (of floats, of row arrays, of row lists)
+    holds the float64 arrays, bit for bit, of one built from the arrays,
+    NaN inputs and -0.0 included; a trace of no rows has the rows' widths."""
+    log = _simulation(w_bar=0.05, total_time=0.3).run()
+    for trace, listed in zip(log.traces, _listed(log).traces):
+        assert trace.inputs[0].tobytes() == np.full(2, np.nan).tobytes()
+        _assert_logged_rows(listed, 31)
+        for name, _ in _LOGGED:
+            assert getattr(listed, name).tobytes() == getattr(trace, name).tobytes(), name
+    signed = coordination.AgentTrace(times=[0.0, -0.0], states=[[-0.0, 0.0, 1.0]] * 2,
+                                     inputs=[np.full(2, np.nan), np.array([-0.0, 0.0])],
+                                     w_norms=[0.0, 0.0], V=[-0.0, 0.0])
+    assert signed.times.tobytes() == np.array([0.0, -0.0]).tobytes()
+    assert signed.inputs.tobytes() == np.array([[np.nan, np.nan], [-0.0, 0.0]]).tobytes()
+    _assert_logged_rows(coordination.AgentTrace(), 0)
+
+
+def test_log_finalized_mid_run_keeps_its_rows(monkeypatch):
+    """A log finalized after the first step keeps that step's rows and bits
+    while the run logs two more steps, and it holds the first rows of the
+    run's own log."""
+    sim = _simulation(w_bar=0.05, total_time=0.3)
+    real_step, early = Simulation.step, []
+
+    def step(self, k):
+        real_step(self, k)
+        if k == 0:
+            log = self.finalize_log()
+            early.append((log, [[getattr(tr, name).copy() for name, _ in _LOGGED]
+                                for tr in log.traces]))
+
+    monkeypatch.setattr(Simulation, "step", step)
+    final = sim.run()
+    [(log, copies)] = early
+    rows = 1 + OcpConfig.substeps
+    for trace, copied, done in zip(log.traces, copies, final.traces):
+        _assert_logged_rows(trace, rows)
+        _assert_logged_rows(done, 31)
+        for (name, _), value in zip(_LOGGED, copied):
+            assert getattr(trace, name).tobytes() == value.tobytes(), name
+            assert getattr(done, name)[:rows].tobytes() == value.tobytes(), name
+        assert len(trace.step_meta) == 1 and trace.margins.shape == (rows, len(MARGIN_KINDS))
+
+
 def test_partial_log_is_finalized_from_the_rows_so_far(monkeypatch, tmp_path):
     """An abort's partial log is a finalized log of traces of different
-    lengths: the agent after the failing one has one step fewer."""
+    lengths, the rows logged before the abort: the agent after the failing
+    one has one step fewer. Each field holds the engine's rows, and the CSV
+    and verdicts are those of the same log built from lists."""
     scenario = load_scenario(SCENARIO)
     sim = scenario.build_simulation(total_time=0.3)
     real = coordination.solve_ladder
@@ -681,17 +764,46 @@ def test_partial_log_is_finalized_from_the_rows_so_far(monkeypatch, tmp_path):
         sim.run()
     log = caught.value.partial_log
     rows = {i: 31 if k < 1 else 21 for k, i in enumerate(sim.schedule)}
-    assert [len(trace.times) for trace in log.traces] == [rows[i] for i in range(3)]
-    for trace, done in zip(sim.traces, log.traces):
-        assert isinstance(trace.states, list)
-        assert isinstance(done.states, np.ndarray) and done.margins.shape == (len(done.times), 4)
-        assert done.states.tobytes() == np.array(trace.states).tobytes()
+    for i, (trace, done) in enumerate(zip(sim.traces, log.traces)):
+        _assert_logged_rows(trace, rows[i])
+        _assert_logged_rows(done, rows[i])
+        assert done.margins.shape == (rows[i], len(MARGIN_KINDS))
+        assert len(done.step_meta) == (rows[i] - 1) // OcpConfig.substeps
+        for name, _ in _LOGGED:
+            assert getattr(done, name).tobytes() == getattr(trace, name).tobytes(), name
     log.to_csv(tmp_path / "log.csv")
-    write_csv_rows(_listed(log, sim), tmp_path / "rows.csv")
+    write_csv_rows(_listed(log), tmp_path / "rows.csv")
     assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
     world = scenario.build_world()
     assert (_verdicts(certify.verify(log, world, scenario))
-            == _verdicts(certify.verify(_listed(log, sim), world, scenario)))
+            == _verdicts(certify.verify(_listed(log), world, scenario)))
+
+
+# traced bytes that a run holds per logged row, beyond a shorter run's: the
+# float data is 64 (8 columns), and each step's solve record adds about 60
+_HELD_BYTES_PER_ROW = 250
+
+
+def test_a_run_holds_few_bytes_per_logged_row():
+    """The memory that a finished run's simulation holds grows by less than
+    `_HELD_BYTES_PER_ROW` per logged row between a 0.3 s and a 1.0 s run,
+    as tracemalloc sees it, after a first run that fills the caches (about
+    120 bytes; Python objects per row took about 490)."""
+
+    def held(total_time):
+        sim = _simulation(total_time=total_time)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sim.run()  # the log, dropped, holds only views and its margins
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return grown, sum(len(trace.times) for trace in sim.traces)
+
+    held(0.3)
+    (short, short_rows), (long, long_rows) = held(0.3), held(1.0)
+    assert (long - short) / (long_rows - short_rows) < _HELD_BYTES_PER_ROW
 
 
 def test_traces_without_rows_finalize(tmp_path):
