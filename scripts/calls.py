@@ -64,8 +64,8 @@ LAYERS = {
     MARGINS: "margins",
     (coordination, "_margin_fn.<locals>.margin_fn.<locals>.jacobian"): "margins",
     (ocp, "_Transcription.eval"): "evaluation",
+    # every solve of every form, through its one entry
     (ocp, "minimize"): "minimize",
-    (ocp, "_gauss_newton_sqp"): "minimize",
     # the Gauss-Newton Hessian and its inverse factor, of both solvers
     (ocp, "_gauss_newton_hessian"): "scaling",
     (ocp, "_inverse_factor"): "scaling",

@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .ocp import CONSTRAINT_TOL
 from .setalg import Ball, TubeProfile, tube_radius
 
 __all__ = [
@@ -200,9 +201,9 @@ class StageGeometry:
                  if kind == 0 and label in conn]
         return np.array(pairs).reshape(-1, 2).T
 
-    def terminal_excluded(self, goal, radius, rho_end, tol):
+    def terminal_excluded(self, goal, radius, rho_end):
         """True if no position within `radius` of `goal` meets every
-        last-row margin, eroded by rho_end, to within tol.
+        last-row margin, eroded by rho_end, to within `CONSTRAINT_TOL`.
 
         Over that ball a column's largest margin is offset - rho_end plus
         |goal - anchor| + radius (sign +1) or minus
@@ -212,7 +213,7 @@ class StageGeometry:
         diff = goal - self.anchors[-1]
         dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
         reach = np.where(self.sign > 0.0, dist + radius, -np.maximum(dist - radius, 0.0))
-        return bool((self.offset - rho_end + reach < -tol).any())
+        return bool((self.offset - rho_end + reach < -CONSTRAINT_TOL).any())
 
 
 def tube_profile_radii(profile: TubeProfile, taus):

@@ -649,7 +649,7 @@ class Simulation:
         pos_e0 = e0[_POSITION]
         terminal_plausible = math.sqrt(pos_e0.dot(pos_e0)) <= 0.5 * cfg.u_bar * cfg.T_p
         terminal_excluded = terminal_plausible and geometry.terminal_excluded(
-            errordyn.z_des[_POSITION], self.terminal_radius, rho[-1], CONSTRAINT_TOL)
+            errordyn.z_des[_POSITION], self.terminal_radius, rho[-1])
         starts = [np.zeros((cfg.n_stages, UNICYCLE.input_dim))]
         prev = self.prev_solution[i]
         if prev is not None and prev.status != "infeasible":

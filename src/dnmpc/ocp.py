@@ -25,6 +25,13 @@ H = 2h sum_k J_k'Q J_k + 2h blkdiag(R) + 2 J_N'P J_N at no extra rollout
 (:func:`_gauss_newton_hessian`; Diehl et al. 2005 build real-time-iteration
 NMPC on it). Both tiers of the fallback ladder use it.
 
+Every solve goes through one entry, :func:`minimize`, whose name perfbench's
+traced mode patches for its `slsqp` span. It takes the transcription and a
+start, dispatches on the transcription's form ("terminal", "relaxed" or
+"restore") and returns one result: the last iterate, the iterations, the
+points evaluated and a status of "converged", "stopped" or "unconverged".
+:func:`solve_fhocp` and :func:`restore_feasibility` each call it once.
+
 A relaxed solve (the terminal set not enforced) runs this module's own
 sequential quadratic programming, :func:`_gauss_newton_sqp`:
 
@@ -48,17 +55,15 @@ sequential quadratic programming, :func:`_gauss_newton_sqp`:
 
 A terminal-enforced solve and the phase-1 pass run SLSQP: scipy's compiled
 core, the private `scipy.optimize._slsqplib.slsqp` that tests/test_ocp.py
-checks against scipy's public SLSQP bit for bit, driven by this module's
-loop :func:`minimize`, whose name perfbench's traced mode patches for its
-`slsqp` span. The loop evaluates once per request of the core, where scipy's
-wrapper evaluated each constraint block, and writes the rows in place.
-:func:`_slsqp` poses the two SLSQP problems, over the margins and the input
-ball, and takes its form from the transcription alone. With the terminal
-row, :func:`solve_fhocp` minimizes the cost over the inputs u. Without it,
-the phase-1 pass :func:`restore_feasibility` solves the slack form,
-maximizing s over (u, s) with the margins lowered by s and the ball hard; it
-serves the relaxed tier only, which enforces no terminal set. Both measure
-infeasibility by the same worst slack.
+checks against scipy's public SLSQP bit for bit, driven by :func:`minimize`'s
+own loop. The loop evaluates once per request of the core, where scipy's
+wrapper evaluated each constraint block, and writes the rows in place, over
+the margins, the input ball and, in the terminal form, the terminal row. In
+that form :func:`solve_fhocp` minimizes the cost over the inputs u. In the
+restore form the phase-1 pass :func:`restore_feasibility` solves the slack
+form, maximizing s over (u, s) with the margins lowered by s and the ball
+hard; it serves the relaxed tier only, which enforces no terminal set. Both
+measure infeasibility by the same worst slack.
 
 The two compiled routines of `_slsqplib` are the only scipy code the solver
 runs. They are loaded from their file (:func:`_scipy_compiled`), not through
@@ -91,20 +96,21 @@ The paper's stability argument takes the optimal cost as its Lyapunov
 function and the shifted previous plan as its witness of feasibility;
 Scokaert, Mayne & Rawlings (1999, "Suboptimal model predictive control
 (feasibility implies stability)") show that it needs only a feasible plan
-that costs no more than that candidate. SLSQP's callback therefore ends the
-solve at the first major iterate whose plan, projected onto the input ball
-as the returned plan is, meets every constraint within `CONSTRAINT_TOL` and
+that costs no more than that candidate. :func:`minimize` therefore tests the
+predicate :func:`_suboptimal_stop` at each new major iterate and ends the
+solve at the first one whose plan, projected onto the input ball as the
+returned plan is, meets every constraint within `CONSTRAINT_TOL` and
 
 - when the solve's own start meets them too (the witness, of cost J~),
   costs at most J~;
 - otherwise changed the cost by at most :data:`SUBOPTIMAL_STOP_DELTA`
   relative to the previous major iterate.
 
-Such a plan has status "feasible-suboptimal"; "optimal" means SLSQP's own
-test passed, also at an iterate where the stop fired as well. The relaxed
-tiers stop by their own rule and :func:`restore_feasibility` runs to SLSQP's
-own test: their premise, a feasible shifted candidate under the terminal
-set, is missing.
+Such a solve is "stopped", and its plan "feasible-suboptimal"; "converged",
+and "optimal", mean SLSQP's own test passed, also at an iterate where the
+stop held as well. The relaxed tiers stop by their own rule and
+:func:`restore_feasibility` runs to SLSQP's own test: their premise, a
+feasible shifted candidate under the terminal set, is missing.
 
 The witness is the previous plan shifted by one stage with the input of the
 terminal controller kappa appended (:func:`warm_start_shift`). kappa is
@@ -272,9 +278,6 @@ values were not tried."""
 # restoration runs to 1e-12
 SLSQP_FTOL = 1e-10
 
-# status of a run that its callback halted with StopIteration (scipy's value)
-_CALLBACK_HALT = 99
-
 
 @dataclass
 class OcpConfig:
@@ -362,19 +365,21 @@ class _Transcription:
     d margins / d error, and their input Jacobian is that times the
     rollout's input Jacobian.
 
-    `slack` is the worst constraint slack of a point: the smallest margin
-    and, when `use_terminal`, eps_omega - V(e_N); +inf when there is
-    neither. Negative means some constraint is violated. :meth:`jac` gives the
+    `form` names the problem that :func:`minimize` solves over it:
+    "terminal" (the terminal set enforced), "relaxed" (not enforced) or
+    "restore" (the restoration's slack form, not enforced). `slack` is the
+    worst constraint slack of a point: the smallest margin and, in the
+    terminal form, eps_omega - V(e_N); +inf when there is neither.
+    Negative means some constraint is violated. :meth:`jac` gives the
     rollout's input Jacobian d traj / d x, of shape (T + 1, n, nx).
     """
 
-    def __init__(self, errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig,
-                 use_terminal: bool):
+    def __init__(self, errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig, form: str):
         self.errordyn = errordyn
         self.e0 = np.asarray(e0, dtype=float)
         self.margin_fn = margin_fn
         self.cfg = config
-        self.use_terminal = use_terminal
+        self.form = form
         self.m = errordyn.model.input_dim
         self.N = config.n_stages
         self.nx = self.N * self.m
@@ -431,7 +436,7 @@ class _Transcription:
                                   + _c_einsum("...i,ij,...j->...", U, cfg.R, U))) * cfg.h
         result = _Point(traj=traj, cost=run + v_term, v_term=v_term)
         result.margin_fn = self.margin_fn
-        result.terminal_slack = cfg.eps_omega - v_term if self.use_terminal else None
+        result.terminal_slack = cfg.eps_omega - v_term if self.form == "terminal" else None
         self._chain = stage_e, U, Pe_N
         self._rollout_jac = rollout_jac
         return result
@@ -447,139 +452,6 @@ def _project_inputs(U, u_bar):
         return U.copy()
     scale = np.minimum(1.0, u_bar / np.maximum(norms, 1e-300))
     return U * scale
-
-
-@dataclass
-class SlsqpResult:
-    """What :func:`minimize` returns: the last iterate `x`, the major
-    iterations `nit`, the distinct points evaluated `nfev` and the exit
-    `status`, all as scipy counts them, and the `mode` SLSQP's core had set
-    at `x`. The mode is the status, except when the callback halted the run
-    (status _CALLBACK_HALT): then it is 0 if SLSQP's own test passed at that
-    iterate too, and 1 or -1 if SLSQP would have gone on."""
-
-    x: np.ndarray
-    nit: int
-    nfev: int
-    status: int
-    mode: int
-
-    @property
-    def success(self):
-        """Whether SLSQP's own convergence test passed at `x`."""
-        return self.mode == 0
-
-
-def minimize(values, gradients, x0, m, ftol, callback=None):
-    """SLSQP (Kraft 1988) for min f(x) s.t. m >= 1 rows c(x) >= 0: drives
-    scipy's compiled core by reverse communication, one call per request:
-    `values(x, d)` returns f and writes c into `d`, `gradients(x, g, C)`
-    writes grad f into `g` and dc/dx into `C`. State, work arrays, nfev and
-    callback are those of scipy's `_minimize_slsqp` without bounds or equality
-    rows, so the iterates are bitwise ``minimize(method="SLSQP")``'s, with
-    `MAX_ITERATIONS` as `maxiter`. The callback gets a copy of each major
-    iterate; its StopIteration ends the run with status _CALLBACK_HALT, and
-    the result's `mode` keeps the exit mode the core had set there (scipy's
-    wrapper drops it)."""
-    x = np.array(x0, dtype=float)
-    n = len(x)
-    state = dict(acc=ftol, alpha=0.0, f0=0.0, gs=0.0, h1=0.0, h2=0.0, h3=0.0, h4=0.0, t=0.0,
-                 t0=0.0, tol=10.0 * ftol, exact=0, inconsistent=0, reset=0, iter=0,
-                 itermax=MAX_ITERATIONS, line=0, m=m, meq=0, mode=0, n=n)
-    buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
-    mult, indices = np.zeros(m + 2 * n + 2), np.zeros(m + 2 * n + 2, dtype=np.int32)
-    xl = np.full(n, np.nan)
-    xu = xl.copy()
-    g, C, d = np.zeros(n), np.zeros((m, n), order="F"), np.zeros(m)
-    f = values(x, d)
-    gradients(x, g, C)
-    # scipy's ScalarFunction counts f at the start and at each new point
-    nfev, f_at, iter_prev = 1, x.copy(), 0
-    while True:
-        _slsqp_core(state, f, g, C, d, x, mult, xl, xu, buffer, indices)
-        status = mode = state["mode"]
-        if status == 1:
-            f = values(x, d)
-            if not (x == f_at).all():
-                nfev, f_at = nfev + 1, x.copy()
-        elif status == -1:
-            gradients(x, g, C)
-        if state["iter"] > iter_prev and callback is not None:
-            try:
-                callback(x.copy())
-            except StopIteration:
-                status = _CALLBACK_HALT
-                break
-        if abs(status) != 1:
-            break
-        iter_prev = state["iter"]
-    return SlsqpResult(x=x, nit=state["iter"], nfev=nfev, status=status, mode=mode)
-
-
-def _slsqp(tr: _Transcription, x0):
-    """Run :func:`minimize` on the SLSQP problem that `tr.use_terminal`
-    selects; the result's `x` is in the variables of `x0`. Call it on one
-    BLAS thread. The rows are, in this order, the margins, the input ball
-    u_bar^2 - ||u_k||^2 >= 0 on each stage input and, with the terminal set,
-    eps_omega - V(e_N) >= 0.
-
-    - With the terminal set, SLSQP minimizes the cost over u in y, u =
-      x0 + T y from y = 0, T the :func:`_inverse_factor` of the
-      :func:`_gauss_newton_hessian` at x0, with cost gradient grad f(u) T and
-      each constraint block's Jacobian times T; to `SLSQP_FTOL`, or until
-      :func:`_suboptimal_stop`.
-    - Without it (the restoration), SLSQP maximizes s over x = (u, s) with
-      each margin lowered by s (Jacobian column -1), the ball hard, to 1e-12.
-
-    Each request maps its point to x once, evaluates `tr` once and writes the
-    rows in place.
-    """
-    cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
-    terminal = tr.use_terminal
-    if terminal:
-        T = _inverse_factor(_gauss_newton_hessian(tr, x0))
-        start, ftol, callback = np.zeros(x0.shape), SLSQP_FTOL, _suboptimal_stop(tr, x0, T)
-    else:
-        start, ftol, callback = x0, 1e-12, None
-
-    def to_x(z):
-        return x0 + T @ z if terminal else z
-
-    n_margins = tr.eval(to_x(start)[:nx])["margins"].size
-    ball_rows = slice(n_margins, n_margins + N)
-    ball_jac = np.zeros((N, nx))
-    ball_index = np.arange(N).repeat(m), np.arange(nx)
-
-    def values(z, d):
-        x = to_x(z)
-        res = tr.eval(x[:nx])
-        U = x[:nx].reshape(N, m)
-        d[ball_rows] = cfg.u_bar ** 2 - np.add.reduce(U * U, axis=1)
-        d[:n_margins] = res["margins"]
-        if terminal:
-            d[-1] = cfg.eps_omega - res["v_term"]
-            return res["cost"]
-        d[:n_margins] -= x[-1]
-        return -x[-1]
-
-    def gradients(z, g, C):
-        x = to_x(z)
-        res = tr.eval(x[:nx], gradients=True)
-        ball_jac[ball_index] = -2.0 * x[:nx]
-        if terminal:
-            C[ball_rows] = ball_jac @ T
-            C[:n_margins] = res["margins_jac"] @ T
-            C[-1] = -res["v_term_grad"][None, :] @ T
-            g[:] = res["cost_grad"] @ T
-        else:
-            C[ball_rows, :nx] = ball_jac
-            C[:n_margins, :nx] = res["margins_jac"]
-            C[:n_margins, nx] = -1.0
-            g[:nx], g[nx] = 0.0, -1.0
-
-    opt = minimize(values, gradients, start, n_margins + N + int(terminal), ftol, callback)
-    opt.x = to_x(opt.x)
-    return opt
 
 
 @functools.cache
@@ -708,8 +580,9 @@ _ARMIJO, _BACKTRACK, _MIN_STEP = 1e-4, 0.5, 1e-3
 
 def _gauss_newton_sqp(tr: _Transcription, x0):
     """A relaxed solve: min cost(u) s.t. margins(u) >= 0 and ||u_k|| <= u_bar
-    by sequential quadratic programming from x0, inside the ball. Returns
-    (x, iterations, converged). Call it on one BLAS thread.
+    by sequential quadratic programming from x0, inside the ball; the
+    relaxed form of :func:`minimize`, whose result it returns, with the
+    transcription's rollouts as `nfev`. Call it on one BLAS thread.
 
     Each iteration solves one QP (:func:`_working_set_qp`): the Gauss-Newton
     Hessian H of the cost (:func:`_gauss_newton_hessian`), the cost gradient,
@@ -770,19 +643,19 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
             T_e[nx, nx] = 1.0 / math.sqrt(weight)
             solution = _working_set_qp(T_e, np.append(g, 0.0), G, b, working)
             if solution is None:
-                return x, iteration, False
+                return NlpResult(x, iteration, tr.n_rollouts, "unconverged")
             d, lam = solution
             d, lowered = d[:nx], max(0.0, d[nx])
             model = g @ d + 0.5 * d @ H @ d
         working[:n_margins] = lam[:n_margins] > 0.0
         if lowered == 0.0 and violation <= CONSTRAINT_TOL and (
                 -model <= RELAXED_STOP_DELTA * res["cost"]):
-            return x, iteration, True
+            return NlpResult(x, iteration, tr.n_rollouts, "converged")
         mu = max(mu, 2.0 * float(np.add.reduce(lam[:n_margins])))
         merit = res["cost"] + mu * violation
         derivative = g @ d - mu * (violation - lowered)
         if not derivative < 0.0:
-            return x, iteration, False
+            return NlpResult(x, iteration, tr.n_rollouts, "unconverged")
         step = 1.0
         while True:
             trial = _project_inputs((x + step * d).reshape(N, m), cfg.u_bar).ravel()
@@ -794,32 +667,32 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
                 break
             step *= _BACKTRACK
             if step < _MIN_STEP:
-                return x, iteration, False
+                return NlpResult(x, iteration, tr.n_rollouts, "unconverged")
         x = trial
         res = tr.eval(x, gradients=True)
         working[:n_margins] |= res["margins"] <= NEAR_ACTIVE
-    return x, MAX_ITERATIONS, False
+    return NlpResult(x, MAX_ITERATIONS, tr.n_rollouts, "unconverged")
 
 
 def _suboptimal_stop(tr: _Transcription, x0, scale):
-    """SLSQP callback of a terminal-enforced solve that runs in y, x = x0 +
-    `scale` y: raises StopIteration at the first major iterate whose plan,
-    projected onto the input ball, is feasible within `CONSTRAINT_TOL` and
+    """The suboptimal stop of a terminal-enforced solve that runs in y, x =
+    x0 + `scale` y: a predicate of each new major iterate y, in order, true
+    at the first one whose plan, projected onto the input ball, is feasible
+    within `CONSTRAINT_TOL` and
 
     - when the start x0 is feasible within `CONSTRAINT_TOL` (a witness),
       costs at most J~, the start's cost;
     - otherwise, changed the cost by at most SUBOPTIMAL_STOP_DELTA relative
       to the previous major iterate (the first one compares with x0).
 
-    SLSQP also calls back at the iterate where its own test passes; a halt
-    there keeps the core's exit mode 0, and :func:`solve_fhocp` reports that
-    solve as optimal, not stopped."""
+    :func:`minimize` tests it at the iterate where SLSQP's own test passes
+    too; a solve that ends there is "converged", not "stopped"."""
     cfg = tr.cfg
     start = tr.eval(x0)
     witness = -start["slack"] <= CONSTRAINT_TOL
     previous_cost = start["cost"]
 
-    def callback(y):
+    def stop(y):
         nonlocal previous_cost
         U = _project_inputs((x0 + scale @ y).reshape(tr.N, tr.m), cfg.u_bar)
         res = tr.eval(U.ravel())
@@ -829,10 +702,124 @@ def _suboptimal_stop(tr: _Transcription, x0, scale):
             good_enough = abs(res["cost"] - previous_cost) <= SUBOPTIMAL_STOP_DELTA * previous_cost
             previous_cost = res["cost"]
         # the slack, and so the point's margins, only when the cost passes
-        if good_enough and -res["slack"] <= CONSTRAINT_TOL:
-            raise StopIteration
+        return good_enough and -res["slack"] <= CONSTRAINT_TOL
 
-    return callback
+    return stop
+
+
+@dataclass
+class NlpResult:
+    """What :func:`minimize` returns: the last iterate `x`, in the variables
+    of its start; the iterations `nit`; the points evaluated `nfev`, SLSQP's
+    as scipy counts them and the Gauss-Newton SQP's rollouts; and `status`.
+    "converged" means the solver's own test passed at `x`, also where the
+    suboptimal stop held there as well; "stopped" that
+    :func:`_suboptimal_stop` ended the solve short of that test;
+    "unconverged" anything else (the iteration cap, no descent, an SLSQP
+    exit mode other than 0)."""
+
+    x: np.ndarray
+    nit: int
+    nfev: int
+    status: str
+
+
+def minimize(tr: _Transcription, x0):
+    """Solve the NLP that `tr.form` poses, from x0. Call it on one BLAS
+    thread. The rows are, in this order, the margins, the input ball
+    u_bar^2 - ||u_k||^2 >= 0 on each stage input and, in the terminal form,
+    eps_omega - V(e_N) >= 0.
+
+    - "relaxed": min cost(u) over the margins and the ball, by
+      :func:`_gauss_newton_sqp`.
+    - "terminal": min cost(u) over all three blocks, by SLSQP in y, u =
+      x0 + T y from y = 0, T the :func:`_inverse_factor` of the
+      :func:`_gauss_newton_hessian` at x0, with cost gradient grad f(u) T and
+      each block's Jacobian times T; to `SLSQP_FTOL`, or until
+      :func:`_suboptimal_stop` holds at a new major iterate.
+    - "restore": max s over x = (u, s) from x0, each margin lowered by s
+      (Jacobian column -1) and the ball hard, by SLSQP to 1e-12.
+
+    SLSQP (Kraft 1988) is scipy's compiled core, driven by reverse
+    communication with one evaluation of `tr` per request of the core, which
+    maps its point to x once and writes the rows in place. State, work
+    arrays and nfev are those of scipy's `_minimize_slsqp` without bounds or
+    equality rows, with `MAX_ITERATIONS` as `maxiter`, so the iterates are
+    bitwise those of ``minimize(method="SLSQP")`` halted by the same stop."""
+    if tr.form == "relaxed":
+        return _gauss_newton_sqp(tr, x0)
+    cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
+    terminal = tr.form == "terminal"
+    if terminal:
+        T = _inverse_factor(_gauss_newton_hessian(tr, x0))
+        z, ftol, stop = np.zeros(x0.shape), SLSQP_FTOL, _suboptimal_stop(tr, x0, T)
+    else:
+        z, ftol, stop = x0.copy(), 1e-12, None
+
+    def to_x(y):
+        return x0 + T @ y if terminal else y
+
+    n_margins = tr.eval(to_x(z)[:nx])["margins"].size
+    ball_rows = slice(n_margins, n_margins + N)
+    ball_jac = np.zeros((N, nx))
+    ball_index = np.arange(N).repeat(m), np.arange(nx)
+
+    # the core's point z is written in place; each request evaluates it once
+    def values():
+        x = to_x(z)
+        res = tr.eval(x[:nx])
+        U = x[:nx].reshape(N, m)
+        d[ball_rows] = cfg.u_bar ** 2 - np.add.reduce(U * U, axis=1)
+        d[:n_margins] = res["margins"]
+        if terminal:
+            d[-1] = cfg.eps_omega - res["v_term"]
+            return res["cost"]
+        d[:n_margins] -= x[-1]
+        return -x[-1]
+
+    def gradients():
+        x = to_x(z)
+        res = tr.eval(x[:nx], gradients=True)
+        ball_jac[ball_index] = -2.0 * x[:nx]
+        if terminal:
+            C[ball_rows] = ball_jac @ T
+            C[:n_margins] = res["margins_jac"] @ T
+            C[-1] = -res["v_term_grad"][None, :] @ T
+            g[:] = res["cost_grad"] @ T
+        else:
+            C[ball_rows, :nx] = ball_jac
+            C[:n_margins, :nx] = res["margins_jac"]
+            C[:n_margins, nx] = -1.0
+            g[:nx], g[nx] = 0.0, -1.0
+
+    n, rows = len(z), n_margins + N + int(terminal)
+    state = dict(acc=ftol, alpha=0.0, f0=0.0, gs=0.0, h1=0.0, h2=0.0, h3=0.0, h4=0.0, t=0.0,
+                 t0=0.0, tol=10.0 * ftol, exact=0, inconsistent=0, reset=0, iter=0,
+                 itermax=MAX_ITERATIONS, line=0, m=rows, meq=0, mode=0, n=n)
+    buffer = np.zeros(n * (n + 1) // 2 + 3 * rows * n + 9 * rows + 8 * n * n + 35 * n + 28)
+    mult, indices = np.zeros(rows + 2 * n + 2), np.zeros(rows + 2 * n + 2, dtype=np.int32)
+    xl = np.full(n, np.nan)
+    xu = xl.copy()
+    g, C, d = np.zeros(n), np.zeros((rows, n), order="F"), np.zeros(rows)
+    f = values()
+    gradients()
+    # scipy's ScalarFunction counts f at the start and at each new point
+    nfev, f_at, iter_prev = 1, z.copy(), 0
+    while True:
+        _slsqp_core(state, f, g, C, d, z, mult, xl, xu, buffer, indices)
+        mode = state["mode"]
+        if mode == 1:
+            f = values()
+            if not (z == f_at).all():
+                nfev, f_at = nfev + 1, z.copy()
+        elif mode == -1:
+            gradients()
+        stopped = state["iter"] > iter_prev and stop is not None and stop(z)
+        if stopped or abs(mode) != 1:
+            break
+        iter_prev = state["iter"]
+    status = "converged" if mode == 0 else "stopped" if stopped else "unconverged"
+    return NlpResult(x=to_x(z), nit=int(state["iter"]), nfev=nfev, status=status)
 
 
 @single_blas_thread()
@@ -853,47 +840,37 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig, warm_
             depends on errors[t] alone. The simulator's distance margins
             give the Jacobian in closed form.
         warm_start: initial guess for the (N, m) input sequence.
-        use_terminal: enforce V(e_N) <= eps_omega as a hard constraint, run
-            SLSQP in the Gauss-Newton-scaled variables of the module
-            docstring, and stop at its suboptimal-MPC accuracy; otherwise
-            (a relaxed solve) run :func:`_gauss_newton_sqp`.
+        use_terminal: enforce V(e_N) <= eps_omega as a hard constraint
+            (:func:`minimize`'s terminal form); otherwise its relaxed form.
 
     Returns:
         HorizonSolution; status is "infeasible" when the constraint residual
         (the negated worst slack) exceeds the tolerance after the iteration
         budget, "optimal" when the solver's own convergence test passed and
         "feasible-suboptimal" otherwise. The stat `suboptimal_stop` says
-        whether the suboptimal-MPC stop ended the solve short of SLSQP's own
-        test, and `start_feasible` whether the projected warm start met every
+        whether the suboptimal-MPC stop ended the solve short of the
+        solver's own test, and `start_feasible` whether the projected warm start met every
         constraint of this solve within `CONSTRAINT_TOL`.
     """
     t_start = time.perf_counter()
     e0 = np.asarray(e0, dtype=float)
     if not np.isfinite(e0).all():
         raise ValueError("initial error must be finite")
-    tr = _Transcription(errordyn, e0, margin_fn, config, use_terminal)
+    tr = _Transcription(errordyn, e0, margin_fn, config,
+                        "terminal" if use_terminal else "relaxed")
     N, m = tr.N, tr.m
     x0 = _project_inputs(np.asarray(warm_start, dtype=float), config.u_bar).ravel()
     # the first evaluation of every solve, so it costs no extra rollout
     start_feasible = -tr.eval(x0)["slack"] <= CONSTRAINT_TOL
 
-    stopped = False
     try:
-        if use_terminal:
-            # Gauss-Newton scaling is accurate near the goal only, where the
-            # cost's residuals are small, and the suboptimal stop needs a
-            # feasible shifted candidate under the terminal set
-            opt = _slsqp(tr, x0)
-            x_best, iterations, converged = opt.x, opt.nit, opt.success
-            stopped = opt.status == _CALLBACK_HALT and not opt.success
-        else:
-            x_best, iterations, converged = _gauss_newton_sqp(tr, x0)
+        opt = minimize(tr, x0)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"solver diverged: {exc}") from exc
-    if not np.isfinite(x_best).all():
+    if not np.isfinite(opt.x).all():
         raise RuntimeError("solver produced non-finite iterate")
 
-    U = _project_inputs(x_best.reshape(N, m), config.u_bar)
+    U = _project_inputs(opt.x.reshape(N, m), config.u_bar)
     x_best = U.ravel()
     res = tr.eval(x_best)
     # Keep the warm start if the solver wandered to something worse and infeasible.
@@ -906,7 +883,7 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig, warm_
     residual = max(0.0, -res["slack"])
     if residual > CONSTRAINT_TOL:
         status = "infeasible"
-    elif converged:
+    elif opt.status == "converged":
         status = "optimal"
     else:
         status = "feasible-suboptimal"
@@ -917,12 +894,12 @@ def solve_fhocp(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfig, warm_
         cost=res["cost"],
         status=status,
         solve_stats={
-            "iterations": int(iterations),
+            "iterations": opt.nit,
             "wall_time": time.perf_counter() - t_start,
             "residual": float(residual),
             "rollouts": tr.n_rollouts,
             "terminal_enforced": bool(use_terminal),
-            "suboptimal_stop": stopped,
+            "suboptimal_stop": opt.status == "stopped",
             "start_feasible": bool(start_feasible),
         },
     )
@@ -933,21 +910,22 @@ def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfi
     """Phase-1 pass: maximize the worst margin from an infeasible input
     sequence, on one BLAS thread, pinned once.
 
-    Solves max_s { s : margins(u) >= s, ||u_k|| <= u_bar } with SLSQP over
-    the augmented variable (u, s); the terminal set is not enforced. Used
+    Solves max_s { s : margins(u) >= s, ||u_k|| <= u_bar } over the
+    augmented variable (u, s), :func:`minimize`'s restore form; the terminal
+    set is not enforced. Used
     when every start of a relaxed solve ends infeasible. Returns the
     restored (N, m) input sequence, or `start` when the worst margin did not
     grow, and the SLSQP iteration count (0 when SLSQP failed before
     reporting one).
     """
-    tr = _Transcription(errordyn, np.asarray(e0, dtype=float), margin_fn, config, False)
+    tr = _Transcription(errordyn, np.asarray(e0, dtype=float), margin_fn, config, "restore")
     u0 = _project_inputs(np.asarray(start, dtype=float), config.u_bar).ravel()
     x0 = np.append(u0, tr.eval(u0)["slack"])
     try:
-        opt = _slsqp(tr, x0)
+        opt = minimize(tr, x0)
     except (FloatingPointError, np.linalg.LinAlgError):
         return start, 0
-    candidate, iterations = opt.x[:-1], int(opt.nit)
+    candidate, iterations = opt.x[:-1], opt.nit
     if not np.all(np.isfinite(candidate)):
         return start, iterations
     U = _project_inputs(candidate.reshape(tr.N, tr.m), config.u_bar)

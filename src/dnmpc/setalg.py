@@ -1,9 +1,10 @@
-"""Closed-form set algebra on Euclidean balls and the disturbance-tube radius.
+"""Euclidean balls and the disturbance-tube radius.
 
 Everything downstream (constraint tightening, tube certificates) acts through
-norm balls, so only balls are supported. The tube radius is the Gronwall-type
-divergence bound between a nominal and a disturbed trajectory of Lipschitz
-dynamics under a bounded additive disturbance.
+norm balls, so only balls are supported; the program reads a ball's center
+and radius. The tube radius is the Gronwall-type divergence bound between a
+nominal and a disturbed trajectory of Lipschitz dynamics under a bounded
+additive disturbance.
 """
 
 from __future__ import annotations
@@ -15,29 +16,13 @@ import numpy as np
 
 __all__ = [
     "Ball",
-    "EMPTY",
     "TubeProfile",
-    "minkowski_add",
-    "pontryagin_diff",
     "tube_radius",
 ]
 
 # Below this Lipschitz constant the exponential form of the tube radius is
 # numerically dominated by cancellation; a second-order Taylor limit is used.
 _LINEAR_LIMIT_LG = 1e-6
-
-
-class _Empty:
-    """Marker for an empty ball (erosion by a larger ball)."""
-
-    def __repr__(self):
-        return "EMPTY"
-
-    def __bool__(self):
-        return False
-
-
-EMPTY = _Empty()
 
 
 @dataclass(frozen=True)
@@ -54,17 +39,6 @@ class Ball:
         if self.radius < 0.0:
             raise ValueError(f"ball radius must be nonnegative, got {self.radius}")
 
-    @property
-    def dim(self):
-        return self.center.shape[0]
-
-    def sample(self, rng, count):
-        """Draw `count` points uniformly from the ball (for sampling oracles)."""
-        direction = rng.normal(size=(count, self.dim))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        scale = rng.uniform(size=(count, 1)) ** (1.0 / self.dim)
-        return self.center + self.radius * direction * scale
-
 
 @dataclass(frozen=True)
 class TubeProfile:
@@ -78,29 +52,6 @@ class TubeProfile:
             raise ValueError(f"disturbance bound must be nonnegative, got {self.w_bar}")
         if self.L_g <= 0.0:
             raise ValueError(f"Lipschitz constant must be positive, got {self.L_g}")
-
-
-def _check_dims(a: Ball, b: Ball):
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def minkowski_add(a: Ball, b: Ball) -> Ball:
-    """Minkowski sum of two balls: centers add, radii add."""
-    _check_dims(a, b)
-    return Ball(a.center + b.center, a.radius + b.radius)
-
-
-def pontryagin_diff(a: Ball, b: Ball):
-    """Pontryagin difference (erosion) of two balls.
-
-    Returns ``Ball(c_a - c_b, r_a - r_b)`` when the minuend radius is at least
-    the subtrahend radius, otherwise ``EMPTY``.
-    """
-    _check_dims(a, b)
-    if a.radius < b.radius:
-        return EMPTY
-    return Ball(a.center - b.center, a.radius - b.radius)
 
 
 def tube_radius(profile: TubeProfile, tau) -> float:

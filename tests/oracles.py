@@ -21,6 +21,11 @@ geometry on its whole log at once (`logged_geometry_whole`): the CSV's margin
 columns that `Simulation.finalize_log` fills, and the four geometric checks of
 `certify.verify`. The program reduces `WorldModel.logged_margins` chunk by
 chunk, and must give their margins bit for bit and their check results.
+
+`minkowski_add`, `pontryagin_diff` (with `EMPTY`) and `sample_ball` are the
+closed-form algebra of Euclidean balls, with a uniform sampler: the identities
+that the constraint tightening relies on, which acceptance criterion 7 checks
+by sampling. The program itself uses only a ball's center and radius.
 """
 
 import numpy as np
@@ -30,6 +35,7 @@ from dnmpc.certify import CHECK_TOL, CheckResult, _track
 from dnmpc.constraints import MARGIN_KINDS
 from dnmpc.coordination import _SOLVER_COLUMNS, CSV_COLUMNS, AgentTrace, TrajectoryLog
 from dnmpc.dynamics import UNICYCLE, AgentModel
+from dnmpc.setalg import Ball
 
 
 def unicycle_field(state, control):
@@ -284,3 +290,46 @@ def verify_geometry_whole(log, world, scenario):
             "obstacle-clearance": CheckResult(
                 obst[0] >= -CHECK_TOL if world.obstacles else True, *obst),
             "workspace-containment": CheckResult(wksp[0] >= -CHECK_TOL, *wksp)}
+
+
+class _Empty:
+    """Marker for an empty ball (erosion by a larger ball)."""
+
+    def __repr__(self):
+        return "EMPTY"
+
+    def __bool__(self):
+        return False
+
+
+EMPTY = _Empty()
+
+
+def sample_ball(ball: Ball, rng, count):
+    """`count` points drawn uniformly from the ball."""
+    dim = len(ball.center)
+    direction = rng.normal(size=(count, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    scale = rng.uniform(size=(count, 1)) ** (1.0 / dim)
+    return ball.center + ball.radius * direction * scale
+
+
+def _check_dims(a: Ball, b: Ball):
+    if len(a.center) != len(b.center):
+        raise ValueError(f"dimension mismatch: {len(a.center)} vs {len(b.center)}")
+
+
+def minkowski_add(a: Ball, b: Ball) -> Ball:
+    """Minkowski sum of two balls: centers add, radii add."""
+    _check_dims(a, b)
+    return Ball(a.center + b.center, a.radius + b.radius)
+
+
+def pontryagin_diff(a: Ball, b: Ball):
+    """Pontryagin difference (erosion) of two balls: ``Ball(c_a - c_b,
+    r_a - r_b)`` when the minuend radius is at least the subtrahend radius,
+    otherwise ``EMPTY``."""
+    _check_dims(a, b)
+    if a.radius < b.radius:
+        return EMPTY
+    return Ball(a.center - b.center, a.radius - b.radius)

@@ -23,9 +23,9 @@ from dnmpc.coordination import SimulationError
 from dnmpc.dynamics import (UNICYCLE, DisturbanceSignal, ErrorDynamics, integrate,
                             rollout_zoh, wrap_angle)
 from dnmpc.ocp import OcpConfig, dual_mode_input, solve_fhocp
-from dnmpc.setalg import EMPTY, Ball, TubeProfile, minkowski_add, \
-    pontryagin_diff, tube_radius
-from oracles import DOUBLE_INTEGRATOR, no_margins, use_double_integrator
+from dnmpc.setalg import Ball, TubeProfile, tube_radius
+from oracles import (DOUBLE_INTEGRATOR, EMPTY, minkowski_add, no_margins, pontryagin_diff,
+                     sample_ball, use_double_integrator)
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
 
@@ -290,7 +290,7 @@ def test_criterion_7_set_algebra_oracles(capsys):
         a = Ball(rng.normal(size=dim), float(rng.uniform(0.1, 5.0)))
         b = Ball(rng.normal(size=dim), float(rng.uniform(0.1, 5.0)))
         s = minkowski_add(a, b)
-        pa, pb = (c.sample(rng, 500) for c in (a, b))
+        pa, pb = (sample_ball(c, rng, 500) for c in (a, b))
         sums = pa[:, None, :] + pb[None, :, :]  # 2.5e5 point pairs
         ok &= bool(np.linalg.norm(sums - s.center, axis=-1).max() <= s.radius + 1e-6)
         dirs = rng.normal(size=(50, dim))
@@ -299,7 +299,7 @@ def test_criterion_7_set_algebra_oracles(capsys):
         ok &= bool(abs(np.linalg.norm(extremes - s.center, axis=1) - s.radius).max() < 1e-6)
         big = Ball(a.center, a.radius + b.radius + float(rng.uniform(0, 2)))
         d = pontryagin_diff(big, b)
-        inside = d.sample(rng, 100)
+        inside = sample_ball(d, rng, 100)
         trans = inside[:, None, :] + pb[None, :, :]  # x + w for w in b
         ok &= bool(np.linalg.norm(trans - big.center, axis=-1).max() <= big.radius + 1e-6)
         outside = d.center + (d.radius + 1e-3) * dirs

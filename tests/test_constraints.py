@@ -7,7 +7,7 @@ from dnmpc import coordination
 from dnmpc.certify import disturbance_bound
 from dnmpc.constraints import MARGIN_KINDS, StageGeometry, WorldModel, tube_profile_radii
 from dnmpc.coordination import Simulation
-from dnmpc.ocp import OcpConfig
+from dnmpc.ocp import CONSTRAINT_TOL, OcpConfig
 from dnmpc.setalg import Ball, TubeProfile, tube_radius
 
 
@@ -234,7 +234,7 @@ def test_terminal_excluded_is_sound(columns, goal, radius, rho_end):
     all, the check does not exclude. Earlier rows do not take part. Without a
     drawn workspace column, the geometry's workspace is one that no sampled
     point leaves."""
-    tol = 1e-4
+    tol = CONSTRAINT_TOL
     taus = np.array([0.1, 0.2, 0.3])
     early = np.array([[40.0, 0.0], [40.0, 0.0]])  # rows 0 and 1
     entries = {"interagent": [], "neighbor": [], "obstacles": [],
@@ -253,7 +253,7 @@ def test_terminal_excluded_is_sound(columns, goal, radius, rho_end):
             entries["workspace"] = (anchor, threshold)
     geo = StageGeometry(taus=taus, **entries)
     goal = np.array(goal)
-    excluded = geo.terminal_excluded(goal, radius, rho_end, tol)
+    excluded = geo.terminal_excluded(goal, radius, rho_end)
     points = _ball_points(goal, radius, anchors)
     pos = np.repeat(points[:, None, :], len(taus), axis=1)
     last, _ = geo.tightened(pos, np.array([0.0, 0.0, rho_end]))
@@ -266,32 +266,32 @@ def test_terminal_excluded_is_sound(columns, goal, radius, rho_end):
 
 
 def test_terminal_excluded_hand_built():
-    tol = 1e-4
+    tol = CONSTRAINT_TOL
     workspace = (np.zeros(2), _LOOSE)
     # sign +1: an obstacle at the origin to be kept 1.0 away
     obstacle = StageGeometry(taus=np.array([0.1, 0.2]), workspace=workspace,
                              interagent=[], neighbor=[], obstacles=[("obst0", np.zeros(2), 1.0)])
     goal = np.array([0.5, 0.0])
     # farthest point of the ball is 0.7 away: margin -0.3
-    assert obstacle.terminal_excluded(goal, 0.2, 0.0, tol)
+    assert obstacle.terminal_excluded(goal, 0.2, 0.0)
     # 1.1 away: margin +0.1, until erosion by 0.2 takes it to -0.1
-    assert not obstacle.terminal_excluded(goal, 0.6, 0.0, tol)
-    assert obstacle.terminal_excluded(goal, 0.6, 0.2, tol)
+    assert not obstacle.terminal_excluded(goal, 0.6, 0.0)
+    assert obstacle.terminal_excluded(goal, 0.6, 0.2)
     # sign -1: a neighbor at the origin on its last row, to be kept within 2.0
     neighbor = StageGeometry(taus=np.array([0.1, 0.2]), workspace=workspace,
                              interagent=[], obstacles=[],
                              neighbor=[("agent1", np.array([[3.0, 0.0], [0.0, 0.0]]), 2.0)])
     goal = np.array([3.0, 0.0])
     # nearest point of the ball is 2.5 away: margin -0.5
-    assert neighbor.terminal_excluded(goal, 0.5, 0.0, tol)
+    assert neighbor.terminal_excluded(goal, 0.5, 0.0)
     # 1.8 away: margin +0.2, until erosion by 0.3 takes it to -0.1
-    assert not neighbor.terminal_excluded(goal, 1.2, 0.0, tol)
-    assert neighbor.terminal_excluded(goal, 1.2, 0.3, tol)
+    assert not neighbor.terminal_excluded(goal, 1.2, 0.0)
+    assert neighbor.terminal_excluded(goal, 1.2, 0.3)
     # the ball covers the anchor: the largest margin is the offset itself
-    assert not neighbor.terminal_excluded(np.array([0.1, 0.0]), 0.5, 2.0, tol)
-    assert neighbor.terminal_excluded(np.array([0.1, 0.0]), 0.5, 2.0 + 2 * tol, tol)
+    assert not neighbor.terminal_excluded(np.array([0.1, 0.0]), 0.5, 2.0)
+    assert neighbor.terminal_excluded(np.array([0.1, 0.0]), 0.5, 2.0 + 2 * tol)
     # a miss by tol or less does not exclude
-    assert not neighbor.terminal_excluded(goal, 1.0 - tol / 2, 0.0, tol)
+    assert not neighbor.terminal_excluded(goal, 1.0 - tol / 2, 0.0)
 
 
 def test_tube_profile_radii_cap():

@@ -221,7 +221,8 @@ def test_step_meta_flags_feasible_witnesses(monkeypatch, at_rest):
         shifted = prev is not None and np.array_equal(
             warm_start, warm_start_shift(prev, errordyn.z_des, cfg))
         start = ocp._project_inputs(warm_start, cfg.u_bar).ravel()
-        slack = ocp._Transcription(errordyn, e0, margin_fn, cfg, use_terminal).eval(start)["slack"]
+        form = "terminal" if use_terminal else "relaxed"
+        slack = ocp._Transcription(errordyn, e0, margin_fn, cfg, form).eval(start)["slack"]
         expected[id(sol)] = use_terminal and shifted and -slack <= ocp.CONSTRAINT_TOL
         if at_rest and shifted and i == 0 and now[0] == 0.1:
             sol.status, sol.solve_stats["residual"] = "infeasible", 1.0
@@ -1220,20 +1221,25 @@ def test_engine_calls_the_benchmark_hooks(monkeypatch):
     `coordination.solve_fhocp`, `ocp.minimize`, `ocp.rollout_zoh`,
     `constraints.StageGeometry.margins` and `coordination.tube_profile_radii`.
     A refactor that binds one of these names elsewhere would zero a benchmark
-    span without an error; this fails instead. The rollout span counts the
+    span without an error; this fails instead. Every solve and restoration
+    calls `ocp.minimize` once, and its result carries integer `nit` and
+    `nfev`, which the benchmark's tracer sums. The rollout span counts the
     rows of its second argument, so every rollout must get the initial error
     of the solve or restoration it serves there, of shape (n,)."""
     calls = {}
     solving = []      # the initial error of the solve in progress
 
-    def counted(owner, name, check=None):
+    def counted(owner, name, check=None, check_result=None):
         fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             if check is not None:
                 check(args)
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if check_result is not None:
+                check_result(result)
+            return result
         monkeypatch.setattr(owner, name, wrapper)
 
     def solve(owner, name):
@@ -1251,16 +1257,20 @@ def test_engine_calls_the_benchmark_hooks(monkeypatch):
         assert len(solving) == 1
         assert args[1].shape == (3,) and np.array_equal(args[1], solving[0])
 
+    def integer_counts(result):
+        assert type(result.nit) is int and type(result.nfev) is int
+
     solve(coordination, "solve_fhocp")
     solve(coordination, "restore_feasibility")
     counted(coordination, "integrate")
     counted(coordination, "solve_fhocp")
-    counted(ocp, "minimize")
+    counted(coordination, "restore_feasibility")
+    counted(ocp, "minimize", check_result=integer_counts)
     counted(ocp, "rollout_zoh", rollout_args)
     counted(StageGeometry, "margins")
     counted(coordination, "tube_profile_radii")
     # agents on their way (relaxed solves) and agents at rest (terminal-
-    # enforced solves, the ones that run SLSQP)
+    # enforced solves)
     for at_rest in (False, True):
         calls.clear()
         sim = _simulation(w_bar=0.05, total_time=0.3)
@@ -1271,7 +1281,7 @@ def test_engine_calls_the_benchmark_hooks(monkeypatch):
         assert len(metas) == 6
         assert calls["integrate"] == len(metas)
         assert calls["solve_fhocp"] >= len(metas)
-        assert calls.get("minimize", 0) >= sum(not meta["terminal_relaxed"] for meta in metas)
+        assert calls["minimize"] == calls["solve_fhocp"] + calls.get("restore_feasibility", 0)
         assert calls["rollout_zoh"] >= calls["solve_fhocp"]
         # at most one margin evaluation per rollout: a relaxed solve's line
         # search rejects a trial whose cost alone misses its bound without

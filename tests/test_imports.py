@@ -140,10 +140,9 @@ problem = list(test_ocp._unicycle_problems())[1]
 for form in ("terminal", "restore"):
     tr, x0 = test_ocp._slsqp_form(form, *problem)
     with test_ocp.single_blas_thread():
-        ours = test_ocp.ocp._slsqp(tr, x0)
-    ref_x, ref = test_ocp._scipy_slsqp(*test_ocp._slsqp_form(form, *problem))
+        ours = test_ocp.ocp.minimize(tr, x0)
     assert (ours.x.tobytes(), ours.nit, ours.nfev, ours.status) == (
-        ref_x.tobytes(), ref.nit, ref.nfev, ref.status), form
+        test_ocp._scipy_reference(tr, x0)), form
 """
 
 

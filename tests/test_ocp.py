@@ -181,7 +181,7 @@ def test_relaxed_solve_finds_a_margin_its_first_working_set_leaves_out(double_in
     ed = double_integrator
     e0 = np.array([1.0, 0.0])
     margin_fn = position_margin_fn(-0.8)
-    tr = _Transcription(ed, e0, margin_fn, cfg, False)
+    tr = _Transcription(ed, e0, margin_fn, cfg, "relaxed")
     assert tr.eval(np.zeros(tr.nx))["margins"].min() > ocp.NEAR_ACTIVE
     assert tr.eval(lqr_dp_reference(e0, cfg).ravel())["margins"].min() < 0.0
     sol = solve_fhocp(ed, e0, margin_fn, cfg, _zero_start(cfg, ed), use_terminal=False)
@@ -209,7 +209,7 @@ def test_relaxed_plans_meet_the_input_ball_exactly():
         norms = np.linalg.norm(sol.inputs, axis=1)
         assert norms.max() <= cfg.u_bar * (1.0 + 2.0 * np.finfo(float).eps)
         assert norms.max() >= cfg.u_bar * (1.0 - 1e-9)
-        again = _Transcription(ed, e0, margin_fn, cfg, False).eval(sol.inputs.ravel())
+        again = _Transcription(ed, e0, margin_fn, cfg, "relaxed").eval(sol.inputs.ravel())
         assert np.array_equal(again["traj"], sol.dense_errors)
 
 
@@ -237,7 +237,7 @@ def test_scaled_unicycle_solve_returns_a_feasible_plan():
     sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
     assert sol.status != "infeasible"
     assert sol.solve_stats["residual"] <= 1e-6
-    res = _Transcription(ed, e0, margin_fn, cfg, True).eval(sol.inputs.ravel())
+    res = _Transcription(ed, e0, margin_fn, cfg, "terminal").eval(sol.inputs.ravel())
     assert -res["slack"] <= 1e-6
     assert np.array_equal(res["traj"], sol.dense_errors)
     assert np.all(np.linalg.norm(sol.inputs, axis=1) <= cfg.u_bar + 1e-9)
@@ -255,7 +255,7 @@ def test_suboptimal_stop_returns_a_feasible_plan_no_worse_than_its_start():
     swerve = np.tile([1.7, -0.6], (6, 1))
     shrunk = disc_margin_fn(ed, [0.5, 0.3], 0.32 - 0.5 * ocp.CONSTRAINT_TOL)
     inside = solve_fhocp(ed, e0, shrunk, cfg, warm_start=start, use_terminal=True).inputs
-    tr = _Transcription(ed, e0, margin_fn, cfg, True)
+    tr = _Transcription(ed, e0, margin_fn, cfg, "terminal")
     for warm_start, stops in ((swerve, True), (inside, False)):
         before = tr.eval(warm_start.ravel())
         assert -before["slack"] <= ocp.CONSTRAINT_TOL
@@ -270,15 +270,15 @@ def test_suboptimal_stop_returns_a_feasible_plan_no_worse_than_its_start():
 
 
 def _stop_iterates(monkeypatch, cfg, ed, e0, margin_fn, start):
-    """A terminal-enforced solve with `ocp._suboptimal_stop` observed: the
-    start's (feasible, cost) and each major iterate's (feasible, cost,
-    halted) as the stop sees it, on a transcription of its own, and the
-    solution."""
+    """A terminal-enforced solve with the predicate of `ocp._suboptimal_stop`
+    observed: the start's (feasible, cost) and each major iterate's
+    (feasible, cost, stop) as the stop sees it, on a transcription of its
+    own, and the solution."""
     iterates, real = [], ocp._suboptimal_stop
 
     def observed(tr, x0, scale):
-        callback = real(tr, x0, scale)
-        check = _Transcription(tr.errordyn, tr.e0, tr.margin_fn, tr.cfg, True)
+        stop = real(tr, x0, scale)
+        check = _Transcription(tr.errordyn, tr.e0, tr.margin_fn, tr.cfg, "terminal")
 
         def state(x):
             res = check.eval(x)
@@ -289,12 +289,9 @@ def _stop_iterates(monkeypatch, cfg, ed, e0, margin_fn, start):
         def recorded(y):
             U = ocp._project_inputs((x0 + scale @ y).reshape(tr.N, tr.m), cfg.u_bar)
             seen = state(U.ravel())
-            try:
-                callback(y)
-            except StopIteration:
-                iterates.append((*seen, True))
-                raise
-            iterates.append((*seen, False))
+            halt = stop(y)
+            iterates.append((*seen, halt))
+            return halt
 
         return recorded
 
@@ -348,14 +345,23 @@ def test_stop_from_an_infeasible_start_waits_for_the_cost_to_settle(monkeypatch)
 
 def test_stop_where_slsqp_converges_too_reports_optimal(monkeypatch, double_integrator):
     """Terminal-enforced solves warm-started at their own optimum: at SLSQP's
-    first iterate its own test passes and the stop fires as well (a feasible
-    plan no costlier than the start). `ocp.minimize` keeps the core's exit
-    mode 0 beside the halt, so the solve reads optimal, not stopped."""
-    results, real = [], ocp.minimize
+    first iterate its own test passes and the stop holds as well (a feasible
+    plan no costlier than the start). `ocp.minimize` reports that solve
+    "converged", not "stopped", so it reads optimal."""
+    results, verdicts, real, real_stop = [], [], ocp.minimize, ocp._suboptimal_stop
 
-    def recorded(*args, **kwargs):
-        results.append(real(*args, **kwargs))
+    def recorded(tr, x0):
+        results.append(real(tr, x0))
         return results[-1]
+
+    def observed(tr, x0, scale):
+        stop = real_stop(tr, x0, scale)
+
+        def predicate(y):
+            verdicts.append(stop(y))
+            return verdicts[-1]
+
+        return predicate
 
     for cfg, ed, e0, margin_fn in (
             _unicycle_near_disc()[:4],
@@ -366,12 +372,13 @@ def test_stop_where_slsqp_converges_too_reports_optimal(monkeypatch, double_inte
             # restarts from the stop's plan, until SLSQP's own test passes
             with monkeypatch.context() as patch:
                 patch.setattr(ocp, "minimize", recorded)
+                patch.setattr(ocp, "_suboptimal_stop", observed)
                 sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=plan, use_terminal=True)
-            if results[-1].mode == 0:
+            if results[-1].status == "converged":
                 break
             plan = sol.inputs
-        opt = results[-1]
-        assert (opt.status, opt.mode, opt.success) == (ocp._CALLBACK_HALT, 0, True)
+        # SLSQP's own test passed at the last iterate, and the stop held there
+        assert results[-1].status == "converged" and verdicts[-1]
         assert sol.status == "optimal"
         assert sol.solve_stats["suboptimal_stop"] is False
 
@@ -406,47 +413,28 @@ def test_dual_mode_controller_switches_at_eps_omega():
 
 
 def test_suboptimal_stop_only_on_terminal_solves(monkeypatch):
-    """The relaxed tier runs no SLSQP (its solver is `_gauss_newton_sqp`)
-    and the feasibility restoration passes SLSQP no callback: the suboptimal
-    stop needs a feasible shifted candidate under the terminal set, which
-    they lack."""
-    callbacks = []
-    original = ocp.minimize
-    signature = inspect.signature(original)
+    """Each solve calls `ocp.minimize` once, with its transcription's form,
+    and only the terminal form builds the suboptimal stop: the relaxed tier
+    runs `_gauss_newton_sqp` and the feasibility restoration runs SLSQP to
+    its own test, as the stop needs a feasible shifted candidate under the
+    terminal set, which they lack."""
+    calls, real, real_stop = [], ocp.minimize, ocp._suboptimal_stop
 
-    def recorded(*args, **kwargs):
-        callbacks.append(signature.bind(*args, **kwargs).arguments.get("callback"))
-        return original(*args, **kwargs)
+    def recorded(tr, x0):
+        calls.append(tr.form)
+        return real(tr, x0)
+
+    def observed(tr, x0, scale):
+        calls.append("stop")
+        return real_stop(tr, x0, scale)
 
     monkeypatch.setattr(ocp, "minimize", recorded)
+    monkeypatch.setattr(ocp, "_suboptimal_stop", observed)
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
     solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=False)
-    assert callbacks == []
     restore_feasibility(ed, e0, margin_fn, cfg, start)
-    assert callbacks == [None]
     solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
-    assert callable(callbacks[-1])
-
-
-def test_slsqp_halts_on_callback_stop_iteration():
-    """The suboptimal stop relies on SLSQP ending at the iterate whose
-    callback raised StopIteration, with status 99 (scipy's minimize gives the
-    same); a loop that ignored the halt would run every terminal solve to
-    SLSQP's own test."""
-    def values(x, d):
-        d[0] = x[0] + 2.0
-        return float(x @ x)
-
-    def gradients(x, g, C):
-        g[:] = 2.0 * x
-        C[0] = [1.0, 0.0, 0.0]
-
-    def halt(x):
-        raise StopIteration
-
-    opt = ocp.minimize(values, gradients, np.ones(3), 1, 1e-6, callback=halt)
-    assert (opt.status, opt.nit, opt.success) == (ocp._CALLBACK_HALT, 1, False)
-    assert ocp._CALLBACK_HALT == 99
+    assert calls == ["relaxed", "restore", "terminal", "stop"]
 
 
 def test_input_bound_respected(double_integrator):
@@ -507,7 +495,7 @@ def test_transcription_gradients_match_central_differences():
                   P=np.diag([0.5, 0.5, 0.1]))
     ed = ErrorDynamics(UNICYCLE, np.array([3.0, 0.0, 0.4]))
     margin_fn = disc_margin_fn(ed, [1.2, 0.3], 0.3)
-    tr = _Transcription(ed, np.array([-3.0, 0.1, -0.2]), margin_fn, cfg, use_terminal=True)
+    tr = _Transcription(ed, np.array([-3.0, 0.1, -0.2]), margin_fn, cfg, "terminal")
     x = np.random.default_rng(4).uniform(-3.0, 3.0, tr.nx)
     res = tr.eval(x, gradients=True)
     assert tr.n_rollouts == 1
@@ -532,7 +520,7 @@ def test_transcription_cost_is_the_rectangle_rule_quadratic():
     cfg = _config(u_bar=8.0, Q=np.diag([1.0, 1.0, 0.2]), R=np.diag([0.02, 0.01]),
                   P=np.diag([0.5, 0.5, 0.1]))
     ed = ErrorDynamics(UNICYCLE, np.array([3.0, 0.0, 0.4]))
-    tr = _Transcription(ed, np.array([-3.0, 0.1, -0.2]), no_margins, cfg, use_terminal=True)
+    tr = _Transcription(ed, np.array([-3.0, 0.1, -0.2]), no_margins, cfg, "terminal")
     x = np.random.default_rng(9).uniform(-3.0, 3.0, tr.nx)
     res = tr.eval(x)
     stages = res["traj"][::cfg.substeps]
@@ -554,7 +542,7 @@ def _unicycle_near_disc():
 
 def test_restore_feasibility_raises_worst_slack():
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
-    tr = _Transcription(ed, e0, margin_fn, cfg, False)
+    tr = _Transcription(ed, e0, margin_fn, cfg, "relaxed")
     before = tr.eval(start.ravel())["slack"]
     assert -0.05 < before < 0.0  # the start violates the disc margin by a little
     restored, iterations = restore_feasibility(ed, e0, margin_fn, cfg, start)
@@ -568,13 +556,13 @@ def test_transcription_slack_is_the_worst_constraint():
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
     # the disc margin binds for the start, the terminal set for standing still
     for x, terminal_binds in ((start.ravel(), False), (np.zeros(start.size), True)):
-        enforced = _Transcription(ed, e0, margin_fn, cfg, True).eval(x)
+        enforced = _Transcription(ed, e0, margin_fn, cfg, "terminal").eval(x)
         terminal_slack = cfg.eps_omega - enforced["v_term"]
         assert (terminal_slack < enforced["margins"].min()) == terminal_binds
         assert enforced["slack"] == min(enforced["margins"].min(), terminal_slack)
-        relaxed = _Transcription(ed, e0, margin_fn, cfg, False).eval(x)
+        relaxed = _Transcription(ed, e0, margin_fn, cfg, "relaxed").eval(x)
         assert relaxed["slack"] == relaxed["margins"].min()
-        assert _Transcription(ed, e0, no_margins, cfg, False).eval(x)["slack"] == np.inf
+        assert _Transcription(ed, e0, no_margins, cfg, "relaxed").eval(x)["slack"] == np.inf
 
 
 def test_unicycle_steering_law_converges():
@@ -597,7 +585,7 @@ def test_warm_start_shift_structure():
     about 1 m short)."""
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
     inside = solve_fhocp(ed, e0, margin_fn, cfg, start, use_terminal=True)
-    short = _Transcription(ed, e0, margin_fn, cfg, True).eval(0.5 * start.ravel())
+    short = _Transcription(ed, e0, margin_fn, cfg, "terminal").eval(0.5 * start.ravel())
     outside = HorizonSolution(0.5 * start, short["traj"], short["cost"],
                               "feasible-suboptimal")
     for sol, ends_inside in ((inside, True), (outside, False)):
@@ -719,21 +707,27 @@ def test_solve_independent_of_blas_thread_count():
     assert solutions[0].cost == solutions[1].cost
 
 
-def _scipy_slsqp(tr, x0):
-    """The SLSQP run of `ocp._slsqp(tr, x0)` through scipy's public
+def _scipy_slsqp(tr, x0, stop=True):
+    """The SLSQP run of `ocp.minimize(tr, x0)` through scipy's public
     ``minimize(method="SLSQP")``: one constraint dict per block (margins,
-    ball, terminal), each with its own evaluation. With the terminal row, the
+    ball, terminal), each with its own evaluation. In the terminal form, the
     cost in the Gauss-Newton-scaled variables, each block's Jacobian times
-    T, to `SLSQP_FTOL` with the suboptimal stop; without it, the slack form
-    to 1e-12."""
+    T, to `SLSQP_FTOL`, with the predicate of `ocp._suboptimal_stop` as the
+    callback that halts it (unless not `stop`); in the restore form, the
+    slack form to 1e-12."""
     cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
-    slack = not tr.use_terminal
-    if slack:
-        scale, ftol, callback = None, 1e-12, None
-    else:
+    slack = tr.form == "restore"
+    scale, ftol, callback = None, 1e-12, None
+    if not slack:
         with single_blas_thread():
             scale = ocp._inverse_factor(ocp._gauss_newton_hessian(tr, x0))
-        ftol, callback = ocp.SLSQP_FTOL, ocp._suboptimal_stop(tr, x0, scale)
+        ftol, predicate = ocp.SLSQP_FTOL, ocp._suboptimal_stop(tr, x0, scale)
+
+        def halt(y):
+            if predicate(y):
+                raise StopIteration
+
+        callback = halt if stop else None
     u_bar_sq = cfg.u_bar ** 2
     ball_rows, ball_cols = np.repeat(np.arange(N), m), np.arange(nx)
 
@@ -760,7 +754,7 @@ def _scipy_slsqp(tr, x0):
     terminal = [{"type": "ineq",
                  "fun": lambda x: np.array([cfg.eps_omega - tr.eval(x[:nx])["v_term"]]),
                  "jac": lambda x: -tr.eval(x[:nx], gradients=True)["v_term_grad"][None, :]}]
-    if not tr.use_terminal:
+    if slack:
         terminal = []
     cons = margins + ball + terminal
     if slack:
@@ -804,11 +798,29 @@ def _unicycle_problems():
                start + rng.uniform(-0.4, 0.4, start.shape))
 
 
+def _scipy_reference(tr, x0):
+    """(x bytes, nit, nfev, status) of scipy's SLSQP on a fresh copy of `tr`
+    from x0, with scipy's status in `ocp.minimize`'s terms: 0 is
+    "converged"; 99, the stop's halt, is "stopped", or "converged" where
+    scipy's run without the stop ends at that same iterate with status 0,
+    SLSQP's own test passing there too; any other "unconverged"."""
+    def fresh():
+        return _Transcription(tr.errordyn, tr.e0, tr.margin_fn, tr.cfg, tr.form)
+
+    ref_x, ref = _scipy_slsqp(fresh(), x0)
+    status = {0: "converged", 99: "stopped"}.get(ref.status, "unconverged")
+    if status == "stopped":
+        free_x, free = _scipy_slsqp(fresh(), x0, stop=False)
+        if (free.status, free.nit, free_x.tobytes()) == (0, ref.nit, ref_x.tobytes()):
+            status = "converged"
+    return ref_x.tobytes(), ref.nit, ref.nfev, status
+
+
 def _slsqp_form(form, cfg, ed, e0, margin_fn, start):
-    """`ocp._slsqp`'s arguments (tr, x0) for one of its two forms, on a fresh
-    transcription, as `solve_fhocp` ("terminal") and `restore_feasibility`
-    ("restore") build them."""
-    tr = _Transcription(ed, e0, margin_fn, cfg, form == "terminal")
+    """`ocp.minimize`'s arguments (tr, x0) for one of its two SLSQP forms, on
+    a fresh transcription, as `solve_fhocp` ("terminal") and
+    `restore_feasibility` ("restore") build them."""
+    tr = _Transcription(ed, e0, margin_fn, cfg, form)
     u0 = ocp._project_inputs(start, cfg.u_bar).ravel()
     if form == "terminal":
         return tr, u0
@@ -818,51 +830,54 @@ def _slsqp_form(form, cfg, ed, e0, margin_fn, start):
 def test_minimize_matches_scipy_slsqp_bitwise():
     """`ocp.minimize` drives scipy's private compiled SLSQP core
     (`scipy.optimize._slsqplib.slsqp`) as scipy's own wrapper does. On the
-    seeded unicycle problems, in both forms `_slsqp` runs (terminal:
+    seeded unicycle problems, in both of its SLSQP forms (terminal:
     Gauss-Newton scaled, with the suboptimal stop; restore: the slack form),
-    it must return bitwise scipy's x, and its nit, nfev and status. A scipy
+    it must return bitwise scipy's x, and its nit, nfev and status. The
+    terminal form also restarts from its own plan, three times, to reach
+    iterates where SLSQP's own test passes and the stop holds. A scipy
     release that changes the core's contract fails here first."""
     statuses = set()
-    for problem in _unicycle_problems():
-        for form in ("terminal", "restore"):
-            tr, x0 = _slsqp_form(form, *problem)
+    for cfg, ed, e0, margin_fn, start in _unicycle_problems():
+        for form in ("restore", "terminal", "terminal", "terminal", "terminal"):
+            tr, x0 = _slsqp_form(form, cfg, ed, e0, margin_fn, start)
             with single_blas_thread():
-                ours = ocp._slsqp(tr, x0)
-            ref_x, ref = _scipy_slsqp(*_slsqp_form(form, *problem))
+                ours = ocp.minimize(tr, x0)
             got = (ours.x.tobytes(), ours.nit, ours.nfev, ours.status)
-            want = (ref_x.tobytes(), ref.nit, ref.nfev, ref.status)
+            want = _scipy_reference(tr, x0)
             assert got == want, (
                 f"{form}: ocp.minimize gives (nit, nfev, status) {got[1:]}, scipy's "
                 f"SLSQP {want[1:]}, or another x; has scipy.optimize._slsqplib changed?")
-            statuses.add(ours.status)
-    # the problems reach SLSQP's own test and the suboptimal stop
-    assert {0, ocp._CALLBACK_HALT} <= statuses
+            statuses.add((form, ours.status))
+            if form == "terminal":
+                start = ours.x.reshape(start.shape)
+    # the problems reach SLSQP's own test in both forms, and the suboptimal stop
+    assert {("restore", "converged"), ("terminal", "converged"),
+            ("terminal", "stopped")} <= statuses
 
 
 def test_closed_loop_scaled_solves_match_scipy_slsqp_bitwise(monkeypatch):
     """The scaled solves of the bundled scenario's first 2 s, as the closed
     loop makes them: the Gauss-Newton-scaled terminal solves, with hundreds
     of margin rows of several kinds, the terminal row and the scale T. On
-    each, `ocp._slsqp` must return bitwise what scipy's public SLSQP returns
+    each, `ocp.minimize` must return bitwise what scipy's public SLSQP returns
     with each constraint block's Jacobian times T on its own. The seeded
     problems above cannot tell that from one product of T with all the
     stacked rows, which moves the closed loop's iterates."""
     scenario = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
-    real = ocp._slsqp
+    real = ocp.minimize
     margin_rows = []
 
     def checked(tr, x0):
+        if tr.form != "terminal":
+            return real(tr, x0)
+        # x0 is the solve's last evaluated point, so this reads its cache
+        margin_rows.append(tr.eval(x0)["margins"].size)
         ours = real(tr, x0)
-        if tr.use_terminal:
-            ref_tr = _Transcription(tr.errordyn, tr.e0, tr.margin_fn, tr.cfg, tr.use_terminal)
-            ref_x, ref = _scipy_slsqp(ref_tr, x0)
-            assert (ours.x.tobytes(), ours.nit, ours.nfev, ours.status) == (
-                ref_x.tobytes(), ref.nit, ref.nfev, ref.status), (
-                f"scaled solve {len(margin_rows)}")
-            margin_rows.append(ref_tr.eval(x0)["margins"].size)
+        assert (ours.x.tobytes(), ours.nit, ours.nfev, ours.status) == _scipy_reference(
+            tr, x0), f"scaled solve {len(margin_rows) - 1}"
         return ours
 
-    monkeypatch.setattr(ocp, "_slsqp", checked)
+    monkeypatch.setattr(ocp, "minimize", checked)
     load_scenario(scenario).build_simulation(total_time=2.0).run()
     assert len(margin_rows) >= 5 and min(margin_rows) >= 300
 
@@ -903,7 +918,7 @@ def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
     rng = np.random.default_rng(7)
     problems += [(tr, x + rng.uniform(-0.5, 0.5, x.shape)) for tr, x in problems]
     for cfg, ed, e0, margin_fn, start in _unicycle_problems():
-        problems.append((_Transcription(ed, e0, margin_fn, cfg, True),
+        problems.append((_Transcription(ed, e0, margin_fn, cfg, "terminal"),
                          ocp._project_inputs(start, cfg.u_bar).ravel()))
     for k, (tr, x) in enumerate(problems):
         with single_blas_thread():
@@ -934,8 +949,7 @@ def test_line_search_rejects_a_trial_on_its_cost_without_its_margins(monkeypatch
     rejects trials on their cost alone, read against the bound of the
     solver's own frame at each trial, and others on their merit. Every other
     rollout forms one margin evaluation, and the solve returns the bits,
-    iterations and convergence flag of a solve that forms every trial's
-    margins."""
+    iterations and status of a solve that forms every trial's margins."""
     cfg, ed, e0, margin_fn, start = _far_from_goal(1)
     x0 = ocp._project_inputs(start, cfg.u_bar).ravel()
     real_eval, sqp = _Transcription.eval, ocp._gauss_newton_sqp.__code__
@@ -954,10 +968,10 @@ def test_line_search_rejects_a_trial_on_its_cost_without_its_margins(monkeypatch
         return res
 
     monkeypatch.setattr(_Transcription, "eval", evaluated)
-    tr = _Transcription(ed, e0, counted, cfg, False)
+    tr = _Transcription(ed, e0, counted, cfg, "relaxed")
     with single_blas_thread():
-        x, iterations, converged = ocp._gauss_newton_sqp(tr, x0)
-    accepted = iterations - 1
+        opt = ocp._gauss_newton_sqp(tr, x0)
+    accepted = opt.nit - 1
     assert sum(trials) >= 1 and len(trials) - accepted > sum(trials)
     assert evaluations[0] == tr.n_rollouts - sum(trials)
 
@@ -968,9 +982,9 @@ def test_line_search_rejects_a_trial_on_its_cost_without_its_margins(monkeypatch
 
     monkeypatch.setattr(_Transcription, "eval", every_margin)
     with single_blas_thread():
-        eager = ocp._gauss_newton_sqp(_Transcription(ed, e0, margin_fn, cfg, False), x0)
-    assert x.tobytes() == eager[0].tobytes()
-    assert (iterations, converged) == eager[1:]
+        eager = ocp._gauss_newton_sqp(_Transcription(ed, e0, margin_fn, cfg, "relaxed"), x0)
+    assert opt.x.tobytes() == eager.x.tobytes()
+    assert (opt.nit, opt.status) == (eager.nit, eager.status)
 
 
 # (subscript, operand shapes) of each einsum site of `ocp`, at the solver's
