@@ -23,7 +23,7 @@ The cost h sum_k (e_k'Q e_k + u_k'R u_k) + e_N'P e_N is a sum of squares, so
 the rollout Jacobian J gives its Gauss-Newton Hessian
 H = 2h sum_k J_k'Q J_k + 2h blkdiag(R) + 2 J_N'P J_N at no extra rollout
 (:func:`_gauss_newton_hessian`; Diehl et al. 2005 build real-time-iteration
-NMPC on it). Both tiers of the fallback ladder use it.
+NMPC on it).
 
 Every solve goes through one entry, :func:`minimize`, whose name perfbench's
 traced mode patches for its `slsqp` span. It takes the transcription and a
@@ -32,38 +32,44 @@ start, dispatches on the transcription's form ("terminal", "relaxed" or
 points evaluated and a status of "converged", "stopped" or "unconverged".
 :func:`solve_fhocp` and :func:`restore_feasibility` each call it once.
 
-A relaxed solve (the terminal set not enforced) runs this module's own
-sequential quadratic programming, :func:`_gauss_newton_sqp`:
+Both tiers of the fallback ladder, the relaxed one (the terminal set not
+enforced) and the terminal-enforced one, run one QP solver: this module's
+own sequential quadratic programming, :func:`_gauss_newton_sqp`:
 
-- the Hessian of each QP is H at the iterate;
+- the Hessian of each QP is H at the iterate; in the terminal form its
+  terminal term is weighted by 1 + lam, lam the terminal row's multiplier at
+  the last QP, which makes it the Gauss-Newton Hessian of the Lagrangian;
 - the QP is reduced to a least-distance problem and solved by NNLS (Lawson
   & Hanson 1974; the reduction SLSQP makes, Kraft 1988) with the `nnls` that
   scipy compiles into `_slsqplib`, over a working set: the margin rows
   within NEAR_ACTIVE of zero and those active at the last QP. Every other
   row is checked against the step; the most violated one joins and the QP
-  is solved again, so the step is that of the QP over all the margin rows
+  is solved again, so the step is that of the QP over all the rows
   (:func:`_working_set_qp`). An inconsistent linearization gets the elastic
   QP, every margin row lowered by t >= 0 at a quadratic cost;
+- the terminal form has one more row beside the margins, the linearized
+  terminal constraint eps_omega - V(e_N) >= 0, which counts in the merit's
+  violation and which the elastic QP lowers too;
 - the input ball is met exactly: the QP has one norm row per stage, the
   ball's tangent at the stage input's direction, and each trial point is
   projected onto the ball;
-- one merit, cost + mu * (worst margin violation), and one Armijo line
-  search;
+- one merit, cost + mu * (worst violation), and one Armijo line search;
 - a stop of its own: the first iterate within `CONSTRAINT_TOL` of every
-  margin whose QP predicts a decrease of the cost (the running cost with its
-  terminal penalty) of at most RELAXED_STOP_DELTA of it.
+  row whose QP predicts a decrease of the cost (the running cost with its
+  terminal penalty) of at most RELAXED_STOP_DELTA of it ("converged"; in
+  the terminal form, a plan that converges within the tolerance outside the
+  rows returns with that QP's correcting step taken, where the step lowers
+  the violation); in the terminal form, also the suboptimal stop below
+  ("stopped").
 
-A terminal-enforced solve and the phase-1 pass run SLSQP: scipy's compiled
-core, the private `scipy.optimize._slsqplib.slsqp` that tests/test_ocp.py
-checks against scipy's public SLSQP bit for bit, driven by :func:`minimize`'s
-own loop. The loop evaluates once per request of the core, where scipy's
-wrapper evaluated each constraint block, and writes the rows in place, over
-the margins, the input ball and, in the terminal form, the terminal row. In
-that form :func:`solve_fhocp` minimizes the cost over the inputs u. In the
-restore form the phase-1 pass :func:`restore_feasibility` solves the slack
-form, maximizing s over (u, s) with the margins lowered by s and the ball
-hard; it serves the relaxed tier only, which enforces no terminal set. Both
-measure infeasibility by the same worst slack.
+Only the phase-1 pass, :func:`restore_feasibility`, runs SLSQP: scipy's
+compiled core, the private `scipy.optimize._slsqplib.slsqp` that
+tests/test_ocp.py checks against scipy's public SLSQP bit for bit, driven by
+:func:`minimize`'s own loop. The loop evaluates once per request of the
+core, where scipy's wrapper evaluated each constraint block, and writes the
+rows in place. The pass solves the slack form, maximizing s over (u, s) with
+the margins lowered by s and the ball hard; it serves the relaxed tier only,
+which enforces no terminal set.
 
 The two compiled routines of `_slsqplib` are the only scipy code the solver
 runs. They are loaded from their file (:func:`_scipy_compiled`), not through
@@ -84,33 +90,26 @@ the first two against the public functions and the inverse factor against
 scipy's ``solve_triangular``, bit for bit, so the triangular solve needs no
 scipy LAPACK extension (`scipy.linalg._flapack`, 2.5 MB).
 
-A terminal-enforced solve runs SLSQP in scaled variables. With L L' = H at
-the warm start x0, SLSQP solves for y in x = x0 + L^-T y, so its BFGS, which
-starts from the identity, starts from H in x. Gauss-Newton is accurate where
-the residuals are small, near the goal, which is where the fallback ladder
-tries the terminal tiers; far from the goal it is not.
-:func:`restore_feasibility` keeps the identity.
-
-A terminal-enforced solve also stops at the accuracy the closed loop needs.
-The paper's stability argument takes the optimal cost as its Lyapunov
-function and the shifted previous plan as its witness of feasibility;
-Scokaert, Mayne & Rawlings (1999, "Suboptimal model predictive control
-(feasibility implies stability)") show that it needs only a feasible plan
-that costs no more than that candidate. :func:`minimize` therefore tests the
-predicate :func:`_suboptimal_stop` at each new major iterate and ends the
-solve at the first one whose plan, projected onto the input ball as the
-returned plan is, meets every constraint within `CONSTRAINT_TOL` and
+A terminal-enforced solve stops at the accuracy the closed loop needs. The
+paper's stability argument takes the optimal cost as its Lyapunov function
+and the shifted previous plan as its witness of feasibility; Scokaert,
+Mayne & Rawlings (1999, "Suboptimal model predictive control (feasibility
+implies stability)") show that it needs only a feasible plan that costs no
+more than that candidate. The Gauss-Newton SQP's terminal form therefore
+tests the predicate :func:`_suboptimal_stop` at each new iterate and ends
+the solve at the first one that meets every constraint within
+`CONSTRAINT_TOL` and
 
 - when the solve's own start meets them too (the witness, of cost J~),
   costs at most J~;
 - otherwise changed the cost by at most :data:`SUBOPTIMAL_STOP_DELTA`
-  relative to the previous major iterate.
+  relative to the previous iterate.
 
 Such a solve is "stopped", and its plan "feasible-suboptimal"; "converged",
-and "optimal", mean SLSQP's own test passed, also at an iterate where the
-stop held as well. The relaxed tiers stop by their own rule and
-:func:`restore_feasibility` runs to SLSQP's own test: their premise, a
-feasible shifted candidate under the terminal set, is missing.
+and "optimal", mean the solver's own test passed first. The relaxed tier
+stops by its own rule alone and :func:`restore_feasibility` runs to SLSQP's
+own test: their premise, a feasible shifted candidate under the terminal
+set, is missing.
 
 The witness is the previous plan shifted by one stage with the input of the
 terminal controller kappa appended (:func:`warm_start_shift`). kappa is
@@ -231,7 +230,7 @@ def _openblas_thread_controls():
 def single_blas_thread():
     """Run the block with numpy's and scipy's OpenBLAS on one thread.
 
-    SLSQP's subproblems have N * m columns and a few hundred rows: extra BLAS
+    The solvers' QPs have N * m columns and a few hundred rows: extra BLAS
     threads cost more in synchronization than they save (on two CPUs a call
     of SLSQP's core took 10 to 100 times as long), and the floating-point
     result depends on the thread count, so the iterates would differ between
@@ -262,21 +261,16 @@ CONSTRAINT_TOL = 1e-4
 terminal radius and the terminal exclusion of the engine read it."""
 
 MAX_ITERATIONS = 100
-"""Iteration cap of every solve: SLSQP's major iterations (terminal-enforced
-solves and the restoration) and the relaxed solver's SQP iterations."""
+"""Iteration cap of every solve: the Gauss-Newton SQP's iterations (relaxed
+and terminal-enforced solves) and SLSQP's major iterations (the
+restoration)."""
 
 SUBOPTIMAL_STOP_DELTA = 1e-4
-"""Relative cost change between SLSQP major iterates at or below which a
-feasible terminal-enforced plan is accepted when the solve's start is not
-feasible within `CONSTRAINT_TOL`; from a feasible start the first feasible
-iterate no costlier than it is accepted, settled or not. delta trades only
-closeness to the optimum for iterations. At 1e-4 the bundled runs' verdicts
-and the robustness sweep's outcomes are those of SLSQP's own test; larger
-values were not tried."""
-
-# SLSQP's own accuracy (scipy's `ftol`) in a terminal-enforced solve; the
-# restoration runs to 1e-12
-SLSQP_FTOL = 1e-10
+"""Relative cost change between iterates at or below which a feasible
+terminal-enforced plan is accepted when the solve's start is not feasible
+within `CONSTRAINT_TOL`; from a feasible start the first feasible iterate no
+costlier than it is accepted, settled or not. delta trades only closeness to
+the optimum for iterations; larger values were not tried."""
 
 
 @dataclass
@@ -465,16 +459,18 @@ def _gauss_newton_constants(n_stages, r_bytes, m):
     return block_r
 
 
-def _gauss_newton_hessian(tr: _Transcription, x):
+def _gauss_newton_hessian(tr: _Transcription, x, terminal_weight):
     """The Gauss-Newton Hessian of the cost at x, H = 2h sum_k J_k' Q J_k +
-    2h blkdiag(R) + 2 J_N' P J_N with J_k = d e_k / d x, from the rollout
+    2h blkdiag(R) + 2 w J_N' P J_N with J_k = d e_k / d x, from the rollout
     Jacobian of x's evaluation (positive definite, as R is; finite, as e0 and
-    x are). Call it on one BLAS thread."""
+    x are). w is `terminal_weight`: 1 for the cost, 1 + lam for the
+    Lagrangian of the cost and the terminal row eps_omega - V(e_N) >= 0 with
+    multiplier lam. Call it on one BLAS thread."""
     cfg = tr.cfg
     block_r = _gauss_newton_constants(tr.N, cfg.R.tobytes(), tr.m)
     J = tr.jac(x)[tr.stage_idx]
     return 2.0 * cfg.h * (_c_einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
-                          + block_r) + 2.0 * J[-1].T @ cfg.P @ J[-1]
+                          + block_r) + 2.0 * terminal_weight * J[-1].T @ cfg.P @ J[-1]
 
 
 def _inverse_factor(H):
@@ -565,9 +561,10 @@ def _working_set_qp(T, g, G, b, working):
 NEAR_ACTIVE = 0.05
 
 RELAXED_STOP_DELTA = 1e-6
-"""A relaxed solve ends at the first iterate that meets every margin within
-`CONSTRAINT_TOL` and whose QP step predicts a decrease of the cost (the
-running cost with its terminal penalty) of at most this fraction of it."""
+"""The Gauss-Newton SQP converges at the first iterate that meets every row
+within `CONSTRAINT_TOL` and whose QP step predicts a decrease of the cost
+(the running cost with its terminal penalty) of at most this fraction of
+it."""
 
 # least weight of the elastic variable, relative to the mean diagonal of the
 # Gauss-Newton Hessian
@@ -578,59 +575,112 @@ ELASTIC_WEIGHT = 1e4
 _ARMIJO, _BACKTRACK, _MIN_STEP = 1e-4, 0.5, 1e-3
 
 
+def _suboptimal_stop(start):
+    """The suboptimal stop of a terminal-enforced solve from the point
+    `start` (a :class:`_Point`): a predicate of each new iterate's point, in
+    order, true at the first one that is feasible within `CONSTRAINT_TOL` and
+
+    - when the start is feasible within `CONSTRAINT_TOL` (a witness), costs
+      at most J~, the start's cost;
+    - otherwise, changed the cost by at most SUBOPTIMAL_STOP_DELTA relative
+      to the previous iterate (the first one compares with the start)."""
+    witness = -start["slack"] <= CONSTRAINT_TOL
+    previous_cost = start["cost"]
+
+    def stop(res):
+        nonlocal previous_cost
+        if witness:
+            good_enough = res["cost"] <= start["cost"]
+        else:
+            good_enough = abs(res["cost"] - previous_cost) <= SUBOPTIMAL_STOP_DELTA * previous_cost
+            previous_cost = res["cost"]
+        # the slack, and so the point's margins, only when the cost passes
+        return good_enough and -res["slack"] <= CONSTRAINT_TOL
+
+    return stop
+
+
 def _gauss_newton_sqp(tr: _Transcription, x0):
-    """A relaxed solve: min cost(u) s.t. margins(u) >= 0 and ||u_k|| <= u_bar
-    by sequential quadratic programming from x0, inside the ball; the
-    relaxed form of :func:`minimize`, whose result it returns, with the
-    transcription's rollouts as `nfev`. Call it on one BLAS thread.
+    """min cost(u) s.t. margins(u) >= 0, ||u_k|| <= u_bar and, in the
+    terminal form, eps_omega - V(e_N) >= 0, by sequential quadratic
+    programming from x0, inside the ball; the relaxed and terminal forms of
+    :func:`minimize`, whose result it returns, with the transcription's
+    rollouts as `nfev`. Call it on one BLAS thread.
 
     Each iteration solves one QP (:func:`_working_set_qp`): the Gauss-Newton
     Hessian H of the cost (:func:`_gauss_newton_hessian`), the cost gradient,
-    the linearized margins and, for each stage, one norm row: the ball's
-    tangent n'(u_k + d_k) <= u_bar at the direction n of u_k. When those rows
-    are inconsistent, or the step that meets them costs the model more than
-    weight * violation^2 / 2, it solves the elastic QP instead: every margin
-    row lowered by t >= 0 at the cost weight * t^2 / 2. The weight is
+    the linearized margins, in the terminal form the linearized terminal
+    row beside them, and, for each stage, one norm row: the ball's tangent
+    n'(u_k + d_k) <= u_bar at the direction n of u_k. In the terminal form
+    H weights its terminal term by 1 + lam, lam the terminal row's
+    multiplier at the last QP: the Gauss-Newton Hessian of the Lagrangian.
+    Without that curvature the steps overshoot the curved terminal set, and
+    the double integrator of tests/test_ocp.py's KKT oracle ends
+    unconverged. When the rows are inconsistent, or in the relaxed form the
+    step that meets them costs the model more than weight * violation^2 / 2,
+    it solves the elastic QP instead: every margin row and the terminal row
+    lowered by t >= 0 at the cost weight * t^2 / 2. The weight is
     ELASTIC_WEIGHT times the mean diagonal of H, the largest so far in the
-    solve.
+    solve. The terminal row is in units of V, where that penalty is cheap
+    (eps_omega is 0.0035 in the bundled scenario): with the cost test, the
+    elastic step raised the terminal violation, the merit had no descent,
+    and 7 of the bundled 10 s run's 261 terminal first attempts ended
+    infeasible. So the terminal form takes the elastic QP only when the
+    rows are inconsistent, as SLSQP does.
 
-    The merit is cost + mu * violation, the violation being the worst
-    margin's shortfall and mu at least twice the sum of the margins'
-    multipliers. The step length backtracks from 1 by _BACKTRACK until the
-    merit falls by _ARMIJO times its directional derivative; a trial whose
-    cost alone misses that bound is rejected before its margins are formed.
-    Each trial point is projected onto the ball, so every iterate meets it
-    exactly.
+    The merit is cost + mu * violation, the violation being the worst slack's
+    shortfall (the margins' and, in the terminal form, the terminal row's)
+    and mu at least twice the sum of those rows' multipliers. The step
+    length backtracks from 1 by _BACKTRACK until the merit falls by _ARMIJO
+    times its directional derivative; a trial whose cost alone misses that
+    bound is rejected before its margins are formed. Each trial point is
+    projected onto the ball, so every iterate meets it exactly.
 
-    The solve converges at an iterate within `CONSTRAINT_TOL` of every margin
+    The solve converges at an iterate within `CONSTRAINT_TOL` of every row
     whose QP (not the elastic one) predicts a decrease of at most
-    RELAXED_STOP_DELTA of the cost. It ends unconverged after `MAX_ITERATIONS`,
-    or when the merit has no descent direction or no step length down to
-    _MIN_STEP lowers it."""
+    RELAXED_STOP_DELTA of the cost. In the terminal form an iterate that
+    converges within the tolerance but outside the rows returns with that
+    QP's correcting step taken, where the step lowers the violation: kept
+    as it was, the plan would end outside Omega and its shifted witness
+    would converge there again at every later solve (on the bundled
+    `w_bar: 0.0` run one agent stayed 7.9e-5 above eps_omega and never
+    entered Omega). In the terminal form it stops earlier, at the first
+    new iterate where :func:`_suboptimal_stop` holds, before that
+    iterate's derivatives are formed. It ends unconverged after
+    `MAX_ITERATIONS`, or when the merit has no descent direction or no step
+    length down to _MIN_STEP lowers it."""
     cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
+    terminal = tr.form == "terminal"
     x, mu, weight = x0, 0.0, 0.0
     res = tr.eval(x, gradients=True)
+    stop = _suboptimal_stop(res) if terminal else None
     n_margins = res["margins"].size
-    rows = n_margins + N
-    # rows of the elastic QP over (d, t): the margins, one norm row per stage,
+    # the rows a violation lowers: the margins, then the terminal row
+    n_lowered = n_margins + terminal
+    rows = n_lowered + N
+    # rows of the elastic QP over (d, t): those rows, one norm row per stage,
     # then t >= 0; the QP over d alone takes the first `rows` and nx columns
     G = np.zeros((rows + 1, nx + 1))
-    G[:n_margins, nx] = G[rows, nx] = 1.0
+    G[:n_lowered, nx] = G[rows, nx] = 1.0
     b = np.zeros(rows + 1)
-    norm_rows = np.arange(n_margins, rows).repeat(m), np.arange(nx)
+    norm_rows = np.arange(n_lowered, rows).repeat(m), np.arange(nx)
     working = np.ones(rows + 1, dtype=bool)
     working[:n_margins] = res["margins"] <= NEAR_ACTIVE
     T_e = np.zeros((nx + 1, nx + 1))
+    terminal_weight = 1.0
     for iteration in range(1, MAX_ITERATIONS + 1):
-        H = _gauss_newton_hessian(tr, x)
+        H = _gauss_newton_hessian(tr, x, terminal_weight)
         T = _inverse_factor(H)
         g = res["cost_grad"]
         U = x.reshape(N, m)
         norms = np.sqrt(np.add.reduce(U * U, axis=1))
         G[:n_margins, :nx] = res["margins_jac"]
         b[:n_margins] = -res["margins"]
+        if terminal:
+            G[n_margins, :nx] = -res["v_term_grad"]
+            b[n_margins] = res["v_term"] - cfg.eps_omega
         G[norm_rows] = -(U / np.maximum(norms, 1e-300)[:, None]).ravel()
-        b[n_margins:rows] = np.minimum(norms - cfg.u_bar, 0.0)
+        b[n_lowered:rows] = np.minimum(norms - cfg.u_bar, 0.0)
         violation = max(0.0, -res["slack"])
         weight = max(weight, ELASTIC_WEIGHT * H.trace() / nx)
         lowered = 0.0
@@ -638,7 +688,7 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
         if solution is not None:
             d, lam = solution
             model = g @ d + 0.5 * d @ H @ d
-        if solution is None or model > 0.5 * weight * violation ** 2:
+        if solution is None or not terminal and model > 0.5 * weight * violation ** 2:
             T_e[:nx, :nx] = T
             T_e[nx, nx] = 1.0 / math.sqrt(weight)
             solution = _working_set_qp(T_e, np.append(g, 0.0), G, b, working)
@@ -647,11 +697,17 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
             d, lam = solution
             d, lowered = d[:nx], max(0.0, d[nx])
             model = g @ d + 0.5 * d @ H @ d
-        working[:n_margins] = lam[:n_margins] > 0.0
+        working[:n_lowered] = lam[:n_lowered] > 0.0
+        if terminal:
+            terminal_weight = 1.0 + lam[n_margins]
         if lowered == 0.0 and violation <= CONSTRAINT_TOL and (
                 -model <= RELAXED_STOP_DELTA * res["cost"]):
+            if terminal and violation > 0.0:
+                trial = _project_inputs((x + d).reshape(N, m), cfg.u_bar).ravel()
+                if -tr.eval(trial)["slack"] < violation:
+                    x = trial
             return NlpResult(x, iteration, tr.n_rollouts, "converged")
-        mu = max(mu, 2.0 * float(np.add.reduce(lam[:n_margins])))
+        mu = max(mu, 2.0 * float(np.add.reduce(lam[:n_lowered])))
         merit = res["cost"] + mu * violation
         derivative = g @ d - mu * (violation - lowered)
         if not derivative < 0.0:
@@ -669,54 +725,21 @@ def _gauss_newton_sqp(tr: _Transcription, x0):
             if step < _MIN_STEP:
                 return NlpResult(x, iteration, tr.n_rollouts, "unconverged")
         x = trial
+        if stop is not None and stop(res):
+            return NlpResult(x, iteration, tr.n_rollouts, "stopped")
         res = tr.eval(x, gradients=True)
         working[:n_margins] |= res["margins"] <= NEAR_ACTIVE
     return NlpResult(x, MAX_ITERATIONS, tr.n_rollouts, "unconverged")
 
 
-def _suboptimal_stop(tr: _Transcription, x0, scale):
-    """The suboptimal stop of a terminal-enforced solve that runs in y, x =
-    x0 + `scale` y: a predicate of each new major iterate y, in order, true
-    at the first one whose plan, projected onto the input ball, is feasible
-    within `CONSTRAINT_TOL` and
-
-    - when the start x0 is feasible within `CONSTRAINT_TOL` (a witness),
-      costs at most J~, the start's cost;
-    - otherwise, changed the cost by at most SUBOPTIMAL_STOP_DELTA relative
-      to the previous major iterate (the first one compares with x0).
-
-    :func:`minimize` tests it at the iterate where SLSQP's own test passes
-    too; a solve that ends there is "converged", not "stopped"."""
-    cfg = tr.cfg
-    start = tr.eval(x0)
-    witness = -start["slack"] <= CONSTRAINT_TOL
-    previous_cost = start["cost"]
-
-    def stop(y):
-        nonlocal previous_cost
-        U = _project_inputs((x0 + scale @ y).reshape(tr.N, tr.m), cfg.u_bar)
-        res = tr.eval(U.ravel())
-        if witness:
-            good_enough = res["cost"] <= start["cost"]
-        else:
-            good_enough = abs(res["cost"] - previous_cost) <= SUBOPTIMAL_STOP_DELTA * previous_cost
-            previous_cost = res["cost"]
-        # the slack, and so the point's margins, only when the cost passes
-        return good_enough and -res["slack"] <= CONSTRAINT_TOL
-
-    return stop
-
-
 @dataclass
 class NlpResult:
-    """What :func:`minimize` returns: the last iterate `x`, in the variables
-    of its start; the iterations `nit`; the points evaluated `nfev`, SLSQP's
-    as scipy counts them and the Gauss-Newton SQP's rollouts; and `status`.
-    "converged" means the solver's own test passed at `x`, also where the
-    suboptimal stop held there as well; "stopped" that
-    :func:`_suboptimal_stop` ended the solve short of that test;
-    "unconverged" anything else (the iteration cap, no descent, an SLSQP
-    exit mode other than 0)."""
+    """What :func:`minimize` returns: the last iterate `x`; the iterations
+    `nit`; the points evaluated `nfev`, the Gauss-Newton SQP's rollouts and
+    SLSQP's points as scipy counts them; and `status`. "converged" means the
+    solver's own test passed at `x`; "stopped" that :func:`_suboptimal_stop`
+    ended a terminal-enforced solve at `x`; "unconverged" anything else (the
+    iteration cap, no descent, an SLSQP exit mode other than 0)."""
 
     x: np.ndarray
     nit: int
@@ -726,73 +749,49 @@ class NlpResult:
 
 def minimize(tr: _Transcription, x0):
     """Solve the NLP that `tr.form` poses, from x0. Call it on one BLAS
-    thread. The rows are, in this order, the margins, the input ball
-    u_bar^2 - ||u_k||^2 >= 0 on each stage input and, in the terminal form,
-    eps_omega - V(e_N) >= 0.
+    thread.
 
-    - "relaxed": min cost(u) over the margins and the ball, by
+    - "relaxed": min cost(u) over the margins and the input ball, by
       :func:`_gauss_newton_sqp`.
-    - "terminal": min cost(u) over all three blocks, by SLSQP in y, u =
-      x0 + T y from y = 0, T the :func:`_inverse_factor` of the
-      :func:`_gauss_newton_hessian` at x0, with cost gradient grad f(u) T and
-      each block's Jacobian times T; to `SLSQP_FTOL`, or until
-      :func:`_suboptimal_stop` holds at a new major iterate.
+    - "terminal": the same with eps_omega - V(e_N) >= 0 as well, by
+      :func:`_gauss_newton_sqp` with its suboptimal stop.
     - "restore": max s over x = (u, s) from x0, each margin lowered by s
-      (Jacobian column -1) and the ball hard, by SLSQP to 1e-12.
+      (Jacobian column -1) and the ball u_bar^2 - ||u_k||^2 >= 0 hard, by
+      SLSQP to 1e-12.
 
     SLSQP (Kraft 1988) is scipy's compiled core, driven by reverse
     communication with one evaluation of `tr` per request of the core, which
-    maps its point to x once and writes the rows in place. State, work
+    writes the rows, the margins and then the ball, in place. State, work
     arrays and nfev are those of scipy's `_minimize_slsqp` without bounds or
     equality rows, with `MAX_ITERATIONS` as `maxiter`, so the iterates are
-    bitwise those of ``minimize(method="SLSQP")`` halted by the same stop."""
-    if tr.form == "relaxed":
+    bitwise those of ``minimize(method="SLSQP")``."""
+    if tr.form != "restore":
         return _gauss_newton_sqp(tr, x0)
     cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
-    terminal = tr.form == "terminal"
-    if terminal:
-        T = _inverse_factor(_gauss_newton_hessian(tr, x0))
-        z, ftol, stop = np.zeros(x0.shape), SLSQP_FTOL, _suboptimal_stop(tr, x0, T)
-    else:
-        z, ftol, stop = x0.copy(), 1e-12, None
-
-    def to_x(y):
-        return x0 + T @ y if terminal else y
-
-    n_margins = tr.eval(to_x(z)[:nx])["margins"].size
+    z = x0.copy()
+    n_margins = tr.eval(z[:nx])["margins"].size
     ball_rows = slice(n_margins, n_margins + N)
     ball_jac = np.zeros((N, nx))
     ball_index = np.arange(N).repeat(m), np.arange(nx)
 
     # the core's point z is written in place; each request evaluates it once
     def values():
-        x = to_x(z)
-        res = tr.eval(x[:nx])
-        U = x[:nx].reshape(N, m)
+        res = tr.eval(z[:nx])
+        U = z[:nx].reshape(N, m)
         d[ball_rows] = cfg.u_bar ** 2 - np.add.reduce(U * U, axis=1)
         d[:n_margins] = res["margins"]
-        if terminal:
-            d[-1] = cfg.eps_omega - res["v_term"]
-            return res["cost"]
-        d[:n_margins] -= x[-1]
-        return -x[-1]
+        d[:n_margins] -= z[-1]
+        return -z[-1]
 
     def gradients():
-        x = to_x(z)
-        res = tr.eval(x[:nx], gradients=True)
-        ball_jac[ball_index] = -2.0 * x[:nx]
-        if terminal:
-            C[ball_rows] = ball_jac @ T
-            C[:n_margins] = res["margins_jac"] @ T
-            C[-1] = -res["v_term_grad"][None, :] @ T
-            g[:] = res["cost_grad"] @ T
-        else:
-            C[ball_rows, :nx] = ball_jac
-            C[:n_margins, :nx] = res["margins_jac"]
-            C[:n_margins, nx] = -1.0
-            g[:nx], g[nx] = 0.0, -1.0
+        res = tr.eval(z[:nx], gradients=True)
+        ball_jac[ball_index] = -2.0 * z[:nx]
+        C[ball_rows, :nx] = ball_jac
+        C[:n_margins, :nx] = res["margins_jac"]
+        C[:n_margins, nx] = -1.0
+        g[:nx], g[nx] = 0.0, -1.0
 
-    n, rows = len(z), n_margins + N + int(terminal)
+    n, rows, ftol = len(z), n_margins + N, 1e-12
     state = dict(acc=ftol, alpha=0.0, f0=0.0, gs=0.0, h1=0.0, h2=0.0, h3=0.0, h4=0.0, t=0.0,
                  t0=0.0, tol=10.0 * ftol, exact=0, inconsistent=0, reset=0, iter=0,
                  itermax=MAX_ITERATIONS, line=0, m=rows, meq=0, mode=0, n=n)
@@ -804,7 +803,7 @@ def minimize(tr: _Transcription, x0):
     f = values()
     gradients()
     # scipy's ScalarFunction counts f at the start and at each new point
-    nfev, f_at, iter_prev = 1, z.copy(), 0
+    nfev, f_at = 1, z.copy()
     while True:
         _slsqp_core(state, f, g, C, d, z, mult, xl, xu, buffer, indices)
         mode = state["mode"]
@@ -814,12 +813,10 @@ def minimize(tr: _Transcription, x0):
                 nfev, f_at = nfev + 1, z.copy()
         elif mode == -1:
             gradients()
-        stopped = state["iter"] > iter_prev and stop is not None and stop(z)
-        if stopped or abs(mode) != 1:
+        if abs(mode) != 1:
             break
-        iter_prev = state["iter"]
-    status = "converged" if mode == 0 else "stopped" if stopped else "unconverged"
-    return NlpResult(x=to_x(z), nit=int(state["iter"]), nfev=nfev, status=status)
+    status = "converged" if mode == 0 else "unconverged"
+    return NlpResult(x=z, nit=int(state["iter"]), nfev=nfev, status=status)
 
 
 @single_blas_thread()
@@ -915,16 +912,12 @@ def restore_feasibility(errordyn: ErrorDynamics, e0, margin_fn, config: OcpConfi
     set is not enforced. Used
     when every start of a relaxed solve ends infeasible. Returns the
     restored (N, m) input sequence, or `start` when the worst margin did not
-    grow, and the SLSQP iteration count (0 when SLSQP failed before
-    reporting one).
+    grow, and the SLSQP iteration count.
     """
     tr = _Transcription(errordyn, np.asarray(e0, dtype=float), margin_fn, config, "restore")
     u0 = _project_inputs(np.asarray(start, dtype=float), config.u_bar).ravel()
     x0 = np.append(u0, tr.eval(u0)["slack"])
-    try:
-        opt = minimize(tr, x0)
-    except (FloatingPointError, np.linalg.LinAlgError):
-        return start, 0
+    opt = minimize(tr, x0)
     candidate, iterations = opt.x[:-1], opt.nit
     if not np.all(np.isfinite(candidate)):
         return start, iterations

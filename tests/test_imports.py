@@ -136,13 +136,10 @@ sys.path.insert(0, sys.argv[3])
 import scipy.optimize
 import test_ocp
 
-problem = list(test_ocp._unicycle_problems())[1]
-for form in ("terminal", "restore"):
-    tr, x0 = test_ocp._slsqp_form(form, *problem)
-    with test_ocp.single_blas_thread():
-        ours = test_ocp.ocp.minimize(tr, x0)
-    assert (ours.x.tobytes(), ours.nit, ours.nfev, ours.status) == (
-        test_ocp._scipy_reference(tr, x0)), form
+tr, x0 = test_ocp._restore_form(*list(test_ocp._unicycle_problems())[1])
+with test_ocp.single_blas_thread():
+    ours = test_ocp.ocp.minimize(tr, x0)
+assert (ours.x.tobytes(), ours.nit, ours.nfev, ours.status) == test_ocp._scipy_reference(tr, x0)
 """
 
 
@@ -153,11 +150,11 @@ def test_fresh_interpreter_loads_no_numpy_random_numpy_ma_or_scipy_package(tmp_p
     `run`, nor a `verify` of that run's CSV loads numpy.random, numpy.ma,
     scipy's package itself, scipy.optimize, scipy.linalg or scipy's LAPACK
     extension `scipy.linalg._flapack`: the solver loads only the compiled
-    SLSQP core of `scipy.optimize._slsqplib` and takes its triangular
-    inverse from numpy, and the weights' draw and the log's read-back need
-    neither numpy subpackage. The run's CSV is byte for byte
+    `scipy.optimize._slsqplib` (SLSQP's core and `nnls`) and takes its
+    triangular inverse from numpy, and the weights' draw and the log's
+    read-back need neither numpy subpackage. The run's CSV is byte for byte
     the in-process run's, and once scipy.optimize is imported after all, a
-    seeded problem of tests/test_ocp.py solves bitwise as scipy's public
+    seeded problem of tests/test_ocp.py restores bitwise as scipy's public
     SLSQP solves it."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))

@@ -214,10 +214,10 @@ def test_relaxed_plans_meet_the_input_ball_exactly():
 
 
 def test_terminal_solve_in_gauss_newton_scaling_matches_riccati_oracle(double_integrator):
-    # the double integrator is linear, so the Gauss-Newton Hessian the
-    # terminal tier scales by is the exact one: SLSQP's first step is Newton's.
-    # The zero start is feasible and that step's plan costs less, so the
-    # suboptimal stop ends the solve there, before SLSQP's own test
+    # the double integrator is linear, so the Gauss-Newton Hessian of the
+    # terminal tier's QP is the exact one: its first step is Newton's. The
+    # zero start is feasible and that step's plan costs less, so the
+    # suboptimal stop ends the solve there, before the solver's own test
     cfg = _config(eps_omega=1e3)  # terminal set far from binding
     ed = double_integrator
     for e0 in ([1.5, -0.7], [0.3, 0.2], [-2.0, 1.0]):
@@ -230,9 +230,8 @@ def test_terminal_solve_in_gauss_newton_scaling_matches_riccati_oracle(double_in
 
 
 def test_scaled_unicycle_solve_returns_a_feasible_plan():
-    # a terminal-enforced solve (run in scaled variables) from a start that
-    # grazes the disc, whose margin binds at the optimum: the returned plan is
-    # in input space and meets every constraint
+    # a terminal-enforced solve from a start that grazes the disc, whose
+    # margin binds at the optimum: the returned plan meets every constraint
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
     sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
     assert sol.status != "infeasible"
@@ -271,57 +270,77 @@ def test_suboptimal_stop_returns_a_feasible_plan_no_worse_than_its_start():
 
 def _stop_iterates(monkeypatch, cfg, ed, e0, margin_fn, start):
     """A terminal-enforced solve with the predicate of `ocp._suboptimal_stop`
-    observed: the start's (feasible, cost) and each major iterate's
-    (feasible, cost, stop) as the stop sees it, on a transcription of its
-    own, and the solution."""
-    iterates, real = [], ocp._suboptimal_stop
+    observed: the start's (feasible, cost) and each new iterate's (feasible,
+    cost, stop) as the stop sees it, and the solution with `ocp.minimize`'s
+    result."""
+    iterates, results, real, real_minimize = [], [], ocp._suboptimal_stop, ocp.minimize
 
-    def observed(tr, x0, scale):
-        stop = real(tr, x0, scale)
-        check = _Transcription(tr.errordyn, tr.e0, tr.margin_fn, tr.cfg, "terminal")
+    def state(res):
+        return bool(-res["slack"] <= ocp.CONSTRAINT_TOL), res["cost"]
 
-        def state(x):
-            res = check.eval(x)
-            return bool(-res["slack"] <= ocp.CONSTRAINT_TOL), res["cost"]
+    def observed(start):
+        stop = real(start)
+        iterates.append(state(start))
 
-        iterates.append(state(x0))
-
-        def recorded(y):
-            U = ocp._project_inputs((x0 + scale @ y).reshape(tr.N, tr.m), cfg.u_bar)
-            seen = state(U.ravel())
-            halt = stop(y)
-            iterates.append((*seen, halt))
+        def recorded(res):
+            halt = stop(res)
+            iterates.append((*state(res), halt))
             return halt
 
         return recorded
 
+    def minimize(tr, x0):
+        results.append(real_minimize(tr, x0))
+        return results[-1]
+
     monkeypatch.setattr(ocp, "_suboptimal_stop", observed)
+    monkeypatch.setattr(ocp, "minimize", minimize)
     sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
     monkeypatch.undo()
-    return iterates[0], iterates[1:], sol
+    return iterates[0], iterates[1:], sol, results[-1]
 
 
 def _settled(cost, previous):
     return abs(cost - previous) <= ocp.SUBOPTIMAL_STOP_DELTA * previous
 
 
-def test_stop_from_a_feasible_start_takes_the_first_iterate_that_beats_it(monkeypatch):
-    """From a feasible start (a witness, cost J~) the solve ends at the first
-    major iterate that is feasible and costs at most J~, settled or not: the
-    swerve past the disc stops at SLSQP's first iterate, whose cost moved by
-    a quarter."""
+def _witnesses():
+    """(problem, feasible start) pairs: the swerve past the grazing disc,
+    then on each seeded unicycle problem the paper's candidates along a
+    nominal closed loop: four times, the last plan shifted by one stage with
+    kappa's input appended (`warm_start_shift`), from the error the plan
+    predicts one stage on."""
     cfg, ed, e0, margin_fn, _ = _unicycle_near_disc()
-    swerve = np.tile([1.7, -0.6], (6, 1))
-    (feasible, bound), iterates, sol = _stop_iterates(monkeypatch, cfg, ed, e0, margin_fn,
-                                                      swerve)
-    assert feasible
-    halted = [k for k, (_, _, halt) in enumerate(iterates) if halt]
-    beats = [k for k, (ok, cost, _) in enumerate(iterates) if ok and cost <= bound]
-    assert halted == beats[:1] == [len(iterates) - 1]
-    assert not _settled(iterates[-1][1], bound)
-    assert sol.solve_stats["suboptimal_stop"] is True
-    assert sol.solve_stats["iterations"] == len(iterates) == 1
-    assert sol.status == "feasible-suboptimal" and sol.cost <= bound
+    yield (cfg, ed, e0, margin_fn), np.tile([1.7, -0.6], (6, 1))
+    for cfg, ed, e0, margin_fn, start in _unicycle_problems():
+        sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=start, use_terminal=True)
+        for _ in range(4):
+            e0, witness = sol.dense_errors[cfg.substeps], warm_start_shift(sol, ed.z_des, cfg)
+            yield (cfg, ed, e0, margin_fn), witness
+            sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=witness, use_terminal=True)
+
+
+def test_stop_from_a_feasible_start_takes_the_first_iterate_that_beats_it(monkeypatch):
+    """From a feasible start (a witness, cost J~) a terminal-enforced solve
+    returns the first new iterate that is feasible and costs at most J~,
+    settled or not, with `ocp.minimize`'s status "stopped": on the swerve
+    past the disc, whose first iterate's cost moved by a quarter, and on the
+    shifted candidates of the seeded problems."""
+    for n, ((cfg, ed, e0, margin_fn), witness) in enumerate(_witnesses()):
+        (feasible, bound), iterates, sol, opt = _stop_iterates(monkeypatch, cfg, ed, e0,
+                                                               margin_fn, witness)
+        assert feasible
+        halted = [k for k, (_, _, halt) in enumerate(iterates) if halt]
+        beats = [k for k, (ok, cost, _) in enumerate(iterates) if ok and cost <= bound]
+        assert halted == beats[:1] == [len(iterates) - 1]
+        assert opt.status == "stopped" and sol.solve_stats["suboptimal_stop"] is True
+        assert sol.status == "feasible-suboptimal" and sol.cost == iterates[-1][1] <= bound
+        assert sol.solve_stats["residual"] <= ocp.CONSTRAINT_TOL
+        if n == 0:
+            # the swerve stops at its first iterate, unsettled
+            assert not _settled(iterates[-1][1], bound)
+            assert sol.solve_stats["iterations"] == len(iterates) == 1
+    assert n == 20
 
 
 def test_stop_from_an_infeasible_start_waits_for_the_cost_to_settle(monkeypatch):
@@ -330,8 +349,8 @@ def test_stop_from_an_infeasible_start_waits_for_the_cost_to_settle(monkeypatch)
     SUBOPTIMAL_STOP_DELTA, although earlier iterates were feasible and
     cheaper than the start."""
     cfg, ed, e0, margin_fn, start = _unicycle_near_disc()
-    (feasible, start_cost), iterates, sol = _stop_iterates(monkeypatch, cfg, ed, e0,
-                                                           margin_fn, start)
+    (feasible, start_cost), iterates, sol, opt = _stop_iterates(monkeypatch, cfg, ed, e0,
+                                                                margin_fn, start)
     assert not feasible
     costs = [start_cost] + [cost for _, cost, _ in iterates]
     settled = [k for k, (ok, cost, _) in enumerate(iterates)
@@ -339,29 +358,20 @@ def test_stop_from_an_infeasible_start_waits_for_the_cost_to_settle(monkeypatch)
     halted = [k for k, (_, _, halt) in enumerate(iterates) if halt]
     assert halted == settled[:1] == [len(iterates) - 1]
     assert any(ok and cost <= start_cost for ok, cost, _ in iterates[:-1])
-    assert sol.solve_stats["suboptimal_stop"] is True
+    assert opt.status == "stopped" and sol.solve_stats["suboptimal_stop"] is True
     assert sol.status == "feasible-suboptimal"
 
 
-def test_stop_where_slsqp_converges_too_reports_optimal(monkeypatch, double_integrator):
-    """Terminal-enforced solves warm-started at their own optimum: at SLSQP's
-    first iterate its own test passes and the stop holds as well (a feasible
-    plan no costlier than the start). `ocp.minimize` reports that solve
-    "converged", not "stopped", so it reads optimal."""
-    results, verdicts, real, real_stop = [], [], ocp.minimize, ocp._suboptimal_stop
+def test_terminal_solve_at_its_own_optimum_reports_optimal(monkeypatch, double_integrator):
+    """Terminal-enforced solves restarted from their own plans until the
+    solver's own test passes at the start: that solve takes no step, so the
+    suboptimal stop cannot end it; `ocp.minimize` reports it "converged"
+    after one iteration, and the plan reads optimal."""
+    results, real = [], ocp.minimize
 
     def recorded(tr, x0):
         results.append(real(tr, x0))
         return results[-1]
-
-    def observed(tr, x0, scale):
-        stop = real_stop(tr, x0, scale)
-
-        def predicate(y):
-            verdicts.append(stop(y))
-            return verdicts[-1]
-
-        return predicate
 
     for cfg, ed, e0, margin_fn in (
             _unicycle_near_disc()[:4],
@@ -369,18 +379,105 @@ def test_stop_where_slsqp_converges_too_reports_optimal(monkeypatch, double_inte
              double_integrator, np.array([1.5, -0.7]), no_margins)):
         plan = solve_fhocp(ed, e0, margin_fn, cfg, _zero_start(cfg, ed), use_terminal=True).inputs
         for _ in range(5):
-            # restarts from the stop's plan, until SLSQP's own test passes
             with monkeypatch.context() as patch:
                 patch.setattr(ocp, "minimize", recorded)
-                patch.setattr(ocp, "_suboptimal_stop", observed)
                 sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=plan, use_terminal=True)
             if results[-1].status == "converged":
                 break
             plan = sol.inputs
-        # SLSQP's own test passed at the last iterate, and the stop held there
-        assert results[-1].status == "converged" and verdicts[-1]
+        assert results[-1].status == "converged" and results[-1].nit == 1
+        assert np.array_equal(sol.inputs.ravel(), results[-1].x)
         assert sol.status == "optimal"
         assert sol.solve_stats["suboptimal_stop"] is False
+
+
+def test_terminal_plans_meet_the_terminal_row_within_the_tolerance():
+    """Every plan a terminal-enforced solve accepts meets eps_omega - V(e_N)
+    >= -CONSTRAINT_TOL, from the straight-ahead start and from zero input,
+    on the seeded unicycle problems, although zero input leaves each of them
+    outside Omega; its prediction is its own rollout."""
+    checked = 0
+    for cfg, ed, e0, margin_fn, start in _unicycle_problems():
+        tr = _Transcription(ed, e0, margin_fn, cfg, "terminal")
+        assert cfg.eps_omega - tr.eval(np.zeros(tr.nx))["v_term"] < -ocp.CONSTRAINT_TOL
+        for warm_start in (start, _zero_start(cfg, ed)):
+            sol = solve_fhocp(ed, e0, margin_fn, cfg, warm_start=warm_start, use_terminal=True)
+            if sol.status == "infeasible":
+                continue
+            res = tr.eval(sol.inputs.ravel())
+            assert np.array_equal(res["traj"], sol.dense_errors)
+            assert cfg.eps_omega - res["v_term"] >= -ocp.CONSTRAINT_TOL
+            assert sol.solve_stats["residual"] <= ocp.CONSTRAINT_TOL
+            checked += 1
+    assert checked >= 8
+
+
+def _linear_quadratic_terms(e0, cfg):
+    """(H, g, c, H_V, g_V, c_V) of the double integrator's cost
+    u'Hu / 2 + g'u + c and terminal value V(e_N) = u'H_V u / 2 + g_V'u + c_V
+    over its stacked inputs u, by the exact discretization of
+    `lqr_dp_reference` and the rectangle rule."""
+    h, N = cfg.h, cfg.n_stages
+    A = np.array([[1.0, h], [0.0, 1.0]])
+    B = np.array([[0.5 * h * h], [h]])
+    H, g, c = 2.0 * h * np.kron(np.eye(N), cfg.R), np.zeros(N), 0.0
+    Phi, Gamma = np.eye(2), np.zeros((2, N))  # e_k = Phi e0 + Gamma u
+    for k in range(N + 1):
+        weight = h * cfg.Q if k < N else cfg.P
+        free = Phi @ e0
+        H += 2.0 * Gamma.T @ weight @ Gamma
+        g += 2.0 * Gamma.T @ weight @ free
+        c += free @ weight @ free
+        if k < N:
+            Phi, Gamma = A @ Phi, A @ Gamma
+            Gamma[:, k] += B[:, 0]
+    free = Phi @ e0
+    return H, g, c, 2.0 * Gamma.T @ cfg.P @ Gamma, 2.0 * Gamma.T @ cfg.P @ free, free @ cfg.P @ free
+
+
+def _terminal_kkt(e0, cfg):
+    """(u, lam) of min cost(u) s.t. V(e_N(u)) <= eps_omega for the double
+    integrator, when the terminal constraint binds: the KKT point
+    (H + lam H_V) u = -(g + lam g_V) with V(u) = eps_omega, lam > 0 found by
+    bisection, as V(u(lam)) falls with lam."""
+    H, g, _, H_V, g_V, c_V = _linear_quadratic_terms(e0, cfg)
+
+    def point(lam):
+        u = np.linalg.solve(H + lam * H_V, -(g + lam * g_V))
+        return u, 0.5 * u @ H_V @ u + g_V @ u + c_V
+
+    low, high = 0.0, 1.0
+    assert point(low)[1] > cfg.eps_omega  # the unconstrained optimum leaves Omega
+    while point(high)[1] > cfg.eps_omega:
+        high *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if point(mid)[1] > cfg.eps_omega else (low, mid)
+    return point(high)[0], high
+
+
+def test_terminal_solve_matches_the_kkt_point_with_the_terminal_row_active(
+        double_integrator):
+    """The double integrator with eps_omega low enough that the terminal set
+    binds: from zero input (outside Omega), a terminal-enforced solve
+    converges to the KKT point of the linear-quadratic problem with its one
+    quadratic constraint, and the terminal row is active there."""
+    cfg = _config(eps_omega=0.02)
+    ed = double_integrator
+    for e0 in ([1.5, -0.7], [0.6, 0.4], [-1.0, 1.0]):
+        e0 = np.array(e0)
+        u_ref, lam = _terminal_kkt(e0, cfg)
+        assert lam > 1.0
+        H, g, c, H_V, g_V, c_V = _linear_quadratic_terms(e0, cfg)
+        sol = solve_fhocp(ed, e0, no_margins, cfg, _zero_start(cfg, ed), use_terminal=True)
+        assert sol.status == "optimal"
+        u = sol.inputs.ravel()
+        # the rollout is the exact discretization's
+        assert sol.cost == pytest.approx(0.5 * u @ H @ u + g @ u + c, rel=1e-9)
+        v_term = sol.dense_errors[-1] @ cfg.P @ sol.dense_errors[-1]
+        assert v_term == pytest.approx(0.5 * u @ H_V @ u + g_V @ u + c_V, rel=1e-9)
+        assert abs(v_term - cfg.eps_omega) <= 1e-6
+        np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-6 * np.abs(u_ref).max())
 
 
 def test_dual_mode_controller_switches_at_eps_omega():
@@ -415,18 +512,18 @@ def test_dual_mode_controller_switches_at_eps_omega():
 def test_suboptimal_stop_only_on_terminal_solves(monkeypatch):
     """Each solve calls `ocp.minimize` once, with its transcription's form,
     and only the terminal form builds the suboptimal stop: the relaxed tier
-    runs `_gauss_newton_sqp` and the feasibility restoration runs SLSQP to
-    its own test, as the stop needs a feasible shifted candidate under the
-    terminal set, which they lack."""
+    runs `_gauss_newton_sqp` to its own test and the feasibility restoration
+    runs SLSQP to its own, as the stop needs a feasible shifted candidate
+    under the terminal set, which they lack."""
     calls, real, real_stop = [], ocp.minimize, ocp._suboptimal_stop
 
     def recorded(tr, x0):
         calls.append(tr.form)
         return real(tr, x0)
 
-    def observed(tr, x0, scale):
+    def observed(start):
         calls.append("stop")
-        return real_stop(tr, x0, scale)
+        return real_stop(start)
 
     monkeypatch.setattr(ocp, "minimize", recorded)
     monkeypatch.setattr(ocp, "_suboptimal_stop", observed)
@@ -707,35 +804,14 @@ def test_solve_independent_of_blas_thread_count():
     assert solutions[0].cost == solutions[1].cost
 
 
-def _scipy_slsqp(tr, x0, stop=True):
-    """The SLSQP run of `ocp.minimize(tr, x0)` through scipy's public
-    ``minimize(method="SLSQP")``: one constraint dict per block (margins,
-    ball, terminal), each with its own evaluation. In the terminal form, the
-    cost in the Gauss-Newton-scaled variables, each block's Jacobian times
-    T, to `SLSQP_FTOL`, with the predicate of `ocp._suboptimal_stop` as the
-    callback that halts it (unless not `stop`); in the restore form, the
-    slack form to 1e-12."""
-    cfg, N, m, nx = tr.cfg, tr.N, tr.m, tr.nx
-    slack = tr.form == "restore"
-    scale, ftol, callback = None, 1e-12, None
-    if not slack:
-        with single_blas_thread():
-            scale = ocp._inverse_factor(ocp._gauss_newton_hessian(tr, x0))
-        ftol, predicate = ocp.SLSQP_FTOL, ocp._suboptimal_stop(tr, x0, scale)
-
-        def halt(y):
-            if predicate(y):
-                raise StopIteration
-
-        callback = halt if stop else None
-    u_bar_sq = cfg.u_bar ** 2
+def _scipy_slsqp(tr, x0):
+    """The SLSQP run of `ocp.minimize(tr, x0)`'s restore form through
+    scipy's public ``minimize(method="SLSQP")``: max s over x = (u, s) to
+    1e-12, with one constraint dict per block (the margins lowered by s, the
+    ball), each with its own evaluation."""
+    N, m, nx = tr.N, tr.m, tr.nx
+    u_bar_sq = tr.cfg.u_bar ** 2
     ball_rows, ball_cols = np.repeat(np.arange(N), m), np.arange(nx)
-
-    def lowered(x, value):
-        return value - x[-1] if slack else value
-
-    def with_slack_column(jacobian):
-        return np.hstack([jacobian, -np.ones((len(jacobian), 1))]) if slack else jacobian
 
     def ball_jac(x):
         out = np.zeros((N, len(x)))
@@ -746,44 +822,19 @@ def _scipy_slsqp(tr, x0, stop=True):
         U = x[:nx].reshape(N, m)
         return u_bar_sq - np.sum(U * U, axis=1)
 
-    ball = [{"type": "ineq", "fun": ball_fun, "jac": ball_jac}]
-    margins = [{"type": "ineq",
-                "fun": lambda x: lowered(x, tr.eval(x[:nx])["margins"]),
-                "jac": lambda x: with_slack_column(
-                     tr.eval(x[:nx], gradients=True)["margins_jac"])}]
-    terminal = [{"type": "ineq",
-                 "fun": lambda x: np.array([cfg.eps_omega - tr.eval(x[:nx])["v_term"]]),
-                 "jac": lambda x: -tr.eval(x[:nx], gradients=True)["v_term_grad"][None, :]}]
-    if slack:
-        terminal = []
-    cons = margins + ball + terminal
-    if slack:
-        grad = np.zeros(nx + 1)
-        grad[-1] = -1.0
-        fun, jac = (lambda x: -x[-1]), (lambda x: grad)
-    else:
-        fun = lambda x: tr.eval(x)["cost"]  # noqa: E731
-        jac = lambda x: tr.eval(x, gradients=True)["cost_grad"]  # noqa: E731
-    start, to_x = x0, (lambda y: y)
-    if scale is not None:
-        def to_x(y):
-            return x0 + scale @ y
+    def margins_jac(x):
+        jacobian = tr.eval(x[:nx], gradients=True)["margins_jac"]
+        return np.hstack([jacobian, -np.ones((len(jacobian), 1))])
 
-        def in_y(value):
-            return lambda y: value(to_x(y))
-
-        def jacobian_in_y(jacobian):
-            return lambda y: jacobian(to_x(y)) @ scale
-
-        fun, jac = in_y(fun), jacobian_in_y(jac)
-        cons = [{"type": "ineq", "fun": in_y(c["fun"]), "jac": jacobian_in_y(c["jac"])}
-                for c in cons]
-        start = np.zeros_like(x0)
+    cons = [{"type": "ineq", "fun": lambda x: tr.eval(x[:nx])["margins"] - x[-1],
+             "jac": margins_jac},
+            {"type": "ineq", "fun": ball_fun, "jac": ball_jac}]
+    grad = np.zeros(nx + 1)
+    grad[-1] = -1.0
     with single_blas_thread():
-        opt = scipy.optimize.minimize(fun, start, jac=jac, constraints=cons, method="SLSQP",
-                                      callback=callback,
-                                      options={"maxiter": ocp.MAX_ITERATIONS, "ftol": ftol})
-    return to_x(opt.x), opt
+        return scipy.optimize.minimize(lambda x: -x[-1], x0, jac=lambda x: grad,
+                                       constraints=cons, method="SLSQP",
+                                       options={"maxiter": ocp.MAX_ITERATIONS, "ftol": 1e-12})
 
 
 def _unicycle_problems():
@@ -801,94 +852,48 @@ def _unicycle_problems():
 def _scipy_reference(tr, x0):
     """(x bytes, nit, nfev, status) of scipy's SLSQP on a fresh copy of `tr`
     from x0, with scipy's status in `ocp.minimize`'s terms: 0 is
-    "converged"; 99, the stop's halt, is "stopped", or "converged" where
-    scipy's run without the stop ends at that same iterate with status 0,
-    SLSQP's own test passing there too; any other "unconverged"."""
-    def fresh():
-        return _Transcription(tr.errordyn, tr.e0, tr.margin_fn, tr.cfg, tr.form)
-
-    ref_x, ref = _scipy_slsqp(fresh(), x0)
-    status = {0: "converged", 99: "stopped"}.get(ref.status, "unconverged")
-    if status == "stopped":
-        free_x, free = _scipy_slsqp(fresh(), x0, stop=False)
-        if (free.status, free.nit, free_x.tobytes()) == (0, ref.nit, ref_x.tobytes()):
-            status = "converged"
-    return ref_x.tobytes(), ref.nit, ref.nfev, status
+    "converged", any other "unconverged"."""
+    ref = _scipy_slsqp(_Transcription(tr.errordyn, tr.e0, tr.margin_fn, tr.cfg, tr.form), x0)
+    return ref.x.tobytes(), ref.nit, ref.nfev, "converged" if ref.status == 0 else "unconverged"
 
 
-def _slsqp_form(form, cfg, ed, e0, margin_fn, start):
-    """`ocp.minimize`'s arguments (tr, x0) for one of its two SLSQP forms, on
-    a fresh transcription, as `solve_fhocp` ("terminal") and
-    `restore_feasibility` ("restore") build them."""
-    tr = _Transcription(ed, e0, margin_fn, cfg, form)
+def _restore_form(cfg, ed, e0, margin_fn, start):
+    """`ocp.minimize`'s arguments (tr, x0) for its restore form, on a fresh
+    transcription, as `restore_feasibility` builds them."""
+    tr = _Transcription(ed, e0, margin_fn, cfg, "restore")
     u0 = ocp._project_inputs(start, cfg.u_bar).ravel()
-    if form == "terminal":
-        return tr, u0
     return tr, np.append(u0, tr.eval(u0)["slack"])
 
 
 def test_minimize_matches_scipy_slsqp_bitwise():
     """`ocp.minimize` drives scipy's private compiled SLSQP core
     (`scipy.optimize._slsqplib.slsqp`) as scipy's own wrapper does. On the
-    seeded unicycle problems, in both of its SLSQP forms (terminal:
-    Gauss-Newton scaled, with the suboptimal stop; restore: the slack form),
-    it must return bitwise scipy's x, and its nit, nfev and status. The
-    terminal form also restarts from its own plan, three times, to reach
-    iterates where SLSQP's own test passes and the stop holds. A scipy
-    release that changes the core's contract fails here first."""
+    seeded unicycle problems, in its restore form (the slack form), it must
+    return bitwise scipy's x, and its nit, nfev and status. A scipy release
+    that changes the core's contract fails here first."""
     statuses = set()
-    for cfg, ed, e0, margin_fn, start in _unicycle_problems():
-        for form in ("restore", "terminal", "terminal", "terminal", "terminal"):
-            tr, x0 = _slsqp_form(form, cfg, ed, e0, margin_fn, start)
-            with single_blas_thread():
-                ours = ocp.minimize(tr, x0)
-            got = (ours.x.tobytes(), ours.nit, ours.nfev, ours.status)
-            want = _scipy_reference(tr, x0)
-            assert got == want, (
-                f"{form}: ocp.minimize gives (nit, nfev, status) {got[1:]}, scipy's "
-                f"SLSQP {want[1:]}, or another x; has scipy.optimize._slsqplib changed?")
-            statuses.add((form, ours.status))
-            if form == "terminal":
-                start = ours.x.reshape(start.shape)
-    # the problems reach SLSQP's own test in both forms, and the suboptimal stop
-    assert {("restore", "converged"), ("terminal", "converged"),
-            ("terminal", "stopped")} <= statuses
+    for problem in _unicycle_problems():
+        tr, x0 = _restore_form(*problem)
+        with single_blas_thread():
+            ours = ocp.minimize(tr, x0)
+        got = (ours.x.tobytes(), ours.nit, ours.nfev, ours.status)
+        want = _scipy_reference(tr, x0)
+        assert got == want, (
+            f"ocp.minimize gives (nit, nfev, status) {got[1:]}, scipy's "
+            f"SLSQP {want[1:]}, or another x; has scipy.optimize._slsqplib changed?")
+        statuses.add(ours.status)
+    # the problems reach SLSQP's own test
+    assert "converged" in statuses
 
 
-def test_closed_loop_scaled_solves_match_scipy_slsqp_bitwise(monkeypatch):
-    """The scaled solves of the bundled scenario's first 2 s, as the closed
-    loop makes them: the Gauss-Newton-scaled terminal solves, with hundreds
-    of margin rows of several kinds, the terminal row and the scale T. On
-    each, `ocp.minimize` must return bitwise what scipy's public SLSQP returns
-    with each constraint block's Jacobian times T on its own. The seeded
-    problems above cannot tell that from one product of T with all the
-    stacked rows, which moves the closed loop's iterates."""
-    scenario = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
-    real = ocp.minimize
-    margin_rows = []
-
-    def checked(tr, x0):
-        if tr.form != "terminal":
-            return real(tr, x0)
-        # x0 is the solve's last evaluated point, so this reads its cache
-        margin_rows.append(tr.eval(x0)["margins"].size)
-        ours = real(tr, x0)
-        assert (ours.x.tobytes(), ours.nit, ours.nfev, ours.status) == _scipy_reference(
-            tr, x0), f"scaled solve {len(margin_rows) - 1}"
-        return ours
-
-    monkeypatch.setattr(ocp, "minimize", checked)
-    load_scenario(scenario).build_simulation(total_time=2.0).run()
-    assert len(margin_rows) >= 5 and min(margin_rows) >= 300
-
-
-def _gauss_newton_hessian(tr, x):
+def _gauss_newton_hessian(tr, x, terminal_weight):
     """The Gauss-Newton Hessian of `ocp._gauss_newton_hessian`'s docstring,
     by the same float operations."""
     cfg = tr.cfg
     J = tr.jac(x)[tr.stage_idx]
     return (2.0 * cfg.h * (np.einsum("kix,kiy->xy", J[:-1], cfg.Q @ J[:-1])
-                           + np.kron(np.eye(tr.N), cfg.R)) + 2.0 * J[-1].T @ cfg.P @ J[-1])
+                           + np.kron(np.eye(tr.N), cfg.R))
+            + 2.0 * terminal_weight * J[-1].T @ cfg.P @ J[-1])
 
 
 def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
@@ -898,33 +903,31 @@ def test_gauss_newton_scaling_is_scipys_triangular_inverse_bitwise(monkeypatch):
     factor L of the same H, and Fortran-ordered as that T is (the products
     that read T take other BLAS paths, and move the corridor's floats, on a
     C-ordered one), at every point where the bundled scenario's first 1.5 s
-    builds a Gauss-Newton Hessian (the terminal tier's warm starts and the
-    relaxed tier's iterates), on seeded perturbations of those points and on
-    the seeded unicycle problems. The closed-loop SLSQP test hands both sides
-    the same T, so it cannot see L inverted in place of L' or a T in the
-    wrong layout; this test does."""
+    builds a Gauss-Newton Hessian (the iterates of both tiers), on seeded
+    perturbations of those points and on the seeded unicycle problems."""
     scenario = Path(__file__).resolve().parents[1] / "src" / "dnmpc" / "scenarios" / "three_unicycles.yaml"
     real = ocp._gauss_newton_hessian
     problems = []
 
-    def recorded(tr, x):
-        problems.append((tr, x.copy()))
-        return real(tr, x)
+    def recorded(tr, x, terminal_weight):
+        problems.append((tr, x.copy(), terminal_weight))
+        return real(tr, x, terminal_weight)
 
     monkeypatch.setattr(ocp, "_gauss_newton_hessian", recorded)
     load_scenario(scenario).build_simulation(total_time=1.5).run()
     monkeypatch.undo()
     assert len(problems) >= 5
     rng = np.random.default_rng(7)
-    problems += [(tr, x + rng.uniform(-0.5, 0.5, x.shape)) for tr, x in problems]
+    assert any(weight > 1.0 for _, _, weight in problems)
+    problems += [(tr, x + rng.uniform(-0.5, 0.5, x.shape), weight) for tr, x, weight in problems]
     for cfg, ed, e0, margin_fn, start in _unicycle_problems():
         problems.append((_Transcription(ed, e0, margin_fn, cfg, "terminal"),
-                         ocp._project_inputs(start, cfg.u_bar).ravel()))
-    for k, (tr, x) in enumerate(problems):
+                         ocp._project_inputs(start, cfg.u_bar).ravel(), 1.0))
+    for k, (tr, x, weight) in enumerate(problems):
         with single_blas_thread():
-            L = np.linalg.cholesky(_gauss_newton_hessian(tr, x))
+            L = np.linalg.cholesky(_gauss_newton_hessian(tr, x, weight))
             want = scipy.linalg.solve_triangular(L, np.eye(tr.nx), lower=True, trans="T")
-            got = ocp._inverse_factor(ocp._gauss_newton_hessian(tr, x))
+            got = ocp._inverse_factor(ocp._gauss_newton_hessian(tr, x, weight))
         assert np.array_equal(got, want), f"problem {k}: T differs from scipy's L^-T"
         assert got.flags.f_contiguous, f"problem {k}: T is not Fortran-ordered"
 
